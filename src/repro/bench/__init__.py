@@ -5,16 +5,6 @@ population sizes, checks the headline perf target (a >= 50x reduction in
 Python-level transition calls on the epidemic protocol at ``n = 10**5``),
 and writes ``BENCH_batch_backend.json`` so the perf trajectory is tracked
 across PRs.
-
-``repro-bench --samplers`` runs the sampler-strategy benchmark instead
-(:mod:`repro.bench.samplers`): scan vs alias vs Fenwick vs auto on churning,
-dynamic-population, dense, and static workloads, written to
-``BENCH_samplers.json``.
-
-``repro-bench --accel`` runs the acceleration benchmark
-(:mod:`repro.bench.vectorized`): the pure-Python hot loop vs the
-NumPy-vectorised kernels on the headline counting workloads, written to
-``BENCH_vectorized.json``.
 """
 
 from .runner import (
@@ -24,17 +14,6 @@ from .runner import (
     run_benchmark,
     smoke_cases,
 )
-from .vectorized import (
-    StaticDenseProtocol,
-    run_vectorized_benchmark,
-    vectorized_cases,
-)
-from .samplers import (
-    SamplerBenchCase,
-    SamplerBenchEntry,
-    run_sampler_benchmark,
-    sampler_cases,
-)
 
 __all__ = [
     "BenchCase",
@@ -42,11 +21,4 @@ __all__ = [
     "default_cases",
     "run_benchmark",
     "smoke_cases",
-    "SamplerBenchCase",
-    "SamplerBenchEntry",
-    "run_sampler_benchmark",
-    "sampler_cases",
-    "StaticDenseProtocol",
-    "run_vectorized_benchmark",
-    "vectorized_cases",
 ]

@@ -1,18 +1,11 @@
 """``repro-bench`` console entry point.
 
-Runs one of three benchmark grids and writes a JSON report *exactly at*
-``--output`` (parent directories are created; nothing is implicitly dropped
-into the CWD, so CI matrix legs writing to per-leg paths cannot clobber
-each other):
+Compares the per-agent and batched backends and writes a JSON report
+(``BENCH_batch_backend.json`` by default) *exactly at* ``--output``
+(parent directories are created; nothing is implicitly dropped into the
+CWD, so CI matrix legs writing to per-leg paths cannot clobber each other).
 
-* the default grid compares the per-agent and batched backends and writes
-  ``BENCH_batch_backend.json``;
-* ``--samplers`` compares the batch backend's Python sampling strategies
-  (scan/alias/fenwick/vector/auto) and writes ``BENCH_samplers.json``;
-* ``--accel`` compares ``accel="python"`` against the NumPy-vectorised
-  kernels and writes ``BENCH_vectorized.json`` (requires NumPy).
-
-With ``--check-budget`` (default grid only) the smoke wall times are
+With ``--check-budget`` (smoke grid only) the smoke wall times are
 compared against the generous per-workload budgets committed in
 :data:`repro.bench.runner.SMOKE_BUDGETS_S`; the table is printed either way
 and the run fails on gross (> 5x budget) regressions — the CI perf canary.
@@ -22,8 +15,6 @@ Usage::
     repro-bench                 # full grid, n up to 10**6 on the batch backend
     repro-bench --smoke         # < 30 s grid for CI pushes
     repro-bench --smoke --check-budget
-    repro-bench --samplers      # scan vs alias vs Fenwick strategy grid
-    repro-bench --accel         # pure-Python vs NumPy-vectorised kernels
     repro-bench --output reports/bench.json --seed 7
 """
 
@@ -34,7 +25,6 @@ import sys
 import time
 from typing import List, Optional
 
-from ..engine.errors import ReproError
 from ..obs.profile import render_profile
 from .runner import (
     BUDGET_FAIL_FACTOR,
@@ -42,14 +32,10 @@ from .runner import (
     run_benchmark,
     write_report,
 )
-from .samplers import run_sampler_benchmark
-from .vectorized import run_vectorized_benchmark
 
 __all__ = ["main"]
 
 DEFAULT_OUTPUT = "BENCH_batch_backend.json"
-SAMPLERS_OUTPUT = "BENCH_samplers.json"
-VECTORIZED_OUTPUT = "BENCH_vectorized.json"
 
 
 def _print_budget_table(rows) -> None:
@@ -66,60 +52,30 @@ def _print_budget_table(rows) -> None:
         )
 
 
-def _report_headline_and_exit(report, output: str, elapsed: float, headline_line) -> int:
-    """Shared epilogue: headline status, wrote-line, exit 1 below target."""
-    headline = report["headline"]
-    if headline is not None:
-        status = "OK" if report["headline_met"] else "BELOW TARGET"
-        print(f"{headline_line(headline, report)} [{status}]")
-    print(f"wrote {output} ({len(report['entries'])} entries, {elapsed:.1f}s)")
-    if report["headline_met"] is False:
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark the simulation backends, samplers, and accel paths.",
+        description="Benchmark the per-agent and batched simulation backends.",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="run the quick (< 30 s) grid used on CI pushes",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--samplers",
-        action="store_true",
-        help=(
-            "benchmark the batch backend's sampling strategies (scan/alias/"
-            f"fenwick/vector/auto) instead of the backends; writes {SAMPLERS_OUTPUT}"
-        ),
-    )
-    mode.add_argument(
-        "--accel",
-        action="store_true",
-        help=(
-            "benchmark the pure-Python hot loop against the NumPy-vectorised "
-            f"kernels (requires NumPy); writes {VECTORIZED_OUTPUT}"
-        ),
-    )
     parser.add_argument(
         "--check-budget",
         action="store_true",
         help=(
             "compare smoke wall times against the committed per-workload "
-            "budgets and fail on gross regressions (default grid only)"
+            "budgets and fail on gross regressions (smoke grid only)"
         ),
     )
     parser.add_argument(
         "--output",
         default=None,
         help=(
-            "path of the JSON report (default: "
-            f"{DEFAULT_OUTPUT}, {SAMPLERS_OUTPUT} with --samplers, or "
-            f"{VECTORIZED_OUTPUT} with --accel); parent directories are created"
+            f"path of the JSON report (default: {DEFAULT_OUTPUT}); parent "
+            "directories are created"
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
@@ -128,37 +84,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help=(
             "print the per-phase time breakdown aggregated from the runs' "
-            "telemetry (default grid only; embedded in the report as 'profile')"
+            "telemetry (embedded in the report as 'profile')"
         ),
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-case progress output"
     )
     args = parser.parse_args(argv)
-    if args.check_budget and (args.samplers or args.accel or not args.smoke):
-        # Budgets are committed for the smoke grid only: on any other grid
+    if args.check_budget and not args.smoke:
+        # Budgets are committed for the smoke grid only: on the full grid
         # the canary would match nothing and pass vacuously.
-        parser.error("--check-budget applies to the default --smoke grid only")
+        parser.error("--check-budget applies to the --smoke grid only")
 
     progress = None if args.quiet else lambda line: print(line, flush=True)
     started = time.perf_counter()
-    if args.samplers:
-        output = args.output or SAMPLERS_OUTPUT
-        report = run_sampler_benchmark(
-            smoke=args.smoke, base_seed=args.seed, progress=progress
-        )
-    elif args.accel:
-        output = args.output or VECTORIZED_OUTPUT
-        try:
-            report = run_vectorized_benchmark(
-                smoke=args.smoke, base_seed=args.seed, progress=progress
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    else:
-        output = args.output or DEFAULT_OUTPUT
-        report = run_benchmark(smoke=args.smoke, base_seed=args.seed, progress=progress)
+    output = args.output or DEFAULT_OUTPUT
+    report = run_benchmark(smoke=args.smoke, base_seed=args.seed, progress=progress)
     elapsed = time.perf_counter() - started
     write_report(report, output)
 
@@ -167,49 +108,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         if profile:
             print(render_profile(profile, title="bench"))
         else:
-            print("(no run telemetry in this grid; --profile applies to the default grid)")
+            print("(no run telemetry in this grid)")
 
-    if args.samplers:
-        headline = report["headline"]
-        churn = headline["churn"]
-        if churn is not None:
-            print(
-                f"headline: {churn['case']} n={churn['n']} fenwick "
-                f"{churn['fenwick_speedup_vs_scan']}x vs scan, "
-                f"{churn['fenwick_speedup_vs_alias']}x vs alias"
-            )
-        if report["headline_met"] is not None:
-            status = "OK" if report["headline_met"] else "BELOW TARGET"
-            print(f"acceptance criteria: {report['headline']['criteria']} [{status}]")
-        print(f"wrote {output} ({len(report['entries'])} entries, {elapsed:.1f}s)")
-        if report["headline_met"] is False:
-            return 1
-        return 0
-
-    if args.accel:
-        return _report_headline_and_exit(
-            report,
-            output,
-            elapsed,
-            lambda headline, rep: (
-                f"headline: {headline['case']} n={headline['n']} numpy speedup "
-                f"{headline['speedup']}x (target {rep['target_speedup']}x)"
-            ),
-        )
-
-    # Default grid: the smoke variant has no headline-size case, so the
-    # headline check only bites on the full grid; the budget canary (smoke
-    # only) stacks its own failure on top.
-    status = _report_headline_and_exit(
-        report,
-        output,
-        elapsed,
-        lambda headline, rep: (
+    # The smoke grid has no headline-size case, so the headline check only
+    # bites on the full grid; the budget canary (smoke only) stacks its own
+    # failure on top.
+    headline = report["headline"]
+    if headline is not None:
+        verdict = "OK" if report["headline_met"] else "BELOW TARGET"
+        print(
             f"headline: {headline['protocol']} n={headline['n']} "
             f"transition-call reduction {headline['transition_call_reduction']}x "
-            f"(target {rep['target_reduction']}x)"
-        ),
-    )
+            f"(target {report['target_reduction']}x) [{verdict}]"
+        )
+    print(f"wrote {output} ({len(report['entries'])} entries, {elapsed:.1f}s)")
+    status = 1 if report["headline_met"] is False else 0
     if args.check_budget:
         rows, budgets_ok = check_smoke_budgets(report)
         _print_budget_table(rows)

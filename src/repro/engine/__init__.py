@@ -15,23 +15,8 @@ from .backends import (
     BatchBackend,
     LiftedKeyTransitions,
 )
-from .samplers import (
-    SAMPLER_NAMES,
-    AliasSampler,
-    AliasTable,
-    FenwickSampler,
-    ScanSampler,
-    WeightedSampler,
-    make_sampler,
-)
-from .vectorized import (
-    ACCEL_NAMES,
-    DenseBlockKernel,
-    FactorisedPairKernel,
-    VectorSampler,
-    numpy_available,
-    resolve_accel,
-)
+from .samplers import FenwickSampler, WeightedSampler
+from .vectorized import FactorisedPairKernel, numpy_available
 from .convergence import (
     ConvergenceTracker,
     accuracy_fraction,
@@ -86,22 +71,13 @@ from .stats import (
 
 __all__ = [
     "AgentBackend",
-    "AliasSampler",
-    "AliasTable",
     "Backend",
     "BatchBackend",
     "FenwickSampler",
     "LiftedKeyTransitions",
-    "SAMPLER_NAMES",
-    "ScanSampler",
     "WeightedSampler",
-    "make_sampler",
-    "ACCEL_NAMES",
-    "DenseBlockKernel",
     "FactorisedPairKernel",
-    "VectorSampler",
     "numpy_available",
-    "resolve_accel",
     "ConvergenceTracker",
     "accuracy_fraction",
     "all_outputs_equal",

@@ -42,22 +42,8 @@ from ..obs.trace import RunTracer
 from .errors import ConfigurationError, SimulationError
 from .metrics import AggregateInteractionCounter, InteractionCounter, StateSpaceTracker
 from .protocol import Protocol
-from .samplers import (
-    SAMPLER_NAMES,
-    AliasSampler,
-    AliasTable,
-    FenwickSampler,
-    WeightedSampler,
-    make_sampler,
-)
-from .vectorized import (
-    ACCEL_NAMES,
-    AccelCapacityError,
-    DenseBlockKernel,
-    FactorisedPairKernel,
-    numpy_available,
-    resolve_accel,
-)
+from .samplers import FenwickSampler
+from .vectorized import AccelCapacityError, FactorisedPairKernel, numpy_available
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
     from .scheduler import Scheduler
@@ -68,14 +54,21 @@ __all__ = [
     "AgentBackend",
     "BatchBackend",
     "LiftedKeyTransitions",
-    "AliasTable",
     "BACKEND_NAMES",
-    "SAMPLER_NAMES",
-    "ACCEL_NAMES",
+    "KERNEL_MIN_PAIRS",
 ]
 
 #: Valid values for the ``backend=`` argument of the simulator.
 BACKEND_NAMES = ("agent", "batch", "auto")
+
+#: Width of the active pair table (ordered pair types of positive weight)
+#: past which the pruning regime hands its hot loop to the NumPy
+#: :class:`~repro.engine.vectorized.FactorisedPairKernel`, when NumPy is
+#: importable.  Both sides are measured: ``backup-exact`` grows past it
+#: within its first ~200 events and runs ~3x faster on the kernel at
+#: n = 10^3, while ``one-way-epidemic`` never holds more than 2 active pairs
+#: and runs ~6x slower when the kernel is forced on it (n = 600-840).
+KERNEL_MIN_PAIRS = 32
 
 
 class LiftedKeyTransitions:
@@ -457,39 +450,27 @@ class BatchBackend(Backend):
 
     * **Pruning** — the protocol overrides ``can_interaction_change``, so the
       active-pair weight table above is worth maintaining: skips are long and
-      the active pair type is drawn from a pluggable
-      :class:`~repro.engine.samplers.WeightedSampler` over the table.
+      the active pair type is drawn from a
+      :class:`~repro.engine.samplers.FenwickSampler` over the table.
     * **Dense** — the protocol keeps the conservative default, every ordered
       pair is active (``W == T``, no skipping is ever possible), and the
       O(K^2) pair table would be pure overhead.  The two participants' keys
-      are instead drawn from a :class:`~repro.engine.samplers.WeightedSampler`
+      are instead drawn from a :class:`~repro.engine.samplers.FenwickSampler`
       over the key histogram, which realises the uniform ordered-pair law
       exactly.  This is the regime of the composed counting protocols, whose
       no-op analysis is out of reach of a per-pair predicate.
 
-    The ``sampler`` knob picks the strategy for whichever regime is active
-    (see :data:`~repro.engine.samplers.SAMPLER_NAMES`): ``"scan"`` /
-    ``"alias"`` / ``"fenwick"`` force one, while ``"auto"`` (default) starts
-    on the alias strategy and swaps in the Fenwick tree permanently once the
-    alias table *thrashes* — is invalidated faster than it serves draws, the
-    signature of a churning pair table (``backup-exact`` at ``n >= 10^4``,
-    scenario churn).  The final strategy and its counters are reported by
-    :meth:`sampler_stats` (surfaced as ``SimulationResult.extra["sampler"]``).
-
-    The ``accel`` knob selects the hot-loop implementation (see
-    :mod:`repro.engine.vectorized`): ``"auto"`` (default) uses the NumPy
-    kernels when NumPy is importable *and* the sampler knob was left on
-    ``"auto"`` — the dense regime then draws participant pairs
-    in vectorised blocks, and the pruning regime replaces the materialised
-    pair-weight table (and its O(changed * K) per-event
-    :meth:`_update_pair_weights` walk) with the factorised
-    ``w(a, b) = c_a * c_b`` row/column-product kernel, whose count updates
-    are O(changed).  ``"python"`` forces the pure-Python path unchanged;
-    ``"numpy"`` makes the acceleration a hard requirement.  The active path
-    is reported by :meth:`accel_info` (surfaced as
-    ``SimulationResult.extra["accel"]``); a protocol whose live key set
-    outgrows the factorised kernel's activity matrix falls back to the
-    Python path mid-run and records the reason there.
+    The backend picks its hot loop from what it observes; there is no knob.
+    In the pruning regime, once the active pair table holds more than
+    :data:`KERNEL_MIN_PAIRS` entries and NumPy is importable (see
+    :mod:`repro.engine.vectorized`), the materialised table and its
+    O(changed * K) per-event :meth:`_update_pair_weights` walk are replaced
+    for the rest of the run by the factorised ``w(a, b) = c_a * c_b``
+    row/column-product kernel, whose count updates are O(changed).  A
+    protocol whose live key set outgrows the kernel's activity matrix falls
+    back to the Python path mid-run.  :meth:`sampler_stats` and
+    :meth:`accel_info` report the path taken (surfaced in
+    ``SimulationResult.extra["telemetry"]``).
     """
 
     name = "batch"
@@ -500,8 +481,6 @@ class BatchBackend(Backend):
         scheduler_rng: random.Random,
         agent_rng: random.Random,
         track_state_space: bool = True,
-        sampler: str = "auto",
-        accel: str = "auto",
     ) -> None:
         super().__init__(simulator)
         protocol = self.protocol
@@ -543,70 +522,27 @@ class BatchBackend(Backend):
         self._prunes = (
             type(protocol).can_interaction_change is not Protocol.can_interaction_change
         )
-        if sampler not in SAMPLER_NAMES:
-            raise ConfigurationError(
-                f"unknown sampler {sampler!r}; expected one of {SAMPLER_NAMES}"
-            )
-        #: Requested strategy knob; ``"auto"`` enables the thrash-driven
-        #: alias-to-Fenwick switch.
-        self.sampler_mode = sampler
-        #: Requested acceleration knob (``accel_active`` is the live path).
-        self.accel_mode = accel
-        #: Resolved acceleration path: ``"numpy"`` or ``"python"``.  May
-        #: flip to ``"python"`` mid-run when a kernel outgrows its capacity
-        #: or the dense blocks thrash.
-        self.accel_active = resolve_accel(accel, sampler)
+        #: Whether the factorised kernel may still engage: pruning regime,
+        #: NumPy importable, not engaged yet and no capacity fallback.
+        self._kernel_armed = self._prunes and numpy_available()
         self._accel_fallback: Optional[str] = None
-        #: In the pruning regime under ``accel="auto"`` the factorised
-        #: kernel only *engages* once the Python alias table thrashes (the
-        #: PR-4 churn signal): vectorisation pays off exactly where the
-        #: pair table churns and is wide (the backup counting protocols),
-        #: and loses on the tiny or static tables where the alias strategy
-        #: is unbeatable (epidemic's single active pair, static-table).
-        self._accel_pending = False
-        #: Stats snapshots of samplers retired by the ``auto`` switch.
+        #: Stats snapshots of samplers and kernels replaced mid-run.
         self._retired_samplers: List[Dict[str, Any]] = []
         #: Configuration-changing events actually applied; the complement
         #: of ``interactions`` measures the geometric-skip efficiency.
         self.applied_events: int = 0
         # Pruning regime: sampler over active pair types.  Dense regime:
-        # sampler over the key histogram.  Only the active regime's sampler
-        # is materialised.
-        self._pair_sampler: Optional[WeightedSampler] = None
-        self._count_sampler: Optional[WeightedSampler] = None
-        # NumPy kernels (accel path); at most one is live, matching the regime.
+        # sampler over the key histogram.  None while the kernel is engaged.
+        self._sampler: Optional[FenwickSampler] = None
         self._pair_kernel: Optional[FactorisedPairKernel] = None
-        self._dense_kernel: Optional[DenseBlockKernel] = None
         # Active ordered pair types and their integer weights; rebuilt lazily
         # in full once, then maintained incrementally per event.
         self._pair_weights: Dict[Tuple[Hashable, Hashable], int] = {}
         self._active_weight = 0
-        if self.accel_active == "numpy":
-            if self._prunes and accel != "numpy":
-                # accel="auto": arm the kernel, engage on alias thrash.
-                self._accel_pending = True
-            else:
-                try:
-                    if self._prunes:
-                        self._pair_kernel = FactorisedPairKernel(
-                            dict(self.counts),
-                            self._can_change,
-                            seed=self._kernel_seed(),
-                        )
-                    else:
-                        self._dense_kernel = DenseBlockKernel(
-                            dict(self.counts), seed=self._kernel_seed()
-                        )
-                except AccelCapacityError as error:
-                    self._note_fallback(str(error))
-        if self._pair_kernel is None and self._dense_kernel is None:
-            if self._prunes:
-                self._rebuild_pair_weights()
-            else:
-                self._count_sampler = make_sampler(sampler, self.counts)
-            if not self._accel_pending:
-                self.accel_active = "python"
-        if not self._prunes:
+        if self._prunes:
+            self._rebuild_pair_weights()
+        else:
+            self._sampler = FenwickSampler(self.counts)
             # An initial configuration may already be the provable fixed
             # point (single key, deterministic no-op self-interaction).
             self._check_dense_fixed_point()
@@ -655,12 +591,10 @@ class BatchBackend(Backend):
                     total += weight
         self._pair_weights = pair_weights
         self._active_weight = total
-        if self._pair_sampler is None:
-            self._pair_sampler = make_sampler(self.sampler_mode, pair_weights)
+        if self._sampler is None:
+            self._sampler = FenwickSampler(pair_weights)
         else:
-            # The auto switch is sticky: a rebuild refreshes whatever
-            # strategy is currently active rather than reverting to alias.
-            self._pair_sampler.rebuild(pair_weights)
+            self._sampler.rebuild(pair_weights)
 
     def _update_pair_weights(self, changed: Tuple[Hashable, ...]) -> None:
         """Refresh pair weights after an event changed the ``changed`` keys.
@@ -668,8 +602,8 @@ class BatchBackend(Backend):
         Small configurations are rebuilt wholesale (lower constants); larger
         ones are updated incrementally, touching only the O(changed * K)
         ordered pairs that involve a changed key — with the sampler notified
-        per changed pair, which is where the Fenwick strategy's O(log P)
-        point updates pay off.
+        per changed pair, which is where the Fenwick tree's O(log P) point
+        updates pay off.
         """
         if len(self.counts) <= self._REBUILD_THRESHOLD:
             self._rebuild_pair_weights()
@@ -677,7 +611,7 @@ class BatchBackend(Backend):
         changed_set = set(changed)
         neighbours = set(self.counts) | changed_set
         pair_weights = self._pair_weights
-        sampler = self._pair_sampler
+        sampler = self._sampler
         total = self._active_weight
         for key_d in changed_set:
             for key_x in neighbours:
@@ -704,22 +638,17 @@ class BatchBackend(Backend):
         if self._pair_kernel is not None:
             self._advance_pruning_numpy(target)
             return
-        if self._dense_kernel is not None:
-            self._advance_dense_numpy(target)
-            return
         ordered_pairs = self.n * (self.n - 1)
         log = math.log
         log1p = math.log1p
         pair_rng = self._pair_rng
         prunes = self._prunes
         while self.interactions < target and not self.terminal:
-            if self._accel_pending:
-                sampler = self._pair_sampler
-                if isinstance(sampler, AliasSampler) and sampler.thrashing:
-                    self._engage_pair_kernel()
-                    if self._pair_kernel is not None:
-                        self._advance_pruning_numpy(target)
-                        return
+            if self._kernel_armed and len(self._pair_weights) > KERNEL_MIN_PAIRS:
+                self._engage_pair_kernel()
+                if self._pair_kernel is not None:
+                    self._advance_pruning_numpy(target)
+                    return
             weight = self._active_weight if prunes else ordered_pairs
             if weight <= 0:
                 self.terminal = True
@@ -749,10 +678,10 @@ class BatchBackend(Backend):
     ) -> None:
         """Snapshot a sampler/kernel being replaced mid-run.
 
-        Every retirement — thrash swap, accel engagement, accel fallback —
-        funnels through here, so no replacement path can drop the counters
-        that triggered it (the bug when ``auto`` swapped twice in one run),
-        and each snapshot is stamped with why and when it was retired.
+        Every retirement — kernel engagement, capacity fallback — funnels
+        through here, so no replacement path can drop the counters of the
+        structure it replaces, and each snapshot is stamped with why and
+        when it was retired.
         """
         stats["regime"] = regime
         stats["retired_by"] = retired_by
@@ -766,43 +695,6 @@ class BatchBackend(Backend):
             reason=retired_by,
         )
 
-    def _maybe_switch_on_thrash(
-        self, sampler: WeightedSampler, weights: Dict[Any, int], regime: str
-    ) -> WeightedSampler:
-        """Swap a thrashing alias sampler for a Fenwick tree (``auto`` only).
-
-        The alias strategy reports :attr:`~repro.engine.samplers.AliasSampler.
-        thrashing` once tables stop amortising (churn on nearly every draw);
-        under the ``auto`` knob that is the signal to move to O(log P) point
-        updates permanently.  The retired sampler's counters are kept for
-        :meth:`sampler_stats`.
-        """
-        if (
-            self.sampler_mode == "auto"
-            and isinstance(sampler, AliasSampler)
-            and sampler.thrashing
-        ):
-            self._retire_sampler(sampler.stats(), regime, "thrash")
-            self.tracer.note_event(
-                "sampler-swap",
-                at=self.interactions,
-                regime=regime,
-                **{"from": "alias", "to": "fenwick"},
-            )
-            sampler = FenwickSampler(weights)
-            if regime == "pruning":
-                self._pair_sampler = sampler
-            else:
-                self._count_sampler = sampler
-        return sampler
-
-    def _sample_pair_type(self) -> Tuple[Hashable, Hashable]:
-        """Sample one active ordered pair type (pruning regime)."""
-        sampler = self._maybe_switch_on_thrash(
-            self._pair_sampler, self._pair_weights, "pruning"
-        )
-        return sampler.sample(self._pair_rng)
-
     def _sample_dense_pair(self) -> Tuple[Hashable, Hashable]:
         """Sample the ordered key pair of a uniform interaction (dense regime).
 
@@ -815,9 +707,7 @@ class BatchBackend(Backend):
         if len(counts) == 1:
             key = next(iter(counts))
             return key, key
-        sampler = self._maybe_switch_on_thrash(
-            self._count_sampler, counts, "dense"
-        )
+        sampler = self._sampler
         rng = self._pair_rng
         key_a = sampler.sample(rng)
         count_a = counts[key_a]
@@ -881,7 +771,7 @@ class BatchBackend(Backend):
         tracer = self.tracer
         tic = perf_counter()
         if self._prunes:
-            key_a, key_b = self._sample_pair_type()
+            key_a, key_b = self._sampler.sample(self._pair_rng)
         else:
             key_a, key_b = self._sample_dense_pair()
         toc = perf_counter()
@@ -894,7 +784,7 @@ class BatchBackend(Backend):
             if self._prunes:
                 self._update_pair_weights(changed)
             else:
-                sampler = self._count_sampler
+                sampler = self._sampler
                 counts = self.counts
                 for key in changed:
                     sampler.update(key, counts.get(key, 0))
@@ -905,81 +795,57 @@ class BatchBackend(Backend):
             for hook in simulator.hooks:
                 hook.on_batch_event(simulator, key_a, key_b, new_a, new_b)
 
-    # --------------------------------------------------- NumPy event loops
-    def _kernel_seed(self) -> int:
-        """Seed for a kernel's dedicated NumPy generator.
-
-        Drawn from the run's scheduler stream at the moment a kernel is
-        built — never on the pure-Python path, so ``accel="python"`` runs
-        stay stream-identical to earlier releases.
-        """
-        return self._pair_rng.getrandbits(64)
-
+    # ---------------------------------------------------- NumPy event loop
     def _note_fallback(self, reason: str) -> None:
         self._accel_fallback = reason
-        self._accel_pending = False
-        self.accel_active = "python"
+        self._kernel_armed = False
         self.tracer.note_event("accel-fallback", at=self.interactions, reason=reason)
 
     def _engage_pair_kernel(self) -> None:
-        """Swap the thrashing Python pair structures for the NumPy kernel.
+        """Swap the Python pair structures for the NumPy kernel.
 
-        The ``accel="auto"`` engagement point: the alias table reported
-        thrash, so the pair table is churning — the exact workload where
-        the factorised kernel's O(changed) updates beat the O(changed * K)
-        Python walk.  The retired Python sampler's counters are kept for
-        :meth:`sampler_stats`, mirroring the alias-to-Fenwick switch.
+        Called once the active pair table grew past
+        :data:`KERNEL_MIN_PAIRS`: the table is wide enough for the
+        factorised kernel's O(changed) updates to beat the O(changed * K)
+        Python walk.  The retired sampler's counters are kept for
+        :meth:`sampler_stats`.
         """
-        self._accel_pending = False
+        self._kernel_armed = False
+        # The kernel's generator is seeded from the scheduler stream only
+        # here, so a run whose pair table stays narrow draws the same
+        # stream with and without NumPy.
         try:
             kernel = FactorisedPairKernel(
-                dict(self.counts), self._can_change, seed=self._kernel_seed()
+                dict(self.counts),
+                self._can_change,
+                seed=self._pair_rng.getrandbits(64),
             )
         except AccelCapacityError as error:
             self._note_fallback(str(error))
             return
-        if self._pair_sampler is not None:
-            self._retire_sampler(self._pair_sampler.stats(), "pruning", "accel-engage")
+        self._retire_sampler(self._sampler.stats(), "pruning", "accel-engage")
         self.tracer.note_event(
             "accel-engage", at=self.interactions, kernel="factorised-pair"
         )
         self._pair_kernel = kernel
-        self._pair_sampler = None
+        self._sampler = None
         self._pair_weights = {}
         self._active_weight = 0
 
     def _fallback_to_python(self, reason: str) -> None:
-        """Abandon the NumPy kernels mid-run and rebuild the Python path.
+        """Abandon the NumPy kernel mid-run and rebuild the Python path.
 
-        Triggered when a kernel outgrows its capacity (an activity matrix
+        Triggered when the kernel outgrows its capacity (an activity matrix
         wider than :attr:`~repro.engine.vectorized.FactorisedPairKernel.
         MATRIX_LIMIT` keys).  The configuration histogram is the source of
-        truth, so rebuilding the Python sampling structures from it is
-        exact; the reason is surfaced via :meth:`accel_info` and the
-        retired kernel's counters are kept in the sampler record (the
-        counters that *triggered* the fallback would otherwise vanish from
-        the result).
+        truth, so rebuilding the Python pair table from it is exact; the
+        reason is surfaced via :meth:`accel_info` and the retired kernel's
+        counters are kept in the sampler record.
         """
-        retired_kernel = self._pair_kernel or self._dense_kernel
-        if retired_kernel is not None:
-            self._retire_sampler(
-                retired_kernel.stats(),
-                "pruning" if self._prunes else "dense",
-                "accel-fallback",
-            )
+        self._retire_sampler(self._pair_kernel.stats(), "pruning", "accel-fallback")
         self._pair_kernel = None
-        self._dense_kernel = None
         self._note_fallback(reason)
-        if self._prunes:
-            self._rebuild_pair_weights()
-        else:
-            # A live histogram sampler would be silently replaced here —
-            # retire its counters first so no swap chain can drop them.
-            if self._count_sampler is not None:
-                self._retire_sampler(
-                    self._count_sampler.stats(), "dense", "accel-fallback"
-                )
-            self._count_sampler = make_sampler(self.sampler_mode, self.counts)
+        self._rebuild_pair_weights()
 
     def _advance_pruning_numpy(self, target: int) -> None:
         """Pruning-regime event loop over the factorised pair kernel."""
@@ -1032,51 +898,6 @@ class BatchBackend(Backend):
                 self.counter.total = self.interactions
                 self.advance_to(target)
                 return
-        self.counter.total = self.interactions
-
-    def _advance_dense_numpy(self, target: int) -> None:
-        """Dense-regime event loop over blocked histogram pair draws.
-
-        Falls back to the Python sampler path when the kernel reports
-        :attr:`~repro.engine.vectorized.DenseBlockKernel.thrashing` — a
-        configuration that changes on nearly every interaction invalidates
-        every block after one event, so the vectorised draws cost more than
-        the per-event sampler they replace.
-        """
-        kernel = self._dense_kernel
-        simulator = self.simulator
-        counts = self.counts
-        while self.interactions < target and not self.terminal:
-            if kernel.thrashing:
-                self._fallback_to_python(
-                    "dense block draws thrashed (the histogram changes on "
-                    "nearly every interaction)"
-                )
-                self.counter.total = self.interactions
-                self.advance_to(target)
-                return
-            tracer = self.tracer
-            tic = perf_counter()
-            if len(counts) == 1:
-                key = next(iter(counts))
-                key_a = key_b = key
-            else:
-                key_a, key_b = kernel.next_pair()
-            toc = perf_counter()
-            tracer.add("sampling", toc - tic)
-            self.interactions += 1
-            new_a, new_b, changed = self._apply_transition(key_a, key_b)
-            tic = perf_counter()
-            tracer.add("transition", tic - toc)
-            self.applied_events += 1
-            if changed:
-                for key in changed:
-                    kernel.set_count(key, counts.get(key, 0))
-                self._check_dense_fixed_point()
-                tracer.add("pair_weights", perf_counter() - tic)
-            if simulator.hooks:
-                for hook in simulator.hooks:
-                    hook.on_batch_event(simulator, key_a, key_b, new_a, new_b)
         self.counter.total = self.interactions
 
     def _check_dense_fixed_point(self) -> None:
@@ -1143,15 +964,6 @@ class BatchBackend(Backend):
             if kernel.active_weight() <= 0:
                 # Churn may land on an already-stable configuration.
                 self.terminal = True
-        elif self._dense_kernel is not None:
-            kernel = self._dense_kernel
-            if full_rebuild:
-                kernel.rebuild(self.counts)
-            else:
-                counts = self.counts
-                for key in changed:
-                    kernel.set_count(key, counts.get(key, 0))
-            self._check_dense_fixed_point()
         elif self._prunes:
             if full_rebuild:
                 self._rebuild_pair_weights()
@@ -1162,9 +974,9 @@ class BatchBackend(Backend):
                 self.terminal = True
         else:
             if full_rebuild or len(changed) * 4 >= len(self.counts):
-                self._count_sampler.rebuild(self.counts)
+                self._sampler.rebuild(self.counts)
             else:
-                sampler = self._count_sampler
+                sampler = self._sampler
                 counts = self.counts
                 for key in changed:
                     sampler.update(key, counts.get(key, 0))
@@ -1294,39 +1106,26 @@ class BatchBackend(Backend):
                     self._pair_kernel.resync(counts)
                 except AccelCapacityError as error:
                     self._fallback_to_python(str(error))
-            elif self._dense_kernel is not None:
-                self._dense_kernel.rebuild(counts)
             elif self._prunes:
                 self._rebuild_pair_weights()
             else:
-                self._count_sampler.rebuild(counts)
+                self._sampler.rebuild(counts)
             self.terminal = False
         return changed
 
     # ------------------------------------------------------------- observers
     def sampler_stats(self) -> Dict[str, Any]:
-        """JSON-friendly record of the sampling strategy this run ended on.
+        """JSON-friendly record of the sampling structure this run ended on.
 
-        Includes the requested knob, the regime, the active strategy's
-        counters, and (after an ``auto`` switch) the retired samplers'
-        counters — the hook the regression tests use to pin the switching
-        heuristic.
+        Includes the regime, the live sampler's or kernel's counters, and
+        the counters of every structure retired mid-run.
         """
-        record: Dict[str, Any] = {
-            "requested": self.sampler_mode,
-            "regime": "pruning" if self._prunes else "dense",
-            "switched": bool(self._retired_samplers),
-        }
+        record: Dict[str, Any] = {"regime": "pruning" if self._prunes else "dense"}
         if self._pair_kernel is not None:
             record["strategy"] = "factorised"
             record.update(self._pair_kernel.stats())
-        elif self._dense_kernel is not None:
-            record["strategy"] = "vector"
-            record.update(self._dense_kernel.stats())
-        else:
-            sampler = self._pair_sampler if self._prunes else self._count_sampler
-            if sampler is not None:
-                record.update(sampler.stats())
+        elif self._sampler is not None:
+            record.update(self._sampler.stats())
         if self._retired_samplers:
             record["retired"] = list(self._retired_samplers)
         return record
@@ -1334,22 +1133,18 @@ class BatchBackend(Backend):
     def accel_info(self) -> Dict[str, Any]:
         """JSON-friendly record of the acceleration path this run is on.
 
-        ``active`` reflects the live hot loop (it flips to ``"python"``
-        after a mid-run capacity fallback); the CI matrix's guard test pins
-        it against the leg's intent so the two legs can never silently test
-        the same code.
+        ``active`` is ``"numpy"`` while the factorised kernel drives the
+        hot loop or may still engage (pruning regime, NumPy importable, no
+        capacity fallback yet) and ``"python"`` otherwise; ``engaged`` says
+        whether the kernel drives it right now.  The CI matrix's guard test
+        pins both against the leg's intent so the two legs can never
+        silently test the same code.
         """
+        engaged = self._pair_kernel is not None
         record: Dict[str, Any] = {
-            "requested": self.accel_mode,
-            "active": self.accel_active,
+            "active": "numpy" if engaged or self._kernel_armed else "python",
             "numpy_available": numpy_available(),
-            # Whether a NumPy kernel is driving the hot loop right now.
-            # Under accel="auto" the pruning kernel only engages once the
-            # alias table thrashes, so active="numpy" with engaged=False
-            # means "armed, but the Python path is still the better tool
-            # for this table" (tiny or static pair tables).
-            "engaged": self._pair_kernel is not None
-            or self._dense_kernel is not None,
+            "engaged": engaged,
         }
         if self._accel_fallback is not None:
             record["fallback_reason"] = self._accel_fallback

@@ -1,47 +1,27 @@
-"""Pluggable weighted samplers for the batch backend's hot draw path.
+"""The weighted sampler behind the batch backend's hot draw path.
 
 The batch backend spends its life drawing from discrete weighted
 distributions: the active ordered pair-type table in the *pruning* regime and
-the key histogram in the *dense* regime.  Three interchangeable strategies
-are provided behind the :class:`WeightedSampler` interface:
-
-* :class:`ScanSampler` — linear inverse-CDF scan.  O(1) updates, O(P) draws;
-  unbeatable for tables of a few dozen entries and the reference
-  implementation the others are differentially tested against.
-* :class:`AliasSampler` — an O(P)-build, O(1)-draw lookup table that is
-  rebuilt lazily whenever a weight changed.  Amortises beautifully when many
-  draws happen between weight changes (the dense regime, where most
-  interactions are no-ops at key level) and thrashes when the weights churn
-  on nearly every draw, in which case it falls back to scanning and only
-  re-probes a rebuild periodically.
-* :class:`FenwickSampler` — a Fenwick (binary indexed) tree over the
-  weights: O(log P) point update, O(log P) inverse-CDF draw.  The right
-  tool for *churning* wide tables — ``backup-exact`` at ``n >= 10^4``
-  invalidates the pair table on nearly every event, exactly where the alias
-  strategy degenerates to O(P) per event.
+the key histogram in the *dense* regime.  Both are served by one structure,
+:class:`FenwickSampler` — a Fenwick (binary indexed) tree over the weights
+with O(log P) point updates and O(log P) inverse-CDF draws and no rebuild
+ever, which wins on the churning tables both regimes produce (the composed
+counting protocols change the histogram on nearly every interaction, and
+``backup-exact`` the pair table).
 
 Draw-path determinism
 ---------------------
 
-All strategies obey one **canonical draw contract**: a draw consumes exactly
-one ``rng.random()`` variate ``u`` and returns the key whose cumulative
-weight interval (taken in the sampler's slot order, which is the insertion
-order of the weights it was built from) contains ``u * total`` — i.e. every
-strategy evaluates the *same* inverse CDF, differing only in the data
-structure used to evaluate it.  Consequently two samplers built from the
-same weights map the same random stream to the *identical* key sequence as
-long as the weights stay static.  This is what makes the cross-strategy
-differential tests in ``tests/test_samplers.py`` exact rather than merely
-statistical, and it is why :class:`AliasSampler` uses Walker-style *guide
-pointers into the cumulative table* (the cutpoint method — O(1) expected
-draws, same inverse-CDF map) rather than the classic Vose alias layout,
-whose u-to-key map cannot be aligned with an inverse CDF.
-
-The classic Vose :class:`AliasTable` is retained for API compatibility and
-for immutable one-shot distributions.
+A draw obeys one **canonical draw contract**: it consumes exactly one
+``rng.random()`` variate ``u`` and returns the key whose cumulative weight
+interval (taken in the sampler's slot order, the first-insertion order of
+its keys) contains ``u * total``.  Any structure evaluating the same inverse
+CDF maps the same random stream to the identical key sequence while the
+weights stay static; the test suite keeps a linear-scan implementation of
+the :class:`WeightedSampler` interface as the differential oracle.
 
 Integer weights up to ``2**53`` keep every comparison in the draw path exact
-(see the float-exactness note on :meth:`FenwickSampler.sample`), so the
+(see the float-exactness note on :class:`FenwickSampler`), so the
 determinism guarantee is bit-for-bit, not approximate.
 """
 
@@ -53,22 +33,7 @@ from typing import Any, Dict, Hashable, List, Optional
 
 from .errors import ConfigurationError
 
-__all__ = [
-    "SAMPLER_NAMES",
-    "WeightedSampler",
-    "ScanSampler",
-    "AliasSampler",
-    "FenwickSampler",
-    "AliasTable",
-    "make_sampler",
-]
-
-#: Valid values for the ``sampler=`` knob of the simulator and the batch
-#: backend.  ``"auto"`` starts on the alias strategy and switches to the
-#: Fenwick tree when the weights churn faster than the alias table amortises.
-#: ``"vector"`` is the NumPy cumulative-sum strategy of
-#: :mod:`repro.engine.vectorized` (requires the ``accel`` extra).
-SAMPLER_NAMES = ("auto", "scan", "alias", "fenwick", "vector")
+__all__ = ["WeightedSampler", "FenwickSampler"]
 
 
 def _validate_weight(weight: int) -> None:
@@ -76,20 +41,10 @@ def _validate_weight(weight: int) -> None:
         raise ConfigurationError("sampler weights must be non-negative")
 
 
-def _clean_weights(weights: Dict[Hashable, int]) -> Dict[Hashable, int]:
-    """Copy ``weights`` dropping zero entries, validating non-negativity."""
-    cleaned: Dict[Hashable, int] = {}
-    for key, weight in weights.items():
-        _validate_weight(weight)
-        if weight:
-            cleaned[key] = weight
-    return cleaned
-
-
 class WeightedSampler(abc.ABC):
     """Dynamic weighted sampling over a ``{key: weight}`` table.
 
-    The contract every strategy implements:
+    The contract every implementation follows:
 
     * :meth:`sample` draws one key with probability ``weight / total``,
       consuming exactly one uniform variate and following the canonical
@@ -100,12 +55,11 @@ class WeightedSampler(abc.ABC):
       of keys with positive weight.
 
     Stats counters (``draws``, ``updates``, ``rebuilds`` plus
-    strategy-specific extras) feed the ``auto`` switching heuristic and are
-    surfaced in ``SimulationResult.extra["sampler"]`` so tests can pin the
-    strategy a run ended on.
+    implementation-specific extras) are surfaced in
+    ``SimulationResult.extra["telemetry"]["sampler"]``.
     """
 
-    #: Stable strategy name (matches the ``sampler=`` knob values).
+    #: Stable name reported as ``strategy`` in the stats record.
     strategy: str = ""
 
     def __init__(self) -> None:
@@ -155,222 +109,13 @@ class WeightedSampler(abc.ABC):
             )
 
 
-def _scan_inverse_cdf(
-    weights: Dict[Hashable, int], total: int, rng: random.Random
-) -> Hashable:
-    """The canonical draw: inverse CDF over ``weights`` in insertion order.
-
-    Consumes exactly one uniform.  The float corner where ``u * total``
-    rounds up to ``total`` falls through to the last key, matching the
-    Fenwick descent's clamp.
-    """
-    target = rng.random() * total
-    chosen: Hashable = None
-    for key, weight in weights.items():
-        target -= weight
-        chosen = key
-        if target < 0:
-            break
-    return chosen
-
-
-class ScanSampler(WeightedSampler):
-    """Linear inverse-CDF scan: O(1) update, O(P) draw.
-
-    The reference strategy — trivially correct, cache-friendly, and the
-    fastest choice for tables small enough that a draw touches only a few
-    entries.  Every other strategy is differentially tested against it.
-    """
-
-    strategy = "scan"
-
-    def __init__(self, weights: Optional[Dict[Hashable, int]] = None) -> None:
-        super().__init__()
-        self._weights: Dict[Hashable, int] = {}
-        self._total = 0
-        if weights:
-            self.rebuild(weights)
-            self.rebuilds = 0  # construction is not churn
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def weights(self) -> Dict[Hashable, int]:
-        return dict(self._weights)
-
-    def update(self, key: Hashable, weight: int) -> None:
-        _validate_weight(weight)
-        self.updates += 1
-        old = self._weights.pop(key, 0)
-        if weight:
-            self._weights[key] = weight
-        self._total += weight - old
-
-    def rebuild(self, weights: Dict[Hashable, int]) -> None:
-        self.rebuilds += 1
-        self._weights = _clean_weights(weights)
-        self._total = sum(self._weights.values())
-
-    def sample(self, rng: random.Random) -> Hashable:
-        self._require_positive_total()
-        self.draws += 1
-        return _scan_inverse_cdf(self._weights, self._total, rng)
-
-
-class AliasSampler(WeightedSampler):
-    """Lazily rebuilt O(1)-draw table with an adaptive scan fallback.
-
-    The table is a cumulative-weight array plus Walker-style guide pointers
-    (one per key) locating the inverse-CDF position of each equal-width
-    column of ``[0, total)`` — O(P) to build, O(1) expected per draw, and,
-    unlike the classic Vose layout, *identical* in its u-to-key map to the
-    canonical scan (module docstring).  Any weight change drops the table;
-    it is rebuilt on the next draw, which amortises whenever several draws
-    happen between changes.
-
-    When the weights churn so fast that a table rarely serves two draws
-    before being invalidated (``builds >= 8`` with ``table_draws <
-    2 * builds``), rebuilding costs more than scanning, so draws fall back
-    to the linear scan and only every :attr:`REPROBE_PERIOD`-th fallback
-    draw re-probes a rebuild.  The fallback-scan counter resets on every
-    successful build: a long scan streak from a past churn era must not
-    cheapen the re-probe cadence of the next one (PR 4 regression).
-
-    Tables of at most :attr:`SMALL_TABLE` keys are scanned outright without
-    touching the table or its counters — at that size the scan wins
-    unconditionally and the churn heuristic would only add noise.
-    """
-
-    strategy = "alias"
-
-    #: At or below this many keys a draw scans outright (no table).
-    SMALL_TABLE = 32
-    #: Builds before the churn heuristic may engage.
-    CHURN_BUILDS = 8
-    #: A table must serve at least this many draws per build to amortise.
-    CHURN_DRAW_FACTOR = 2
-    #: Every this-many fallback scans, one draw re-probes a rebuild.
-    REPROBE_PERIOD = 64
-
-    def __init__(self, weights: Optional[Dict[Hashable, int]] = None) -> None:
-        super().__init__()
-        self._weights: Dict[Hashable, int] = {}
-        self._total = 0
-        self._keys: List[Hashable] = []
-        self._cum: List[int] = []
-        self._guide: List[int] = []
-        self._dirty = True
-        self.builds = 0       # lazy table constructions
-        self.table_draws = 0  # draws served by the table
-        self.scans = 0        # fallback scans since the last build
-        if weights:
-            self.rebuild(weights)
-            self.rebuilds = 0  # construction is not churn
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def weights(self) -> Dict[Hashable, int]:
-        return dict(self._weights)
-
-    @property
-    def thrashing(self) -> bool:
-        """Whether the weights churn too fast for the table to amortise."""
-        return (
-            self.builds >= self.CHURN_BUILDS
-            and self.table_draws < self.CHURN_DRAW_FACTOR * self.builds
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        record = super().stats()
-        record.update(
-            builds=self.builds,
-            table_draws=self.table_draws,
-            scans=self.scans,
-            thrashing=self.thrashing,
-        )
-        return record
-
-    def update(self, key: Hashable, weight: int) -> None:
-        _validate_weight(weight)
-        self.updates += 1
-        old = self._weights.pop(key, 0)
-        if weight:
-            self._weights[key] = weight
-        self._total += weight - old
-        self._dirty = True
-
-    def rebuild(self, weights: Dict[Hashable, int]) -> None:
-        self.rebuilds += 1
-        self._weights = _clean_weights(weights)
-        self._total = sum(self._weights.values())
-        self._dirty = True
-
-    def _build(self) -> None:
-        keys = list(self._weights.keys())
-        cum: List[int] = []
-        acc = 0
-        for key in keys:
-            acc += self._weights[key]
-            cum.append(acc)
-        size = len(keys)
-        guide: List[int] = [0] * size
-        position = 0
-        total = self._total
-        for column in range(size):
-            threshold = column * total / size
-            while cum[position] <= threshold:
-                position += 1
-            guide[column] = position
-        self._keys = keys
-        self._cum = cum
-        self._guide = guide
-        self._dirty = False
-        self.builds += 1
-        # Reset the fallback counter: re-probe cadence must restart fresh
-        # after every successful build (a stale streak from an earlier churn
-        # era would otherwise misalign the % REPROBE_PERIOD schedule).
-        self.scans = 0
-
-    def sample(self, rng: random.Random) -> Hashable:
-        self._require_positive_total()
-        self.draws += 1
-        if len(self._weights) <= self.SMALL_TABLE:
-            return _scan_inverse_cdf(self._weights, self._total, rng)
-        if self._dirty:
-            if self.thrashing:
-                self.scans += 1
-                if self.scans % self.REPROBE_PERIOD:
-                    return _scan_inverse_cdf(self._weights, self._total, rng)
-            self._build()
-        self.table_draws += 1
-        u = rng.random()
-        target = u * self._total
-        cum = self._cum
-        column = int(u * len(self._guide))
-        if column >= len(self._guide):  # u * size rounding up to size
-            column = len(self._guide) - 1
-        index = self._guide[column]
-        # One float rounding corner each way: u * len could land one column
-        # high, and target could round up past the last cumulative weight.
-        while index > 0 and cum[index - 1] > target:
-            index -= 1
-        last = len(cum) - 1
-        while index < last and cum[index] <= target:
-            index += 1
-        return self._keys[index]
-
-
 class FenwickSampler(WeightedSampler):
     """Fenwick-tree (binary indexed) weighted sampler.
 
     Weights live at the leaves of an implicit prefix-sum tree: a point
     update costs O(log P), and a draw walks the tree top-down to locate the
     inverse-CDF position in O(log P) — no rebuild ever, which is what wins
-    on churning wide tables where the alias strategy pays O(P) per event
-    (rebuild) and the scan pays O(P) per draw.
+    on churning wide tables.
 
     Keys keep their slot for life (a key whose weight returns to 0 and back
     reuses its slot), so the canonical slot order is the first-insertion
@@ -395,7 +140,10 @@ class FenwickSampler(WeightedSampler):
     def __init__(self, weights: Optional[Dict[Hashable, int]] = None) -> None:
         super().__init__()
         self._keys: List[Hashable] = []
-        self._slots: Dict[Hashable, int] = {}
+        # Key -> slot, built on the first update after a rebuild: the
+        # batch backend rebuilds narrow tables on every event and only ever
+        # samples them.
+        self._slots: Optional[Dict[Hashable, int]] = {}
         self._leaf: List[int] = []
         self._tree: List[int] = [0]  # 1-based; _tree[0] unused
         self._total = 0
@@ -409,11 +157,7 @@ class FenwickSampler(WeightedSampler):
         return self._total
 
     def weights(self) -> Dict[Hashable, int]:
-        return {
-            key: self._leaf[slot]
-            for key, slot in self._slots.items()
-            if self._leaf[slot]
-        }
+        return {key: weight for key, weight in zip(self._keys, self._leaf) if weight}
 
     def stats(self) -> Dict[str, Any]:
         record = super().stats()
@@ -422,16 +166,20 @@ class FenwickSampler(WeightedSampler):
 
     def rebuild(self, weights: Dict[Hashable, int]) -> None:
         self.rebuilds += 1
-        cleaned = _clean_weights(weights)
-        self._keys = list(cleaned.keys())
-        self._slots = {key: slot for slot, key in enumerate(self._keys)}
-        leaf = [cleaned[key] for key in self._keys]
+        keys = list(weights)
+        leaf = list(weights.values())
+        if leaf and min(leaf) <= 0:  # drop zero weights (rare: callers pre-clean)
+            for weight in leaf:
+                _validate_weight(weight)
+            keys = [key for key, weight in zip(keys, leaf) if weight]
+            leaf = [weight for weight in leaf if weight]
+        self._keys = keys
+        self._slots = None
         self._leaf = leaf
         size = len(leaf)
         # Linear-time construction: each node accumulates into its parent.
-        tree = [0] * (size + 1)
-        for index in range(1, size + 1):
-            tree[index] += leaf[index - 1]
+        tree = [0, *leaf]
+        for index in range(1, size):
             parent = index + (index & -index)
             if parent <= size:
                 tree[parent] += tree[index]
@@ -472,7 +220,10 @@ class FenwickSampler(WeightedSampler):
     def update(self, key: Hashable, weight: int) -> None:
         _validate_weight(weight)
         self.updates += 1
-        slot = self._slots.get(key)
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = dict(zip(self._keys, range(len(self._keys))))
+        slot = slots.get(key)
         if slot is None:
             if weight:
                 self._append(key, weight)
@@ -515,96 +266,3 @@ class FenwickSampler(WeightedSampler):
         while position > 0 and not leaf[position]:
             position -= 1
         return self._keys[position]
-
-
-class AliasTable:
-    """Walker/Vose alias table: O(1) draws from a fixed discrete distribution.
-
-    Built once from a ``{value: weight}`` mapping in O(K); each draw costs two
-    uniform variates regardless of K.  The table is immutable — for mutable
-    weights use a :class:`WeightedSampler` strategy instead.  Note that the
-    Vose u-to-value map is *not* the canonical inverse CDF, so this class
-    sits outside the draw-path determinism contract; it is kept for
-    immutable one-shot distributions and API compatibility.
-    """
-
-    __slots__ = ("values", "_prob", "_alias")
-
-    def __init__(self, weights: Dict[Any, int]) -> None:
-        values = list(weights.keys())
-        self.values = values
-        size = len(values)
-        if size == 0:
-            raise ConfigurationError("AliasTable requires at least one weighted value")
-        total = 0
-        for weight in weights.values():
-            if weight < 0:
-                raise ConfigurationError("AliasTable weights must be non-negative")
-            total += weight
-        if total <= 0:
-            raise ConfigurationError("AliasTable requires positive total weight")
-        scale = size / total
-        scaled = [weights[value] * scale for value in values]
-        prob = [0.0] * size
-        alias = [0] * size
-        small: List[int] = []
-        large: List[int] = []
-        for index, mass in enumerate(scaled):
-            (small if mass < 1.0 else large).append(index)
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            (small if scaled[l] < 1.0 else large).append(l)
-        for index in large:
-            prob[index] = 1.0
-        for index in small:  # numerical leftovers
-            prob[index] = 1.0
-        self._prob = prob
-        self._alias = alias
-
-    def sample(self, rng: random.Random) -> Any:
-        """Draw one value with probability proportional to its weight."""
-        index = rng.randrange(len(self.values))
-        if rng.random() < self._prob[index]:
-            return self.values[index]
-        return self.values[self._alias[index]]
-
-
-#: Concrete strategy classes by knob name (``"auto"`` resolves to the alias
-#: strategy; the batch backend owns the switch-to-Fenwick heuristic).
-_STRATEGIES = {
-    "scan": ScanSampler,
-    "alias": AliasSampler,
-    "fenwick": FenwickSampler,
-}
-
-
-def make_sampler(
-    name: str, weights: Optional[Dict[Hashable, int]] = None
-) -> WeightedSampler:
-    """Build the sampler strategy for a ``sampler=`` knob value.
-
-    ``"auto"`` returns an :class:`AliasSampler` — the caller (the batch
-    backend) watches its :attr:`~AliasSampler.thrashing` flag and swaps in a
-    :class:`FenwickSampler` when the weights churn too fast to amortise.
-    ``"vector"`` resolves to the NumPy-backed
-    :class:`~repro.engine.vectorized.VectorSampler` (imported lazily so the
-    core library stays dependency-free) and raises a
-    :class:`~repro.engine.errors.ConfigurationError` when NumPy is absent.
-    """
-    if name == "auto":
-        return AliasSampler(weights)
-    if name == "vector":
-        from .vectorized import VectorSampler  # lazy: optional dependency
-
-        return VectorSampler(weights)
-    try:
-        strategy = _STRATEGIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown sampler {name!r}; expected one of {SAMPLER_NAMES}"
-        ) from None
-    return strategy(weights)

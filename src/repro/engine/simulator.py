@@ -24,14 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .backends import (
-    ACCEL_NAMES,
-    BACKEND_NAMES,
-    SAMPLER_NAMES,
-    AgentBackend,
-    Backend,
-    BatchBackend,
-)
+from .backends import BACKEND_NAMES, AgentBackend, Backend, BatchBackend
 from .convergence import ConvergenceTracker, OutputPredicate
 from .errors import ConfigurationError, SimulationError, UniformityError
 from .hooks import Hook, TimelineEvent
@@ -210,24 +203,8 @@ class Simulator:
             ``delta_key``); ``"auto"`` picks ``"batch"`` when the protocol
             natively supports key-level transitions and neither a custom
             scheduler nor a hook requiring per-agent callbacks is in play,
-            else ``"agent"``.
-        sampler: Weighted-sampling strategy of the batch backend
-            (``"auto"``, ``"scan"``, ``"alias"``, ``"fenwick"`` — see
-            :mod:`repro.engine.samplers`).  ``"auto"`` (default) starts on
-            the alias table and switches to the Fenwick tree when the
-            weight table churns too fast to amortise.  The knob only
-            affects the batch backend; the per-agent backend draws agent
-            indices, not weighted types, and accepts any value unchanged
-            (so mixed agent/batch scenario grids can share one spec).
-        accel: Hot-loop implementation of the batch backend (``"auto"``,
-            ``"numpy"``, ``"python"`` — see :mod:`repro.engine.vectorized`).
-            ``"auto"`` (default) selects the NumPy block-drawing kernels
-            when NumPy is importable and no specific sampler strategy was
-            forced, and the pure-Python path otherwise; the
-            ``REPRO_NO_NUMPY`` environment variable vetoes detection.  Like
-            ``sampler``, the knob is accepted (and ignored) by the
-            per-agent backend.  The active path is recorded in
-            ``SimulationResult.extra["accel"]``.
+            else ``"agent"``.  The batch backend picks its own sampling
+            structures (see :class:`~repro.engine.backends.BatchBackend`).
     """
 
     def __init__(
@@ -240,8 +217,6 @@ class Simulator:
         track_state_space: bool = True,
         require_uniform: bool = False,
         backend: str = "agent",
-        sampler: str = "auto",
-        accel: str = "auto",
     ) -> None:
         if n < 2:
             raise ConfigurationError("population size must be at least 2")
@@ -253,16 +228,6 @@ class Simulator:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
             )
-        if sampler not in SAMPLER_NAMES:
-            raise ConfigurationError(
-                f"unknown sampler {sampler!r}; expected one of {SAMPLER_NAMES}"
-            )
-        if accel not in ACCEL_NAMES:
-            raise ConfigurationError(
-                f"unknown accel {accel!r}; expected one of {ACCEL_NAMES}"
-            )
-        self.sampler = sampler
-        self.accel = accel
         self.protocol = protocol
         #: Population size the simulator was constructed with; the current
         #: size is the (dynamic) :attr:`n` property, which timeline churn
@@ -306,8 +271,6 @@ class Simulator:
                 scheduler_rng=self._scheduler_rng,
                 agent_rng=self._agent_rng,
                 track_state_space=track_state_space,
-                sampler=sampler,
-                accel=accel,
             )
         else:
             self.scheduler = scheduler if scheduler is not None else UniformRandomScheduler()
@@ -656,7 +619,7 @@ class Simulator:
         }
         # Unified per-run trace: phase timers, runtime events, checkpoint
         # cadence, and (batch) geometric-skip efficiency plus the sampler
-        # and accel records that previously lived as top-level blobs.
+        # and accel records.
         telemetry: Dict[str, Any] = backend.tracer.as_dict()
         telemetry["backend"] = backend.name
         telemetry["checkpoints"] = {
@@ -680,11 +643,6 @@ class Simulator:
             telemetry["sampler"] = backend.sampler_stats()
             telemetry["accel"] = backend.accel_info()
         extra["telemetry"] = telemetry
-        if isinstance(backend, BatchBackend):
-            # Deprecated aliases of telemetry["sampler"] / telemetry["accel"]
-            # (the same objects), kept for pre-telemetry consumers.
-            extra["sampler"] = telemetry["sampler"]
-            extra["accel"] = telemetry["accel"]
         if events:
             extra["initial_n"] = self.initial_n
             extra["timeline"] = timeline_records
@@ -728,8 +686,6 @@ def simulate(
     require_convergence: bool = False,
     require_uniform: bool = False,
     backend: str = "agent",
-    sampler: str = "auto",
-    accel: str = "auto",
     timeline: Sequence[TimelineEvent] = (),
     convergence_factory: Optional[Callable[[Simulator], OutputPredicate]] = None,
     max_wall_time_s: Optional[float] = None,
@@ -737,8 +693,7 @@ def simulate(
     """One-shot convenience wrapper: construct a :class:`Simulator` and run it.
 
     See :meth:`Simulator.run` for the meaning of the arguments and the
-    ``backend`` / ``sampler`` / ``accel`` parameters of :class:`Simulator`
-    for backend, batch-sampling-strategy, and acceleration-path selection.
+    ``backend`` parameter of :class:`Simulator` for backend selection.
     """
     simulator = Simulator(
         protocol,
@@ -748,8 +703,6 @@ def simulate(
         hooks=hooks,
         require_uniform=require_uniform,
         backend=backend,
-        sampler=sampler,
-        accel=accel,
     )
     return simulator.run(
         max_interactions=max_interactions,

@@ -1,46 +1,28 @@
-"""Optional NumPy acceleration layer for the batch backend's hot loop.
+"""Optional NumPy acceleration of the batch backend's pruning regime.
 
-The batch backend is sampler-bound: every event costs one Python-level
-geometric-skip draw, one pair-type draw, and — in the pruning regime — an
-``O(changed * K)`` :meth:`~repro.engine.backends.BatchBackend._update_pair_weights`
-pass over the pair table.  This module removes those Python-level costs when
-NumPy is importable, while leaving the pure-Python path byte-for-byte
-untouched (the core library stays dependency-free; NumPy is an *extra*):
+In the pruning regime every event costs one Python-level geometric-skip
+draw, one pair-type draw and an ``O(changed * K)``
+:meth:`~repro.engine.backends.BatchBackend._update_pair_weights` pass over
+the pair table.  Once that table is wide, :class:`FactorisedPairKernel`
+removes those Python-level costs; the batch backend engages it by itself
+when NumPy is importable and the active pair table grows past
+:data:`~repro.engine.backends.KERNEL_MIN_PAIRS` entries.  The core library
+stays dependency-free (NumPy is an *extra*), and the environment variable
+:data:`NO_NUMPY_ENV` vetoes NumPy detection — the hook the CI matrix uses
+to prove the pure-Python path is really exercised.
 
-* :func:`resolve_accel` maps the ``accel="auto"|"numpy"|"python"`` knob to
-  the active path.  ``"auto"`` picks NumPy exactly when it is importable
-  (the ``REPRO_NO_NUMPY`` environment variable vetoes it — the hook the CI
-  matrix uses to prove the fallback is really exercised) *and* the sampler
-  knob was left on ``"auto"`` — a forced ``scan``/``alias``/``fenwick``/
-  ``"vector"`` sampler is an explicit request for a specific per-draw
-  structure in the Python hot loop and always wins.
-
-* :class:`VectorSampler` implements the :class:`~repro.engine.samplers.
-  WeightedSampler` interface via a cumulative-sum array + ``searchsorted``.
-  Single draws follow the canonical one-uniform inverse-CDF contract of
-  :mod:`repro.engine.samplers` (bit-identical to every other strategy on a
-  static table); :meth:`VectorSampler.sample_block` amortises RNG and
-  sampler overhead across hundreds of draws per Python-level call.
-
-* :class:`DenseBlockKernel` drives the dense regime: ordered participant
-  pairs are drawn in configurable blocks (two ``searchsorted`` batches plus
-  a vectorised same-key rejection that realises exactly the uniform
-  ordered-pair law).  Any histogram change invalidates the unconsumed
-  remainder of the block — the pre-drawn pairs follow the stale law.
-
-* :class:`FactorisedPairKernel` drives the pruning regime without ever
-  materialising the pair-weight table.  Pair weights factorise as
-  ``w(a, b) = c_a * c_b`` (``c_a * (c_a - 1)`` on the diagonal) and the
-  activity predicate ``can_interaction_change`` depends on *keys only*, so
-  the kernel keeps the count vector ``c``, the boolean activity matrix
-  ``A``, and the row sums ``s = A @ c``.  A count change updates one entry
-  of ``c`` and one vectorised column update of ``s`` — O(changed)
-  Python-level operations per event instead of the O(changed * K) per-pair
-  dict walk.  The active weight is ``W = c . s - sum(c[diag])`` exactly (all
-  integer arithmetic), geometric skips are drawn in blocks from
-  ``Geometric(W / T)``, and the active pair is sampled by the two-stage
-  row/partner scheme with a diagonal rejection — the same law as the
-  Python path's conditional draw over the materialised table.
+The kernel never materialises the pair-weight table.  Pair weights
+factorise as ``w(a, b) = c_a * c_b`` (``c_a * (c_a - 1)`` on the diagonal)
+and the activity predicate ``can_interaction_change`` depends on *keys
+only*, so the kernel keeps the count vector ``c``, the boolean activity
+matrix ``A``, and the row sums ``s = A @ c``.  A count change updates one
+entry of ``c`` and one vectorised column update of ``s`` — O(changed)
+Python-level operations per event instead of the O(changed * K) per-pair
+dict walk.  The active weight is ``W = c . s - sum(c[diag])`` exactly (all
+integer arithmetic), geometric skips are drawn in blocks from
+``Geometric(W / T)``, and the active pair is sampled by the two-stage
+row/partner scheme with a diagonal rejection — the same law as the Python
+path's conditional draw over the materialised table.
 
 Kernel randomness comes from a dedicated ``numpy.random.Generator`` seeded
 from the run seed, so accelerated runs are reproducible; they are
@@ -52,38 +34,22 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .samplers import WeightedSampler, _clean_weights, _validate_weight
 
 __all__ = [
-    "ACCEL_NAMES",
     "NO_NUMPY_ENV",
     "AccelCapacityError",
     "numpy_available",
     "require_numpy",
-    "resolve_accel",
-    "VectorSampler",
-    "DenseBlockKernel",
     "FactorisedPairKernel",
 ]
-
-#: Valid values for the ``accel=`` knob of the simulator and the batch
-#: backend.  ``"auto"`` selects NumPy when available, falling back to the
-#: pure-Python path automatically.
-ACCEL_NAMES = ("auto", "numpy", "python")
 
 #: Environment variable vetoing NumPy detection (any value other than ""
 #: or "0").  The CI matrix's pure-python leg sets it so the fallback path is
 #: provably exercised even on machines where NumPy is installed.
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
-
-#: Sampler knob values compatible with the NumPy kernels (the kernels
-#: replace the per-event sampler machinery, so a forced Python strategy
-#: cannot be honoured alongside them).
-_ACCEL_SAMPLERS = ("auto", "vector")
 
 
 def _load_numpy():
@@ -123,343 +89,6 @@ def require_numpy(context: str):
             detail = "NumPy is not installed (pip install 'repro-berenbrink-kr19[accel]')"
         raise ConfigurationError(f"{context} requires NumPy, but {detail}")
     return _np
-
-
-def resolve_accel(accel: str, sampler: str = "auto") -> str:
-    """Resolve the ``accel`` knob to the active path (``"numpy"``/``"python"``).
-
-    ``"numpy"`` is a hard requirement (raises when NumPy is unavailable or a
-    specific per-draw sampler strategy was forced alongside it); ``"auto"``
-    prefers NumPy but silently falls back when it is absent *or* when the
-    sampler knob pins any specific strategy — including ``"vector"``, which
-    is a per-draw strategy choice for the Python hot loop, not a request
-    for the block kernels.
-    """
-    if accel not in ACCEL_NAMES:
-        raise ConfigurationError(
-            f"unknown accel {accel!r}; expected one of {ACCEL_NAMES}"
-        )
-    if accel == "python":
-        return "python"
-    if accel == "numpy":
-        require_numpy("accel='numpy'")
-        if sampler not in _ACCEL_SAMPLERS:
-            raise ConfigurationError(
-                f"accel='numpy' replaces the weighted-sampler hot loop and "
-                f"cannot honour sampler={sampler!r}; use sampler='auto' or "
-                f"accel='python'"
-            )
-        return "numpy"
-    if numpy_available() and sampler == "auto":
-        return "numpy"
-    return "python"
-
-
-class VectorSampler(WeightedSampler):
-    """Cumulative-sum + ``searchsorted`` strategy with block draws.
-
-    Weights live in a slot-ordered list mirrored into an ``int64`` NumPy
-    array whose cumulative sum is rebuilt lazily on the first draw after a
-    change (O(K), in C).  Single draws consume exactly one uniform and
-    evaluate the canonical inverse CDF of :mod:`repro.engine.samplers`:
-    ``searchsorted(cum, u * total, side="right")`` returns the first slot
-    whose cumulative weight exceeds the target — the same map as the linear
-    scan, so static-weight draw sequences are bit-identical across
-    strategies.  :meth:`sample_block` draws many inverse-CDF positions in
-    one vectorised call from a ``numpy.random.Generator`` — the amortisation
-    the dense block kernel is built on.
-
-    Keys keep their slot for life (zero-width intervals are invisible to
-    ``searchsorted`` except through the float end-corner, which is clamped
-    back to a live slot exactly like the Fenwick descent); the structure
-    compacts itself when more than half the slots are dead.
-    """
-
-    strategy = "vector"
-
-    #: Compact (rebuild dropping dead slots) when over half the slots are
-    #: dead and the table is at least this large.
-    COMPACT_MIN_SIZE = 64
-
-    def __init__(self, weights: Optional[Dict[Hashable, int]] = None) -> None:
-        require_numpy("the 'vector' sampler strategy")
-        super().__init__()
-        self._keys: List[Hashable] = []
-        self._slots: Dict[Hashable, int] = {}
-        self._leaf: List[int] = []
-        self._cum = None  # lazily built int64 cumulative-sum array
-        self._total = 0
-        self._dead = 0
-        self.builds = 0  # lazy cumulative-array constructions
-        self.block_draws = 0  # draws served through sample_block
-        if weights:
-            self.rebuild(weights)
-            self.rebuilds = 0  # construction is not churn
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def weights(self) -> Dict[Hashable, int]:
-        return {
-            key: self._leaf[slot]
-            for key, slot in self._slots.items()
-            if self._leaf[slot]
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        record = super().stats()
-        record.update(
-            slots=len(self._keys),
-            dead_slots=self._dead,
-            builds=self.builds,
-            block_draws=self.block_draws,
-        )
-        return record
-
-    def rebuild(self, weights: Dict[Hashable, int]) -> None:
-        self.rebuilds += 1
-        cleaned = _clean_weights(weights)
-        self._keys = list(cleaned.keys())
-        self._slots = {key: slot for slot, key in enumerate(self._keys)}
-        self._leaf = [cleaned[key] for key in self._keys]
-        self._total = sum(self._leaf)
-        self._cum = None
-        self._dead = 0
-
-    def update(self, key: Hashable, weight: int) -> None:
-        _validate_weight(weight)
-        self.updates += 1
-        slot = self._slots.get(key)
-        if slot is None:
-            if weight:
-                self._slots[key] = len(self._keys)
-                self._keys.append(key)
-                self._leaf.append(weight)
-                self._total += weight
-                self._cum = None
-            return
-        old = self._leaf[slot]
-        if weight == old:
-            return
-        self._leaf[slot] = weight
-        self._total += weight - old
-        self._cum = None
-        if old and not weight:
-            self._dead += 1
-        elif weight and not old:
-            self._dead -= 1
-        size = len(self._keys)
-        if size >= self.COMPACT_MIN_SIZE and self._dead * 2 > size:
-            live = self.weights()
-            self.rebuild(live)
-            self.rebuilds -= 1  # compaction is maintenance, not API churn
-
-    # ------------------------------------------------------------- internals
-    def _ensure_cum(self):
-        if self._cum is None:
-            self._cum = _np.cumsum(_np.asarray(self._leaf, dtype=_np.int64))
-            self.builds += 1
-        return self._cum
-
-    def _live_slot(self, slot: int) -> int:
-        """Clamp a slot landed on by a float corner back to a live slot."""
-        last = len(self._leaf) - 1
-        if slot > last:
-            slot = last
-        while slot > 0 and not self._leaf[slot]:
-            slot -= 1
-        return slot
-
-    def key_at(self, slot: int) -> Hashable:
-        """Key stored at ``slot`` (kernel-facing; slots are stable)."""
-        return self._keys[slot]
-
-    def weight_at(self, slot: int) -> int:
-        """Current weight stored at ``slot`` (kernel-facing)."""
-        return self._leaf[slot]
-
-    def weight_of(self, key: Hashable) -> int:
-        """Current weight of ``key`` (0 when absent) without a dict copy."""
-        slot = self._slots.get(key)
-        return self._leaf[slot] if slot is not None else 0
-
-    # ------------------------------------------------------------------ draws
-    def sample(self, rng: random.Random) -> Hashable:
-        self._require_positive_total()
-        self.draws += 1
-        cum = self._ensure_cum()
-        target = rng.random() * self._total
-        slot = int(_np.searchsorted(cum, target, side="right"))
-        return self._keys[self._live_slot(slot)]
-
-    def sample_block(self, generator, count: int):
-        """Draw ``count`` slots in one vectorised call; returns an int array.
-
-        Uses ``generator`` (a ``numpy.random.Generator``) rather than the
-        canonical single-uniform contract — block draws are the statistical
-        fast path, not the bit-identical one.
-        """
-        self._require_positive_total()
-        self.draws += count
-        self.block_draws += count
-        cum = self._ensure_cum()
-        targets = generator.random(count) * self._total
-        slots = _np.searchsorted(cum, targets, side="right")
-        last = len(self._leaf) - 1
-        _np.clip(slots, 0, last, out=slots)
-        # Float end-corner / dead-slot landings are rare; fix them pointwise.
-        leaf = _np.asarray(self._leaf, dtype=_np.int64)
-        for index in _np.nonzero(leaf[slots] == 0)[0]:
-            slots[index] = self._live_slot(int(slots[index]))
-        return slots
-
-
-class DenseBlockKernel:
-    """Blocked ordered-pair draws over the key histogram (dense regime).
-
-    Draws configurable blocks of (initiator, responder) key pairs realising
-    exactly the uniform ordered-pair law at key level: the initiator's key
-    ``a`` with probability ``c_a / n`` and the responder's with
-    ``(c_b - [a = b]) / (n - 1)``, the same-key case resolved by the
-    vectorised rejection ``accept (a, a) with probability (c_a - 1) / c_a,
-    else redraw the responder`` — the batch analogue of
-    ``BatchBackend._sample_dense_pair``.
-
-    Any count change invalidates the unconsumed remainder of the current
-    block (the pre-drawn pairs follow the stale histogram law); the block
-    size adapts — doubling after full consumption, halving after early
-    invalidation — so churning configurations stop over-drawing.
-
-    Block draws only amortise when the histogram holds still between
-    events.  A protocol whose configuration changes on (nearly) every
-    interaction — the composed counting stack's phase clocks tick every
-    time — invalidates every block after a single event, at which point
-    the vectorised draws cost more than the Python sampler they replace;
-    :attr:`thrashing` reports that signature (same shape as the alias
-    strategy's churn heuristic) so the batch backend can fall back.
-    """
-
-    MIN_BLOCK = 16
-    MAX_BLOCK = 4096
-    #: Blocks drawn before the thrash heuristic may engage.
-    CHURN_BLOCKS = 8
-    #: A block must serve at least this many events on average to amortise.
-    CHURN_EVENT_FACTOR = 2
-
-    def __init__(
-        self,
-        counts: Dict[Hashable, int],
-        seed: int,
-        block: int = 256,
-    ) -> None:
-        require_numpy("the dense block kernel")
-        if block < 1:
-            raise ConfigurationError("block size must be positive")
-        self.sampler = VectorSampler(dict(counts))
-        self._generator = _np.random.default_rng(seed)
-        self._block = max(self.MIN_BLOCK, min(int(block), self.MAX_BLOCK))
-        self._pairs_a = None
-        self._pairs_b = None
-        self._cursor = 0
-        self.blocks = 0
-        self.events = 0
-        self.invalidations = 0
-        self.rejections = 0
-
-    # --------------------------------------------------------------- updates
-    def set_count(self, key: Hashable, count: int) -> None:
-        """Set one key's multiplicity, invalidating the pending block."""
-        if self.sampler.weight_of(key) == count:
-            return
-        self.sampler.update(key, count)
-        self.invalidate()
-
-    def rebuild(self, counts: Dict[Hashable, int]) -> None:
-        """Replace the whole histogram (restarts, wholesale corruption)."""
-        self.sampler.rebuild(dict(counts))
-        self.invalidate()
-
-    def invalidate(self) -> None:
-        """Discard the unconsumed remainder of the current block."""
-        if self._pairs_a is not None:
-            drawn = len(self._pairs_a)
-            if self._cursor < drawn:
-                self.invalidations += 1
-                # Early invalidation: the next block should be smaller.
-                if self._cursor * 4 < drawn:
-                    self._block = max(self.MIN_BLOCK, self._block // 2)
-        self._pairs_a = None
-        self._pairs_b = None
-        self._cursor = 0
-
-    @property
-    def thrashing(self) -> bool:
-        """Whether the histogram churns too fast for blocks to amortise."""
-        return (
-            self.blocks >= self.CHURN_BLOCKS
-            and self.events < self.CHURN_EVENT_FACTOR * self.blocks
-        )
-
-    # ----------------------------------------------------------------- draws
-    def _draw_block(self) -> None:
-        sampler = self.sampler
-        generator = self._generator
-        size = self._block
-        a = sampler.sample_block(generator, size)
-        b = sampler.sample_block(generator, size)
-        # Same-key rejection, vectorised: accept (a, a) with probability
-        # (c_a - 1) / c_a, else redraw the responder (only the responder —
-        # the initiator's law is unconditional).
-        leaf = _np.asarray(sampler._leaf, dtype=_np.int64)
-        same = a == b
-        while True:
-            candidates = _np.nonzero(same)[0]
-            if not len(candidates):
-                break
-            counts_a = leaf[a[candidates]]
-            accept = generator.random(len(candidates)) * counts_a < counts_a - 1
-            rejected = candidates[~accept]
-            self.rejections += len(rejected)
-            if not len(rejected):
-                break
-            b[rejected] = sampler.sample_block(generator, len(rejected))
-            same = _np.zeros_like(same)
-            same[rejected] = a[rejected] == b[rejected]
-        self._pairs_a = a
-        self._pairs_b = b
-        self._cursor = 0
-        self.blocks += 1
-
-    def next_pair(self) -> Tuple[Hashable, Hashable]:
-        """Return the next (initiator key, responder key) ordered pair."""
-        if self._pairs_a is None or self._cursor >= len(self._pairs_a):
-            if self._pairs_a is not None:
-                # Fully consumed: the histogram held still, draw bigger.
-                self._block = min(self.MAX_BLOCK, self._block * 2)
-            self._draw_block()
-        cursor = self._cursor
-        self._cursor = cursor + 1
-        self.events += 1
-        sampler = self.sampler
-        return (
-            sampler.key_at(int(self._pairs_a[cursor])),
-            sampler.key_at(int(self._pairs_b[cursor])),
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        record = {
-            "kernel": "dense-block",
-            "block_size": self._block,
-            "blocks": self.blocks,
-            "events": self.events,
-            "invalidations": self.invalidations,
-            "rejections": self.rejections,
-        }
-        record.update(
-            {f"sampler_{key}": value for key, value in self.sampler.stats().items()}
-        )
-        return record
 
 
 class FactorisedPairKernel:

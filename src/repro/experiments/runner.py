@@ -250,8 +250,6 @@ def cell_payload(spec: SweepSpec, cell: SweepCell) -> Dict[str, Any]:
         "params": dict(cell.params),
         "seeds": list(cell.seeds),
         "backend": spec.backend,
-        "sampler": spec.sampler,
-        "accel": spec.accel,
         "budget": spec.budget.budget(cell.n),
         "check_interval": spec.check_interval(cell.n),
         "confirm_checks": spec.confirm_checks,
@@ -294,8 +292,6 @@ def execute_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                 n,
                 seed=seed,
                 backend=payload["backend"],
-                sampler=payload.get("sampler", "auto"),
-                accel=payload.get("accel", "auto"),
                 convergence=convergence,
                 max_interactions=payload["budget"],
                 check_interval=payload["check_interval"],

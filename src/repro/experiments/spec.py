@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..engine.backends import ACCEL_NAMES, BACKEND_NAMES, SAMPLER_NAMES
+from ..engine.backends import BACKEND_NAMES
 from ..engine.errors import ConfigurationError
 from ..engine.rng import SeedLike, derive_seed
 from .registry import resolve_protocol
@@ -44,23 +44,8 @@ class BudgetPolicy:
         return int(self.factor * n ** self.n_exponent * max(1.0, math.log2(n)) ** self.log_exponent)
 
 
-def _validate_accel(accel: str, sampler: str, spec_kind: str) -> None:
-    """Shared accel-knob validation for the declarative spec layers.
-
-    Validates the name and the accel/sampler conflict (mirroring
-    :func:`repro.engine.vectorized.resolve_accel`) without requiring NumPy:
-    availability is a property of the executing machine, not the spec.
-    """
-    if accel not in ACCEL_NAMES:
-        raise ConfigurationError(
-            f"unknown accel {accel!r}; expected one of {ACCEL_NAMES}"
-        )
-    if accel == "numpy" and sampler not in ("auto", "vector"):
-        raise ConfigurationError(
-            f"{spec_kind} forcing accel='numpy' cannot also force the Python "
-            f"sampler strategy {sampler!r}; use sampler='auto' or drop the "
-            f"accel override"
-        )
+#: Spec fields of earlier releases that only load with their default value.
+_REMOVED_KNOBS = ("sampler", "accel")
 
 
 def policy_from(value: Any, context: str) -> BudgetPolicy:
@@ -142,10 +127,23 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "GridSpec":
-        """Inverse of :meth:`to_dict`, with schema validation."""
+        """Inverse of :meth:`to_dict`, with schema validation.
+
+        Specs written before the batch backend chose its own hot loop carry
+        ``"sampler"`` / ``"accel"`` fields; they load when the value is the
+        old default ``"auto"`` and are rejected otherwise.
+        """
         if not isinstance(data, dict):
             raise ConfigurationError(f"{cls._spec_kind} spec must be a JSON object")
         payload = dict(data)
+        for knob in _REMOVED_KNOBS:
+            value = payload.pop(knob, "auto")
+            if value != "auto":
+                raise ConfigurationError(
+                    f"the {knob!r} {cls._spec_kind} spec field was removed: the "
+                    f"batch backend chooses its sampling path itself; drop "
+                    f"{knob}={value!r} from the spec"
+                )
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
@@ -208,13 +206,6 @@ class SweepSpec(GridSpec):
         seeds_per_cell: Seeded repetitions per cell.
         base_seed: Root seed; every cell seed is derived from it.
         backend: Simulation backend (``"agent"``, ``"batch"``, ``"auto"``).
-        sampler: Batch-backend weighted-sampling strategy (``"auto"``,
-            ``"scan"``, ``"alias"``, ``"fenwick"``, ``"vector"`` — see
-            :mod:`repro.engine.samplers`).  Ignored by agent-backend cells.
-        accel: Batch-backend hot-loop implementation (``"auto"``,
-            ``"numpy"``, ``"python"`` — see :mod:`repro.engine.vectorized`).
-            ``"auto"`` selects the NumPy kernels when available and the
-            pure-Python path otherwise; ignored by agent-backend cells.
         params: Protocol parameters shared by every cell.
         param_grid: Optional per-parameter value lists; the grid is the
             cartesian product of these with ``ns``.
@@ -240,8 +231,6 @@ class SweepSpec(GridSpec):
     seeds_per_cell: int = 5
     base_seed: SeedLike = 0
     backend: str = "auto"
-    sampler: str = "auto"
-    accel: str = "auto"
     params: Dict[str, Any] = field(default_factory=dict)
     param_grid: Dict[str, List[Any]] = field(default_factory=dict)
     budget: BudgetPolicy = field(default_factory=BudgetPolicy)
@@ -259,11 +248,6 @@ class SweepSpec(GridSpec):
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
             )
-        if self.sampler not in SAMPLER_NAMES:
-            raise ConfigurationError(
-                f"unknown sampler {self.sampler!r}; expected one of {SAMPLER_NAMES}"
-            )
-        _validate_accel(self.accel, self.sampler, self._spec_kind)
 
     # ------------------------------------------------------------------ grid
     def cells(self) -> List[SweepCell]:

@@ -10,7 +10,7 @@ module folds any of those shapes into one profile document::
       "runs": 12,
       "backends": {"batch": 12},
       "phases": {"sampling": {"wall_time_s": ..., "ops": ...}, ...},
-      "events": {"sampler-swap": 1, "accel-fallback": 1},
+      "events": {"accel-engage": 1, "accel-fallback": 1},
       "skips": {"interactions": ..., "applied_events": ...,
                 "skipped_interactions": ..., "efficiency": ...},
       "checkpoints": {"count": ..., "satisfied": ...}

@@ -3,7 +3,7 @@
 Every backend carries one :class:`RunTracer`.  The hot loops accumulate
 wall-clock into named *phases* (``sampling``, ``transition``,
 ``pair_weights``, ``checkpoint``) and append *events* for the runtime
-decisions that used to be invisible — sampler swaps, accelerator
+decisions that used to be invisible — sampler retirement, accelerator
 engagement and fallback — each stamped with the interaction count at
 which it happened.  The simulator folds the tracer into
 ``SimulationResult.extra["telemetry"]`` at the end of a run.

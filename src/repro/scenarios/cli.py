@@ -73,10 +73,6 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
         spec = resolve_builtin_scenario(args.builtin)
     if args.seed is not None:
         spec.base_seed = args.seed
-    if args.sampler is not None:
-        spec.sampler = args.sampler
-    if args.accel is not None:
-        spec.accel = args.accel
     return spec
 
 
@@ -154,21 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="override the spec's root seed"
-    )
-    parser.add_argument(
-        "--sampler",
-        choices=["auto", "scan", "alias", "fenwick", "vector"],
-        default=None,
-        help="override the spec's batch-backend sampling strategy",
-    )
-    parser.add_argument(
-        "--accel",
-        choices=["auto", "numpy", "python"],
-        default=None,
-        help=(
-            "override the spec's batch-backend acceleration path "
-            "(auto: NumPy when available, pure Python otherwise)"
-        ),
     )
     parser.add_argument(
         "--profile",

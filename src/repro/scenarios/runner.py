@@ -105,8 +105,6 @@ def _run_one(
         scheduler=scheduler,
         hooks=[tracker],
         backend=backend,
-        sampler=spec.sampler,
-        accel=spec.accel,
     )
     convergence_factory = None
     if entry.convergence is not None:

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..engine.backends import BACKEND_NAMES, SAMPLER_NAMES
+from ..engine.backends import BACKEND_NAMES
 from ..engine.errors import ConfigurationError
 from ..engine.rng import SeedLike, derive_seed
-from ..experiments.spec import BudgetPolicy, GridSpec, _validate_accel, policy_from
+from ..experiments.spec import BudgetPolicy, GridSpec, policy_from
 from .faults import resolve_fault
 
 __all__ = ["EVENT_KINDS", "EventSpec", "ScenarioCell", "ScenarioSpec"]
@@ -206,13 +206,6 @@ class ScenarioSpec(GridSpec):
         backends: Backends to run each cell on — recovery claims are checked
             on ``["agent", "batch"]`` cells side by side; scenarios with
             scheduler events are agent-only.
-        sampler: Batch-backend weighted-sampling strategy (``"auto"``,
-            ``"scan"``, ``"alias"``, ``"fenwick"``, ``"vector"``);
-            agent-backend cells ignore it, so mixed-backend grids can share
-            one spec.
-        accel: Batch-backend hot-loop implementation (``"auto"``,
-            ``"numpy"``, ``"python"`` — see :mod:`repro.engine.vectorized`);
-            agent-backend cells ignore it.
         params: Protocol parameters shared by every cell.
         param_grid: Per-parameter value lists; the grid is the cartesian
             product with ``ns`` and ``backends``.  Parameters may be consumed
@@ -238,8 +231,6 @@ class ScenarioSpec(GridSpec):
     seeds_per_cell: int = 3
     base_seed: SeedLike = 0
     backends: List[str] = field(default_factory=lambda: ["auto"])
-    sampler: str = "auto"
-    accel: str = "auto"
     params: Dict[str, Any] = field(default_factory=dict)
     param_grid: Dict[str, List[Any]] = field(default_factory=dict)
     budget: BudgetPolicy = field(default_factory=BudgetPolicy)
@@ -270,11 +261,6 @@ class ScenarioSpec(GridSpec):
                 raise ConfigurationError(
                     f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
                 )
-        if self.sampler not in SAMPLER_NAMES:
-            raise ConfigurationError(
-                f"unknown sampler {self.sampler!r}; expected one of {SAMPLER_NAMES}"
-            )
-        _validate_accel(self.accel, self.sampler, self._spec_kind)
         if self.uses_scheduler_events() and any(
             backend != "agent" for backend in self.backends
         ):

@@ -2,7 +2,7 @@
 
 A cell's worker payload is already a complete, canonical description of the
 computation: protocol name, population size, parameters, derived seeds,
-backend/sampler/accel knobs, budget, and check cadence — all plain JSON.
+backend, budget, and check cadence — all plain JSON.
 Hashing that canonical JSON together with the package's code fingerprint
 yields a content address: two jobs that would run the identical simulation
 produce the identical key, whatever their job names or submission order,
@@ -247,10 +247,11 @@ class ResultCache:
     def _write_to_disk(self, key: str, record: Dict[str, Any]) -> None:
         """Persist one entry via tmp file + atomic rename (lock held).
 
-        The temp name embeds pid and a per-cache sequence number so
-        concurrent writers — including a second server process sharing the
-        directory — never collide; ``os.replace`` makes the publish atomic,
-        so readers only ever see complete files.
+        The temp name embeds pid, thread id and a per-cache sequence number
+        so concurrent writers — other cache instances in this process,
+        including ones on other threads, or a second server process sharing
+        the directory — never collide; ``os.replace`` makes the publish
+        atomic, so readers only ever see complete files.
         """
         self._write_seq += 1
         envelope = {
@@ -263,7 +264,7 @@ class ResultCache:
         data = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
         tmp_path = os.path.join(
             self.cache_dir,
-            f".{key}.{os.getpid()}.{self._write_seq}.tmp",
+            f".{key}.{os.getpid()}.{threading.get_ident()}.{self._write_seq}.tmp",
         )
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import run_benchmark, run_sampler_benchmark
+from repro.bench import run_benchmark
 from repro.bench.cli import main
 from repro.bench.runner import (
     BUDGET_FAIL_FACTOR,
@@ -15,12 +15,6 @@ from repro.bench.runner import (
     smoke_cases,
     write_report,
 )
-from repro.bench.samplers import (
-    SAMPLER_STRATEGIES,
-    SamplerBenchCase,
-    StaticTableProtocol,
-)
-from repro.counting.backup import ExactBackupProtocol
 from repro.engine.convergence import all_outputs_equal
 from repro.primitives.epidemic import OneWayEpidemic
 
@@ -146,8 +140,6 @@ def test_check_smoke_budgets_fails_on_stale_budget_keys():
 def test_check_budget_cli_requires_the_smoke_grid():
     with pytest.raises(SystemExit):
         main(["--check-budget", "--quiet"])
-    with pytest.raises(SystemExit):
-        main(["--smoke", "--samplers", "--check-budget", "--quiet"])
 
 
 def test_check_budget_cli_passes_on_the_real_smoke_grid(tmp_path, capsys):
@@ -158,44 +150,3 @@ def test_check_budget_cli_passes_on_the_real_smoke_grid(tmp_path, capsys):
     assert "REGRESSION" not in captured.out
     assert "STALE" not in captured.out
     assert exit_code == 0
-
-
-def _tiny_sampler_cases():
-    return [
-        SamplerBenchCase(
-            "backup-exact-churn", "backup-exact",
-            lambda n: ExactBackupProtocol(), "pruning",
-            n=64, max_interactions=10_000,
-        ),
-        SamplerBenchCase(
-            "static-table", "static-table",
-            lambda n: StaticTableProtocol(keys=12), "pruning",
-            n=64, max_interactions=2_000,
-        ),
-    ]
-
-
-def test_sampler_benchmark_runs_every_strategy_per_case():
-    report = run_sampler_benchmark(cases=_tiny_sampler_cases(), base_seed=1)
-    assert len(report["entries"]) == 2 * len(SAMPLER_STRATEGIES)
-    assert {entry["sampler"] for entry in report["entries"]} == set(SAMPLER_STRATEGIES)
-    assert len(report["comparisons"]) == 2
-    static = next(c for c in report["comparisons"] if c["case"] == "static-table")
-    # Static weights never thrash: auto must have stayed on the alias table.
-    assert static["auto_strategy"] == "alias"
-    assert static["auto_switched"] is False
-    # Budget-bound (or provably terminal) runs keep wall times comparable.
-    for entry in report["entries"]:
-        assert entry["stopped_reason"] in ("budget", "terminal")
-
-
-def test_sampler_cli_writes_report(tmp_path):
-    output = tmp_path / "BENCH_samplers.json"
-    exit_code = main(["--smoke", "--samplers", "--quiet", "--output", str(output)])
-    assert exit_code == 0
-    report = json.loads(output.read_text())
-    assert report["benchmark"] == "samplers"
-    assert report["smoke"] is True
-    # The smoke grid never judges the acceptance criteria.
-    assert report["headline_met"] is None
-    assert report["entries"]

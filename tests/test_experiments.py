@@ -288,3 +288,24 @@ def test_builtin_specs_are_valid_and_cover_counting():
         assert spec.cells()  # expands without error
     with pytest.raises(ConfigurationError):
         resolve_builtin("definitely-not-a-builtin")
+
+
+def test_every_committed_artifact_spec_loads_through_from_dict():
+    # Committed artifacts embed the spec that produced them; each must load
+    # through its layer's from_dict (specs of earlier releases record the
+    # removed sampler/accel knobs at "auto", which still load).
+    from pathlib import Path
+
+    from repro.scenarios import ScenarioSpec, SearchSpec
+
+    layers = {"SWEEP_": SweepSpec, "SCENARIO_": ScenarioSpec, "FRONTIER_": SearchSpec}
+    root = Path(__file__).resolve().parent.parent
+    loaded = []
+    for prefix, layer in layers.items():
+        for path in sorted(root.glob(f"{prefix}*.json")):
+            spec = layer.from_dict(json.loads(path.read_text())["spec"])
+            document = spec.to_dict()
+            fields = set(document) | set(document.get("scenario", {}))
+            assert not {"sampler", "accel"} & fields, path.name
+            loaded.append(path.name)
+    assert {name.split("_")[0] for name in loaded} == {"SWEEP", "SCENARIO", "FRONTIER"}

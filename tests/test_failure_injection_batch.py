@@ -1,4 +1,4 @@
-"""Batch-mode failure injection and alias-table sampling (PR 2 satellites)."""
+"""Batch-mode failure injection and sampling-regime detection (PR 2 satellites)."""
 
 import random
 from collections import Counter
@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from repro.engine import (
-    AliasTable,
     ConfigurationError,
     FailureInjectionHook,
     Simulator,
@@ -16,28 +15,6 @@ from repro.engine import (
 from repro.engine.protocol import Protocol
 from repro.engine.rng import make_rng
 from repro.primitives.epidemic import OneWayEpidemic
-
-
-# ---------------------------------------------------------------- AliasTable
-def test_alias_table_matches_weights():
-    weights = {"a": 1, "b": 3, "c": 6}
-    table = AliasTable(weights)
-    rng = make_rng(7)
-    draws = Counter(table.sample(rng) for _ in range(30_000))
-    for value, weight in weights.items():
-        expected = weight / 10
-        assert abs(draws[value] / 30_000 - expected) < 0.02, (value, draws)
-
-
-def test_alias_table_single_and_invalid_inputs():
-    table = AliasTable({"only": 5})
-    assert table.sample(make_rng(0)) == "only"
-    with pytest.raises(ConfigurationError):
-        AliasTable({})
-    with pytest.raises(ConfigurationError):
-        AliasTable({"a": 0})
-    with pytest.raises(ConfigurationError):
-        AliasTable({"a": -1, "b": 2})
 
 
 def test_batch_sampling_regimes_are_detected():
@@ -138,12 +115,11 @@ def test_key_only_hook_rejected_by_agent_backend_at_start():
 
 
 def test_corrupt_histogram_conserves_population_and_rebuilds_weights():
-    # accel="python": the test asserts the Python pair-weight table's
-    # post-corruption invariant (the NumPy kernel has its own differential
-    # test in tests/test_vectorized.py).
-    simulator = Simulator(
-        OneWayEpidemic(source_count=4), 32, seed=1, backend="batch", accel="python"
-    )
+    # The epidemic's pair table stays far below the factorised kernel's
+    # width, so this checks the Python pair-weight table's post-corruption
+    # invariant (the kernel has its own differential test in
+    # tests/test_vectorized.py).
+    simulator = Simulator(OneWayEpidemic(source_count=4), 32, seed=1, backend="batch")
     simulator.run(max_interactions=64)
     backend = simulator.backend
     changed = backend.corrupt_histogram(6, lambda key, rng: 0, make_rng(5))

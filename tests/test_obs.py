@@ -5,12 +5,12 @@ Three fronts:
 * the metrics primitives — counters/gauges/histograms, the Prometheus
   text-exposition renderer, and the strict parser used by the smoke to
   validate every exposed line;
-* run tracing — ``extra["telemetry"]`` emitted by both backends, its
-  deprecated ``extra["sampler"]``/``extra["accel"]`` aliases, and the
-  determinism contract (tracing never touches an RNG stream);
+* run tracing — ``extra["telemetry"]`` emitted by both backends as the
+  single source of the sampler and accel records, and the determinism
+  contract (tracing never touches an RNG stream);
 * profile aggregation — the ``--profile`` fold over cells and the
-  double-retirement regression: no sampler-replacement chain may drop a
-  retired sampler's counters.
+  retirement funnel: no sampler-replacement chain may drop a retired
+  sampler's counters.
 """
 
 import pytest
@@ -152,13 +152,15 @@ def test_run_tracer_accumulates_phases_and_events():
     tracer.add("sampling", 0.25)
     tracer.add("sampling", 0.25, ops=3)
     tracer.add("transition", 0.5)
-    tracer.note_event("sampler-swap", at=10, reason="thrash")
+    tracer.note_event("accel-engage", at=10, kernel="factorised-pair")
     assert tracer.phase_seconds("sampling") == pytest.approx(0.5)
     record = tracer.as_dict()
     assert record["schema"] == TELEMETRY_SCHEMA
     assert record["phases"]["sampling"] == {"wall_time_s": 0.5, "ops": 4}
     assert record["phases"]["transition"]["ops"] == 1
-    assert record["events"] == [{"kind": "sampler-swap", "at": 10, "reason": "thrash"}]
+    assert record["events"] == [
+        {"kind": "accel-engage", "at": 10, "kernel": "factorised-pair"}
+    ]
     assert "events_dropped" not in record
 
 
@@ -197,9 +199,11 @@ def test_batch_backend_emits_telemetry_with_consistent_skips():
     assert 0.0 <= skips["efficiency"] <= 1.0
     checkpoints = telemetry["checkpoints"]
     assert checkpoints["count"] >= checkpoints["satisfied"] >= 1
-    # The deprecated top-level blobs are aliases of the telemetry sections.
-    assert result.extra["sampler"] is telemetry["sampler"]
-    assert result.extra["accel"] is telemetry["accel"]
+    # Telemetry is the single source: no parallel top-level views.
+    assert telemetry["sampler"]["regime"] == "pruning"
+    assert set(telemetry["accel"]) >= {"active", "numpy_available", "engaged"}
+    assert "sampler" not in result.extra
+    assert "accel" not in result.extra
 
 
 def test_agent_backend_emits_telemetry_without_batch_sections():
@@ -249,66 +253,32 @@ def test_tracing_is_stream_transparent():
 
 @requires_numpy
 def test_engage_then_capacity_fallback_retains_every_retired_snapshot(monkeypatch):
-    # auto-accel engages the factorised kernel on alias thrash, then the
-    # clamped activity matrix forces a fallback: the alias sampler AND the
-    # kernel must both survive in the retired list, each stamped with why
-    # and when it was replaced.
-    monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 8)
+    # The factorised kernel engages once the pair table is wide, then the
+    # clamped activity matrix forces a fallback: the Fenwick sampler AND
+    # the kernel must both survive in the retired list, each stamped with
+    # why and when it was replaced.
+    monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 16)
     result = simulate(
         ExactBackupProtocol(),
         64,
         seed=1,
         backend="batch",
-        accel="numpy",
         max_interactions=30_000,
     )
-    assert result.extra["accel"]["active"] == "python"
-    retired = result.extra["telemetry"]["sampler"]["retired"]
-    assert len(retired) >= 2
+    telemetry = result.extra["telemetry"]
+    assert telemetry["accel"]["active"] == "python"
+    retired = telemetry["sampler"]["retired"]
+    assert [snapshot["retired_by"] for snapshot in retired] == [
+        "accel-engage", "accel-fallback",
+    ]
     for snapshot in retired:
-        assert snapshot["retired_by"] in ("thrash", "accel-engage", "accel-fallback")
-        assert snapshot["regime"] in ("pruning", "dense")
+        assert snapshot["regime"] == "pruning"
         assert isinstance(snapshot["retired_at"], int)
-    reasons = [snapshot["retired_by"] for snapshot in retired]
-    assert "accel-fallback" in reasons
-    kinds = [event["kind"] for event in result.extra["telemetry"]["events"]]
-    assert "accel-fallback" in kinds
+    assert retired[0]["strategy"] == "fenwick"
+    assert retired[1]["kernel"] == "factorised-pair"
+    kinds = [event["kind"] for event in telemetry["events"]]
+    assert kinds.count("accel-engage") == kinds.count("accel-fallback") == 1
     assert kinds.count("sampler-retired") == len(retired)
-
-
-def test_dense_fallback_retires_a_live_count_sampler():
-    # Unit-level pin of the latent drop: a dense-regime fallback must not
-    # overwrite a live histogram sampler without snapshotting its counters.
-    from repro.engine.backends import BatchBackend
-    from repro.engine.samplers import make_sampler
-
-    class _Sim:
-        protocol = OneWayEpidemic()
-        hooks = ()
-
-    backend = BatchBackend.__new__(BatchBackend)
-    backend.tracer = RunTracer()
-    backend.interactions = 123
-    backend.sampler_mode = "auto"
-    backend.counts = {0: 10, 1: 6}
-    backend._prunes = False
-    backend._pair_kernel = None
-    backend._dense_kernel = None
-    backend._pair_sampler = None
-    backend._retired_samplers = []
-    backend._count_sampler = make_sampler("auto", backend.counts)
-    backend._accel_fallback = None
-    backend._accel_pending = False
-    backend.accel_active = "numpy"
-
-    backend._fallback_to_python("unit test")
-    assert backend.accel_active == "python"
-    assert len(backend._retired_samplers) == 1
-    snapshot = backend._retired_samplers[0]
-    assert snapshot["retired_by"] == "accel-fallback"
-    assert snapshot["regime"] == "dense"
-    assert snapshot["retired_at"] == 123
-    assert backend._count_sampler is not None
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +291,7 @@ def _fake_trace(sampling=0.5, ops=10, skips=None):
         "schema": 1,
         "backend": "batch",
         "phases": {"sampling": {"wall_time_s": sampling, "ops": ops}},
-        "events": [{"kind": "sampler-swap", "at": 1}],
+        "events": [{"kind": "accel-engage", "at": 1}],
         "checkpoints": {"count": 4, "satisfied": 1},
     }
     if skips is not None:
@@ -335,7 +305,7 @@ def test_aggregate_telemetry_folds_phases_events_and_skips():
     assert profile["runs"] == 2
     assert profile["backends"] == {"batch": 2}
     assert profile["phases"]["sampling"] == {"wall_time_s": 1.0, "ops": 20}
-    assert profile["events"] == {"sampler-swap": 2}
+    assert profile["events"] == {"accel-engage": 2}
     assert profile["checkpoints"] == {"count": 8, "satisfied": 2}
     assert profile["skips"]["interactions"] == 200
     assert profile["skips"]["efficiency"] == pytest.approx(0.7)
@@ -367,7 +337,7 @@ def test_render_profile_mentions_every_phase_and_the_skip_line():
     assert "profile: t" in table
     assert "sampling" in table
     assert "geometric skips" in table
-    assert "sampler-swap x1" in table
+    assert "accel-engage x1" in table
 
 
 def test_sweep_document_embeds_the_aggregated_profile():

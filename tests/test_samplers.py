@@ -1,20 +1,21 @@
-"""The statistical test harness of the pluggable sampler architecture (PR 4).
+"""The statistical test harness of the batch backend's weighted sampler.
 
 Correct weighted sampling dies silently — a broken sampler still converges
-and its means look fine; only the distribution drifts.  So every strategy is
-checked at the *distribution* level (chi-square goodness of fit against the
-exact target weights, KS compatibility of end-to-end convergence-time laws)
-on top of exact differential tests made possible by the canonical draw
-contract: all strategies evaluate the same inverse CDF, so static-weight
-draw sequences must be *identical*, not merely equidistributed.
+and its means look fine; only the distribution drifts.  So the Fenwick
+sampler is checked at the *distribution* level (chi-square goodness of fit
+against the exact target weights, KS compatibility of end-to-end
+convergence-time laws) on top of exact differential tests against the
+linear-scan oracle in ``tests/scan_sampler.py``: both evaluate the same
+inverse CDF, so static-weight draw sequences must be *identical*, not
+merely equidistributed.
 """
 
 import random
 from collections import Counter
+from typing import Hashable, Tuple
 
 import pytest
 
-from repro.bench.samplers import StaticTableProtocol
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import (
     CallbackHook,
@@ -23,41 +24,84 @@ from repro.engine import (
     all_outputs_equal,
     simulate,
 )
-from repro.engine.samplers import (
-    SAMPLER_NAMES,
-    AliasSampler,
-    FenwickSampler,
-    ScanSampler,
-    make_sampler,
-)
+from repro.engine import backends
+from repro.engine.protocol import Protocol
+from repro.engine.samplers import FenwickSampler
 from repro.engine.stats import (
     chi_square_gof,
     ks_pvalue,
     ks_statistic,
 )
+from repro.experiments.registry import resolve_protocol
+from scan_sampler import ScanSampler
 
-STRATEGIES = ("scan", "alias", "fenwick")
+STRATEGIES = {"scan": ScanSampler, "fenwick": FenwickSampler}
 
 #: Generous significance threshold: a correct sampler fails a fixed-seed run
 #: with probability 10^-3; a broken one fails with p-values ~ 10^-30.
 ALPHA = 1e-3
+
+#: A pair-table width the factorised kernel never reaches: pins the batch
+#: backend's pruning regime to its Python sampler.
+NEVER = 10**9
 
 
 def _wide_weights(size, salt=0):
     return {f"k{index}": (index * 37 + salt) % 11 + 1 for index in range(size)}
 
 
+class StaticTableProtocol(Protocol):
+    """Pruning-regime protocol whose ``keys^2``-entry pair table never changes.
+
+    Every ordered pair is declared active and every transition swaps the two
+    keys, so the configuration never changes: each interaction is one
+    sampler draw over a static table and nothing else.
+    """
+
+    name = "static-table"
+    deterministic_transitions = True
+
+    def __init__(self, keys: int) -> None:
+        self.keys = keys
+
+    def initial_state(self, agent_id: int) -> int:
+        return agent_id % self.keys
+
+    def transition(self, initiator: int, responder: int, rng: random.Random) -> None:
+        raise NotImplementedError("static-table runs on the batch backend only")
+
+    def output(self, state: int) -> int:
+        return 0
+
+    def state_key(self, state: int) -> Hashable:
+        return state
+
+    def can_interaction_change(self, key_a: Hashable, key_b: Hashable) -> bool:
+        return True
+
+    def delta_key(
+        self, key_a: Hashable, key_b: Hashable, rng: random.Random
+    ) -> Tuple[Hashable, Hashable]:
+        return key_b, key_a
+
+    def output_key(self, key: Hashable) -> int:
+        return 0
+
+    def initial_key_counts(self, n: int) -> Counter:
+        return Counter(agent_id % self.keys for agent_id in range(n))
+
+
 # --------------------------------------------------------------------------
-# Chi-square goodness of fit (every strategy, both table sizes)
+# Chi-square goodness of fit (Fenwick and the oracle, both table sizes)
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.stats
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("size", [12, 80])  # below / above the alias SMALL_TABLE
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@pytest.mark.parametrize("size", [12, 80])
 def test_sampler_draws_from_exact_target_distribution(strategy, size):
     weights = _wide_weights(size)
-    sampler = make_sampler(strategy, weights)
+    sampler = STRATEGIES[strategy](weights)
     rng = random.Random(1234 + size)
     observed = Counter(sampler.sample(rng) for _ in range(20_000))
     p_value = chi_square_gof(observed, weights)
@@ -65,13 +109,13 @@ def test_sampler_draws_from_exact_target_distribution(strategy, size):
 
 
 @pytest.mark.stats
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_sampler_distribution_survives_randomized_mutations(strategy):
     # A scripted storm of updates (including zeroing and resurrecting keys)
     # and wholesale rebuilds, then a goodness-of-fit check against the final
     # weights: stale internal state would shift the distribution.
     rng = random.Random(4242)
-    sampler = make_sampler(strategy, {f"s{index}": 1 for index in range(50)})
+    sampler = STRATEGIES[strategy]({f"s{index}": 1 for index in range(50)})
     shadow = {f"s{index}": 1 for index in range(50)}
     for step in range(600):
         if step % 151 == 150:
@@ -162,30 +206,32 @@ def test_fenwick_compacts_dead_slots():
 
 
 # --------------------------------------------------------------------------
-# Cross-strategy equivalence: identical sequences when static, KS when not
+# Fenwick vs the scan oracle: identical sequences when static, KS when not
 # --------------------------------------------------------------------------
 
 
 def test_static_weight_draw_sequences_are_identical_across_strategies():
     # The canonical draw contract: same weights + same stream => the same
-    # key sequence from every strategy, bit for bit.
+    # key sequence from the tree and the scan, bit for bit.
     weights = _wide_weights(80)
     sequences = []
-    for strategy in STRATEGIES:
-        sampler = make_sampler(strategy, dict(weights))
+    for strategy in sorted(STRATEGIES):
+        sampler = STRATEGIES[strategy](dict(weights))
         rng = random.Random(7)
         sequences.append([sampler.sample(rng) for _ in range(4_000)])
-    assert sequences[0] == sequences[1] == sequences[2]
+    assert sequences[0] == sequences[1]
 
 
-def test_static_protocol_interaction_sequences_identical_across_strategies():
-    # End to end: a pruning-regime protocol whose transitions swap the two
-    # keys never changes the configuration, so the pair-weight table stays
-    # static and the full applied-event sequence must agree across
-    # strategies for one seed (12 keys -> 144 pair types, above the alias
-    # small-table threshold).
+def test_static_protocol_interaction_sequences_identical_across_strategies(monkeypatch):
+    # End to end: the static protocol's pair table never changes, so the
+    # batch backend's applied-event sequence must be the same for one seed
+    # whether it draws from the Fenwick tree or from the scan oracle
+    # (12 keys -> 144 pair types; the kernel is held off to keep the
+    # Python sampler in charge).
+    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", NEVER)
     sequences = {}
-    for strategy in STRATEGIES:
+    for strategy in sorted(STRATEGIES):
+        monkeypatch.setattr(backends, "FenwickSampler", STRATEGIES[strategy])
         events = []
         hook = CallbackHook(
             on_batch_event=lambda sim, a, b, na, nb: events.append((a, b))
@@ -195,251 +241,190 @@ def test_static_protocol_interaction_sequences_identical_across_strategies():
             128,
             seed=5,
             backend="batch",
-            sampler=strategy,
             max_interactions=3_000,
             hooks=[hook],
         )
         assert result.interactions == 3_000
+        assert result.extra["telemetry"]["sampler"]["strategy"] == strategy
         sequences[strategy] = events
-    assert sequences["scan"] == sequences["alias"] == sequences["fenwick"]
+    assert sequences["scan"] == sequences["fenwick"]
     assert len(sequences["scan"]) == 3_000
 
 
-@pytest.mark.stats
-def test_backup_exact_convergence_distributions_match_across_strategies():
-    # Under churn the strategies' draw paths legitimately diverge (slot
-    # orders drift), so the claim becomes statistical: the convergence-time
-    # laws of backup-exact must be indistinguishable across strategies.
-    n = 96
-    samples = 30
+def _convergence_times(monkeypatch, make_protocol, n, strategy, offset, samples=30):
+    """Convergence interactions of ``samples`` seeded batch runs.
 
-    def convergence_times(strategy, offset):
-        times = []
+    ``strategy`` is ``"scan"`` (the oracle in place of the Fenwick tree,
+    kernel held off), ``"fenwick"`` (kernel held off) or ``"default"``
+    (the backend's own choice, the factorised kernel when NumPy is present).
+    """
+    times = []
+    with monkeypatch.context() as patch:
+        if strategy != "default":
+            patch.setattr(backends, "KERNEL_MIN_PAIRS", NEVER)
+            patch.setattr(backends, "FenwickSampler", STRATEGIES[strategy])
         for seed in range(samples):
+            protocol, predicate = make_protocol()
             result = simulate(
-                ExactBackupProtocol(),
+                protocol,
                 n,
                 seed=offset + seed,
                 backend="batch",
-                sampler=strategy,
-                convergence=all_outputs_equal(n),
+                convergence=predicate,
                 check_interval=n,
                 confirm_checks=1,
                 max_interactions=3_000_000,
             )
             assert result.converged, (strategy, seed)
             times.append(result.convergence_interaction)
-        return times
+    return times
 
-    by_strategy = {
-        strategy: convergence_times(strategy, 1_000 * index)
-        for index, strategy in enumerate(STRATEGIES)
-    }
-    for first in STRATEGIES:
-        for second in STRATEGIES:
-            if first >= second:
-                continue
+
+def _assert_laws_match(by_strategy, samples=30):
+    names = sorted(by_strategy)
+    for index, first in enumerate(names):
+        for second in names[index + 1:]:
             statistic = ks_statistic(by_strategy[first], by_strategy[second])
             p_value = ks_pvalue(statistic, samples, samples)
             assert p_value > ALPHA, (first, second, statistic, p_value)
 
 
-# --------------------------------------------------------------------------
-# The auto heuristic (regression): churn ends on Fenwick, static on alias
-# --------------------------------------------------------------------------
+@pytest.mark.stats
+def test_backup_exact_convergence_distributions_match_across_strategies(monkeypatch):
+    # Under churn the draw paths legitimately diverge (slot orders drift),
+    # so the claim becomes statistical: the convergence-time laws must be
+    # indistinguishable between the Fenwick tree, the scan oracle and the
+    # backend's default path.  backup-exact covers the pruning regime,
+    # count-exact the dense regime of the paper's Theorem 2 protocol.
+    n = 96
 
+    def backup():
+        return ExactBackupProtocol(), all_outputs_equal(n)
 
-def test_auto_switches_to_fenwick_on_weight_churn():
-    # backup-exact churns the pair table on nearly every event; once the
-    # table is wide enough the alias strategy thrashes and auto must have
-    # switched to the Fenwick tree by the end of the run.
-    result = simulate(
-        ExactBackupProtocol(),
-        256,
-        seed=11,
-        backend="batch",
-        sampler="auto",
-        # Pin the Python hot loop: with accel="auto" on a NumPy machine the
-        # pruning regime runs the factorised kernel and never consults the
-        # alias/Fenwick heuristic under test here.
-        accel="python",
-        max_interactions=150_000,
-    )
-    stats = result.extra["sampler"]
-    assert stats["requested"] == "auto"
-    assert stats["regime"] == "pruning"
-    assert stats["strategy"] == "fenwick"
-    assert stats["switched"] is True
-    assert stats["retired"][0]["strategy"] == "alias"
-    assert stats["retired"][0]["builds"] >= AliasSampler.CHURN_BUILDS
+    _assert_laws_match({
+        strategy: _convergence_times(monkeypatch, backup, n, strategy, 1_000 * index)
+        for index, strategy in enumerate(("scan", "fenwick", "default"))
+    })
 
+    small = 16
+    entry = resolve_protocol("count-exact")
 
-def test_auto_stays_on_alias_for_static_weights():
-    # A static pair table never invalidates the alias table: one build, an
-    # unbounded run of table draws, no reason to switch.
-    result = simulate(
-        StaticTableProtocol(keys=12),
-        128,
-        seed=3,
-        backend="batch",
-        sampler="auto",
-        accel="python",  # the alias-vs-Fenwick heuristic is Python-path-only
-        max_interactions=20_000,
-    )
-    stats = result.extra["sampler"]
-    assert stats["requested"] == "auto"
-    assert stats["strategy"] == "alias"
-    assert stats["switched"] is False
-    assert stats["builds"] == 1
-    assert stats["table_draws"] == 20_000
+    def count_exact():
+        return entry.build(small, {}), entry.convergence(small, {})
 
-
-def test_forced_strategies_are_respected_and_reported():
-    for strategy in STRATEGIES:
-        result = simulate(
-            ExactBackupProtocol(),
-            64,
-            seed=2,
-            backend="batch",
-            sampler=strategy,
-            max_interactions=5_000,
-        )
-        stats = result.extra["sampler"]
-        assert stats["requested"] == strategy
-        assert stats["strategy"] == strategy
-        assert stats["switched"] is False
+    _assert_laws_match({
+        strategy: _convergence_times(monkeypatch, count_exact, small, strategy, 5_000 * index)
+        for index, strategy in enumerate(("scan", "fenwick"), start=1)
+    })
 
 
 # --------------------------------------------------------------------------
-# The alias fallback re-probe counter (PR 4 fix)
-# --------------------------------------------------------------------------
-
-
-def test_alias_fallback_scan_counter_resets_on_rebuild():
-    sampler = AliasSampler(_wide_weights(40))
-    rng = random.Random(0)
-    # Eight dirty draws in a row: every one rebuilds (one draw per build),
-    # which is exactly the thrash signature.
-    for index in range(AliasSampler.CHURN_BUILDS):
-        sampler.update("k0", 100 + index)
-        sampler.sample(rng)
-    assert sampler.builds == AliasSampler.CHURN_BUILDS
-    assert sampler.thrashing
-    # Churning: dirty draws now fall back to scans ...
-    sampler.update("k0", 7)
-    for index in range(AliasSampler.REPROBE_PERIOD - 1):
-        sampler.sample(rng)
-        sampler.update("k0", 8 + index % 3)
-    assert sampler.builds == AliasSampler.CHURN_BUILDS
-    assert sampler.scans == AliasSampler.REPROBE_PERIOD - 1
-    # ... and the REPROBE_PERIOD-th re-probes a rebuild, which must reset
-    # the streak counter so the next churn era gets a full-period cadence
-    # (the counter used to carry over and misalign future re-probes).
-    sampler.sample(rng)
-    assert sampler.builds == AliasSampler.CHURN_BUILDS + 1
-    assert sampler.scans == 0
-
-
-# --------------------------------------------------------------------------
-# Knob plumbing and validation
+# Validation and reporting
 # --------------------------------------------------------------------------
 
 
 def test_unknown_sampler_names_are_rejected_everywhere():
-    with pytest.raises(ConfigurationError):
-        make_sampler("bogus")
-    with pytest.raises(ConfigurationError):
-        Simulator(ExactBackupProtocol(), 8, backend="batch", sampler="bogus")
-    with pytest.raises(ConfigurationError):
-        simulate(ExactBackupProtocol(), 8, backend="batch", sampler="vose")
+    # The sampler knob is gone: the engine no longer accepts it at all, and
+    # a spec may only carry it with the old default value.
+    from repro.experiments.spec import SweepSpec
+    from repro.scenarios.spec import ScenarioSpec
 
-
-def test_sampler_names_cover_all_strategies():
-    assert set(STRATEGIES) < set(SAMPLER_NAMES)
-    assert "auto" in SAMPLER_NAMES
-
-
-def test_agent_backend_accepts_but_ignores_the_sampler_knob():
-    # Mixed agent/batch scenario grids share one spec, so the agent backend
-    # must accept any valid knob value without reporting sampler stats.
-    result = simulate(
-        ExactBackupProtocol(), 16, seed=0, backend="agent", sampler="fenwick",
-        max_interactions=500,
-    )
-    assert "sampler" not in result.extra
+    with pytest.raises(TypeError):
+        Simulator(ExactBackupProtocol(), 8, backend="batch", sampler="alias")
+    with pytest.raises(TypeError):
+        simulate(ExactBackupProtocol(), 8, backend="batch", sampler="fenwick")
+    sweep = {"name": "s", "protocol": "backup-exact", "ns": [16], "sampler": "alias"}
+    with pytest.raises(ConfigurationError, match="removed"):
+        SweepSpec.from_dict(sweep)
+    scenario = {
+        "name": "c",
+        "protocol": "backup-exact",
+        "ns": [16],
+        "events": [{"kind": "restart", "at_interactions": 10}],
+        "sampler": "alias",
+    }
+    with pytest.raises(ConfigurationError, match="removed"):
+        ScenarioSpec.from_dict(scenario)
 
 
 def test_sampler_rejects_negative_weights_and_empty_draws():
-    sampler = ScanSampler({"a": 1})
-    with pytest.raises(ConfigurationError):
-        sampler.update("a", -1)
-    sampler.update("a", 0)
-    with pytest.raises(ConfigurationError):
-        sampler.sample(random.Random(0))
-    with pytest.raises(ConfigurationError):
-        FenwickSampler({"a": -2})
+    for strategy in sorted(STRATEGIES):
+        sampler = STRATEGIES[strategy]({"a": 1})
+        with pytest.raises(ConfigurationError):
+            sampler.update("a", -1)
+        sampler.update("a", 0)
+        with pytest.raises(ConfigurationError):
+            sampler.sample(random.Random(0))
+        with pytest.raises(ConfigurationError):
+            STRATEGIES[strategy]({"a": -2})
+        assert STRATEGIES[strategy]({"a": 0, "b": 2}).weights() == {"b": 2}
 
 
 def test_dense_regime_reports_sampler_stats():
     # A protocol with the conservative can_interaction_change runs the dense
-    # regime; the sampler record must say so.
-    from repro.experiments.registry import resolve_protocol
-
+    # regime on the Fenwick tree; the sampler record must say so.
     entry = resolve_protocol("approximate")
     result = simulate(
-        entry.build(64, {}), 64, seed=1, backend="batch", sampler="fenwick",
-        max_interactions=2_000,
+        entry.build(64, {}), 64, seed=1, backend="batch", max_interactions=2_000,
     )
-    stats = result.extra["sampler"]
+    stats = result.extra["telemetry"]["sampler"]
     assert stats["regime"] == "dense"
     assert stats["strategy"] == "fenwick"
     assert stats["draws"] >= 2_000  # two participants per interaction
+    assert "retired" not in stats
+    assert result.extra["telemetry"]["accel"]["engaged"] is False
 
 
 def test_spec_layers_carry_the_sampler_knob():
+    # Specs of earlier releases record sampler="auto"; both spec layers
+    # still load them, drop the knob on the round trip, and refuse any
+    # other value instead of silently ignoring it.
     from repro.experiments.spec import SweepSpec
     from repro.scenarios.spec import ScenarioSpec
 
-    sweep = SweepSpec(
-        name="s", protocol="backup-exact", ns=[16], sampler="fenwick"
-    )
-    assert SweepSpec.from_json(sweep.to_json()).sampler == "fenwick"
-    with pytest.raises(ConfigurationError):
-        SweepSpec(name="s", protocol="backup-exact", ns=[16], sampler="nope")
+    sweep = {"name": "s", "protocol": "backup-exact", "ns": [16], "sampler": "auto"}
+    loaded = SweepSpec.from_dict(sweep)
+    assert "sampler" not in loaded.to_dict()
+    assert SweepSpec.from_json(loaded.to_json()) == loaded
+    with pytest.raises(ConfigurationError, match="removed"):
+        SweepSpec.from_dict(dict(sweep, sampler="fenwick"))
+    with pytest.raises(TypeError):
+        SweepSpec(name="s", protocol="backup-exact", ns=[16], sampler="auto")
 
-    scenario = ScenarioSpec(
-        name="c",
-        protocol="backup-exact",
-        ns=[16],
-        sampler="fenwick",
-        events=[{"kind": "restart", "at_interactions": 10}],
-    )
-    assert ScenarioSpec.from_json(scenario.to_json()).sampler == "fenwick"
-    with pytest.raises(ConfigurationError):
-        ScenarioSpec(
-            name="c",
-            protocol="backup-exact",
-            ns=[16],
-            sampler="nope",
-            events=[{"kind": "restart", "at_interactions": 10}],
-        )
+    scenario = {
+        "name": "c",
+        "protocol": "backup-exact",
+        "ns": [16],
+        "sampler": "auto",
+        "events": [{"kind": "restart", "at_interactions": 10}],
+    }
+    loaded = ScenarioSpec.from_dict(scenario)
+    assert "sampler" not in loaded.to_dict()
+    assert ScenarioSpec.from_json(loaded.to_json()) == loaded
+    with pytest.raises(ConfigurationError, match="removed"):
+        ScenarioSpec.from_dict(dict(scenario, sampler="nope"))
 
 
-def test_sweep_payload_threads_the_sampler_to_workers():
+def test_sweep_payload_threads_the_sampler_to_workers(monkeypatch):
+    # Cell payloads carry no sampling knob (they address the result
+    # cache); the worker's run reports the sampler the backend chose.  An
+    # unreachable kernel width keeps the run on the Fenwick sampler.
     from repro.experiments.runner import cell_payload, execute_cell
     from repro.experiments.spec import SweepSpec
 
+    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 10**9)
     spec = SweepSpec(
         name="s",
         protocol="backup-exact",
         ns=[16],
         seeds_per_cell=1,
         backend="batch",
-        sampler="fenwick",
         max_checks=10,
     )
     payload = cell_payload(spec, spec.cells()[0])
-    assert payload["sampler"] == "fenwick"
+    assert "sampler" not in payload
     record = execute_cell(payload)
     assert record["error"] is None
-    assert record["runs"][0]["extra"]["sampler"]["strategy"] == "fenwick"
+    sampler = record["runs"][0]["extra"]["telemetry"]["sampler"]
+    assert sampler["strategy"] == "fenwick"
+    assert sampler["draws"] > 0

@@ -1,13 +1,15 @@
-"""Tests for the NumPy acceleration layer (PR 5).
+"""Tests for the NumPy acceleration of the pruning regime.
 
 The layer must be *provably optional*: the CI matrix runs one leg with
 NumPy and one without, and the guard test here pins the active path against
 the leg's declared intent (``REPRO_EXPECT_ACCEL``) so the two legs can
-never silently test the same code.  Equivalence is checked at three levels:
-bit-identical single draws (the canonical inverse-CDF contract), exact
-differential tests of the factorised pair weights against a from-scratch
-recomputation, and distribution-level chi-square / KS checks of draws and
-end-to-end convergence-time laws.
+never silently test the same code.  The batch backend engages the
+factorised kernel by itself once the active pair table grows past
+``KERNEL_MIN_PAIRS``; tests that need one path or the other move that
+width.  Equivalence is checked at two levels: exact differential tests of
+the factorised pair weights against a from-scratch recomputation, and
+distribution-level chi-square / KS checks of draws and end-to-end
+convergence-time laws.
 """
 
 import os
@@ -18,17 +20,10 @@ import pytest
 
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import ConfigurationError, Simulator, all_outputs_equal, simulate
-from repro.engine.samplers import SAMPLER_NAMES, ScanSampler, make_sampler
+from repro.engine import backends
 from repro.engine.stats import chi_square_gof, ks_pvalue, ks_statistic
 from repro.engine import vectorized as vectorized_module
-from repro.engine.vectorized import (
-    ACCEL_NAMES,
-    DenseBlockKernel,
-    FactorisedPairKernel,
-    VectorSampler,
-    numpy_available,
-    resolve_accel,
-)
+from repro.engine.vectorized import FactorisedPairKernel, numpy_available
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="NumPy unavailable (or vetoed by REPRO_NO_NUMPY)"
@@ -37,9 +32,12 @@ requires_numpy = pytest.mark.skipif(
 #: Generous significance threshold (see tests/test_samplers.py).
 ALPHA = 1e-3
 
+#: A pair-table width the kernel never reaches: pins the Python path.
+NEVER = 10**9
 
-def _wide_weights(size, salt=0):
-    return {f"k{index}": (index * 37 + salt) % 11 + 1 for index in range(size)}
+
+def _telemetry(result):
+    return result.extra["telemetry"]
 
 
 # --------------------------------------------------------------------------
@@ -50,8 +48,8 @@ def _wide_weights(size, salt=0):
 def test_ci_guard_active_accel_path_matches_leg_intent():
     # On CI, REPRO_EXPECT_ACCEL declares the matrix leg's intent; locally
     # the expectation is simply consistency with NumPy availability.  The
-    # assertion is made on a *real simulation's* report, not on the
-    # resolver alone, so a wiring regression cannot slip through.
+    # assertion is made on a *real simulation's* report, not on
+    # numpy_available() alone, so a wiring regression cannot slip through.
     expected = os.environ.get("REPRO_EXPECT_ACCEL")
     if expected is None:
         expected = "numpy" if numpy_available() else "python"
@@ -62,16 +60,15 @@ def test_ci_guard_active_accel_path_matches_leg_intent():
         assert not numpy_available(), (
             "pure-python leg with NumPy importable; set REPRO_NO_NUMPY=1"
         )
-    assert resolve_accel("auto") == expected
     result = simulate(
         ExactBackupProtocol(), 64, seed=0, backend="batch", max_interactions=2_000
     )
-    assert result.extra["accel"]["active"] == expected
-    assert result.extra["accel"]["requested"] == "auto"
-    assert result.extra["accel"]["numpy_available"] == (expected == "numpy")
-    # Prove the leg exercises its own hot loop, not just the resolver: a
-    # churning pruning workload must *engage* the factorised kernel on the
-    # numpy leg and must not (cannot) on the pure-python leg.
+    accel = _telemetry(result)["accel"]
+    assert accel["active"] == expected
+    assert accel["numpy_available"] == (expected == "numpy")
+    # Prove the leg exercises its own hot loop: a churning pruning workload
+    # must *engage* the factorised kernel on the numpy leg and must not
+    # (cannot) on the pure-python leg.
     churn = simulate(
         ExactBackupProtocol(),
         256,
@@ -79,227 +76,136 @@ def test_ci_guard_active_accel_path_matches_leg_intent():
         backend="batch",
         max_interactions=150_000,
     )
-    assert churn.extra["accel"]["engaged"] == (expected == "numpy")
-    if expected == "numpy":
-        assert churn.extra["sampler"]["strategy"] == "factorised"
-    else:
-        assert churn.extra["sampler"]["strategy"] in ("alias", "fenwick")
+    assert _telemetry(churn)["accel"]["engaged"] == (expected == "numpy")
+    strategy = _telemetry(churn)["sampler"]["strategy"]
+    assert strategy == ("factorised" if expected == "numpy" else "fenwick")
 
 
-def test_guard_python_accel_is_always_available():
+def test_guard_python_accel_is_always_available(monkeypatch):
+    # With NumPy made undetectable the pruning regime runs the Python
+    # sampler end to end and still reaches the exact count.
+    monkeypatch.setattr(vectorized_module, "_np", None)
+    assert not numpy_available()
     result = simulate(
         ExactBackupProtocol(),
-        64,
+        128,
         seed=0,
         backend="batch",
-        accel="python",
-        max_interactions=2_000,
+        convergence=all_outputs_equal(128),
+        check_interval=128,
+        max_interactions=1_000_000,
     )
-    assert result.extra["accel"]["active"] == "python"
+    accel = _telemetry(result)["accel"]
+    assert accel["active"] == "python"
+    assert accel["engaged"] is False
+    assert _telemetry(result)["sampler"]["strategy"] == "fenwick"
+    assert result.output_counts == Counter({128: 128})
 
 
 # --------------------------------------------------------------------------
-# Knob resolution and validation
+# No knob: validation and stream identity of the Python path
 # --------------------------------------------------------------------------
 
 
 def test_unknown_accel_names_are_rejected_everywhere():
-    with pytest.raises(ConfigurationError):
-        resolve_accel("bogus")
-    with pytest.raises(ConfigurationError):
-        Simulator(ExactBackupProtocol(), 8, backend="batch", accel="bogus")
-    with pytest.raises(ConfigurationError):
-        simulate(ExactBackupProtocol(), 8, backend="batch", accel="cuda")
+    # The accel knob is gone: the engine no longer accepts it at all, and
+    # a spec may only carry it with the old default value.
+    from repro.experiments.spec import SweepSpec
 
-
-def test_forced_python_sampler_wins_over_auto_accel():
-    # A pinned Python strategy is an explicit request: auto accel must not
-    # silently replace it with the NumPy kernels.
-    result = simulate(
-        ExactBackupProtocol(),
-        64,
-        seed=2,
-        backend="batch",
-        sampler="fenwick",
-        accel="auto",
-        max_interactions=5_000,
-    )
-    assert result.extra["accel"]["active"] == "python"
-    assert result.extra["sampler"]["strategy"] == "fenwick"
-
-
-def test_forcing_numpy_with_a_python_sampler_is_a_conflict():
-    if numpy_available():
-        with pytest.raises(ConfigurationError):
-            simulate(
-                ExactBackupProtocol(),
-                8,
-                backend="batch",
-                sampler="fenwick",
-                accel="numpy",
+    with pytest.raises(TypeError):
+        Simulator(ExactBackupProtocol(), 8, backend="batch", accel="numpy")
+    with pytest.raises(TypeError):
+        simulate(ExactBackupProtocol(), 8, backend="batch", accel="python")
+    for value in ("numpy", "python", "cuda"):
+        with pytest.raises(ConfigurationError, match="removed"):
+            SweepSpec.from_dict(
+                {"name": "s", "protocol": "backup-exact", "ns": [16], "accel": value}
             )
-    else:
-        with pytest.raises(ConfigurationError):
-            resolve_accel("numpy")
 
 
-def test_accel_names_and_vector_strategy_are_registered():
-    assert ACCEL_NAMES == ("auto", "numpy", "python")
-    assert "vector" in SAMPLER_NAMES
+def test_spec_layers_carry_and_validate_the_accel_knob():
+    # Specs of earlier releases record accel="auto"; both spec layers still
+    # load them and drop the knob, and every other value is refused.
+    from repro.experiments.spec import SweepSpec
+    from repro.scenarios.spec import ScenarioSpec
+
+    sweep = {"name": "s", "protocol": "backup-exact", "ns": [16], "accel": "auto"}
+    loaded = SweepSpec.from_dict(sweep)
+    assert "accel" not in loaded.to_dict()
+    assert SweepSpec.from_json(loaded.to_json()) == loaded
+    with pytest.raises(TypeError):
+        SweepSpec(name="s", protocol="backup-exact", ns=[16], accel="auto")
+
+    scenario = {
+        "name": "c",
+        "protocol": "backup-exact",
+        "ns": [16],
+        "accel": "auto",
+        "events": [{"kind": "restart", "at_interactions": 10}],
+    }
+    loaded = ScenarioSpec.from_dict(scenario)
+    assert "accel" not in loaded.to_dict()
+    assert ScenarioSpec.from_json(loaded.to_json()) == loaded
+    for value in ("numpy", "python", "nope"):
+        with pytest.raises(ConfigurationError, match="removed"):
+            ScenarioSpec.from_dict(dict(scenario, accel=value))
 
 
-def test_agent_backend_accepts_but_ignores_the_accel_knob():
-    result = simulate(
-        ExactBackupProtocol(), 16, seed=0, backend="agent", accel="python",
-        max_interactions=500,
+def test_sweep_payload_threads_the_accel_knob_to_workers():
+    # The payload carries no accel knob; the worker's run reports the path
+    # the width rule chose: backup-exact's pair table outgrows the kernel
+    # width, so the kernel engages exactly when NumPy is importable.
+    from repro.experiments.runner import cell_payload, execute_cell
+    from repro.experiments.spec import SweepSpec
+
+    spec = SweepSpec(
+        name="s",
+        protocol="backup-exact",
+        ns=[16],
+        seeds_per_cell=1,
+        backend="batch",
+        max_checks=10,
     )
-    assert "accel" not in result.extra
+    payload = cell_payload(spec, spec.cells()[0])
+    assert "accel" not in payload
+    record = execute_cell(payload)
+    assert record["error"] is None
+    accel = record["runs"][0]["extra"]["telemetry"]["accel"]
+    assert accel["engaged"] is numpy_available()
+    assert accel["active"] == ("numpy" if numpy_available() else "python")
 
 
 def test_python_accel_is_bit_identical_to_a_numpyless_run(monkeypatch):
-    # accel="python" must take exactly the pre-acceleration code path: the
-    # same run with NumPy made undetectable (the auto fallback) has to
-    # produce the identical result, interaction for interaction.
-    reference = simulate(
-        ExactBackupProtocol(),
-        96,
-        seed=7,
-        backend="batch",
-        accel="python",
-        convergence=all_outputs_equal(96),
-        check_interval=96,
-        max_interactions=500_000,
-    )
+    # A run whose pair table never reaches the kernel width takes exactly
+    # the pure-Python path: NumPy present or not, the result is identical
+    # interaction for interaction (the kernel seed is only drawn when the
+    # kernel engages).
+    def run():
+        return simulate(
+            ExactBackupProtocol(),
+            96,
+            seed=7,
+            backend="batch",
+            convergence=all_outputs_equal(96),
+            check_interval=96,
+            max_interactions=500_000,
+        )
+
+    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", NEVER)
+    reference = run()
     monkeypatch.setattr(vectorized_module, "_np", None)
     assert not numpy_available()
-    fallback = simulate(
-        ExactBackupProtocol(),
-        96,
-        seed=7,
-        backend="batch",
-        accel="auto",
-        convergence=all_outputs_equal(96),
-        check_interval=96,
-        max_interactions=500_000,
-    )
-    assert fallback.extra["accel"]["active"] == "python"
+    fallback = run()
+    assert _telemetry(fallback)["accel"]["active"] == "python"
     assert fallback.interactions == reference.interactions
     assert fallback.convergence_interaction == reference.convergence_interaction
     assert fallback.output_counts == reference.output_counts
-    assert fallback.extra["sampler"] == reference.extra["sampler"]
+    assert _telemetry(fallback)["sampler"] == _telemetry(reference)["sampler"]
 
 
 # --------------------------------------------------------------------------
-# VectorSampler: canonical contract + distribution
+# The factorised kernel: block invalidation, exact weights, draw law
 # --------------------------------------------------------------------------
-
-
-@requires_numpy
-def test_vector_sampler_single_draws_are_bit_identical_to_scan():
-    weights = _wide_weights(80)
-    vector = VectorSampler(dict(weights))
-    scan = ScanSampler(dict(weights))
-    vector_rng = random.Random(7)
-    scan_rng = random.Random(7)
-    assert [vector.sample(vector_rng) for _ in range(4_000)] == [
-        scan.sample(scan_rng) for _ in range(4_000)
-    ]
-
-
-@requires_numpy
-@pytest.mark.stats
-@pytest.mark.parametrize("size", [12, 80])
-def test_vector_sampler_draws_from_exact_target_distribution(size):
-    weights = _wide_weights(size)
-    sampler = make_sampler("vector", weights)
-    rng = random.Random(1234 + size)
-    observed = Counter(sampler.sample(rng) for _ in range(20_000))
-    assert chi_square_gof(observed, weights) > ALPHA
-
-
-@requires_numpy
-@pytest.mark.stats
-def test_vector_sampler_block_draws_from_exact_target_distribution():
-    import numpy
-
-    weights = _wide_weights(60)
-    sampler = VectorSampler(dict(weights))
-    generator = numpy.random.default_rng(42)
-    slots = sampler.sample_block(generator, 40_000)
-    observed = Counter(sampler.key_at(int(slot)) for slot in slots)
-    assert chi_square_gof(observed, weights) > ALPHA
-
-
-@requires_numpy
-@pytest.mark.stats
-def test_vector_sampler_distribution_survives_randomized_mutations():
-    # The same scripted storm as the other strategies (zeroing, resurrecting
-    # and rebuilding): stale cumulative sums would shift the distribution.
-    rng = random.Random(4242)
-    sampler = make_sampler("vector", {f"s{index}": 1 for index in range(50)})
-    shadow = {f"s{index}": 1 for index in range(50)}
-    for step in range(600):
-        if step % 151 == 150:
-            shadow = {
-                f"r{step}-{index}": rng.randrange(1, 8)
-                for index in range(rng.randrange(40, 70))
-            }
-            sampler.rebuild(shadow)
-            continue
-        key = f"s{rng.randrange(70)}" if step < 151 else rng.choice(list(shadow))
-        weight = rng.randrange(0, 9)
-        sampler.update(key, weight)
-        if weight:
-            shadow[key] = weight
-        else:
-            shadow.pop(key, None)
-    assert sampler.total == sum(shadow.values())
-    assert sampler.weights() == shadow
-    draw_rng = random.Random(97)
-    observed = Counter(sampler.sample(draw_rng) for _ in range(20_000))
-    assert chi_square_gof(observed, shadow) > ALPHA
-
-
-@requires_numpy
-def test_vector_sampler_requires_numpy_when_vetoed(monkeypatch):
-    monkeypatch.setattr(vectorized_module, "_np", None)
-    with pytest.raises(ConfigurationError):
-        make_sampler("vector", {"a": 1})
-
-
-# --------------------------------------------------------------------------
-# Block invalidation: a weight change must discard the stale remainder
-# --------------------------------------------------------------------------
-
-
-@requires_numpy
-def test_dense_block_invalidation_discards_the_stale_remainder():
-    kernel = DenseBlockKernel({"a": 5, "b": 5}, seed=0, block=64)
-    # Force a block into existence and consume a little of it.
-    drawn = [kernel.next_pair() for _ in range(4)]
-    assert all(pair[0] in ("a", "b") for pair in drawn)
-    assert kernel._pairs_a is not None and kernel._cursor < len(kernel._pairs_a)
-    # Remove "b" mid-block: the unconsumed remainder was drawn against the
-    # old histogram (where "b" had mass) and must be discarded — any stale
-    # pair would surface "b" with overwhelming probability over 200 draws.
-    kernel.set_count("b", 0)
-    assert kernel._pairs_a is None  # the stale remainder is gone
-    assert kernel.invalidations >= 1
-    for _ in range(200):
-        pair = kernel.next_pair()
-        assert pair == ("a", "a")
-
-
-@requires_numpy
-def test_dense_block_sizes_adapt_and_thrash_is_reported():
-    kernel = DenseBlockKernel({"a": 50, "b": 50}, seed=1, block=64)
-    # Invalidate immediately after every single event: blocks shrink to the
-    # minimum and the thrash signature appears.
-    for toggle in range(3 * DenseBlockKernel.CHURN_BLOCKS):
-        kernel.next_pair()
-        kernel.set_count("a", 50 + (toggle % 2))
-    assert kernel._block == DenseBlockKernel.MIN_BLOCK
-    assert kernel.thrashing
 
 
 @requires_numpy
@@ -396,25 +302,6 @@ def test_factorised_kernel_compacts_dead_slots():
 
 
 @requires_numpy
-def test_vector_sampler_pin_defers_auto_accel():
-    # sampler="vector" is a per-draw strategy choice for the Python hot
-    # loop; accel="auto" must not arm kernels it can never engage (the
-    # engagement signal lives on the alias strategy).
-    assert resolve_accel("auto", "vector") == "python"
-    result = simulate(
-        ExactBackupProtocol(),
-        64,
-        seed=2,
-        backend="batch",
-        sampler="vector",
-        max_interactions=5_000,
-    )
-    assert result.extra["accel"]["active"] == "python"
-    assert result.extra["accel"]["engaged"] is False
-    assert result.extra["sampler"]["strategy"] == "vector"
-
-
-@requires_numpy
 def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch):
     # The event whose key-count update overflows the activity matrix is
     # already applied to the histogram — its on_batch_event hooks must
@@ -424,6 +311,7 @@ def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch
     from repro.engine.backends import BatchBackend
 
     monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 8)
+    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
     applied = []
     original = BatchBackend._apply_transition
 
@@ -439,11 +327,10 @@ def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch
         64,
         seed=1,
         backend="batch",
-        accel="numpy",
         hooks=[hook],
         max_interactions=30_000,
     )
-    assert result.extra["accel"]["active"] == "python"  # the overflow fired
+    assert _telemetry(result)["accel"]["active"] == "python"  # the overflow fired
     assert len(events) == len(applied)
     assert events  # the run really applied events
 
@@ -454,19 +341,20 @@ def test_factorised_capacity_overflow_falls_back_to_python_mid_run(monkeypatch):
     # die: the backend rebuilds the Python pair table mid-run and reports
     # the fallback.  backup-exact at n=64 visits far more than 8 keys.
     monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 8)
+    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
     result = simulate(
         ExactBackupProtocol(),
         64,
         seed=1,
         backend="batch",
-        accel="numpy",
         convergence=all_outputs_equal(64),
         check_interval=64,
         max_interactions=500_000,
     )
-    assert result.extra["accel"]["requested"] == "numpy"
-    assert result.extra["accel"]["active"] == "python"
-    assert "activity matrix" in result.extra["accel"]["fallback_reason"]
+    accel = _telemetry(result)["accel"]
+    assert accel["active"] == "python"
+    assert accel["engaged"] is False
+    assert "activity matrix" in accel["fallback_reason"]
     # The run stays correct across the switch: the exact count is reached.
     assert result.converged
     assert result.output_counts == Counter({64: 64})
@@ -477,11 +365,16 @@ def test_factorised_capacity_overflow_falls_back_to_python_mid_run(monkeypatch):
 # --------------------------------------------------------------------------
 
 
+# --------------------------------------------------------------------------
+# End-to-end: the width rule on both sides, cross-path equivalence
+# --------------------------------------------------------------------------
+
+
 @requires_numpy
-def test_auto_accel_engages_the_pair_kernel_on_alias_thrash():
-    # accel="auto" rides the PR-4 churn signal: the run starts on the
-    # Python alias strategy and swaps in the factorised kernel once the
-    # table thrashes — the workload where vectorisation actually pays.
+def test_wide_pair_tables_engage_the_factorised_kernel():
+    # backup-exact's pair table grows past KERNEL_MIN_PAIRS within its
+    # first events: the Fenwick sampler is retired and the kernel drives
+    # the rest of the run.
     result = simulate(
         ExactBackupProtocol(),
         256,
@@ -489,39 +382,41 @@ def test_auto_accel_engages_the_pair_kernel_on_alias_thrash():
         backend="batch",
         max_interactions=150_000,
     )
-    accel = result.extra["accel"]
-    assert accel["active"] == "numpy" and accel["engaged"] is True
-    stats = result.extra["sampler"]
+    telemetry = _telemetry(result)
+    assert telemetry["accel"] == {
+        "active": "numpy", "numpy_available": True, "engaged": True,
+    }
+    stats = telemetry["sampler"]
     assert stats["strategy"] == "factorised"
-    retired = stats["retired"][0]
-    assert retired["strategy"] == "alias"
+    (retired,) = stats["retired"]
+    assert retired["strategy"] == "fenwick"
     assert retired["retired_by"] == "accel-engage"
-    assert retired["thrashing"] is True
+    kinds = [event["kind"] for event in telemetry["events"]]
+    assert kinds.count("accel-engage") == 1
+    assert "sampler-swap" not in kinds
 
 
 @requires_numpy
-def test_auto_accel_stays_python_on_tables_where_alias_wins():
-    from repro.bench.samplers import StaticTableProtocol
+@pytest.mark.parametrize("n, sources", [(600, 1), (712, 2), (840, 4)])
+def test_sweep_service_epidemic_cells_stay_on_python(n, sources):
+    # The epidemic never holds more than a couple of active pair types, far
+    # below the kernel width; per-event NumPy overhead would be a pure loss.
     from repro.primitives.epidemic import OneWayEpidemic
 
-    # A static pair table never thrashes: the alias strategy is unbeatable
-    # there, so the armed kernel must never engage.
-    static = simulate(
-        StaticTableProtocol(keys=12),
-        128,
+    result = simulate(
+        OneWayEpidemic(source_count=sources),
+        n,
         seed=3,
         backend="batch",
-        max_interactions=20_000,
+        convergence=all_outputs_equal(1),
     )
-    assert static.extra["accel"]["active"] == "numpy"
-    assert static.extra["accel"]["engaged"] is False
-    assert static.extra["sampler"]["strategy"] == "alias"
-    # The epidemic's single active pair type is drawn by a trivial scan;
-    # per-event NumPy overhead would be a pure loss.
-    epidemic_result = simulate(
-        OneWayEpidemic(), 4_096, seed=0, backend="batch", max_interactions=200_000
-    )
-    assert epidemic_result.extra["accel"]["engaged"] is False
+    assert result.converged
+    telemetry = _telemetry(result)
+    assert telemetry["accel"]["active"] == "numpy"
+    assert telemetry["accel"]["engaged"] is False
+    assert telemetry["sampler"]["strategy"] == "fenwick"
+    assert "retired" not in telemetry["sampler"]
+    assert telemetry["events"] == []
 
 
 @requires_numpy
@@ -531,68 +426,28 @@ def test_pruning_numpy_path_reaches_the_exact_count():
         256,
         seed=3,
         backend="batch",
-        accel="numpy",
         convergence=all_outputs_equal(256),
         check_interval=256,
         max_interactions=2_000_000,
     )
-    assert result.extra["accel"]["active"] == "numpy"
-    assert result.extra["sampler"]["strategy"] == "factorised"
+    assert _telemetry(result)["accel"]["engaged"] is True
+    assert _telemetry(result)["sampler"]["strategy"] == "factorised"
     assert result.converged
     assert result.output_counts == Counter({256: 256})
 
 
 @requires_numpy
-def test_dense_thrash_falls_back_to_the_python_sampler():
-    from repro.experiments.registry import resolve_protocol
-
-    entry = resolve_protocol("approximate")
-    result = simulate(
-        entry.build(128, {}),
-        128,
-        seed=1,
-        backend="batch",
-        accel="numpy",
-        max_interactions=20_000,
-    )
-    # The composed counting stack's phase clocks change the histogram on
-    # nearly every interaction: blocks cannot amortise and the backend must
-    # hand the run back to the Python sampler.
-    assert result.extra["accel"]["active"] == "python"
-    assert "thrash" in result.extra["accel"]["fallback_reason"]
-
-
-@requires_numpy
-def test_static_dense_workload_stays_vectorised():
-    from repro.bench.vectorized import StaticDenseProtocol
-
-    result = simulate(
-        StaticDenseProtocol(keys=24),
-        256,
-        seed=5,
-        backend="batch",
-        accel="numpy",
-        max_interactions=30_000,
-    )
-    assert result.interactions == 30_000
-    assert result.extra["accel"]["active"] == "numpy"
-    stats = result.extra["sampler"]
-    assert stats["strategy"] == "vector"
-    assert stats["events"] == 30_000
-    assert stats["invalidations"] == 0
-
-
-@requires_numpy
 @pytest.mark.stats
-def test_backup_exact_convergence_laws_match_across_accel_paths():
+def test_backup_exact_convergence_laws_match_across_accel_paths(monkeypatch):
     # The accelerated chain uses different random streams but must follow
     # the identical law: KS compatibility of the convergence-time
-    # distributions of backup-exact across accel="numpy" and
-    # accel="python" (the ISSUE's acceptance criterion).
+    # distributions of backup-exact on the kernel (engaged from the first
+    # event) and on the Python sampler (kernel held off).
     n = 96
     samples = 30
 
-    def convergence_times(accel, offset):
+    def convergence_times(width, offset):
+        monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", width)
         times = []
         for seed in range(samples):
             result = simulate(
@@ -600,93 +455,35 @@ def test_backup_exact_convergence_laws_match_across_accel_paths():
                 n,
                 seed=offset + seed,
                 backend="batch",
-                accel=accel,
                 convergence=all_outputs_equal(n),
                 check_interval=n,
                 confirm_checks=1,
                 max_interactions=3_000_000,
             )
-            assert result.converged, (accel, seed)
+            assert result.converged, (width, seed)
+            assert _telemetry(result)["accel"]["engaged"] == (width == 0)
             times.append(result.convergence_interaction)
         return times
 
-    python_times = convergence_times("python", 0)
-    numpy_times = convergence_times("numpy", 10_000)
+    python_times = convergence_times(NEVER, 0)
+    numpy_times = convergence_times(0, 10_000)
     statistic = ks_statistic(python_times, numpy_times)
     p_value = ks_pvalue(statistic, samples, samples)
     assert p_value > ALPHA, (statistic, p_value)
 
 
-# --------------------------------------------------------------------------
-# Spec and worker plumbing
-# --------------------------------------------------------------------------
-
-
-def test_spec_layers_carry_and_validate_the_accel_knob():
-    from repro.experiments.spec import SweepSpec
-    from repro.scenarios.spec import ScenarioSpec
-
-    sweep = SweepSpec(name="s", protocol="backup-exact", ns=[16], accel="python")
-    assert SweepSpec.from_json(sweep.to_json()).accel == "python"
-    with pytest.raises(ConfigurationError):
-        SweepSpec(name="s", protocol="backup-exact", ns=[16], accel="nope")
-    with pytest.raises(ConfigurationError):
-        SweepSpec(
-            name="s", protocol="backup-exact", ns=[16],
-            accel="numpy", sampler="fenwick",
-        )
-
-    scenario = ScenarioSpec(
-        name="c",
-        protocol="backup-exact",
-        ns=[16],
-        accel="python",
-        events=[{"kind": "restart", "at_interactions": 10}],
-    )
-    assert ScenarioSpec.from_json(scenario.to_json()).accel == "python"
-    with pytest.raises(ConfigurationError):
-        ScenarioSpec(
-            name="c",
-            protocol="backup-exact",
-            ns=[16],
-            accel="nope",
-            events=[{"kind": "restart", "at_interactions": 10}],
-        )
-
-
-def test_sweep_payload_threads_the_accel_knob_to_workers():
-    from repro.experiments.runner import cell_payload, execute_cell
-    from repro.experiments.spec import SweepSpec
-
-    spec = SweepSpec(
-        name="s",
-        protocol="backup-exact",
-        ns=[16],
-        seeds_per_cell=1,
-        backend="batch",
-        accel="python",
-        max_checks=10,
-    )
-    payload = cell_payload(spec, spec.cells()[0])
-    assert payload["accel"] == "python"
-    record = execute_cell(payload)
-    assert record["error"] is None
-    assert record["runs"][0]["extra"]["accel"]["active"] == "python"
-
-
 @requires_numpy
-def test_scenario_runs_thread_the_accel_knob():
+def test_scenario_churn_runs_through_the_engaged_kernel():
     from repro.scenarios.runner import execute_scenario_cell
     from repro.scenarios.spec import ScenarioSpec
 
     spec = ScenarioSpec(
         name="c",
         protocol="backup-exact",
-        ns=[32],
+        ns=[256],
         seeds_per_cell=1,
         backends=["batch"],
-        accel="numpy",
-        events=[{"kind": "replace", "at_interactions": 2_000, "fraction": 0.1}],
+        events=[{"kind": "replace", "at_interactions": 20_000, "fraction": 0.1}],
         max_checks=20,
     )
     cell = spec.cells()[0]
@@ -702,7 +499,13 @@ def test_scenario_runs_thread_the_accel_knob():
     )
     assert record["error"] is None
     run = record["runs"][0]
-    assert run["extra"]["accel"]["requested"] == "numpy"
+    assert run["extra"]["timeline"][0]["fired"] is True
+    telemetry = run["extra"]["telemetry"]
+    engaged_at = next(
+        event["at"] for event in telemetry["events"] if event["kind"] == "accel-engage"
+    )
+    assert engaged_at < 20_000
+    assert telemetry["accel"]["engaged"] is True
     # Churn events flow through the kernel's resync path; the run completes
     # with the population conserved.
-    assert run["n"] == 32
+    assert run["n"] == 256

@@ -79,6 +79,8 @@ class ApproximateProtocol(Protocol[ApproximateAgent]):
     """
 
     name = "approximate"
+    # The only randomness is the leader election's synthetic coin (flip).
+    pure_key_transitions = True
 
     def __init__(self, params: ApproximateParameters = ApproximateParameters()) -> None:
         self.params = params

@@ -106,7 +106,7 @@ class ApproximateBackupProtocol(Protocol[ApproximateBackupState]):
     """
 
     name = "backup-approximate"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def initial_state(self, agent_id: int) -> ApproximateBackupState:
         return ApproximateBackupState()
@@ -217,7 +217,7 @@ class ExactBackupProtocol(Protocol[ExactBackupState]):
     """
 
     name = "backup-exact"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def initial_state(self, agent_id: int) -> ExactBackupState:
         return ExactBackupState()

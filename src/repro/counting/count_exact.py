@@ -92,6 +92,8 @@ class CountExactProtocol(Protocol[CountExactAgent]):
     """
 
     name = "count-exact"
+    # The only randomness is the leader election's synthetic coin (flip).
+    pure_key_transitions = True
 
     def __init__(self, params: CountExactParameters = CountExactParameters()) -> None:
         self.params = params

@@ -155,7 +155,7 @@ class SearchWithGivenLeader(Protocol[SearchAgent]):
 
     name = "search-protocol"
     # The search, clock, and junta updates never consume randomness.
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def __init__(
         self,

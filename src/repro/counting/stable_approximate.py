@@ -111,6 +111,8 @@ class StableApproximateProtocol(Protocol[StableApproximateAgent]):
     """
 
     name = "approximate-stable"
+    # The only randomness is the leader election's synthetic coin (flip).
+    pure_key_transitions = True
 
     def __init__(
         self,

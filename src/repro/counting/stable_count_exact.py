@@ -107,6 +107,8 @@ class StableCountExactProtocol(Protocol[StableCountExactAgent]):
     """
 
     name = "count-exact-stable"
+    # The only randomness is the leader election's synthetic coin (flip).
+    pure_key_transitions = True
 
     def __init__(self, params: CountExactParameters = CountExactParameters()) -> None:
         self.params = params

@@ -14,9 +14,11 @@ agent states.  Two execution strategies for that chain are provided:
   the number of configuration-preserving interactions before the next
   configuration-changing one is drawn from a geometric distribution over the
   active pair-type weights, and the transition is then applied once per pair
-  *type* (memoised for protocols declaring
-  :attr:`~repro.engine.protocol.Protocol.deterministic_transitions`) instead
-  of once per agent.  Conditioned on the configuration, the resulting chain
+  *type* instead of once per agent.  Keys are interned to dense integer ids,
+  and for protocols declaring
+  :attr:`~repro.engine.protocol.Protocol.pure_key_transitions` every
+  key-level transition is memoised per id pair, its coin flips replayed from
+  the agent stream.  Conditioned on the configuration, the resulting chain
   is distributed exactly as the agent-level chain marginalised over agent
   identities, because agents are anonymous and the uniform scheduler is
   exchangeable.
@@ -69,6 +71,81 @@ BACKEND_NAMES = ("agent", "batch", "auto")
 #: n = 10^3, while ``one-way-epidemic`` never holds more than 2 active pairs
 #: and runs ~6x slower when the kernel is forced on it (n = 600-840).
 KERNEL_MIN_PAIRS = 32
+
+#: Bits of the responder id in a packed ``a << ID_BITS | b`` memo key.
+_ID_BITS = 32
+
+
+class _CoinNode:
+    """Memo entry of a transition whose next step draws ``bits`` coin bits.
+
+    ``children`` maps each value drawn so far to what follows it: another
+    node (the transition draws again) or the final ``(new_a, new_b)`` id
+    pair.  A value never drawn yet has no child.
+    """
+
+    __slots__ = ("bits", "children")
+
+    def __init__(self, bits: int) -> None:
+        self.bits = bits
+        self.children: Dict[int, Any] = {}
+
+
+class _CoinsDrawn(Exception):
+    """A coin-free probe of ``delta_key`` tried to draw a coin."""
+
+
+class _CoinTape:
+    """The ``rng`` a pure protocol's ``delta_key`` receives on a memo miss.
+
+    Replays the ``(bits, value)`` draws of ``replay`` — the coin path the
+    backend already drew while walking the memo — then draws from
+    ``source`` and records every draw in :attr:`drawn`.  With ``source``
+    ``None`` any fresh draw raises :class:`_CoinsDrawn`.  Only
+    ``getrandbits`` exists: any other ``rng`` method breaks the
+    ``pure_key_transitions`` declaration and raises a
+    :class:`SimulationError` naming the protocol.
+    """
+
+    __slots__ = ("drawn", "_replay", "_source", "_protocol")
+
+    def __init__(
+        self,
+        protocol: str,
+        replay: List[Tuple[int, int]],
+        source: Optional[random.Random],
+    ) -> None:
+        self.drawn: List[Tuple[int, int]] = []
+        self._replay = replay
+        self._source = source
+        self._protocol = protocol
+
+    def getrandbits(self, bits: int) -> int:
+        drawn = self.drawn
+        index = len(drawn)
+        if index < len(self._replay):
+            recorded_bits, value = self._replay[index]
+            if recorded_bits != bits:
+                raise self.impure(
+                    f"drew {bits} coin bits where an earlier evaluation of "
+                    f"the same key pair drew {recorded_bits}"
+                )
+        elif self._source is None:
+            raise _CoinsDrawn
+        else:
+            value = self._source.getrandbits(bits)
+        drawn.append((bits, value))
+        return value
+
+    def impure(self, detail: str) -> SimulationError:
+        return SimulationError(
+            f"protocol {self._protocol!r} declares pure_key_transitions, so its "
+            f"delta_key must be a function of the two keys and the coins it "
+            f"draws with rng.getrandbits, but it {detail}"
+        )
+
+    def __getattr__(self, attribute: str) -> Any:
+        raise self.impure(f"used rng.{attribute}")
 
 
 class LiftedKeyTransitions:
@@ -434,8 +511,8 @@ class BatchBackend(Backend):
        ``W = sum w(a, b)`` — these are skipped in O(1);
     2. picks the active ordered pair type with probability ``w(a, b) / W``;
     3. applies :meth:`~repro.engine.protocol.Protocol.delta_key` once for
-       that *type* (memoised when the protocol declares deterministic
-       transitions) and updates the histogram.
+       that *type* (memoised when the protocol declares pure key
+       transitions, see below) and updates the histogram.
 
     Pair-type weights are maintained incrementally: an event changes the
     multiplicities of at most four keys, so only the pair weights involving
@@ -445,6 +522,25 @@ class BatchBackend(Backend):
 
     Truncating a geometric skip at an interaction budget or checkpoint
     boundary and re-sampling later is exact by memorylessness.
+
+    Keys are interned to dense integer ids on first sight: the histogram,
+    the samplers, the pair table and the transition memo all work on ids,
+    and keys cross back only at the protocol boundary (``delta_key`` and
+    ``can_interaction_change`` on a cache miss, ``output_key`` once per id)
+    and in hooks, public views and fault rewrites.  The id histogram is
+    updated by the same operations in the same order a key histogram would
+    be, so every structure built from it sees a renamed copy of the key
+    sequence.
+
+    For a protocol declaring
+    :attr:`~repro.engine.protocol.Protocol.pure_key_transitions` the memo
+    maps each id pair to the ``(new_a, new_b)`` ids of its transition or,
+    when ``delta_key`` flips coins, to a tree with one branch per drawn
+    value.  A hit draws the same ``getrandbits`` from the agent stream that
+    ``delta_key`` would and follows the branch; a missing branch is
+    evaluated once, replaying the values already drawn.  The agent stream is
+    therefore consumed exactly as without the memo.  Other protocols call
+    ``delta_key`` on every event.
 
     Two sampling regimes are used, chosen at construction:
 
@@ -468,9 +564,9 @@ class BatchBackend(Backend):
     for the rest of the run by the factorised ``w(a, b) = c_a * c_b``
     row/column-product kernel, whose count updates are O(changed).  A
     protocol whose live key set outgrows the kernel's activity matrix falls
-    back to the Python path mid-run.  :meth:`sampler_stats` and
-    :meth:`accel_info` report the path taken (surfaced in
-    ``SimulationResult.extra["telemetry"]``).
+    back to the Python path mid-run.  :meth:`sampler_stats`,
+    :meth:`accel_info` and :meth:`memo_stats` report the path taken
+    (surfaced in ``SimulationResult.extra["telemetry"]``).
     """
 
     name = "batch"
@@ -491,29 +587,34 @@ class BatchBackend(Backend):
         if protocol.supports_key_transitions():
             self._delta = protocol.delta_key
             self._output_key = protocol.output_key
-            self.counts: Counter = Counter(protocol.initial_key_counts(self.n))
+            initial: Counter = Counter(protocol.initial_key_counts(self.n))
         else:
             lifted = LiftedKeyTransitions(protocol)
             self._lifted = lifted
             self._delta = lifted.delta_key
             self._output_key = lifted.output_key
-            counts: Counter = Counter()
+            initial = Counter()
             for agent_id in range(self.n):
-                counts[lifted.register(protocol.initial_state(agent_id))] += 1
-            self.counts = counts
-        total = sum(self.counts.values())
+                initial[lifted.register(protocol.initial_state(agent_id))] += 1
+        total = sum(initial.values())
         if total != self.n:
             raise SimulationError(
                 f"initial key histogram covers {total} agents, expected {self.n}"
             )
+        # Interning: id -> key, key -> id, id -> output.
+        self._keys: List[Hashable] = []
+        self._ids: Dict[Hashable, int] = {}
+        self._outputs: List[Any] = []
+        #: The configuration: a histogram over interned key ids.
+        self._counts: Counter = self._intern_counts(initial)
         self.counter = AggregateInteractionCounter(self.n)
-        if track_state_space:
-            for key in self.counts:
-                self.state_space.observe(key)
-        self._deterministic = protocol.deterministic_transitions
-        self._delta_cache: Dict[Tuple[Hashable, Hashable], Tuple[Hashable, Hashable]] = {}
-        self._can_change_cache: Dict[Tuple[Hashable, Hashable], bool] = {}
-        self._output_cache: Dict[Hashable, Any] = {}
+        self._pure = protocol.pure_key_transitions
+        #: Packed id pair -> ``(new_a, new_b)`` ids or a :class:`_CoinNode`.
+        self._memo: Dict[int, Any] = {}
+        self._memo_hits = 0
+        self._memo_misses = 0
+        self._coin_nodes = 0
+        self._can_change_cache: Dict[Tuple[int, int], bool] = {}
         # Two sampling regimes (see class docstring).  A protocol that keeps
         # the conservative default ``can_interaction_change`` marks *every*
         # ordered pair active, so the pair-weight table would cost O(K^2)
@@ -537,29 +638,113 @@ class BatchBackend(Backend):
         self._pair_kernel: Optional[FactorisedPairKernel] = None
         # Active ordered pair types and their integer weights; rebuilt lazily
         # in full once, then maintained incrementally per event.
-        self._pair_weights: Dict[Tuple[Hashable, Hashable], int] = {}
+        self._pair_weights: Dict[Tuple[int, int], int] = {}
         self._active_weight = 0
         if self._prunes:
             self._rebuild_pair_weights()
         else:
-            self._sampler = FenwickSampler(self.counts)
+            self._sampler = FenwickSampler(self._counts)
             # An initial configuration may already be the provable fixed
-            # point (single key, deterministic no-op self-interaction).
+            # point (single key, coin-free no-op self-interaction).
             self._check_dense_fixed_point()
 
+    # ------------------------------------------------------------- interning
+    def _intern(self, key: Hashable) -> int:
+        """Id of ``key``, assigning the next one (and observing it) when new."""
+        ident = self._ids.get(key)
+        if ident is None:
+            ident = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            self._outputs.append(self._output_key(key))
+            if self.track_state_space:
+                self.state_space.observe(key)
+        return ident
+
+    def _intern_counts(self, counts: Counter) -> Counter:
+        """A key histogram renamed to ids, in the same order."""
+        return Counter({self._intern(key): count for key, count in counts.items()})
+
+    # ------------------------------------------------------------ transitions
+    def _resolve(self, ident_a: int, ident_b: int, entry: Any) -> Tuple[int, int]:
+        """Post-interaction ids of ``(a, b)`` whose memo ``entry`` is not a hit.
+
+        Walks the coin nodes, drawing each one's bits from the agent stream,
+        and evaluates ``delta_key`` only when the walk ends on a value not
+        drawn before (or on no entry at all).
+        """
+        path: List[Tuple[int, int]] = []
+        if entry is not None:
+            getrandbits = self._agent_rng.getrandbits
+            while entry.__class__ is _CoinNode:
+                value = getrandbits(entry.bits)
+                path.append((entry.bits, value))
+                entry = entry.children.get(value)
+                if entry is None:
+                    break
+            else:
+                self._memo_hits += 1
+                return entry
+        self._memo_misses += 1
+        return self._evaluate(ident_a, ident_b, path)
+
+    def _evaluate(
+        self, ident_a: int, ident_b: int, path: List[Tuple[int, int]]
+    ) -> Tuple[int, int]:
+        """Call ``delta_key`` on a memo miss; memoise the result when pure.
+
+        ``path`` holds the coin values already drawn for this pair, which
+        the tape replays before drawing fresh ones from the agent stream.
+        """
+        keys = self._keys
+        self.transition_calls += 1
+        if not self._pure:
+            new_a, new_b = self._delta(keys[ident_a], keys[ident_b], self._agent_rng)
+            return self._intern(new_a), self._intern(new_b)
+        tape = _CoinTape(self.protocol.name, path, self._agent_rng)
+        new_a, new_b = self._delta(keys[ident_a], keys[ident_b], tape)
+        drawn = tape.drawn
+        if len(drawn) < len(path):
+            raise tape.impure(
+                f"drew {len(drawn)} coins where an earlier evaluation of the "
+                f"same key pair drew at least {len(path)}"
+            )
+        result = (self._intern(new_a), self._intern(new_b))
+        pair = ident_a << _ID_BITS | ident_b
+        if not drawn:
+            self._memo[pair] = result
+            return result
+        node = self._memo.get(pair)
+        if node is None:
+            node = self._memo[pair] = self._coin_node(drawn[0][0])
+        for index in range(len(drawn) - 1):
+            value = drawn[index][1]
+            child = node.children.get(value)
+            if child is None:
+                child = node.children[value] = self._coin_node(drawn[index + 1][0])
+            node = child
+        node.children[drawn[-1][1]] = result
+        return result
+
+    def _coin_node(self, bits: int) -> _CoinNode:
+        self._coin_nodes += 1
+        return _CoinNode(bits)
+
     # ------------------------------------------------------------ pair table
-    def _can_change(self, key_a: Hashable, key_b: Hashable) -> bool:
-        cached = self._can_change_cache.get((key_a, key_b))
+    def _can_change(self, ident_a: int, ident_b: int) -> bool:
+        cached = self._can_change_cache.get((ident_a, ident_b))
         if cached is None:
-            cached = bool(self.protocol.can_interaction_change(key_a, key_b))
-            self._can_change_cache[(key_a, key_b)] = cached
+            keys = self._keys
+            cached = bool(
+                self.protocol.can_interaction_change(keys[ident_a], keys[ident_b])
+            )
+            self._can_change_cache[(ident_a, ident_b)] = cached
         return cached
 
-    def _pair_weight(self, key_a: Hashable, key_b: Hashable) -> int:
-        count_a = self.counts.get(key_a, 0)
-        if key_a == key_b:
+    def _pair_weight(self, ident_a: int, ident_b: int) -> int:
+        count_a = self._counts.get(ident_a, 0)
+        if ident_a == ident_b:
             return count_a * (count_a - 1)
-        return count_a * self.counts.get(key_b, 0)
+        return count_a * self._counts.get(ident_b, 0)
 
     #: Below this many distinct keys a full O(K^2) table rebuild (with lower
     #: constants) beats the O(changed * K) incremental update.
@@ -567,25 +752,24 @@ class BatchBackend(Backend):
 
     def _rebuild_pair_weights(self) -> None:
         """Recompute the full active-pair weight table (O(K^2), inlined hot path)."""
-        counts = self.counts
+        counts = self._counts
         can_cache = self._can_change_cache
-        can_change = self.protocol.can_interaction_change
-        pair_weights: Dict[Tuple[Hashable, Hashable], int] = {}
+        can_change = self._can_change
+        pair_weights: Dict[Tuple[int, int], int] = {}
         total = 0
         items = list(counts.items())
-        for key_a, count_a in items:
-            for key_b, count_b in items:
-                if key_a == key_b:
+        for ident_a, count_a in items:
+            for ident_b, count_b in items:
+                if ident_a == ident_b:
                     weight = count_a * (count_a - 1)
                 else:
                     weight = count_a * count_b
                 if weight <= 0:
                     continue
-                pair = (key_a, key_b)
+                pair = (ident_a, ident_b)
                 changeable = can_cache.get(pair)
                 if changeable is None:
-                    changeable = bool(can_change(key_a, key_b))
-                    can_cache[pair] = changeable
+                    changeable = can_change(ident_a, ident_b)
                 if changeable:
                     pair_weights[pair] = weight
                     total += weight
@@ -596,7 +780,7 @@ class BatchBackend(Backend):
         else:
             self._sampler.rebuild(pair_weights)
 
-    def _update_pair_weights(self, changed: Tuple[Hashable, ...]) -> None:
+    def _update_pair_weights(self, changed: Tuple[int, ...]) -> None:
         """Refresh pair weights after an event changed the ``changed`` keys.
 
         Small configurations are rebuilt wholesale (lower constants); larger
@@ -605,20 +789,29 @@ class BatchBackend(Backend):
         per changed pair, which is where the Fenwick tree's O(log P) point
         updates pay off.
         """
-        if len(self.counts) <= self._REBUILD_THRESHOLD:
+        counts = self._counts
+        if len(counts) <= self._REBUILD_THRESHOLD:
             self._rebuild_pair_weights()
             return
-        changed_set = set(changed)
-        neighbours = set(self.counts) | changed_set
+        # New pair types take sampler slots in the order this walk meets
+        # them, which the seeded streams pin to the iteration order of sets
+        # of *keys*; the walk therefore visits keys in that order.
+        keys = self._keys
+        ids = self._ids
+        changed_keys = set([keys[ident] for ident in changed])
+        neighbours = [
+            ids[key] for key in set([keys[ident] for ident in counts]) | changed_keys
+        ]
         pair_weights = self._pair_weights
         sampler = self._sampler
         total = self._active_weight
-        for key_d in changed_set:
-            for key_x in neighbours:
+        for key_d in changed_keys:
+            ident_d = ids[key_d]
+            for ident_x in neighbours:
                 pairs = (
-                    ((key_d, key_d),)
-                    if key_x == key_d
-                    else ((key_d, key_x), (key_x, key_d))
+                    ((ident_d, ident_d),)
+                    if ident_x == ident_d
+                    else ((ident_d, ident_x), (ident_x, ident_d))
                 )
                 for pair in pairs:
                     old = pair_weights.pop(pair, 0)
@@ -695,7 +888,7 @@ class BatchBackend(Backend):
             reason=retired_by,
         )
 
-    def _sample_dense_pair(self) -> Tuple[Hashable, Hashable]:
+    def _sample_dense_pair(self) -> Tuple[int, int]:
         """Sample the ordered key pair of a uniform interaction (dense regime).
 
         Exactly the uniform law over ordered pairs of distinct agents read at
@@ -703,62 +896,65 @@ class BatchBackend(Backend):
         and the responder's with ``(c_b - [a = b]) / (n - 1)``, implemented
         by rejection against the plain ``c_b / n`` proposal.
         """
-        counts = self.counts
+        counts = self._counts
         if len(counts) == 1:
-            key = next(iter(counts))
-            return key, key
+            ident = next(iter(counts))
+            return ident, ident
         sampler = self._sampler
         rng = self._pair_rng
-        key_a = sampler.sample(rng)
-        count_a = counts[key_a]
+        ident_a = sampler.sample(rng)
+        count_a = counts[ident_a]
         while True:
-            key_b = sampler.sample(rng)
-            if key_b != key_a:
-                return key_a, key_b
+            ident_b = sampler.sample(rng)
+            if ident_b != ident_a:
+                return ident_a, ident_b
             # Same key drawn: one of its count_a agents is the initiator, so
             # accept with probability (count_a - 1) / count_a.
             if count_a > 1 and rng.random() * count_a < count_a - 1:
-                return key_a, key_b
+                return ident_a, ident_b
 
     def _apply_transition(
-        self, key_a: Hashable, key_b: Hashable
-    ) -> Tuple[Hashable, Hashable, Tuple[Hashable, ...]]:
+        self, ident_a: int, ident_b: int
+    ) -> Tuple[int, int, Tuple[int, ...]]:
         """Apply one pair type's transition to the histogram.
 
-        Shared by the Python and NumPy event loops: evaluates (memoising
-        when deterministic) ``delta_key``, updates the histogram and the
-        state-space tracker when the configuration changed, and returns
-        ``(new_a, new_b, changed)`` where ``changed`` is the (possibly
-        overlapping) 4-tuple of touched keys, or ``()`` when the interaction
-        was configuration-preserving.  Weight-structure maintenance is the
+        Shared by the Python and NumPy event loops: looks the transition up
+        in the memo (a coin-free hit costs one dict lookup), updates the
+        histogram when the configuration changed, and returns ``(new_a,
+        new_b, changed)`` where ``changed`` is the (possibly overlapping)
+        4-tuple of touched ids, or ``()`` when the interaction was
+        configuration-preserving.  Weight-structure maintenance is the
         caller's job — it differs per path.
         """
-        if self._deterministic:
-            result = self._delta_cache.get((key_a, key_b))
-            if result is None:
-                result = self._delta(key_a, key_b, self._agent_rng)
-                self.transition_calls += 1
-                self._delta_cache[(key_a, key_b)] = result
+        entry = self._memo.get(ident_a << _ID_BITS | ident_b)
+        if entry.__class__ is tuple:
+            self._memo_hits += 1
+            new_a, new_b = entry
         else:
-            result = self._delta(key_a, key_b, self._agent_rng)
-            self.transition_calls += 1
-        new_a, new_b = result
-        if (new_a == key_a and new_b == key_b) or (
-            new_a == key_b and new_b == key_a
+            new_a, new_b = self._resolve(ident_a, ident_b, entry)
+        if (new_a == ident_a and new_b == ident_b) or (
+            new_a == ident_b and new_b == ident_a
         ):
             return new_a, new_b, ()
-        counts = self.counts
-        counts[key_a] -= 1
-        counts[key_b] -= 1
+        counts = self._counts
+        counts[ident_a] -= 1
+        counts[ident_b] -= 1
         counts[new_a] += 1
         counts[new_b] += 1
-        for key in (key_a, key_b):
-            if counts.get(key) == 0:
-                del counts[key]
-        if self.track_state_space:
-            self.state_space.observe(new_a)
-            self.state_space.observe(new_b)
-        return new_a, new_b, (key_a, key_b, new_a, new_b)
+        for ident in (ident_a, ident_b):
+            if counts.get(ident) == 0:
+                del counts[ident]
+        return new_a, new_b, (ident_a, ident_b, new_a, new_b)
+
+    def _fire_batch_hooks(
+        self, ident_a: int, ident_b: int, new_a: int, new_b: int
+    ) -> None:
+        simulator = self.simulator
+        keys = self._keys
+        for hook in simulator.hooks:
+            hook.on_batch_event(
+                simulator, keys[ident_a], keys[ident_b], keys[new_a], keys[new_b]
+            )
 
     def _apply_event(self) -> None:
         """Sample one interaction's pair type and apply its transition.
@@ -771,12 +967,12 @@ class BatchBackend(Backend):
         tracer = self.tracer
         tic = perf_counter()
         if self._prunes:
-            key_a, key_b = self._sampler.sample(self._pair_rng)
+            ident_a, ident_b = self._sampler.sample(self._pair_rng)
         else:
-            key_a, key_b = self._sample_dense_pair()
+            ident_a, ident_b = self._sample_dense_pair()
         toc = perf_counter()
         tracer.add("sampling", toc - tic)
-        new_a, new_b, changed = self._apply_transition(key_a, key_b)
+        new_a, new_b, changed = self._apply_transition(ident_a, ident_b)
         tic = perf_counter()
         tracer.add("transition", tic - toc)
         self.applied_events += 1
@@ -785,15 +981,14 @@ class BatchBackend(Backend):
                 self._update_pair_weights(changed)
             else:
                 sampler = self._sampler
-                counts = self.counts
-                for key in changed:
-                    sampler.update(key, counts.get(key, 0))
-                self._check_dense_fixed_point()
+                counts = self._counts
+                for ident in changed:
+                    sampler.update(ident, counts.get(ident, 0))
+                if len(counts) == 1:
+                    self._check_dense_fixed_point()
             tracer.add("pair_weights", perf_counter() - tic)
-        simulator = self.simulator
-        if simulator.hooks:
-            for hook in simulator.hooks:
-                hook.on_batch_event(simulator, key_a, key_b, new_a, new_b)
+        if self.simulator.hooks:
+            self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
 
     # ---------------------------------------------------- NumPy event loop
     def _note_fallback(self, reason: str) -> None:
@@ -816,7 +1011,7 @@ class BatchBackend(Backend):
         # stream with and without NumPy.
         try:
             kernel = FactorisedPairKernel(
-                dict(self.counts),
+                dict(self._counts),
                 self._can_change,
                 seed=self._pair_rng.getrandbits(64),
             )
@@ -851,7 +1046,7 @@ class BatchBackend(Backend):
         """Pruning-regime event loop over the factorised pair kernel."""
         kernel = self._pair_kernel
         simulator = self.simulator
-        counts = self.counts
+        counts = self._counts
         tracer = self.tracer
         while self.interactions < target and not self.terminal:
             weight = kernel.active_weight()
@@ -872,18 +1067,18 @@ class BatchBackend(Backend):
                 self.interactions = target
                 break
             self.interactions += skip + 1
-            key_a, key_b = kernel.next_pair()
+            ident_a, ident_b = kernel.next_pair()
             toc = perf_counter()
             tracer.add("sampling", toc - tic)
-            new_a, new_b, changed = self._apply_transition(key_a, key_b)
+            new_a, new_b, changed = self._apply_transition(ident_a, ident_b)
             tic = perf_counter()
             tracer.add("transition", tic - toc)
             self.applied_events += 1
             overflow: Optional[AccelCapacityError] = None
             if changed:
                 try:
-                    for key in changed:
-                        kernel.set_count(key, counts.get(key, 0))
+                    for ident in changed:
+                        kernel.set_count(ident, counts.get(ident, 0))
                 except AccelCapacityError as error:
                     # The event is already applied to the histogram; note
                     # the overflow but fire this event's hooks first so
@@ -891,8 +1086,7 @@ class BatchBackend(Backend):
                     overflow = error
                 tracer.add("pair_weights", perf_counter() - tic)
             if simulator.hooks:
-                for hook in simulator.hooks:
-                    hook.on_batch_event(simulator, key_a, key_b, new_a, new_b)
+                self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
             if overflow is not None:
                 self._fallback_to_python(str(overflow))
                 self.counter.total = self.interactions
@@ -904,21 +1098,30 @@ class BatchBackend(Backend):
         """Detect the one provable fixed point available without pruning.
 
         With a conservative ``can_interaction_change`` the dense regime has
-        no pair-weight table to drain to zero, but when a *deterministic*
-        protocol collapses the whole population onto a single key whose
-        self-interaction is a no-op, the configuration provably never changes
-        again.
+        no pair-weight table to drain to zero, but when a pure protocol
+        collapses the whole population onto a single key whose
+        self-interaction is a coin-free no-op, the configuration provably
+        never changes again.  An unmemoised self-interaction is probed with
+        a tape that forbids drawing, so the agent stream is untouched.
         """
-        if not self._deterministic or len(self.counts) != 1:
+        if not self._pure or len(self._counts) != 1:
             return
-        key = next(iter(self.counts))
-        result = self._delta_cache.get((key, key))
-        if result is None:
-            result = self._delta(key, key, self._agent_rng)
+        ident = next(iter(self._counts))
+        pair = ident << _ID_BITS | ident
+        entry = self._memo.get(pair)
+        if entry is None:
+            key = self._keys[ident]
             self.transition_calls += 1
-            self._delta_cache[(key, key)] = result
-        new_a, new_b = result
-        if (new_a == key and new_b == key):
+            try:
+                new_a, new_b = self._delta(
+                    key, key, _CoinTape(self.protocol.name, [], None)
+                )
+            except _CoinsDrawn:
+                return
+            if not (new_a == key and new_b == key):
+                return
+            entry = self._memo[pair] = (ident, ident)
+        if entry == (ident, ident):
             self.terminal = True
 
     # ------------------------------------------------- population dynamics
@@ -934,7 +1137,7 @@ class BatchBackend(Backend):
         return self.protocol.state_key(state)
 
     def _population_changed(
-        self, changed: Tuple[Hashable, ...] = (), full_rebuild: bool = False
+        self, changed: Tuple[int, ...] = (), full_rebuild: bool = False
     ) -> None:
         """Invalidate the sampling structures after the histogram changed.
 
@@ -949,13 +1152,13 @@ class BatchBackend(Backend):
         self.population_changes += 1
         if self._pair_kernel is not None:
             kernel = self._pair_kernel
-            counts = self.counts
+            counts = self._counts
             try:
                 if full_rebuild:
                     kernel.resync(counts)
                 else:
-                    for key in changed:
-                        kernel.set_count(key, counts.get(key, 0))
+                    for ident in changed:
+                        kernel.set_count(ident, counts.get(ident, 0))
             except AccelCapacityError as error:
                 self._fallback_to_python(str(error))
                 if self._active_weight <= 0:
@@ -973,17 +1176,27 @@ class BatchBackend(Backend):
                 # Churn may land on an already-stable configuration.
                 self.terminal = True
         else:
-            if full_rebuild or len(changed) * 4 >= len(self.counts):
-                self._sampler.rebuild(self.counts)
+            if full_rebuild or len(changed) * 4 >= len(self._counts):
+                self._sampler.rebuild(self._counts)
             else:
                 sampler = self._sampler
-                counts = self.counts
-                for key in changed:
-                    sampler.update(key, counts.get(key, 0))
+                counts = self._counts
+                for ident in changed:
+                    sampler.update(ident, counts.get(ident, 0))
             self._check_dense_fixed_point()
 
-    def _sample_victim_keys(self, victims: int, rng: random.Random) -> List[Hashable]:
-        """Keys of ``victims`` distinct agents drawn uniformly at random.
+    def _changed_ids(self, changed_keys: set) -> Tuple[int, ...]:
+        """Ids of a set of changed keys, in the set's iteration order.
+
+        Population changes collect their keys in a set of *keys*: the order
+        the sampling structures then meet new keys and pairs in follows it
+        (see :meth:`_update_pair_weights`).
+        """
+        ids = self._ids
+        return tuple(ids[key] for key in changed_keys)
+
+    def _sample_victims(self, victims: int, rng: random.Random) -> List[int]:
+        """Ids of ``victims`` distinct agents drawn uniformly at random.
 
         Victim tickets index agents in an arbitrary but fixed key order and
         are resolved against the current histogram in one cumulative pass —
@@ -996,30 +1209,28 @@ class BatchBackend(Backend):
                 f"cannot draw {victims} distinct agents from a population of {self.n}"
             )
         tickets = sorted(rng.sample(range(self.n), victims))
-        victim_keys: List[Hashable] = []
+        victim_ids: List[int] = []
         cumulative = 0
         ticket_index = 0
-        for key, count in self.counts.items():
+        for ident, count in self._counts.items():
             cumulative += count
             while ticket_index < len(tickets) and tickets[ticket_index] < cumulative:
-                victim_keys.append(key)
+                victim_ids.append(ident)
                 ticket_index += 1
             if ticket_index == len(tickets):
                 break
-        return victim_keys
+        return victim_ids
 
     def join(self, count: int) -> Dict[str, Any]:
         self._check_population(count)
-        counts = self.counts
+        counts = self._counts
         changed: set = set()
         for _ in range(count):
             key = self.register_state(self.fresh_initial_state())
-            counts[key] += 1
+            counts[self._intern(key)] += 1
             changed.add(key)
-            if self.track_state_space:
-                self.state_space.observe(key)
         self.n += count
-        self._population_changed(tuple(changed))
+        self._population_changed(self._changed_ids(changed))
         return {"joined": count, "n": self.n}
 
     def leave(self, count: int, rng: random.Random, min_remaining: int = 2) -> Dict[str, Any]:
@@ -1029,29 +1240,27 @@ class BatchBackend(Backend):
                 f"cannot remove {count} of {self.n} agents; at least "
                 f"{min_remaining} must remain"
             )
-        counts = self.counts
+        counts = self._counts
+        keys = self._keys
         changed: set = set()
-        for key in self._sample_victim_keys(count, rng):
-            counts[key] -= 1
-            if not counts[key]:
-                del counts[key]
-            changed.add(key)
+        for ident in self._sample_victims(count, rng):
+            counts[ident] -= 1
+            if not counts[ident]:
+                del counts[ident]
+            changed.add(keys[ident])
         self.n -= count
-        self._population_changed(tuple(changed))
+        self._population_changed(self._changed_ids(changed))
         return {"left": count, "n": self.n}
 
     def restart_population(self) -> Dict[str, Any]:
         protocol = self.protocol
         if self._lifted is not None:
-            counts: Counter = Counter()
+            initial: Counter = Counter()
             for agent_id in range(self.n):
-                counts[self._lifted.register(protocol.initial_state(agent_id))] += 1
-            self.counts = counts
+                initial[self._lifted.register(protocol.initial_state(agent_id))] += 1
         else:
-            self.counts = Counter(protocol.initial_key_counts(self.n))
-        if self.track_state_space:
-            for key in self.counts:
-                self.state_space.observe(key)
+            initial = Counter(protocol.initial_key_counts(self.n))
+        self._counts = self._intern_counts(initial)
         self._population_changed(full_rebuild=True)
         return {"restarted": self.n, "n": self.n}
 
@@ -1076,10 +1285,11 @@ class BatchBackend(Backend):
         afterwards.  Returns the number of agents whose key actually
         changed.
         """
-        counts = self.counts
-        victim_keys = self._sample_victim_keys(victims, rng)
+        counts = self._counts
+        keys = self._keys
         changed = 0
-        for key in victim_keys:
+        for ident in self._sample_victims(victims, rng):
+            key = keys[ident]
             new_key = rewrite(key, rng)
             if new_key == key:
                 continue
@@ -1093,14 +1303,13 @@ class BatchBackend(Backend):
                     "rewrite only to already-observed keys or implement the "
                     "native key API on the protocol"
                 )
-            counts[key] -= 1
-            if not counts[key]:
-                del counts[key]
-            counts[new_key] += 1
-            if self.track_state_space:
-                self.state_space.observe(new_key)
+            counts[ident] -= 1
+            if not counts[ident]:
+                del counts[ident]
+            counts[self._intern(new_key)] += 1
             changed += 1
         if changed:
+            self.terminal = False
             if self._pair_kernel is not None:
                 try:
                     self._pair_kernel.resync(counts)
@@ -1110,7 +1319,8 @@ class BatchBackend(Backend):
                 self._rebuild_pair_weights()
             else:
                 self._sampler.rebuild(counts)
-            self.terminal = False
+                # A corruption may collapse the population onto one key.
+                self._check_dense_fixed_point()
         return changed
 
     # ------------------------------------------------------------- observers
@@ -1150,18 +1360,31 @@ class BatchBackend(Backend):
             record["fallback_reason"] = self._accel_fallback
         return record
 
+    def memo_stats(self) -> Dict[str, int]:
+        """JSON-friendly counters of the interning table and transition memo.
+
+        Every applied event is one ``hit`` (resolved from the memo) or one
+        ``miss`` (``delta_key`` evaluated); ``pairs`` counts memoised id
+        pairs and ``coin_nodes`` their coin branch points.  A protocol that
+        does not declare pure key transitions misses on every event.
+        """
+        return {
+            "interned_keys": len(self._keys),
+            "pairs": len(self._memo),
+            "hits": self._memo_hits,
+            "misses": self._memo_misses,
+            "coin_nodes": self._coin_nodes,
+        }
+
     def state_key_counts(self) -> Counter:
-        return Counter(self.counts)
+        keys = self._keys
+        return Counter({keys[ident]: count for ident, count in self._counts.items()})
 
     def output_counts(self) -> Counter:
+        outputs = self._outputs
         output_counts: Counter = Counter()
-        cache = self._output_cache
-        for key, count in self.counts.items():
-            output = cache.get(key, cache)
-            if output is cache:  # sentinel: not yet computed
-                output = self._output_key(key)
-                cache[key] = output
-            output_counts[output] += count
+        for ident, count in self._counts.items():
+            output_counts[outputs[ident]] += count
         return output_counts
 
     def outputs(self) -> List[Any]:

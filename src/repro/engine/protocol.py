@@ -90,11 +90,15 @@ class Protocol(abc.ABC, Generic[S]):
 
     name: str = ""
     uniform: bool = True
-    #: ``True`` when :meth:`transition` (and :meth:`delta_key`) never consume
-    #: randomness, i.e. the pair of post-interaction states is a pure function
-    #: of the pair of pre-interaction state keys.  The batch backend uses this
-    #: to memoise key-level transitions per pair *type*.
-    deterministic_transitions: bool = False
+    #: ``True`` when :meth:`delta_key` is a function of the two keys and the
+    #: coin bits it draws with ``rng.getrandbits`` (the synthetic coin
+    #: :func:`~repro.primitives.synthetic_coin.flip`) alone: no other ``rng``
+    #: method and no hidden state.  A transition that draws no coin is the
+    #: deterministic special case.  The batch backend then memoises key-level
+    #: transitions per pair *type*, one branch per drawn coin value, and
+    #: replays the coins from the agent stream, so seeded runs are identical
+    #: with and without the memo.
+    pure_key_transitions: bool = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)

@@ -618,8 +618,8 @@ class Simulator:
             "participation_tracked": isinstance(backend, AgentBackend),
         }
         # Unified per-run trace: phase timers, runtime events, checkpoint
-        # cadence, and (batch) geometric-skip efficiency plus the sampler
-        # and accel records.
+        # cadence, and (batch) geometric-skip efficiency plus the sampler,
+        # accel and memo records.
         telemetry: Dict[str, Any] = backend.tracer.as_dict()
         telemetry["backend"] = backend.name
         telemetry["checkpoints"] = {
@@ -642,6 +642,7 @@ class Simulator:
             }
             telemetry["sampler"] = backend.sampler_stats()
             telemetry["accel"] = backend.accel_info()
+            telemetry["memo"] = backend.memo_stats()
         extra["telemetry"] = telemetry
         if events:
             extra["initial_n"] = self.initial_n

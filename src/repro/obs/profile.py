@@ -13,6 +13,8 @@ module folds any of those shapes into one profile document::
       "events": {"accel-engage": 1, "accel-fallback": 1},
       "skips": {"interactions": ..., "applied_events": ...,
                 "skipped_interactions": ..., "efficiency": ...},
+      "memo": {"interned_keys": ..., "pairs": ..., "hits": ...,
+               "misses": ..., "coin_nodes": ...},
       "checkpoints": {"count": ..., "satisfied": ...}
     }
 
@@ -39,6 +41,40 @@ __all__ = [
 ]
 
 
+#: Summed counters of the batch backend's ``skips`` and ``memo`` records.
+SKIP_COUNTERS = ("interactions", "applied_events", "skipped_interactions")
+MEMO_COUNTERS = ("interned_keys", "pairs", "hits", "misses", "coin_nodes")
+
+
+def _add_counters(totals: Dict[str, int], record: Any) -> bool:
+    """Add a record's ``totals`` counters in; whether there was a record."""
+    if not isinstance(record, dict):
+        return False
+    for key in totals:
+        totals[key] += int(record.get(key) or 0)
+    return True
+
+
+def _attach_batch_sections(
+    profile: Dict[str, Any],
+    skips: Optional[Dict[str, int]],
+    memo: Optional[Dict[str, int]],
+) -> None:
+    """Attach summed ``skips`` (plus its efficiency) and ``memo`` counters."""
+    if skips is not None:
+        interactions = skips["interactions"]
+        profile["skips"] = {
+            **skips,
+            "efficiency": (
+                round(skips["skipped_interactions"] / interactions, 6)
+                if interactions
+                else 0.0
+            ),
+        }
+    if memo is not None:
+        profile["memo"] = memo
+
+
 def iter_run_telemetry(cells: Iterable[Dict[str, Any]]) -> Iterable[Dict[str, Any]]:
     """Yield every run-level telemetry dict found in a list of cell records."""
     for cell in cells:
@@ -59,8 +95,9 @@ def aggregate_telemetry(traces: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     phase_s: Dict[str, float] = {}
     phase_ops: Dict[str, int] = {}
     events: Dict[str, int] = {}
-    skips = {"interactions": 0, "applied_events": 0, "skipped_interactions": 0}
-    saw_skips = False
+    skips = dict.fromkeys(SKIP_COUNTERS, 0)
+    memo = dict.fromkeys(MEMO_COUNTERS, 0)
+    saw_skips = saw_memo = False
     checkpoints = {"count": 0, "satisfied": 0}
     for telemetry in traces:
         runs += 1
@@ -75,15 +112,9 @@ def aggregate_telemetry(traces: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         for event in telemetry.get("events") or []:
             kind = event.get("kind", "unknown")
             events[kind] = events.get(kind, 0) + 1
-        run_skips = telemetry.get("skips")
-        if isinstance(run_skips, dict):
-            saw_skips = True
-            for key in skips:
-                skips[key] += int(run_skips.get(key) or 0)
-        run_checks = telemetry.get("checkpoints")
-        if isinstance(run_checks, dict):
-            for key in checkpoints:
-                checkpoints[key] += int(run_checks.get(key) or 0)
+        saw_skips |= _add_counters(skips, telemetry.get("skips"))
+        saw_memo |= _add_counters(memo, telemetry.get("memo"))
+        _add_counters(checkpoints, telemetry.get("checkpoints"))
     profile: Dict[str, Any] = {
         "schema": 1,
         "runs": runs,
@@ -95,16 +126,9 @@ def aggregate_telemetry(traces: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "events": events,
         "checkpoints": checkpoints,
     }
-    if saw_skips:
-        interactions = skips["interactions"]
-        profile["skips"] = {
-            **skips,
-            "efficiency": (
-                round(skips["skipped_interactions"] / interactions, 6)
-                if interactions
-                else 0.0
-            ),
-        }
+    _attach_batch_sections(
+        profile, skips if saw_skips else None, memo if saw_memo else None
+    )
     return profile
 
 
@@ -124,8 +148,9 @@ def merge_profiles(profiles: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """
     merged = aggregate_telemetry([])
     merged["runs"] = 0
-    saw_skips = False
-    skips = {"interactions": 0, "applied_events": 0, "skipped_interactions": 0}
+    skips = dict.fromkeys(SKIP_COUNTERS, 0)
+    memo = dict.fromkeys(MEMO_COUNTERS, 0)
+    saw_skips = saw_memo = False
     for profile in profiles:
         if not isinstance(profile, dict):
             continue
@@ -140,26 +165,13 @@ def merge_profiles(profiles: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             slot["ops"] += int(phase.get("ops") or 0)
         for kind, count in (profile.get("events") or {}).items():
             merged["events"][kind] = merged["events"].get(kind, 0) + count
-        for key in merged["checkpoints"]:
-            merged["checkpoints"][key] += int(
-                (profile.get("checkpoints") or {}).get(key) or 0
-            )
-        profile_skips = profile.get("skips")
-        if isinstance(profile_skips, dict):
-            saw_skips = True
-            for key in skips:
-                skips[key] += int(profile_skips.get(key) or 0)
+        _add_counters(merged["checkpoints"], profile.get("checkpoints"))
+        saw_skips |= _add_counters(skips, profile.get("skips"))
+        saw_memo |= _add_counters(memo, profile.get("memo"))
     merged["phases"] = {name: merged["phases"][name] for name in sorted(merged["phases"])}
-    if saw_skips:
-        interactions = skips["interactions"]
-        merged["skips"] = {
-            **skips,
-            "efficiency": (
-                round(skips["skipped_interactions"] / interactions, 6)
-                if interactions
-                else 0.0
-            ),
-        }
+    _attach_batch_sections(
+        merged, skips if saw_skips else None, memo if saw_memo else None
+    )
     return merged
 
 
@@ -195,6 +207,15 @@ def render_profile(profile: Dict[str, Any], title: Optional[str] = None) -> str:
             f"{skips['interactions']} interactions skipped "
             f"(efficiency {skips['efficiency']:.4f}, "
             f"{skips['applied_events']} applied events)"
+        )
+    memo = profile.get("memo")
+    if memo:
+        lookups = memo["hits"] + memo["misses"]
+        lines.append(
+            f"transition memo: {memo['hits']} hits, {memo['misses']} misses "
+            f"(hit ratio {memo['hits'] / lookups if lookups else 0.0:.4f}), "
+            f"{memo['pairs']} pairs, {memo['coin_nodes']} coin nodes, "
+            f"{memo['interned_keys']} interned keys"
         )
     checkpoints = profile.get("checkpoints") or {}
     if checkpoints.get("count"):

@@ -69,7 +69,7 @@ class OneWayEpidemic(Protocol[EpidemicState]):
     """
 
     name = "one-way-epidemic"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def __init__(self, source_count: int = 1, source_value: int = 1) -> None:
         if source_count < 1:
@@ -127,7 +127,7 @@ class MaximumBroadcast(Protocol[EpidemicState]):
     """
 
     name = "maximum-broadcast"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def __init__(self, initial_values: Sequence[int]) -> None:
         if not initial_values:

@@ -130,7 +130,7 @@ class JuntaProtocol(Protocol[JuntaState]):
     """Standalone junta process for isolated measurement (experiment E5)."""
 
     name = "junta-process"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def initial_state(self, agent_id: int) -> JuntaState:
         return JuntaState()

@@ -117,7 +117,7 @@ class ClassicalLoadBalancing(Protocol[ClassicalLoadState]):
     """
 
     name = "classical-load-balancing"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def __init__(self, initial_loads: Sequence[int]) -> None:
         if any(load < 0 for load in initial_loads):
@@ -192,7 +192,7 @@ class PowersOfTwoLoadBalancing(Protocol[PowersOfTwoState]):
     """
 
     name = "powers-of-two-load-balancing"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def __init__(self, kappa: int, loaded_agents: int = 1) -> None:
         if kappa < 0:

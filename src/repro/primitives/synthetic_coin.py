@@ -66,7 +66,7 @@ class ParityCoinProtocol(Protocol[ParityCoinState]):
     """
 
     name = "parity-coin"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def initial_state(self, agent_id: int) -> ParityCoinState:
         # Half the agents start with parity 1, matching the standard warm start

@@ -81,7 +81,7 @@ def _clone_fault(simulator: "Simulator", victims: int, rng: random.Random) -> Di
         # Donor keys are drawn from a snapshot of the pre-fault histogram.
         donors: List[Hashable] = []
         weights: List[int] = []
-        for key, count in backend.counts.items():
+        for key, count in backend.state_key_counts().items():
             donors.append(key)
             weights.append(count)
         total = sum(weights)

@@ -40,7 +40,7 @@ class _MaxConsensus(Protocol):
     """Dense-regime fixture: epidemic dynamics *without* a can_change override."""
 
     name = "max-consensus-dense"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def initial_state(self, agent_id):
         return _MaxState(agent_id % 4)
@@ -132,6 +132,19 @@ def test_corrupt_histogram_conserves_population_and_rebuilds_weights():
     backend._rebuild_pair_weights()
     assert backend._pair_weights == weights_after
     assert backend._active_weight == total_after
+
+
+def test_dense_corruption_onto_a_single_no_op_key_is_terminal():
+    # Every victim rewritten to the maximum: one key left, whose
+    # self-interaction is a no-op, so the dense regime must report the
+    # fixed point instead of spinning on no-op events until the budget.
+    simulator = Simulator(_MaxConsensus(), 16, seed=2, backend="batch")
+    backend = simulator.backend
+    assert backend.corrupt_histogram(16, lambda key, rng: 3, make_rng(4)) > 0
+    assert backend.state_key_counts() == Counter({3: 16})
+    assert backend.terminal
+    backend.advance_to(1_000_000)
+    assert backend.applied_events == 0
 
 
 def test_batch_failure_injection_fires_and_epidemic_recovers():

@@ -202,6 +202,8 @@ def test_batch_backend_emits_telemetry_with_consistent_skips():
     # Telemetry is the single source: no parallel top-level views.
     assert telemetry["sampler"]["regime"] == "pruning"
     assert set(telemetry["accel"]) >= {"active", "numpy_available", "engaged"}
+    memo = telemetry["memo"]
+    assert memo["hits"] + memo["misses"] == skips["applied_events"]
     assert "sampler" not in result.extra
     assert "accel" not in result.extra
 
@@ -286,7 +288,7 @@ def test_engage_then_capacity_fallback_retains_every_retired_snapshot(monkeypatc
 # --------------------------------------------------------------------------
 
 
-def _fake_trace(sampling=0.5, ops=10, skips=None):
+def _fake_trace(sampling=0.5, ops=10, skips=None, memo=None):
     trace = {
         "schema": 1,
         "backend": "batch",
@@ -296,6 +298,8 @@ def _fake_trace(sampling=0.5, ops=10, skips=None):
     }
     if skips is not None:
         trace["skips"] = skips
+    if memo is not None:
+        trace["memo"] = memo
     return trace
 
 
@@ -329,6 +333,23 @@ def test_merge_profiles_matches_direct_aggregation():
         [aggregate_telemetry(traces[:2]), aggregate_telemetry(traces[2:])]
     )
     assert merged == direct
+
+
+def test_memo_counters_fold_through_aggregation_merging_and_rendering():
+    memo = {"interned_keys": 5, "pairs": 9, "hits": 30, "misses": 10, "coin_nodes": 2}
+    traces = [_fake_trace(memo=memo) for _ in range(4)] + [_fake_trace()]
+    direct = aggregate_telemetry(traces)
+    assert direct["memo"] == {
+        "interned_keys": 20, "pairs": 36, "hits": 120, "misses": 40, "coin_nodes": 8,
+    }
+    merged = merge_profiles(
+        [aggregate_telemetry(traces[:2]), aggregate_telemetry(traces[2:])]
+    )
+    assert merged == direct
+    assert "memo" not in aggregate_telemetry([_fake_trace()])
+    assert "transition memo: 120 hits, 40 misses (hit ratio 0.7500)" in render_profile(
+        direct
+    )
 
 
 def test_render_profile_mentions_every_phase_and_the_skip_line():

@@ -59,7 +59,7 @@ class StaticTableProtocol(Protocol):
     """
 
     name = "static-table"
-    deterministic_transitions = True
+    pure_key_transitions = True
 
     def __init__(self, keys: int) -> None:
         self.keys = keys

@@ -33,14 +33,14 @@ setup(
     description=(
         "Reproduction of Berenbrink, Kaaser, Radzik (PODC 2019) population "
         "protocols with a batched configuration-vector simulation backend "
-        "(pluggable scan/alias/Fenwick/vector weighted samplers, optional "
-        "NumPy-vectorised batch kernels with a pure-Python fallback), a "
-        "parallel experiment-sweep subsystem, a dynamic-population "
-        "chaos-scenario subsystem with adversarial frontier search, an "
-        "multi-host HTTP job server with remote pull-protocol workers and "
-        "a persistent content-addressed result cache, and end-to-end "
-        "telemetry (run tracing, Prometheus-style /metrics, live job "
-        "event streams)"
+        "(a Fenwick-tree pair sampler, a memo of interned-key transitions "
+        "that replays their coin flips, and a NumPy pair kernel with a "
+        "pure-Python fallback), a parallel experiment-sweep subsystem, a "
+        "dynamic-population chaos-scenario subsystem with adversarial "
+        "frontier search, a multi-host HTTP job server whose cells all run "
+        "on pull-protocol workers behind a persistent content-addressed "
+        "result cache, and end-to-end telemetry (run tracing, "
+        "Prometheus-style /metrics, live job event streams)"
     ),
     package_dir={"": "src"},
     packages=find_namespace_packages(where="src"),

@@ -488,10 +488,10 @@ class FrontierRunner:
             :func:`~repro.scenarios.runner.execute_scenario_cell`.
         pool_factory: Test seam forwarded to :class:`PoolExecutor`.
         retries: Re-submissions per lost worker task.
-        pool: An existing :class:`PoolExecutor` to schedule probes on
-            instead of creating one — how the job server runs searches on
-            its shared pool.  A borrowed pool is *not* closed by
-            :meth:`run`; its owner keeps that responsibility.
+        run_cell: Runs one probe payload and returns its cell record, in
+            place of a :class:`PoolExecutor` of this runner's own — how the
+            job server runs probes as ordinary queued cells.  ``workers``,
+            ``executor``, ``pool_factory`` and ``retries`` are then unused.
         should_abort: Optional zero-argument callable polled before every
             probe; returning ``True`` aborts the search with
             :class:`~repro.engine.errors.ExperimentError` (the server's
@@ -506,7 +506,7 @@ class FrontierRunner:
         executor: Callable[[Dict[str, Any]], Dict[str, Any]] = execute_scenario_cell,
         pool_factory: Optional[Callable[[int], Any]] = None,
         retries: int = 1,
-        pool: Optional[PoolExecutor] = None,
+        run_cell: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
         should_abort: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.spec = spec
@@ -515,10 +515,8 @@ class FrontierRunner:
         self._cache: Dict[str, Dict[str, Any]] = {}
         self._executor = executor
         self._should_abort = should_abort
-        self._owns_pool = pool is None
-        if pool is not None:
-            self._pool = pool
-        else:
+        self._pool: Optional[PoolExecutor] = None
+        if run_cell is None:
             self._pool = PoolExecutor(
                 executor,
                 workers=workers,
@@ -526,7 +524,9 @@ class FrontierRunner:
                 progress=progress,
                 pool_factory=pool_factory,
             )
-        self.workers = self._pool.workers
+            run_cell = self._run_on_pool
+        self._run_cell = run_cell
+        self.workers = self._pool.workers if self._pool is not None else workers
 
     def _report(self, line: str) -> None:
         if self.progress:
@@ -549,15 +549,8 @@ class FrontierRunner:
         scenario = probe_scenario(self.spec, values)
         cell = scenario.cells()[0]
         payload = scenario_cell_payload(scenario.to_dict(), cell)
-        timeout = None
-        if self.spec.probe_timeout_s is not None:
-            # Grace over the in-worker budget so the worker's own timeout
-            # record (which preserves completed runs) wins when possible.
-            timeout = self.spec.probe_timeout_s + 30.0
         started = time.perf_counter()
-        record = self._pool.map(
-            [payload], timeout_s=timeout, executor=self._executor
-        )[0]
+        record = self._run_cell(payload)
         if record.get("error"):
             raise ExperimentError(
                 f"probe {key} of search {self.spec.name!r} failed: "
@@ -600,8 +593,16 @@ class FrontierRunner:
                 return self._bisect()
             return self._evolve()
         finally:
-            if self._owns_pool:
+            if self._pool is not None:
                 self._pool.close()
+
+    def _run_on_pool(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        timeout = None
+        if self.spec.probe_timeout_s is not None:
+            # Grace over the in-worker budget so the worker's own timeout
+            # record (which preserves completed runs) wins when possible.
+            timeout = self.spec.probe_timeout_s + 30.0
+        return self._pool.map([payload], timeout_s=timeout, executor=self._executor)[0]
 
     def _bisect(self) -> Dict[str, Any]:
         """Deterministic interval halving over the single dimension.

@@ -3,17 +3,17 @@
 The batch CLIs (``repro-sweep``, ``repro-chaos``, ``repro-chaos search``)
 run one spec per process.  This package turns the same machinery into a
 long-lived HTTP service: ``repro-serve`` accepts any of the three spec
-kinds as JSON jobs, schedules their cells on one shared spawn-safe worker
-pool, deduplicates identical cells across jobs through a content-addressed
-result cache, and serves the finished ``SWEEP_``/``SCENARIO_``/``FRONTIER_``
-documents back over HTTP.
+kinds as JSON jobs, deduplicates identical cells across jobs through a
+content-addressed result cache, and serves the finished
+``SWEEP_``/``SCENARIO_``/``FRONTIER_`` documents back over HTTP.
 
-The service also scales past one host: any number of ``repro-worker``
-processes can attach over the same HTTP API and pull cells through a
-leased work queue (TTL + heartbeat, at-least-once with first-result-wins
-dedup), and the result cache can persist to a ``--cache-dir`` of
-``<key>.json`` files so a restarted server still serves identical
-resubmissions from disk.
+Cells have one way to run.  A cache miss is put on a leased work queue
+(TTL + heartbeat + a per-cell deadline, at-least-once with
+first-result-wins dedup), and ``repro-worker`` processes pull it over the
+same HTTP API — the N that ``repro-serve --workers N`` spawns against its
+own URL, and any number attached from other hosts.  The result cache can
+persist to a ``--cache-dir`` of ``<key>.json`` files so a restarted server
+still serves identical resubmissions from disk.
 
 Layers (stdlib only — no new required dependencies):
 
@@ -23,16 +23,18 @@ Layers (stdlib only — no new required dependencies):
   for corrupt entries, LRU bytes budget), and :func:`stable_document` for
   artifact comparison.
 * :mod:`repro.server.work` — :class:`WorkQueue`, the lease table one
-  running batch exposes to remote workers.
-* :mod:`repro.server.jobs` — :class:`JobManager`: FIFO queue, mixed
-  local/remote cell scheduling, cancellation, per-cell progress.
+  running batch exposes to workers.
+* :mod:`repro.server.jobs` — :class:`JobManager`: FIFO queue, the
+  cache-then-lease step every cell takes, cancellation, per-cell progress.
 * :mod:`repro.server.app` — the ``http.server`` JSON API, including the
   ``/work`` pull-protocol routes.
 * :mod:`repro.server.client` — :class:`ReproClient`, a thin stdlib HTTP
   client for tests, scripts, workers, and the CI smoke.
-* :mod:`repro.server.cli` — the ``repro-serve`` console entry point.
+* :mod:`repro.server.cli` — the ``repro-serve`` console entry point, which
+  spawns and supervises its local workers.
 * :mod:`repro.server.worker` — the ``repro-worker`` console entry point
-  (lease → execute → push loop).
+  (lease → execute → push loop) and :class:`~repro.server.worker.
+  WorkerProcess`, the one way to start a worker subprocess.
 """
 
 # NOTE: repro.server.worker is deliberately NOT imported here — the package

@@ -1,16 +1,18 @@
 """The HTTP JSON API over :class:`~repro.server.jobs.JobManager`.
 
 Stdlib only: a :class:`~http.server.ThreadingHTTPServer` whose handler
-threads merely translate requests into (thread-safe) manager calls — every
-simulation runs on the manager's worker pool, never on a request thread,
-so the API stays responsive while jobs grind.
+threads merely translate requests into (thread-safe) manager calls.  No
+simulation runs in the server process: every cell is leased to a
+``repro-worker`` through the ``/work`` routes, so the API stays responsive
+while jobs grind.
 
 Routes:
 
 ============================  =============================================
-``GET /healthz``              liveness, version, fingerprint, job counts
+``GET /healthz``              liveness, version, fingerprint, attached
+                              workers, job counts
 ``GET /metrics``              Prometheus text exposition (jobs, cells,
-                              cache, pool; see ``JobManager.metrics``)
+                              cache, leases; see ``JobManager.metrics``)
 ``GET /cache/stats``          result-cache hit/miss accounting
 ``POST /jobs``                submit ``{"kind": ..., "spec": {...}}`` → 201
 ``GET /jobs``                 every job's status, submission order
@@ -31,7 +33,7 @@ Routes:
 ============================  =============================================
 
 The three ``/work`` routes are the pull protocol ``repro-worker`` speaks —
-see :mod:`repro.server.worker`.
+see :mod:`repro.server.worker` — and the only way a cell is executed.
 
 Errors are JSON too: 400 carries the spec-validation message, 404 an
 unknown job id or route, 409 an artifact requested before the job is done.
@@ -137,8 +139,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                         "status": "ok",
                         "version": PACKAGE_VERSION,
                         "code_fingerprint": code_fingerprint(),
-                        "workers": manager.workers,
-                        "max_inflight": manager.max_inflight,
+                        "workers": manager.attached_workers(),
                         "jobs": manager.counts(),
                     },
                 )

@@ -4,27 +4,40 @@ Examples::
 
     repro-serve                          # 127.0.0.1:8765, all cores
     repro-serve --port 0 --workers 2     # ephemeral port, two workers
+    repro-serve --remote-only            # schedule only; workers attach
     curl -s localhost:8765/healthz
 
-The server announces its bound address on stdout (``repro-serve listening
-on http://HOST:PORT``) before accepting requests — with ``--port 0`` that
-line is how scripts learn the ephemeral port.  Ctrl-C shuts down cleanly:
-the HTTP loop stops, then the worker pool is torn down.
+The server executes nothing in its own process.  Once bound it announces
+its address on stdout (``repro-serve listening on http://HOST:PORT``) —
+with ``--port 0`` that line is how scripts learn the ephemeral port — and
+spawns ``--workers`` ``repro-worker`` processes that lease cells from its
+own URL, like any worker on another host would.  A spawned worker that
+exits while the server runs is respawned.  Ctrl-C and SIGTERM shut down
+cleanly: the spawned workers are stopped, then the HTTP loop and the
+dispatcher; should the server die without that chance, each spawned worker
+notices it lost its parent and exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
-from typing import List, Optional
+import threading
+from typing import Callable, List, Optional
 
 from ..engine.errors import ReproError
 from ..fingerprint import PACKAGE_VERSION, code_fingerprint
 from .app import make_server
 from .cache import ResultCache
 from .jobs import JobManager
+from .worker import WorkerProcess
 
 __all__ = ["main", "build_parser"]
+
+#: How often the server looks for spawned workers that exited.
+RESPAWN_CHECK_S = 0.5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,15 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the shared pool (default: all cores)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
         help=(
-            "max cells handed to the pool per batch, also the cancellation "
-            "granularity (default: 2x workers, at least 4)"
+            "repro-worker processes to spawn against this server "
+            "(default: all cores)"
         ),
     )
     parser.add_argument(
@@ -90,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=60.0,
         help=(
-            "remote work-lease time-to-live; a repro-worker that stops "
+            "work-lease time-to-live; a repro-worker that stops "
             "heartbeating for this long is presumed dead and its cell is "
             "requeued (default: %(default)s)"
         ),
@@ -99,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--remote-only",
         action="store_true",
         help=(
-            "never execute cells on the local pool; every cell waits for a "
-            "repro-worker to lease it (pure scheduler mode)"
+            "spawn no workers; every cell waits for an external repro-worker "
+            "to lease it (pure scheduler mode)"
         ),
     )
     parser.add_argument(
@@ -111,13 +118,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class LocalWorkers:
+    """The ``repro-worker`` processes a server spawns against its own URL.
+
+    A supervisor thread respawns, under the same worker id, any of them
+    that exits before :meth:`stop`.
+    """
+
+    def __init__(
+        self, base_url: str, count: int, report: Callable[[str], None]
+    ) -> None:
+        self._base_url = base_url
+        self._report = report
+        self._stop = threading.Event()
+        self.workers = [self._spawn(f"local-{index}") for index in range(1, count + 1)]
+        self._thread = threading.Thread(
+            target=self._supervise, name="repro-local-workers", daemon=True
+        )
+        self._thread.start()
+
+    def _spawn(self, worker_id: str) -> WorkerProcess:
+        worker = WorkerProcess(
+            self._base_url, worker_id, exit_with_parent=True, echo=self._report
+        )
+        self._report(f"repro-serve: spawned worker {worker_id} (pid {worker.process.pid})")
+        return worker
+
+    def _supervise(self) -> None:
+        while not self._stop.wait(RESPAWN_CHECK_S):
+            for index, worker in enumerate(self.workers):
+                code = worker.process.poll()
+                if code is not None and not self._stop.is_set():
+                    self._report(
+                        f"repro-serve: worker {worker.worker_id} exited "
+                        f"({code}); respawning"
+                    )
+                    self.workers[index] = self._spawn(worker.worker_id)
+
+    def stop(self) -> None:
+        """Stop supervising, then stop and reap every worker."""
+        self._stop.set()
+        self._thread.join(timeout=10.0)
+        for worker in self.workers:
+            worker.stop()
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     progress = None if args.quiet else lambda line: print(line, flush=True)
+    workers = 0 if args.remote_only else (
+        args.workers if args.workers is not None else os.cpu_count() or 1
+    )
+    if workers < 0:
+        print("error: --workers must not be negative", file=sys.stderr)
+        return 2
     try:
         manager = JobManager(
-            workers=args.workers,
-            max_inflight=args.max_inflight,
             cache=ResultCache(
                 max_entries=args.cache_entries,
                 cache_dir=args.cache_dir,
@@ -125,7 +185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ),
             progress=progress,
             lease_ttl_s=args.lease_ttl_s,
-            local_execution=not args.remote_only,
         )
     except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -135,14 +194,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"repro-serve listening on http://{host}:{port} "
         f"(version {PACKAGE_VERSION}, fingerprint {code_fingerprint()}, "
-        f"{manager.workers} worker(s))",
+        f"{workers} local worker(s))",
         flush=True,
     )
+    # SIGTERM takes the same clean path as Ctrl-C.
+    signal.signal(signal.SIGTERM, _interrupt)
+    # Spawned workers reach a wildcard-bound server over loopback.
+    local_host = "127.0.0.1" if host in ("", "0.0.0.0") else host
+    local = None
     try:
+        local = LocalWorkers(
+            f"http://{local_host}:{port}", workers, progress or (lambda line: None)
+        )
         server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     finally:
+        if local is not None:
+            local.stop()
         server.server_close()
         manager.close()
     return 0

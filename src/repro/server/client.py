@@ -172,7 +172,7 @@ class ReproClient:
         """``POST /work/<lease>/result``: push one executed cell record.
 
         The response's ``outcome`` is ``accepted`` for the first result,
-        ``duplicate`` when another worker (or a local slot) got there
+        ``duplicate`` when another worker got there
         first, ``gone`` once the batch ended — all fine for the worker,
         which just moves on to its next lease.
         """

@@ -1,43 +1,32 @@
-"""Asynchronous job scheduling over the shared experiment worker pool.
+"""Asynchronous job scheduling over the worker pull protocol.
 
 A *job* is one spec of any of the three existing kinds — a sweep, a chaos
 scenario, or a frontier search — submitted as JSON.  The
-:class:`JobManager` owns a single spawn-safe
-:class:`~repro.experiments.runner.PoolExecutor` shared by every job and
-kind (the per-batch executor override routes each cell to the right worker
-entry point), a FIFO dispatch queue, and the content-addressed
-:class:`~repro.server.cache.ResultCache`.
+:class:`JobManager` owns a FIFO dispatch queue and the content-addressed
+:class:`~repro.server.cache.ResultCache`; it executes nothing itself.
 
 Scheduling model:
 
 * Jobs run strictly FIFO, one at a time, on a background dispatcher
-  thread; their *cells* fan out across the pool's worker processes in
-  bounded chunks of at most ``max_inflight`` — the knob that keeps one
-  giant grid from monopolising the pool unboundedly and gives
-  cancellation its granularity.
-* While a batch runs, its unscheduled cells are also *leasable* by remote
-  ``repro-worker`` processes through the HTTP pull protocol
-  (:meth:`JobManager.lease_work` / :meth:`JobManager.complete_work`, backed
-  by :class:`~repro.server.work.WorkQueue`): the manager is a scheduler
-  over the local pool *plus* any number of worker hosts.  Leases carry a
-  TTL kept alive by heartbeats; a lease whose worker dies is expired and
-  its cell requeued (at-least-once, first result wins, replays dedup'd by
-  the content-addressed cache key).  With ``local_execution=False`` the
-  server computes nothing itself and remote workers do all the work.
-* Before a cell is scheduled its cache key is looked up; a hit reuses the
-  stored record and the cell never reaches a worker.  Hits and fresh runs
-  are merged by :func:`repro.resume.merge_cells` — the exact helper
-  ``--resume`` uses — so a cache-assembled document is indistinguishable
-  from a computed one.
-* Cancellation (``DELETE /jobs/<id>``) is immediate for queued jobs and
-  takes effect at the next chunk boundary (or, for searches, the next
-  probe) for running ones; in-flight cells finish and still populate the
-  cache.
-
-Search jobs schedule their probes through the same pool and cache via
-:class:`CachingPool`, so a resubmitted search replays its probe history
-for free; probe batches flow through the same lease machinery, so remote
-workers serve searches too.
+  thread.
+* Every cell takes one path, :meth:`JobManager._run_batch`: its cache key
+  is looked up first, and a hit resolves the cell at once.  Misses are
+  enqueued on a :class:`~repro.server.work.WorkQueue` and wait for a
+  ``repro-worker`` to lease them through the HTTP pull protocol
+  (:meth:`JobManager.lease_work` / :meth:`JobManager.complete_work`).
+  ``repro-serve`` spawns its local workers as such processes, so local
+  and remote execution are the same thing.  Leases carry a TTL kept alive
+  by heartbeats; a lease whose worker dies, or whose cell runs past its
+  deadline, is expired and its cell requeued (at-least-once, first result
+  wins, replays dedup'd by the content-addressed cache key).
+* Search probes are ordinary cells: :class:`~repro.scenarios.search.
+  FrontierRunner` hands each probe payload to the same step, so a
+  resubmitted search replays its probe history from the cache and remote
+  workers serve searches too.
+* Cancellation (``DELETE /jobs/<id>``) is immediate for queued jobs.  For
+  a running job it aborts the queue: pending cells are never leased, and a
+  cell already in flight finishes on its worker, whose late result is
+  answered ``"gone"``.
 """
 
 from __future__ import annotations
@@ -50,13 +39,12 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..engine.errors import ConfigurationError
+from ..engine.errors import ConfigurationError, ExperimentError
 from ..experiments.artifacts import build_document as _build_sweep_document
-from ..obs.metrics import MetricsRegistry
-from ..experiments.runner import PoolExecutor, cell_payload, execute_cell
+from ..experiments.runner import cell_payload, execute_cell
 from ..experiments.spec import SweepSpec
 from ..fingerprint import code_fingerprint
-from ..resume import merge_cells
+from ..obs.metrics import MetricsRegistry
 from ..scenarios.artifacts import build_document as _build_scenario_document
 from ..scenarios.artifacts import build_frontier_document
 from ..scenarios.runner import execute_scenario_cell, scenario_cell_payload
@@ -69,7 +57,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "JOB_KINDS",
     "JOB_STATES",
-    "CachingPool",
     "JobKind",
     "JobManager",
     "JobNotReady",
@@ -107,8 +94,9 @@ class JobNotReady(Exception):
 class JobKind:
     """How one spec kind plugs into the job machinery.
 
-    Grid kinds (sweep, scenario) declare the cell payload builder, worker
-    entry point, and document builder; the search kind drives
+    Grid kinds (sweep, scenario) declare the cell payload builder and the
+    document builder (their cells run under the :data:`EXECUTOR_KINDS`
+    entry of the same name); the search kind drives
     :class:`~repro.scenarios.search.FrontierRunner` instead and leaves the
     grid fields ``None``.
     """
@@ -116,7 +104,6 @@ class JobKind:
     kind: str
     artifact: str
     load_spec: Callable[[Dict[str, Any]], Any]
-    executor: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
     payloads: Optional[Callable[[Any, List[Any]], List[Dict[str, Any]]]] = None
     build_document: Optional[Callable[[Any, List[Dict[str, Any]], int], Dict[str, Any]]] = None
 
@@ -137,7 +124,6 @@ JOB_KINDS: Dict[str, JobKind] = {
             kind="sweep",
             artifact="sweep",
             load_spec=SweepSpec.from_dict,
-            executor=execute_cell,
             payloads=_sweep_payloads,
             build_document=_build_sweep_document,
         ),
@@ -145,7 +131,6 @@ JOB_KINDS: Dict[str, JobKind] = {
             kind="scenario",
             artifact="scenario",
             load_spec=ScenarioSpec.from_dict,
-            executor=execute_scenario_cell,
             payloads=_scenario_payloads,
             build_document=_build_scenario_document,
         ),
@@ -156,70 +141,6 @@ JOB_KINDS: Dict[str, JobKind] = {
         ),
     )
 }
-
-
-class CachingPool:
-    """A :class:`PoolExecutor` facade that consults the result cache first.
-
-    Payload-shaped batches pass through unchanged, except that payloads
-    whose content address is already cached return their stored record
-    without touching a worker.  Fresh successful records are stored on the
-    way out.  Used to route search probes (scheduled internally by
-    :class:`~repro.scenarios.search.FrontierRunner`) through the shared
-    cache; the pool itself is borrowed, so :meth:`close` is a no-op.
-    """
-
-    def __init__(
-        self,
-        pool: PoolExecutor,
-        cache: ResultCache,
-        on_hit: Optional[Callable[[Dict[str, Any]], None]] = None,
-        on_fresh: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> None:
-        self._pool = pool
-        self._cache = cache
-        self._on_hit = on_hit
-        self._on_fresh = on_fresh
-        self.workers = pool.workers
-
-    def map(
-        self,
-        payloads: List[Dict[str, Any]],
-        timeout_s: Optional[float] = None,
-        on_result: Optional[Callable[[Dict[str, Any]], None]] = None,
-        executor: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
-    ) -> List[Dict[str, Any]]:
-        fingerprint = code_fingerprint()
-        results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-        misses: List[Any] = []
-        for index, payload in enumerate(payloads):
-            key = cache_key(payload, fingerprint)
-            record = self._cache.get(key)
-            if record is not None:
-                results[index] = record
-                if self._on_hit:
-                    self._on_hit(record)
-                if on_result:
-                    on_result(record)
-            else:
-                misses.append((index, key, payload))
-        if misses:
-            fresh = self._pool.map(
-                [payload for _, _, payload in misses],
-                timeout_s=timeout_s,
-                on_result=on_result,
-                executor=executor,
-            )
-            for (index, key, _payload), record in zip(misses, fresh):
-                results[index] = record
-                if record is not None:
-                    self._cache.put(key, record)
-                    if self._on_fresh:
-                        self._on_fresh(record)
-        return [record for record in results if record is not None]
-
-    def close(self) -> None:
-        """No-op: the underlying pool belongs to the job manager."""
 
 
 class Job:
@@ -262,38 +183,21 @@ class _ActiveBatch:
 
     job: Job
     queue: WorkQueue
-    exec_kind: str
-    on_result: Callable[[Dict[str, Any], str], None]
-    cache_results: bool
 
 
 _ID_SANITISER = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 class JobManager:
-    """Schedule submitted jobs on one shared worker pool, FIFO, cache-first.
+    """Schedule submitted jobs FIFO, cache-first, on leasing workers.
 
     Args:
-        workers: Worker process count for the shared pool (``None``: all
-            cores; below 2 executes cells serially on the dispatcher
-            thread, the mode the test suite uses).
-        max_inflight: Upper bound on cells handed to the pool per batch;
-            also the cancellation granularity.  Defaults to twice the
-            worker count (at least 4).
         cache: The shared :class:`ResultCache`; a fresh default-sized one
             when omitted.
         progress: Optional line-oriented progress callback (server log).
-        executor_overrides: Test seam — per-kind replacement worker entry
-            points (e.g. an instrumented slow executor for cancellation
-            tests).  Only safe with in-process execution or picklable
-            callables.
-        retries: Lost-worker re-submissions, forwarded to the pool.
-        lease_ttl_s: Remote lease time-to-live.  A ``repro-worker`` that
-            stops heartbeating for this long is presumed dead and its cell
-            is requeued.
-        local_execution: When ``False`` the server never runs cells on its
-            own pool — every cell waits for a remote worker to lease it
-            (the pure scheduler mode the distributed CI smoke uses).
+        lease_ttl_s: Lease time-to-live.  A ``repro-worker`` that stops
+            heartbeating for this long is presumed dead and its cell is
+            requeued.
         max_lease_attempts: How many leases one cell may burn through
             before the manager gives up on it with a synthetic error
             record.
@@ -301,38 +205,24 @@ class JobManager:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
-        max_inflight: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         progress: Progress = None,
-        executor_overrides: Optional[Dict[str, Callable]] = None,
-        retries: int = 1,
         lease_ttl_s: float = 60.0,
-        local_execution: bool = True,
         max_lease_attempts: int = 5,
     ) -> None:
         self.progress = progress
         self.cache = cache if cache is not None else ResultCache()
-        self._overrides = dict(executor_overrides or {})
-        self._pool = PoolExecutor(
-            execute_cell, workers=workers, retries=retries, progress=progress
-        )
-        self.workers = self._pool.workers
-        self.max_inflight = (
-            max_inflight if max_inflight is not None else max(4, 2 * self.workers)
-        )
-        if self.max_inflight < 1:
-            raise ConfigurationError("max_inflight must be at least 1")
         if lease_ttl_s <= 0:
             raise ConfigurationError("lease_ttl_s must be positive")
         self.lease_ttl_s = lease_ttl_s
-        self.local_execution = local_execution
         self.max_lease_attempts = max_lease_attempts
         # The lease table of the currently running batch (jobs run FIFO,
-        # so at most one batch exposes work at a time).
+        # so at most one batch exposes work at a time), and when each
+        # worker id last polled or heartbeat.
         self._work_lock = threading.Lock()
         self._active: Optional[_ActiveBatch] = None
-        self._known_workers: "set[str]" = set()
+        self._worker_seen: Dict[str, float] = {}
+        self._resolve_lock = threading.Lock()
         self._lock = threading.RLock()
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
@@ -394,7 +284,7 @@ class JobManager:
         )
         self._leases_granted = self.metrics.counter(
             "repro_leases_granted_total",
-            "Work leases granted to remote workers, by worker id.",
+            "Work leases granted to workers, by worker id.",
             labelnames=("worker",),
         )
         self._leases_expired = self.metrics.counter(
@@ -408,31 +298,24 @@ class JobManager:
         )
         self._lease_results = self.metrics.counter(
             "repro_lease_results_total",
-            "Results pushed by remote workers, by outcome "
+            "Results pushed by workers, by outcome "
             "(accepted / duplicate / rejected / gone / unknown).",
             labelnames=("outcome",),
         )
         self._worker_results = self.metrics.counter(
             "repro_worker_results_total",
-            "Accepted remote results, by worker id.",
+            "Accepted worker results, by worker id.",
             labelnames=("worker",),
         )
         self._work_pending = self.metrics.gauge(
             "repro_work_pending",
-            "Cells of the running batch awaiting a lease or local slot.",
+            "Cells of the running batch awaiting a lease.",
         )
         self._worker_leases = self.metrics.gauge(
             "repro_worker_active_leases",
             "Outstanding (unexpired, unfinished) leases per worker id.",
             labelnames=("worker",),
         )
-        self.metrics.gauge(
-            "repro_pool_workers", "Worker processes in the shared pool."
-        ).set(self.workers)
-        self.metrics.gauge(
-            "repro_pool_max_inflight",
-            "Upper bound on cells handed to the pool per batch.",
-        ).set(self.max_inflight)
         self.metrics.add_collector(self._collect_live_metrics)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-job-dispatcher", daemon=True
@@ -441,11 +324,14 @@ class JobManager:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Stop the dispatcher and shut the pool down (idempotent)."""
-        self._stop.set()
+        """Cancel the running job and stop the dispatcher (idempotent)."""
+        with self._lock:
+            self._stop.set()
+            for job in self._jobs.values():
+                if job.state == "running":
+                    job.cancel.set()
         if self._dispatcher.is_alive():
             self._dispatcher.join(timeout=10.0)
-        self._pool.close()
 
     def __enter__(self) -> "JobManager":
         return self
@@ -475,12 +361,22 @@ class JobManager:
             self._jobs_by_state.set(count, state=state)
         with self._work_lock:
             active = self._active
-            workers = set(self._known_workers)
+            workers = list(self._worker_seen)
         snapshot = active.queue.snapshot() if active is not None else None
         self._work_pending.set(snapshot["pending"] if snapshot else 0)
         per_worker = snapshot["active_leases"] if snapshot else {}
         for worker_id in workers:
             self._worker_leases.set(per_worker.get(worker_id, 0), worker=worker_id)
+
+    def attached_workers(self) -> int:
+        """Workers that polled for work or heartbeat within one lease TTL."""
+        horizon = time.monotonic() - self.lease_ttl_s
+        with self._work_lock:
+            return sum(1 for seen in self._worker_seen.values() if seen >= horizon)
+
+    def _saw_worker(self, worker_id: str) -> None:
+        with self._work_lock:
+            self._worker_seen[worker_id] = time.monotonic()
 
     def render_metrics(self) -> str:
         """The Prometheus text exposition served at ``GET /metrics``."""
@@ -546,12 +442,7 @@ class JobManager:
             return self._active
 
     def _reap_batch(self, active: _ActiveBatch) -> None:
-        """Expire overdue leases of ``active``; requeue or give up.
-
-        Called from the dispatch loop every tick *and* from
-        :meth:`lease_work`, so a polling worker re-leases an expired cell
-        promptly even while the dispatcher is blocked on a local chunk.
-        """
+        """Expire overdue leases of ``active``; requeue or give up."""
         expired, gave_up = active.queue.reap()
         for lease in expired:
             self._leases_expired.inc()
@@ -575,11 +466,11 @@ class JobManager:
                 f"{lease.item.payload.get('cell_id')}) expired"
                 + (" -> requeued" if requeued else " -> giving up")
             )
-        for item, record in gave_up:
-            active.on_result(record, "lease-expired")
+        for _item, record in gave_up:
+            self._note_cell(active.job, record, "lease-expired")
 
     def lease_work(self, worker_id: str) -> Optional[Dict[str, Any]]:
-        """Grant one cell of the running batch to a remote worker.
+        """Grant one cell of the running batch to a worker.
 
         Returns the lease as a JSON-ready dict (``lease_id``, ``kind``,
         the canonical worker ``payload``, ``ttl_s``), or ``None`` when
@@ -587,15 +478,13 @@ class JobManager:
         taken (the worker should poll again shortly).
         """
         worker_id = str(worker_id or "anonymous")[:128]
+        self._saw_worker(worker_id)
         active = self._active_batch()
         if active is None:
             return None
-        self._reap_batch(active)
         lease = active.queue.lease(worker_id, ttl_s=self.lease_ttl_s)
         if lease is None:
             return None
-        with self._work_lock:
-            self._known_workers.add(worker_id)
         self._leases_granted.inc(worker=worker_id)
         self._emit(
             active.job,
@@ -625,6 +514,7 @@ class JobManager:
         lease = active.queue.heartbeat(lease_id)
         if lease is None:
             return None
+        self._saw_worker(lease.worker_id)
         return {"lease_id": lease.lease_id, "ttl_s": lease.ttl_s}
 
     def complete_work(self, lease_id: str, record: Any) -> Dict[str, Any]:
@@ -664,13 +554,18 @@ class JobManager:
                     f"lease is for {lease.item.payload.get('cell_id')!r}"
                 ),
             }
-        outcome, lease = active.queue.complete(lease_id, record)
+        # Resolving, caching and reporting happen under one lock, which the
+        # dispatcher takes to test for a finished batch and to abort one:
+        # a job never finishes before its last cell is cached and reported,
+        # nor reports a cell after it finished.
+        with self._resolve_lock:
+            outcome, lease = active.queue.complete(lease_id, record)
+            if outcome == "accepted":
+                self.cache.put(lease.item.cache_key, record)
+                self._note_cell(active.job, record, f"worker:{lease.worker_id}")
         self._lease_results.inc(outcome=outcome)
         if outcome == "accepted":
             self._worker_results.inc(worker=lease.worker_id)
-            if active.cache_results:
-                self.cache.put(lease.item.cache_key, record)
-            active.on_result(record, f"worker:{lease.worker_id}")
         return {
             "lease_id": lease_id,
             "outcome": outcome,
@@ -682,94 +577,64 @@ class JobManager:
         job: Job,
         exec_kind: str,
         payloads: List[Dict[str, Any]],
-        executor: Callable[[Dict[str, Any]], Dict[str, Any]],
         timeout_s: Optional[float],
-        on_result: Callable[[Dict[str, Any], str], None],
-        cache_results: bool = True,
     ) -> List[Optional[Dict[str, Any]]]:
-        """Drain one batch through the local pool and/or remote workers.
+        """Resolve a batch of cells: cache first, then leases.
 
-        The mixed-dispatch core: items are leasable by remote workers the
-        whole time, while (with :attr:`local_execution`) the dispatcher
-        concurrently feeds ``max_inflight``-sized chunks to the local pool.
-        Returns per-payload records in payload order (``None`` only where
-        cancellation aborted the batch first).  ``on_result(record,
-        source)`` fires exactly once per resolved item, tagged ``"local"``,
-        ``"worker:<id>"``, or ``"lease-expired"``.
+        The one execution step of the server.  Each payload whose cache key
+        hits resolves at once; the misses are enqueued as ``exec_kind``
+        items (``timeout_s`` bounds each lease, see
+        :class:`~repro.server.work.WorkQueue`) and wait for workers to lease
+        them.  Every resolved cell is reported once through
+        :meth:`_note_cell`.  Returns per-payload records in payload order
+        (``None`` only where cancellation aborted the queue first).
         """
         fingerprint = code_fingerprint()
-        items = [
-            WorkItem(
-                item_id=f"item-{index:05d}",
-                exec_kind=exec_kind,
-                payload=payload,
-                cache_key=cache_key(payload, fingerprint),
-            )
-            for index, payload in enumerate(payloads)
-        ]
-        work_queue = WorkQueue(
-            items,
-            ttl_s=self.lease_ttl_s,
-            max_attempts=self.max_lease_attempts,
-        )
+        records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
+        missing: List[int] = []
+        items: List[WorkItem] = []
+        for index, payload in enumerate(payloads):
+            key = cache_key(payload, fingerprint)
+            record = self.cache.get(key)
+            if record is not None:
+                records[index] = record
+                self._note_cell(job, record, "cache")
+            else:
+                missing.append(index)
+                items.append(
+                    WorkItem(
+                        item_id=f"item-{index:05d}",
+                        exec_kind=exec_kind,
+                        payload=payload,
+                        cache_key=key,
+                        timeout_s=timeout_s,
+                    )
+                )
+        if not items:
+            return records
         active = _ActiveBatch(
             job=job,
-            queue=work_queue,
-            exec_kind=exec_kind,
-            on_result=on_result,
-            cache_results=cache_results,
+            queue=WorkQueue(
+                items, ttl_s=self.lease_ttl_s, max_attempts=self.max_lease_attempts
+            ),
         )
         with self._work_lock:
             self._active = active
         try:
-            while True:
+            while not job.cancel.is_set():
                 self._reap_batch(active)
-                if job.cancel.is_set():
-                    work_queue.abort()
-                    break
-                if work_queue.finished:
-                    break
-                chunk = (
-                    work_queue.take_local(self.max_inflight)
-                    if self.local_execution
-                    else []
-                )
-                if not chunk:
-                    work_queue.wait(0.2)
-                    continue
-                by_cell = {
-                    item.payload.get("cell_id"): item for item in chunk
-                }
-
-                def note(record: Dict[str, Any]) -> None:
-                    item = by_cell.get((record or {}).get("cell_id"))
-                    if item is not None and work_queue.resolve_local(
-                        item.item_id, record
-                    ):
-                        if cache_results:
-                            self.cache.put(item.cache_key, record)
-                        on_result(record, "local")
-
-                records = self._pool.map(
-                    [item.payload for item in chunk],
-                    timeout_s=timeout_s,
-                    on_result=note,
-                    executor=executor,
-                )
-                # Safety net for records the callback could not attribute
-                # (e.g. a missing cell_id): resolve by position.
-                for item, record in zip(chunk, records):
-                    if record is not None and work_queue.resolve_local(
-                        item.item_id, record
-                    ):
-                        if cache_results:
-                            self.cache.put(item.cache_key, record)
-                        on_result(record, "local")
+                with self._resolve_lock:
+                    if active.queue.finished:
+                        break
+                active.queue.wait(0.2)
         finally:
             with self._work_lock:
                 self._active = None
-            work_queue.abort()
-        return work_queue.results_in_order()
+            with self._resolve_lock:  # no cell is reported after this
+                active.queue.abort()
+        for index, record in zip(missing, active.queue.results_in_order()):
+            records[index] = record
+        return records
 
     # ------------------------------------------------------------ submission
     def submit(self, kind: str, spec_dict: Dict[str, Any]) -> Dict[str, Any]:
@@ -877,8 +742,9 @@ class JobManager:
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Request cancellation; immediate for queued jobs.
 
-        Running jobs stop at the next chunk boundary (grid kinds) or probe
-        (searches); already-finished jobs are left untouched.
+        A running job's queue is aborted: its pending cells are never
+        leased, while cells already in flight finish on their workers.
+        Already-finished jobs are left untouched.
         """
         job = self._get(job_id)
         with self._lock:
@@ -903,8 +769,8 @@ class JobManager:
             if job is None:
                 continue
             with self._lock:
-                if job.state != "queued":
-                    continue  # cancelled while waiting in the queue
+                if job.state != "queued" or self._stop.is_set():
+                    continue  # cancelled while waiting, or shutting down
                 job.state = "running"
                 job.started_unix = time.time()
             self._emit(job, "job", {"state": "running"})
@@ -918,30 +784,31 @@ class JobManager:
                 self._finish(job, "failed", traceback.format_exc())
                 self._report(f"job {job.id}: FAILED (internal error)")
 
-    def _executor_for(self, kind: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
-        override = self._overrides.get(kind)
-        if override is not None:
-            return override
-        job_kind = JOB_KINDS[kind]
-        return job_kind.executor if job_kind.executor else execute_scenario_cell
+    def _note_cell(self, job: Job, record: Dict[str, Any], source: str) -> None:
+        """Count one resolved cell and emit its ``cell`` event.
 
-    def _note_cell_result(
-        self, job: Job, record: Dict[str, Any], source: str = "local"
-    ) -> None:
-        state = "failed" if record.get("error") else "done"
+        ``source`` says where the record came from: ``"cache"``,
+        ``"worker:<id>"``, or ``"lease-expired"`` (the synthetic record of
+        a cell whose leases kept expiring).
+        """
+        cached = source == "cache"
+        state = "cached" if cached else "failed" if record.get("error") else "done"
         with self._lock:
             cell_id = record.get("cell_id")
             if cell_id in job.cells:
                 job.cells[cell_id] = state
-            job.executed += 1
+            if cached:
+                job.cached += 1
+            else:
+                job.executed += 1
             if source.startswith("worker:"):
                 job.remote += 1
             completed = job.cached + job.executed
         self._cells_finished.inc(
-            kind=job.kind, outcome="failed" if state == "failed" else "executed"
+            kind=job.kind, outcome="executed" if state == "done" else state
         )
         wall = record.get("wall_time_s")
-        if isinstance(wall, (int, float)):
+        if not cached and isinstance(wall, (int, float)):
             self._cell_seconds.observe(float(wall), kind=job.kind)
         self._emit(
             job,
@@ -958,91 +825,49 @@ class JobManager:
     def _run_grid_job(self, job: Job) -> None:
         kind = JOB_KINDS[job.kind]
         spec = job.spec
-        cells = spec.cells()
-        payloads = kind.payloads(spec, cells)
-        fingerprint = code_fingerprint()
-
-        cached_records: List[Dict[str, Any]] = []
-        pending: List[Dict[str, Any]] = []
-        for cell, payload in zip(cells, payloads):
-            record = self.cache.get(cache_key(payload, fingerprint))
-            if record is not None:
-                cached_records.append(record)
-                with self._lock:
-                    job.cells[cell.cell_id] = "cached"
-                    job.cached += 1
-                    completed = job.cached + job.executed
-                self._cells_finished.inc(kind=job.kind, outcome="cached")
-                self._emit(
-                    job,
-                    "cell",
-                    {
-                        "cell_id": cell.cell_id,
-                        "state": "cached",
-                        "completed": completed,
-                        "total": job.total_cells,
-                    },
-                )
-            else:
-                pending.append(payload)
-        if cached_records:
-            self._report(
-                f"job {job.id}: {len(cached_records)} of {len(cells)} cells "
-                f"served from cache"
-            )
-
-        timeout = None
-        if spec.cell_timeout_s is not None:
-            # Grace over the in-worker budget so the worker's own timeout
-            # record (which preserves completed runs) wins when possible.
-            timeout = spec.cell_timeout_s + 30.0
-        results = self._run_batch(
+        records = self._run_batch(
             job,
             job.kind,  # grid kinds ("sweep"/"scenario") name their entry point
-            pending,
-            self._executor_for(job.kind),
-            timeout,
-            lambda record, source: self._note_cell_result(job, record, source),
+            kind.payloads(spec, spec.cells()),
+            spec.cell_timeout_s,
         )
-        fresh = [record for record in results if record is not None]
-
         if job.cancel.is_set():
             self._finish(
                 job,
                 "cancelled",
-                f"cancelled after {len(fresh)} of {len(pending)} pending cells ran",
+                f"cancelled after {job.executed} of "
+                f"{len(records) - job.cached} pending cells ran",
             )
             self._report(f"job {job.id}: cancelled")
             return
-
-        # Cache hits merge with fresh runs through the exact helper
-        # --resume uses; fresh failures never displace cached successes.
-        merged = merge_cells(
-            {"cells": cached_records, "code_fingerprint": fingerprint}, fresh, spec
-        )
-        document = kind.build_document(spec, merged, self.workers)
+        if job.cached:
+            self._report(
+                f"job {job.id}: {job.cached} of {len(records)} cells "
+                f"served from cache"
+            )
+        document = kind.build_document(spec, records, self.attached_workers())
         with self._lock:
             job.document = document
         self._finish(job, "done")
         failed = document.get("failed_cells") or []
         self._report(
-            f"job {job.id}: done ({len(merged)} cells, {job.cached} cached, "
+            f"job {job.id}: done ({len(records)} cells, {job.cached} cached, "
             f"{job.remote} remote, {len(failed)} failed)"
         )
 
     def _run_search_job(self, job: Job) -> None:
         spec = job.spec
-        caching_pool = CachingPool(
-            _BatchPool(self, job),  # type: ignore[arg-type] - duck-typed
-            self.cache,
-            on_hit=lambda record: self._note_probe(job, cached=True),
-            on_fresh=lambda record: self._note_probe(job, cached=False),
-        )
+
+        def run_probe_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
+            record = self._run_batch(job, "scenario", [payload], spec.probe_timeout_s)[0]
+            if record is None:
+                raise ExperimentError(f"search {spec.name!r} aborted")
+            return record
+
         runner = FrontierRunner(
             spec,
             progress=self.progress,
-            executor=self._executor_for("search"),
-            pool=caching_pool,  # type: ignore[arg-type] - duck-typed facade
+            run_cell=run_probe_cell,
             should_abort=job.cancel.is_set,
         )
         with self._lock:
@@ -1055,7 +880,9 @@ class JobManager:
             )
             self._report(f"job {job.id}: {job.state} ({job.error})")
             return
-        document = build_frontier_document(spec, result, runner.history, self.workers)
+        document = build_frontier_document(
+            spec, result, runner.history, self.attached_workers()
+        )
         with self._lock:
             job.document = document
         self._finish(job, "done")
@@ -1063,57 +890,3 @@ class JobManager:
             f"job {job.id}: done ({len(runner.history)} probes, "
             f"{job.cached} cached)"
         )
-
-    # --------------------------------------------------------------- search
-    def _note_probe(self, job: Job, cached: bool) -> None:
-        with self._lock:
-            if cached:
-                job.cached += 1
-            else:
-                job.executed += 1
-            completed = job.cached + job.executed
-        self._cells_finished.inc(
-            kind=job.kind, outcome="cached" if cached else "executed"
-        )
-        self._emit(
-            job, "probe", {"cached": cached, "completed": completed}
-        )
-
-
-class _BatchPool:
-    """A pool facade that routes search probe batches through
-    :meth:`JobManager._run_batch`, so probes are leasable by remote
-    workers exactly like grid cells.  Handed to :class:`CachingPool` in
-    place of the raw :class:`PoolExecutor` (which handles the cache, so
-    ``cache_results=False`` here avoids double puts).  Probes are always
-    scenario cells, hence ``exec_kind="scenario"``.
-    """
-
-    def __init__(self, manager: JobManager, job: Job) -> None:
-        self._manager = manager
-        self._job = job
-        self.workers = manager.workers
-
-    def map(
-        self,
-        payloads: List[Dict[str, Any]],
-        timeout_s: Optional[float] = None,
-        on_result: Optional[Callable[[Dict[str, Any]], None]] = None,
-        executor: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
-    ) -> List[Optional[Dict[str, Any]]]:
-        def note(record: Dict[str, Any], _source: str) -> None:
-            if on_result:
-                on_result(record)
-
-        return self._manager._run_batch(
-            self._job,
-            "scenario",
-            list(payloads),
-            executor if executor is not None else execute_scenario_cell,
-            timeout_s,
-            note,
-            cache_results=False,
-        )
-
-    def close(self) -> None:
-        """No-op: the underlying pool belongs to the job manager."""

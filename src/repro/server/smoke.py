@@ -5,7 +5,9 @@ ports and asserting the service contract from outside.
 
 **Single-host mode** (default) submits a builtin sweep **twice**:
 
-* the first job computes every cell on the workers, and a live
+* the first job computes every cell on the ``repro-worker`` processes the
+  server spawned — each one leased (``remote_cells == executed_cells ==
+  grid``), since leasing is the server's only way to execute — and a live
   ``/jobs/<id>/events`` stream opened at submission delivers at least one
   ``cell`` event per grid cell, in strictly increasing sequence order,
   with the ``end`` event last,
@@ -23,7 +25,7 @@ ports and asserting the service contract from outside.
   routes to one byte-identical (modulo timestamps) result.
 
 **Distributed mode** (``--distributed``) boots the server with
-``--remote-only`` (it schedules but never executes), attaches two external
+``--remote-only`` (it spawns no workers of its own), attaches two external
 ``repro-worker`` subprocesses, submits the sweep once, and SIGKILLs the
 first worker the moment it announces a lease — mid-cell, by construction.
 The job must still complete: the dead worker's lease expires at its TTL,
@@ -59,6 +61,7 @@ from ..experiments.builtin import resolve_builtin
 from ..obs.metrics import counter_value, parse_exposition
 from .cache import stable_document
 from .client import ReproClient
+from .worker import WorkerProcess
 
 __all__ = ["main"]
 
@@ -245,8 +248,16 @@ def _single_host_flow(args: argparse.Namespace) -> int:
             progress["executed_cells"] == grid and progress["cached_cells"] == 0,
             f"first job should compute all {grid} cells, got {progress}",
         )
+        _expect(
+            progress["remote_cells"] == progress["executed_cells"] == grid,
+            f"every cell should come through a lease to a spawned worker, "
+            f"got {progress}",
+        )
         artifact_first = client.artifact(first["job_id"])
-        print(f"job 1 ({first['job_id']}): computed {grid}/{grid} cells")
+        print(
+            f"job 1 ({first['job_id']}): computed {grid}/{grid} cells, "
+            "each leased to a spawned worker"
+        )
 
         watcher.join(timeout=30.0)
         _expect(not watcher.is_alive(), "event stream never delivered the end event")
@@ -349,53 +360,13 @@ def _single_host_flow(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-class _WorkerProcess:
-    """One external ``repro-worker`` subprocess with a watched log."""
-
-    def __init__(self, base_url: str, worker_id: str) -> None:
-        self.worker_id = worker_id
-        self.log: List[str] = []
-        self.leased = threading.Event()
-        self.process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.server.worker",
-                "--server",
-                base_url,
-                "--worker-id",
-                worker_id,
-                "--poll-s",
-                "0.1",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        threading.Thread(target=self._watch, daemon=True).start()
-
-    def _watch(self) -> None:
-        assert self.process.stdout is not None
-        for line in self.process.stdout:
-            self.log.append(line)
-            # The worker prints its "leased" line *before* executing, so a
-            # kill on this signal is guaranteed to land mid-cell.
-            if " leased " in line:
-                self.leased.set()
-
-    def stop(self) -> None:
-        if self.process.poll() is None:
-            self.process.kill()
-        self.process.wait(timeout=15)
-
-
 def _distributed_flow(args: argparse.Namespace) -> int:
     spec = resolve_builtin(args.sweep)
     spec_dict = spec.to_dict()
     grid = len(spec.cells())
     process = None
     log: List[str] = []
-    workers: List[_WorkerProcess] = []
+    workers: List[WorkerProcess] = []
     try:
         process, base_url, log = _start_server(
             2, ["--remote-only", "--lease-ttl-s", str(args.lease_ttl_s)]
@@ -408,8 +379,8 @@ def _distributed_flow(args: argparse.Namespace) -> int:
         )
 
         workers = [
-            _WorkerProcess(base_url, "smoke-victim"),
-            _WorkerProcess(base_url, "smoke-survivor"),
+            WorkerProcess(base_url, "smoke-victim"),
+            WorkerProcess(base_url, "smoke-survivor"),
         ]
         print("attached 2 repro-worker processes")
 
@@ -510,7 +481,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="builtin sweep to submit (default: %(default)s)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="server worker processes"
+        "--workers",
+        type=int,
+        default=2,
+        help="repro-worker processes the server spawns (single-host mode)",
     )
     parser.add_argument(
         "--timeout-s", type=float, default=600.0, help="per-job wait budget"

@@ -1,29 +1,28 @@
-"""The lease table behind the multi-host worker pull protocol.
+"""The lease table behind the worker pull protocol.
 
-One :class:`WorkQueue` holds one batch of cells awaiting execution — the
-pending cells of a grid job, or one probe batch of a frontier search.  Two
-kinds of consumers drain it concurrently:
+One :class:`WorkQueue` holds the cache misses of one batch awaiting
+execution — the pending cells of a grid job, or one probe of a frontier
+search.  Its only consumers are ``repro-worker`` processes, whether
+``repro-serve`` spawned them or they attached from another host: each
+pulls one item at a time over HTTP (:meth:`WorkQueue.lease`), heartbeats
+while executing, and pushes a result back (:meth:`WorkQueue.complete`).
 
-* the *local* dispatcher, which takes chunks of items for the server's own
-  worker pool (:meth:`WorkQueue.take_local`), and
-* any number of *remote* ``repro-worker`` processes, which pull one item at
-  a time over HTTP (:meth:`WorkQueue.lease`), heartbeat while executing,
-  and push a result back (:meth:`WorkQueue.complete`).
-
-Remote workers can die without warning — that is the whole point of the
+Workers can die without warning — that is the whole point of the
 protocol — so every lease carries a TTL.  A lease whose worker stops
 heartbeating past its deadline is *expired* by :meth:`WorkQueue.reap` and
 its item is requeued for someone else (at-least-once semantics; results
 are deduplicated first-wins per item, and identical payloads replay for
-free through the content-addressed result cache anyway).  An item whose
+free through the content-addressed result cache anyway).  A cell that
+hangs while its worker keeps heartbeating is cut off the same way: once
+``cell_timeout_s + CELL_DEADLINE_GRACE_S`` has passed since the grant,
+:meth:`WorkQueue.heartbeat` stops extending the lease.  An item whose
 leases keep expiring is eventually given up on with a synthetic error
-record, mirroring what :class:`~repro.experiments.runner.PoolExecutor`
-does for repeatedly lost local tasks, so one black-hole worker cannot wedge
-a job forever.
+record, so one black-hole worker or one runaway cell cannot wedge a job
+forever.
 
 Everything is guarded by a single condition variable; completions and
-requeues notify it, which is what lets the dispatcher sleep while remote
-workers grind and wake the moment the batch finishes.
+requeues notify it, which is what lets the dispatcher sleep while workers
+grind and wake the moment the batch finishes.
 """
 
 from __future__ import annotations
@@ -35,10 +34,15 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Lease", "WorkItem", "WorkQueue", "give_up_record"]
+__all__ = ["Lease", "WorkItem", "WorkQueue", "failure_record"]
 
 #: Lease lifecycle states.
 LEASE_STATES = ("active", "expired", "completed")
+
+#: Grace past an item's ``timeout_s`` before heartbeats stop extending its
+#: lease, so the worker's own timeout record (which keeps the runs that
+#: finished) wins whenever the cell can still stop by itself.
+CELL_DEADLINE_GRACE_S = 30.0
 
 
 @dataclass
@@ -52,18 +56,27 @@ class WorkItem:
     :func:`~repro.scenarios.runner.execute_scenario_cell` (searches probe
     scenario cells) — which is how a remote worker knows what to run.
     ``cache_key`` is the content address the result is stored under.
+    ``timeout_s`` is the cell's own wall-time budget (``cell_timeout_s`` of
+    its spec; ``None``: unbounded), which bounds how long one lease may be
+    kept alive.
     """
 
     item_id: str
     exec_kind: str
     payload: Dict[str, Any]
     cache_key: str
+    timeout_s: Optional[float] = None
     attempts: int = 0
 
 
 @dataclass
 class Lease:
-    """One grant of one item to one remote worker, with a deadline."""
+    """One grant of one item to one worker, with a TTL and a hard deadline.
+
+    ``expires_at`` moves with every heartbeat; ``deadline`` (``None`` for an
+    item without a timeout) is fixed at grant time and no heartbeat extends
+    the lease past it.
+    """
 
     lease_id: str
     item: WorkItem
@@ -71,18 +84,19 @@ class Lease:
     ttl_s: float
     granted_at: float
     expires_at: float
+    deadline: Optional[float] = None
     state: str = "active"
     completed_at: Optional[float] = None
 
 
-def give_up_record(item: WorkItem, reason: str) -> Dict[str, Any]:
-    """The synthetic failed record for an item no worker could finish.
+def failure_record(payload: Dict[str, Any], error: str) -> Dict[str, Any]:
+    """The failed record of a cell that produced none of its own.
 
-    Mirrors the shape :class:`~repro.experiments.runner.PoolExecutor`
-    synthesises for repeatedly lost tasks, so artifact consumers see one
-    failure vocabulary.
+    Used for cells given up after repeated lease expiry and for executions
+    that raised on a worker.  The same shape
+    :class:`~repro.experiments.runner.PoolExecutor` synthesises for lost
+    tasks, so artifact consumers see one failure vocabulary.
     """
-    payload = item.payload
     return {
         "cell_id": payload.get("cell_id"),
         "n": payload.get("n"),
@@ -90,13 +104,13 @@ def give_up_record(item: WorkItem, reason: str) -> Dict[str, Any]:
         "seeds": payload.get("seeds"),
         "runs": [],
         "stats": None,
-        "error": reason,
+        "error": error,
         "wall_time_s": None,
     }
 
 
 class WorkQueue:
-    """One batch of work items, drained by local chunks and remote leases.
+    """One batch of work items, drained one lease at a time.
 
     Args:
         items: The batch, in result order.
@@ -128,7 +142,6 @@ class WorkQueue:
         self._pending: List[WorkItem] = list(items)
         self._leases: Dict[str, Lease] = {}
         self._results: Dict[str, Dict[str, Any]] = {}
-        self._local: set = set()
         self._aborted = False
         self.requeues = 0
 
@@ -164,13 +177,12 @@ class WorkQueue:
             return {
                 "items": len(self._items),
                 "pending": len(self._pending),
-                "local": len(self._local),
                 "resolved": len(self._results),
                 "active_leases": per_worker,
                 "requeues": self.requeues,
             }
 
-    # -------------------------------------------------------------- remote
+    # -------------------------------------------------------------- leases
     def lease(self, worker_id: str, ttl_s: Optional[float] = None) -> Optional[Lease]:
         """Grant the oldest pending item to ``worker_id``, or ``None``."""
         ttl = self.ttl_s if ttl_s is None else ttl_s
@@ -187,6 +199,11 @@ class WorkQueue:
                 ttl_s=ttl,
                 granted_at=now,
                 expires_at=now + ttl,
+                deadline=(
+                    None
+                    if item.timeout_s is None
+                    else now + item.timeout_s + CELL_DEADLINE_GRACE_S
+                ),
             )
             self._leases[lease.lease_id] = lease
             return lease
@@ -197,18 +214,22 @@ class WorkQueue:
             return self._leases.get(lease_id)
 
     def heartbeat(self, lease_id: str) -> Optional[Lease]:
-        """Extend an active lease's deadline; ``None`` if it is gone.
+        """Extend an active lease by its TTL; ``None`` if that is refused.
 
-        A lease that already expired stays expired — its item may be in
-        someone else's hands — but the original worker may still push its
-        result (see :meth:`complete`), it just can no longer *reserve* the
-        item.
+        Refused for a lease that is gone, already expired — its item may be
+        in someone else's hands — or past its ``deadline``: a runaway cell
+        then expires at its TTL like a dead worker's.  The original worker
+        may still push its result (see :meth:`complete`); it just can no
+        longer *reserve* the item.
         """
         with self._cond:
             lease = self._leases.get(lease_id)
             if lease is None or lease.state != "active" or self._aborted:
                 return None
-            lease.expires_at = self._clock() + lease.ttl_s
+            now = self._clock()
+            if lease.deadline is not None and now >= lease.deadline:
+                return None
+            lease.expires_at = now + lease.ttl_s
             return lease
 
     def complete(
@@ -236,34 +257,11 @@ class WorkQueue:
             if item.item_id in self._results:
                 return "duplicate", lease
             # The item may have been requeued after this lease expired and
-            # be sitting in pending (or running locally): claim it back.
+            # be sitting in pending: claim it back.
             self._pending = [p for p in self._pending if p.item_id != item.item_id]
-            self._local.discard(item.item_id)
             self._results[item.item_id] = record
             self._cond.notify_all()
             return "accepted", lease
-
-    # --------------------------------------------------------------- local
-    def take_local(self, max_items: int) -> List[WorkItem]:
-        """Reserve up to ``max_items`` pending items for the local pool."""
-        with self._cond:
-            if self._aborted:
-                return []
-            taken = self._pending[:max_items]
-            del self._pending[: len(taken)]
-            for item in taken:
-                self._local.add(item.item_id)
-            return taken
-
-    def resolve_local(self, item_id: str, record: Dict[str, Any]) -> bool:
-        """Record a locally computed result; False if already resolved."""
-        with self._cond:
-            self._local.discard(item_id)
-            if item_id in self._results:
-                return False
-            self._results[item_id] = record
-            self._cond.notify_all()
-            return True
 
     # ------------------------------------------------------------ lifecycle
     def reap(self) -> Tuple[List[Lease], List[Tuple[WorkItem, Dict[str, Any]]]]:
@@ -285,18 +283,17 @@ class WorkQueue:
                 lease.state = "expired"
                 expired.append(lease)
                 item = lease.item
-                unresolved = (
-                    item.item_id not in self._results
-                    and item.item_id not in self._local
-                    and all(p.item_id != item.item_id for p in self._pending)
+                unresolved = item.item_id not in self._results and all(
+                    p.item_id != item.item_id for p in self._pending
                 )
                 if not unresolved:
                     continue
                 if item.attempts >= self.max_attempts:
-                    record = give_up_record(
-                        item,
-                        f"lease expired {item.attempts} time(s) "
-                        f"(worker {lease.worker_id!r} lost); giving up",
+                    record = failure_record(
+                        item.payload,
+                        f"lease expired {item.attempts} time(s) (worker "
+                        f"{lease.worker_id!r} lost, or the cell overran its "
+                        f"deadline); giving up",
                     )
                     self._results[item.item_id] = record
                     gave_up.append((item, record))

@@ -1,45 +1,52 @@
-"""``repro-worker``: a remote execution process for the job server.
+"""``repro-worker``: the execution process of the job server.
 
 The other half of the pull protocol (see :mod:`repro.server.app` and
 :class:`~repro.server.work.WorkQueue`): a stdlib-only process that
 
 1. polls ``POST /work/lease`` until the server hands it a cell of the
    currently running batch (the canonical worker payload — the same JSON
-   the local pool pickles),
-2. executes it with the same entry point the pool uses
+   ``repro-sweep``'s pool pickles),
+2. executes it with the same entry point that pool uses
    (:data:`~repro.server.jobs.EXECUTOR_KINDS`: ``execute_cell`` for sweep
    cells, ``execute_scenario_cell`` for scenario cells and search probes),
    heartbeating the lease from a side thread the whole time,
 3. pushes the record back via ``POST /work/<lease>/result`` and loops.
 
-Run any number of these against one server — ``repro-serve`` fans cells to
-its local pool and every attached worker simultaneously.  Dying is safe by
-design: a worker that is SIGKILLed mid-cell simply stops heartbeating, the
-server expires the lease at its TTL and requeues the cell, and should the
-zombie somehow finish anyway, its late push is deduplicated first-wins.
-Results land in the server's content-addressed cache under the same key a
-local execution would use, so the artifact is identical either way.
+Every cell the server executes goes through a worker like this one:
+``repro-serve --workers N`` spawns N of them against its own URL (through
+:class:`WorkerProcess`), and any number more can attach from other hosts.
+Dying is safe by design: a worker that is SIGKILLed mid-cell simply stops
+heartbeating, the server expires the lease at its TTL and requeues the
+cell, and should the zombie somehow finish anyway, its late push is
+deduplicated first-wins.  Results land in the server's content-addressed
+cache under one key whichever worker ran them, so the artifact is
+identical either way.
 
-A cell that raises locally is pushed back as a failed record (same shape
-the pool synthesises) rather than swallowed — the server should learn the
-cell is poisoned now, not after ``max_lease_attempts`` TTLs.
+A cell that raises locally is pushed back as a failed record
+(:func:`~repro.server.work.failure_record`) rather than swallowed — the
+server should learn the cell is poisoned now, not after
+``max_lease_attempts`` TTLs.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import socket
+import subprocess
 import sys
 import threading
+import time
 import traceback
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..fingerprint import PACKAGE_VERSION, code_fingerprint
 from .client import ReproClient, ServerError
 from .jobs import EXECUTOR_KINDS
+from .work import failure_record
 
-__all__ = ["Worker", "execute_lease", "main"]
+__all__ = ["Worker", "WorkerProcess", "execute_lease", "main"]
 
 #: Heartbeats per lease TTL; 3 gives two retries' worth of slack before
 #: the server declares the worker dead.
@@ -48,34 +55,21 @@ HEARTBEATS_PER_TTL = 3.0
 #: Floor on the heartbeat interval so a tiny test TTL cannot spin.
 MIN_HEARTBEAT_S = 0.05
 
+#: How often a worker spawned by ``repro-serve`` checks that its server is
+#: still its parent process.
+PARENT_CHECK_S = 0.5
+
+#: Output lines a :class:`WorkerProcess` keeps for diagnostics.
+LOG_LINES = 1000
+
 
 def default_worker_id() -> str:
     """``<hostname>-<pid>``: unique per process, stable for its lifetime."""
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def failure_record(payload: Dict[str, Any], error: str) -> Dict[str, Any]:
-    """A failed cell record for an execution that raised on this worker.
-
-    Mirrors the synthetic records :class:`~repro.experiments.runner.
-    PoolExecutor` and :func:`~repro.server.work.give_up_record` produce, so
-    artifact consumers see one failure vocabulary regardless of where the
-    cell died.
-    """
-    return {
-        "cell_id": payload.get("cell_id"),
-        "n": payload.get("n"),
-        "params": payload.get("params"),
-        "seeds": payload.get("seeds"),
-        "runs": [],
-        "stats": None,
-        "error": error,
-        "wall_time_s": None,
-    }
-
-
 def execute_lease(lease: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one leased cell with the pool's own entry point.
+    """Run one leased cell with its :data:`EXECUTOR_KINDS` entry point.
 
     Never raises: an unknown ``kind`` or a crashing executor comes back as
     a failed record (the server wants *an answer* for the lease; silence
@@ -160,6 +154,11 @@ class Worker:
         self.progress = progress
         self.executed = 0
         self.accepted = 0
+        self._stop = threading.Event()
+
+    def stop(self) -> None:
+        """Make :meth:`run` return once the cell in hand (if any) is pushed."""
+        self._stop.set()
 
     def _report(self, line: str) -> None:
         if self.progress:
@@ -189,14 +188,15 @@ class Worker:
         return True
 
     def run(self) -> int:
-        """Loop until idle timeout (if any); returns cells executed."""
+        """Loop until idle timeout (if any) or :meth:`stop`; returns cells
+        executed."""
         fingerprint = code_fingerprint()
         self._report(
             f"polling {self.client.base_url} "
             f"(version {PACKAGE_VERSION}, fingerprint {fingerprint[:12]})"
         )
         idle_s = 0.0
-        while True:
+        while not self._stop.is_set():
             try:
                 worked = self.run_one()
             except ServerError as error:
@@ -216,7 +216,8 @@ class Worker:
                     f"({self.executed} cells executed, {self.accepted} accepted)"
                 )
                 return self.executed
-            threading.Event().wait(self.poll_s)
+            self._stop.wait(self.poll_s)
+        return self.executed
 
 
 def main(argv: Optional[Any] = None) -> int:
@@ -280,6 +281,81 @@ def main(argv: Optional[Any] = None) -> int:
         print(f"repro-worker: {error}", file=sys.stderr, flush=True)
         return 1
     return 0
+
+
+def _spawned_main(parent_pid: int, argv: List[str]) -> int:
+    """:func:`main` for a worker ``repro-serve`` spawned.
+
+    Exits as soon as ``parent_pid`` stops being this process's parent, so
+    the worker never outlives its server — not even a SIGKILLed one, whose
+    orphans are re-parented.
+    """
+
+    def watch_parent() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_CHECK_S)
+        os._exit(0)
+
+    threading.Thread(target=watch_parent, name="parent-watch", daemon=True).start()
+    return main(argv)
+
+
+class WorkerProcess:
+    """One ``repro-worker`` subprocess with a drained, watched log.
+
+    With ``exit_with_parent`` the child runs :func:`_spawned_main`, so it
+    exits with the process that spawned it; without, it is a plain
+    ``repro-worker``.  Every output line is kept in :attr:`log` (the
+    last :data:`LOG_LINES`) and handed to ``echo``; :attr:`leased` is set on
+    the first "leased" line, which the worker prints *before* executing
+    the cell.
+    """
+
+    def __init__(
+        self,
+        base_url: str,
+        worker_id: str,
+        exit_with_parent: bool = False,
+        echo: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        self.worker_id = worker_id
+        self.log: Deque[str] = collections.deque(maxlen=LOG_LINES)
+        self.leased = threading.Event()
+        self._echo = echo
+        if exit_with_parent:
+            entry = [
+                "-c",
+                "import sys; from repro.server.worker import _spawned_main; "
+                f"sys.exit(_spawned_main({os.getpid()}, sys.argv[1:]))",
+            ]
+        else:
+            entry = ["-m", "repro.server.worker"]
+        self.process = subprocess.Popen(
+            [sys.executable, *entry, "--server", base_url, "--worker-id", worker_id],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        threading.Thread(target=self._watch, daemon=True).start()
+
+    def _watch(self) -> None:
+        assert self.process.stdout is not None
+        for line in self.process.stdout:
+            self.log.append(line)
+            if self._echo is not None:
+                self._echo(line.rstrip("\n"))
+            if " leased " in line:
+                self.leased.set()
+
+    def stop(self) -> None:
+        """Terminate the process (kill it if it lingers) and reap it."""
+        if self.process.poll() is None:
+            self.process.terminate()
+        try:
+            self.process.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait(timeout=15)
 
 
 if __name__ == "__main__":

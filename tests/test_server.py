@@ -1,10 +1,12 @@
-"""Tests of the simulation-as-a-service job server (PR 7 tentpole).
+"""Tests of the simulation-as-a-service job server.
 
-The manager tests run with ``workers=1`` — the shared pool's serial
-in-process mode — so non-picklable instrumented executors can be injected
-through the ``executor_overrides`` seam and lifecycle transitions are
-deterministic.  The HTTP tests bind a real :class:`ReproServer` on an
-ephemeral port and drive it through :class:`ReproClient`.
+Every test runs the server's one execution path: a real
+:class:`ReproServer` on an ephemeral port with one in-thread
+:class:`~repro.server.worker.Worker` leasing its cells (the ``serve``
+fixture of ``conftest.py``).  The worker runs in this process, so
+instrumented executors are injected by patching
+:data:`~repro.server.jobs.EXECUTOR_KINDS`.  The HTTP tests drive the same
+setup through :class:`ReproClient`.
 """
 
 import threading
@@ -29,16 +31,15 @@ from repro.obs.metrics import counter_value, parse_exposition
 from repro.server import (
     JobManager,
     JobNotReady,
-    ReproClient,
     ResultCache,
     ServerError,
     UnknownJob,
     cache_key,
     stable_document,
 )
-from repro.server.app import make_server
 from repro.server.cache import VOLATILE_KEYS
 from repro.server.client import parse_sse
+from repro.server.jobs import EXECUTOR_KINDS
 
 
 # --------------------------------------------------------------------------
@@ -135,11 +136,38 @@ def wait_terminal(manager, job_id, timeout_s=120.0):
         time.sleep(0.02)
 
 
+def gated_executor():
+    """A sweep-cell executor that blocks until released.
+
+    Returns ``(execute, started, release)``: ``started`` is set when a cell
+    begins, and every cell waits for ``release``.
+    """
+    started = threading.Event()
+    release = threading.Event()
+
+    def execute(payload):
+        started.set()
+        assert release.wait(timeout=60)
+        return {
+            "cell_id": payload["cell_id"],
+            "n": payload["n"],
+            "params": payload["params"],
+            "seeds": payload["seeds"],
+            "runs": [{"seed": seed, "converged": True} for seed in payload["seeds"]],
+            "stats": {},
+            "error": None,
+            "wall_time_s": 0.0,
+        }
+
+    return execute, started, release
+
+
 @pytest.fixture
-def manager():
-    mgr = JobManager(workers=1)
-    yield mgr
-    mgr.close()
+def manager(serve):
+    """A manager behind a real server with one in-thread worker."""
+    mgr = JobManager()
+    serve(mgr, workers=1)
+    return mgr
 
 
 # --------------------------------------------------------------------------
@@ -269,30 +297,26 @@ def test_scenario_job_lifecycle(manager):
     assert artifact["cells"][0]["error"] is None
 
 
-def test_search_job_reuses_probe_cache_across_jobs():
-    manager = JobManager(
-        workers=1,
-        executor_overrides={"search": oracle_search_executor(breaks_above=0.5)},
+def test_search_job_reuses_probe_cache_across_jobs(manager, monkeypatch):
+    monkeypatch.setitem(
+        EXECUTOR_KINDS, "scenario", oracle_search_executor(breaks_above=0.5)
     )
-    try:
-        spec = tiny_search()
-        first = manager.submit("search", spec.to_dict())
-        status = wait_terminal(manager, first["job_id"])
-        assert status["state"] == "done", status["error"]
-        assert status["progress"]["executed_cells"] > 0
-        artifact = manager.artifact(first["job_id"])
-        assert artifact["result"]["critical"] == pytest.approx(0.5, abs=0.1)
+    spec = tiny_search()
+    first = manager.submit("search", spec.to_dict())
+    status = wait_terminal(manager, first["job_id"])
+    assert status["state"] == "done", status["error"]
+    assert status["progress"]["executed_cells"] > 0
+    artifact = manager.artifact(first["job_id"])
+    assert artifact["result"]["critical"] == pytest.approx(0.5, abs=0.1)
 
-        second = manager.submit("search", spec.to_dict())
-        status = wait_terminal(manager, second["job_id"])
-        assert status["state"] == "done", status["error"]
-        # Every probe of the identical search replays from the cache.
-        assert status["progress"]["cached_cells"] == len(artifact["history"])
-        assert status["progress"]["executed_cells"] == 0
-        again = manager.artifact(second["job_id"])
-        assert stable_document(again) == stable_document(artifact)
-    finally:
-        manager.close()
+    second = manager.submit("search", spec.to_dict())
+    status = wait_terminal(manager, second["job_id"])
+    assert status["state"] == "done", status["error"]
+    # Every probe of the identical search replays from the cache.
+    assert status["progress"]["cached_cells"] == len(artifact["history"])
+    assert status["progress"]["executed_cells"] == 0
+    again = manager.artifact(second["job_id"])
+    assert stable_document(again) == stable_document(artifact)
 
 
 def test_submit_rejects_unknown_kind_and_invalid_spec(manager):
@@ -318,27 +342,11 @@ def test_unknown_job_and_artifact_not_ready(manager):
     assert manager.artifact(job["job_id"])["spec"]["name"] == "tiny-serve"
 
 
-def test_cancel_queued_job_is_immediate_and_running_job_stops_at_boundary():
-    started = threading.Event()
-    release = threading.Event()
-
-    def gated(payload):
-        started.set()
-        assert release.wait(timeout=60)
-        return {
-            "cell_id": payload["cell_id"],
-            "n": payload["n"],
-            "params": payload["params"],
-            "seeds": payload["seeds"],
-            "runs": [{"seed": seed, "converged": True} for seed in payload["seeds"]],
-            "stats": {},
-            "error": None,
-            "wall_time_s": 0.0,
-        }
-
-    manager = JobManager(
-        workers=1, max_inflight=1, executor_overrides={"sweep": gated}
-    )
+def test_cancel_queued_job_is_immediate_and_running_job_stops_at_boundary(
+    manager, monkeypatch
+):
+    gated, started, release = gated_executor()
+    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", gated)
     try:
         spec = tiny_sweep()
         running = manager.submit("sweep", spec.to_dict())
@@ -353,23 +361,23 @@ def test_cancel_queued_job_is_immediate_and_running_job_stops_at_boundary():
         }
         assert manager.status(queued["job_id"])["state"] == "cancelled"
 
-        # Cancel the running job: it stops after the in-flight cell, so the
-        # second cell of its two-cell grid never runs.
+        # Cancel the running job: its queue is aborted, so the second cell
+        # of its two-cell grid is never leased; the in-flight one finishes
+        # on the worker once released, too late to count.
         manager.cancel(running["job_id"])
-        release.set()
         status = wait_terminal(manager, running["job_id"])
         assert status["state"] == "cancelled"
-        assert status["progress"]["completed_cells"] <= 1
+        release.set()
+        assert status["progress"]["completed_cells"] == 0
         with pytest.raises(JobNotReady):
             manager.artifact(running["job_id"])
         # Cancelling a finished job is a no-op.
         assert manager.cancel(queued["job_id"])["cancelled"] is False
     finally:
         release.set()
-        manager.close()
 
 
-def test_fresh_failure_does_not_displace_cached_success():
+def test_fresh_failure_does_not_displace_cached_success(manager, monkeypatch):
     calls = {"count": 0}
 
     def flaky(payload):
@@ -389,20 +397,17 @@ def test_fresh_failure_does_not_displace_cached_success():
             record["runs"] = []
         return record
 
-    manager = JobManager(workers=1, executor_overrides={"sweep": flaky})
-    try:
-        spec = tiny_sweep()
-        first = manager.submit("sweep", spec.to_dict())
-        assert wait_terminal(manager, first["job_id"])["state"] == "done"
-        # Identical resubmission: both cells are cache hits, the flaky
-        # executor is never consulted again, and nothing fails.
-        second = manager.submit("sweep", spec.to_dict())
-        status = wait_terminal(manager, second["job_id"])
-        assert status["state"] == "done"
-        assert status["progress"]["failed_cells"] == []
-        assert calls["count"] == 2
-    finally:
-        manager.close()
+    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", flaky)
+    spec = tiny_sweep()
+    first = manager.submit("sweep", spec.to_dict())
+    assert wait_terminal(manager, first["job_id"])["state"] == "done"
+    # Identical resubmission: both cells are cache hits, the flaky
+    # executor is never consulted again, and nothing fails.
+    second = manager.submit("sweep", spec.to_dict())
+    status = wait_terminal(manager, second["job_id"])
+    assert status["state"] == "done"
+    assert status["progress"]["failed_cells"] == []
+    assert calls["count"] == 2
 
 
 def test_concurrent_submissions_all_complete(manager):
@@ -427,17 +432,8 @@ def test_concurrent_submissions_all_complete(manager):
 
 
 @pytest.fixture
-def http_server():
-    mgr = JobManager(workers=1)
-    server = make_server("127.0.0.1", 0, mgr)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield ReproClient(f"http://{host}:{port}", timeout_s=30.0)
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    mgr.close()
+def http_server(serve):
+    return serve(JobManager(), workers=1)
 
 
 def test_http_end_to_end_lifecycle(http_server):
@@ -496,30 +492,10 @@ def test_http_error_codes(http_server):
         assert excinfo.value.code == 400
 
 
-def test_http_artifact_conflict_while_unfinished():
-    started = threading.Event()
-    release = threading.Event()
-
-    def gated(payload):
-        started.set()
-        assert release.wait(timeout=60)
-        return {
-            "cell_id": payload["cell_id"],
-            "n": payload["n"],
-            "params": payload["params"],
-            "seeds": payload["seeds"],
-            "runs": [{"seed": seed} for seed in payload["seeds"]],
-            "stats": {},
-            "error": None,
-            "wall_time_s": 0.0,
-        }
-
-    mgr = JobManager(workers=1, executor_overrides={"sweep": gated})
-    server = make_server("127.0.0.1", 0, mgr)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ReproClient(f"http://{host}:{port}")
+def test_http_artifact_conflict_while_unfinished(http_server, monkeypatch):
+    client = http_server
+    gated, started, release = gated_executor()
+    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", gated)
     try:
         job = client.submit("sweep", tiny_sweep(name="tiny-409").to_dict())
         assert started.wait(timeout=30)
@@ -536,10 +512,6 @@ def test_http_artifact_conflict_while_unfinished():
         assert excinfo.value.status == 409  # cancelled jobs have no artifact
     finally:
         release.set()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        mgr.close()
 
 
 # --------------------------------------------------------------------------
@@ -574,27 +546,9 @@ def test_job_event_log_is_replayable_ordered_and_end_terminated(manager):
     assert empty == [] and ended
 
 
-def test_every_terminal_path_emits_exactly_one_end_event():
-    started = threading.Event()
-    release = threading.Event()
-
-    def gated(payload):
-        started.set()
-        assert release.wait(timeout=60)
-        return {
-            "cell_id": payload["cell_id"],
-            "n": payload["n"],
-            "params": payload["params"],
-            "seeds": payload["seeds"],
-            "runs": [{"seed": seed} for seed in payload["seeds"]],
-            "stats": {},
-            "error": None,
-            "wall_time_s": 0.0,
-        }
-
-    manager = JobManager(
-        workers=1, max_inflight=1, executor_overrides={"sweep": gated}
-    )
+def test_every_terminal_path_emits_exactly_one_end_event(manager, monkeypatch):
+    gated, started, release = gated_executor()
+    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", gated)
     try:
         running = manager.submit("sweep", tiny_sweep(name="tiny-end-a").to_dict())
         assert started.wait(timeout=30)
@@ -614,7 +568,6 @@ def test_every_terminal_path_emits_exactly_one_end_event():
         assert events[-1]["data"]["state"] == "cancelled"
     finally:
         release.set()
-        manager.close()
 
 
 def test_manager_metrics_render_matches_lifecycle(manager):
@@ -695,6 +648,28 @@ def test_http_sse_stream_is_ordered_replayable_and_resumable(http_server):
         assert response.headers["Content-Type"].startswith("text/event-stream")
         resumed = list(parse_sse(response))
     assert [int(event["id"]) for event in resumed] == seqs[2:]
+
+
+def test_event_stream_alone_shows_each_cell_cached_or_leased_first(http_server):
+    client = http_server
+    spec = tiny_sweep(name="tiny-http-sources")
+    sources = []
+    for _ in range(2):  # computed, then served from the cache
+        job = client.submit("sweep", spec.to_dict())
+        leased = {}
+        cell_events = 0
+        for event in client.watch(job["job_id"]):
+            data = event["data"]
+            if event["event"] == "lease" and data["state"] == "granted":
+                leased[data["cell_id"]] = data["worker"]
+            elif event["event"] == "cell":
+                cell_events += 1
+                sources.append(data["source"])
+                if data["source"] != "cache":
+                    assert data["source"] == f"worker:{leased[data['cell_id']]}"
+        assert cell_events == len(spec.cells())
+    grid = len(spec.cells())
+    assert sources == ["worker:test-worker-1"] * grid + ["cache"] * grid
 
 
 def test_http_sse_unknown_job_is_a_permanent_404(http_server):

@@ -1,26 +1,37 @@
-"""Tests of the multi-host worker pull protocol (PR 10 tentpole).
+"""Tests of the worker pull protocol, the server's one execution path.
 
-Three layers, bottom up:
+Four layers, bottom up:
 
 * :class:`WorkQueue` — the lease table itself, driven with a fake clock so
-  TTL expiry, requeue, first-result-wins dedup, and give-up are exact.
+  TTL expiry, the cell deadline, requeue, first-result-wins dedup, and
+  give-up are exact.
 * The ``/work`` HTTP routes, driven through :class:`ReproClient`.
 * A real :class:`~repro.server.worker.Worker` attached to a real server —
-  remote-only execution end to end, a lost worker's cell being requeued,
-  and the served artifact matching a locally computed one modulo volatile
-  keys.
+  execution end to end, a lost worker's cell being requeued, a runaway
+  cell being given up, and the served artifact matching a locally computed
+  one modulo volatile keys.
+* A real ``repro-serve`` process and the ``repro-worker`` processes it
+  spawns: sharing a job with an external worker, respawn, and shutdown.
 """
 
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
+import repro.server
 from repro.experiments import BudgetPolicy, SweepRunner, SweepSpec
 from repro.experiments import build_document as build_sweep_document
 from repro.obs.metrics import counter_value, parse_exposition
-from repro.server import JobManager, ReproClient, ResultCache, ServerError
-from repro.server.app import make_server
+from repro.server import JobManager, ReproClient, ServerError
+from repro.server import work
 from repro.server.cache import stable_document
+from repro.server.jobs import EXECUTOR_KINDS
 from repro.server.work import WorkItem, WorkQueue
 from repro.server.worker import Worker, execute_lease, failure_record
 
@@ -164,20 +175,27 @@ def test_item_gives_up_after_max_attempts_with_synthetic_record():
     assert queue.results_in_order() == [record]
 
 
-def test_local_and_remote_claims_do_not_double_resolve():
-    queue = WorkQueue(make_items(2), ttl_s=10.0)
-    chunk = queue.take_local(1)
-    assert [item.payload["cell_id"] for item in chunk] == ["cell-0"]
+def test_heartbeat_is_refused_past_the_cell_deadline_and_the_cell_gives_up():
+    clock = FakeClock()
+    item = make_items(1)[0]
+    item.timeout_s = 2.0
+    queue = WorkQueue([item], ttl_s=5.0, max_attempts=1, clock=clock)
     lease = queue.lease("w1")
-    assert lease.item.payload["cell_id"] == "cell-1"  # not the local one
-    assert queue.resolve_local(chunk[0].item_id, record_for(chunk[0]))
-    assert not queue.resolve_local(chunk[0].item_id, record_for(chunk[0]))
-    queue.complete(lease.lease_id, record_for(lease.item))
+    assert lease.deadline == lease.granted_at + 2.0 + work.CELL_DEADLINE_GRACE_S
+    # A live worker keeps the lease until timeout_s + the grace has passed...
+    while clock.now + 4.0 < lease.deadline:
+        clock.now += 4.0
+        assert queue.heartbeat(lease.lease_id) is not None
+        assert queue.reap() == ([], [])
+    clock.now = lease.deadline
+    # ...then heartbeats are refused and the lease runs out its TTL.
+    assert queue.heartbeat(lease.lease_id) is None
+    clock.now += 5.0
+    expired, gave_up = queue.reap()
+    assert [expired_lease.lease_id for expired_lease in expired] == [lease.lease_id]
+    (_, record), = gave_up
+    assert "lease expired 1 time(s)" in record["error"]
     assert queue.finished
-    assert [r["cell_id"] for r in queue.results_in_order()] == [
-        "cell-0",
-        "cell-1",
-    ]
 
 
 def test_abort_stops_leasing_and_answers_gone():
@@ -185,7 +203,6 @@ def test_abort_stops_leasing_and_answers_gone():
     lease = queue.lease("w1")
     queue.abort()
     assert queue.lease("w2") is None
-    assert queue.take_local(5) == []
     outcome, _ = queue.complete(lease.lease_id, record_for(lease.item))
     assert outcome == "gone"
     assert queue.finished  # aborted counts as finished
@@ -236,27 +253,10 @@ def test_failure_record_mirrors_pool_failure_shape():
 
 
 @pytest.fixture
-def served_manager():
-    """A remote-only server (short TTL) plus a client; nothing runs locally."""
-    manager = JobManager(
-        workers=1,
-        cache=ResultCache(),
-        local_execution=False,
-        lease_ttl_s=1.0,
-    )
-    server = make_server("127.0.0.1", 0, manager)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    client = ReproClient(f"http://127.0.0.1:{server.server_address[1]}")
-    try:
-        yield manager, client
-    finally:
-        server.shutdown()
-        server.server_close()
-        manager.close()
-        thread.join(timeout=5)
+def served_manager(serve):
+    """A server (short TTL) plus a client; no worker attached yet."""
+    manager = JobManager(lease_ttl_s=1.0)
+    return manager, serve(manager)
 
 
 def test_lease_routes_when_no_batch_is_running(served_manager):
@@ -359,33 +359,174 @@ def test_wrong_cell_result_is_rejected_and_cell_recovers(served_manager):
     assert status["progress"]["failed_cells"] == []
 
 
-def test_mixed_local_and_remote_execution():
-    """With local execution on, the pool and a remote worker share a job."""
-    manager = JobManager(workers=1, cache=ResultCache(), lease_ttl_s=30.0)
-    server = make_server("127.0.0.1", 0, manager)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    client = ReproClient(f"http://127.0.0.1:{server.server_address[1]}")
+def test_runaway_cell_is_given_up_after_its_deadline(serve, monkeypatch):
+    release = threading.Event()
+
+    def hangs(payload):
+        assert release.wait(timeout=60)
+        return failure_record(payload, "released at teardown")
+
+    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", hangs)
+    monkeypatch.setattr(work, "CELL_DEADLINE_GRACE_S", 0.3)
+    manager = JobManager(lease_ttl_s=0.5, max_lease_attempts=1)
+    serve(manager, workers=1)
     try:
-        spec = tiny_sweep(ns=[8, 12, 16, 24])
-        worker = Worker(client, worker_id="helper", poll_s=0.02, max_idle_s=4.0)
-        worker_thread = threading.Thread(target=worker.run, daemon=True)
-        worker_thread.start()
-        job_id = client.submit("sweep", spec.to_dict())["job_id"]
-        status = client.wait(job_id, timeout_s=120.0)
-        worker_thread.join(timeout=30)
+        spec = tiny_sweep(ns=[8], cell_timeout_s=0.2)
+        job_id = manager.submit("sweep", spec.to_dict())["job_id"]
+        deadline = time.monotonic() + 60
+        while manager.status(job_id)["state"] not in ("done", "failed", "cancelled"):
+            assert time.monotonic() < deadline, "the runaway cell never resolved"
+            time.sleep(0.05)
+        status = manager.status(job_id)
         assert status["state"] == "done"
-        assert status["progress"]["completed_cells"] == 4
+        assert status["progress"]["failed_cells"] == ["one-way-epidemic-n8"]
+        record = manager.artifact(job_id)["cells"][0]
+        assert "lease expired 1 time(s)" in record["error"]
+        events, _ended = manager.events_after(job_id, -1)
+        sources = [e["data"]["source"] for e in events if e["event"] == "cell"]
+        assert sources == ["lease-expired"]
+    finally:
+        release.set()
+
+
+# --------------------------------------------------------------------------
+# A real repro-serve process and the workers it spawns
+# --------------------------------------------------------------------------
+
+
+#: The ``src/`` directory, so server subprocesses import this tree even
+#: when the suite runs without ``PYTHONPATH``.
+SRC = os.path.dirname(os.path.dirname(os.path.dirname(repro.server.__file__)))
+
+
+class ServeProcess:
+    """``repro-serve --port 0`` as a subprocess with a drained, searchable log."""
+
+    def __init__(self, *args):
+        self.lines = []
+        self._cond = threading.Condition()
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.server.cli", "--port", "0", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        threading.Thread(target=self._drain, daemon=True).start()
+        match = self.wait_for(r"listening on (http://\S+)")
+        self.client = ReproClient(match.group(1))
+
+    def _drain(self):
+        for line in self.process.stdout:
+            with self._cond:
+                self.lines.append(line)
+                self._cond.notify_all()
+
+    def wait_for(self, pattern, start=0, timeout_s=60.0):
+        """The first match of ``pattern`` in lines ``start`` onwards."""
+        regex = re.compile(pattern)
+        deadline = time.monotonic() + timeout_s
+        with self._cond:
+            while True:
+                for line in self.lines[start:]:
+                    match = regex.search(line)
+                    if match:
+                        return match
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, f"no {pattern!r} in:\n{''.join(self.lines)}"
+                self._cond.wait(remaining)
+
+    def spawned(self, count, start=0):
+        """``{worker_id: pid}`` of the first ``count`` spawn lines."""
+        pids = {}
+        while len(pids) < count:
+            match = self.wait_for(r"spawned worker (\S+) \(pid (\d+)\)", start)
+            pids[match.group(1)] = int(match.group(2))
+            start = self.lines.index(match.string) + 1
+        return pids
+
+    def stop(self):
+        if self.process.poll() is None:
+            self.process.kill()
+        self.process.wait(timeout=30)
+
+
+def running(pid):
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def wait_gone(pids, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while any(running(pid) for pid in pids):
+        assert time.monotonic() < deadline, f"children still running: {pids}"
+        time.sleep(0.05)
+
+
+def test_mixed_local_and_remote_execution():
+    """A spawned worker and an external worker share one job."""
+    serve_process = ServeProcess("--workers", "1")
+    try:
+        client = serve_process.client
+        serve_process.spawned(1)
+        spec = tiny_sweep(ns=[8, 12, 16, 24])
+        job_id = client.submit("sweep", spec.to_dict())["job_id"]
+        external = Worker(client, worker_id="external", poll_s=0.01)
+        while not external.run_one():  # one cell, as soon as one is leasable
+            time.sleep(0.01)
+        status = client.wait(job_id, timeout_s=120.0)
+        assert status["state"] == "done"
+        assert status["progress"]["remote_cells"] == 4
         assert status["progress"]["failed_cells"] == []
+        metrics = parse_exposition(client.metrics())
+        by_worker = {
+            worker: counter_value(metrics, "repro_worker_results_total", worker=worker)
+            for worker in ("local-1", "external")
+        }
+        assert by_worker["external"] == 1 and by_worker["local-1"] == 3
         served = client.artifact(job_id)
         local = build_sweep_document(
             spec, SweepRunner(spec, workers=1).run(), workers=1
         )
         assert stable_document(served) == stable_document(local)
     finally:
-        server.shutdown()
-        server.server_close()
-        manager.close()
-        thread.join(timeout=5)
+        serve_process.stop()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_spawned_workers_are_respawned_and_stop_with_their_server():
+    serve_process = ServeProcess("--workers", "2")
+    try:
+        pids = serve_process.spawned(2)
+        assert set(pids) == {"local-1", "local-2"}
+        mark = len(serve_process.lines)
+        os.kill(pids["local-1"], signal.SIGKILL)
+        respawned = serve_process.spawned(1, start=mark)
+        assert list(respawned) == ["local-1"]
+        assert respawned["local-1"] != pids["local-1"]
+        children = [pids["local-2"], respawned["local-1"]]
+        assert all(running(pid) for pid in children)
+        serve_process.process.send_signal(signal.SIGTERM)
+        assert serve_process.process.wait(timeout=30) == 0
+        wait_gone(children)
+    finally:
+        serve_process.stop()
+
+    # A SIGKILLed server gets no chance to stop its workers: they notice
+    # they lost their parent and exit by themselves.
+    serve_process = ServeProcess("--workers", "1")
+    try:
+        children = list(serve_process.spawned(1).values())
+        # Past its start-up line the idle worker prints nothing, so only
+        # the parent check can notice the server is gone.
+        serve_process.wait_for(r"repro-worker local-1: polling")
+        serve_process.process.kill()
+        serve_process.process.wait(timeout=30)
+        wait_gone(children)
+    finally:
+        serve_process.stop()

@@ -23,7 +23,8 @@ Routes:
                               resumes; closes after the ``end`` event)
 ``DELETE /jobs/<id>``         cancel (immediate if queued)
 ``POST /work/lease``          ``{"worker": id}`` → one leased cell of the
-                              running batch (payload + lease id + TTL), or
+                              running batch (payload + lease id + TTL +
+                              cell deadline), or
                               204 when nothing is leasable right now
 ``POST /work/<lease>/heartbeat``  extend the lease's TTL (404 once the
                               lease expired or the batch ended)

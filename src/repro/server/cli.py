@@ -12,10 +12,12 @@ its address on stdout (``repro-serve listening on http://HOST:PORT``) —
 with ``--port 0`` that line is how scripts learn the ephemeral port — and
 spawns ``--workers`` ``repro-worker`` processes that lease cells from its
 own URL, like any worker on another host would.  A spawned worker that
-exits while the server runs is respawned.  Ctrl-C and SIGTERM shut down
-cleanly: the spawned workers are stopped, then the HTTP loop and the
-dispatcher; should the server die without that chance, each spawned worker
-notices it lost its parent and exits.
+exits while the server runs is respawned, unless it keeps exiting within
+seconds of its start (a broken install, a server it cannot talk to).
+Ctrl-C and SIGTERM shut down cleanly: the spawned workers (which sit in
+sessions of their own, out of the terminal's reach) are stopped, then the
+HTTP loop and the dispatcher; should the server die without that chance,
+each spawned worker notices it lost its parent and exits.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from typing import Callable, List, Optional
 
 from ..engine.errors import ReproError
@@ -38,6 +41,12 @@ __all__ = ["main", "build_parser"]
 
 #: How often the server looks for spawned workers that exited.
 RESPAWN_CHECK_S = 0.5
+
+#: A spawned worker exiting sooner than this after its spawn exits "fast".
+FAST_EXIT_S = 10.0
+
+#: Fast exits in a row after which a worker is no longer respawned.
+MAX_FAST_EXITS = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +131,9 @@ class LocalWorkers:
     """The ``repro-worker`` processes a server spawns against its own URL.
 
     A supervisor thread respawns, under the same worker id, any of them
-    that exits before :meth:`stop`.
+    that exits before :meth:`stop` — but gives up on one (saying so once)
+    after :data:`MAX_FAST_EXITS` exits in a row within :data:`FAST_EXIT_S`
+    of their spawn, since respawning those would only spin.
     """
 
     def __init__(
@@ -145,15 +156,28 @@ class LocalWorkers:
         return worker
 
     def _supervise(self) -> None:
+        fast_exits = [0] * len(self.workers)
         while not self._stop.wait(RESPAWN_CHECK_S):
             for index, worker in enumerate(self.workers):
                 code = worker.process.poll()
-                if code is not None and not self._stop.is_set():
+                if code is None or fast_exits[index] >= MAX_FAST_EXITS:
+                    continue
+                if self._stop.is_set():
+                    return
+                fast = time.monotonic() - worker.started < FAST_EXIT_S
+                fast_exits[index] = fast_exits[index] + 1 if fast else 0
+                if fast_exits[index] >= MAX_FAST_EXITS:
                     self._report(
-                        f"repro-serve: worker {worker.worker_id} exited "
-                        f"({code}); respawning"
+                        f"repro-serve: worker {worker.worker_id} exited ({code}) "
+                        f"within {FAST_EXIT_S:g} s of its start "
+                        f"{MAX_FAST_EXITS} times in a row; not respawning it"
                     )
-                    self.workers[index] = self._spawn(worker.worker_id)
+                    continue
+                self._report(
+                    f"repro-serve: worker {worker.worker_id} exited "
+                    f"({code}); respawning"
+                )
+                self.workers[index] = self._spawn(worker.worker_id)
 
     def stop(self) -> None:
         """Stop supervising, then stop and reap every worker."""

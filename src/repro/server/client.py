@@ -156,8 +156,9 @@ class ReproClient:
         """``POST /work/lease``: one leased cell, or ``None`` (nothing now).
 
         The lease dict carries ``lease_id``, the executor ``kind``, the
-        canonical worker ``payload``, and ``ttl_s`` — everything a
-        ``repro-worker`` needs to execute the cell and push its result.
+        canonical worker ``payload``, ``ttl_s`` and ``deadline_s`` —
+        everything a ``repro-worker`` needs to execute the cell and push
+        its result.
         """
         lease = self._request("POST", "/work/lease", {"worker": worker_id})
         return lease if lease.get("lease_id") else None

@@ -16,9 +16,10 @@ Scheduling model:
   (:meth:`JobManager.lease_work` / :meth:`JobManager.complete_work`).
   ``repro-serve`` spawns its local workers as such processes, so local
   and remote execution are the same thing.  Leases carry a TTL kept alive
-  by heartbeats; a lease whose worker dies, or whose cell runs past its
-  deadline, is expired and its cell requeued (at-least-once, first result
-  wins, replays dedup'd by the content-addressed cache key).
+  by heartbeats; a lease whose worker dies is expired and its cell
+  requeued (at-least-once, first result wins, replays dedup'd by the
+  content-addressed cache key), and a cell that runs past its deadline is
+  given up as failed.
 * Search probes are ordinary cells: :class:`~repro.scenarios.search.
   FrontierRunner` hands each probe payload to the same step, so a
   resubmitted search replays its probe history from the cache and remote
@@ -443,37 +444,38 @@ class JobManager:
 
     def _reap_batch(self, active: _ActiveBatch) -> None:
         """Expire overdue leases of ``active``; requeue or give up."""
-        expired, gave_up = active.queue.reap()
-        for lease in expired:
+        for lease, fate in active.queue.reap():
             self._leases_expired.inc()
-            requeued = lease.item.attempts < active.queue.max_attempts
+            requeued = fate == "requeued"
             if requeued:
                 self._leases_requeued.inc()
+            cell_id = lease.item.payload.get("cell_id")
             self._emit(
                 active.job,
                 "lease",
                 {
                     "lease_id": lease.lease_id,
                     "worker": lease.worker_id,
-                    "cell_id": lease.item.payload.get("cell_id"),
+                    "cell_id": cell_id,
                     "state": "expired",
                     "requeued": requeued,
                 },
             )
             self._report(
                 f"job {active.job.id}: lease {lease.lease_id} "
-                f"(worker {lease.worker_id}, cell "
-                f"{lease.item.payload.get('cell_id')}) expired"
-                + (" -> requeued" if requeued else " -> giving up")
+                f"(worker {lease.worker_id}, cell {cell_id}) expired -> {fate}"
             )
-        for _item, record in gave_up:
-            self._note_cell(active.job, record, "lease-expired")
+            if fate == "gave-up":
+                record = active.queue.result(lease.item.item_id)
+                self._note_cell(active.job, record, "lease-expired")
 
     def lease_work(self, worker_id: str) -> Optional[Dict[str, Any]]:
         """Grant one cell of the running batch to a worker.
 
         Returns the lease as a JSON-ready dict (``lease_id``, ``kind``,
-        the canonical worker ``payload``, ``ttl_s``), or ``None`` when
+        the canonical worker ``payload``, ``ttl_s``, and ``deadline_s``:
+        seconds after which no heartbeat extends the lease, ``None`` for
+        an unbounded cell), or ``None`` when
         nothing is leasable right now — no running batch, or every cell is
         taken (the worker should poll again shortly).
         """
@@ -503,6 +505,11 @@ class JobManager:
             "cell_id": lease.item.payload.get("cell_id"),
             "payload": lease.item.payload,
             "ttl_s": lease.ttl_s,
+            "deadline_s": (
+                None
+                if lease.deadline is None
+                else lease.deadline - lease.granted_at
+            ),
             "attempt": lease.item.attempts,
         }
 

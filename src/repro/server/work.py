@@ -12,13 +12,15 @@ protocol — so every lease carries a TTL.  A lease whose worker stops
 heartbeating past its deadline is *expired* by :meth:`WorkQueue.reap` and
 its item is requeued for someone else (at-least-once semantics; results
 are deduplicated first-wins per item, and identical payloads replay for
-free through the content-addressed result cache anyway).  A cell that
-hangs while its worker keeps heartbeating is cut off the same way: once
-``cell_timeout_s + CELL_DEADLINE_GRACE_S`` has passed since the grant,
-:meth:`WorkQueue.heartbeat` stops extending the lease.  An item whose
+free through the content-addressed result cache anyway).  An item whose
 leases keep expiring is eventually given up on with a synthetic error
-record, so one black-hole worker or one runaway cell cannot wedge a job
-forever.
+record, so one black-hole worker cannot wedge a job forever.
+
+A cell that hangs while its worker keeps heartbeating is the cell's fault,
+not the worker's: once ``cell_timeout_s + CELL_DEADLINE_GRACE_S`` has
+passed since the grant, :meth:`WorkQueue.heartbeat` stops extending the
+lease, and when that lease expires its item is given up at once rather
+than requeued onto the next worker.
 
 Everything is guarded by a single condition variable; completions and
 requeues notify it, which is what lets the dispatcher sleep while workers
@@ -218,9 +220,9 @@ class WorkQueue:
 
         Refused for a lease that is gone, already expired — its item may be
         in someone else's hands — or past its ``deadline``: a runaway cell
-        then expires at its TTL like a dead worker's.  The original worker
-        may still push its result (see :meth:`complete`); it just can no
-        longer *reserve* the item.
+        then expires at its TTL and is given up (see :meth:`reap`).  The
+        original worker may still push its result (see :meth:`complete`);
+        it just can no longer *reserve* the item.
         """
         with self._cond:
             lease = self._leases.get(lease_id)
@@ -264,45 +266,52 @@ class WorkQueue:
             return "accepted", lease
 
     # ------------------------------------------------------------ lifecycle
-    def reap(self) -> Tuple[List[Lease], List[Tuple[WorkItem, Dict[str, Any]]]]:
+    def reap(self) -> List[Tuple[Lease, str]]:
         """Expire overdue leases; requeue their items or give up.
 
-        Returns ``(expired, gave_up)`` where ``gave_up`` pairs each
-        abandoned item with the synthetic error record just recorded for
-        it (the caller reports those like any other completion).
+        Returns each expired lease with what became of its item:
+        ``"requeued"``, ``"gave-up"`` (a synthetic error record is now its
+        :meth:`result`) or ``"settled"`` (already resolved or pending).  An
+        item is given up once it has been leased ``max_attempts`` times, or
+        at once when the lease outlived its ``deadline`` — a runaway cell
+        would only hang the next worker too.
         """
         now = self._clock()
-        expired: List[Lease] = []
-        gave_up: List[Tuple[WorkItem, Dict[str, Any]]] = []
+        expired: List[Tuple[Lease, str]] = []
         with self._cond:
             if self._aborted:
-                return [], []
+                return []
             for lease in self._leases.values():
                 if lease.state != "active" or now < lease.expires_at:
                     continue
                 lease.state = "expired"
-                expired.append(lease)
                 item = lease.item
-                unresolved = item.item_id not in self._results and all(
-                    p.item_id != item.item_id for p in self._pending
-                )
-                if not unresolved:
-                    continue
-                if item.attempts >= self.max_attempts:
-                    record = failure_record(
+                if item.item_id in self._results or any(
+                    p.item_id == item.item_id for p in self._pending
+                ):
+                    expired.append((lease, "settled"))
+                elif lease.deadline is not None and now >= lease.deadline:
+                    self._results[item.item_id] = failure_record(
+                        item.payload,
+                        f"cell overran its deadline (timeout_s "
+                        f"{item.timeout_s:g} + {CELL_DEADLINE_GRACE_S:g} s "
+                        f"grace) on worker {lease.worker_id!r}; giving up",
+                    )
+                    expired.append((lease, "gave-up"))
+                elif item.attempts >= self.max_attempts:
+                    self._results[item.item_id] = failure_record(
                         item.payload,
                         f"lease expired {item.attempts} time(s) (worker "
-                        f"{lease.worker_id!r} lost, or the cell overran its "
-                        f"deadline); giving up",
+                        f"{lease.worker_id!r} lost); giving up",
                     )
-                    self._results[item.item_id] = record
-                    gave_up.append((item, record))
+                    expired.append((lease, "gave-up"))
                 else:
                     self._pending.append(item)
                     self.requeues += 1
+                    expired.append((lease, "requeued"))
             if expired:
                 self._cond.notify_all()
-        return expired, gave_up
+        return expired
 
     def abort(self) -> None:
         """Stop handing out work; late results are answered ``"gone"``."""

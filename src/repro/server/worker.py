@@ -25,7 +25,11 @@ identical either way.
 A cell that raises locally is pushed back as a failed record
 (:func:`~repro.server.work.failure_record`) rather than swallowed — the
 server should learn the cell is poisoned now, not after
-``max_lease_attempts`` TTLs.
+``max_lease_attempts`` TTLs.  A cell that hangs past its lease's
+``deadline_s`` has already been given up by the server, and nothing can
+interrupt it in-process, so a ``repro-worker`` process then exits (status
+3) rather than stay wedged; ``repro-serve`` respawns the workers it
+spawned.
 """
 
 from __future__ import annotations
@@ -55,9 +59,17 @@ HEARTBEATS_PER_TTL = 3.0
 #: Floor on the heartbeat interval so a tiny test TTL cannot spin.
 MIN_HEARTBEAT_S = 0.05
 
+#: The first sleep after a push before polling for the next lease; it
+#: doubles with each empty poll up to the worker's ``poll_s``.
+FIRST_POLL_S = 0.01
+
 #: How often a worker spawned by ``repro-serve`` checks that its server is
 #: still its parent process.
 PARENT_CHECK_S = 0.5
+
+#: Exit status of a ``repro-worker`` that dropped a cell overrunning its
+#: deadline.
+OVERRUN_EXIT_STATUS = 3
 
 #: Output lines a :class:`WorkerProcess` keeps for diagnostics.
 LOG_LINES = 1000
@@ -90,13 +102,31 @@ def execute_lease(lease: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class _Heartbeat:
-    """Keep one lease alive from a daemon thread while the cell runs."""
+    """Keep one lease alive from a daemon thread while the cell runs.
 
-    def __init__(self, client: ReproClient, lease: Dict[str, Any]) -> None:
+    Once the lease's ``deadline_s`` has passed with the cell still running,
+    the server no longer extends the lease and gives the cell up; the
+    thread then calls ``on_overrun`` (if any) with the lease.
+    """
+
+    def __init__(
+        self,
+        client: ReproClient,
+        lease: Dict[str, Any],
+        on_overrun: Optional[Callable[[Dict[str, Any]], None]] = None,
+    ) -> None:
         self._client = client
+        self._lease = lease
         self._lease_id = lease["lease_id"]
         ttl = float(lease.get("ttl_s") or 60.0)
         self._interval = max(MIN_HEARTBEAT_S, ttl / HEARTBEATS_PER_TTL)
+        deadline_s = lease.get("deadline_s")
+        self._deadline = (
+            None
+            if deadline_s is None or on_overrun is None
+            else time.monotonic() + float(deadline_s)
+        )
+        self._on_overrun = on_overrun
         self._stop = threading.Event()
         self.lost = False
         self._thread = threading.Thread(
@@ -105,6 +135,11 @@ class _Heartbeat:
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
+            if self._deadline is not None and time.monotonic() >= self._deadline:
+                self._on_overrun(self._lease)
+                return
+            if self.lost:
+                continue  # only waiting for the deadline now
             try:
                 self._client.heartbeat(self._lease_id)
             except ServerError as error:
@@ -113,7 +148,8 @@ class _Heartbeat:
                     # push anyway: an unresolved item still accepts the
                     # first result, even from an expired lease.
                     self.lost = True
-                    return
+                    if self._deadline is None:
+                        return
                 # Transient transport trouble: keep trying until stopped.
 
     def __enter__(self) -> "_Heartbeat":
@@ -132,11 +168,15 @@ class Worker:
         client: Connection to the server.
         worker_id: Identity reported with every lease (shows up in the
             server's per-worker metrics and lifecycle events).
-        poll_s: Sleep between empty lease polls.
+        poll_s: Sleep between empty lease polls (shorter for the first
+            few polls after a push, see :data:`FIRST_POLL_S`).
         max_idle_s: Exit once this long passes without the server granting
             a lease *and* without it being reachable trouble-free
             (``None``: run until killed — the systemd/daemon mode).
         progress: Line-oriented log callback (``None``: silent).
+        on_overrun: Called from the heartbeat thread with the lease of a
+            cell still running past its ``deadline_s`` (``None``: let it
+            run).  :func:`main` exits the process there.
     """
 
     def __init__(
@@ -146,12 +186,14 @@ class Worker:
         poll_s: float = 0.2,
         max_idle_s: Optional[float] = None,
         progress: Optional[Any] = None,
+        on_overrun: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         self.client = client
         self.worker_id = worker_id or default_worker_id()
         self.poll_s = poll_s
         self.max_idle_s = max_idle_s
         self.progress = progress
+        self.on_overrun = on_overrun
         self.executed = 0
         self.accepted = 0
         self._stop = threading.Event()
@@ -175,7 +217,7 @@ class Worker:
             f"leased {lease['lease_id']} cell {lease.get('cell_id')} "
             f"(kind {lease.get('kind')}, attempt {lease.get('attempt')})"
         )
-        with _Heartbeat(self.client, lease) as heartbeat:
+        with _Heartbeat(self.client, lease, self.on_overrun) as heartbeat:
             record = execute_lease(lease)
         self.executed += 1
         outcome = self.client.push_result(lease["lease_id"], record)
@@ -196,6 +238,7 @@ class Worker:
             f"(version {PACKAGE_VERSION}, fingerprint {fingerprint[:12]})"
         )
         idle_s = 0.0
+        sleep_s = self.poll_s
         while not self._stop.is_set():
             try:
                 worked = self.run_one()
@@ -207,16 +250,21 @@ class Worker:
                     raise
                 worked = False  # unreachable: poll again, count as idle
             if worked:
+                # The next batch (a search's next probe) is usually
+                # published moments after this push: poll again soon, and
+                # back off to poll_s from there.
                 idle_s = 0.0
+                sleep_s = min(self.poll_s, FIRST_POLL_S)
                 continue
-            idle_s += self.poll_s
+            idle_s += sleep_s
             if self.max_idle_s is not None and idle_s >= self.max_idle_s:
                 self._report(
                     f"idle for {idle_s:.1f}s, exiting "
                     f"({self.executed} cells executed, {self.accepted} accepted)"
                 )
                 return self.executed
-            self._stop.wait(self.poll_s)
+            self._stop.wait(sleep_s)
+            sleep_s = min(self.poll_s, 2.0 * sleep_s)
         return self.executed
 
 
@@ -266,12 +314,23 @@ def main(argv: Optional[Any] = None) -> int:
     def progress(line: str) -> None:
         print(line, flush=True)
 
+    def overrun(lease: Dict[str, Any]) -> None:
+        print(
+            f"repro-worker: cell {lease.get('cell_id')} ran past its "
+            f"{lease.get('deadline_s'):g} s deadline and was given up; "
+            f"exiting to drop it",
+            file=sys.stderr,
+            flush=True,
+        )
+        os._exit(OVERRUN_EXIT_STATUS)
+
     worker = Worker(
         ReproClient(args.server, timeout_s=args.timeout_s),
         worker_id=args.worker_id,
         poll_s=args.poll_s,
         max_idle_s=args.max_idle_s,
         progress=None if args.quiet else progress,
+        on_overrun=overrun,
     )
     try:
         worker.run()
@@ -304,8 +363,10 @@ class WorkerProcess:
     """One ``repro-worker`` subprocess with a drained, watched log.
 
     With ``exit_with_parent`` the child runs :func:`_spawned_main`, so it
-    exits with the process that spawned it; without, it is a plain
-    ``repro-worker``.  Every output line is kept in :attr:`log` (the
+    exits with the process that spawned it, and gets a session of its own,
+    so a Ctrl-C at the terminal reaches only that process, which then stops
+    it; without, it is a plain ``repro-worker``.  :attr:`started` is the
+    monotonic spawn time.  Every output line is kept in :attr:`log` (the
     last :data:`LOG_LINES`) and handed to ``echo``; :attr:`leased` is set on
     the first "leased" line, which the worker prints *before* executing
     the cell.
@@ -330,11 +391,13 @@ class WorkerProcess:
             ]
         else:
             entry = ["-m", "repro.server.worker"]
+        self.started = time.monotonic()
         self.process = subprocess.Popen(
             [sys.executable, *entry, "--server", base_url, "--worker-id", worker_id],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            start_new_session=exit_with_parent,
         )
         threading.Thread(target=self._watch, daemon=True).start()
 

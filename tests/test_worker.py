@@ -118,9 +118,10 @@ def test_expired_lease_is_requeued_for_another_worker():
     queue = WorkQueue(make_items(1), ttl_s=5.0, clock=clock)
     lost = queue.lease("w1")
     clock.now += 5.1
-    expired, gave_up = queue.reap()
-    assert [lease.lease_id for lease in expired] == [lost.lease_id]
-    assert gave_up == []
+    expired = queue.reap()
+    assert [(lease.lease_id, fate) for lease, fate in expired] == [
+        (lost.lease_id, "requeued")
+    ]
     assert queue.requeues == 1
     retry = queue.lease("w2")
     assert retry.item.payload["cell_id"] == "cell-0"
@@ -136,10 +137,9 @@ def test_heartbeat_extends_only_active_leases():
     clock.now += 4.0
     assert queue.heartbeat(lease.lease_id) is not None
     clock.now += 4.0  # 8s after grant, but only 4 since the heartbeat
-    assert queue.reap() == ([], [])
+    assert queue.reap() == []
     clock.now += 2.0
-    expired, _ = queue.reap()
-    assert len(expired) == 1
+    assert len(queue.reap()) == 1
     assert queue.heartbeat(lease.lease_id) is None  # expired stays expired
     assert queue.heartbeat("lease-000000-void") is None
 
@@ -164,11 +164,9 @@ def test_item_gives_up_after_max_attempts_with_synthetic_record():
         lease = queue.lease(f"blackhole-{attempt}")
         assert lease.item.attempts == attempt
         clock.now += 6.0
-        expired, gave_up = queue.reap()
-        assert len(expired) == 1
-        if attempt < 2:
-            assert gave_up == []
-    (item, record), = gave_up
+        (expired, fate), = queue.reap()
+        assert fate == ("requeued" if attempt < 2 else "gave-up")
+    record = queue.result(expired.item.item_id)
     assert record["cell_id"] == "cell-0"
     assert "lease expired" in record["error"]
     assert queue.finished
@@ -179,23 +177,40 @@ def test_heartbeat_is_refused_past_the_cell_deadline_and_the_cell_gives_up():
     clock = FakeClock()
     item = make_items(1)[0]
     item.timeout_s = 2.0
-    queue = WorkQueue([item], ttl_s=5.0, max_attempts=1, clock=clock)
+    queue = WorkQueue([item], ttl_s=5.0, clock=clock)  # default max_attempts
     lease = queue.lease("w1")
     assert lease.deadline == lease.granted_at + 2.0 + work.CELL_DEADLINE_GRACE_S
     # A live worker keeps the lease until timeout_s + the grace has passed...
     while clock.now + 4.0 < lease.deadline:
         clock.now += 4.0
         assert queue.heartbeat(lease.lease_id) is not None
-        assert queue.reap() == ([], [])
+        assert queue.reap() == []
     clock.now = lease.deadline
-    # ...then heartbeats are refused and the lease runs out its TTL.
+    # ...then heartbeats are refused and the lease runs out its TTL.  The
+    # overrun is the cell's fault, so it is given up on the first expiry
+    # rather than requeued onto the next worker.
     assert queue.heartbeat(lease.lease_id) is None
     clock.now += 5.0
-    expired, gave_up = queue.reap()
-    assert [expired_lease.lease_id for expired_lease in expired] == [lease.lease_id]
-    (_, record), = gave_up
-    assert "lease expired 1 time(s)" in record["error"]
+    assert [(expired.lease_id, fate) for expired, fate in queue.reap()] == [
+        (lease.lease_id, "gave-up")
+    ]
+    assert queue.requeues == 0
+    assert queue.lease("w2") is None
+    (record,) = queue.results_in_order()
+    assert "overran its deadline" in record["error"]
     assert queue.finished
+
+
+def test_dead_worker_before_the_cell_deadline_is_still_requeued():
+    clock = FakeClock()
+    item = make_items(1)[0]
+    item.timeout_s = 60.0
+    queue = WorkQueue([item], ttl_s=5.0, clock=clock)
+    lost = queue.lease("w1")
+    clock.now += 5.1  # the TTL ran out long before the deadline
+    assert [fate for _lease, fate in queue.reap()] == ["requeued"]
+    assert queue.lease("w2").item.attempts == 2
+    assert lost.deadline > clock.now
 
 
 def test_abort_stops_leasing_and_answers_gone():
@@ -360,18 +375,39 @@ def test_wrong_cell_result_is_rejected_and_cell_recovers(served_manager):
 
 
 def test_runaway_cell_is_given_up_after_its_deadline(serve, monkeypatch):
+    """Default attempts, one worker at a time: the hung cell fails once."""
     release = threading.Event()
+    execute_cell = EXECUTOR_KINDS["sweep"]
 
-    def hangs(payload):
+    def hangs_at_n8(payload):
+        if payload["n"] != 8:
+            return execute_cell(payload)
         assert release.wait(timeout=60)
         return failure_record(payload, "released at teardown")
 
-    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", hangs)
+    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", hangs_at_n8)
     monkeypatch.setattr(work, "CELL_DEADLINE_GRACE_S", 0.3)
-    manager = JobManager(lease_ttl_s=0.5, max_lease_attempts=1)
-    serve(manager, workers=1)
+    manager = JobManager(lease_ttl_s=0.5)
+    client = serve(manager)
+    overran, workers, threads = [], [], []
+
+    def start_worker(overrun_lease=None):
+        # Like repro-serve's supervisor: the wedged worker is replaced.
+        if overrun_lease is not None:
+            overran.append(overrun_lease)
+        worker = Worker(
+            client,
+            worker_id=f"stuck-{len(workers) + 1}",
+            poll_s=0.02,
+            on_overrun=start_worker,
+        )
+        workers.append(worker)
+        threads.append(threading.Thread(target=worker.run, daemon=True))
+        threads[-1].start()
+
+    start_worker()
     try:
-        spec = tiny_sweep(ns=[8], cell_timeout_s=0.2)
+        spec = tiny_sweep(ns=[8, 16], cell_timeout_s=0.2)
         job_id = manager.submit("sweep", spec.to_dict())["job_id"]
         deadline = time.monotonic() + 60
         while manager.status(job_id)["state"] not in ("done", "failed", "cancelled"):
@@ -381,12 +417,34 @@ def test_runaway_cell_is_given_up_after_its_deadline(serve, monkeypatch):
         assert status["state"] == "done"
         assert status["progress"]["failed_cells"] == ["one-way-epidemic-n8"]
         record = manager.artifact(job_id)["cells"][0]
-        assert "lease expired 1 time(s)" in record["error"]
+        assert "overran its deadline" in record["error"]
         events, _ended = manager.events_after(job_id, -1)
-        sources = [e["data"]["source"] for e in events if e["event"] == "cell"]
-        assert sources == ["lease-expired"]
+        sources = {
+            e["data"]["cell_id"]: e["data"]["source"]
+            for e in events
+            if e["event"] == "cell"
+        }
+        assert sources == {
+            "one-way-epidemic-n8": "lease-expired",
+            "one-way-epidemic-n16": "worker:stuck-2",
+        }
+        # Given up on its first expiry, not requeued onto the next worker.
+        expiries = [
+            e["data"]
+            for e in events
+            if e["event"] == "lease" and e["data"]["state"] == "expired"
+        ]
+        assert [(e["cell_id"], e["requeued"]) for e in expiries] == [
+            ("one-way-epidemic-n8", False)
+        ]
+        assert [lease["cell_id"] for lease in overran] == ["one-way-epidemic-n8"]
+        assert overran[0]["deadline_s"] == pytest.approx(0.5)
     finally:
         release.set()
+        for worker in workers:
+            worker.stop()
+        for thread in threads:
+            thread.join(timeout=30)
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +460,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.dirname(repro.server.__file__)))
 class ServeProcess:
     """``repro-serve --port 0`` as a subprocess with a drained, searchable log."""
 
-    def __init__(self, *args):
+    def __init__(self, *args, own_session=False):
         self.lines = []
         self._cond = threading.Condition()
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -412,6 +470,7 @@ class ServeProcess:
             stderr=subprocess.STDOUT,
             text=True,
             env=dict(os.environ, PYTHONPATH=path),
+            start_new_session=own_session,
         )
         threading.Thread(target=self._drain, daemon=True).start()
         match = self.wait_for(r"listening on (http://\S+)")
@@ -450,6 +509,11 @@ class ServeProcess:
         if self.process.poll() is None:
             self.process.kill()
         self.process.wait(timeout=30)
+
+
+def session_of(pid):
+    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+        return int(handle.read().rsplit(")", 1)[1].split()[3])
 
 
 def running(pid):
@@ -530,3 +594,51 @@ def test_spawned_workers_are_respawned_and_stop_with_their_server():
         wait_gone(children)
     finally:
         serve_process.stop()
+
+    # Ctrl-C at a terminal signals the whole foreground process group.  The
+    # spawned workers sit in sessions of their own, so only the server gets
+    # it, and it stops them without respawning any.
+    serve_process = ServeProcess("--workers", "2", own_session=True)
+    try:
+        children = list(serve_process.spawned(2).values())
+        serve_process.wait_for(r"repro-worker local-2: polling")
+        server_session = session_of(serve_process.process.pid)
+        assert all(session_of(pid) != server_session for pid in children)
+        os.killpg(serve_process.process.pid, signal.SIGINT)
+        assert serve_process.process.wait(timeout=30) == 0
+        wait_gone(children)
+        assert not any("respawning" in line for line in serve_process.lines)
+    finally:
+        serve_process.stop()
+
+
+def test_workers_that_keep_exiting_at_once_are_not_respawned_forever(monkeypatch):
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from repro.server import cli
+
+    # Anything but a repro-serve: every lease poll is answered 501, so each
+    # spawned worker gives up and exits within moments of its start.
+    server = ThreadingHTTPServer(("127.0.0.1", 0), BaseHTTPRequestHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    monkeypatch.setattr(cli, "RESPAWN_CHECK_S", 0.05)
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    )
+    lines = []
+    local = cli.LocalWorkers(
+        f"http://127.0.0.1:{server.server_address[1]}", 1, lines.append
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any("not respawning" in line for line in lines):
+            assert time.monotonic() < deadline, "\n".join(lines)
+            time.sleep(0.05)
+        time.sleep(0.5)  # several more supervisor passes
+        spawns = [line for line in lines if "spawned worker local-1" in line]
+        assert len(spawns) == cli.MAX_FAST_EXITS
+        assert sum("not respawning" in line for line in lines) == 1
+    finally:
+        local.stop()
+        server.shutdown()
+        server.server_close()

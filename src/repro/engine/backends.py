@@ -44,7 +44,7 @@ from ..obs.trace import RunTracer
 from .errors import ConfigurationError, SimulationError
 from .metrics import AggregateInteractionCounter, InteractionCounter, StateSpaceTracker
 from .protocol import Protocol
-from .samplers import FenwickSampler
+from .samplers import AgentPairSampler, FenwickSampler, WeightedSampler
 from .vectorized import AccelCapacityError, FactorisedPairKernel, numpy_available
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
@@ -199,8 +199,9 @@ class Backend(abc.ABC):
     and the observed-state-space tracker, and advances the chain on behalf
     of :class:`~repro.engine.simulator.Simulator`.  All observers are
     histogram-first: :meth:`state_key_counts` and :meth:`output_counts` are
-    cheap for both backends, while per-agent views may be synthesised from
-    the histogram (batch) or read off directly (agent).
+    cheap for both backends.  Per-agent views are read off directly (agent)
+    or expanded from the histogram (batch): the batch backend's dense regime
+    keeps one id per agent, but a slot does not follow an agent's identity.
     """
 
     name: str = ""
@@ -524,7 +525,7 @@ class BatchBackend(Backend):
     boundary and re-sampling later is exact by memorylessness.
 
     Keys are interned to dense integer ids on first sight: the histogram,
-    the samplers, the pair table and the transition memo all work on ids,
+    the agent array, the pair table and the transition memo all work on ids,
     and keys cross back only at the protocol boundary (``delta_key`` and
     ``can_interaction_change`` on a cache miss, ``output_key`` once per id)
     and in hooks, public views and fault rewrites.  The id histogram is
@@ -550,11 +551,16 @@ class BatchBackend(Backend):
       :class:`~repro.engine.samplers.FenwickSampler` over the table.
     * **Dense** — the protocol keeps the conservative default, every ordered
       pair is active (``W == T``, no skipping is ever possible), and the
-      O(K^2) pair table would be pure overhead.  The two participants' keys
-      are instead drawn from a :class:`~repro.engine.samplers.FenwickSampler`
-      over the key histogram, which realises the uniform ordered-pair law
-      exactly.  This is the regime of the composed counting protocols, whose
-      no-op analysis is out of reach of a per-pair predicate.
+      O(K^2) pair table would be pure overhead.  The backend instead keeps
+      one id per agent in a list, :attr:`_agents`, and draws each
+      interaction's two indices from an
+      :class:`~repro.engine.samplers.AgentPairSampler` — the uniform law
+      over ordered pairs of distinct agents, in O(1) and with no rejection.
+      The two slots are rewritten only when the histogram changed: the law
+      of the histogram chain does not depend on how ids are arranged over
+      the slots, so a swap or a no-op leaves them as they are.  This is the
+      regime of the composed counting protocols, whose no-op analysis is
+      out of reach of a per-pair predicate.
 
     The backend picks its hot loop from what it observes; there is no knob.
     In the pruning regime, once the active pair table holds more than
@@ -632,18 +638,22 @@ class BatchBackend(Backend):
         #: Configuration-changing events actually applied; the complement
         #: of ``interactions`` measures the geometric-skip efficiency.
         self.applied_events: int = 0
-        # Pruning regime: sampler over active pair types.  Dense regime:
-        # sampler over the key histogram.  None while the kernel is engaged.
-        self._sampler: Optional[FenwickSampler] = None
+        # Pruning regime: sampler over active pair types, None while the
+        # kernel is engaged.  Dense regime: sampler over agent index pairs.
+        self._sampler: Optional[WeightedSampler] = None
         self._pair_kernel: Optional[FactorisedPairKernel] = None
         # Active ordered pair types and their integer weights; rebuilt lazily
         # in full once, then maintained incrementally per event.
         self._pair_weights: Dict[Tuple[int, int], int] = {}
         self._active_weight = 0
+        #: Dense regime: the id of every agent, in no meaningful order (a
+        #: multiset equal to ``_counts``).  Empty in the pruning regime.
+        self._agents: List[int] = []
         if self._prunes:
             self._rebuild_pair_weights()
         else:
-            self._sampler = FenwickSampler(self._counts)
+            self._agents = list(self._counts.elements())
+            self._sampler = AgentPairSampler(self.n)
             # An initial configuration may already be the provable fixed
             # point (single key, coin-free no-op self-interaction).
             self._check_dense_fixed_point()
@@ -888,31 +898,6 @@ class BatchBackend(Backend):
             reason=retired_by,
         )
 
-    def _sample_dense_pair(self) -> Tuple[int, int]:
-        """Sample the ordered key pair of a uniform interaction (dense regime).
-
-        Exactly the uniform law over ordered pairs of distinct agents read at
-        key level: the initiator's key is drawn with probability ``c_a / n``
-        and the responder's with ``(c_b - [a = b]) / (n - 1)``, implemented
-        by rejection against the plain ``c_b / n`` proposal.
-        """
-        counts = self._counts
-        if len(counts) == 1:
-            ident = next(iter(counts))
-            return ident, ident
-        sampler = self._sampler
-        rng = self._pair_rng
-        ident_a = sampler.sample(rng)
-        count_a = counts[ident_a]
-        while True:
-            ident_b = sampler.sample(rng)
-            if ident_b != ident_a:
-                return ident_a, ident_b
-            # Same key drawn: one of its count_a agents is the initiator, so
-            # accept with probability (count_a - 1) / count_a.
-            if count_a > 1 and rng.random() * count_a < count_a - 1:
-                return ident_a, ident_b
-
     def _apply_transition(
         self, ident_a: int, ident_b: int
     ) -> Tuple[int, int, Tuple[int, ...]]:
@@ -969,7 +954,10 @@ class BatchBackend(Backend):
         if self._prunes:
             ident_a, ident_b = self._sampler.sample(self._pair_rng)
         else:
-            ident_a, ident_b = self._sample_dense_pair()
+            initiator, responder = self._sampler.sample(self._pair_rng)
+            agents = self._agents
+            ident_a = agents[initiator]
+            ident_b = agents[responder]
         toc = perf_counter()
         tracer.add("sampling", toc - tic)
         new_a, new_b, changed = self._apply_transition(ident_a, ident_b)
@@ -980,11 +968,9 @@ class BatchBackend(Backend):
             if self._prunes:
                 self._update_pair_weights(changed)
             else:
-                sampler = self._sampler
-                counts = self._counts
-                for ident in changed:
-                    sampler.update(ident, counts.get(ident, 0))
-                if len(counts) == 1:
+                agents[initiator] = new_a
+                agents[responder] = new_b
+                if len(self._counts) == 1:
                     self._check_dense_fixed_point()
             tracer.add("pair_weights", perf_counter() - tic)
         if self.simulator.hooks:
@@ -1176,13 +1162,9 @@ class BatchBackend(Backend):
                 # Churn may land on an already-stable configuration.
                 self.terminal = True
         else:
-            if full_rebuild or len(changed) * 4 >= len(self._counts):
-                self._sampler.rebuild(self._counts)
-            else:
-                sampler = self._sampler
-                counts = self._counts
-                for ident in changed:
-                    sampler.update(ident, counts.get(ident, 0))
+            if full_rebuild:
+                self._agents = list(self._counts.elements())
+            self._sampler.resize(self.n)
             self._check_dense_fixed_point()
 
     def _changed_ids(self, changed_keys: set) -> Tuple[int, ...]:
@@ -1198,16 +1180,12 @@ class BatchBackend(Backend):
     def _sample_victims(self, victims: int, rng: random.Random) -> List[int]:
         """Ids of ``victims`` distinct agents drawn uniformly at random.
 
-        Victim tickets index agents in an arbitrary but fixed key order and
-        are resolved against the current histogram in one cumulative pass —
-        exchangeability of the uniform choice makes the order irrelevant.
+        Pruning regime only (the dense regime draws indices into
+        :attr:`_agents` with the same ``rng.sample``).  Victim tickets index
+        agents in an arbitrary but fixed key order and are resolved against
+        the current histogram in one cumulative pass — exchangeability of the
+        uniform choice makes the order irrelevant.
         """
-        if victims < 0:
-            raise ConfigurationError("victims must be non-negative")
-        if victims > self.n:
-            raise ConfigurationError(
-                f"cannot draw {victims} distinct agents from a population of {self.n}"
-            )
         tickets = sorted(rng.sample(range(self.n), victims))
         victim_ids: List[int] = []
         cumulative = 0
@@ -1227,8 +1205,11 @@ class BatchBackend(Backend):
         changed: set = set()
         for _ in range(count):
             key = self.register_state(self.fresh_initial_state())
-            counts[self._intern(key)] += 1
+            ident = self._intern(key)
+            counts[ident] += 1
             changed.add(key)
+            if not self._prunes:
+                self._agents.append(ident)
         self.n += count
         self._population_changed(self._changed_ids(changed))
         return {"joined": count, "n": self.n}
@@ -1243,7 +1224,18 @@ class BatchBackend(Backend):
         counts = self._counts
         keys = self._keys
         changed: set = set()
-        for ident in self._sample_victims(count, rng):
+        if self._prunes:
+            victims = self._sample_victims(count, rng)
+        else:
+            # Swap-removal in descending index order keeps pending indices
+            # valid, as in AgentBackend.leave.
+            agents = self._agents
+            victims = []
+            for index in sorted(rng.sample(range(self.n), count), reverse=True):
+                victims.append(agents[index])
+                agents[index] = agents[-1]
+                agents.pop()
+        for ident in victims:
             counts[ident] -= 1
             if not counts[ident]:
                 del counts[ident]
@@ -1281,14 +1273,27 @@ class BatchBackend(Backend):
         victims are chosen without replacement over the population (exactly
         the agent-mode ``rng.sample`` fault model, marginalised to keys),
         each victim's key is removed from the histogram and replaced by
-        ``rewrite(key, rng)``.  The sampling structures are rebuilt
-        afterwards.  Returns the number of agents whose key actually
-        changed.
+        ``rewrite(key, rng)``.  The pruning regime's pair structures are
+        rebuilt afterwards; the dense regime rewrites the victims' slots.
+        Returns the number of agents whose key actually changed.
         """
+        if victims < 0:
+            raise ConfigurationError("victims must be non-negative")
+        if victims > self.n:
+            raise ConfigurationError(
+                f"cannot draw {victims} distinct agents from a population of {self.n}"
+            )
         counts = self._counts
         keys = self._keys
+        agents = self._agents
+        if self._prunes:
+            slots = None
+            victim_ids = self._sample_victims(victims, rng)
+        else:
+            slots = rng.sample(range(self.n), victims)
+            victim_ids = [agents[index] for index in slots]
         changed = 0
-        for ident in self._sample_victims(victims, rng):
+        for position, ident in enumerate(victim_ids):
             key = keys[ident]
             new_key = rewrite(key, rng)
             if new_key == key:
@@ -1306,7 +1311,10 @@ class BatchBackend(Backend):
             counts[ident] -= 1
             if not counts[ident]:
                 del counts[ident]
-            counts[self._intern(new_key)] += 1
+            new_ident = self._intern(new_key)
+            counts[new_ident] += 1
+            if slots is not None:
+                agents[slots[position]] = new_ident
             changed += 1
         if changed:
             self.terminal = False
@@ -1318,7 +1326,6 @@ class BatchBackend(Backend):
             elif self._prunes:
                 self._rebuild_pair_weights()
             else:
-                self._sampler.rebuild(counts)
                 # A corruption may collapse the population onto one key.
                 self._check_dense_fixed_point()
         return changed

@@ -1,13 +1,14 @@
-"""The weighted sampler behind the batch backend's hot draw path.
+"""The samplers behind the batch backend's two draw paths.
 
-The batch backend spends its life drawing from discrete weighted
-distributions: the active ordered pair-type table in the *pruning* regime and
-the key histogram in the *dense* regime.  Both are served by one structure,
-:class:`FenwickSampler` — a Fenwick (binary indexed) tree over the weights
-with O(log P) point updates and O(log P) inverse-CDF draws and no rebuild
-ever, which wins on the churning tables both regimes produce (the composed
-counting protocols change the histogram on nearly every interaction, and
-``backup-exact`` the pair table).
+In its *pruning* regime the batch backend draws the next configuration-
+changing interaction from the table of active ordered pair types, weighted
+by the number of agent pairs realising each.  :class:`FenwickSampler` serves
+that table below the NumPy kernel's width — a Fenwick (binary indexed) tree
+over the weights with O(log P) point updates and O(log P) inverse-CDF draws
+and no rebuild ever, which wins on churning tables such as
+``backup-exact``'s.  The *dense* regime keeps one id per agent and draws the
+two participants' indices from :class:`AgentPairSampler`, the implicit
+unit-weight table of ordered pairs of distinct agents, in O(1).
 
 Draw-path determinism
 ---------------------
@@ -33,7 +34,7 @@ from typing import Any, Dict, Hashable, List, Optional
 
 from .errors import ConfigurationError
 
-__all__ = ["WeightedSampler", "FenwickSampler"]
+__all__ = ["WeightedSampler", "FenwickSampler", "AgentPairSampler"]
 
 
 def _validate_weight(weight: int) -> None:
@@ -266,3 +267,60 @@ class FenwickSampler(WeightedSampler):
         while position > 0 and not leaf[position]:
             position -= 1
         return self._keys[position]
+
+
+class AgentPairSampler(WeightedSampler):
+    """Uniform ordered pairs ``(i, j)`` of distinct agent indices below ``n``.
+
+    The table is implicit: every ordered pair of distinct indices has weight
+    1, in lexicographic slot order, so ``total = n (n - 1)``.  A draw is the
+    canonical inverse CDF over it in O(1): slot ``k = int(u * total)`` is the
+    pair ``(k // (n - 1), r)`` with ``r = k % (n - 1)`` shifted past the
+    initiator when ``r >= i``.  ``u < 1`` keeps ``k`` below ``total`` for
+    every ``total < 2**53``, and ``int`` picks the slot the canonical scan
+    picks, so the contract holds bit-for-bit.
+
+    Only the population size changes the table, through :meth:`resize`;
+    :meth:`update` and :meth:`rebuild` of single weights do not apply.
+    """
+
+    strategy = "agent-array"
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.resize(n)
+
+    def resize(self, n: int) -> None:
+        """Serve a population of ``n`` agents from the next draw on."""
+        if n < 2:
+            raise ConfigurationError("the population model requires at least two agents")
+        self.n = n
+        self._others = n - 1
+        self._total = n * (n - 1)
+
+    @property
+    def total(self) -> int:
+        return self._total
+
+    def weights(self) -> Dict[Hashable, int]:
+        n = self.n
+        return {(i, j): 1 for i in range(n) for j in range(n) if i != j}
+
+    def __len__(self) -> int:
+        return self._total
+
+    def stats(self) -> Dict[str, Any]:
+        return {"strategy": self.strategy, "draws": self.draws}
+
+    def update(self, key: Hashable, weight: int) -> None:
+        raise ConfigurationError("agent-pair weights are fixed at 1; resize the population")
+
+    def rebuild(self, weights: Dict[Hashable, int]) -> None:
+        raise ConfigurationError("agent-pair weights are fixed at 1; resize the population")
+
+    def sample(self, rng: random.Random) -> Hashable:
+        self.draws += 1
+        initiator, responder = divmod(int(rng.random() * self._total), self._others)
+        if responder >= initiator:
+            responder += 1
+        return initiator, responder

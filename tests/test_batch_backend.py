@@ -7,6 +7,7 @@ and statistically on convergence times.
 """
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -20,8 +21,16 @@ from repro.engine import (
     simulate,
 )
 from repro.engine.backends import BatchBackend, LiftedKeyTransitions
+from repro.engine.hooks import TimelineEvent
 from repro.engine.rng import make_rng
 from repro.engine.scheduler import RoundRobinScheduler
+from repro.engine.stats import (
+    chi_square_pvalue,
+    chi_square_statistic,
+    ks_pvalue,
+    ks_statistic,
+)
+from repro.experiments.registry import resolve_protocol
 from repro.primitives.epidemic import MaximumBroadcast, OneWayEpidemic
 from repro.primitives.junta import JuntaProtocol
 from repro.primitives.load_balancing import (
@@ -31,6 +40,8 @@ from repro.primitives.load_balancing import (
 )
 from repro.primitives.phase_clock import JuntaPhaseClockProtocol
 from repro.primitives.synthetic_coin import ParityCoinProtocol
+from repro.scenarios import builtin_scenarios
+from repro.scenarios.events import expand_events
 
 
 def _protocol_grid(n):
@@ -105,9 +116,6 @@ def test_degenerate_single_pair_type_is_exact():
     assert result.interactions == 1
 
 
-from repro.engine.stats import ks_statistic as _ks_statistic  # noqa: E402  (shared statistical harness)
-
-
 @pytest.mark.stats
 def test_convergence_time_distributions_are_compatible():
     # KS-style tolerance check on epidemic convergence interactions at n = 32.
@@ -127,7 +135,7 @@ def test_convergence_time_distributions_are_compatible():
         assert agent.converged and batch.converged
         agent_times.append(agent.convergence_interaction)
         batch_times.append(batch.convergence_interaction)
-    statistic = _ks_statistic(agent_times, batch_times)
+    statistic = ks_statistic(agent_times, batch_times)
     # Critical value at alpha = 0.01 for 40-vs-40 samples is ~0.364.
     assert statistic < 0.364, (statistic, agent_times, batch_times)
 
@@ -274,3 +282,140 @@ def test_can_interaction_change_is_exact_for_key_protocols():
                         key_a,
                         key_b,
                     )
+
+
+# --------------------------------------------------------------------------
+# Dense regime: the agent array
+# --------------------------------------------------------------------------
+
+#: A correct dense regime fails a fixed-seed comparison with probability
+#: ~10^-3 per test statistic.
+ALPHA = 1e-3
+
+
+def _registry_runs(name, n, backend, seeds, offset, budget):
+    entry = resolve_protocol(name)
+    return [
+        simulate(
+            entry.build(n, {}),
+            n,
+            seed=seed,
+            backend=backend,
+            convergence=entry.convergence(n, {}),
+            check_interval=n,
+            confirm_checks=1,
+            max_interactions=budget,
+        )
+        for seed in range(offset, offset + seeds)
+    ]
+
+
+def _homogeneity_pvalue(first, second):
+    """Chi-square test that two samples of categories share one law."""
+    pooled = first + second
+    statistic = (
+        chi_square_statistic(first, pooled)[0] + chi_square_statistic(second, pooled)[0]
+    )
+    return chi_square_pvalue(statistic, max(1, len(pooled) - 1))
+
+
+@pytest.mark.stats
+def test_dense_regime_laws_match_the_agent_loop():
+    # The dense regime draws its scheduler stream differently from the agent
+    # loop, so exactness is a claim about laws: the convergence-interaction
+    # laws of count-exact (n = 16) and approximate (n = 17), and the output
+    # approximate settles on at n = 17, where floor(log2 n) = 4 and
+    # ceil(log2 n) = 5 are both accepted and both common.  A few seeds
+    # settle wrong or miss the budget on either backend (Theorems 1 and 2
+    # hold w.h.p.).
+    seeds = 40
+    for name, n, budget in (("count-exact", 16, 100_000), ("approximate", 17, 60_000)):
+        runs = {
+            backend: _registry_runs(name, n, backend, seeds, offset, budget)
+            for backend, offset in (("agent", 0), ("batch", 10_000))
+        }
+        times = {
+            backend: [run.convergence_interaction for run in results if run.converged]
+            for backend, results in runs.items()
+        }
+        for backend, converged in times.items():
+            assert len(converged) >= seeds * 3 // 4, (name, backend, len(converged))
+        statistic = ks_statistic(times["agent"], times["batch"])
+        p_value = ks_pvalue(statistic, len(times["agent"]), len(times["batch"]))
+        assert p_value > ALPHA, (name, statistic, p_value)
+    outputs = {
+        backend: Counter(
+            tuple(sorted(run.output_counts)) for run in results if run.converged
+        )
+        for backend, results in runs.items()
+    }
+    p_value = _homogeneity_pvalue(outputs["agent"], outputs["batch"])
+    assert p_value > ALPHA, (outputs, p_value)
+
+
+def _assert_agent_array(backend):
+    assert Counter(backend._agents) == backend._counts
+    assert len(backend._agents) == backend.n
+
+
+class _RecordingRandom(random.Random):
+    """A ``random.Random`` that keeps every ``sample`` it hands out."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.samples = []
+
+    def sample(self, population, k, **kwargs):
+        drawn = super().sample(population, k, **kwargs)
+        self.samples.append(drawn)
+        return drawn
+
+
+def test_dense_agent_array_tracks_the_histogram_through_population_changes():
+    # approximate-stable runs the dense regime; drive it through the
+    # stable-detect timeline (join with restart, clock-phase corruption,
+    # leave) at n = 32, then a direct leave, corruption and restart, and
+    # check the agent array against the histogram after every event.
+    n = 32
+    spec = builtin_scenarios()["stable-detect"]
+    simulator = Simulator(
+        resolve_protocol(spec.protocol).build(n, {}), n, seed=5, backend="batch"
+    )
+    backend = simulator.backend
+    assert not backend._prunes
+    _assert_agent_array(backend)
+    fired = []
+
+    def checked(event):
+        def apply(sim):
+            details = event.apply(sim)
+            _assert_agent_array(backend)
+            fired.append(event.kind)
+            return details
+
+        return TimelineEvent(at=event.at, kind=event.kind, apply=apply, label=event.label)
+
+    timeline = [checked(event) for event in expand_events(spec.events, n, {}, 5)]
+    simulator.run(max_interactions=spec.budget.budget(n), timeline=timeline)
+    assert fired == ["join", "corrupt", "leave"]
+    _assert_agent_array(backend)
+
+    before = Counter(backend._agents)
+    rng = _RecordingRandom(1)
+    backend.leave(10, rng)
+    _assert_agent_array(backend)
+    # Ten distinct agents left: no id lost more agents than it had.
+    removed = before - Counter(backend._agents)
+    assert sum(removed.values()) == 10
+    assert Counter(backend._agents) + removed == before
+
+    target = backend._keys[backend._agents[0]]
+    assert backend.corrupt_histogram(12, lambda key, rng: target, rng) > 0
+    _assert_agent_array(backend)
+    # One draw of distinct agent indices per victim set.
+    assert [len(set(indices)) for indices in rng.samples] == [10, 12]
+
+    backend.restart_population()
+    _assert_agent_array(backend)
+    backend.advance_to(backend.interactions + 2_000)
+    _assert_agent_array(backend)

@@ -26,7 +26,7 @@ from repro.engine import (
 )
 from repro.engine import backends
 from repro.engine.protocol import Protocol
-from repro.engine.samplers import FenwickSampler
+from repro.engine.samplers import AgentPairSampler, FenwickSampler
 from repro.engine.stats import (
     chi_square_gof,
     ks_pvalue,
@@ -289,13 +289,38 @@ def _assert_laws_match(by_strategy, samples=30):
             assert p_value > ALPHA, (first, second, statistic, p_value)
 
 
+def test_agent_pair_sampler_is_the_canonical_scan_over_ordered_agent_pairs():
+    # The dense regime's draw is the canonical inverse CDF over the explicit
+    # unit-weight table of ordered pairs of distinct agents: the scan over
+    # that table maps a stream to the identical pair sequence, also after a
+    # resize, and every pair is reachable.
+    for n in (2, 3, 7, 20):
+        sampler = AgentPairSampler(n + 5)
+        sampler.resize(n)
+        oracle = ScanSampler(sampler.weights())
+        assert sampler.total == oracle.total == len(sampler) == n * (n - 1)
+        fast, slow = random.Random(n), random.Random(n)
+        drawn = [sampler.sample(fast) for _ in range(4_000)]
+        assert drawn == [oracle.sample(slow) for _ in range(4_000)]
+        if n <= 7:
+            assert set(drawn) == set(oracle.weights())
+        assert sampler.stats() == {"strategy": "agent-array", "draws": 4_000}
+    with pytest.raises(ConfigurationError):
+        AgentPairSampler(1)
+    with pytest.raises(ConfigurationError):
+        sampler.update((0, 1), 2)
+    with pytest.raises(ConfigurationError):
+        sampler.rebuild({(0, 1): 1})
+
+
 @pytest.mark.stats
 def test_backup_exact_convergence_distributions_match_across_strategies(monkeypatch):
     # Under churn the draw paths legitimately diverge (slot orders drift),
     # so the claim becomes statistical: the convergence-time laws must be
     # indistinguishable between the Fenwick tree, the scan oracle and the
-    # backend's default path.  backup-exact covers the pruning regime,
-    # count-exact the dense regime of the paper's Theorem 2 protocol.
+    # backend's default path.  Only the pruning regime samples from a
+    # weighted sampler; the dense regime is checked against the agent loop
+    # in tests/test_batch_backend.py.
     n = 96
 
     def backup():
@@ -304,17 +329,6 @@ def test_backup_exact_convergence_distributions_match_across_strategies(monkeypa
     _assert_laws_match({
         strategy: _convergence_times(monkeypatch, backup, n, strategy, 1_000 * index)
         for index, strategy in enumerate(("scan", "fenwick", "default"))
-    })
-
-    small = 16
-    entry = resolve_protocol("count-exact")
-
-    def count_exact():
-        return entry.build(small, {}), entry.convergence(small, {})
-
-    _assert_laws_match({
-        strategy: _convergence_times(monkeypatch, count_exact, small, strategy, 5_000 * index)
-        for index, strategy in enumerate(("scan", "fenwick"), start=1)
     })
 
 
@@ -362,16 +376,14 @@ def test_sampler_rejects_negative_weights_and_empty_draws():
 
 def test_dense_regime_reports_sampler_stats():
     # A protocol with the conservative can_interaction_change runs the dense
-    # regime on the Fenwick tree; the sampler record must say so.
+    # regime on the agent array, one index pair per interaction; the sampler
+    # record must say so.
     entry = resolve_protocol("approximate")
     result = simulate(
         entry.build(64, {}), 64, seed=1, backend="batch", max_interactions=2_000,
     )
     stats = result.extra["telemetry"]["sampler"]
-    assert stats["regime"] == "dense"
-    assert stats["strategy"] == "fenwick"
-    assert stats["draws"] >= 2_000  # two participants per interaction
-    assert "retired" not in stats
+    assert stats == {"regime": "dense", "strategy": "agent-array", "draws": 2_000}
     assert result.extra["telemetry"]["accel"]["engaged"] is False
 
 

@@ -558,9 +558,12 @@ class BatchBackend(Backend):
       over ordered pairs of distinct agents, in O(1) and with no rejection.
       The two slots are rewritten only when the histogram changed: the law
       of the histogram chain does not depend on how ids are arranged over
-      the slots, so a swap or a no-op leaves them as they are.  This is the
-      regime of the composed counting protocols, whose no-op analysis is
-      out of reach of a per-pair predicate.
+      the slots, so a swap or a no-op leaves them as they are.  Every
+      interaction is an event here, so one fused loop per advance window
+      (:meth:`_advance_dense`) runs them with its state in locals and its
+      phase timers per window rather than per event.  This is the regime
+      of the composed counting protocols, whose no-op analysis is out of
+      reach of a per-pair predicate.
 
     The backend picks its hot loop from what it observes; there is no knob.
     In the pruning regime, once the active pair table holds more than
@@ -838,6 +841,9 @@ class BatchBackend(Backend):
 
     # -------------------------------------------------------------- stepping
     def advance_to(self, target: int) -> None:
+        if not self._prunes:
+            self._advance_dense(target)
+            return
         if self._pair_kernel is not None:
             self._advance_pruning_numpy(target)
             return
@@ -845,14 +851,13 @@ class BatchBackend(Backend):
         log = math.log
         log1p = math.log1p
         pair_rng = self._pair_rng
-        prunes = self._prunes
         while self.interactions < target and not self.terminal:
             if self._kernel_armed and len(self._pair_weights) > KERNEL_MIN_PAIRS:
                 self._engage_pair_kernel()
                 if self._pair_kernel is not None:
                     self._advance_pruning_numpy(target)
                     return
-            weight = self._active_weight if prunes else ordered_pairs
+            weight = self._active_weight
             if weight <= 0:
                 self.terminal = True
                 break
@@ -875,6 +880,96 @@ class BatchBackend(Backend):
             self.interactions += skip + 1
             self._apply_event()
         self.counter.total = self.interactions
+
+    def _advance_dense(self, target: int) -> None:
+        """Dense-regime event loop: every interaction is one event.
+
+        One loop per window with its state bound to locals.  Each
+        interaction draws two agent indices from the
+        :class:`~repro.engine.samplers.AgentPairSampler`, reads the two
+        slots of :attr:`_agents` and looks the id pair up in the memo: a
+        plain ``(new_a, new_b)`` hit costs one dict lookup, coin nodes and
+        misses go through :meth:`_resolve`.  The histogram and the two slots
+        are rewritten only when the configuration changed, the histogram by
+        the same operations in the same order as :meth:`_apply_transition`.
+
+        Phase timers run once per window and around each :meth:`_resolve`
+        call, not per event; :mod:`repro.obs.trace` says what each phase
+        then covers.  Hooks fire with the event already counted, and a hook
+        that leaves the backend :attr:`~Backend.terminal` ends the window.
+        """
+        interactions = self.interactions
+        if interactions >= target or self.terminal:
+            return
+        hooks = self.simulator.hooks
+        sample = self._sampler.sample
+        pair_rng = self._pair_rng
+        memo_get = self._memo.get
+        resolve = self._resolve
+        agents = self._agents
+        counts = self._counts
+        count_of = counts.get
+        id_bits = _ID_BITS
+        clock = perf_counter
+        start = interactions
+        hits = changes = 0
+        resolve_s = hooks_s = 0.0
+        window_started = clock()
+        try:
+            while interactions < target:
+                interactions += 1
+                initiator, responder = sample(pair_rng)
+                ident_a = agents[initiator]
+                ident_b = agents[responder]
+                entry = memo_get(ident_a << id_bits | ident_b)
+                if entry.__class__ is tuple:
+                    hits += 1
+                    new_a, new_b = entry
+                else:
+                    tic = clock()
+                    new_a, new_b = resolve(ident_a, ident_b, entry)
+                    resolve_s += clock() - tic
+                if (new_a != ident_a or new_b != ident_b) and (
+                    new_a != ident_b or new_b != ident_a
+                ):
+                    changes += 1
+                    counts[ident_a] -= 1
+                    counts[ident_b] -= 1
+                    counts[new_a] += 1
+                    counts[new_b] += 1
+                    if count_of(ident_a) == 0:
+                        del counts[ident_a]
+                    if count_of(ident_b) == 0:
+                        del counts[ident_b]
+                    agents[initiator] = new_a
+                    agents[responder] = new_b
+                    if len(counts) == 1:
+                        self._check_dense_fixed_point()
+                        if self.terminal and not hooks:
+                            break  # (with hooks, the check after them does)
+                if hooks:
+                    self.interactions = interactions
+                    tic = clock()
+                    self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
+                    hooks_s += clock() - tic
+                    # A hook may have rewritten or replaced the population.
+                    agents = self._agents
+                    counts = self._counts
+                    count_of = counts.get
+                    if self.terminal:
+                        break
+        finally:
+            window_s = clock() - window_started
+            events = interactions - start
+            self.interactions = interactions
+            self.counter.total = interactions
+            self.applied_events += events
+            self._memo_hits += hits
+            tracer = self.tracer
+            tracer.add("sampling", window_s - resolve_s - hooks_s, ops=events)
+            tracer.add("transition", resolve_s, ops=events)
+            if changes:
+                tracer.add("pair_weights", 0.0, ops=changes)
 
     def _retire_sampler(
         self, stats: Dict[str, Any], regime: str, retired_by: str
@@ -903,7 +998,8 @@ class BatchBackend(Backend):
     ) -> Tuple[int, int, Tuple[int, ...]]:
         """Apply one pair type's transition to the histogram.
 
-        Shared by the Python and NumPy event loops: looks the transition up
+        Shared by the pruning regime's Python and NumPy event loops (the
+        dense loop inlines the same steps): looks the transition up
         in the memo (a coin-free hit costs one dict lookup), updates the
         histogram when the configuration changed, and returns ``(new_a,
         new_b, changed)`` where ``changed`` is the (possibly overlapping)
@@ -942,22 +1038,15 @@ class BatchBackend(Backend):
             )
 
     def _apply_event(self) -> None:
-        """Sample one interaction's pair type and apply its transition.
+        """Sample one active pair type and apply its transition (pruning regime).
 
-        In the pruning regime "active" means :meth:`can_interaction_change`
-        could not rule out a configuration change; in the dense regime every
-        pair is active, so the applied transition may turn out to be a no-op
-        either way.
+        "Active" means :meth:`can_interaction_change` could not rule out a
+        configuration change, so the applied transition may still turn out
+        to be a no-op.
         """
         tracer = self.tracer
         tic = perf_counter()
-        if self._prunes:
-            ident_a, ident_b = self._sampler.sample(self._pair_rng)
-        else:
-            initiator, responder = self._sampler.sample(self._pair_rng)
-            agents = self._agents
-            ident_a = agents[initiator]
-            ident_b = agents[responder]
+        ident_a, ident_b = self._sampler.sample(self._pair_rng)
         toc = perf_counter()
         tracer.add("sampling", toc - tic)
         new_a, new_b, changed = self._apply_transition(ident_a, ident_b)
@@ -965,13 +1054,7 @@ class BatchBackend(Backend):
         tracer.add("transition", tic - toc)
         self.applied_events += 1
         if changed:
-            if self._prunes:
-                self._update_pair_weights(changed)
-            else:
-                agents[initiator] = new_a
-                agents[responder] = new_b
-                if len(self._counts) == 1:
-                    self._check_dense_fixed_point()
+            self._update_pair_weights(changed)
             tracer.add("pair_weights", perf_counter() - tic)
         if self.simulator.hooks:
             self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)

@@ -8,7 +8,10 @@ over the weights with O(log P) point updates and O(log P) inverse-CDF draws
 and no rebuild ever, which wins on churning tables such as
 ``backup-exact``'s.  The *dense* regime keeps one id per agent and draws the
 two participants' indices from :class:`AgentPairSampler`, the implicit
-unit-weight table of ordered pairs of distinct agents, in O(1).
+unit-weight table of ordered pairs of distinct agents, in O(1).  Its fused
+event loop calls :meth:`AgentPairSampler.sample` once per interaction, as
+a bound local, so the draw keeps one definition and ``draws`` counts
+interactions.
 
 Draw-path determinism
 ---------------------
@@ -280,8 +283,10 @@ class AgentPairSampler(WeightedSampler):
     every ``total < 2**53``, and ``int`` picks the slot the canonical scan
     picks, so the contract holds bit-for-bit.
 
-    Only the population size changes the table, through :meth:`resize`;
-    :meth:`update` and :meth:`rebuild` of single weights do not apply.
+    Only the population size changes the table, through :meth:`resize`,
+    which keeps the object (and so a bound :meth:`sample` held by the dense
+    event loop) valid; :meth:`update` and :meth:`rebuild` of single weights
+    do not apply.
     """
 
     strategy = "agent-array"

@@ -8,6 +8,22 @@ engagement and fallback — each stamped with the interaction count at
 which it happened.  The simulator folds the tracer into
 ``SimulationResult.extra["telemetry"]`` at the end of a run.
 
+Every phase counts ``ops`` per operation, but the batch backend's two
+regimes time them differently:
+
+* **Pruning regime** (and the NumPy kernel's loop): one timer per event
+  and phase.  ``sampling`` is drawing the skip and the pair type,
+  ``transition`` the memo lookup or ``delta_key`` plus the histogram
+  update, ``pair_weights`` the pair-table or kernel upkeep after a
+  configuration-changing event.
+* **Dense regime**: one timer per advance window, plus one around each
+  memo entry that is not a plain hit.  ``transition`` is the time spent
+  resolving coin nodes and misses (``delta_key``); ``sampling`` is the
+  rest of the window — the agent-pair draws, plain memo hits, histogram
+  and agent-slot upkeep and the loop itself, hooks excluded;
+  ``pair_weights`` records no time and counts the configuration-changing
+  events.  ``sampling`` and ``transition`` count one op per interaction.
+
 Determinism contract: tracing only ever reads ``time.perf_counter`` —
 never an RNG stream — so instrumented runs are stream-identical to
 uninstrumented ones.  All timing lands in fields named ``wall_time_s``,

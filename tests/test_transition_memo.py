@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.engine import SimulationError, Simulator, simulate
+from repro.engine.hooks import CallbackHook
 from repro.engine.protocol import Protocol
 from repro.engine.vectorized import numpy_available
 from repro.experiments.registry import resolve_protocol
@@ -93,8 +94,28 @@ def test_memo_lookups_account_for_every_applied_event():
     )
     telemetry = result.extra["telemetry"]
     memo = telemetry["memo"]
-    assert memo["hits"] + memo["misses"] == telemetry["skips"]["applied_events"]
+    applied = telemetry["skips"]["applied_events"]
+    assert memo["hits"] + memo["misses"] == applied
     assert memo["interned_keys"] == result.distinct_states
+    # The dense loop times whole windows, but every phase still counts one
+    # op per event (pair_weights: per configuration-changing event), with
+    # the op counts the per-event timers recorded.
+    ops = {name: phase["ops"] for name, phase in telemetry["phases"].items()}
+    assert ops == {"sampling": 15_000, "transition": 15_000, "pair_weights": 13_610}
+    assert ops["sampling"] == ops["transition"] == applied
+    changing = []
+    counter = CallbackHook(
+        on_batch_event=lambda sim, a, b, new_a, new_b: changing.append(
+            Counter((a, b)) != Counter((new_a, new_b))
+        )
+    )
+    hooked = simulate(
+        entry.build(64, {}), 64, seed=2, backend="batch", max_interactions=15_000,
+        hooks=[counter],
+    )
+    hooked_phases = hooked.extra["telemetry"]["phases"]
+    assert {name: phase["ops"] for name, phase in hooked_phases.items()} == ops
+    assert len(changing) == applied and sum(changing) == ops["pair_weights"]
 
 
 # --------------------------------------------------------------------------

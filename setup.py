@@ -34,8 +34,8 @@ setup(
         "Reproduction of Berenbrink, Kaaser, Radzik (PODC 2019) population "
         "protocols with a batched configuration-vector simulation backend "
         "(a Fenwick-tree pair sampler, a memo of interned-key transitions "
-        "that replays their coin flips, and a NumPy pair kernel with a "
-        "pure-Python fallback), a parallel experiment-sweep subsystem, a "
+        "that replays their coin flips, and a factorised pair kernel), a "
+        "parallel experiment-sweep subsystem, a "
         "dynamic-population chaos-scenario subsystem with adversarial "
         "frontier search, a multi-host HTTP job server whose cells all run "
         "on pull-protocol workers behind a persistent content-addressed "
@@ -47,10 +47,6 @@ setup(
     python_requires=">=3.10",  # dataclass(slots=True) throughout
     extras_require={
         "test": ["pytest"],
-        # The acceleration layer is optional by design: the core library
-        # stays dependency-free and falls back to the pure-Python hot loop
-        # (continuously exercised by the CI matrix) when NumPy is absent.
-        "accel": ["numpy"],
     },
     entry_points={
         "console_scripts": [

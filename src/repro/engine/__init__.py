@@ -16,7 +16,7 @@ from .backends import (
     LiftedKeyTransitions,
 )
 from .samplers import FenwickSampler, WeightedSampler
-from .vectorized import FactorisedPairKernel, numpy_available
+from .vectorized import FactorisedPairKernel
 from .convergence import (
     ConvergenceTracker,
     accuracy_fraction,
@@ -77,7 +77,6 @@ __all__ = [
     "LiftedKeyTransitions",
     "WeightedSampler",
     "FactorisedPairKernel",
-    "numpy_available",
     "ConvergenceTracker",
     "accuracy_fraction",
     "all_outputs_equal",

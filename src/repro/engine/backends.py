@@ -45,7 +45,7 @@ from .errors import ConfigurationError, SimulationError
 from .metrics import AggregateInteractionCounter, InteractionCounter, StateSpaceTracker
 from .protocol import Protocol
 from .samplers import AgentPairSampler, FenwickSampler, WeightedSampler
-from .vectorized import AccelCapacityError, FactorisedPairKernel, numpy_available
+from .vectorized import AccelCapacityError, FactorisedPairKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
     from .scheduler import Scheduler
@@ -64,12 +64,12 @@ __all__ = [
 BACKEND_NAMES = ("agent", "batch", "auto")
 
 #: Width of the active pair table (ordered pair types of positive weight)
-#: past which the pruning regime hands its hot loop to the NumPy
-#: :class:`~repro.engine.vectorized.FactorisedPairKernel`, when NumPy is
-#: importable.  Both sides are measured: ``backup-exact`` grows past it
-#: within its first ~200 events and runs ~3x faster on the kernel at
-#: n = 10^3, while ``one-way-epidemic`` never holds more than 2 active pairs
-#: and runs ~6x slower when the kernel is forced on it (n = 600-840).
+#: past which the pruning regime hands its hot loop to the
+#: :class:`~repro.engine.vectorized.FactorisedPairKernel`.  Both sides are
+#: measured: ``backup-exact`` grows past it within its first ~200 events
+#: and runs ~8x faster on the kernel at n = 10^3, while
+#: ``one-way-epidemic`` never holds more than 2 active pairs and runs ~1.2x
+#: slower when the kernel is forced on it (n = 600-840).
 KERNEL_MIN_PAIRS = 32
 
 #: Bits of the responder id in a packed ``a << ID_BITS | b`` memo key.
@@ -567,13 +567,13 @@ class BatchBackend(Backend):
 
     The backend picks its hot loop from what it observes; there is no knob.
     In the pruning regime, once the active pair table holds more than
-    :data:`KERNEL_MIN_PAIRS` entries and NumPy is importable (see
-    :mod:`repro.engine.vectorized`), the materialised table and its
+    :data:`KERNEL_MIN_PAIRS` entries, the materialised table and its
     O(changed * K) per-event :meth:`_update_pair_weights` walk are replaced
-    for the rest of the run by the factorised ``w(a, b) = c_a * c_b``
-    row/column-product kernel, whose count updates are O(changed).  A
-    protocol whose live key set outgrows the kernel's activity matrix falls
-    back to the Python path mid-run.  :meth:`sampler_stats`,
+    for the rest of the run by the pure-Python factorised ``w(a, b) = c_a *
+    c_b`` row/column-product kernel of :mod:`repro.engine.vectorized`, whose
+    count updates are one activity-column walk per changed key.  A protocol
+    whose live key set outgrows the kernel's activity matrix falls back to
+    the Fenwick path mid-run.  :meth:`sampler_stats`,
     :meth:`accel_info` and :meth:`memo_stats` report the path taken
     (surfaced in ``SimulationResult.extra["telemetry"]``).
     """
@@ -633,8 +633,8 @@ class BatchBackend(Backend):
             type(protocol).can_interaction_change is not Protocol.can_interaction_change
         )
         #: Whether the factorised kernel may still engage: pruning regime,
-        #: NumPy importable, not engaged yet and no capacity fallback.
-        self._kernel_armed = self._prunes and numpy_available()
+        #: not engaged yet and no capacity fallback.
+        self._kernel_armed = self._prunes
         self._accel_fallback: Optional[str] = None
         #: Stats snapshots of samplers and kernels replaced mid-run.
         self._retired_samplers: List[Dict[str, Any]] = []
@@ -845,7 +845,7 @@ class BatchBackend(Backend):
             self._advance_dense(target)
             return
         if self._pair_kernel is not None:
-            self._advance_pruning_numpy(target)
+            self._advance_pruning_kernel(target)
             return
         ordered_pairs = self.n * (self.n - 1)
         log = math.log
@@ -855,7 +855,7 @@ class BatchBackend(Backend):
             if self._kernel_armed and len(self._pair_weights) > KERNEL_MIN_PAIRS:
                 self._engage_pair_kernel()
                 if self._pair_kernel is not None:
-                    self._advance_pruning_numpy(target)
+                    self._advance_pruning_kernel(target)
                     return
             weight = self._active_weight
             if weight <= 0:
@@ -998,7 +998,7 @@ class BatchBackend(Backend):
     ) -> Tuple[int, int, Tuple[int, ...]]:
         """Apply one pair type's transition to the histogram.
 
-        Shared by the pruning regime's Python and NumPy event loops (the
+        Shared by the pruning regime's Fenwick and kernel event loops (the
         dense loop inlines the same steps): looks the transition up
         in the memo (a coin-free hit costs one dict lookup), updates the
         histogram when the configuration changed, and returns ``(new_a,
@@ -1059,14 +1059,14 @@ class BatchBackend(Backend):
         if self.simulator.hooks:
             self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
 
-    # ---------------------------------------------------- NumPy event loop
+    # --------------------------------------------------- kernel event loop
     def _note_fallback(self, reason: str) -> None:
         self._accel_fallback = reason
         self._kernel_armed = False
         self.tracer.note_event("accel-fallback", at=self.interactions, reason=reason)
 
     def _engage_pair_kernel(self) -> None:
-        """Swap the Python pair structures for the NumPy kernel.
+        """Swap the Fenwick pair structures for the factorised kernel.
 
         Called once the active pair table grew past
         :data:`KERNEL_MIN_PAIRS`: the table is wide enough for the
@@ -1076,8 +1076,8 @@ class BatchBackend(Backend):
         """
         self._kernel_armed = False
         # The kernel's generator is seeded from the scheduler stream only
-        # here, so a run whose pair table stays narrow draws the same
-        # stream with and without NumPy.
+        # here, so a run whose pair table stays narrow draws exactly the
+        # Fenwick path's stream.
         try:
             kernel = FactorisedPairKernel(
                 dict(self._counts),
@@ -1096,8 +1096,8 @@ class BatchBackend(Backend):
         self._pair_weights = {}
         self._active_weight = 0
 
-    def _fallback_to_python(self, reason: str) -> None:
-        """Abandon the NumPy kernel mid-run and rebuild the Python path.
+    def _fallback_to_fenwick(self, reason: str) -> None:
+        """Abandon the factorised kernel mid-run and rebuild the Fenwick path.
 
         Triggered when the kernel outgrows its capacity (an activity matrix
         wider than :attr:`~repro.engine.vectorized.FactorisedPairKernel.
@@ -1111,7 +1111,7 @@ class BatchBackend(Backend):
         self._note_fallback(reason)
         self._rebuild_pair_weights()
 
-    def _advance_pruning_numpy(self, target: int) -> None:
+    def _advance_pruning_kernel(self, target: int) -> None:
         """Pruning-regime event loop over the factorised pair kernel."""
         kernel = self._pair_kernel
         simulator = self.simulator
@@ -1157,7 +1157,7 @@ class BatchBackend(Backend):
             if simulator.hooks:
                 self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
             if overflow is not None:
-                self._fallback_to_python(str(overflow))
+                self._fallback_to_fenwick(str(overflow))
                 self.counter.total = self.interactions
                 self.advance_to(target)
                 return
@@ -1229,7 +1229,7 @@ class BatchBackend(Backend):
                     for ident in changed:
                         kernel.set_count(ident, counts.get(ident, 0))
             except AccelCapacityError as error:
-                self._fallback_to_python(str(error))
+                self._fallback_to_fenwick(str(error))
                 if self._active_weight <= 0:
                     self.terminal = True
                 return
@@ -1405,7 +1405,7 @@ class BatchBackend(Backend):
                 try:
                     self._pair_kernel.resync(counts)
                 except AccelCapacityError as error:
-                    self._fallback_to_python(str(error))
+                    self._fallback_to_fenwick(str(error))
             elif self._prunes:
                 self._rebuild_pair_weights()
             else:
@@ -1431,21 +1431,13 @@ class BatchBackend(Backend):
         return record
 
     def accel_info(self) -> Dict[str, Any]:
-        """JSON-friendly record of the acceleration path this run is on.
+        """JSON-friendly record of the pair kernel's state in this run.
 
-        ``active`` is ``"numpy"`` while the factorised kernel drives the
-        hot loop or may still engage (pruning regime, NumPy importable, no
-        capacity fallback yet) and ``"python"`` otherwise; ``engaged`` says
-        whether the kernel drives it right now.  The CI matrix's guard test
-        pins both against the leg's intent so the two legs can never
-        silently test the same code.
+        ``engaged`` says whether the factorised kernel drives the pruning
+        hot loop right now; ``fallback_reason`` is present once a capacity
+        fallback retired it.
         """
-        engaged = self._pair_kernel is not None
-        record: Dict[str, Any] = {
-            "active": "numpy" if engaged or self._kernel_armed else "python",
-            "numpy_available": numpy_available(),
-            "engaged": engaged,
-        }
+        record: Dict[str, Any] = {"engaged": self._pair_kernel is not None}
         if self._accel_fallback is not None:
             record["fallback_reason"] = self._accel_fallback
         return record

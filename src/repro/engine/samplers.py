@@ -3,7 +3,7 @@
 In its *pruning* regime the batch backend draws the next configuration-
 changing interaction from the table of active ordered pair types, weighted
 by the number of agent pairs realising each.  :class:`FenwickSampler` serves
-that table below the NumPy kernel's width — a Fenwick (binary indexed) tree
+that table below the pair kernel's width — a Fenwick (binary indexed) tree
 over the weights with O(log P) point updates and O(log P) inverse-CDF draws
 and no rebuild ever, which wins on churning tables such as
 ``backup-exact``'s.  The *dense* regime keeps one id per agent and draws the

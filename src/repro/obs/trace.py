@@ -11,7 +11,7 @@ which it happened.  The simulator folds the tracer into
 Every phase counts ``ops`` per operation, but the batch backend's two
 regimes time them differently:
 
-* **Pruning regime** (and the NumPy kernel's loop): one timer per event
+* **Pruning regime** (and the pair kernel's loop): one timer per event
   and phase.  ``sampling`` is drawing the skip and the pair type,
   ``transition`` the memo lookup or ``delta_key`` plus the histogram
   update, ``pair_weights`` the pair-table or kernel upkeep after a

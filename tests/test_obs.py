@@ -17,7 +17,7 @@ import pytest
 
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import all_outputs_equal, simulate
-from repro.engine.vectorized import FactorisedPairKernel, numpy_available
+from repro.engine.vectorized import FactorisedPairKernel
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -34,11 +34,6 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import EVENT_LIMIT, TELEMETRY_SCHEMA, RunTracer
 from repro.primitives.epidemic import OneWayEpidemic
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy unavailable (or vetoed by REPRO_NO_NUMPY)"
-)
-
 
 # --------------------------------------------------------------------------
 # Metrics primitives and the exposition round trip
@@ -201,7 +196,7 @@ def test_batch_backend_emits_telemetry_with_consistent_skips():
     assert checkpoints["count"] >= checkpoints["satisfied"] >= 1
     # Telemetry is the single source: no parallel top-level views.
     assert telemetry["sampler"]["regime"] == "pruning"
-    assert set(telemetry["accel"]) >= {"active", "numpy_available", "engaged"}
+    assert set(telemetry["accel"]) == {"engaged"}
     memo = telemetry["memo"]
     assert memo["hits"] + memo["misses"] == skips["applied_events"]
     assert "sampler" not in result.extra
@@ -253,7 +248,6 @@ def test_tracing_is_stream_transparent():
 # --------------------------------------------------------------------------
 
 
-@requires_numpy
 def test_engage_then_capacity_fallback_retains_every_retired_snapshot(monkeypatch):
     # The factorised kernel engages once the pair table is wide, then the
     # clamped activity matrix forces a fallback: the Fenwick sampler AND
@@ -268,7 +262,8 @@ def test_engage_then_capacity_fallback_retains_every_retired_snapshot(monkeypatc
         max_interactions=30_000,
     )
     telemetry = result.extra["telemetry"]
-    assert telemetry["accel"]["active"] == "python"
+    assert telemetry["accel"]["engaged"] is False
+    assert "activity matrix" in telemetry["accel"]["fallback_reason"]
     retired = telemetry["sampler"]["retired"]
     assert [snapshot["retired_by"] for snapshot in retired] == [
         "accel-engage", "accel-fallback",

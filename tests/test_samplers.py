@@ -256,7 +256,7 @@ def _convergence_times(monkeypatch, make_protocol, n, strategy, offset, samples=
 
     ``strategy`` is ``"scan"`` (the oracle in place of the Fenwick tree,
     kernel held off), ``"fenwick"`` (kernel held off) or ``"default"``
-    (the backend's own choice, the factorised kernel when NumPy is present).
+    (the backend's own choice, the factorised kernel once the table is wide).
     """
     times = []
     with monkeypatch.context() as patch:

@@ -16,7 +16,6 @@ import pytest
 from repro.engine import SimulationError, Simulator, simulate
 from repro.engine.hooks import CallbackHook
 from repro.engine.protocol import Protocol
-from repro.engine.vectorized import numpy_available
 from repro.experiments.registry import resolve_protocol
 from repro.scenarios.builtin import builtin_scenarios
 from repro.scenarios.events import expand_events
@@ -64,8 +63,8 @@ def test_memoised_runs_are_stream_identical_to_bypassed_runs(name, n, budget):
     # The memo saves delta_key calls and nothing else.
     assert memoised[1].extra["transition_calls"] < bypassed[1].extra["transition_calls"]
     if name == "backup-exact":
-        # Pruning regime: the NumPy kernel drives the loop where it can.
-        assert memoised[1].extra["telemetry"]["accel"]["engaged"] == numpy_available()
+        # Pruning regime: the pair kernel drives the loop once it is wide.
+        assert memoised[1].extra["telemetry"]["accel"]["engaged"] is True
     else:
         assert memo["coin_nodes"] > 0
 

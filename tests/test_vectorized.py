@@ -1,38 +1,34 @@
-"""Tests for the NumPy acceleration of the pruning regime.
+"""Tests for the factorised pair kernel of the pruning regime.
 
-The layer must be *provably optional*: the CI matrix runs one leg with
-NumPy and one without, and the guard test here pins the active path against
-the leg's declared intent (``REPRO_EXPECT_ACCEL``) so the two legs can
-never silently test the same code.  The batch backend engages the
-factorised kernel by itself once the active pair table grows past
-``KERNEL_MIN_PAIRS``; tests that need one path or the other move that
-width.  Equivalence is checked at two levels: exact differential tests of
-the factorised pair weights against a from-scratch recomputation, and
-distribution-level chi-square / KS checks of draws and end-to-end
-convergence-time laws.
+The batch backend engages the pure-Python factorised kernel by itself once
+the active pair table grows past ``KERNEL_MIN_PAIRS``; tests that need one
+path or the other move that width.  The engine imports no NumPy, which a
+subprocess run checks.  Equivalence is checked at two levels: exact
+differential tests of the factorised pair weights against a from-scratch
+recomputation, and distribution-level chi-square / KS checks of draws and
+end-to-end convergence-time laws.
 """
 
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro.engine
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import ConfigurationError, Simulator, all_outputs_equal, simulate
 from repro.engine import backends
 from repro.engine.stats import chi_square_gof, ks_pvalue, ks_statistic
-from repro.engine import vectorized as vectorized_module
-from repro.engine.vectorized import FactorisedPairKernel, numpy_available
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy unavailable (or vetoed by REPRO_NO_NUMPY)"
-)
+from repro.engine.vectorized import FactorisedPairKernel
 
 #: Generous significance threshold (see tests/test_samplers.py).
 ALPHA = 1e-3
 
-#: A pair-table width the kernel never reaches: pins the Python path.
+#: A pair-table width the kernel never reaches: pins the Fenwick path.
 NEVER = 10**9
 
 
@@ -41,69 +37,37 @@ def _telemetry(result):
 
 
 # --------------------------------------------------------------------------
-# CI guard: the intended accel path must actually be active
+# The engine runs the kernel without NumPy
 # --------------------------------------------------------------------------
 
 
-def test_ci_guard_active_accel_path_matches_leg_intent():
-    # On CI, REPRO_EXPECT_ACCEL declares the matrix leg's intent; locally
-    # the expectation is simply consistency with NumPy availability.  The
-    # assertion is made on a *real simulation's* report, not on
-    # numpy_available() alone, so a wiring regression cannot slip through.
-    expected = os.environ.get("REPRO_EXPECT_ACCEL")
-    if expected is None:
-        expected = "numpy" if numpy_available() else "python"
-    assert expected in ("numpy", "python")
-    if expected == "numpy":
-        assert numpy_available(), "numpy leg without importable NumPy"
-    else:
-        assert not numpy_available(), (
-            "pure-python leg with NumPy importable; set REPRO_NO_NUMPY=1"
-        )
-    result = simulate(
-        ExactBackupProtocol(), 64, seed=0, backend="batch", max_interactions=2_000
+def test_engaged_kernel_runs_without_importing_numpy():
+    # A fresh interpreter runs backup-exact past the kernel's engagement;
+    # nothing on that path may pull NumPy in.
+    src = Path(repro.engine.__file__).resolve().parents[2]
+    code = (
+        "import sys\n"
+        "from repro.counting.backup import ExactBackupProtocol\n"
+        "from repro.engine import simulate\n"
+        "result = simulate(ExactBackupProtocol(), 256, seed=11, backend='batch',"
+        " max_interactions=150_000)\n"
+        "telemetry = result.extra['telemetry']\n"
+        "assert telemetry['accel']['engaged'] is True, telemetry['accel']\n"
+        "assert telemetry['sampler']['strategy'] == 'factorised'\n"
+        "assert 'numpy' not in sys.modules, 'the engine imported numpy'\n"
     )
-    accel = _telemetry(result)["accel"]
-    assert accel["active"] == expected
-    assert accel["numpy_available"] == (expected == "numpy")
-    # Prove the leg exercises its own hot loop: a churning pruning workload
-    # must *engage* the factorised kernel on the numpy leg and must not
-    # (cannot) on the pure-python leg.
-    churn = simulate(
-        ExactBackupProtocol(),
-        256,
-        seed=11,
-        backend="batch",
-        max_interactions=150_000,
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-    assert _telemetry(churn)["accel"]["engaged"] == (expected == "numpy")
-    strategy = _telemetry(churn)["sampler"]["strategy"]
-    assert strategy == ("factorised" if expected == "numpy" else "fenwick")
-
-
-def test_guard_python_accel_is_always_available(monkeypatch):
-    # With NumPy made undetectable the pruning regime runs the Python
-    # sampler end to end and still reaches the exact count.
-    monkeypatch.setattr(vectorized_module, "_np", None)
-    assert not numpy_available()
-    result = simulate(
-        ExactBackupProtocol(),
-        128,
-        seed=0,
-        backend="batch",
-        convergence=all_outputs_equal(128),
-        check_interval=128,
-        max_interactions=1_000_000,
-    )
-    accel = _telemetry(result)["accel"]
-    assert accel["active"] == "python"
-    assert accel["engaged"] is False
-    assert _telemetry(result)["sampler"]["strategy"] == "fenwick"
-    assert result.output_counts == Counter({128: 128})
+    assert completed.returncode == 0, completed.stderr
 
 
 # --------------------------------------------------------------------------
-# No knob: validation and stream identity of the Python path
+# No knob: the removed accel knob is refused everywhere
 # --------------------------------------------------------------------------
 
 
@@ -154,7 +118,7 @@ def test_spec_layers_carry_and_validate_the_accel_knob():
 def test_sweep_payload_threads_the_accel_knob_to_workers():
     # The payload carries no accel knob; the worker's run reports the path
     # the width rule chose: backup-exact's pair table outgrows the kernel
-    # width, so the kernel engages exactly when NumPy is importable.
+    # width, so the kernel engages.
     from repro.experiments.runner import cell_payload, execute_cell
     from repro.experiments.spec import SweepSpec
 
@@ -171,55 +135,32 @@ def test_sweep_payload_threads_the_accel_knob_to_workers():
     record = execute_cell(payload)
     assert record["error"] is None
     accel = record["runs"][0]["extra"]["telemetry"]["accel"]
-    assert accel["engaged"] is numpy_available()
-    assert accel["active"] == ("numpy" if numpy_available() else "python")
-
-
-def test_python_accel_is_bit_identical_to_a_numpyless_run(monkeypatch):
-    # A run whose pair table never reaches the kernel width takes exactly
-    # the pure-Python path: NumPy present or not, the result is identical
-    # interaction for interaction (the kernel seed is only drawn when the
-    # kernel engages).
-    def run():
-        return simulate(
-            ExactBackupProtocol(),
-            96,
-            seed=7,
-            backend="batch",
-            convergence=all_outputs_equal(96),
-            check_interval=96,
-            max_interactions=500_000,
-        )
-
-    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", NEVER)
-    reference = run()
-    monkeypatch.setattr(vectorized_module, "_np", None)
-    assert not numpy_available()
-    fallback = run()
-    assert _telemetry(fallback)["accel"]["active"] == "python"
-    assert fallback.interactions == reference.interactions
-    assert fallback.convergence_interaction == reference.convergence_interaction
-    assert fallback.output_counts == reference.output_counts
-    assert _telemetry(fallback)["sampler"] == _telemetry(reference)["sampler"]
+    assert accel == {"engaged": True}
 
 
 # --------------------------------------------------------------------------
-# The factorised kernel: block invalidation, exact weights, draw law
+# The factorised kernel: skips follow the current weights
 # --------------------------------------------------------------------------
 
 
-@requires_numpy
-def test_factorised_kernel_invalidates_pending_skips_on_count_change():
+def test_factorised_kernel_count_change_reaches_the_next_skip():
+    # Every ordered pair is active except ("b", "b").  With a = 1, b = 100
+    # only 200 of the 10,100 ordered pairs are active and skips are long;
+    # a count change to a = 100, b = 1 makes every ordered pair active, so
+    # the very next skip must be 0, not one drawn from the old weight.
     kernel = FactorisedPairKernel(
-        {"a": 6, "b": 5}, can_change=lambda x, y: True, seed=3
+        {"a": 1, "b": 100}, can_change=lambda x, y: x == "a" or y == "a", seed=3
     )
-    total_pairs = 11 * 10
-    kernel.next_skip(total_pairs)
-    assert kernel._skips is not None
-    kernel.set_count("a", 7)
-    # The pending skips were drawn from Geometric(W/T) at the old W.
-    assert kernel._skips is None
-    assert kernel.invalidations >= 1
+    ordered_pairs = 101 * 100
+    assert kernel.active_weight() == 200
+    assert kernel.next_skip(ordered_pairs) > 0
+    kernel.set_count("a", 100)
+    kernel.set_count("b", 1)
+    assert kernel.active_weight() == ordered_pairs
+    assert [kernel.next_skip(ordered_pairs) for _ in range(5)] == [0] * 5
+    kernel.set_count("a", 1)
+    kernel.set_count("b", 100)
+    assert sum(kernel.next_skip(ordered_pairs) for _ in range(5)) > 0
 
 
 # --------------------------------------------------------------------------
@@ -239,11 +180,10 @@ def _brute_force_pair_table(counts, can_change):
     return total, table
 
 
-@requires_numpy
 def test_factorised_weights_match_full_recomputation_under_mutation_storm():
     # The O(changed) differential: after every batch of count changes the
     # kernel's implied pair-weight table and active weight must equal the
-    # O(K^2) from-scratch recomputation the Python path performs — while
+    # O(K^2) from-scratch recomputation the Fenwick path performs — while
     # the kernel's own work counter certifies it only touched the changed
     # keys (one column update each), never the full table.
     rng = random.Random(31337)
@@ -272,7 +212,6 @@ def test_factorised_weights_match_full_recomputation_under_mutation_storm():
     assert kernel.update_columns == effective_updates
 
 
-@requires_numpy
 @pytest.mark.stats
 def test_factorised_pair_draws_follow_the_conditional_active_law():
     counts = {"a": 4, "b": 3, "c": 2}
@@ -285,12 +224,34 @@ def test_factorised_pair_draws_follow_the_conditional_active_law():
     observed = Counter(kernel.next_pair() for _ in range(100_000))
     assert chi_square_gof(observed, table) > ALPHA
 
+    # A wide key set with random activity, dead slots (count 0, never
+    # drawable: chi_square_gof rejects draws outside the table) and active
+    # diagonals, one of them at count 1 — a pair no two agents realise.
+    rng = random.Random(4242)
+    keys = [f"w{index}" for index in range(44)]
+    active = {(key_a, key_b): rng.random() < 0.5 for key_a in keys for key_b in keys}
+    lone, pair_diag = keys[0], keys[1]
+    active[(lone, lone)] = active[(pair_diag, pair_diag)] = True
+    counts = {key: rng.randrange(1, 6) for key in keys}
+    counts[lone] = 1
+    counts[pair_diag] = 3
+    kernel = FactorisedPairKernel(dict(counts), lambda a, b: active[(a, b)], seed=17)
+    for key in keys[-4:]:
+        kernel.set_count(key, 0)
+        del counts[key]
+    assert kernel.stats()["dead_slots"] == 4
+    _total, table = _brute_force_pair_table(counts, lambda a, b: active[(a, b)])
+    assert (pair_diag, pair_diag) in table and (lone, lone) not in table
+    observed = Counter(kernel.next_pair() for _ in range(150_000))
+    assert observed[(lone, lone)] == 0
+    assert kernel.rejections > 0  # the count-1 diagonal was proposed, and refused
+    assert chi_square_gof(observed, table) > ALPHA
 
-@requires_numpy
+
 def test_factorised_kernel_compacts_dead_slots():
     # Long churny runs mint transient keys; dead slots must be reclaimed or
     # every key *ever seen* would count against MATRIX_LIMIT and force a
-    # spurious Python fallback with only a handful of live keys.
+    # spurious Fenwick fallback with only a handful of live keys.
     kernel = FactorisedPairKernel({"live": 5}, can_change=lambda x, y: True, seed=0)
     for index in range(10 * FactorisedPairKernel.COMPACT_MIN_SIZE):
         key = f"transient-{index}"
@@ -301,7 +262,6 @@ def test_factorised_kernel_compacts_dead_slots():
     assert kernel.active_weight() == 20
 
 
-@requires_numpy
 def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch):
     # The event whose key-count update overflows the activity matrix is
     # already applied to the histogram — its on_batch_event hooks must
@@ -330,15 +290,14 @@ def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch
         hooks=[hook],
         max_interactions=30_000,
     )
-    assert _telemetry(result)["accel"]["active"] == "python"  # the overflow fired
+    assert "fallback_reason" in _telemetry(result)["accel"]  # the overflow fired
     assert len(events) == len(applied)
     assert events  # the run really applied events
 
 
-@requires_numpy
 def test_factorised_capacity_overflow_falls_back_to_python_mid_run(monkeypatch):
     # A protocol whose live key set outgrows the activity matrix must not
-    # die: the backend rebuilds the Python pair table mid-run and reports
+    # die: the backend rebuilds the Fenwick pair table mid-run and reports
     # the fallback.  backup-exact at n=64 visits far more than 8 keys.
     monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 8)
     monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
@@ -352,7 +311,6 @@ def test_factorised_capacity_overflow_falls_back_to_python_mid_run(monkeypatch):
         max_interactions=500_000,
     )
     accel = _telemetry(result)["accel"]
-    assert accel["active"] == "python"
     assert accel["engaged"] is False
     assert "activity matrix" in accel["fallback_reason"]
     # The run stays correct across the switch: the exact count is reached.
@@ -370,7 +328,6 @@ def test_factorised_capacity_overflow_falls_back_to_python_mid_run(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-@requires_numpy
 def test_wide_pair_tables_engage_the_factorised_kernel():
     # backup-exact's pair table grows past KERNEL_MIN_PAIRS within its
     # first events: the Fenwick sampler is retired and the kernel drives
@@ -383,9 +340,7 @@ def test_wide_pair_tables_engage_the_factorised_kernel():
         max_interactions=150_000,
     )
     telemetry = _telemetry(result)
-    assert telemetry["accel"] == {
-        "active": "numpy", "numpy_available": True, "engaged": True,
-    }
+    assert telemetry["accel"] == {"engaged": True}
     stats = telemetry["sampler"]
     assert stats["strategy"] == "factorised"
     (retired,) = stats["retired"]
@@ -396,11 +351,11 @@ def test_wide_pair_tables_engage_the_factorised_kernel():
     assert "sampler-swap" not in kinds
 
 
-@requires_numpy
 @pytest.mark.parametrize("n, sources", [(600, 1), (712, 2), (840, 4)])
 def test_sweep_service_epidemic_cells_stay_on_python(n, sources):
     # The epidemic never holds more than a couple of active pair types, far
-    # below the kernel width; per-event NumPy overhead would be a pure loss.
+    # below the kernel width; the kernel's per-event row and partner draws
+    # would be a pure loss.
     from repro.primitives.epidemic import OneWayEpidemic
 
     result = simulate(
@@ -412,14 +367,12 @@ def test_sweep_service_epidemic_cells_stay_on_python(n, sources):
     )
     assert result.converged
     telemetry = _telemetry(result)
-    assert telemetry["accel"]["active"] == "numpy"
-    assert telemetry["accel"]["engaged"] is False
+    assert telemetry["accel"] == {"engaged": False}
     assert telemetry["sampler"]["strategy"] == "fenwick"
     assert "retired" not in telemetry["sampler"]
     assert telemetry["events"] == []
 
 
-@requires_numpy
 def test_pruning_numpy_path_reaches_the_exact_count():
     result = simulate(
         ExactBackupProtocol(),
@@ -436,13 +389,12 @@ def test_pruning_numpy_path_reaches_the_exact_count():
     assert result.output_counts == Counter({256: 256})
 
 
-@requires_numpy
 @pytest.mark.stats
 def test_backup_exact_convergence_laws_match_across_accel_paths(monkeypatch):
     # The accelerated chain uses different random streams but must follow
     # the identical law: KS compatibility of the convergence-time
     # distributions of backup-exact on the kernel (engaged from the first
-    # event) and on the Python sampler (kernel held off).
+    # event) and on the Fenwick sampler (kernel held off).
     n = 96
     samples = 30
 
@@ -466,13 +418,12 @@ def test_backup_exact_convergence_laws_match_across_accel_paths(monkeypatch):
         return times
 
     python_times = convergence_times(NEVER, 0)
-    numpy_times = convergence_times(0, 10_000)
-    statistic = ks_statistic(python_times, numpy_times)
+    kernel_times = convergence_times(0, 10_000)
+    statistic = ks_statistic(python_times, kernel_times)
     p_value = ks_pvalue(statistic, samples, samples)
     assert p_value > ALPHA, (statistic, p_value)
 
 
-@requires_numpy
 def test_scenario_churn_runs_through_the_engaged_kernel():
     from repro.scenarios.runner import execute_scenario_cell
     from repro.scenarios.spec import ScenarioSpec

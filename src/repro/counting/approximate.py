@@ -26,7 +26,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from ..engine.convergence import OutputPredicate, outputs_in
 from ..engine.protocol import Protocol
@@ -167,7 +167,7 @@ class ApproximateProtocol(Protocol[ApproximateAgent]):
         )
 
     # --------------------------------------------------- key-level transitions
-    def _agent_from_key(self, key: Hashable) -> ApproximateAgent:
+    def state_from_key(self, key: Hashable) -> ApproximateAgent:
         junta, clock, election, search = key  # type: ignore[misc]
         return ApproximateAgent(
             junta=junta_from_key(junta),
@@ -180,14 +180,6 @@ class ApproximateProtocol(Protocol[ApproximateAgent]):
         # The decoded phase is a mod-40 residue (see repro.counting.keys);
         # exactness requires every tag modulus to divide it.
         return residue_compatible(5, self.params.leader_election.signal_tag_modulus)
-
-    def delta_key(
-        self, key_a: Hashable, key_b: Hashable, rng: random.Random
-    ) -> Tuple[Hashable, Hashable]:
-        u = self._agent_from_key(key_a)
-        v = self._agent_from_key(key_b)
-        self.transition(u, v, rng)
-        return self.state_key(u), self.state_key(v)
 
     def output_key(self, key: Hashable) -> Optional[int]:
         k, search_done = key[3]  # type: ignore[index]

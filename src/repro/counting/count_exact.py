@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from ..engine.convergence import OutputPredicate, all_outputs_equal
 from ..engine.protocol import Protocol
@@ -189,7 +189,7 @@ class CountExactProtocol(Protocol[CountExactAgent]):
         )
 
     # --------------------------------------------------- key-level transitions
-    def _agent_from_key(self, key: Hashable) -> CountExactAgent:
+    def state_from_key(self, key: Hashable) -> CountExactAgent:
         junta, clock, election, approximation, refinement = key  # type: ignore[misc]
         return CountExactAgent(
             junta=junta_from_key(junta),
@@ -202,14 +202,6 @@ class CountExactProtocol(Protocol[CountExactAgent]):
     def supports_key_transitions(self) -> bool:
         # Exactness of the mod-40 phase residue (see repro.counting.keys).
         return residue_compatible(self.params.leader_election.tag_modulus)
-
-    def delta_key(
-        self, key_a: Hashable, key_b: Hashable, rng: random.Random
-    ) -> Tuple[Hashable, Hashable]:
-        u = self._agent_from_key(key_a)
-        v = self._agent_from_key(key_b)
-        self.transition(u, v, rng)
-        return self.state_key(u), self.state_key(v)
 
     def output_key(self, key: Hashable) -> Optional[int]:
         return refinement_output(refinement_from_key(key[4]), self.params)  # type: ignore[index]

@@ -9,7 +9,10 @@ neither picklable (the multiprocessing sweep driver spawns fresh workers) nor
 cheap (two deep copies per event).  The composed protocols' keys are in fact
 *self-describing*: every component key is the ordered tuple of the component
 dataclass's fields, so a state with the observed behaviour can be rebuilt
-from the key alone.  This module hosts the decoders.
+from the key alone.  This module hosts the component decoders; each
+protocol composes them into its
+:meth:`~repro.engine.protocol.Protocol.state_from_key`, under which the base
+:meth:`~repro.engine.protocol.Protocol.delta_key` runs ``transition``.
 
 Exactness
 ---------
@@ -28,6 +31,12 @@ because every consumer of the phase divides ``PHASE_RESIDUE_MODULUS = 40``:
 and the only mutation of the counter is ``phase += 1`` on a clock tick, which
 commutes with taking residues.  Stage-internal phase counters (approximation
 ``i``, refinement/error-detection ``phase'``) are bounded and stored in full.
+
+The same argument covers the batch backend's *owned states*: its dense
+regime hands ``delta_key`` the live post-interaction states of earlier
+misses instead of decoding their keys again, and such a state differs from a
+decoded one only in carrying the raw counter where decoding gives the
+residue.
 
 Protocols whose parameters use non-default tag moduli that do not divide 40
 fall outside this argument; :func:`residue_compatible` checks the condition

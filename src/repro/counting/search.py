@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from ..engine.protocol import Protocol
 from ..primitives.junta import JuntaState, junta_update_pair
@@ -222,8 +222,7 @@ class SearchWithGivenLeader(Protocol[SearchAgent]):
     # Unlike the composed protocols, the standalone search keys the *raw*
     # phase counter (the warm-up comparison ``phase >= start_phase`` is not a
     # residue), so decoding is fully lossless.
-    @staticmethod
-    def _agent_from_key(key: Hashable) -> SearchAgent:
+    def state_from_key(self, key: Hashable) -> SearchAgent:
         junta, clock, search, is_leader = key  # type: ignore[misc]
         return SearchAgent(
             junta=JuntaState(*junta),
@@ -231,14 +230,6 @@ class SearchWithGivenLeader(Protocol[SearchAgent]):
             search=SearchState(*search),
             is_leader=is_leader,
         )
-
-    def delta_key(
-        self, key_a: Hashable, key_b: Hashable, rng: random.Random
-    ) -> Tuple[Hashable, Hashable]:
-        u = self._agent_from_key(key_a)
-        v = self._agent_from_key(key_b)
-        self.transition(u, v, rng)
-        return self.state_key(u), self.state_key(v)
 
     def output_key(self, key: Hashable) -> Optional[int]:
         k, search_done = key[2]  # type: ignore[index]

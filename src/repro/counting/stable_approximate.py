@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from ..engine.convergence import OutputPredicate, fraction_outputs_satisfy, outputs_in
 from ..engine.protocol import Protocol
@@ -268,7 +268,7 @@ class StableApproximateProtocol(Protocol[StableApproximateAgent]):
         )
 
     # --------------------------------------------------- key-level transitions
-    def _agent_from_key(self, key: Hashable) -> StableApproximateAgent:
+    def state_from_key(self, key: Hashable) -> StableApproximateAgent:
         junta, clock, election, search, detection, backup, error = key  # type: ignore[misc]
         return StableApproximateAgent(
             junta=junta_from_key(junta),
@@ -292,14 +292,6 @@ class StableApproximateProtocol(Protocol[StableApproximateAgent]):
         if self.relaxed_output:
             return False
         return residue_compatible(5, self.params.leader_election.signal_tag_modulus)
-
-    def delta_key(
-        self, key_a: Hashable, key_b: Hashable, rng: random.Random
-    ) -> Tuple[Hashable, Hashable]:
-        u = self._agent_from_key(key_a)
-        v = self._agent_from_key(key_b)
-        self.transition(u, v, rng)
-        return self.state_key(u), self.state_key(v)
 
     def output_key(self, key: Hashable) -> Optional[int]:
         detection_key, backup_key, error = key[4], key[5], key[6]  # type: ignore[index]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from ..engine.convergence import OutputPredicate, all_outputs_equal
 from ..engine.protocol import Protocol
@@ -266,7 +266,7 @@ class StableCountExactProtocol(Protocol[StableCountExactAgent]):
         )
 
     # --------------------------------------------------- key-level transitions
-    def _agent_from_key(self, key: Hashable) -> StableCountExactAgent:
+    def state_from_key(self, key: Hashable) -> StableCountExactAgent:
         junta, clock, election, approximation, refinement, backup, error = key  # type: ignore[misc]
         return StableCountExactAgent(
             junta=junta_from_key(junta),
@@ -281,14 +281,6 @@ class StableCountExactProtocol(Protocol[StableCountExactAgent]):
     def supports_key_transitions(self) -> bool:
         # Exactness of the mod-40 phase residue (see repro.counting.keys).
         return residue_compatible(self.params.leader_election.tag_modulus)
-
-    def delta_key(
-        self, key_a: Hashable, key_b: Hashable, rng: random.Random
-    ) -> Tuple[Hashable, Hashable]:
-        u = self._agent_from_key(key_a)
-        v = self._agent_from_key(key_b)
-        self.transition(u, v, rng)
-        return self.state_key(u), self.state_key(v)
 
     def output_key(self, key: Hashable) -> Optional[int]:
         refinement_key, backup_key, error = key[4], key[5], key[6]  # type: ignore[index]

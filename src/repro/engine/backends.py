@@ -25,9 +25,11 @@ agent states.  Two execution strategies for that chain are provided:
 
 The batch backend requires the uniform random scheduler and a protocol whose
 behaviour depends on states only through their keys (true for every protocol
-in this library; state keys encode the full state).  Protocols without a
-native :meth:`~repro.engine.protocol.Protocol.delta_key` are lifted to key
-space by :class:`LiftedKeyTransitions` using representative state objects.
+in this library; state keys encode the full state).  Protocols with neither
+a :meth:`~repro.engine.protocol.Protocol.delta_key` override nor a
+:meth:`~repro.engine.protocol.Protocol.state_from_key` decoder are lifted to
+key space by :class:`LiftedKeyTransitions` using representative state
+objects.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import abc
 import random
@@ -565,6 +567,23 @@ class BatchBackend(Backend):
       of the composed counting protocols, whose no-op analysis is out of
       reach of a per-pair predicate.
 
+    **Owned states** (dense regime only).  Theorem 2's CountExact uses Õ(n)
+    states, so most of its events are memo misses, and decoding both keys
+    was most of a miss.  For a protocol whose key-level API is a
+    :meth:`~repro.engine.protocol.Protocol.state_from_key` decoder under the
+    base ``delta_key``, the backend therefore keeps, per live id, at most
+    one *owned* state: a post-interaction state object a miss produced,
+    referenced by nothing else.  A miss pops the owned states of
+    its two ids (decoding an id that has none), hands them to ``delta_key``,
+    which mutates them by ``transition``, and stores them as the owned
+    states of the two result ids unless those already own one.  An owned
+    state differs from a decoded one only in bookkeeping its key drops (the
+    raw phase counter, see :mod:`repro.counting.keys`), so streams are those
+    of decoding every miss.  Every path that removes an id from the
+    histogram drops its owned state and a restart clears them all, so there
+    are never more owned states than live ids.  The pruning regime, the
+    lifted adapter and protocols overriding ``delta_key`` keep none.
+
     The backend picks its hot loop from what it observes; there is no knob.
     In the pruning regime, once the active pair table holds more than
     :data:`KERNEL_MIN_PAIRS` entries, the materialised table and its
@@ -652,11 +671,20 @@ class BatchBackend(Backend):
         #: Dense regime: the id of every agent, in no meaningful order (a
         #: multiset equal to ``_counts``).  Empty in the pruning regime.
         self._agents: List[int] = []
+        #: Dense regime: the live post-interaction state of an id, kept from
+        #: the miss that produced it and handed to the next miss on that id
+        #: (see class docstring).  At most one per id in ``_counts``.
+        self._owned: Dict[int, Any] = {}
+        #: The decoder of ids with no owned state; ``None`` turns owned
+        #: states off (pruning regime, lifted adapter, ``delta_key`` override).
+        self._decode: Optional[Callable[[Hashable], Any]] = None
         if self._prunes:
             self._rebuild_pair_weights()
         else:
             self._agents = list(self._counts.elements())
             self._sampler = AgentPairSampler(self.n)
+            if self._lifted is None and type(protocol).delta_key is Protocol.delta_key:
+                self._decode = protocol.state_from_key
             # An initial configuration may already be the provable fixed
             # point (single key, coin-free no-op self-interaction).
             self._check_dense_fixed_point()
@@ -707,21 +735,43 @@ class BatchBackend(Backend):
 
         ``path`` holds the coin values already drawn for this pair, which
         the tape replays before drawing fresh ones from the agent stream.
+        With owned states on, the two ids' owned states are handed to
+        ``delta_key`` (an id without one is decoded) and the post-interaction
+        states become the owned states of the result ids.
         """
         keys = self._keys
+        key_a = keys[ident_a]
+        key_b = keys[ident_b]
         self.transition_calls += 1
+        rng = (
+            _CoinTape(self.protocol.name, path, self._agent_rng)
+            if self._pure
+            else self._agent_rng
+        )
+        decode = self._decode
+        if decode is None:
+            new_a, new_b = self._delta(key_a, key_b, rng)
+            result = (self._intern(new_a), self._intern(new_b))
+        else:
+            owned = self._owned
+            state_a = owned.pop(ident_a, None)
+            if state_a is None:
+                state_a = decode(key_a)
+            state_b = owned.pop(ident_b, None)
+            if state_b is None:
+                state_b = decode(key_b)
+            new_a, new_b = self._delta(key_a, key_b, rng, state_a, state_b)
+            result = (self._intern(new_a), self._intern(new_b))
+            owned.setdefault(result[0], state_a)
+            owned.setdefault(result[1], state_b)
         if not self._pure:
-            new_a, new_b = self._delta(keys[ident_a], keys[ident_b], self._agent_rng)
-            return self._intern(new_a), self._intern(new_b)
-        tape = _CoinTape(self.protocol.name, path, self._agent_rng)
-        new_a, new_b = self._delta(keys[ident_a], keys[ident_b], tape)
-        drawn = tape.drawn
+            return result
+        drawn = rng.drawn
         if len(drawn) < len(path):
-            raise tape.impure(
+            raise rng.impure(
                 f"drew {len(drawn)} coins where an earlier evaluation of the "
                 f"same key pair drew at least {len(path)}"
             )
-        result = (self._intern(new_a), self._intern(new_b))
         pair = ident_a << _ID_BITS | ident_b
         if not drawn:
             self._memo[pair] = result
@@ -909,6 +959,7 @@ class BatchBackend(Backend):
         agents = self._agents
         counts = self._counts
         count_of = counts.get
+        drop_owned = self._owned.pop
         id_bits = _ID_BITS
         clock = perf_counter
         start = interactions
@@ -939,8 +990,10 @@ class BatchBackend(Backend):
                     counts[new_b] += 1
                     if count_of(ident_a) == 0:
                         del counts[ident_a]
+                        drop_owned(ident_a, None)
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
+                        drop_owned(ident_b, None)
                     agents[initiator] = new_a
                     agents[responder] = new_b
                     if len(counts) == 1:
@@ -1247,6 +1300,7 @@ class BatchBackend(Backend):
         else:
             if full_rebuild:
                 self._agents = list(self._counts.elements())
+                self._owned.clear()
             self._sampler.resize(self.n)
             self._check_dense_fixed_point()
 
@@ -1322,6 +1376,7 @@ class BatchBackend(Backend):
             counts[ident] -= 1
             if not counts[ident]:
                 del counts[ident]
+                self._owned.pop(ident, None)
             changed.add(keys[ident])
         self.n -= count
         self._population_changed(self._changed_ids(changed))
@@ -1394,6 +1449,7 @@ class BatchBackend(Backend):
             counts[ident] -= 1
             if not counts[ident]:
                 del counts[ident]
+                self._owned.pop(ident, None)
             new_ident = self._intern(new_key)
             counts[new_ident] += 1
             if slots is not None:

@@ -27,7 +27,7 @@ import abc
 import dataclasses
 import random
 from collections import Counter
-from typing import Any, Generic, Hashable, Iterable, Sequence, Tuple, TypeVar
+from typing import Any, Generic, Hashable, Iterable, Optional, Sequence, Tuple, TypeVar
 
 __all__ = ["Protocol", "state_fields", "generic_state_key", "deep_replace"]
 
@@ -164,8 +164,27 @@ class Protocol(abc.ABC, Generic[S]):
         return True
 
     # --------------------------------------------------- key-level transitions
+    def state_from_key(self, key: Hashable) -> S:
+        """Return a fresh state whose key is ``key``: the inverse of :meth:`state_key`.
+
+        The decoded state need only be *behaviourally* identical to any
+        state with that key (a key may drop bookkeeping no transition or
+        output reads, such as the counting protocols' raw phase counter; see
+        :mod:`repro.counting.keys`), and ``state_key`` of it must give
+        ``key`` back.  Defining it together with :meth:`output_key` is enough
+        for the batch backend: the base :meth:`delta_key` is built on it.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement key-level transitions"
+        )
+
     def delta_key(
-        self, key_a: Hashable, key_b: Hashable, rng: random.Random
+        self,
+        key_a: Hashable,
+        key_b: Hashable,
+        rng: random.Random,
+        state_a: Optional[S] = None,
+        state_b: Optional[S] = None,
     ) -> Tuple[Hashable, Hashable]:
         """Apply one interaction at the level of state *keys*.
 
@@ -174,25 +193,38 @@ class Protocol(abc.ABC, Generic[S]):
         ``key_a`` and ``key_b``.  This is the configuration-as-multiset view
         of the transition function: the batch backend only ever manipulates
         key histograms, never per-agent state objects, so a protocol that
-        implements :meth:`delta_key` (together with :meth:`output_key`) can
+        implements the key-level API (together with :meth:`output_key`) can
         be simulated at population sizes where materialising ``n`` state
         objects is prohibitive.
 
-        Implementations must be *behaviourally identical* to
-        :meth:`transition` applied to states with the given keys.  Protocols
-        that do not implement the key-level API are lifted automatically via
+        The base implementation runs :meth:`transition` on states decoded by
+        :meth:`state_from_key`.  A caller that already holds live states for
+        the two keys (distinct objects nobody else references) may hand them
+        over as ``state_a`` / ``state_b``: they are then not decoded, and
+        :meth:`transition` mutates them into the post-interaction states.
+        The batch backend's dense regime does this with the states its
+        previous misses produced.
+
+        Overrides must be *behaviourally identical* to :meth:`transition`
+        applied to states with the given keys; they take no states.
+        Protocols that implement neither an override nor
+        :meth:`state_from_key` are lifted automatically via
         :class:`repro.engine.backends.LiftedKeyTransitions` (which relies on
         :meth:`copy_state`).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement key-level transitions"
-        )
+        if state_a is None:
+            state_a = self.state_from_key(key_a)
+        if state_b is None:
+            state_b = self.state_from_key(key_b)
+        self.transition(state_a, state_b, rng)
+        return self.state_key(state_a), self.state_key(state_b)
 
     def output_key(self, key: Hashable) -> Any:
         """Return the output ``omega`` of an agent whose state has key ``key``.
 
         Must agree with :meth:`output` on every reachable state.  Required by
-        the batch backend alongside :meth:`delta_key`.
+        the batch backend alongside :meth:`delta_key` or
+        :meth:`state_from_key`.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement key-level outputs"
@@ -212,10 +244,15 @@ class Protocol(abc.ABC, Generic[S]):
         return counts
 
     def supports_key_transitions(self) -> bool:
-        """Whether this protocol natively implements the key-level API."""
-        return (
-            type(self).delta_key is not Protocol.delta_key
-            and type(self).output_key is not Protocol.output_key
+        """Whether this protocol natively implements the key-level API.
+
+        Native means :meth:`output_key` plus either a :meth:`delta_key`
+        override or a :meth:`state_from_key` decoder.
+        """
+        cls = type(self)
+        return cls.output_key is not Protocol.output_key and (
+            cls.delta_key is not Protocol.delta_key
+            or cls.state_from_key is not Protocol.state_from_key
         )
 
     def describe(self) -> str:

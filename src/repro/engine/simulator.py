@@ -199,8 +199,8 @@ class Simulator:
             protocol that declares ``uniform = False``.
         backend: ``"agent"`` (default) runs the reference per-agent loop;
             ``"batch"`` runs the batched configuration-vector backend (using
-            the key-lifting adapter when the protocol has no native
-            ``delta_key``); ``"auto"`` picks ``"batch"`` when the protocol
+            the key-lifting adapter when the protocol has neither a
+            ``delta_key`` nor a ``state_from_key``); ``"auto"`` picks ``"batch"`` when the protocol
             natively supports key-level transitions and neither a custom
             scheduler nor a hook requiring per-agent callbacks is in play,
             else ``"agent"``.  The batch backend picks its own sampling

@@ -18,7 +18,8 @@ regimes time them differently:
   configuration-changing event.
 * **Dense regime**: one timer per advance window, plus one around each
   memo entry that is not a plain hit.  ``transition`` is the time spent
-  resolving coin nodes and misses (``delta_key``); ``sampling`` is the
+  resolving coin nodes and misses (``delta_key``, and decoding the ids
+  that own no live state); ``sampling`` is the
   rest of the window — the agent-pair draws, plain memo hits, histogram
   and agent-slot upkeep and the loop itself, hooks excluded;
   ``pair_weights`` records no time and counts the configuration-changing

@@ -8,6 +8,11 @@ The composed counting protocols historically went through the generic
   visited by a real run (randomness synchronised via twin RNGs);
 * ``output_key`` / ``initial_key_counts`` agree with their state-level
   counterparts;
+* ``state_from_key`` inverts ``state_key`` on every visited key, and the
+  base ``delta_key`` gives the same keys on handed-over live states as on
+  decoded ones, leaving the handed states post-interaction;
+* a decoder plus ``output_key`` is a native key API; a protocol with
+  neither is lifted;
 * agent and batch backends reach the *exact same terminal histogram* for the
   deterministic backup protocols (their absorbing configuration is unique);
 * agent and batch convergence-time distributions are statistically
@@ -18,6 +23,7 @@ The composed counting protocols historically went through the generic
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -30,6 +36,7 @@ from repro.counting.stable_approximate import StableApproximateProtocol
 from repro.counting.stable_count_exact import StableCountExactProtocol
 from repro.engine import Simulator, simulate
 from repro.engine.backends import LiftedKeyTransitions
+from repro.engine.protocol import Protocol
 from repro.engine.rng import make_rng
 
 COUNTING_PROTOCOLS = [
@@ -88,6 +95,115 @@ def test_initial_key_counts_match_per_agent_construction(make_protocol):
         protocol.state_key(protocol.initial_state(agent_id)) for agent_id in range(n)
     )
     assert protocol.initial_key_counts(n) == explicit
+
+
+#: The protocols whose key-level API is a ``state_from_key`` decoder under
+#: the base ``delta_key`` (the backups override ``delta_key`` instead).
+DECODER_PROTOCOLS = [
+    ApproximateProtocol,
+    CountExactProtocol,
+    StableApproximateProtocol,
+    StableCountExactProtocol,
+    SearchWithGivenLeader,
+]
+
+
+def _agent_run_steps(protocol, n, seed, steps):
+    """Yield ``(state_a, state_b)`` of every interaction of an agent run, before it."""
+    simulator = Simulator(protocol, n, seed=seed, backend="agent")
+    for step in range(steps):
+        initiator, responder = simulator.scheduler.next_pair(
+            n, simulator._scheduler_rng, simulator.interactions
+        )
+        state_a = simulator.states[initiator]
+        state_b = simulator.states[responder]
+        yield step, state_a, state_b
+        protocol.transition(state_a, state_b, make_rng(step))
+
+
+@pytest.mark.parametrize("make_protocol", DECODER_PROTOCOLS)
+def test_state_from_key_inverts_state_key_along_agent_run(make_protocol):
+    protocol = make_protocol()
+    assert type(protocol).delta_key is Protocol.delta_key
+    visited = set()
+    for _, state_a, state_b in _agent_run_steps(protocol, 12, 23, 600):
+        visited.add(protocol.state_key(state_a))
+        visited.add(protocol.state_key(state_b))
+    assert len(visited) > 20
+    for key in visited:
+        assert protocol.state_key(protocol.state_from_key(key)) == key, protocol.name
+
+
+@pytest.mark.parametrize("make_protocol", DECODER_PROTOCOLS)
+def test_delta_key_on_handed_states_matches_decoding(make_protocol):
+    # Hand over copies of the live agent states (raw phase counters, not
+    # the key's residues): the keys must match decoding, and the handed
+    # states must become the post-interaction states.
+    protocol = make_protocol()
+    for step, state_a, state_b in _agent_run_steps(protocol, 12, 31, 600):
+        key_a, key_b = protocol.state_key(state_a), protocol.state_key(state_b)
+        decoded = protocol.delta_key(key_a, key_b, make_rng(step))
+        handed_a, handed_b = protocol.copy_state(state_a), protocol.copy_state(state_b)
+        handed = protocol.delta_key(key_a, key_b, make_rng(step), handed_a, handed_b)
+        assert handed == decoded, (protocol.name, step)
+        assert (protocol.state_key(handed_a), protocol.state_key(handed_b)) == handed
+        expected_a, expected_b = protocol.copy_state(state_a), protocol.copy_state(state_b)
+        protocol.transition(expected_a, expected_b, make_rng(step))
+        assert (handed_a, handed_b) == (expected_a, expected_b)
+
+
+@dataclass
+class _Level:
+    value: int
+
+
+class _MaxBroadcast(Protocol):
+    """Agent 0 starts at level 1 and every interaction spreads the maximum."""
+
+    pure_key_transitions = True
+
+    def initial_state(self, agent_id):
+        return _Level(1 if agent_id == 0 else 0)
+
+    def transition(self, initiator, responder, rng):
+        initiator.value = responder.value = max(initiator.value, responder.value)
+
+    def output(self, state):
+        return state.value
+
+
+class _DecodedMaxBroadcast(_MaxBroadcast):
+    """The key-level API as a decoder alone: no ``delta_key``."""
+
+    def state_from_key(self, key):
+        return _Level(*key)
+
+    def output_key(self, key):
+        return key[0]
+
+
+def test_a_decoder_and_output_key_are_a_native_key_api():
+    protocol = _DecodedMaxBroadcast()
+    assert protocol.supports_key_transitions()
+    n = 40
+    simulator = Simulator(protocol, n, seed=6, backend="batch")
+    result = simulator.run(max_interactions=20 * n * n)
+    backend = simulator.backend
+    assert backend._lifted is None and backend._decode is not None
+    assert result.output_counts == Counter({1: n})
+    assert backend.terminal
+
+
+def test_a_protocol_without_key_api_is_lifted():
+    protocol = _MaxBroadcast()
+    assert not protocol.supports_key_transitions()
+    n = 40
+    simulator = Simulator(protocol, n, seed=6, backend="batch")
+    result = simulator.run(max_interactions=20 * n * n)
+    backend = simulator.backend
+    assert isinstance(backend._lifted, LiftedKeyTransitions)
+    assert backend._decode is None
+    assert result.output_counts == Counter({1: n})
 
 
 def test_relaxed_stable_approximate_declines_native_keys_but_stays_runnable():

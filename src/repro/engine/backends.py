@@ -69,9 +69,9 @@ BACKEND_NAMES = ("agent", "batch", "auto")
 #: past which the pruning regime hands its hot loop to the
 #: :class:`~repro.engine.vectorized.FactorisedPairKernel`.  Both sides are
 #: measured: ``backup-exact`` grows past it within its first ~200 events
-#: and runs ~8x faster on the kernel at n = 10^3, while
-#: ``one-way-epidemic`` never holds more than 2 active pairs and runs ~1.2x
-#: slower when the kernel is forced on it (n = 600-840).
+#: and runs ~10x faster on the kernel at n = 10^3, while
+#: ``one-way-epidemic`` never holds more than 2 active pairs and runs about
+#: as fast when the kernel is forced on it (n = 600-840).
 KERNEL_MIN_PAIRS = 32
 
 #: Bits of the responder id in a packed ``a << ID_BITS | b`` memo key.
@@ -550,7 +550,12 @@ class BatchBackend(Backend):
     * **Pruning** — the protocol overrides ``can_interaction_change``, so the
       active-pair weight table above is worth maintaining: skips are long and
       the active pair type is drawn from a
-      :class:`~repro.engine.samplers.FenwickSampler` over the table.
+      :class:`~repro.engine.samplers.FenwickSampler` over the table.  Each
+      advance window runs as one fused loop
+      (:meth:`_advance_pruning_fenwick`, or :meth:`_advance_pruning_kernel`
+      once the kernel below engages) with its state in locals, the plain
+      memo hit and the histogram update inline, and its phase timers read
+      per event but charged per window.
     * **Dense** — the protocol keeps the conservative default, every ordered
       pair is active (``W == T``, no skipping is ever possible), and the
       O(K^2) pair table would be pure overhead.  The backend instead keeps
@@ -589,12 +594,13 @@ class BatchBackend(Backend):
     :data:`KERNEL_MIN_PAIRS` entries, the materialised table and its
     O(changed * K) per-event :meth:`_update_pair_weights` walk are replaced
     for the rest of the run by the pure-Python factorised ``w(a, b) = c_a *
-    c_b`` row/column-product kernel of :mod:`repro.engine.vectorized`, whose
-    count updates are one activity-column walk per changed key.  A protocol
-    whose live key set outgrows the kernel's activity matrix falls back to
-    the Fenwick path mid-run.  :meth:`sampler_stats`,
-    :meth:`accel_info` and :meth:`memo_stats` report the path taken
-    (surfaced in ``SimulationResult.extra["telemetry"]``).
+    c_b`` row/column-product kernel of :mod:`repro.engine.vectorized`, to
+    which an event pushes one count per distinct touched id, each a walk of
+    one activity column's index list.  A protocol whose live key set
+    outgrows the kernel's activity matrix falls back to the Fenwick path
+    mid-run.  :meth:`sampler_stats`, :meth:`accel_info` and
+    :meth:`memo_stats` report the path taken (surfaced in
+    ``SimulationResult.extra["telemetry"]``).
     """
 
     name = "batch"
@@ -893,43 +899,155 @@ class BatchBackend(Backend):
     def advance_to(self, target: int) -> None:
         if not self._prunes:
             self._advance_dense(target)
-            return
-        if self._pair_kernel is not None:
+        elif self._pair_kernel is not None:
             self._advance_pruning_kernel(target)
+        else:
+            self._advance_pruning_fenwick(target)
+
+    def _advance_pruning_fenwick(self, target: int) -> None:
+        """Pruning-regime event loop over the Fenwick pair sampler.
+
+        One loop per window with its state bound to locals.  Each event
+        draws the ``Geometric(W / T)`` skip from the pair stream, samples
+        the active pair type, and looks the id pair up in the memo: a plain
+        ``(new_a, new_b)`` hit costs one dict lookup, coin nodes and misses
+        go through :meth:`_resolve`.  A configuration-changing event
+        updates the histogram (the same operations in the same order as the
+        dense loop) and then the pair table through
+        :meth:`_update_pair_weights`.  Once the table holds more than
+        :data:`KERNEL_MIN_PAIRS` entries the window is handed to the
+        factorised kernel (:meth:`_advance_pruning_kernel`).
+
+        Phase timers are read per event and charged once per window.  Hooks
+        fire with the event already counted; after them the loop re-reads
+        the histogram and ``n (n - 1)``, and a hook that leaves the backend
+        :attr:`~Backend.terminal` ends the window.
+        """
+        interactions = self.interactions
+        if interactions >= target or self.terminal:
             return
+        hooks = self.simulator.hooks
+        sample = self._sampler.sample
+        pair_rng = self._pair_rng
+        uniform_draw = pair_rng.random
+        memo_get = self._memo.get
+        resolve = self._resolve
+        update_pair_weights = self._update_pair_weights
+        counts = self._counts
+        count_of = counts.get
         ordered_pairs = self.n * (self.n - 1)
         log = math.log
         log1p = math.log1p
-        pair_rng = self._pair_rng
-        while self.interactions < target and not self.terminal:
-            if self._kernel_armed and len(self._pair_weights) > KERNEL_MIN_PAIRS:
-                self._engage_pair_kernel()
-                if self._pair_kernel is not None:
-                    self._advance_pruning_kernel(target)
-                    return
-            weight = self._active_weight
-            if weight <= 0:
-                self.terminal = True
-                break
-            if weight >= ordered_pairs:
-                skip = 0
-            else:
-                # Number of configuration-preserving interactions before the
-                # next configuration-changing one: Geometric(p), p = W / T.
-                uniform = 1.0 - pair_rng.random()  # in (0, 1]
-                if uniform >= 1.0:
+        id_bits = _ID_BITS
+        clock = perf_counter
+        events = hits = changes = 0
+        sampling_s = transition_s = pair_weights_s = 0.0
+        engaged = False
+        try:
+            while interactions < target:
+                if self._kernel_armed and len(self._pair_weights) > KERNEL_MIN_PAIRS:
+                    self.interactions = interactions
+                    self._engage_pair_kernel()
+                    if self._pair_kernel is not None:
+                        engaged = True
+                        break
+                weight = self._active_weight
+                if weight <= 0:
+                    self.terminal = True
+                    break
+                if weight >= ordered_pairs:
                     skip = 0
                 else:
-                    skip = int(log(uniform) / log1p(-weight / ordered_pairs))
-            remaining = target - self.interactions
-            if skip >= remaining:
-                # The whole window is configuration-preserving; the pending
-                # active event is re-sampled next call (memorylessness).
-                self.interactions = target
-                break
-            self.interactions += skip + 1
-            self._apply_event()
-        self.counter.total = self.interactions
+                    # Number of configuration-preserving interactions before
+                    # the next configuration-changing one: Geometric(p),
+                    # p = W / T.
+                    uniform = 1.0 - uniform_draw()  # in (0, 1]
+                    if uniform >= 1.0:
+                        skip = 0
+                    else:
+                        skip = int(log(uniform) / log1p(-weight / ordered_pairs))
+                if skip >= target - interactions:
+                    # The whole window is configuration-preserving; the
+                    # pending active event is re-sampled next call
+                    # (memorylessness).
+                    interactions = target
+                    break
+                interactions += skip + 1
+                tic = clock()
+                ident_a, ident_b = sample(pair_rng)
+                toc = clock()
+                entry = memo_get(ident_a << id_bits | ident_b)
+                if entry.__class__ is tuple:
+                    hits += 1
+                    new_a, new_b = entry
+                else:
+                    new_a, new_b = resolve(ident_a, ident_b, entry)
+                events += 1
+                if (new_a != ident_a or new_b != ident_b) and (
+                    new_a != ident_b or new_b != ident_a
+                ):
+                    counts[ident_a] -= 1
+                    counts[ident_b] -= 1
+                    counts[new_a] += 1
+                    counts[new_b] += 1
+                    if count_of(ident_a) == 0:
+                        del counts[ident_a]
+                    if count_of(ident_b) == 0:
+                        del counts[ident_b]
+                    tac = clock()
+                    update_pair_weights((ident_a, ident_b, new_a, new_b))
+                    changes += 1
+                    pair_weights_s += clock() - tac
+                else:
+                    tac = clock()
+                sampling_s += toc - tic
+                transition_s += tac - toc
+                if hooks:
+                    self.interactions = interactions
+                    self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
+                    # A hook may have rewritten the histogram or resized
+                    # the population.
+                    counts = self._counts
+                    count_of = counts.get
+                    ordered_pairs = self.n * (self.n - 1)
+                    if self.terminal:
+                        break
+        finally:
+            self._close_pruning_window(
+                interactions, events, hits, changes,
+                sampling_s, transition_s, pair_weights_s, events > 0,
+            )
+        if engaged:
+            self._advance_pruning_kernel(target)
+
+    def _close_pruning_window(
+        self,
+        interactions: int,
+        events: int,
+        hits: int,
+        changes: int,
+        sampling_s: float,
+        transition_s: float,
+        pair_weights_s: float,
+        sampled: bool,
+    ) -> None:
+        """Store a pruning window's counters and charge its phase timers.
+
+        ``sampled`` says whether the window drew anything worth a
+        ``sampling`` entry: an event, or (kernel loop) a skip that ran past
+        the window.
+        """
+        self.interactions = interactions
+        self.counter.total = interactions
+        self.applied_events += events
+        self._memo_hits += hits
+        tracer = self.tracer
+        if sampled:
+            tracer.add("sampling", sampling_s, ops=events)
+        if events:
+            tracer.add("transition", transition_s, ops=events)
+        if changes:
+            tracer.add("pair_weights", pair_weights_s, ops=changes)
 
     def _advance_dense(self, target: int) -> None:
         """Dense-regime event loop: every interaction is one event.
@@ -941,7 +1059,7 @@ class BatchBackend(Backend):
         plain ``(new_a, new_b)`` hit costs one dict lookup, coin nodes and
         misses go through :meth:`_resolve`.  The histogram and the two slots
         are rewritten only when the configuration changed, the histogram by
-        the same operations in the same order as :meth:`_apply_transition`.
+        the same operations in the same order as the pruning loops.
 
         Phase timers run once per window and around each :meth:`_resolve`
         call, not per event; :mod:`repro.obs.trace` says what each phase
@@ -1046,40 +1164,6 @@ class BatchBackend(Backend):
             reason=retired_by,
         )
 
-    def _apply_transition(
-        self, ident_a: int, ident_b: int
-    ) -> Tuple[int, int, Tuple[int, ...]]:
-        """Apply one pair type's transition to the histogram.
-
-        Shared by the pruning regime's Fenwick and kernel event loops (the
-        dense loop inlines the same steps): looks the transition up
-        in the memo (a coin-free hit costs one dict lookup), updates the
-        histogram when the configuration changed, and returns ``(new_a,
-        new_b, changed)`` where ``changed`` is the (possibly overlapping)
-        4-tuple of touched ids, or ``()`` when the interaction was
-        configuration-preserving.  Weight-structure maintenance is the
-        caller's job — it differs per path.
-        """
-        entry = self._memo.get(ident_a << _ID_BITS | ident_b)
-        if entry.__class__ is tuple:
-            self._memo_hits += 1
-            new_a, new_b = entry
-        else:
-            new_a, new_b = self._resolve(ident_a, ident_b, entry)
-        if (new_a == ident_a and new_b == ident_b) or (
-            new_a == ident_b and new_b == ident_a
-        ):
-            return new_a, new_b, ()
-        counts = self._counts
-        counts[ident_a] -= 1
-        counts[ident_b] -= 1
-        counts[new_a] += 1
-        counts[new_b] += 1
-        for ident in (ident_a, ident_b):
-            if counts.get(ident) == 0:
-                del counts[ident]
-        return new_a, new_b, (ident_a, ident_b, new_a, new_b)
-
     def _fire_batch_hooks(
         self, ident_a: int, ident_b: int, new_a: int, new_b: int
     ) -> None:
@@ -1089,28 +1173,6 @@ class BatchBackend(Backend):
             hook.on_batch_event(
                 simulator, keys[ident_a], keys[ident_b], keys[new_a], keys[new_b]
             )
-
-    def _apply_event(self) -> None:
-        """Sample one active pair type and apply its transition (pruning regime).
-
-        "Active" means :meth:`can_interaction_change` could not rule out a
-        configuration change, so the applied transition may still turn out
-        to be a no-op.
-        """
-        tracer = self.tracer
-        tic = perf_counter()
-        ident_a, ident_b = self._sampler.sample(self._pair_rng)
-        toc = perf_counter()
-        tracer.add("sampling", toc - tic)
-        new_a, new_b, changed = self._apply_transition(ident_a, ident_b)
-        tic = perf_counter()
-        tracer.add("transition", tic - toc)
-        self.applied_events += 1
-        if changed:
-            self._update_pair_weights(changed)
-            tracer.add("pair_weights", perf_counter() - tic)
-        if self.simulator.hooks:
-            self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
 
     # --------------------------------------------------- kernel event loop
     def _note_fallback(self, reason: str) -> None:
@@ -1165,56 +1227,115 @@ class BatchBackend(Backend):
         self._rebuild_pair_weights()
 
     def _advance_pruning_kernel(self, target: int) -> None:
-        """Pruning-regime event loop over the factorised pair kernel."""
+        """Pruning-regime event loop over the factorised pair kernel.
+
+        The kernel-driven counterpart of :meth:`_advance_pruning_fenwick`:
+        the skip and the pair type come from the kernel, and a
+        configuration-changing event pushes the new count of each distinct
+        touched id to the kernel once, in first-appearance order of ``(a,
+        b, new_a, new_b)``.  An event whose count push overflows the
+        kernel's activity matrix is already applied, so its hooks fire
+        before the backend falls back to the Fenwick path.  After hooks the
+        loop re-reads the histogram and ``n (n - 1)``, and it leaves when a
+        hook retired the kernel (a fault rewrite or churn that overflowed
+        it).  After a fallback of either kind the rest of the window is
+        re-dispatched through :meth:`advance_to`.
+        """
+        interactions = self.interactions
+        if interactions >= target or self.terminal:
+            return
         kernel = self._pair_kernel
-        simulator = self.simulator
+        hooks = self.simulator.hooks
+        active_weight = kernel.active_weight
+        next_skip = kernel.next_skip
+        next_pair = kernel.next_pair
+        set_count = kernel.set_count
+        memo_get = self._memo.get
+        resolve = self._resolve
         counts = self._counts
-        tracer = self.tracer
-        while self.interactions < target and not self.terminal:
-            weight = kernel.active_weight()
-            if weight <= 0:
-                self.terminal = True
-                break
-            ordered_pairs = self.n * (self.n - 1)
-            tic = perf_counter()
-            skip = (
-                0 if weight >= ordered_pairs else kernel.next_skip(ordered_pairs)
+        count_of = counts.get
+        ordered_pairs = self.n * (self.n - 1)
+        id_bits = _ID_BITS
+        clock = perf_counter
+        events = hits = changes = 0
+        sampling_s = transition_s = pair_weights_s = 0.0
+        skipped_past = False
+        overflow: Optional[AccelCapacityError] = None
+        try:
+            while interactions < target:
+                weight = active_weight()
+                if weight <= 0:
+                    self.terminal = True
+                    break
+                tic = clock()
+                skip = 0 if weight >= ordered_pairs else next_skip(ordered_pairs)
+                if skip >= target - interactions:
+                    # The whole window is configuration-preserving; the
+                    # pending active event is re-sampled next call
+                    # (memorylessness).
+                    sampling_s += clock() - tic
+                    skipped_past = True
+                    interactions = target
+                    break
+                interactions += skip + 1
+                ident_a, ident_b = next_pair()
+                toc = clock()
+                entry = memo_get(ident_a << id_bits | ident_b)
+                if entry.__class__ is tuple:
+                    hits += 1
+                    new_a, new_b = entry
+                else:
+                    new_a, new_b = resolve(ident_a, ident_b, entry)
+                events += 1
+                if (new_a != ident_a or new_b != ident_b) and (
+                    new_a != ident_b or new_b != ident_a
+                ):
+                    counts[ident_a] -= 1
+                    counts[ident_b] -= 1
+                    counts[new_a] += 1
+                    counts[new_b] += 1
+                    if count_of(ident_a) == 0:
+                        del counts[ident_a]
+                    if count_of(ident_b) == 0:
+                        del counts[ident_b]
+                    tac = clock()
+                    try:
+                        set_count(ident_a, count_of(ident_a, 0))
+                        if ident_b != ident_a:
+                            set_count(ident_b, count_of(ident_b, 0))
+                        if new_a != ident_a and new_a != ident_b:
+                            set_count(new_a, count_of(new_a, 0))
+                        if new_b != ident_a and new_b != ident_b and new_b != new_a:
+                            set_count(new_b, count_of(new_b, 0))
+                    except AccelCapacityError as error:
+                        overflow = error
+                    changes += 1
+                    pair_weights_s += clock() - tac
+                else:
+                    tac = clock()
+                sampling_s += toc - tic
+                transition_s += tac - toc
+                if hooks:
+                    self.interactions = interactions
+                    self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
+                    # A hook may have rewritten the histogram, resized the
+                    # population or retired the kernel.
+                    counts = self._counts
+                    count_of = counts.get
+                    ordered_pairs = self.n * (self.n - 1)
+                    if self._pair_kernel is not kernel or self.terminal:
+                        break
+                if overflow is not None:
+                    break
+        finally:
+            self._close_pruning_window(
+                interactions, events, hits, changes,
+                sampling_s, transition_s, pair_weights_s, events > 0 or skipped_past,
             )
-            remaining = target - self.interactions
-            if skip >= remaining:
-                # The whole window is configuration-preserving; the
-                # pending active event is re-sampled next call
-                # (memorylessness).
-                tracer.add("sampling", perf_counter() - tic, ops=0)
-                self.interactions = target
-                break
-            self.interactions += skip + 1
-            ident_a, ident_b = kernel.next_pair()
-            toc = perf_counter()
-            tracer.add("sampling", toc - tic)
-            new_a, new_b, changed = self._apply_transition(ident_a, ident_b)
-            tic = perf_counter()
-            tracer.add("transition", tic - toc)
-            self.applied_events += 1
-            overflow: Optional[AccelCapacityError] = None
-            if changed:
-                try:
-                    for ident in changed:
-                        kernel.set_count(ident, counts.get(ident, 0))
-                except AccelCapacityError as error:
-                    # The event is already applied to the histogram; note
-                    # the overflow but fire this event's hooks first so
-                    # hook-based trackers never undercount.
-                    overflow = error
-                tracer.add("pair_weights", perf_counter() - tic)
-            if simulator.hooks:
-                self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
-            if overflow is not None:
-                self._fallback_to_fenwick(str(overflow))
-                self.counter.total = self.interactions
-                self.advance_to(target)
-                return
-        self.counter.total = self.interactions
+        if overflow is not None and self._pair_kernel is kernel:
+            self._fallback_to_fenwick(str(overflow))
+        if self._pair_kernel is not kernel:
+            self.advance_to(target)
 
     def _check_dense_fixed_point(self) -> None:
         """Detect the one provable fixed point available without pruning.

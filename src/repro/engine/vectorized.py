@@ -20,13 +20,16 @@ updates per event instead of the per-pair dict walk.  The active weight is
 sampled by the two-stage row/partner scheme with a diagonal rejection — the
 same law as the Fenwick path's conditional draw over the materialised table.
 
-Everything is plain Python: counts and row sums are lists, activity rows
-and columns are ``bytearray``\\ s (so the :attr:`~FactorisedPairKernel.
-MATRIX_LIMIT`-wide matrix costs tens of MB), and the row and partner draws
-are ``accumulate`` + ``bisect`` over ``c * s`` and ``c * A[a]``.  Every
-applied event changes a count, so nothing drawn ahead of the next event
-would survive it: draws are made one event at a time.  The module keeps
-its historical name; the benchmark's tracer imports it by that name.
+Everything is plain Python.  Counts and row sums are lists and activity
+rows are ``bytearray``\\ s.  Each activity column is the ascending
+``array('H')`` of the rows active in it, so a count change walks only the
+row sums it updates.  At the :attr:`~FactorisedPairKernel.MATRIX_LIMIT`
+width the rows cost 16 MB and the columns at most 32 MB.  The row and
+partner draws are ``accumulate`` + ``bisect`` over ``c * s`` and
+``c * A[a]``.  Every applied event changes a count, so nothing drawn ahead
+of the next event would survive it: draws are made one event at a time.
+The module keeps its historical name; the benchmark's tracer imports it by
+that name.
 
 Kernel randomness comes from a dedicated :class:`random.Random` seeded from
 the pair stream when the kernel engages, so engaged runs are reproducible;
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from itertools import accumulate, compress
 from operator import mul
@@ -65,12 +69,14 @@ class FactorisedPairKernel:
 
     * ``c`` — the count vector;
     * ``A`` — the 0/1 activity matrix, ``A[a][b] =
-      can_interaction_change(key_a, key_b)``, kept both as rows and as
-      columns.  Activity depends on keys only, so entries are computed once
-      when a key first appears and never touched by count changes;
+      can_interaction_change(key_a, key_b)``, kept both as ``bytearray``
+      rows and as columns, each column the ascending ``array('H')`` of the
+      rows ``a`` with ``A[a][b]``.  Activity depends on keys only, so
+      entries are computed once when a key first appears and never touched
+      by count changes;
     * ``s = A c`` — the row sums, maintained incrementally: a count change
-      ``c_d += delta`` adds ``delta`` to ``s_a`` for every ``a`` in column
-      ``d``;
+      ``c_d += delta`` adds ``delta`` to ``s_a`` for every row ``a`` listed
+      in column ``d``;
     * ``D = sum(c[a] for a with A[a][a])`` — the diagonal correction.
 
     The exact active weight is then ``W = c . s - D`` (every term integer:
@@ -86,8 +92,10 @@ class FactorisedPairKernel:
     """
 
     #: Hard bound on the key-set width (live + dead slots after
-    #: compaction): the activity rows and columns at this size cost
-    #: ~32 MB; wider protocols fall back to the Fenwick path.
+    #: compaction): at this size the activity rows cost 16 MB and the
+    #: column index arrays at most 32 MB (2 bytes per active entry, so the
+    #: row index fits ``array('H')``); wider protocols fall back to the
+    #: Fenwick path.
     MATRIX_LIMIT = 4096
 
     #: Compact (rebuild dropping dead slots) when over half the slots are
@@ -108,9 +116,10 @@ class FactorisedPairKernel:
         self._slots: Dict[Hashable, int] = {}
         self._c: List[int] = []
         self._s: List[int] = []
-        #: ``_rows[a][b] == _cols[b][a] == A[a][b]``.
+        #: ``_rows[a][b] == A[a][b]``; ``_cols[b]`` lists, ascending, the
+        #: rows ``a`` with ``A[a][b]``.
         self._rows: List[bytearray] = []
-        self._cols: List[bytearray] = []
+        self._cols: List[array] = []
         self._diag_mass = 0
         self._dead = 0  # slots whose count is 0 (keys no longer live)
         self._active_weight: Optional[int] = None
@@ -156,20 +165,25 @@ class FactorisedPairKernel:
         return slot
 
     def _add_activity(self, key: Hashable) -> None:
-        """Append the last slot's activity row and column."""
+        """Append the last slot's activity row and column.
+
+        The new slot is the highest, so appending it to the columns of the
+        rows it is active in keeps every column ascending.
+        """
         can_change = self._can_change
-        row = bytearray(1 if can_change(key, other) else 0 for other in self._keys)
-        column = bytearray(
-            1 if can_change(other, key) else 0 for other in self._keys[:-1]
-        )
+        keys = self._keys
+        slot = len(keys) - 1
+        row = bytearray(1 if can_change(key, other) else 0 for other in keys)
+        column = bytearray(1 if can_change(other, key) else 0 for other in keys[:-1])
         column.append(row[-1])
         for other_slot, (other_row, other_column) in enumerate(
             zip(self._rows, self._cols)
         ):
             other_row.append(column[other_slot])
-            other_column.append(row[other_slot])
+            if row[other_slot]:
+                other_column.append(slot)
         self._rows.append(row)
-        self._cols.append(column)
+        self._cols.append(array("H", compress(range(slot + 1), column)))
 
     def set_count(self, key: Hashable, count: int) -> None:
         """Set one key's multiplicity — O(changed) Python-level work.
@@ -192,7 +206,7 @@ class FactorisedPairKernel:
         self.update_columns += 1
         c[slot] = count
         s = self._s
-        for row in compress(range(len(s)), self._cols[slot]):
+        for row in self._cols[slot]:
             s[row] += delta
         if self._rows[slot][slot]:
             self._diag_mass += delta

@@ -11,11 +11,14 @@ which it happened.  The simulator folds the tracer into
 Every phase counts ``ops`` per operation, but the batch backend's two
 regimes time them differently:
 
-* **Pruning regime** (and the pair kernel's loop): one timer per event
-  and phase.  ``sampling`` is drawing the skip and the pair type,
-  ``transition`` the memo lookup or ``delta_key`` plus the histogram
-  update, ``pair_weights`` the pair-table or kernel upkeep after a
-  configuration-changing event.
+* **Pruning regime** (the Fenwick and the pair kernel's loop): the
+  timers are read per event and phase but charged once per advance
+  window.  ``sampling`` is drawing the pair type (and, on the kernel, the
+  skip), ``transition`` the memo lookup or ``delta_key`` plus the
+  histogram update, ``pair_weights`` the pair-table or kernel upkeep after
+  a configuration-changing event; hooks are excluded.  ``ops`` are those
+  of per-event charging: ``sampling`` and ``transition`` count one per
+  applied event, ``pair_weights`` one per configuration-changing event.
 * **Dense regime**: one timer per advance window, plus one around each
   memo entry that is not a plain hit.  ``transition`` is the time spent
   resolving coin nodes and misses (``delta_key``, and decoding the ids

@@ -9,6 +9,8 @@ recomputation, and distribution-level chi-square / KS checks of draws and
 end-to-end convergence-time laws.
 """
 
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -268,18 +270,9 @@ def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch
     # still fire, or hook-based trackers undercount on exactly the runs
     # that trigger the fallback.
     from repro.engine import CallbackHook
-    from repro.engine.backends import BatchBackend
 
     monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 8)
     monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
-    applied = []
-    original = BatchBackend._apply_transition
-
-    def counting_apply(self, key_a, key_b):
-        applied.append(1)
-        return original(self, key_a, key_b)
-
-    monkeypatch.setattr(BatchBackend, "_apply_transition", counting_apply)
     events = []
     hook = CallbackHook(on_batch_event=lambda sim, a, b, na, nb: events.append(1))
     result = simulate(
@@ -291,7 +284,7 @@ def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch
         max_interactions=30_000,
     )
     assert "fallback_reason" in _telemetry(result)["accel"]  # the overflow fired
-    assert len(events) == len(applied)
+    assert len(events) == _telemetry(result)["skips"]["applied_events"]
     assert events  # the run really applied events
 
 
@@ -316,6 +309,124 @@ def test_factorised_capacity_overflow_falls_back_to_python_mid_run(monkeypatch):
     # The run stays correct across the switch: the exact count is reached.
     assert result.converged
     assert result.output_counts == Counter({64: 64})
+
+
+# --------------------------------------------------------------------------
+# Hooks inside the fused pruning loops
+# --------------------------------------------------------------------------
+
+
+def _backend_pair_table(backend):
+    keys = backend._keys
+    return {
+        (keys[ident_a], keys[ident_b]): weight
+        for (ident_a, ident_b), weight in backend._pair_weights.items()
+    }
+
+
+def test_kernel_fallback_inside_a_hook_hands_the_window_to_fenwick(monkeypatch):
+    # A fault rewrite that overflows the kernel retires it from inside a
+    # hook, mid-window.  The kernel loop must stop drawing from the retired
+    # kernel and hand the rest of the window to the Fenwick path, whose pair
+    # table then tracks the histogram exactly.
+    from repro.engine import CallbackHook, FailureInjectionHook
+
+    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
+    monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 32)
+    fresh = itertools.count(10_000)
+
+    def corrupt_key(key, rng):
+        fields = list(key)
+        index = next(index for index, field in enumerate(fields) if type(field) is int)
+        fields[index] = next(fresh)
+        return tuple(fields)
+
+    protocol = ExactBackupProtocol()
+    checked = []
+
+    def check_table(simulator, *keys):
+        # An O(K^2) recount, so only the first 200 events after the fallback.
+        backend = simulator.backend
+        if backend._pair_kernel is None and len(checked) < 200:
+            total, table = _brute_force_pair_table(
+                backend.state_key_counts(), protocol.can_interaction_change
+            )
+            assert _backend_pair_table(backend) == table
+            assert backend._active_weight == total
+            checked.append(simulator.interactions)
+
+    injection = FailureInjectionHook(
+        at_interaction=300, victims=20, seed=1, corrupt_key=corrupt_key
+    )
+    simulator = Simulator(
+        protocol,
+        64,
+        seed=1,
+        backend="batch",
+        hooks=[injection, CallbackHook(on_batch_event=check_table)],
+    )
+    result = simulator.run(max_interactions=30_000, stop_when_converged=False)
+    assert injection.fired
+    telemetry = _telemetry(result)
+    assert "activity matrix" in telemetry["accel"]["fallback_reason"]
+    sampler = telemetry["sampler"]
+    assert sampler["strategy"] == "fenwick"
+    assert [record["retired_by"] for record in sampler["retired"]] == [
+        "accel-engage", "accel-fallback",
+    ]
+    assert sampler["retired"][-1]["retired_at"] == injection.at_interaction
+    assert checked[0] == injection.at_interaction
+    total, table = _brute_force_pair_table(
+        simulator.backend.state_key_counts(), protocol.can_interaction_change
+    )
+    assert _backend_pair_table(simulator.backend) == table
+    assert simulator.backend._active_weight == total
+    assert result.stopped_reason in ("terminal", "max_interactions")
+
+
+@pytest.mark.parametrize("width", [NEVER, 0], ids=["fenwick", "kernel"])
+def test_a_join_inside_a_hook_reaches_the_next_skip(monkeypatch, width):
+    # A hook that joins agents mid-window changes T = n (n - 1): the very
+    # next skip must be drawn from W / T of the grown population, on both
+    # pruning loops.
+    from repro.engine import CallbackHook
+    from repro.primitives.epidemic import OneWayEpidemic
+
+    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", width)
+    seen = []
+    expected = []
+
+    def join_once(simulator, *keys):
+        seen.append(simulator.interactions)
+        if len(seen) > 1:
+            return
+        backend = simulator.backend
+        backend.join(400)
+        kernel = backend._pair_kernel
+        rng = random.Random()
+        if kernel is None:
+            weight = backend._active_weight
+            rng.setstate(backend._pair_rng.getstate())
+        else:
+            weight = kernel.active_weight()
+            rng.setstate(kernel._random.__self__.getstate())
+        ordered_pairs = backend.n * (backend.n - 1)
+        skip = int(math.log(1.0 - rng.random()) / math.log1p(-weight / ordered_pairs))
+        expected.append(simulator.interactions + skip + 1)
+
+    simulator = Simulator(
+        OneWayEpidemic(source_count=1),
+        40,
+        seed=5,
+        backend="batch",
+        hooks=[CallbackHook(on_batch_event=join_once)],
+    )
+    backend = simulator.backend
+    backend.advance_to(10**6)
+    assert (backend._pair_kernel is not None) == (width == 0)
+    assert backend.n == 440
+    assert len(seen) > 2
+    assert seen[1] == expected[0]
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .backends import (
     BatchBackend,
     LiftedKeyTransitions,
 )
-from .samplers import FenwickSampler, WeightedSampler
+from .samplers import WeightedSampler
 from .vectorized import FactorisedPairKernel
 from .convergence import (
     ConvergenceTracker,
@@ -73,7 +73,6 @@ __all__ = [
     "AgentBackend",
     "Backend",
     "BatchBackend",
-    "FenwickSampler",
     "LiftedKeyTransitions",
     "WeightedSampler",
     "FactorisedPairKernel",

@@ -46,8 +46,8 @@ from ..obs.trace import RunTracer
 from .errors import ConfigurationError, SimulationError
 from .metrics import AggregateInteractionCounter, InteractionCounter, StateSpaceTracker
 from .protocol import Protocol
-from .samplers import AgentPairSampler, FenwickSampler, WeightedSampler
-from .vectorized import AccelCapacityError, FactorisedPairKernel
+from .samplers import AgentPairSampler
+from .vectorized import FactorisedPairKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
     from .scheduler import Scheduler
@@ -59,20 +59,10 @@ __all__ = [
     "BatchBackend",
     "LiftedKeyTransitions",
     "BACKEND_NAMES",
-    "KERNEL_MIN_PAIRS",
 ]
 
 #: Valid values for the ``backend=`` argument of the simulator.
 BACKEND_NAMES = ("agent", "batch", "auto")
-
-#: Width of the active pair table (ordered pair types of positive weight)
-#: past which the pruning regime hands its hot loop to the
-#: :class:`~repro.engine.vectorized.FactorisedPairKernel`.  Both sides are
-#: measured: ``backup-exact`` grows past it within its first ~200 events
-#: and runs ~10x faster on the kernel at n = 10^3, while
-#: ``one-way-epidemic`` never holds more than 2 active pairs and runs about
-#: as fast when the kernel is forced on it (n = 600-840).
-KERNEL_MIN_PAIRS = 32
 
 #: Bits of the responder id in a packed ``a << ID_BITS | b`` memo key.
 _ID_BITS = 32
@@ -517,17 +507,18 @@ class BatchBackend(Backend):
        that *type* (memoised when the protocol declares pure key
        transitions, see below) and updates the histogram.
 
-    Pair-type weights are maintained incrementally: an event changes the
-    multiplicities of at most four keys, so only the pair weights involving
-    those keys are recomputed (``O(K)`` per event for ``K`` distinct keys,
-    instead of ``O(K^2)``).  When ``W == 0`` the configuration is a fixed
+    The pair-weight table is never materialised: weights factorise as
+    ``c_a c_b``, and the :class:`~repro.engine.vectorized.FactorisedPairKernel`
+    keeps the counts, the activity lists and the row sums ``s = A c``.  An
+    event changes the multiplicities of at most four keys, each one column
+    walk of row-sum updates.  When ``W == 0`` the configuration is a fixed
     point and the backend reports :attr:`~Backend.terminal`.
 
     Truncating a geometric skip at an interaction budget or checkpoint
     boundary and re-sampling later is exact by memorylessness.
 
     Keys are interned to dense integer ids on first sight: the histogram,
-    the agent array, the pair table and the transition memo all work on ids,
+    the agent array, the pair kernel and the transition memo all work on ids,
     and keys cross back only at the protocol boundary (``delta_key`` and
     ``can_interaction_change`` on a cache miss, ``output_key`` once per id)
     and in hooks, public views and fault rewrites.  The id histogram is
@@ -548,14 +539,12 @@ class BatchBackend(Backend):
     Two sampling regimes are used, chosen at construction:
 
     * **Pruning** — the protocol overrides ``can_interaction_change``, so the
-      active-pair weight table above is worth maintaining: skips are long and
-      the active pair type is drawn from a
-      :class:`~repro.engine.samplers.FenwickSampler` over the table.  Each
-      advance window runs as one fused loop
-      (:meth:`_advance_pruning_fenwick`, or :meth:`_advance_pruning_kernel`
-      once the kernel below engages) with its state in locals, the plain
-      memo hit and the histogram update inline, and its phase timers read
-      per event but charged per window.
+      active pair weights above are worth maintaining: skips are long, and
+      the skip and the active pair type are drawn by the factorised kernel,
+      built at construction and fed by the pair stream.  Each advance window
+      runs as one fused loop (:meth:`_advance_pruning_kernel`) with its
+      state in locals, the plain memo hit and the histogram update inline,
+      and its phase timers read per event but charged per window.
     * **Dense** — the protocol keeps the conservative default, every ordered
       pair is active (``W == T``, no skipping is ever possible), and the
       O(K^2) pair table would be pure overhead.  The backend instead keeps
@@ -589,18 +578,9 @@ class BatchBackend(Backend):
     are never more owned states than live ids.  The pruning regime, the
     lifted adapter and protocols overriding ``delta_key`` keep none.
 
-    The backend picks its hot loop from what it observes; there is no knob.
-    In the pruning regime, once the active pair table holds more than
-    :data:`KERNEL_MIN_PAIRS` entries, the materialised table and its
-    O(changed * K) per-event :meth:`_update_pair_weights` walk are replaced
-    for the rest of the run by the pure-Python factorised ``w(a, b) = c_a *
-    c_b`` row/column-product kernel of :mod:`repro.engine.vectorized`, to
-    which an event pushes one count per distinct touched id, each a walk of
-    one activity column's index list.  A protocol whose live key set
-    outgrows the kernel's activity matrix falls back to the Fenwick path
-    mid-run.  :meth:`sampler_stats`, :meth:`accel_info` and
-    :meth:`memo_stats` report the path taken (surfaced in
-    ``SimulationResult.extra["telemetry"]``).
+    The protocol picks the regime; there is no knob.  :meth:`sampler_stats`
+    and :meth:`memo_stats` report the draw path's and the memo's counters
+    (surfaced in ``SimulationResult.extra["telemetry"]``).
     """
 
     name = "batch"
@@ -651,29 +631,19 @@ class BatchBackend(Backend):
         self._can_change_cache: Dict[Tuple[int, int], bool] = {}
         # Two sampling regimes (see class docstring).  A protocol that keeps
         # the conservative default ``can_interaction_change`` marks *every*
-        # ordered pair active, so the pair-weight table would cost O(K^2)
-        # upkeep for zero skipping; such protocols use the dense regime,
+        # ordered pair active, so the pair kernel's activity lists would hold
+        # O(K^2) entries for zero skipping; such protocols use the dense regime,
         # which samples the two participants straight from the key histogram.
         self._prunes = (
             type(protocol).can_interaction_change is not Protocol.can_interaction_change
         )
-        #: Whether the factorised kernel may still engage: pruning regime,
-        #: not engaged yet and no capacity fallback.
-        self._kernel_armed = self._prunes
-        self._accel_fallback: Optional[str] = None
-        #: Stats snapshots of samplers and kernels replaced mid-run.
-        self._retired_samplers: List[Dict[str, Any]] = []
         #: Configuration-changing events actually applied; the complement
         #: of ``interactions`` measures the geometric-skip efficiency.
         self.applied_events: int = 0
-        # Pruning regime: sampler over active pair types, None while the
-        # kernel is engaged.  Dense regime: sampler over agent index pairs.
-        self._sampler: Optional[WeightedSampler] = None
+        #: Pruning regime: the skip and pair-type draws.  Dense regime: the
+        #: sampler over agent index pairs.  Each is None in the other regime.
         self._pair_kernel: Optional[FactorisedPairKernel] = None
-        # Active ordered pair types and their integer weights; rebuilt lazily
-        # in full once, then maintained incrementally per event.
-        self._pair_weights: Dict[Tuple[int, int], int] = {}
-        self._active_weight = 0
+        self._sampler: Optional[AgentPairSampler] = None
         #: Dense regime: the id of every agent, in no meaningful order (a
         #: multiset equal to ``_counts``).  Empty in the pruning regime.
         self._agents: List[int] = []
@@ -685,7 +655,9 @@ class BatchBackend(Backend):
         #: states off (pruning regime, lifted adapter, ``delta_key`` override).
         self._decode: Optional[Callable[[Hashable], Any]] = None
         if self._prunes:
-            self._rebuild_pair_weights()
+            self._pair_kernel = FactorisedPairKernel(
+                self._counts, self._can_change, scheduler_rng
+            )
         else:
             self._agents = list(self._counts.elements())
             self._sampler = AgentPairSampler(self.n)
@@ -798,7 +770,7 @@ class BatchBackend(Backend):
         self._coin_nodes += 1
         return _CoinNode(bits)
 
-    # ------------------------------------------------------------ pair table
+    # -------------------------------------------------------------- activity
     def _can_change(self, ident_a: int, ident_b: int) -> bool:
         cached = self._can_change_cache.get((ident_a, ident_b))
         if cached is None:
@@ -809,245 +781,12 @@ class BatchBackend(Backend):
             self._can_change_cache[(ident_a, ident_b)] = cached
         return cached
 
-    def _pair_weight(self, ident_a: int, ident_b: int) -> int:
-        count_a = self._counts.get(ident_a, 0)
-        if ident_a == ident_b:
-            return count_a * (count_a - 1)
-        return count_a * self._counts.get(ident_b, 0)
-
-    #: Below this many distinct keys a full O(K^2) table rebuild (with lower
-    #: constants) beats the O(changed * K) incremental update.
-    _REBUILD_THRESHOLD = 16
-
-    def _rebuild_pair_weights(self) -> None:
-        """Recompute the full active-pair weight table (O(K^2), inlined hot path)."""
-        counts = self._counts
-        can_cache = self._can_change_cache
-        can_change = self._can_change
-        pair_weights: Dict[Tuple[int, int], int] = {}
-        total = 0
-        items = list(counts.items())
-        for ident_a, count_a in items:
-            for ident_b, count_b in items:
-                if ident_a == ident_b:
-                    weight = count_a * (count_a - 1)
-                else:
-                    weight = count_a * count_b
-                if weight <= 0:
-                    continue
-                pair = (ident_a, ident_b)
-                changeable = can_cache.get(pair)
-                if changeable is None:
-                    changeable = can_change(ident_a, ident_b)
-                if changeable:
-                    pair_weights[pair] = weight
-                    total += weight
-        self._pair_weights = pair_weights
-        self._active_weight = total
-        if self._sampler is None:
-            self._sampler = FenwickSampler(pair_weights)
-        else:
-            self._sampler.rebuild(pair_weights)
-
-    def _update_pair_weights(self, changed: Tuple[int, ...]) -> None:
-        """Refresh pair weights after an event changed the ``changed`` keys.
-
-        Small configurations are rebuilt wholesale (lower constants); larger
-        ones are updated incrementally, touching only the O(changed * K)
-        ordered pairs that involve a changed key — with the sampler notified
-        per changed pair, which is where the Fenwick tree's O(log P) point
-        updates pay off.
-        """
-        counts = self._counts
-        if len(counts) <= self._REBUILD_THRESHOLD:
-            self._rebuild_pair_weights()
-            return
-        # New pair types take sampler slots in the order this walk meets
-        # them, which the seeded streams pin to the iteration order of sets
-        # of *keys*; the walk therefore visits keys in that order.
-        keys = self._keys
-        ids = self._ids
-        changed_keys = set([keys[ident] for ident in changed])
-        neighbours = [
-            ids[key] for key in set([keys[ident] for ident in counts]) | changed_keys
-        ]
-        pair_weights = self._pair_weights
-        sampler = self._sampler
-        total = self._active_weight
-        for key_d in changed_keys:
-            ident_d = ids[key_d]
-            for ident_x in neighbours:
-                pairs = (
-                    ((ident_d, ident_d),)
-                    if ident_x == ident_d
-                    else ((ident_d, ident_x), (ident_x, ident_d))
-                )
-                for pair in pairs:
-                    old = pair_weights.pop(pair, 0)
-                    total -= old
-                    weight = self._pair_weight(*pair)
-                    if weight > 0 and self._can_change(*pair):
-                        pair_weights[pair] = weight
-                        total += weight
-                        if weight != old:
-                            sampler.update(pair, weight)
-                    elif old:
-                        sampler.update(pair, 0)
-        self._active_weight = total
-
     # -------------------------------------------------------------- stepping
     def advance_to(self, target: int) -> None:
-        if not self._prunes:
-            self._advance_dense(target)
-        elif self._pair_kernel is not None:
+        if self._prunes:
             self._advance_pruning_kernel(target)
         else:
-            self._advance_pruning_fenwick(target)
-
-    def _advance_pruning_fenwick(self, target: int) -> None:
-        """Pruning-regime event loop over the Fenwick pair sampler.
-
-        One loop per window with its state bound to locals.  Each event
-        draws the ``Geometric(W / T)`` skip from the pair stream, samples
-        the active pair type, and looks the id pair up in the memo: a plain
-        ``(new_a, new_b)`` hit costs one dict lookup, coin nodes and misses
-        go through :meth:`_resolve`.  A configuration-changing event
-        updates the histogram (the same operations in the same order as the
-        dense loop) and then the pair table through
-        :meth:`_update_pair_weights`.  Once the table holds more than
-        :data:`KERNEL_MIN_PAIRS` entries the window is handed to the
-        factorised kernel (:meth:`_advance_pruning_kernel`).
-
-        Phase timers are read per event and charged once per window.  Hooks
-        fire with the event already counted; after them the loop re-reads
-        the histogram and ``n (n - 1)``, and a hook that leaves the backend
-        :attr:`~Backend.terminal` ends the window.
-        """
-        interactions = self.interactions
-        if interactions >= target or self.terminal:
-            return
-        hooks = self.simulator.hooks
-        sample = self._sampler.sample
-        pair_rng = self._pair_rng
-        uniform_draw = pair_rng.random
-        memo_get = self._memo.get
-        resolve = self._resolve
-        update_pair_weights = self._update_pair_weights
-        counts = self._counts
-        count_of = counts.get
-        ordered_pairs = self.n * (self.n - 1)
-        log = math.log
-        log1p = math.log1p
-        id_bits = _ID_BITS
-        clock = perf_counter
-        events = hits = changes = 0
-        sampling_s = transition_s = pair_weights_s = 0.0
-        engaged = False
-        try:
-            while interactions < target:
-                if self._kernel_armed and len(self._pair_weights) > KERNEL_MIN_PAIRS:
-                    self.interactions = interactions
-                    self._engage_pair_kernel()
-                    if self._pair_kernel is not None:
-                        engaged = True
-                        break
-                weight = self._active_weight
-                if weight <= 0:
-                    self.terminal = True
-                    break
-                if weight >= ordered_pairs:
-                    skip = 0
-                else:
-                    # Number of configuration-preserving interactions before
-                    # the next configuration-changing one: Geometric(p),
-                    # p = W / T.
-                    uniform = 1.0 - uniform_draw()  # in (0, 1]
-                    if uniform >= 1.0:
-                        skip = 0
-                    else:
-                        skip = int(log(uniform) / log1p(-weight / ordered_pairs))
-                if skip >= target - interactions:
-                    # The whole window is configuration-preserving; the
-                    # pending active event is re-sampled next call
-                    # (memorylessness).
-                    interactions = target
-                    break
-                interactions += skip + 1
-                tic = clock()
-                ident_a, ident_b = sample(pair_rng)
-                toc = clock()
-                entry = memo_get(ident_a << id_bits | ident_b)
-                if entry.__class__ is tuple:
-                    hits += 1
-                    new_a, new_b = entry
-                else:
-                    new_a, new_b = resolve(ident_a, ident_b, entry)
-                events += 1
-                if (new_a != ident_a or new_b != ident_b) and (
-                    new_a != ident_b or new_b != ident_a
-                ):
-                    counts[ident_a] -= 1
-                    counts[ident_b] -= 1
-                    counts[new_a] += 1
-                    counts[new_b] += 1
-                    if count_of(ident_a) == 0:
-                        del counts[ident_a]
-                    if count_of(ident_b) == 0:
-                        del counts[ident_b]
-                    tac = clock()
-                    update_pair_weights((ident_a, ident_b, new_a, new_b))
-                    changes += 1
-                    pair_weights_s += clock() - tac
-                else:
-                    tac = clock()
-                sampling_s += toc - tic
-                transition_s += tac - toc
-                if hooks:
-                    self.interactions = interactions
-                    self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
-                    # A hook may have rewritten the histogram or resized
-                    # the population.
-                    counts = self._counts
-                    count_of = counts.get
-                    ordered_pairs = self.n * (self.n - 1)
-                    if self.terminal:
-                        break
-        finally:
-            self._close_pruning_window(
-                interactions, events, hits, changes,
-                sampling_s, transition_s, pair_weights_s, events > 0,
-            )
-        if engaged:
-            self._advance_pruning_kernel(target)
-
-    def _close_pruning_window(
-        self,
-        interactions: int,
-        events: int,
-        hits: int,
-        changes: int,
-        sampling_s: float,
-        transition_s: float,
-        pair_weights_s: float,
-        sampled: bool,
-    ) -> None:
-        """Store a pruning window's counters and charge its phase timers.
-
-        ``sampled`` says whether the window drew anything worth a
-        ``sampling`` entry: an event, or (kernel loop) a skip that ran past
-        the window.
-        """
-        self.interactions = interactions
-        self.counter.total = interactions
-        self.applied_events += events
-        self._memo_hits += hits
-        tracer = self.tracer
-        if sampled:
-            tracer.add("sampling", sampling_s, ops=events)
-        if events:
-            tracer.add("transition", transition_s, ops=events)
-        if changes:
-            tracer.add("pair_weights", pair_weights_s, ops=changes)
+            self._advance_dense(target)
 
     def _advance_dense(self, target: int) -> None:
         """Dense-regime event loop: every interaction is one event.
@@ -1059,7 +798,7 @@ class BatchBackend(Backend):
         plain ``(new_a, new_b)`` hit costs one dict lookup, coin nodes and
         misses go through :meth:`_resolve`.  The histogram and the two slots
         are rewritten only when the configuration changed, the histogram by
-        the same operations in the same order as the pruning loops.
+        the same operations in the same order as the pruning loop.
 
         Phase timers run once per window and around each :meth:`_resolve`
         call, not per event; :mod:`repro.obs.trace` says what each phase
@@ -1142,28 +881,6 @@ class BatchBackend(Backend):
             if changes:
                 tracer.add("pair_weights", 0.0, ops=changes)
 
-    def _retire_sampler(
-        self, stats: Dict[str, Any], regime: str, retired_by: str
-    ) -> None:
-        """Snapshot a sampler/kernel being replaced mid-run.
-
-        Every retirement — kernel engagement, capacity fallback — funnels
-        through here, so no replacement path can drop the counters of the
-        structure it replaces, and each snapshot is stamped with why and
-        when it was retired.
-        """
-        stats["regime"] = regime
-        stats["retired_by"] = retired_by
-        stats["retired_at"] = self.interactions
-        self._retired_samplers.append(stats)
-        self.tracer.note_event(
-            "sampler-retired",
-            at=self.interactions,
-            strategy=stats.get("strategy", stats.get("kernel")),
-            regime=regime,
-            reason=retired_by,
-        )
-
     def _fire_batch_hooks(
         self, ident_a: int, ident_b: int, new_a: int, new_b: int
     ) -> None:
@@ -1175,71 +892,22 @@ class BatchBackend(Backend):
             )
 
     # --------------------------------------------------- kernel event loop
-    def _note_fallback(self, reason: str) -> None:
-        self._accel_fallback = reason
-        self._kernel_armed = False
-        self.tracer.note_event("accel-fallback", at=self.interactions, reason=reason)
-
-    def _engage_pair_kernel(self) -> None:
-        """Swap the Fenwick pair structures for the factorised kernel.
-
-        Called once the active pair table grew past
-        :data:`KERNEL_MIN_PAIRS`: the table is wide enough for the
-        factorised kernel's O(changed) updates to beat the O(changed * K)
-        Python walk.  The retired sampler's counters are kept for
-        :meth:`sampler_stats`.
-        """
-        self._kernel_armed = False
-        # The kernel's generator is seeded from the scheduler stream only
-        # here, so a run whose pair table stays narrow draws exactly the
-        # Fenwick path's stream.
-        try:
-            kernel = FactorisedPairKernel(
-                dict(self._counts),
-                self._can_change,
-                seed=self._pair_rng.getrandbits(64),
-            )
-        except AccelCapacityError as error:
-            self._note_fallback(str(error))
-            return
-        self._retire_sampler(self._sampler.stats(), "pruning", "accel-engage")
-        self.tracer.note_event(
-            "accel-engage", at=self.interactions, kernel="factorised-pair"
-        )
-        self._pair_kernel = kernel
-        self._sampler = None
-        self._pair_weights = {}
-        self._active_weight = 0
-
-    def _fallback_to_fenwick(self, reason: str) -> None:
-        """Abandon the factorised kernel mid-run and rebuild the Fenwick path.
-
-        Triggered when the kernel outgrows its capacity (an activity matrix
-        wider than :attr:`~repro.engine.vectorized.FactorisedPairKernel.
-        MATRIX_LIMIT` keys).  The configuration histogram is the source of
-        truth, so rebuilding the Python pair table from it is exact; the
-        reason is surfaced via :meth:`accel_info` and the retired kernel's
-        counters are kept in the sampler record.
-        """
-        self._retire_sampler(self._pair_kernel.stats(), "pruning", "accel-fallback")
-        self._pair_kernel = None
-        self._note_fallback(reason)
-        self._rebuild_pair_weights()
-
     def _advance_pruning_kernel(self, target: int) -> None:
         """Pruning-regime event loop over the factorised pair kernel.
 
-        The kernel-driven counterpart of :meth:`_advance_pruning_fenwick`:
-        the skip and the pair type come from the kernel, and a
-        configuration-changing event pushes the new count of each distinct
-        touched id to the kernel once, in first-appearance order of ``(a,
-        b, new_a, new_b)``.  An event whose count push overflows the
-        kernel's activity matrix is already applied, so its hooks fire
-        before the backend falls back to the Fenwick path.  After hooks the
-        loop re-reads the histogram and ``n (n - 1)``, and it leaves when a
-        hook retired the kernel (a fault rewrite or churn that overflowed
-        it).  After a fallback of either kind the rest of the window is
-        re-dispatched through :meth:`advance_to`.
+        One loop per window with its state bound to locals.  Each event
+        draws the ``Geometric(W / T)`` skip and the active pair type from
+        the kernel and looks the id pair up in the memo: a plain ``(new_a,
+        new_b)`` hit costs one dict lookup, coin nodes and misses go through
+        :meth:`_resolve`.  A configuration-changing event updates the
+        histogram (the same operations in the same order as the dense loop)
+        and pushes the new count of each distinct touched id to the kernel
+        once, in first-appearance order of ``(a, b, new_a, new_b)``.
+
+        Phase timers are read per event and charged once per window.  Hooks
+        fire with the event already counted; after them the loop re-reads
+        the histogram and ``n (n - 1)``, and a hook that leaves the backend
+        :attr:`~Backend.terminal` ends the window.
         """
         interactions = self.interactions
         if interactions >= target or self.terminal:
@@ -1260,7 +928,6 @@ class BatchBackend(Backend):
         events = hits = changes = 0
         sampling_s = transition_s = pair_weights_s = 0.0
         skipped_past = False
-        overflow: Optional[AccelCapacityError] = None
         try:
             while interactions < target:
                 weight = active_weight()
@@ -1299,16 +966,13 @@ class BatchBackend(Backend):
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
                     tac = clock()
-                    try:
-                        set_count(ident_a, count_of(ident_a, 0))
-                        if ident_b != ident_a:
-                            set_count(ident_b, count_of(ident_b, 0))
-                        if new_a != ident_a and new_a != ident_b:
-                            set_count(new_a, count_of(new_a, 0))
-                        if new_b != ident_a and new_b != ident_b and new_b != new_a:
-                            set_count(new_b, count_of(new_b, 0))
-                    except AccelCapacityError as error:
-                        overflow = error
+                    set_count(ident_a, count_of(ident_a, 0))
+                    if ident_b != ident_a:
+                        set_count(ident_b, count_of(ident_b, 0))
+                    if new_a != ident_a and new_a != ident_b:
+                        set_count(new_a, count_of(new_a, 0))
+                    if new_b != ident_a and new_b != ident_b and new_b != new_a:
+                        set_count(new_b, count_of(new_b, 0))
                     changes += 1
                     pair_weights_s += clock() - tac
                 else:
@@ -1318,30 +982,31 @@ class BatchBackend(Backend):
                 if hooks:
                     self.interactions = interactions
                     self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
-                    # A hook may have rewritten the histogram, resized the
-                    # population or retired the kernel.
+                    # A hook may have rewritten the histogram or resized the
+                    # population.
                     counts = self._counts
                     count_of = counts.get
                     ordered_pairs = self.n * (self.n - 1)
-                    if self._pair_kernel is not kernel or self.terminal:
+                    if self.terminal:
                         break
-                if overflow is not None:
-                    break
         finally:
-            self._close_pruning_window(
-                interactions, events, hits, changes,
-                sampling_s, transition_s, pair_weights_s, events > 0 or skipped_past,
-            )
-        if overflow is not None and self._pair_kernel is kernel:
-            self._fallback_to_fenwick(str(overflow))
-        if self._pair_kernel is not kernel:
-            self.advance_to(target)
+            self.interactions = interactions
+            self.counter.total = interactions
+            self.applied_events += events
+            self._memo_hits += hits
+            tracer = self.tracer
+            if events or skipped_past:
+                tracer.add("sampling", sampling_s, ops=events)
+            if events:
+                tracer.add("transition", transition_s, ops=events)
+            if changes:
+                tracer.add("pair_weights", pair_weights_s, ops=changes)
 
     def _check_dense_fixed_point(self) -> None:
         """Detect the one provable fixed point available without pruning.
 
         With a conservative ``can_interaction_change`` the dense regime has
-        no pair-weight table to drain to zero, but when a pure protocol
+        no active weight to drain to zero, but when a pure protocol
         collapses the whole population onto a single key whose
         self-interaction is a coin-free no-op, the configuration provably
         never changes again.  An unmemoised self-interaction is probed with
@@ -1382,40 +1047,24 @@ class BatchBackend(Backend):
     def _population_changed(
         self, changed: Tuple[int, ...] = (), full_rebuild: bool = False
     ) -> None:
-        """Invalidate the sampling structures after the histogram changed.
+        """Refresh the sampling structures after the histogram changed.
 
-        Pair weights are refreshed incrementally — ``O(changed * K)`` for
-        ``K`` distinct keys — rather than rebuilt from scratch, so repeated
-        churn on wide histograms stays cheap; ``full_rebuild`` covers
-        wholesale edits (population restarts) where no small changed-key set
-        exists.
+        The kernel takes the new counts of the ``changed`` ids, or of every
+        id after a wholesale edit (``full_rebuild``, population restarts);
+        the dense regime resizes its agent-pair sampler.
         """
         self.counter.n = self.n
         self.terminal = False
         self.population_changes += 1
-        if self._pair_kernel is not None:
-            kernel = self._pair_kernel
+        kernel = self._pair_kernel
+        if kernel is not None:
             counts = self._counts
-            try:
-                if full_rebuild:
-                    kernel.resync(counts)
-                else:
-                    for ident in changed:
-                        kernel.set_count(ident, counts.get(ident, 0))
-            except AccelCapacityError as error:
-                self._fallback_to_fenwick(str(error))
-                if self._active_weight <= 0:
-                    self.terminal = True
-                return
-            if kernel.active_weight() <= 0:
-                # Churn may land on an already-stable configuration.
-                self.terminal = True
-        elif self._prunes:
             if full_rebuild:
-                self._rebuild_pair_weights()
+                kernel.resync(counts)
             else:
-                self._update_pair_weights(changed)
-            if self._active_weight <= 0:
+                for ident in changed:
+                    kernel.set_count(ident, counts.get(ident, 0))
+            if kernel.active_weight() <= 0:
                 # Churn may land on an already-stable configuration.
                 self.terminal = True
         else:
@@ -1424,16 +1073,6 @@ class BatchBackend(Backend):
                 self._owned.clear()
             self._sampler.resize(self.n)
             self._check_dense_fixed_point()
-
-    def _changed_ids(self, changed_keys: set) -> Tuple[int, ...]:
-        """Ids of a set of changed keys, in the set's iteration order.
-
-        Population changes collect their keys in a set of *keys*: the order
-        the sampling structures then meet new keys and pairs in follows it
-        (see :meth:`_update_pair_weights`).
-        """
-        ids = self._ids
-        return tuple(ids[key] for key in changed_keys)
 
     def _sample_victims(self, victims: int, rng: random.Random) -> List[int]:
         """Ids of ``victims`` distinct agents drawn uniformly at random.
@@ -1460,16 +1099,15 @@ class BatchBackend(Backend):
     def join(self, count: int) -> Dict[str, Any]:
         self._check_population(count)
         counts = self._counts
-        changed: set = set()
+        changed: Dict[int, None] = {}
         for _ in range(count):
-            key = self.register_state(self.fresh_initial_state())
-            ident = self._intern(key)
+            ident = self._intern(self.register_state(self.fresh_initial_state()))
             counts[ident] += 1
-            changed.add(key)
+            changed[ident] = None
             if not self._prunes:
                 self._agents.append(ident)
         self.n += count
-        self._population_changed(self._changed_ids(changed))
+        self._population_changed(tuple(changed))
         return {"joined": count, "n": self.n}
 
     def leave(self, count: int, rng: random.Random, min_remaining: int = 2) -> Dict[str, Any]:
@@ -1480,8 +1118,7 @@ class BatchBackend(Backend):
                 f"{min_remaining} must remain"
             )
         counts = self._counts
-        keys = self._keys
-        changed: set = set()
+        changed: Dict[int, None] = {}
         if self._prunes:
             victims = self._sample_victims(count, rng)
         else:
@@ -1498,9 +1135,9 @@ class BatchBackend(Backend):
             if not counts[ident]:
                 del counts[ident]
                 self._owned.pop(ident, None)
-            changed.add(keys[ident])
+            changed[ident] = None
         self.n -= count
-        self._population_changed(self._changed_ids(changed))
+        self._population_changed(tuple(changed))
         return {"left": count, "n": self.n}
 
     def restart_population(self) -> Dict[str, Any]:
@@ -1532,8 +1169,8 @@ class BatchBackend(Backend):
         victims are chosen without replacement over the population (exactly
         the agent-mode ``rng.sample`` fault model, marginalised to keys),
         each victim's key is removed from the histogram and replaced by
-        ``rewrite(key, rng)``.  The pruning regime's pair structures are
-        rebuilt afterwards; the dense regime rewrites the victims' slots.
+        ``rewrite(key, rng)``.  The pruning regime's kernel is resynced
+        afterwards; the dense regime rewrites the victims' slots.
         Returns the number of agents whose key actually changed.
         """
         if victims < 0:
@@ -1579,12 +1216,7 @@ class BatchBackend(Backend):
         if changed:
             self.terminal = False
             if self._pair_kernel is not None:
-                try:
-                    self._pair_kernel.resync(counts)
-                except AccelCapacityError as error:
-                    self._fallback_to_fenwick(str(error))
-            elif self._prunes:
-                self._rebuild_pair_weights()
+                self._pair_kernel.resync(counts)
             else:
                 # A corruption may collapse the population onto one key.
                 self._check_dense_fixed_point()
@@ -1592,32 +1224,12 @@ class BatchBackend(Backend):
 
     # ------------------------------------------------------------- observers
     def sampler_stats(self) -> Dict[str, Any]:
-        """JSON-friendly record of the sampling structure this run ended on.
-
-        Includes the regime, the live sampler's or kernel's counters, and
-        the counters of every structure retired mid-run.
-        """
-        record: Dict[str, Any] = {"regime": "pruning" if self._prunes else "dense"}
+        """JSON-friendly record of the run's draw path: regime and counters."""
         if self._pair_kernel is not None:
-            record["strategy"] = "factorised"
-            record.update(self._pair_kernel.stats())
-        elif self._sampler is not None:
-            record.update(self._sampler.stats())
-        if self._retired_samplers:
-            record["retired"] = list(self._retired_samplers)
-        return record
-
-    def accel_info(self) -> Dict[str, Any]:
-        """JSON-friendly record of the pair kernel's state in this run.
-
-        ``engaged`` says whether the factorised kernel drives the pruning
-        hot loop right now; ``fallback_reason`` is present once a capacity
-        fallback retired it.
-        """
-        record: Dict[str, Any] = {"engaged": self._pair_kernel is not None}
-        if self._accel_fallback is not None:
-            record["fallback_reason"] = self._accel_fallback
-        return record
+            return {
+                "regime": "pruning", "strategy": "factorised", **self._pair_kernel.stats()
+            }
+        return {"regime": "dense", **self._sampler.stats()}
 
     def memo_stats(self) -> Dict[str, int]:
         """JSON-friendly counters of the interning table and transition memo.

@@ -6,9 +6,10 @@ only the *distribution* drifts.  Following the Herman-protocol analysis
 tradition of checking distributions rather than point estimates, this module
 provides the two workhorses of the repository's statistical test harness —
 the chi-square goodness-of-fit test (does a sampler draw from exactly the
-weights it was given?) and the two-sample Kolmogorov–Smirnov test (do two
-execution strategies induce the same convergence-time law?) — implemented in
-pure Python so the core library stays dependency-free.
+weights it was given?) and the Kolmogorov–Smirnov test, two-sample (do two
+execution strategies induce the same convergence-time law?) and one-sample
+(does one strategy follow an exactly computed law?) — implemented in pure
+Python so the core library stays dependency-free.
 
 P-values are asymptotic (Numerical-Recipes-style regularized incomplete
 gamma for chi-square, the Kolmogorov series for KS) and accurate far beyond
@@ -18,7 +19,7 @@ what the generous significance thresholds used in the tests require.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Mapping, Sequence, Tuple
+from typing import Callable, Hashable, Mapping, Sequence, Tuple
 
 from .errors import ConfigurationError
 
@@ -28,6 +29,8 @@ __all__ = [
     "chi_square_gof",
     "ks_statistic",
     "ks_pvalue",
+    "ks_one_sample_statistic",
+    "ks_one_sample_pvalue",
     "regularized_gamma_q",
 ]
 
@@ -181,7 +184,51 @@ def ks_pvalue(statistic: float, n: int, m: int) -> float:
     """
     if n < 1 or m < 1:
         raise ConfigurationError("KS needs positive sample sizes")
-    effective = math.sqrt(n * m / (n + m))
+    return _kolmogorov_pvalue(statistic, math.sqrt(n * m / (n + m)))
+
+
+def ks_one_sample_statistic(
+    sample: Sequence[int], cdf: Callable[[int], float]
+) -> float:
+    """One-sample KS statistic of integer ``sample`` against an exact CDF.
+
+    ``cdf(x)`` is ``P(X <= x)`` of the hypothesised law over integer
+    support.  Between two consecutive distinct sample values ``v < w`` the
+    empirical CDF is constant and ``cdf`` is non-decreasing, so the largest
+    gap there is at ``v`` or at ``w - 1``; below the smallest value the
+    empirical CDF is 0 and the gap is largest just below it.
+    """
+    if not sample:
+        raise ConfigurationError("KS needs a non-empty sample")
+    values = sorted(sample)
+    size = len(values)
+    gap = cdf(values[0] - 1)
+    index = 0
+    while index < size:
+        value = values[index]
+        while index < size and values[index] == value:
+            index += 1
+        empirical = index / size
+        gap = max(gap, abs(empirical - cdf(value)))
+        if index < size:
+            gap = max(gap, abs(empirical - cdf(values[index] - 1)))
+    return gap
+
+
+def ks_one_sample_pvalue(statistic: float, n: int) -> float:
+    """Asymptotic one-sample KS p-value for a sample of size ``n``.
+
+    The Kolmogorov law is that of a continuous hypothesis; against a
+    discrete one the statistic is stochastically smaller, so this p-value
+    is conservative (a valid test, with slightly less power).
+    """
+    if n < 1:
+        raise ConfigurationError("KS needs a positive sample size")
+    return _kolmogorov_pvalue(statistic, math.sqrt(n))
+
+
+def _kolmogorov_pvalue(statistic: float, effective: float) -> float:
+    """Kolmogorov survival at ``statistic`` for effective sample size ``effective**2``."""
     lam = (effective + 0.12 + 0.11 / effective) * statistic
     if lam <= 0:
         return 1.0

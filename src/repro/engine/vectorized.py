@@ -1,12 +1,10 @@
-"""The factorised pair kernel of the batch backend's pruning regime.
+"""The factorised pair kernel: the batch backend's pruning-regime draws.
 
-In the pruning regime every event costs one geometric-skip draw, one
-pair-type draw and an ``O(changed * K)``
-:meth:`~repro.engine.backends.BatchBackend._update_pair_weights` pass over
-the pair table.  Once that table is wide, :class:`FactorisedPairKernel`
-replaces the table and its walk; the batch backend engages it by itself
-once the active pair table grows past
-:data:`~repro.engine.backends.KERNEL_MIN_PAIRS` entries.
+In the pruning regime every event costs one geometric-skip draw, one draw
+of the active ordered pair type and the upkeep of whatever the two draws
+read.  :class:`FactorisedPairKernel` serves all three for the whole run:
+the batch backend builds it when it is constructed, and it is the regime's
+only draw path.
 
 The kernel never materialises the pair-weight table.  Pair weights
 factorise as ``w(a, b) = c_a * c_b`` (``c_a * (c_a - 1)`` on the diagonal)
@@ -14,27 +12,27 @@ and the activity predicate ``can_interaction_change`` depends on *keys
 only*, so the kernel keeps the count vector ``c``, the 0/1 activity matrix
 ``A``, and the row sums ``s = A c``.  A count change updates one entry of
 ``c`` and walks one column of ``A`` to update ``s`` — O(changed) column
-updates per event instead of the per-pair dict walk.  The active weight is
-``W = c . s - sum(c[diag])`` exactly (all integer arithmetic), one
-``Geometric(W / T)`` skip is drawn per event, and the active pair is
-sampled by the two-stage row/partner scheme with a diagonal rejection — the
-same law as the Fenwick path's conditional draw over the materialised table.
+updates per event instead of a per-pair walk.  The active weight is ``W =
+c . s - sum(c[diag])`` exactly (all integer arithmetic), one ``Geometric(W
+/ T)`` skip is drawn per event, and the active pair is sampled by the
+two-stage row/partner scheme with a diagonal rejection, whose accepted law
+is exactly ``w(a, b) / W`` over the active ordered pairs.
 
-Everything is plain Python.  Counts and row sums are lists and activity
-rows are ``bytearray``\\ s.  Each activity column is the ascending
-``array('H')`` of the rows active in it, so a count change walks only the
-row sums it updates.  At the :attr:`~FactorisedPairKernel.MATRIX_LIMIT`
-width the rows cost 16 MB and the columns at most 32 MB.  The row and
-partner draws are ``accumulate`` + ``bisect`` over ``c * s`` and
-``c * A[a]``.  Every applied event changes a count, so nothing drawn ahead
-of the next event would survive it: draws are made one event at a time.
-The module keeps its historical name; the benchmark's tracer imports it by
-that name.
+Everything is plain Python.  Counts and row sums are lists.  ``A`` is
+stored sparsely, twice: each activity row is the ascending ``array('I')``
+of the columns active in it, each activity column the ascending
+``array('I')`` of the rows active in it, and one flag per slot marks an
+active diagonal.  A count change walks only the row sums it updates, and
+capacity is bounded by memory, not by a ``K x K`` matrix.  The row draw is
+``accumulate`` + ``bisect`` over ``c * s``; the partner draw accumulates
+``c`` over the drawn row's active columns and bisects that.  Every applied
+event changes a count, so nothing drawn ahead of the next event would
+survive it: draws are made one event at a time.  The module keeps its
+historical name; the benchmark's tracer imports it by that name.
 
-Kernel randomness comes from a dedicated :class:`random.Random` seeded from
-the pair stream when the kernel engages, so engaged runs are reproducible;
-they are *statistically* equivalent to the Fenwick path (same chain law,
-KS- and chi-square-tested), not stream-identical.
+Every draw takes its uniform from the generator the kernel is handed — the
+batch backend's pair stream — so a seeded run has one pruning-regime
+generator and is reproducible from the simulation seed.
 """
 
 from __future__ import annotations
@@ -49,16 +47,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .errors import ConfigurationError
 
-__all__ = ["AccelCapacityError", "FactorisedPairKernel"]
-
-
-class AccelCapacityError(Exception):
-    """The pair kernel outgrew its activity matrix; the caller must fall back.
-
-    Raised (not :class:`ConfigurationError`) so the batch backend can catch
-    it mid-run, rebuild the Fenwick structures, and continue — a run must
-    never die because a protocol turned out wider than expected.
-    """
+__all__ = ["FactorisedPairKernel"]
 
 
 class FactorisedPairKernel:
@@ -69,9 +58,10 @@ class FactorisedPairKernel:
 
     * ``c`` — the count vector;
     * ``A`` — the 0/1 activity matrix, ``A[a][b] =
-      can_interaction_change(key_a, key_b)``, kept both as ``bytearray``
-      rows and as columns, each column the ascending ``array('H')`` of the
-      rows ``a`` with ``A[a][b]``.  Activity depends on keys only, so
+      can_interaction_change(key_a, key_b)``, kept as rows (the ascending
+      ``array('I')`` of the columns ``b`` with ``A[a][b]``), as columns
+      (the ascending ``array('I')`` of the rows ``a`` with ``A[a][b]``) and
+      as one diagonal flag per slot.  Activity depends on keys only, so
       entries are computed once when a key first appears and never touched
       by count changes;
     * ``s = A c`` — the row sums, maintained incrementally: a count change
@@ -91,35 +81,31 @@ class FactorisedPairKernel:
     accepted law is exactly ``w(a, b) / W`` over active ordered pairs.
     """
 
-    #: Hard bound on the key-set width (live + dead slots after
-    #: compaction): at this size the activity rows cost 16 MB and the
-    #: column index arrays at most 32 MB (2 bytes per active entry, so the
-    #: row index fits ``array('H')``); wider protocols fall back to the
-    #: Fenwick path.
-    MATRIX_LIMIT = 4096
-
     #: Compact (rebuild dropping dead slots) when over half the slots are
     #: dead and the table is at least this large — long churny runs mint
     #: transient keys, and without compaction every key *ever seen* would
-    #: count against :attr:`MATRIX_LIMIT`.
+    #: keep a slot, its activity lists and a term in every draw.
     COMPACT_MIN_SIZE = 64
 
     def __init__(
         self,
         counts: Dict[Hashable, int],
         can_change: Callable[[Hashable, Hashable], bool],
-        seed: int,
+        rng: random.Random,
     ) -> None:
         self._can_change = can_change
-        self._random = random.Random(seed).random
+        #: The uniform every skip and pair draw consumes.
+        self._random = rng.random
         self._keys: List[Hashable] = []
         self._slots: Dict[Hashable, int] = {}
         self._c: List[int] = []
         self._s: List[int] = []
-        #: ``_rows[a][b] == A[a][b]``; ``_cols[b]`` lists, ascending, the
-        #: rows ``a`` with ``A[a][b]``.
-        self._rows: List[bytearray] = []
+        #: ``_rows[a]`` lists, ascending, the columns ``b`` with ``A[a][b]``;
+        #: ``_cols[b]`` the rows ``a`` with ``A[a][b]``; ``_diag[a] ==
+        #: A[a][a]``.
+        self._rows: List[array] = []
         self._cols: List[array] = []
+        self._diag = bytearray()
         self._diag_mass = 0
         self._dead = 0  # slots whose count is 0 (keys no longer live)
         self._active_weight: Optional[int] = None
@@ -144,18 +130,14 @@ class FactorisedPairKernel:
         if slot is not None:
             return slot
         slot = self.size
-        if slot >= self.MATRIX_LIMIT:
-            raise AccelCapacityError(
-                f"key-set width exceeded the factorised kernel's "
-                f"{self.MATRIX_LIMIT}-key activity matrix"
-            )
         self._keys.append(key)
         self._slots[key] = slot
         self._add_activity(key)
         # The new key enters with count 0, so no other row sum changes and
         # the diagonal mass is unaffected until set_count raises its count.
-        self._c.append(0)
-        self._s.append(sum(map(mul, self._c, self._rows[slot])))
+        c = self._c
+        c.append(0)
+        self._s.append(sum([c[other] for other in self._rows[slot]]))
         # The slot is born dead; set_count revives it immediately in the
         # common case, and compaction reclaims it otherwise.
         self._dead += 1
@@ -165,25 +147,29 @@ class FactorisedPairKernel:
         return slot
 
     def _add_activity(self, key: Hashable) -> None:
-        """Append the last slot's activity row and column.
+        """Append the last slot's activity row, column and diagonal flag.
 
-        The new slot is the highest, so appending it to the columns of the
-        rows it is active in keeps every column ascending.
+        The new slot is the highest, so appending it to the rows and
+        columns it is active in keeps every list ascending.
         """
         can_change = self._can_change
         keys = self._keys
         slot = len(keys) - 1
-        row = bytearray(1 if can_change(key, other) else 0 for other in keys)
-        column = bytearray(1 if can_change(other, key) else 0 for other in keys[:-1])
-        column.append(row[-1])
-        for other_slot, (other_row, other_column) in enumerate(
-            zip(self._rows, self._cols)
-        ):
-            other_row.append(column[other_slot])
-            if row[other_slot]:
-                other_column.append(slot)
-        self._rows.append(row)
-        self._cols.append(array("H", compress(range(slot + 1), column)))
+        row = array("I", [other for other in range(slot) if can_change(key, keys[other])])
+        column = array("I", [other for other in range(slot) if can_change(keys[other], key)])
+        rows = self._rows
+        cols = self._cols
+        for other in column:
+            rows[other].append(slot)
+        for other in row:
+            cols[other].append(slot)
+        diagonal = can_change(key, key)
+        if diagonal:
+            row.append(slot)
+            column.append(slot)
+        self._diag.append(diagonal)
+        rows.append(row)
+        cols.append(column)
 
     def set_count(self, key: Hashable, count: int) -> None:
         """Set one key's multiplicity — O(changed) Python-level work.
@@ -208,7 +194,7 @@ class FactorisedPairKernel:
         s = self._s
         for row in self._cols[slot]:
             s[row] += delta
-        if self._rows[slot][slot]:
+        if self._diag[slot]:
             self._diag_mass += delta
         self._active_weight = None
         self._row_cum = None
@@ -223,27 +209,26 @@ class FactorisedPairKernel:
     def _compact(self) -> None:
         """Rebuild over live keys only, reclaiming dead slots.
 
-        Keys whose count returned to 0 keep consuming matrix width until
-        compaction; without it a long churny run minting transient keys
-        would walk into :attr:`MATRIX_LIMIT` (and a spurious Fenwick
-        fallback) with only a handful of *live* keys.  Activity lookups
-        are served from the caller's ``can_interaction_change`` cache, so
-        the O(live^2) matrix rebuild is dict reads, not protocol calls.
+        Keys whose count returned to 0 keep a slot until compaction;
+        without it a long churny run minting transient keys would grow its
+        slot count, and the cost of every row draw, with only a handful of
+        *live* keys.  Activity lookups are served from the caller's
+        ``can_interaction_change`` cache, so the O(live^2) rebuild is dict
+        reads, not protocol calls.
         """
         live = [(key, count) for key, count in zip(self._keys, self._c) if count]
         self._keys = []
         self._slots = {}
         self._rows = []
         self._cols = []
+        self._diag = bytearray()
         for slot, (key, _count) in enumerate(live):
             self._keys.append(key)
             self._slots[key] = slot
             self._add_activity(key)
         c = self._c = [count for _key, count in live]
-        self._s = [sum(map(mul, c, row)) for row in self._rows]
-        self._diag_mass = sum(
-            count for slot, count in enumerate(c) if self._rows[slot][slot]
-        )
+        self._s = [sum([c[other] for other in row]) for row in self._rows]
+        self._diag_mass = sum(compress(c, self._diag))
         self._dead = 0
         self._active_weight = None
         self._row_cum = None
@@ -268,7 +253,7 @@ class FactorisedPairKernel:
         """Implied weight of one ordered pair (differential-test hook)."""
         slot_a = self._slots.get(key_a)
         slot_b = self._slots.get(key_b)
-        if slot_a is None or slot_b is None or not self._rows[slot_a][slot_b]:
+        if slot_a is None or slot_b is None or slot_b not in self._rows[slot_a]:
             return 0
         count_a = self._c[slot_a]
         if slot_a == slot_b:
@@ -291,7 +276,7 @@ class FactorisedPairKernel:
         """Number of configuration-preserving interactions before the event.
 
         One ``Geometric(W / T)`` draw by the inverse CDF on ``1 - u`` in
-        ``(0, 1]`` — the Fenwick path's formula.  Requires ``W > 0``.
+        ``(0, 1]``.  Requires ``W > 0``.
         """
         weight = self.active_weight()
         if weight >= ordered_pairs:
@@ -316,12 +301,18 @@ class FactorisedPairKernel:
             # Float end-corner: walk back over zero-width intervals.
             while row and cum[row] == cum[row - 1]:
                 row -= 1
-            partner_cum = list(accumulate(map(mul, c, rows[row])))
-            partner = bisect_right(partner_cum, draw() * partner_cum[-1])
-            if partner > last:
-                partner = last
-            while partner and partner_cum[partner] == partner_cum[partner - 1]:
-                partner -= 1
+            # The row's cumulative partner weights over its active columns
+            # only: the bisection lands on the same column as one over all
+            # slots with inactive ones weighted 0.
+            columns = rows[row]
+            partner_cum = list(accumulate([c[column] for column in columns]))
+            position = bisect_right(partner_cum, draw() * partner_cum[-1])
+            end = len(partner_cum) - 1
+            if position > end:
+                position = end
+            while position and partner_cum[position] == partner_cum[position - 1]:
+                position -= 1
+            partner = columns[position]
             if partner != row:
                 break
             count = c[row]

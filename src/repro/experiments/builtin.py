@@ -109,10 +109,10 @@ def builtin_specs() -> Dict[str, SweepSpec]:
             max_checks=200,
             description=(
                 "Telemetry showcase for --profile: the exact-counting "
-                "protocol's churning pair table splits wall time across "
-                "sampling, transition application, and pair-weight "
-                "maintenance; the aggregated PROFILE artifact breaks those "
-                "phases down."
+                "protocol's churning key counts split wall time across "
+                "sampling, transition application, and the pair kernel's "
+                "count upkeep (pair_weights); the aggregated PROFILE "
+                "artifact breaks those phases down."
             ),
         ),
     ]

@@ -10,7 +10,7 @@ module folds any of those shapes into one profile document::
       "runs": 12,
       "backends": {"batch": 12},
       "phases": {"sampling": {"wall_time_s": ..., "ops": ...}, ...},
-      "events": {"accel-engage": 1, "accel-fallback": 1},
+      "events": {},
       "skips": {"interactions": ..., "applied_events": ...,
                 "skipped_interactions": ..., "efficiency": ...},
       "memo": {"interned_keys": ..., "pairs": ..., "hits": ...,

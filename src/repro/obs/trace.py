@@ -2,21 +2,20 @@
 
 Every backend carries one :class:`RunTracer`.  The hot loops accumulate
 wall-clock into named *phases* (``sampling``, ``transition``,
-``pair_weights``, ``checkpoint``) and append *events* for the runtime
-decisions that used to be invisible — sampler retirement, accelerator
-engagement and fallback — each stamped with the interaction count at
-which it happened.  The simulator folds the tracer into
+``pair_weights``, ``checkpoint``), and :meth:`RunTracer.note_event`
+appends *events* for runtime decisions, each stamped with the interaction
+count at which it happened (the engine's draw paths make none today, so
+``events`` is empty on their runs).  The simulator folds the tracer into
 ``SimulationResult.extra["telemetry"]`` at the end of a run.
 
 Every phase counts ``ops`` per operation, but the batch backend's two
 regimes time them differently:
 
-* **Pruning regime** (the Fenwick and the pair kernel's loop): the
-  timers are read per event and phase but charged once per advance
-  window.  ``sampling`` is drawing the pair type (and, on the kernel, the
-  skip), ``transition`` the memo lookup or ``delta_key`` plus the
-  histogram update, ``pair_weights`` the pair-table or kernel upkeep after
-  a configuration-changing event; hooks are excluded.  ``ops`` are those
+* **Pruning regime** (the pair kernel's loop): the timers are read per
+  event and phase but charged once per advance window.  ``sampling`` is
+  drawing the skip and the pair type, ``transition`` the memo lookup or
+  ``delta_key`` plus the histogram update, ``pair_weights`` the kernel's
+  count upkeep after a configuration-changing event; hooks are excluded.  ``ops`` are those
   of per-event charging: ``sampling`` and ``transition`` count one per
   applied event, ``pair_weights`` one per configuration-changing event.
 * **Dense regime**: one timer per advance window, plus one around each

@@ -1,11 +1,11 @@
-"""Linear inverse-CDF scan: the differential oracle for the Fenwick sampler.
+"""Linear inverse-CDF scan: the differential oracle for the agent-pair sampler.
 
 Trivially correct — O(1) updates, O(P) draws — and following the canonical
 draw contract of :mod:`repro.engine.samplers` (one uniform per draw, the
 cumulative-weight interval containing ``u * total`` in insertion order), so
-on static weights it must map a random stream to exactly the key sequence
-:class:`~repro.engine.samplers.FenwickSampler` produces.  Under churn the
-two slot orders drift apart and only the laws must agree.
+over the explicit table of ordered agent pairs it must map a random stream
+to exactly the pair sequence
+:class:`~repro.engine.samplers.AgentPairSampler` produces.
 """
 
 import random
@@ -58,7 +58,7 @@ class ScanSampler(WeightedSampler):
         self._require_positive_total()
         self.draws += 1
         # The float corner where u * total rounds up to total falls through
-        # to the last key, matching the Fenwick descent's clamp.
+        # to the last key.
         target = rng.random() * self._total
         chosen: Hashable = None
         for key, weight in self._weights.items():

@@ -115,23 +115,30 @@ def test_key_only_hook_rejected_by_agent_backend_at_start():
 
 
 def test_corrupt_histogram_conserves_population_and_rebuilds_weights():
-    # The epidemic's pair table stays far below the factorised kernel's
-    # width, so this checks the Python pair-weight table's post-corruption
-    # invariant (the kernel has its own differential test in
-    # tests/test_vectorized.py).
-    simulator = Simulator(OneWayEpidemic(source_count=4), 32, seed=1, backend="batch")
+    # The pair kernel's post-corruption invariant (its own differential
+    # test is in tests/test_vectorized.py): its implied pair weights equal
+    # a from-scratch recount over the corrupted histogram.
+    protocol = OneWayEpidemic(source_count=4)
+    simulator = Simulator(protocol, 32, seed=1, backend="batch")
     simulator.run(max_interactions=64)
     backend = simulator.backend
     changed = backend.corrupt_histogram(6, lambda key, rng: 0, make_rng(5))
     counts = backend.state_key_counts()
     assert sum(counts.values()) == 32
     assert 0 <= changed <= 6
-    # The weight table must equal a from-scratch rebuild after corruption.
-    weights_after = dict(backend._pair_weights)
-    total_after = backend._active_weight
-    backend._rebuild_pair_weights()
-    assert backend._pair_weights == weights_after
-    assert backend._active_weight == total_after
+    expected = {}
+    for key_a, count_a in counts.items():
+        for key_b, count_b in counts.items():
+            weight = count_a * (count_a - 1) if key_a == key_b else count_a * count_b
+            if weight > 0 and protocol.can_interaction_change(key_a, key_b):
+                expected[(key_a, key_b)] = weight
+    keys = backend._keys
+    kernel = backend._pair_kernel
+    assert {
+        (keys[ident_a], keys[ident_b]): weight
+        for (ident_a, ident_b), weight in kernel.pair_weights().items()
+    } == expected
+    assert kernel.active_weight() == sum(expected.values())
 
 
 def test_dense_corruption_onto_a_single_no_op_key_is_terminal():

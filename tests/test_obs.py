@@ -6,18 +6,15 @@ Three fronts:
   text-exposition renderer, and the strict parser used by the smoke to
   validate every exposed line;
 * run tracing — ``extra["telemetry"]`` emitted by both backends as the
-  single source of the sampler and accel records, and the determinism
+  single source of the sampler and memo records, and the determinism
   contract (tracing never touches an RNG stream);
-* profile aggregation — the ``--profile`` fold over cells and the
-  retirement funnel: no sampler-replacement chain may drop a retired
-  sampler's counters.
+* profile aggregation — the ``--profile`` fold over cells.
 """
 
 import pytest
 
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import all_outputs_equal, simulate
-from repro.engine.vectorized import FactorisedPairKernel
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -147,14 +144,14 @@ def test_run_tracer_accumulates_phases_and_events():
     tracer.add("sampling", 0.25)
     tracer.add("sampling", 0.25, ops=3)
     tracer.add("transition", 0.5)
-    tracer.note_event("accel-engage", at=10, kernel="factorised-pair")
+    tracer.note_event("example", at=10, detail="x")
     assert tracer.phase_seconds("sampling") == pytest.approx(0.5)
     record = tracer.as_dict()
     assert record["schema"] == TELEMETRY_SCHEMA
     assert record["phases"]["sampling"] == {"wall_time_s": 0.5, "ops": 4}
     assert record["phases"]["transition"]["ops"] == 1
     assert record["events"] == [
-        {"kind": "accel-engage", "at": 10, "kernel": "factorised-pair"}
+        {"kind": "example", "at": 10, "detail": "x"}
     ]
     assert "events_dropped" not in record
 
@@ -196,7 +193,9 @@ def test_batch_backend_emits_telemetry_with_consistent_skips():
     assert checkpoints["count"] >= checkpoints["satisfied"] >= 1
     # Telemetry is the single source: no parallel top-level views.
     assert telemetry["sampler"]["regime"] == "pruning"
-    assert set(telemetry["accel"]) == {"engaged"}
+    assert telemetry["sampler"]["strategy"] == "factorised"
+    assert "accel" not in telemetry
+    assert telemetry["events"] == []
     memo = telemetry["memo"]
     assert memo["hits"] + memo["misses"] == skips["applied_events"]
     assert "sampler" not in result.extra
@@ -244,41 +243,6 @@ def test_tracing_is_stream_transparent():
 
 
 # --------------------------------------------------------------------------
-# Retirement funnel: no swap chain drops a sampler's counters
-# --------------------------------------------------------------------------
-
-
-def test_engage_then_capacity_fallback_retains_every_retired_snapshot(monkeypatch):
-    # The factorised kernel engages once the pair table is wide, then the
-    # clamped activity matrix forces a fallback: the Fenwick sampler AND
-    # the kernel must both survive in the retired list, each stamped with
-    # why and when it was replaced.
-    monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 16)
-    result = simulate(
-        ExactBackupProtocol(),
-        64,
-        seed=1,
-        backend="batch",
-        max_interactions=30_000,
-    )
-    telemetry = result.extra["telemetry"]
-    assert telemetry["accel"]["engaged"] is False
-    assert "activity matrix" in telemetry["accel"]["fallback_reason"]
-    retired = telemetry["sampler"]["retired"]
-    assert [snapshot["retired_by"] for snapshot in retired] == [
-        "accel-engage", "accel-fallback",
-    ]
-    for snapshot in retired:
-        assert snapshot["regime"] == "pruning"
-        assert isinstance(snapshot["retired_at"], int)
-    assert retired[0]["strategy"] == "fenwick"
-    assert retired[1]["kernel"] == "factorised-pair"
-    kinds = [event["kind"] for event in telemetry["events"]]
-    assert kinds.count("accel-engage") == kinds.count("accel-fallback") == 1
-    assert kinds.count("sampler-retired") == len(retired)
-
-
-# --------------------------------------------------------------------------
 # Profile aggregation
 # --------------------------------------------------------------------------
 
@@ -288,7 +252,7 @@ def _fake_trace(sampling=0.5, ops=10, skips=None, memo=None):
         "schema": 1,
         "backend": "batch",
         "phases": {"sampling": {"wall_time_s": sampling, "ops": ops}},
-        "events": [{"kind": "accel-engage", "at": 1}],
+        "events": [{"kind": "example", "at": 1}],
         "checkpoints": {"count": 4, "satisfied": 1},
     }
     if skips is not None:
@@ -304,7 +268,7 @@ def test_aggregate_telemetry_folds_phases_events_and_skips():
     assert profile["runs"] == 2
     assert profile["backends"] == {"batch": 2}
     assert profile["phases"]["sampling"] == {"wall_time_s": 1.0, "ops": 20}
-    assert profile["events"] == {"accel-engage": 2}
+    assert profile["events"] == {"example": 2}
     assert profile["checkpoints"] == {"count": 8, "satisfied": 2}
     assert profile["skips"]["interactions"] == 200
     assert profile["skips"]["efficiency"] == pytest.approx(0.7)
@@ -353,7 +317,7 @@ def test_render_profile_mentions_every_phase_and_the_skip_line():
     assert "profile: t" in table
     assert "sampling" in table
     assert "geometric skips" in table
-    assert "accel-engage x1" in table
+    assert "example x1" in table
 
 
 def test_sweep_document_embeds_the_aggregated_profile():

@@ -1,86 +1,83 @@
-"""Seeded pruning-regime runs are pinned, with and without the pair kernel.
+"""Seeded pruning-regime runs are pinned.
 
-The factorised pair kernel draws its seed from the pair stream only when it
-engages, so a run whose active pair table stays at or below
-``KERNEL_MIN_PAIRS`` entries must consume its streams exactly as the
-Fenwick path always has, whatever the kernel looks like.  The expected
-values of those runs were recorded before the kernel was rewritten in pure
-Python: the ``sweep-service`` epidemic cells (never wider than a couple of
-active pairs) and ``backup-exact`` with the kernel held off.  Each run pins
-its interactions, convergence interaction, output histogram, ``sampler``
-telemetry and a digest of the pair stream's final state.
+The pruning regime draws every skip and pair type from the factorised pair
+kernel, which takes its uniforms from the pair stream.  The expected values
+below were recorded when the kernel became the regime's only draw path,
+after the exact-law and agent-loop KS tests of ``tests/test_exact_laws.py``
+passed on it.  A change that moves one of them changes the stream and
+needs those tests (``pytest -m stats``) to pass before new pins are
+recorded.
 
-Runs that do engage the kernel are pinned too, to values recorded before
-the pruning regime's event loops were fused: ``backup-exact`` at n = 400
-and n = 10^3 as the benchmark runs it, and a churn scenario whose leave and
-join go through the engaged kernel.  They pin, besides the above, the
-phase ``ops`` and a digest of the kernel generator's final state.
+The runs are the ``sweep-service`` epidemic cells, ``backup-exact`` at
+n = 400 and n = 10^3 as the benchmark runs it, and a churn scenario whose
+leave and join go through the kernel.  Each pins its interactions,
+convergence interaction, output histogram, ``sampler`` telemetry, phase
+``ops`` and a digest of the pair stream's final state.
 """
 
 import hashlib
 
 import pytest
 
-from repro.counting.backup import ExactBackupProtocol
 from repro.engine import Simulator, all_outputs_equal
-from repro.engine import backends
 from repro.experiments.registry import resolve_protocol
 from repro.primitives.epidemic import OneWayEpidemic
 
-#: A pair-table width the kernel never reaches: pins the Fenwick path.
-NEVER = 10**9
 
-
-def _fingerprint(simulator, result):
-    telemetry = result.extra["telemetry"]
+def _fingerprint(simulator, interactions, convergence_interaction, telemetry):
     return {
-        "interactions": result.interactions,
-        "convergence_interaction": result.convergence_interaction,
-        "output_counts": sorted(result.output_counts.items()),
+        "interactions": interactions,
+        "convergence_interaction": convergence_interaction,
+        "output_counts": sorted(simulator.output_counts().items()),
         "sampler": telemetry["sampler"],
+        "phase_ops": {name: phase["ops"] for name, phase in telemetry["phases"].items()},
         "pair_rng": hashlib.sha256(
             repr(simulator.backend._pair_rng.getstate()).encode()
         ).hexdigest(),
     }
 
 
-def _fenwick(draws, rebuilds, updates):
+def _factorised(slots, dead_slots, draws, updates, rejections):
     return {
-        "regime": "pruning", "strategy": "fenwick", "slots": 0, "dead_slots": 0,
-        "draws": draws, "rebuilds": rebuilds, "updates": updates,
+        "regime": "pruning", "strategy": "factorised", "kernel": "factorised-pair",
+        "slots": slots, "dead_slots": dead_slots, "draws": draws, "updates": updates,
+        "update_columns": updates, "rejections": rejections,
+    }
+
+
+def _phase_ops(checkpoint, events):
+    """Every applied event of these runs changes the configuration."""
+    return {
+        "checkpoint": checkpoint, "pair_weights": events, "sampling": events,
+        "transition": events,
     }
 
 
 PINNED_EPIDEMICS = {
     (600, 1): {
-        "interactions": 8046,
+        "interactions": 7925,
         "convergence_interaction": 7801,
         "output_counts": [(1, 600)],
-        "sampler": _fenwick(599, 599, 0),
-        "pair_rng": "c0396ae186b448531b2232b3dc5845b6817f83a7e8acb089eb6dfcd4e688ba54",
+        "sampler": _factorised(2, 1, 599, 1200, 0),
+        "phase_ops": _phase_ops(13, 599),
+        "pair_rng": "67a1861caed8e330661c5945a995412f297b81f88e3b46c11e65c705bbf78fb4",
     },
     (712, 2): {
-        "interactions": 8748,
-        "convergence_interaction": 8545,
+        "interactions": 9855,
+        "convergence_interaction": 9257,
         "output_counts": [(1, 712)],
-        "sampler": _fenwick(710, 710, 0),
-        "pair_rng": "e67d5a5175af1c394977822ebf6ab23731cd856305c156dd44d038dfe9393993",
+        "sampler": _factorised(2, 1, 710, 1422, 0),
+        "phase_ops": _phase_ops(13, 710),
+        "pair_rng": "78f6804df86d072f0708f751a656228ea97040262e0bbb6bd74f526b0c6f33c1",
     },
     (840, 4): {
-        "interactions": 12267,
-        "convergence_interaction": 11761,
+        "interactions": 10441,
+        "convergence_interaction": 10081,
         "output_counts": [(1, 840)],
-        "sampler": _fenwick(836, 836, 0),
-        "pair_rng": "501bd15f1781344f0702550d56b60528c5c4dbc99cb91406b857d337e3dcf602",
+        "sampler": _factorised(2, 1, 836, 1674, 0),
+        "phase_ops": _phase_ops(12, 836),
+        "pair_rng": "b057fe0b52a2cec899d88b356da605d42a9dc1d42be38161c82c633e4d45643b",
     },
-}
-
-PINNED_BACKUP_EXACT = {
-    "interactions": 5410,
-    "convergence_interaction": 5377,
-    "output_counts": [(96, 96)],
-    "sampler": _fenwick(899, 658, 11074),
-    "pair_rng": "1b16bead24b29893b8a1c1b5f5d75c21e2851cc78c219b16bf0f8686e3da1f8c",
 }
 
 
@@ -91,107 +88,53 @@ def test_epidemic_cell_streams_are_pinned(n, sources):
     )
     result = simulator.run(convergence=all_outputs_equal(1))
     assert result.converged
-    assert result.extra["telemetry"]["accel"]["engaged"] is False
-    assert _fingerprint(simulator, result) == PINNED_EPIDEMICS[(n, sources)]
-
-
-def test_backup_exact_stream_with_the_kernel_held_off_is_pinned(monkeypatch):
-    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", NEVER)
-    n = 96
-    simulator = Simulator(ExactBackupProtocol(), n, seed=7, backend="batch")
-    result = simulator.run(
-        convergence=all_outputs_equal(n),
-        check_interval=n,
-        max_interactions=500_000,
+    fingerprint = _fingerprint(
+        simulator,
+        result.interactions,
+        result.convergence_interaction,
+        result.extra["telemetry"],
     )
-    assert result.converged
-    assert result.extra["telemetry"]["accel"]["engaged"] is False
-    assert _fingerprint(simulator, result) == PINNED_BACKUP_EXACT
+    assert fingerprint == PINNED_EPIDEMICS[(n, sources)]
 
 
-def _digest(state):
-    return hashlib.sha256(repr(state).encode()).hexdigest()
-
-
-def _engaged_fingerprint(simulator, interactions, convergence_interaction, telemetry):
-    backend = simulator.backend
-    kernel = backend._pair_kernel
-    return {
-        "interactions": interactions,
-        "convergence_interaction": convergence_interaction,
-        "output_counts": sorted(simulator.output_counts().items()),
-        "sampler": telemetry["sampler"],
-        "phase_ops": {name: phase["ops"] for name, phase in telemetry["phases"].items()},
-        "pair_rng": _digest(backend._pair_rng.getstate()),
-        "kernel_rng": _digest(kernel._random.__self__.getstate()),
-    }
-
-
-def _factorised(slots, dead_slots, draws, updates, update_columns, rejections, retired):
-    return {
-        "regime": "pruning", "strategy": "factorised", "kernel": "factorised-pair",
-        "slots": slots, "dead_slots": dead_slots, "draws": draws, "updates": updates,
-        "update_columns": update_columns, "rejections": rejections, "retired": [retired],
-    }
-
-
-def _engaged_at(interaction, draws):
-    """The Fenwick record the kernel retired when it engaged."""
-    return dict(
-        _fenwick(draws, draws, 0), slots=48, retired_by="accel-engage",
-        retired_at=interaction,
-    )
-
-
-def _phase_ops(checkpoint, events):
-    return {
-        "checkpoint": checkpoint, "pair_weights": events, "sampling": events,
-        "transition": events,
-    }
-
-
-PINNED_ENGAGED = {
+PINNED_BACKUP_EXACT = {
     (400, 11): {
-        "interactions": 75435,
-        "convergence_interaction": 75201,
+        "interactions": 189893,
+        "convergence_interaction": 189601,
         "output_counts": [(400, 400)],
-        "sampler": _factorised(41, 39, 4836, 10201, 10201, 7, _engaged_at(146, 110)),
-        "phase_ops": _phase_ops(188, 4946),
-        "pair_rng": "12a1a28af3ba7ae14c68006ab90b7f64afc7580071e9d2c8a9402a8d83e03746",
-        "kernel_rng": "ba9eb586a57ca79549fb06c4f37e31773dc4edfdd3aba873fc4fdb727b982b6f",
+        "sampler": _factorised(55, 53, 5525, 11690, 6),
+        "phase_ops": _phase_ops(474, 5525),
+        "pair_rng": "7115853b436731469133f37afd2b2dc47c443bb4e76c11dba500f3216580a3a0",
     },
     (400, 12): {
-        "interactions": 469475,
-        "convergence_interaction": 469201,
+        "interactions": 210369,
+        "convergence_interaction": 210001,
         "output_counts": [(400, 400)],
-        "sampler": _factorised(52, 50, 6246, 13021, 13021, 9, _engaged_at(137, 103)),
-        "phase_ops": _phase_ops(1173, 6349),
-        "pair_rng": "f0deb12b581aeaa8a2170bb89e7b682555f5bf6dea229f7656f3f909a9b0d37a",
-        "kernel_rng": "6653c52f9d9bd4bd19d8b3216c7b4e6001bf3de532427728f09f4b8a8f4c904a",
+        "sampler": _factorised(49, 47, 4861, 10362, 9),
+        "phase_ops": _phase_ops(525, 4861),
+        "pair_rng": "7ce2300f2deaee6b3b98a30ad4b3611b8271f861e5c617bb4a623f52d808723b",
     },
     (1_000, 3): {
-        "interactions": 1817370,
-        "convergence_interaction": 1817001,
+        "interactions": 1215674,
+        "convergence_interaction": 1215001,
         "output_counts": [(1000, 1000)],
-        "sampler": _factorised(18, 16, 19619, 40635, 40635, 9, _engaged_at(215, 177)),
-        "phase_ops": _phase_ops(1817, 19796),
-        "pair_rng": "17af955d042851b4df36b263fd91cd2926921ca56828b9d8e3897a26d846930b",
-        "kernel_rng": "b043851580a73d83432146d21ef10ab841f08c338ccf41d48dbb4ee979f673f6",
+        "sampler": _factorised(28, 26, 22963, 47542, 7),
+        "phase_ops": _phase_ops(1215, 22963),
+        "pair_rng": "6df142f17cd4aa2f5729c61b1ce765667ab32265e83ee88f32f8250501552dd6",
     },
 }
 
 PINNED_CHURN = {
-    "interactions": 42858,
+    "interactions": 88835,
     "convergence_interaction": None,
     "output_counts": [(282, 256)],
-    "sampler": _factorised(42, 40, 4524, 9407, 9407, 9, _engaged_at(128, 82)),
-    "phase_ops": _phase_ops(1, 4606),
-    "pair_rng": "f8fa6e7dd5aecd555b1b87c769e44fe6f69551b2dfeff9820295637150248813",
-    "kernel_rng": "ac6fcd513775e28de92ffb27edc2ddc72eb7288892c79b0c1e8dde899af6de94",
+    "sampler": _factorised(6, 4, 4388, 9223, 8),
+    "phase_ops": _phase_ops(2, 4388),
+    "pair_rng": "ad4fb04b4facf5e605d24fcfcffc38147a3cf12b0ca7d4bc727cd543437b7f45",
 }
 
 
-@pytest.mark.parametrize("n, seed", sorted(PINNED_ENGAGED))
+@pytest.mark.parametrize("n, seed", sorted(PINNED_BACKUP_EXACT))
 def test_backup_exact_streams_on_the_engaged_kernel_are_pinned(n, seed):
     # The benchmark's own run: the registry protocol to its predicate under a
     # 16 n^2 budget.
@@ -201,17 +144,18 @@ def test_backup_exact_streams_on_the_engaged_kernel_are_pinned(n, seed):
         convergence=entry.convergence(n, {}), max_interactions=16 * n**2
     )
     assert result.converged
-    telemetry = result.extra["telemetry"]
-    assert telemetry["accel"] == {"engaged": True}
-    fingerprint = _engaged_fingerprint(
-        simulator, result.interactions, result.convergence_interaction, telemetry
+    fingerprint = _fingerprint(
+        simulator,
+        result.interactions,
+        result.convergence_interaction,
+        result.extra["telemetry"],
     )
-    assert fingerprint == PINNED_ENGAGED[(n, seed)]
+    assert fingerprint == PINNED_BACKUP_EXACT[(n, seed)]
 
 
 def test_scenario_churn_stream_on_the_engaged_kernel_is_pinned(monkeypatch):
     # The run of test_vectorized's churn scenario: 10% of the agents leave
-    # and as many join at interaction 20,000, with the kernel engaged.
+    # and as many join at interaction 20,000, through the kernel.
     from repro.scenarios import runner
     from repro.scenarios.spec import ScenarioSpec
 
@@ -239,7 +183,7 @@ def test_scenario_churn_stream_on_the_engaged_kernel_is_pinned(monkeypatch):
     (run,) = record["runs"]
     (simulator,) = simulators
     assert run["extra"]["timeline"][0]["fired"] is True
-    fingerprint = _engaged_fingerprint(
+    fingerprint = _fingerprint(
         simulator,
         run["interactions"],
         run["convergence_interaction"],

@@ -63,8 +63,8 @@ def test_memoised_runs_are_stream_identical_to_bypassed_runs(name, n, budget):
     # The memo saves delta_key calls and nothing else.
     assert memoised[1].extra["transition_calls"] < bypassed[1].extra["transition_calls"]
     if name == "backup-exact":
-        # Pruning regime: the pair kernel drives the loop once it is wide.
-        assert memoised[1].extra["telemetry"]["accel"]["engaged"] is True
+        # Pruning regime: the pair kernel drives the loop.
+        assert memoised[1].extra["telemetry"]["sampler"]["strategy"] == "factorised"
     else:
         assert memo["coin_nodes"] > 0
 

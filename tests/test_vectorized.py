@@ -1,12 +1,11 @@
 """Tests for the factorised pair kernel of the pruning regime.
 
-The batch backend engages the pure-Python factorised kernel by itself once
-the active pair table grows past ``KERNEL_MIN_PAIRS``; tests that need one
-path or the other move that width.  The engine imports no NumPy, which a
-subprocess run checks.  Equivalence is checked at two levels: exact
-differential tests of the factorised pair weights against a from-scratch
-recomputation, and distribution-level chi-square / KS checks of draws and
-end-to-end convergence-time laws.
+The batch backend builds the pure-Python factorised kernel when it is
+constructed, and it is the pruning regime's only draw path.  The engine
+imports no NumPy, which a subprocess run checks.  The kernel is checked by
+exact differential tests of its pair weights against a from-scratch
+recomputation and by chi-square checks of its draws; end-to-end laws are
+checked in ``tests/test_exact_laws.py``.
 """
 
 import itertools
@@ -23,15 +22,11 @@ import pytest
 import repro.engine
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import ConfigurationError, Simulator, all_outputs_equal, simulate
-from repro.engine import backends
-from repro.engine.stats import chi_square_gof, ks_pvalue, ks_statistic
+from repro.engine.stats import chi_square_gof
 from repro.engine.vectorized import FactorisedPairKernel
 
 #: Generous significance threshold (see tests/test_samplers.py).
 ALPHA = 1e-3
-
-#: A pair-table width the kernel never reaches: pins the Fenwick path.
-NEVER = 10**9
 
 
 def _telemetry(result):
@@ -44,8 +39,8 @@ def _telemetry(result):
 
 
 def test_engaged_kernel_runs_without_importing_numpy():
-    # A fresh interpreter runs backup-exact past the kernel's engagement;
-    # nothing on that path may pull NumPy in.
+    # A fresh interpreter runs backup-exact on the kernel; nothing on that
+    # path may pull NumPy in.
     src = Path(repro.engine.__file__).resolve().parents[2]
     code = (
         "import sys\n"
@@ -54,7 +49,6 @@ def test_engaged_kernel_runs_without_importing_numpy():
         "result = simulate(ExactBackupProtocol(), 256, seed=11, backend='batch',"
         " max_interactions=150_000)\n"
         "telemetry = result.extra['telemetry']\n"
-        "assert telemetry['accel']['engaged'] is True, telemetry['accel']\n"
         "assert telemetry['sampler']['strategy'] == 'factorised'\n"
         "assert 'numpy' not in sys.modules, 'the engine imported numpy'\n"
     )
@@ -118,9 +112,8 @@ def test_spec_layers_carry_and_validate_the_accel_knob():
 
 
 def test_sweep_payload_threads_the_accel_knob_to_workers():
-    # The payload carries no accel knob; the worker's run reports the path
-    # the width rule chose: backup-exact's pair table outgrows the kernel
-    # width, so the kernel engages.
+    # The payload carries no accel knob, and the worker's run reports no
+    # accel record: the pruning regime has one draw path, the kernel.
     from repro.experiments.runner import cell_payload, execute_cell
     from repro.experiments.spec import SweepSpec
 
@@ -136,8 +129,9 @@ def test_sweep_payload_threads_the_accel_knob_to_workers():
     assert "accel" not in payload
     record = execute_cell(payload)
     assert record["error"] is None
-    accel = record["runs"][0]["extra"]["telemetry"]["accel"]
-    assert accel == {"engaged": True}
+    telemetry = record["runs"][0]["extra"]["telemetry"]
+    assert "accel" not in telemetry
+    assert telemetry["sampler"]["strategy"] == "factorised"
 
 
 # --------------------------------------------------------------------------
@@ -151,7 +145,9 @@ def test_factorised_kernel_count_change_reaches_the_next_skip():
     # a count change to a = 100, b = 1 makes every ordered pair active, so
     # the very next skip must be 0, not one drawn from the old weight.
     kernel = FactorisedPairKernel(
-        {"a": 1, "b": 100}, can_change=lambda x, y: x == "a" or y == "a", seed=3
+        {"a": 1, "b": 100},
+        can_change=lambda x, y: x == "a" or y == "a",
+        rng=random.Random(3),
     )
     ordered_pairs = 101 * 100
     assert kernel.active_weight() == 200
@@ -185,7 +181,7 @@ def _brute_force_pair_table(counts, can_change):
 def test_factorised_weights_match_full_recomputation_under_mutation_storm():
     # The O(changed) differential: after every batch of count changes the
     # kernel's implied pair-weight table and active weight must equal the
-    # O(K^2) from-scratch recomputation the Fenwick path performs — while
+    # O(K^2) from-scratch recomputation — while
     # the kernel's own work counter certifies it only touched the changed
     # keys (one column update each), never the full table.
     rng = random.Random(31337)
@@ -195,7 +191,7 @@ def test_factorised_weights_match_full_recomputation_under_mutation_storm():
 
     keys = [f"m{index}" for index in range(40)]
     counts = {key: rng.randrange(1, 9) for key in keys}
-    kernel = FactorisedPairKernel(dict(counts), can_change, seed=5)
+    kernel = FactorisedPairKernel(dict(counts), can_change, random.Random(5))
     effective_updates = kernel.update_columns
     for step in range(400):
         key = rng.choice(keys)
@@ -221,7 +217,7 @@ def test_factorised_pair_draws_follow_the_conditional_active_law():
     def can_change(key_a, key_b):
         return not (key_a == "c" and key_b == "c")
 
-    kernel = FactorisedPairKernel(dict(counts), can_change, seed=9)
+    kernel = FactorisedPairKernel(dict(counts), can_change, random.Random(9))
     _total, table = _brute_force_pair_table(counts, can_change)
     observed = Counter(kernel.next_pair() for _ in range(100_000))
     assert chi_square_gof(observed, table) > ALPHA
@@ -237,7 +233,9 @@ def test_factorised_pair_draws_follow_the_conditional_active_law():
     counts = {key: rng.randrange(1, 6) for key in keys}
     counts[lone] = 1
     counts[pair_diag] = 3
-    kernel = FactorisedPairKernel(dict(counts), lambda a, b: active[(a, b)], seed=17)
+    kernel = FactorisedPairKernel(
+        dict(counts), lambda a, b: active[(a, b)], random.Random(17)
+    )
     for key in keys[-4:]:
         kernel.set_count(key, 0)
         del counts[key]
@@ -252,9 +250,10 @@ def test_factorised_pair_draws_follow_the_conditional_active_law():
 
 def test_factorised_kernel_compacts_dead_slots():
     # Long churny runs mint transient keys; dead slots must be reclaimed or
-    # every key *ever seen* would count against MATRIX_LIMIT and force a
-    # spurious Fenwick fallback with only a handful of live keys.
-    kernel = FactorisedPairKernel({"live": 5}, can_change=lambda x, y: True, seed=0)
+    # every key *ever seen* would keep a slot and a term in every draw.
+    kernel = FactorisedPairKernel(
+        {"live": 5}, can_change=lambda x, y: True, rng=random.Random(0)
+    )
     for index in range(10 * FactorisedPairKernel.COMPACT_MIN_SIZE):
         key = f"transient-{index}"
         kernel.set_count(key, 1)
@@ -264,95 +263,45 @@ def test_factorised_kernel_compacts_dead_slots():
     assert kernel.active_weight() == 20
 
 
-def test_hooks_fire_for_every_applied_event_across_capacity_fallback(monkeypatch):
-    # The event whose key-count update overflows the activity matrix is
-    # already applied to the histogram — its on_batch_event hooks must
-    # still fire, or hook-based trackers undercount on exactly the runs
-    # that trigger the fallback.
-    from repro.engine import CallbackHook
-
-    monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 8)
-    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
-    events = []
-    hook = CallbackHook(on_batch_event=lambda sim, a, b, na, nb: events.append(1))
-    result = simulate(
-        ExactBackupProtocol(),
-        64,
-        seed=1,
-        backend="batch",
-        hooks=[hook],
-        max_interactions=30_000,
-    )
-    assert "fallback_reason" in _telemetry(result)["accel"]  # the overflow fired
-    assert len(events) == _telemetry(result)["skips"]["applied_events"]
-    assert events  # the run really applied events
-
-
-def test_factorised_capacity_overflow_falls_back_to_python_mid_run(monkeypatch):
-    # A protocol whose live key set outgrows the activity matrix must not
-    # die: the backend rebuilds the Fenwick pair table mid-run and reports
-    # the fallback.  backup-exact at n=64 visits far more than 8 keys.
-    monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 8)
-    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
-    result = simulate(
-        ExactBackupProtocol(),
-        64,
-        seed=1,
-        backend="batch",
-        convergence=all_outputs_equal(64),
-        check_interval=64,
-        max_interactions=500_000,
-    )
-    accel = _telemetry(result)["accel"]
-    assert accel["engaged"] is False
-    assert "activity matrix" in accel["fallback_reason"]
-    # The run stays correct across the switch: the exact count is reached.
-    assert result.converged
-    assert result.output_counts == Counter({64: 64})
-
-
 # --------------------------------------------------------------------------
-# Hooks inside the fused pruning loops
+# Hooks inside the fused pruning loop
 # --------------------------------------------------------------------------
 
 
-def _backend_pair_table(backend):
+def _kernel_pair_table(backend):
     keys = backend._keys
     return {
         (keys[ident_a], keys[ident_b]): weight
-        for (ident_a, ident_b), weight in backend._pair_weights.items()
+        for (ident_a, ident_b), weight in backend._pair_kernel.pair_weights().items()
     }
 
 
-def test_kernel_fallback_inside_a_hook_hands_the_window_to_fenwick(monkeypatch):
-    # A fault rewrite that overflows the kernel retires it from inside a
-    # hook, mid-window.  The kernel loop must stop drawing from the retired
-    # kernel and hand the rest of the window to the Fenwick path, whose pair
-    # table then tracks the histogram exactly.
+def test_fresh_keys_minted_inside_a_hook_reach_the_kernel():
+    # A fault rewrite inside a hook mints 20 keys the kernel has never seen,
+    # mid-window.  The loop must go on drawing from the resynced kernel,
+    # whose implied pair table then tracks the histogram exactly, up to a
+    # budget that ends the run before its fixed point.
     from repro.engine import CallbackHook, FailureInjectionHook
 
-    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", 0)
-    monkeypatch.setattr(FactorisedPairKernel, "MATRIX_LIMIT", 32)
     fresh = itertools.count(10_000)
+    minted = []
 
     def corrupt_key(key, rng):
         fields = list(key)
         index = next(index for index, field in enumerate(fields) if type(field) is int)
         fields[index] = next(fresh)
-        return tuple(fields)
+        minted.append(tuple(fields))
+        return minted[-1]
 
     protocol = ExactBackupProtocol()
     checked = []
 
     def check_table(simulator, *keys):
-        # An O(K^2) recount, so only the first 200 events after the fallback.
-        backend = simulator.backend
-        if backend._pair_kernel is None and len(checked) < 200:
-            total, table = _brute_force_pair_table(
-                backend.state_key_counts(), protocol.can_interaction_change
+        if injection.fired:
+            _total, table = _brute_force_pair_table(
+                simulator.backend.state_key_counts(), protocol.can_interaction_change
             )
-            assert _backend_pair_table(backend) == table
-            assert backend._active_weight == total
+            assert _kernel_pair_table(simulator.backend) == table
             checked.append(simulator.interactions)
 
     injection = FailureInjectionHook(
@@ -365,34 +314,25 @@ def test_kernel_fallback_inside_a_hook_hands_the_window_to_fenwick(monkeypatch):
         backend="batch",
         hooks=[injection, CallbackHook(on_batch_event=check_table)],
     )
-    result = simulator.run(max_interactions=30_000, stop_when_converged=False)
+    result = simulator.run(max_interactions=1_500, stop_when_converged=False)
     assert injection.fired
-    telemetry = _telemetry(result)
-    assert "activity matrix" in telemetry["accel"]["fallback_reason"]
-    sampler = telemetry["sampler"]
-    assert sampler["strategy"] == "fenwick"
-    assert [record["retired_by"] for record in sampler["retired"]] == [
-        "accel-engage", "accel-fallback",
-    ]
-    assert sampler["retired"][-1]["retired_at"] == injection.at_interaction
+    assert len(minted) == 20
     assert checked[0] == injection.at_interaction
-    total, table = _brute_force_pair_table(
+    assert len(checked) > 100
+    assert result.stopped_reason == "budget"
+    assert result.interactions == 1_500
+    _total, table = _brute_force_pair_table(
         simulator.backend.state_key_counts(), protocol.can_interaction_change
     )
-    assert _backend_pair_table(simulator.backend) == table
-    assert simulator.backend._active_weight == total
-    assert result.stopped_reason in ("terminal", "max_interactions")
+    assert _kernel_pair_table(simulator.backend) == table
 
 
-@pytest.mark.parametrize("width", [NEVER, 0], ids=["fenwick", "kernel"])
-def test_a_join_inside_a_hook_reaches_the_next_skip(monkeypatch, width):
+def test_a_join_inside_a_hook_reaches_the_next_skip():
     # A hook that joins agents mid-window changes T = n (n - 1): the very
-    # next skip must be drawn from W / T of the grown population, on both
-    # pruning loops.
+    # next skip must be drawn from W / T of the grown population.
     from repro.engine import CallbackHook
     from repro.primitives.epidemic import OneWayEpidemic
 
-    monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", width)
     seen = []
     expected = []
 
@@ -402,14 +342,9 @@ def test_a_join_inside_a_hook_reaches_the_next_skip(monkeypatch, width):
             return
         backend = simulator.backend
         backend.join(400)
-        kernel = backend._pair_kernel
+        weight = backend._pair_kernel.active_weight()
         rng = random.Random()
-        if kernel is None:
-            weight = backend._active_weight
-            rng.setstate(backend._pair_rng.getstate())
-        else:
-            weight = kernel.active_weight()
-            rng.setstate(kernel._random.__self__.getstate())
+        rng.setstate(backend._pair_rng.getstate())
         ordered_pairs = backend.n * (backend.n - 1)
         skip = int(math.log(1.0 - rng.random()) / math.log1p(-weight / ordered_pairs))
         expected.append(simulator.interactions + skip + 1)
@@ -423,26 +358,19 @@ def test_a_join_inside_a_hook_reaches_the_next_skip(monkeypatch, width):
     )
     backend = simulator.backend
     backend.advance_to(10**6)
-    assert (backend._pair_kernel is not None) == (width == 0)
     assert backend.n == 440
     assert len(seen) > 2
     assert seen[1] == expected[0]
 
 
 # --------------------------------------------------------------------------
-# End-to-end: regimes, fallbacks, and cross-path equivalence
-# --------------------------------------------------------------------------
-
-
-# --------------------------------------------------------------------------
-# End-to-end: the width rule on both sides, cross-path equivalence
+# End-to-end: the kernel from the first event
 # --------------------------------------------------------------------------
 
 
 def test_wide_pair_tables_engage_the_factorised_kernel():
-    # backup-exact's pair table grows past KERNEL_MIN_PAIRS within its
-    # first events: the Fenwick sampler is retired and the kernel drives
-    # the rest of the run.
+    # The kernel drives the pruning regime from construction: nothing is
+    # retired, swapped or logged on the way.
     result = simulate(
         ExactBackupProtocol(),
         256,
@@ -451,40 +379,15 @@ def test_wide_pair_tables_engage_the_factorised_kernel():
         max_interactions=150_000,
     )
     telemetry = _telemetry(result)
-    assert telemetry["accel"] == {"engaged": True}
+    assert "accel" not in telemetry
     stats = telemetry["sampler"]
+    assert stats["regime"] == "pruning"
     assert stats["strategy"] == "factorised"
-    (retired,) = stats["retired"]
-    assert retired["strategy"] == "fenwick"
-    assert retired["retired_by"] == "accel-engage"
-    kinds = [event["kind"] for event in telemetry["events"]]
-    assert kinds.count("accel-engage") == 1
-    assert "sampler-swap" not in kinds
-
-
-@pytest.mark.parametrize("n, sources", [(600, 1), (712, 2), (840, 4)])
-def test_sweep_service_epidemic_cells_stay_on_python(n, sources):
-    # The epidemic never holds more than a couple of active pair types, far
-    # below the kernel width; the kernel's per-event row and partner draws
-    # would be a pure loss.
-    from repro.primitives.epidemic import OneWayEpidemic
-
-    result = simulate(
-        OneWayEpidemic(source_count=sources),
-        n,
-        seed=3,
-        backend="batch",
-        convergence=all_outputs_equal(1),
-    )
-    assert result.converged
-    telemetry = _telemetry(result)
-    assert telemetry["accel"] == {"engaged": False}
-    assert telemetry["sampler"]["strategy"] == "fenwick"
-    assert "retired" not in telemetry["sampler"]
+    assert "retired" not in stats
     assert telemetry["events"] == []
 
 
-def test_pruning_numpy_path_reaches_the_exact_count():
+def test_pruning_kernel_reaches_the_exact_count():
     result = simulate(
         ExactBackupProtocol(),
         256,
@@ -494,45 +397,9 @@ def test_pruning_numpy_path_reaches_the_exact_count():
         check_interval=256,
         max_interactions=2_000_000,
     )
-    assert _telemetry(result)["accel"]["engaged"] is True
     assert _telemetry(result)["sampler"]["strategy"] == "factorised"
     assert result.converged
     assert result.output_counts == Counter({256: 256})
-
-
-@pytest.mark.stats
-def test_backup_exact_convergence_laws_match_across_accel_paths(monkeypatch):
-    # The accelerated chain uses different random streams but must follow
-    # the identical law: KS compatibility of the convergence-time
-    # distributions of backup-exact on the kernel (engaged from the first
-    # event) and on the Fenwick sampler (kernel held off).
-    n = 96
-    samples = 30
-
-    def convergence_times(width, offset):
-        monkeypatch.setattr(backends, "KERNEL_MIN_PAIRS", width)
-        times = []
-        for seed in range(samples):
-            result = simulate(
-                ExactBackupProtocol(),
-                n,
-                seed=offset + seed,
-                backend="batch",
-                convergence=all_outputs_equal(n),
-                check_interval=n,
-                confirm_checks=1,
-                max_interactions=3_000_000,
-            )
-            assert result.converged, (width, seed)
-            assert _telemetry(result)["accel"]["engaged"] == (width == 0)
-            times.append(result.convergence_interaction)
-        return times
-
-    python_times = convergence_times(NEVER, 0)
-    kernel_times = convergence_times(0, 10_000)
-    statistic = ks_statistic(python_times, kernel_times)
-    p_value = ks_pvalue(statistic, samples, samples)
-    assert p_value > ALPHA, (statistic, p_value)
 
 
 def test_scenario_churn_runs_through_the_engaged_kernel():
@@ -563,11 +430,7 @@ def test_scenario_churn_runs_through_the_engaged_kernel():
     run = record["runs"][0]
     assert run["extra"]["timeline"][0]["fired"] is True
     telemetry = run["extra"]["telemetry"]
-    engaged_at = next(
-        event["at"] for event in telemetry["events"] if event["kind"] == "accel-engage"
-    )
-    assert engaged_at < 20_000
-    assert telemetry["accel"]["engaged"] is True
+    assert telemetry["sampler"]["strategy"] == "factorised"
     # Churn events flow through the kernel's resync path; the run completes
     # with the population conserved.
     assert run["n"] == 256

@@ -94,6 +94,32 @@ PINNED_STREAMS = {
         "sampler": _sampler(26_624),
         "rngs": "d8471af5d0645e220906c31888aaef416da226f660b8b1ef19bc990e13c65f44",
     },
+    "count-exact-checkpointed": {
+        "interactions": 23_232,
+        "live_keys": 64,
+        "state_key_counts": "120230005ad795ef149415a1973ae89f000742c221a4e62b321289bae5ace67c",
+        "distinct_states": 13206,
+        "transition_calls": 21932,
+        "memo": {
+            "interned_keys": 13206, "pairs": 21922, "hits": 1301, "misses": 21931,
+            "coin_nodes": 908,
+        },
+        "sampler": _sampler(23_232),
+        "rngs": "5f3b81b12e88ab39a80e5d64c7ba6012dce7f2a38bda815e9f10b1a69829d7e2",
+    },
+    "count-exact-stable": {
+        "interactions": 26_624,
+        "live_keys": 39,
+        "state_key_counts": "47c4eddd732d0499c64f6911f40bbf0d73dbfe1fac0b32f6546b944576e1b51f",
+        "distinct_states": 3786,
+        "transition_calls": 7444,
+        "memo": {
+            "interned_keys": 3786, "pairs": 7438, "hits": 19181, "misses": 7443,
+            "coin_nodes": 728,
+        },
+        "sampler": _sampler(26_624),
+        "rngs": "80fbe39943b735c5f74797202a837cd574d36f7dde9a565d6c8839ce79003da3",
+    },
 }
 
 
@@ -107,11 +133,24 @@ def test_dense_window_streams_are_pinned(name, n, window):
     assert _stream_fingerprint(simulator, result) == PINNED_STREAMS[name]
 
 
-def test_dense_stream_through_the_stable_detect_timeline_is_pinned():
+def test_checkpointed_count_exact_stream_is_pinned():
+    # Checkpoints split the run into windows of n interactions each.
+    n = 64
+    entry = resolve_protocol("count-exact")
+    simulator = Simulator(entry.build(n, {}), n, seed=3, backend="batch")
+    result = simulator.run(
+        max_interactions=60_000, convergence=entry.convergence(n, {}), check_interval=n
+    )
+    assert result.converged
+    assert _stream_fingerprint(simulator, result) == PINNED_STREAMS["count-exact-checkpointed"]
+
+
+def _through_stable_detect(protocol):
+    """Run ``protocol`` through the ``stable-detect`` timeline at n = 32."""
     spec = builtin_scenarios()["stable-detect"]
     n, seed = 32, 9
     simulator = Simulator(
-        resolve_protocol(spec.protocol).build(n, {}), n, seed=seed, backend="batch"
+        resolve_protocol(protocol).build(n, {}), n, seed=seed, backend="batch"
     )
     result = simulator.run(
         max_interactions=spec.budget.budget(n),
@@ -121,7 +160,17 @@ def test_dense_stream_through_the_stable_detect_timeline_is_pinned():
         "join", "corrupt", "leave",
     ]
     assert all(record["fired"] for record in result.extra["timeline"])
-    assert _stream_fingerprint(simulator, result) == PINNED_STREAMS["approximate-stable"]
+    return _stream_fingerprint(simulator, result)
+
+
+def test_dense_stream_through_the_stable_detect_timeline_is_pinned():
+    assert _through_stable_detect("approximate-stable") == PINNED_STREAMS["approximate-stable"]
+
+
+def test_count_exact_stable_stream_through_join_corrupt_and_leave_is_pinned():
+    # The join restarts the population, the corruption rewrites clock
+    # phases, and the leave swap-removes a slot.
+    assert _through_stable_detect("count-exact-stable") == PINNED_STREAMS["count-exact-stable"]
 
 
 # --------------------------------------------------------------------------

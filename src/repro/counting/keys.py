@@ -32,11 +32,12 @@ and the only mutation of the counter is ``phase += 1`` on a clock tick, which
 commutes with taking residues.  Stage-internal phase counters (approximation
 ``i``, refinement/error-detection ``phase'``) are bounded and stored in full.
 
-The same argument covers the batch backend's *owned states*: its dense
-regime hands ``delta_key`` the live post-interaction states of earlier
-misses instead of decoding their keys again, and such a state differs from a
-decoded one only in carrying the raw counter where decoding gives the
-residue.
+The same argument covers the live states the batch backend's dense regime
+hands ``delta_key`` instead of decoding keys again: the *owned states* it
+keeps per id from earlier memo misses, and the per-agent-slot states of its
+one-agent-one-state mode, kept from earlier transitions on that slot.  Such
+a state differs from a decoded one only in carrying the raw counter where
+decoding gives the residue.
 
 Protocols whose parameters use non-default tag moduli that do not divide 40
 fall outside this argument; :func:`residue_compatible` checks the condition

@@ -534,7 +534,8 @@ class BatchBackend(Backend):
     ``delta_key`` would and follows the branch; a missing branch is
     evaluated once, replaying the values already drawn.  The agent stream is
     therefore consumed exactly as without the memo.  Other protocols call
-    ``delta_key`` on every event.
+    ``delta_key`` on every event, and so does the dense regime's
+    one-agent-one-state mode (below), without recording.
 
     Two sampling regimes are used, chosen at construction:
 
@@ -561,22 +562,38 @@ class BatchBackend(Backend):
       of the composed counting protocols, whose no-op analysis is out of
       reach of a per-pair predicate.
 
-    **Owned states** (dense regime only).  Theorem 2's CountExact uses Õ(n)
-    states, so most of its events are memo misses, and decoding both keys
-    was most of a miss.  For a protocol whose key-level API is a
-    :meth:`~repro.engine.protocol.Protocol.state_from_key` decoder under the
-    base ``delta_key``, the backend therefore keeps, per live id, at most
-    one *owned* state: a post-interaction state object a miss produced,
-    referenced by nothing else.  A miss pops the owned states of
-    its two ids (decoding an id that has none), hands them to ``delta_key``,
-    which mutates them by ``transition``, and stores them as the owned
-    states of the two result ids unless those already own one.  An owned
-    state differs from a decoded one only in bookkeeping its key drops (the
-    raw phase counter, see :mod:`repro.counting.keys`), so streams are those
-    of decoding every miss.  Every path that removes an id from the
-    histogram drops its owned state and a restart clears them all, so there
-    are never more owned states than live ids.  The pruning regime, the
-    lifted adapter and protocols overriding ``delta_key`` keep none.
+    **Owned states** (dense regime only).  For a protocol whose key-level
+    API is a :meth:`~repro.engine.protocol.Protocol.state_from_key` decoder
+    under the base ``delta_key``, decoding both keys is most of a miss.  The
+    backend therefore keeps, per live id, at most one *owned* state: a
+    post-interaction state object a miss produced, referenced by nothing
+    else.  A miss pops the owned states of its two ids (decoding an id that
+    has none), hands them to ``delta_key``, which mutates them by
+    ``transition``, and stores them as the owned states of the two result
+    ids unless those already own one.  An owned state differs from a
+    decoded one only in bookkeeping its key drops (the raw phase counter,
+    see :mod:`repro.counting.keys`), so streams are those of decoding every
+    miss.  Every path that removes an id from the histogram drops its owned
+    state and a restart clears them all, so there are never more owned
+    states than live ids.
+
+    **One agent, one state** (dense regime with a decoder).  Theorem 2's
+    CountExact uses Õ(n) states: almost every agent holds a key of its own,
+    the memo hits on a few percent of events and grows by one pair per
+    miss.  So while more than half the agents hold distinct keys
+    (``2 * len(_counts) > n``, re-decided on every event that is not a plain
+    memo hit) the backend stops recording transitions and keeps one live
+    state per slot of :attr:`_agents` instead of per id, ``None`` meaning
+    "decode on next use".  An event that is not a plain hit hands the two
+    slots' states and the agent stream itself to ``delta_key``: a pure
+    protocol draws from it the coins a memo walk would, so streams are
+    those of the memo regime.  The states go back to the slots that hold
+    their keys (a swap exchanges them), a plain hit that re-keys a slot
+    clears its state, and ``join``, ``leave``, ``corrupt_histogram`` and
+    restarts keep the list in step with :attr:`_agents`.  Entering the mode
+    drops the owned states, leaving it drops the slot states.  The pruning
+    regime, the lifted adapter and protocols overriding ``delta_key`` keep
+    neither kind.
 
     The protocol picks the regime; there is no knob.  :meth:`sampler_stats`
     and :meth:`memo_stats` report the draw path's and the memo's counters
@@ -619,6 +636,10 @@ class BatchBackend(Backend):
         self._keys: List[Hashable] = []
         self._ids: Dict[Hashable, int] = {}
         self._outputs: List[Any] = []
+        if track_state_space:
+            # Every key is interned once, so the intern table is the set of
+            # distinct keys seen.
+            self.state_space = StateSpaceTracker(seen=self._ids)
         #: The configuration: a histogram over interned key ids.
         self._counts: Counter = self._intern_counts(initial)
         self.counter = AggregateInteractionCounter(self.n)
@@ -628,6 +649,11 @@ class BatchBackend(Backend):
         self._memo_hits = 0
         self._memo_misses = 0
         self._coin_nodes = 0
+        #: ``delta_key`` calls made in one-agent-one-state mode, which the
+        #: memo does not record, and the number of entries into and exits
+        #: from that mode.
+        self._unrecorded = 0
+        self._mode_switches = 0
         self._can_change_cache: Dict[Tuple[int, int], bool] = {}
         # Two sampling regimes (see class docstring).  A protocol that keeps
         # the conservative default ``can_interaction_change`` marks *every*
@@ -651,8 +677,12 @@ class BatchBackend(Backend):
         #: the miss that produced it and handed to the next miss on that id
         #: (see class docstring).  At most one per id in ``_counts``.
         self._owned: Dict[int, Any] = {}
-        #: The decoder of ids with no owned state; ``None`` turns owned
-        #: states off (pruning regime, lifted adapter, ``delta_key`` override).
+        #: One-agent-one-state mode: the live state of each slot of
+        #: ``_agents`` (``None``: decode on next use).  ``None`` outside it.
+        self._states: Optional[List[Any]] = None
+        #: The decoder of ids with no live state; ``None`` turns owned and
+        #: slot states off (pruning regime, lifted adapter, ``delta_key``
+        #: override).
         self._decode: Optional[Callable[[Hashable], Any]] = None
         if self._prunes:
             self._pair_kernel = FactorisedPairKernel(
@@ -676,7 +706,7 @@ class BatchBackend(Backend):
             self._keys.append(key)
             self._outputs.append(self._output_key(key))
             if self.track_state_space:
-                self.state_space.observe(key)
+                self.state_space.observe_new(key)
         return ident
 
     def _intern_counts(self, counts: Counter) -> Counter:
@@ -770,6 +800,20 @@ class BatchBackend(Backend):
         self._coin_nodes += 1
         return _CoinNode(bits)
 
+    def _switch_mode(self) -> Optional[List[Any]]:
+        """Enter or leave one-agent-one-state mode; return the slot states.
+
+        Entering drops the owned states (every slot starts undecoded);
+        leaving drops the slot states.
+        """
+        self._mode_switches += 1
+        if self._states is None:
+            self._owned.clear()
+            self._states = [None] * self.n
+        else:
+            self._states = None
+        return self._states
+
     # -------------------------------------------------------------- activity
     def _can_change(self, ident_a: int, ident_b: int) -> bool:
         cached = self._can_change_cache.get((ident_a, ident_b))
@@ -795,14 +839,17 @@ class BatchBackend(Backend):
         interaction draws two agent indices from the
         :class:`~repro.engine.samplers.AgentPairSampler`, reads the two
         slots of :attr:`_agents` and looks the id pair up in the memo: a
-        plain ``(new_a, new_b)`` hit costs one dict lookup, coin nodes and
-        misses go through :meth:`_resolve`.  The histogram and the two slots
-        are rewritten only when the configuration changed, the histogram by
-        the same operations in the same order as the pruning loop.
+        plain ``(new_a, new_b)`` hit costs one dict lookup.  Any other entry
+        first re-decides the one-agent-one-state mode (see class docstring),
+        then goes through :meth:`_resolve` or, in that mode, calls
+        ``delta_key`` on the two slots' states.  The histogram and the two
+        slots are rewritten only when the configuration changed, the
+        histogram by the same operations in the same order as the pruning
+        loop.
 
-        Phase timers run once per window and around each :meth:`_resolve`
-        call, not per event; :mod:`repro.obs.trace` says what each phase
-        then covers.  Hooks fire with the event already counted, and a hook
+        Phase timers run once per window and around each entry that is not
+        a plain hit, not per event; :mod:`repro.obs.trace` says what each
+        phase then covers.  Hooks fire with the event already counted, and a hook
         that leaves the backend :attr:`~Backend.terminal` ends the window.
         """
         interactions = self.interactions
@@ -813,14 +860,21 @@ class BatchBackend(Backend):
         pair_rng = self._pair_rng
         memo_get = self._memo.get
         resolve = self._resolve
+        decode = self._decode
+        delta = self._delta
+        agent_rng = self._agent_rng
+        keys = self._keys
+        ids_get = self._ids.get
+        intern = self._intern
         agents = self._agents
+        states = self._states
         counts = self._counts
         count_of = counts.get
         drop_owned = self._owned.pop
         id_bits = _ID_BITS
         clock = perf_counter
         start = interactions
-        hits = changes = 0
+        hits = changes = unrecorded = 0
         resolve_s = hooks_s = 0.0
         window_started = clock()
         try:
@@ -833,9 +887,42 @@ class BatchBackend(Backend):
                 if entry.__class__ is tuple:
                     hits += 1
                     new_a, new_b = entry
+                    if states is not None:
+                        # A slot whose key the hit changes decodes on next use.
+                        if new_a != ident_a:
+                            states[initiator] = None
+                        if new_b != ident_b:
+                            states[responder] = None
                 else:
                     tic = clock()
-                    new_a, new_b = resolve(ident_a, ident_b, entry)
+                    if decode is not None and (2 * len(counts) > self.n) is (states is None):
+                        states = self._switch_mode()
+                    if states is None:
+                        new_a, new_b = resolve(ident_a, ident_b, entry)
+                    else:
+                        # One-agent-one-state mode: delta_key on the two
+                        # slots' states with the agent stream, unrecorded.
+                        unrecorded += 1
+                        key_a = keys[ident_a]
+                        key_b = keys[ident_b]
+                        state_a = states[initiator]
+                        if state_a is None:
+                            state_a = decode(key_a)
+                        state_b = states[responder]
+                        if state_b is None:
+                            state_b = decode(key_b)
+                        key_a, key_b = delta(key_a, key_b, agent_rng, state_a, state_b)
+                        new_a = ids_get(key_a)
+                        if new_a is None:
+                            new_a = intern(key_a)
+                        new_b = ids_get(key_b)
+                        if new_b is None:
+                            new_b = intern(key_b)
+                        if new_a == ident_b and new_b == ident_a:
+                            # A swap keeps both slots' ids: trade the states.
+                            state_a, state_b = state_b, state_a
+                        states[initiator] = state_a
+                        states[responder] = state_b
                     resolve_s += clock() - tic
                 if (new_a != ident_a or new_b != ident_b) and (
                     new_a != ident_b or new_b != ident_a
@@ -864,6 +951,7 @@ class BatchBackend(Backend):
                     hooks_s += clock() - tic
                     # A hook may have rewritten or replaced the population.
                     agents = self._agents
+                    states = self._states
                     counts = self._counts
                     count_of = counts.get
                     if self.terminal:
@@ -875,6 +963,8 @@ class BatchBackend(Backend):
             self.counter.total = interactions
             self.applied_events += events
             self._memo_hits += hits
+            self._unrecorded += unrecorded
+            self.transition_calls += unrecorded
             tracer = self.tracer
             tracer.add("sampling", window_s - resolve_s - hooks_s, ops=events)
             tracer.add("transition", resolve_s, ops=events)
@@ -1071,6 +1161,8 @@ class BatchBackend(Backend):
             if full_rebuild:
                 self._agents = list(self._counts.elements())
                 self._owned.clear()
+                if self._states is not None:
+                    self._states = [None] * self.n
             self._sampler.resize(self.n)
             self._check_dense_fixed_point()
 
@@ -1106,6 +1198,8 @@ class BatchBackend(Backend):
             changed[ident] = None
             if not self._prunes:
                 self._agents.append(ident)
+                if self._states is not None:
+                    self._states.append(None)
         self.n += count
         self._population_changed(tuple(changed))
         return {"joined": count, "n": self.n}
@@ -1125,11 +1219,15 @@ class BatchBackend(Backend):
             # Swap-removal in descending index order keeps pending indices
             # valid, as in AgentBackend.leave.
             agents = self._agents
+            states = self._states
             victims = []
             for index in sorted(rng.sample(range(self.n), count), reverse=True):
                 victims.append(agents[index])
                 agents[index] = agents[-1]
                 agents.pop()
+                if states is not None:
+                    states[index] = states[-1]
+                    states.pop()
         for ident in victims:
             counts[ident] -= 1
             if not counts[ident]:
@@ -1212,6 +1310,8 @@ class BatchBackend(Backend):
             counts[new_ident] += 1
             if slots is not None:
                 agents[slots[position]] = new_ident
+                if self._states is not None:
+                    self._states[slots[position]] = None
             changed += 1
         if changed:
             self.terminal = False
@@ -1234,16 +1334,21 @@ class BatchBackend(Backend):
     def memo_stats(self) -> Dict[str, int]:
         """JSON-friendly counters of the interning table and transition memo.
 
-        Every applied event is one ``hit`` (resolved from the memo) or one
-        ``miss`` (``delta_key`` evaluated); ``pairs`` counts memoised id
-        pairs and ``coin_nodes`` their coin branch points.  A protocol that
-        does not declare pure key transitions misses on every event.
+        Every applied event is one ``hit`` (resolved from the memo), one
+        ``miss`` (``delta_key`` evaluated for the memo) or, in the dense
+        regime's one-agent-one-state mode, one ``unrecorded`` evaluation;
+        ``switches`` counts entries into and exits from that mode.  ``pairs``
+        counts memoised id pairs and ``coin_nodes`` their coin branch
+        points.  A protocol that does not declare pure key transitions
+        misses on every event outside that mode.
         """
         return {
             "interned_keys": len(self._keys),
             "pairs": len(self._memo),
             "hits": self._memo_hits,
             "misses": self._memo_misses,
+            "unrecorded": self._unrecorded,
+            "switches": self._mode_switches,
             "coin_nodes": self._coin_nodes,
         }
 

@@ -30,10 +30,14 @@ class StateSpaceTracker:
         track_fields: When ``True`` and state keys are tuples, also track the
             set of distinct values per tuple position, which approximates the
             per-variable ranges the paper multiplies to obtain state bounds.
+        seen: A container of keys the caller already keeps, every one
+            observed (the batch backend passes its intern table).  The
+            caller adds each new key to it and reports it with
+            :meth:`observe_new`; :meth:`observe` needs the default set.
     """
 
-    def __init__(self, track_fields: bool = True) -> None:
-        self._seen: set = set()
+    def __init__(self, track_fields: bool = True, seen: Optional[Any] = None) -> None:
+        self._seen: Any = set() if seen is None else seen
         self._track_fields = track_fields
         self._field_values: List[set] = []
 
@@ -42,11 +46,16 @@ class StateSpaceTracker:
         if key in self._seen:
             return
         self._seen.add(key)
+        self.observe_new(key)
+
+    def observe_new(self, key: Hashable) -> None:
+        """Record the field values of a key just added to ``seen``."""
         if self._track_fields and isinstance(key, tuple):
-            while len(self._field_values) < len(key):
-                self._field_values.append(set())
-            for index, value in enumerate(key):
-                self._field_values[index].add(value)
+            field_values = self._field_values
+            while len(field_values) < len(key):
+                field_values.append(set())
+            for values, value in zip(field_values, key):
+                values.add(value)
 
     def observe_all(self, keys: Iterable[Hashable]) -> None:
         """Record a batch of observed state keys."""

@@ -14,7 +14,8 @@ module folds any of those shapes into one profile document::
       "skips": {"interactions": ..., "applied_events": ...,
                 "skipped_interactions": ..., "efficiency": ...},
       "memo": {"interned_keys": ..., "pairs": ..., "hits": ...,
-               "misses": ..., "coin_nodes": ...},
+               "misses": ..., "unrecorded": ..., "switches": ...,
+               "coin_nodes": ...},
       "checkpoints": {"count": ..., "satisfied": ...}
     }
 
@@ -43,7 +44,9 @@ __all__ = [
 
 #: Summed counters of the batch backend's ``skips`` and ``memo`` records.
 SKIP_COUNTERS = ("interactions", "applied_events", "skipped_interactions")
-MEMO_COUNTERS = ("interned_keys", "pairs", "hits", "misses", "coin_nodes")
+MEMO_COUNTERS = (
+    "interned_keys", "pairs", "hits", "misses", "unrecorded", "switches", "coin_nodes",
+)
 
 
 def _add_counters(totals: Dict[str, int], record: Any) -> bool:
@@ -210,10 +213,11 @@ def render_profile(profile: Dict[str, Any], title: Optional[str] = None) -> str:
         )
     memo = profile.get("memo")
     if memo:
-        lookups = memo["hits"] + memo["misses"]
+        lookups = memo["hits"] + memo["misses"] + memo["unrecorded"]
         lines.append(
             f"transition memo: {memo['hits']} hits, {memo['misses']} misses "
             f"(hit ratio {memo['hits'] / lookups if lookups else 0.0:.4f}), "
+            f"{memo['unrecorded']} unrecorded ({memo['switches']} mode switches), "
             f"{memo['pairs']} pairs, {memo['coin_nodes']} coin nodes, "
             f"{memo['interned_keys']} interned keys"
         )

@@ -20,10 +20,11 @@ regimes time them differently:
   applied event, ``pair_weights`` one per configuration-changing event.
 * **Dense regime**: one timer per advance window, plus one around each
   memo entry that is not a plain hit.  ``transition`` is the time spent
-  resolving coin nodes and misses (``delta_key``, and decoding the ids
-  that own no live state); ``sampling`` is the
-  rest of the window — the agent-pair draws, plain memo hits, histogram
-  and agent-slot upkeep and the loop itself, hooks excluded;
+  resolving coin nodes and misses, or, in one-agent-one-state mode,
+  evaluating such events unrecorded (``delta_key``, decoding the ids or
+  slots that hold no live state, and re-deciding the mode); ``sampling``
+  is the rest of the window — the agent-pair draws, plain memo hits,
+  histogram and agent-slot upkeep and the loop itself, hooks excluded;
   ``pair_weights`` records no time and counts the configuration-changing
   events.  ``sampling`` and ``transition`` count one op per interaction.
 

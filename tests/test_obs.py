@@ -299,7 +299,8 @@ def test_memo_counters_fold_through_aggregation_merging_and_rendering():
     traces = [_fake_trace(memo=memo) for _ in range(4)] + [_fake_trace()]
     direct = aggregate_telemetry(traces)
     assert direct["memo"] == {
-        "interned_keys": 20, "pairs": 36, "hits": 120, "misses": 40, "coin_nodes": 8,
+        "interned_keys": 20, "pairs": 36, "hits": 120, "misses": 40, "unrecorded": 0,
+        "switches": 0, "coin_nodes": 8,
     }
     merged = merge_profiles(
         [aggregate_telemetry(traces[:2]), aggregate_telemetry(traces[2:])]

@@ -94,7 +94,10 @@ def test_memo_lookups_account_for_every_applied_event():
     telemetry = result.extra["telemetry"]
     memo = telemetry["memo"]
     applied = telemetry["skips"]["applied_events"]
-    assert memo["hits"] + memo["misses"] == applied
+    # Live keys pass n / 2 now and then at n = 64, and the events evaluated
+    # in one-agent-one-state mode are neither hits nor misses.
+    assert memo["switches"] > 0
+    assert memo["hits"] + memo["misses"] + memo["unrecorded"] == applied
     assert memo["interned_keys"] == result.distinct_states
     # The dense loop times whole windows, but every phase still counts one
     # op per event (pair_weights: per configuration-changing event), with

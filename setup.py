@@ -33,7 +33,7 @@ setup(
     description=(
         "Reproduction of Berenbrink, Kaaser, Radzik (PODC 2019) population "
         "protocols with a batched configuration-vector simulation backend "
-        "(a Fenwick-tree pair sampler, a memo of interned-key transitions "
+        "(an O(1) agent-pair sampler, a memo of interned-key transitions "
         "that replays their coin flips, and a factorised pair kernel), a "
         "parallel experiment-sweep subsystem, a "
         "dynamic-population chaos-scenario subsystem with adversarial "

@@ -33,11 +33,10 @@ commutes with taking residues.  Stage-internal phase counters (approximation
 ``i``, refinement/error-detection ``phase'``) are bounded and stored in full.
 
 The same argument covers the live states the batch backend's dense regime
-hands ``delta_key`` instead of decoding keys again: the *owned states* it
-keeps per id from earlier memo misses, and the per-agent-slot states of its
-one-agent-one-state mode, kept from earlier transitions on that slot.  Such
-a state differs from a decoded one only in carrying the raw counter where
-decoding gives the residue.
+hands ``delta_key`` instead of decoding keys again: one state per agent
+slot, kept from the slot's last evaluation, whether the memo recorded it or
+not.  Such a state differs from a decoded one only in carrying the raw
+counter where decoding gives the residue.
 
 Protocols whose parameters use non-default tag moduli that do not divide 40
 fall outside this argument; :func:`residue_compatible` checks the condition

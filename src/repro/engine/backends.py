@@ -534,8 +534,8 @@ class BatchBackend(Backend):
     ``delta_key`` would and follows the branch; a missing branch is
     evaluated once, replaying the values already drawn.  The agent stream is
     therefore consumed exactly as without the memo.  Other protocols call
-    ``delta_key`` on every event, and so does the dense regime's
-    one-agent-one-state mode (below), without recording.
+    ``delta_key`` on every event, and so does the dense regime's unrecorded
+    mode (below), without recording.
 
     Two sampling regimes are used, chosen at construction:
 
@@ -562,38 +562,30 @@ class BatchBackend(Backend):
       of the composed counting protocols, whose no-op analysis is out of
       reach of a per-pair predicate.
 
-    **Owned states** (dense regime only).  For a protocol whose key-level
-    API is a :meth:`~repro.engine.protocol.Protocol.state_from_key` decoder
-    under the base ``delta_key``, decoding both keys is most of a miss.  The
-    backend therefore keeps, per live id, at most one *owned* state: a
-    post-interaction state object a miss produced, referenced by nothing
-    else.  A miss pops the owned states of its two ids (decoding an id that
-    has none), hands them to ``delta_key``, which mutates them by
-    ``transition``, and stores them as the owned states of the two result
-    ids unless those already own one.  An owned state differs from a
-    decoded one only in bookkeeping its key drops (the raw phase counter,
-    see :mod:`repro.counting.keys`), so streams are those of decoding every
-    miss.  Every path that removes an id from the histogram drops its owned
-    state and a restart clears them all, so there are never more owned
-    states than live ids.
-
-    **One agent, one state** (dense regime with a decoder).  Theorem 2's
-    CountExact uses Õ(n) states: almost every agent holds a key of its own,
-    the memo hits on a few percent of events and grows by one pair per
-    miss.  So while more than half the agents hold distinct keys
-    (``2 * len(_counts) > n``, re-decided on every event that is not a plain
-    memo hit) the backend stops recording transitions and keeps one live
-    state per slot of :attr:`_agents` instead of per id, ``None`` meaning
-    "decode on next use".  An event that is not a plain hit hands the two
-    slots' states and the agent stream itself to ``delta_key``: a pure
-    protocol draws from it the coins a memo walk would, so streams are
-    those of the memo regime.  The states go back to the slots that hold
-    their keys (a swap exchanges them), a plain hit that re-keys a slot
-    clears its state, and ``join``, ``leave``, ``corrupt_histogram`` and
-    restarts keep the list in step with :attr:`_agents`.  Entering the mode
-    drops the owned states, leaving it drops the slot states.  The pruning
-    regime, the lifted adapter and protocols overriding ``delta_key`` keep
-    neither kind.
+    **Live states** (dense regime with a decoder).  For a protocol whose
+    key-level API is a :meth:`~repro.engine.protocol.Protocol.state_from_key`
+    decoder under the base ``delta_key``, decoding both keys is most of an
+    evaluation.  The backend therefore keeps one live state per slot of
+    :attr:`_agents`, ``None`` meaning "decode on next use": a
+    post-interaction state object an evaluation produced, referenced by
+    nothing else.  An evaluation hands the two slots' states to
+    ``delta_key`` (decoding a slot that holds none), which mutates them by
+    ``transition``, and puts them back in the slots that hold their keys (a
+    swap exchanges them).  A memo hit that re-keys a slot clears its state,
+    and ``join``, ``leave``, ``corrupt_histogram`` and restarts keep the
+    list in step with :attr:`_agents`.  A live state differs from a decoded
+    one only in bookkeeping its key drops (the raw phase counter, see
+    :mod:`repro.counting.keys`), so streams are those of decoding every
+    evaluation.  Theorem 2's CountExact uses Õ(n) states: almost every agent
+    holds a key of its own, the memo hits on a few percent of events and
+    grows by one pair per miss.  So while more than half the agents hold
+    distinct keys (``2 * len(_counts) > n``, re-decided on every event that
+    is not a plain memo hit) the backend is in *unrecorded mode*: such an
+    event hands ``delta_key`` the agent stream itself and records nothing.
+    A pure protocol draws from it the coins a memo walk would, so streams
+    are those of the memo regime.  Entering or leaving the mode moves no
+    state.  The pruning regime, the lifted adapter and protocols overriding
+    ``delta_key`` hold no states.
 
     The protocol picks the regime; there is no knob.  :meth:`sampler_stats`
     and :meth:`memo_stats` report the draw path's and the memo's counters
@@ -649,11 +641,12 @@ class BatchBackend(Backend):
         self._memo_hits = 0
         self._memo_misses = 0
         self._coin_nodes = 0
-        #: ``delta_key`` calls made in one-agent-one-state mode, which the
-        #: memo does not record, and the number of entries into and exits
-        #: from that mode.
+        #: ``delta_key`` calls made in unrecorded mode (see class docstring),
+        #: the number of entries into and exits from it, and whether the run
+        #: is outside it (memo misses are recorded).
         self._unrecorded = 0
         self._mode_switches = 0
+        self._recording = True
         self._can_change_cache: Dict[Tuple[int, int], bool] = {}
         # Two sampling regimes (see class docstring).  A protocol that keeps
         # the conservative default ``can_interaction_change`` marks *every*
@@ -673,15 +666,12 @@ class BatchBackend(Backend):
         #: Dense regime: the id of every agent, in no meaningful order (a
         #: multiset equal to ``_counts``).  Empty in the pruning regime.
         self._agents: List[int] = []
-        #: Dense regime: the live post-interaction state of an id, kept from
-        #: the miss that produced it and handed to the next miss on that id
-        #: (see class docstring).  At most one per id in ``_counts``.
-        self._owned: Dict[int, Any] = {}
-        #: One-agent-one-state mode: the live state of each slot of
-        #: ``_agents`` (``None``: decode on next use).  ``None`` outside it.
+        #: Dense regime with a decoder: the live state of each slot of
+        #: ``_agents`` (``None``: decode on next use; see class docstring).
+        #: ``None`` in every other run.
         self._states: Optional[List[Any]] = None
-        #: The decoder of ids with no live state; ``None`` turns owned and
-        #: slot states off (pruning regime, lifted adapter, ``delta_key``
+        #: The decoder of slots with no live state; ``None`` turns live
+        #: states off (pruning regime, lifted adapter, ``delta_key``
         #: override).
         self._decode: Optional[Callable[[Hashable], Any]] = None
         if self._prunes:
@@ -693,6 +683,7 @@ class BatchBackend(Backend):
             self._sampler = AgentPairSampler(self.n)
             if self._lifted is None and type(protocol).delta_key is Protocol.delta_key:
                 self._decode = protocol.state_from_key
+                self._states = [None] * self.n
             # An initial configuration may already be the provable fixed
             # point (single key, coin-free no-op self-interaction).
             self._check_dense_fixed_point()
@@ -714,12 +705,16 @@ class BatchBackend(Backend):
         return Counter({self._intern(key): count for key, count in counts.items()})
 
     # ------------------------------------------------------------ transitions
-    def _resolve(self, ident_a: int, ident_b: int, entry: Any) -> Tuple[int, int]:
+    def _resolve(
+        self, ident_a: int, ident_b: int, entry: Any, initiator: int = -1, responder: int = -1
+    ) -> Tuple[int, int]:
         """Post-interaction ids of ``(a, b)`` whose memo ``entry`` is not a hit.
 
         Walks the coin nodes, drawing each one's bits from the agent stream,
         and evaluates ``delta_key`` only when the walk ends on a value not
-        drawn before (or on no entry at all).
+        drawn before (or on no entry at all).  ``initiator`` and
+        ``responder`` are the two agents' slots in :attr:`_agents` (dense
+        regime only), whose live states a walk that re-keys them clears.
         """
         path: List[Tuple[int, int]] = []
         if entry is not None:
@@ -732,20 +727,31 @@ class BatchBackend(Backend):
                     break
             else:
                 self._memo_hits += 1
+                states = self._states
+                if states is not None:
+                    if entry[0] != ident_a:
+                        states[initiator] = None
+                    if entry[1] != ident_b:
+                        states[responder] = None
                 return entry
         self._memo_misses += 1
-        return self._evaluate(ident_a, ident_b, path)
+        return self._evaluate(ident_a, ident_b, path, initiator, responder)
 
     def _evaluate(
-        self, ident_a: int, ident_b: int, path: List[Tuple[int, int]]
+        self,
+        ident_a: int,
+        ident_b: int,
+        path: List[Tuple[int, int]],
+        initiator: int,
+        responder: int,
     ) -> Tuple[int, int]:
         """Call ``delta_key`` on a memo miss; memoise the result when pure.
 
         ``path`` holds the coin values already drawn for this pair, which
         the tape replays before drawing fresh ones from the agent stream.
-        With owned states on, the two ids' owned states are handed to
-        ``delta_key`` (an id without one is decoded) and the post-interaction
-        states become the owned states of the result ids.
+        With live states on, the states of slots ``initiator`` and
+        ``responder`` are handed to ``delta_key`` (a slot without one is
+        decoded) and the post-interaction states go back to the slots.
         """
         keys = self._keys
         key_a = keys[ident_a]
@@ -761,17 +767,20 @@ class BatchBackend(Backend):
             new_a, new_b = self._delta(key_a, key_b, rng)
             result = (self._intern(new_a), self._intern(new_b))
         else:
-            owned = self._owned
-            state_a = owned.pop(ident_a, None)
+            states = self._states
+            state_a = states[initiator]
             if state_a is None:
                 state_a = decode(key_a)
-            state_b = owned.pop(ident_b, None)
+            state_b = states[responder]
             if state_b is None:
                 state_b = decode(key_b)
             new_a, new_b = self._delta(key_a, key_b, rng, state_a, state_b)
             result = (self._intern(new_a), self._intern(new_b))
-            owned.setdefault(result[0], state_a)
-            owned.setdefault(result[1], state_b)
+            if result[0] == ident_b and result[1] == ident_a:
+                # A swap keeps both slots' ids: trade the states.
+                state_a, state_b = state_b, state_a
+            states[initiator] = state_a
+            states[responder] = state_b
         if not self._pure:
             return result
         drawn = rng.drawn
@@ -800,20 +809,6 @@ class BatchBackend(Backend):
         self._coin_nodes += 1
         return _CoinNode(bits)
 
-    def _switch_mode(self) -> Optional[List[Any]]:
-        """Enter or leave one-agent-one-state mode; return the slot states.
-
-        Entering drops the owned states (every slot starts undecoded);
-        leaving drops the slot states.
-        """
-        self._mode_switches += 1
-        if self._states is None:
-            self._owned.clear()
-            self._states = [None] * self.n
-        else:
-            self._states = None
-        return self._states
-
     # -------------------------------------------------------------- activity
     def _can_change(self, ident_a: int, ident_b: int) -> bool:
         cached = self._can_change_cache.get((ident_a, ident_b))
@@ -840,9 +835,10 @@ class BatchBackend(Backend):
         :class:`~repro.engine.samplers.AgentPairSampler`, reads the two
         slots of :attr:`_agents` and looks the id pair up in the memo: a
         plain ``(new_a, new_b)`` hit costs one dict lookup.  Any other entry
-        first re-decides the one-agent-one-state mode (see class docstring),
-        then goes through :meth:`_resolve` or, in that mode, calls
-        ``delta_key`` on the two slots' states.  The histogram and the two
+        first re-decides the unrecorded mode (see class docstring), which
+        moves no live state, then goes through :meth:`_resolve` or, in that
+        mode, calls ``delta_key`` on the two slots' states with the agent
+        stream and records nothing.  The histogram and the two
         slots are rewritten only when the configuration changed, the
         histogram by the same operations in the same order as the pruning
         loop.
@@ -868,9 +864,9 @@ class BatchBackend(Backend):
         intern = self._intern
         agents = self._agents
         states = self._states
+        recording = self._recording
         counts = self._counts
         count_of = counts.get
-        drop_owned = self._owned.pop
         id_bits = _ID_BITS
         clock = perf_counter
         start = interactions
@@ -895,13 +891,14 @@ class BatchBackend(Backend):
                             states[responder] = None
                 else:
                     tic = clock()
-                    if decode is not None and (2 * len(counts) > self.n) is (states is None):
-                        states = self._switch_mode()
-                    if states is None:
-                        new_a, new_b = resolve(ident_a, ident_b, entry)
+                    if decode is not None and (2 * len(counts) > self.n) is recording:
+                        recording = self._recording = not recording
+                        self._mode_switches += 1
+                    if recording:
+                        new_a, new_b = resolve(ident_a, ident_b, entry, initiator, responder)
                     else:
-                        # One-agent-one-state mode: delta_key on the two
-                        # slots' states with the agent stream, unrecorded.
+                        # Unrecorded mode: delta_key on the two slots'
+                        # states with the agent stream.
                         unrecorded += 1
                         key_a = keys[ident_a]
                         key_b = keys[ident_b]
@@ -934,10 +931,8 @@ class BatchBackend(Backend):
                     counts[new_b] += 1
                     if count_of(ident_a) == 0:
                         del counts[ident_a]
-                        drop_owned(ident_a, None)
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
-                        drop_owned(ident_b, None)
                     agents[initiator] = new_a
                     agents[responder] = new_b
                     if len(counts) == 1:
@@ -1160,7 +1155,6 @@ class BatchBackend(Backend):
         else:
             if full_rebuild:
                 self._agents = list(self._counts.elements())
-                self._owned.clear()
                 if self._states is not None:
                     self._states = [None] * self.n
             self._sampler.resize(self.n)
@@ -1232,7 +1226,6 @@ class BatchBackend(Backend):
             counts[ident] -= 1
             if not counts[ident]:
                 del counts[ident]
-                self._owned.pop(ident, None)
             changed[ident] = None
         self.n -= count
         self._population_changed(tuple(changed))
@@ -1305,7 +1298,6 @@ class BatchBackend(Backend):
             counts[ident] -= 1
             if not counts[ident]:
                 del counts[ident]
-                self._owned.pop(ident, None)
             new_ident = self._intern(new_key)
             counts[new_ident] += 1
             if slots is not None:
@@ -1336,8 +1328,9 @@ class BatchBackend(Backend):
 
         Every applied event is one ``hit`` (resolved from the memo), one
         ``miss`` (``delta_key`` evaluated for the memo) or, in the dense
-        regime's one-agent-one-state mode, one ``unrecorded`` evaluation;
-        ``switches`` counts entries into and exits from that mode.  ``pairs``
+        regime's unrecorded mode, one ``unrecorded`` evaluation; ``switches``
+        counts entries into and exits from that mode, which move no live
+        state.  ``pairs``
         counts memoised id pairs and ``coin_nodes`` their coin branch
         points.  A protocol that does not declare pure key transitions
         misses on every event outside that mode.

@@ -20,9 +20,9 @@ regimes time them differently:
   applied event, ``pair_weights`` one per configuration-changing event.
 * **Dense regime**: one timer per advance window, plus one around each
   memo entry that is not a plain hit.  ``transition`` is the time spent
-  resolving coin nodes and misses, or, in one-agent-one-state mode,
-  evaluating such events unrecorded (``delta_key``, decoding the ids or
-  slots that hold no live state, and re-deciding the mode); ``sampling``
+  resolving coin nodes and misses, or, in unrecorded mode, evaluating
+  such events (``delta_key``, decoding the slots that hold no live state,
+  and re-deciding the mode, which moves no state); ``sampling``
   is the rest of the window — the agent-pair draws, plain memo hits,
   histogram and agent-slot upkeep and the loop itself, hooks excluded;
   ``pair_weights`` records no time and counts the configuration-changing

@@ -1,13 +1,11 @@
 """Live states in the batch backend's dense regime.
 
 A dense run with a ``state_from_key`` decoder hands ``delta_key`` live
-post-interaction states instead of decoding keys.  Two holders keep them:
-
-* while the run has at most ``n / 2`` live keys (the memo regime), the
-  owned map keeps at most one state per live id, filled by memo misses;
-* above ``n / 2`` (one-agent-one-state mode), a list parallel to the agent
-  array keeps one state per slot, ``None`` meaning "decode on next use",
-  and no transition is recorded in the memo.
+post-interaction states instead of decoding keys.  One holder keeps them: a
+list parallel to the agent array, one state per slot, ``None`` meaning
+"decode on next use".  The ``n / 2`` rule only chooses whether an evaluation
+is recorded in the memo: at most ``n / 2`` live keys a memo miss is, above
+it (unrecorded mode) nothing is.  A switch moves no state.
 
 Four contracts pin that from outside:
 
@@ -15,13 +13,14 @@ Four contracts pin that from outside:
   whose ``delta_key`` drops the handed states and decodes both keys on
   every transition: histogram, interactions, transition calls, memo
   telemetry, observed state space and the state of both RNG streams.
-* **Bound** — owned ids stay a subset of the live ids, the slot list has
-  one entry per agent, and every held state encodes its slot's key, through
-  the dense loop, ``join``, ``leave``, ``corrupt_histogram`` and
-  ``restart_population``; runs that hold no states (lifted adapter, pruning
-  regime, ``delta_key`` override) leave both holders empty.
+* **Bound** — in both modes the slot list has one entry per agent and
+  every held state encodes its slot's key, through the dense loop, ``join``,
+  ``leave``, ``corrupt_histogram`` and ``restart_population``; runs that
+  hold no states (lifted adapter, pruning regime, ``delta_key`` override)
+  have no slot list.
 * **Rule** — the mode follows live keys across ``n / 2`` both ways, within
-  one advance window.
+  one advance window, and keeps the held states across each switch, so
+  runs that flap near ``n / 2`` still decode rarely.
 * **Boundary** — every evaluated transition still calls the protocol
   instance's ``delta_key``, with the two states as extra positional
   arguments, so a wrapper installed on the instance sees them all.
@@ -78,12 +77,11 @@ def _fingerprint(simulator, result):
 
 
 def _assert_bounded(backend):
-    """Both holders keep only states of live agents, each under its key."""
-    assert set(backend._owned) <= set(backend._counts)
+    """One slot state per agent, each held state under its slot's key."""
     states = backend._states
-    if states is None:
+    if backend._decode is None:
+        assert states is None
         return
-    assert not backend._owned
     assert len(states) == len(backend._agents) == backend.n
     keys = backend._keys
     state_key = backend.protocol.state_key
@@ -146,14 +144,23 @@ def test_owned_states_match_decoding_every_miss(name):
     _assert_bounded(backend)
 
 
+@pytest.mark.parametrize("name", ["approximate-stable-stable-detect", "search"])
+def test_flapping_runs_keep_their_held_states_across_switches(name):
+    # Both runs switch modes ~500 times; a switch that dropped the held
+    # states made them decode on most evaluations.
+    simulator, result = DIFFERENTIAL_RUNS[name](_count_decodes)
+    assert result.extra["telemetry"]["memo"]["switches"] > 100
+    assert 4 * simulator.backend.protocol.decodes < result.extra["transition_calls"]
+
+
 def test_owned_ids_stay_live_after_every_event():
     n = 32
-    holders = set()
+    modes = set()
 
     def check(sim, *keys):
         backend = sim.backend
         _assert_bounded(backend)
-        holders.add("slots" if backend._states is not None else "owned")
+        modes.add("recorded" if backend._recording else "unrecorded")
 
     simulator = Simulator(
         resolve_protocol("count-exact").build(n, {}),
@@ -164,7 +171,7 @@ def test_owned_ids_stay_live_after_every_event():
     )
     result = simulator.run(max_interactions=3_000)
     assert result.interactions == 3_000
-    assert holders == {"owned", "slots"}
+    assert modes == {"recorded", "unrecorded"}
 
 
 def test_population_changes_drop_owned_states_of_dead_ids():
@@ -174,7 +181,7 @@ def test_population_changes_drop_owned_states_of_dead_ids():
     )
     simulator.run(max_interactions=4_000)
     backend = simulator.backend
-    assert backend._states is not None and any(backend._states)
+    assert not backend._recording and any(backend._states)
     rng = random.Random(1)
     backend.leave(n - 12, rng)
     _assert_bounded(backend)
@@ -187,13 +194,21 @@ def test_population_changes_drop_owned_states_of_dead_ids():
     backend.advance_to(backend.interactions + 500)
     _assert_bounded(backend)
     backend.restart_population()
-    assert backend._owned == {}
-    assert backend._states in (None, [None] * backend.n)
+    assert backend._states == [None] * backend.n
     # The restarted population has one live key: the next evaluation leaves
-    # the mode, and the memo regime's owned states come back.
+    # the mode, and memo misses fill the slots again.
     backend.advance_to(backend.interactions + 200)
-    assert backend._states is None
-    assert backend._owned
+    assert backend._recording and any(backend._states)
+    _assert_bounded(backend)
+    # The same operations in the memo regime.
+    backend.join(4)
+    _assert_bounded(backend)
+    backend.leave(6, rng)
+    _assert_bounded(backend)
+    victim_key = next(iter(backend.state_key_counts()))
+    backend.corrupt_histogram(5, lambda key, rng: victim_key, rng)
+    _assert_bounded(backend)
+    backend.advance_to(backend.interactions + 200)
     _assert_bounded(backend)
 
 
@@ -214,7 +229,6 @@ def test_lifted_and_pruning_runs_keep_no_owned_states():
     assert pruning.backend._prunes
     for backend in (relaxed.backend, pruning.backend):
         assert backend._decode is None
-        assert backend._owned == {}
         assert backend._states is None
         assert backend.memo_stats()["unrecorded"] == backend.memo_stats()["switches"] == 0
 
@@ -266,12 +280,14 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
     n = 32
     modes = []
     live = []
+    held = []
 
     def record(sim, *keys):
         backend = sim.backend
         _assert_bounded(backend)
-        modes.append(backend._states is not None)
+        modes.append(not backend._recording)
         live.append(len(backend._counts))
+        held.append(list(backend._states))
 
     def build(protocol, hooks=()):
         simulator = Simulator(protocol, n, seed=seed, backend="batch", hooks=list(hooks))
@@ -284,6 +300,11 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
     assert len(flips) == backend.memo_stats()["switches"] == 2
     entered, left = flips
     assert 2 * live[entered - 1] > n and 2 * live[left - 1] <= n
+    # A switch moves no state: only the switching event's two slots change.
+    for flip in flips:
+        before, after = held[flip - 1], held[flip]
+        assert sum(state is not None for state in before) > n // 2
+        assert sum(old is not new for old, new in zip(before, after)) <= 2
     # The same run, decoding every transition, ends on the same streams.
     reference = build(_decode_every_transition(_SpreadThenMax()))
     assert reference.interactions == backend.interactions
@@ -296,7 +317,7 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
 def test_an_instance_level_delta_key_wrapper_sees_every_miss():
     # Benchmarks time the key-level transition by wrapping the instance's
     # delta_key before the backend binds it: every evaluation, from a memo
-    # miss or in one-agent-one-state mode, must still cross that wrapper.
+    # miss or in unrecorded mode, must still cross that wrapper.
     n = 32
     protocol = resolve_protocol("count-exact").build(n, {})
     original = protocol.delta_key

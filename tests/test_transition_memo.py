@@ -95,7 +95,7 @@ def test_memo_lookups_account_for_every_applied_event():
     memo = telemetry["memo"]
     applied = telemetry["skips"]["applied_events"]
     # Live keys pass n / 2 now and then at n = 64, and the events evaluated
-    # in one-agent-one-state mode are neither hits nor misses.
+    # in unrecorded mode are neither hits nor misses.
     assert memo["switches"] > 0
     assert memo["hits"] + memo["misses"] + memo["unrecorded"] == applied
     assert memo["interned_keys"] == result.distinct_states

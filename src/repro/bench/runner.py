@@ -10,8 +10,6 @@ same (protocol, n) under both backends are paired into *comparisons* whose
 
 from __future__ import annotations
 
-import json
-import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field
@@ -24,6 +22,7 @@ from ..obs.profile import aggregate_telemetry
 from ..primitives.epidemic import OneWayEpidemic
 from ..primitives.junta import JuntaProtocol
 from ..primitives.load_balancing import EMPTY, PowersOfTwoLoadBalancing
+from ..resume import write_report
 
 __all__ = [
     "BenchCase",
@@ -376,16 +375,3 @@ def check_smoke_budgets(
             }
         )
     return rows, ok
-
-
-def write_report(report: Dict[str, Any], path: str) -> None:
-    """Write the report as indented JSON, creating parent directories.
-
-    Reports land exactly at ``path`` (never the CWD), so CI matrix legs can
-    write to disjoint per-leg paths without clobbering each other.
-    """
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")

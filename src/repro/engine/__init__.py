@@ -7,67 +7,71 @@ transition function, and per-agent output functions.  Everything else in the
 library — the auxiliary protocols of Section 2, the counting protocols of
 Sections 3–4, the baselines and the experiment harness — is built on top of
 these primitives.
+
+The names below load on first use: importing the package imports none of
+its submodules, and reading a name imports only the submodule defining it
+(:mod:`repro.lazy`).
 """
 
-from .backends import (
-    AgentBackend,
-    Backend,
-    BatchBackend,
-    LiftedKeyTransitions,
-)
-from .samplers import WeightedSampler
-from .vectorized import FactorisedPairKernel
-from .convergence import (
-    ConvergenceTracker,
-    accuracy_fraction,
-    all_outputs_equal,
-    all_outputs_satisfy,
-    fraction_outputs_satisfy,
-    output_items,
-    outputs_in,
-    outputs_within_spread,
-    total_outputs,
-)
-from .errors import (
-    ConfigurationError,
-    ExperimentError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    UniformityError,
-)
-from .hooks import CallbackHook, FailureInjectionHook, Hook, TimelineEvent
-from .metrics import (
-    AggregateInteractionCounter,
-    InteractionCounter,
-    MetricsSnapshot,
-    StateSpaceTracker,
-)
-from .protocol import Protocol, generic_state_key
-from .recorder import OutputTraceRecorder, StateHistogramRecorder
-from .rng import derive_seed, make_rng, mix_seed, spawn_rngs, spawn_seeds
-from .scheduler import (
-    BiasedScheduler,
-    PartitionedScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SequenceScheduler,
-    UniformRandomScheduler,
-)
-from .simulator import (
-    SimulationResult,
-    Simulator,
-    default_interaction_budget,
-    json_value,
-    simulate,
-)
-from .stats import (
-    chi_square_gof,
-    chi_square_pvalue,
-    chi_square_statistic,
-    ks_pvalue,
-    ks_statistic,
-)
+from ..lazy import lazy_exports
+
+_EXPORTS = {
+    "backends": ("AgentBackend", "Backend", "BatchBackend", "LiftedKeyTransitions"),
+    "samplers": ("WeightedSampler",),
+    "vectorized": ("FactorisedPairKernel",),
+    "convergence": (
+        "ConvergenceTracker",
+        "accuracy_fraction",
+        "all_outputs_equal",
+        "all_outputs_satisfy",
+        "fraction_outputs_satisfy",
+        "output_items",
+        "outputs_in",
+        "outputs_within_spread",
+        "total_outputs",
+    ),
+    "errors": (
+        "ConfigurationError",
+        "ExperimentError",
+        "ProtocolError",
+        "ReproError",
+        "SimulationError",
+        "UniformityError",
+    ),
+    "hooks": ("CallbackHook", "FailureInjectionHook", "Hook", "TimelineEvent"),
+    "metrics": (
+        "AggregateInteractionCounter",
+        "InteractionCounter",
+        "MetricsSnapshot",
+        "StateSpaceTracker",
+    ),
+    "protocol": ("Protocol", "generic_state_key"),
+    "recorder": ("OutputTraceRecorder", "StateHistogramRecorder"),
+    "rng": ("derive_seed", "make_rng", "mix_seed", "spawn_rngs", "spawn_seeds"),
+    "scheduler": (
+        "BiasedScheduler",
+        "PartitionedScheduler",
+        "RoundRobinScheduler",
+        "Scheduler",
+        "SequenceScheduler",
+        "UniformRandomScheduler",
+    ),
+    "simulator": (
+        "SimulationResult",
+        "Simulator",
+        "default_interaction_budget",
+        "json_value",
+        "simulate",
+    ),
+    "stats": (
+        "chi_square_gof",
+        "chi_square_pvalue",
+        "chi_square_statistic",
+        "ks_pvalue",
+        "ks_statistic",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AgentBackend",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "StateSpaceTracker",
@@ -56,11 +56,6 @@ class StateSpaceTracker:
                 field_values.append(set())
             for values, value in zip(field_values, key):
                 values.add(value)
-
-    def observe_all(self, keys: Iterable[Hashable]) -> None:
-        """Record a batch of observed state keys."""
-        for key in keys:
-            self.observe(key)
 
     @property
     def distinct_states(self) -> int:

@@ -10,22 +10,31 @@ statistics and fits log-log scaling exponents across ``n``; and the artifact
 writers persist ``SWEEP_<name>.json`` + CSV with resume support.  The
 ``repro-sweep`` console script (:mod:`repro.experiments.cli`) exposes all of
 it, including builtin sweeps reproducing the paper's counting curves.
+
+The names below load on first use (:mod:`repro.lazy`): resolving a protocol
+through :mod:`~repro.experiments.registry` imports neither the runner (and
+its ``multiprocessing``) nor the artifact writers.
 """
 
-from .aggregate import cell_stats, fit_power_law, sample_stats, sweep_fits
-from .artifacts import (
-    build_document,
-    completed_cell_ids,
-    load_document,
-    merge_cells,
-    sweep_csv_path,
-    sweep_json_path,
-    write_sweep,
-)
-from .builtin import builtin_names, builtin_specs, resolve_builtin
-from .registry import PROTOCOLS, ProtocolEntry, protocol_names, resolve_protocol
-from .runner import SweepRunner, execute_cell
-from .spec import BudgetPolicy, SweepCell, SweepSpec
+from ..lazy import lazy_exports
+
+_EXPORTS = {
+    "aggregate": ("cell_stats", "fit_power_law", "sample_stats", "sweep_fits"),
+    "artifacts": (
+        "build_document",
+        "completed_cell_ids",
+        "load_document",
+        "merge_cells",
+        "sweep_csv_path",
+        "sweep_json_path",
+        "write_sweep",
+    ),
+    "builtin": ("builtin_names", "builtin_specs", "resolve_builtin"),
+    "registry": ("PROTOCOLS", "ProtocolEntry", "protocol_names", "resolve_protocol"),
+    "runner": ("SweepRunner", "execute_cell"),
+    "spec": ("BudgetPolicy", "SweepCell", "SweepSpec"),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BudgetPolicy",

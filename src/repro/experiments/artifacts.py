@@ -17,12 +17,12 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Set
 
-from ..bench.runner import write_report
 from ..engine.errors import ExperimentError
 from ..fingerprint import code_fingerprint, spec_sha256
 from ..obs.profile import profile_from_cells
 from ..resume import completed_cell_ids as _completed_cell_ids
 from ..resume import merge_cells as _merge_cells
+from ..resume import write_report
 from .aggregate import sweep_fits
 from .spec import SweepSpec
 

@@ -10,6 +10,10 @@ The convergence predicates may use ``n``: they are *measurement* apparatus
 (the paper's acceptance criteria, e.g. "every output is ``floor(log2 n)`` or
 ``ceil(log2 n)``"), not part of any transition function, so uniformity is
 untouched.
+
+Each builder imports its protocol's module when it runs, so resolving one
+protocol loads that protocol's stack only (``backup-exact`` never imports
+the composed counting protocols).
 """
 
 from __future__ import annotations
@@ -18,16 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..counting.approximate import ApproximateProtocol, log_estimate_targets
-from ..counting.backup import ApproximateBackupProtocol, ExactBackupProtocol
-from ..counting.count_exact import CountExactProtocol
-from ..counting.params import (
-    ApproximateParameters,
-    CountExactParameters,
-    recommended_clock_modulus,
-)
-from ..counting.stable_approximate import StableApproximateProtocol
-from ..counting.stable_count_exact import StableCountExactProtocol
 from ..engine.convergence import (
     OutputPredicate,
     all_outputs_equal,
@@ -37,9 +31,6 @@ from ..engine.convergence import (
 )
 from ..engine.errors import ConfigurationError
 from ..engine.protocol import Protocol
-from ..primitives.epidemic import OneWayEpidemic
-from ..primitives.junta import JuntaProtocol
-from ..primitives.load_balancing import ClassicalLoadBalancing
 
 __all__ = ["ProtocolEntry", "PROTOCOLS", "resolve_protocol", "protocol_names"]
 
@@ -48,15 +39,23 @@ def _clock_modulus(n: int, params: Dict[str, Any]) -> int:
     """Resolve the ``clock_modulus`` parameter (``"auto"`` = calibrated)."""
     modulus = params.get("clock_modulus", "auto")
     if modulus == "auto":
+        from ..counting.params import recommended_clock_modulus
+
         return recommended_clock_modulus(n)
     return int(modulus)
 
 
 def _build_approximate(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..counting.approximate import ApproximateProtocol
+    from ..counting.params import ApproximateParameters
+
     return ApproximateProtocol(ApproximateParameters(clock_modulus=_clock_modulus(n, params)))
 
 
 def _build_approximate_stable(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..counting.params import ApproximateParameters
+    from ..counting.stable_approximate import StableApproximateProtocol
+
     return StableApproximateProtocol(
         ApproximateParameters(clock_modulus=_clock_modulus(n, params)),
         relaxed_output=bool(params.get("relaxed_output", False)),
@@ -64,24 +63,36 @@ def _build_approximate_stable(n: int, params: Dict[str, Any]) -> Protocol:
 
 
 def _build_count_exact(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..counting.count_exact import CountExactProtocol
+    from ..counting.params import CountExactParameters
+
     return CountExactProtocol(CountExactParameters(clock_modulus=_clock_modulus(n, params)))
 
 
 def _build_count_exact_stable(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..counting.params import CountExactParameters
+    from ..counting.stable_count_exact import StableCountExactProtocol
+
     return StableCountExactProtocol(
         CountExactParameters(clock_modulus=_clock_modulus(n, params))
     )
 
 
 def _build_backup_approximate(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..counting.backup import ApproximateBackupProtocol
+
     return ApproximateBackupProtocol()
 
 
 def _build_backup_exact(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..counting.backup import ExactBackupProtocol
+
     return ExactBackupProtocol()
 
 
 def _build_epidemic(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..primitives.epidemic import OneWayEpidemic
+
     return OneWayEpidemic(
         source_count=int(params.get("source_count", 1)),
         source_value=int(params.get("source_value", 1)),
@@ -89,10 +100,14 @@ def _build_epidemic(n: int, params: Dict[str, Any]) -> Protocol:
 
 
 def _build_junta(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..primitives.junta import JuntaProtocol
+
     return JuntaProtocol()
 
 
 def _build_load_balancing(n: int, params: Dict[str, Any]) -> Protocol:
+    from ..primitives.load_balancing import ClassicalLoadBalancing
+
     # The input configuration is a single pile of ``tokens_per_agent * n``
     # tokens on one agent — the hardest instance of [10], and the one whose
     # recovery after churn the scenario subsystem measures.
@@ -103,6 +118,8 @@ def _build_load_balancing(n: int, params: Dict[str, Any]) -> Protocol:
 
 
 def _log_targets(n: int, params: Dict[str, Any]) -> OutputPredicate:
+    from ..counting.approximate import log_estimate_targets
+
     return outputs_in(log_estimate_targets(n))
 
 

@@ -11,18 +11,26 @@ Stdlib-only.  Three layers, one per module:
 * :mod:`repro.obs.profile` — aggregation of per-run telemetry into the
   per-phase breakdown behind the ``--profile`` flag and the
   ``PROFILE_<name>.json`` artifacts.
+
+The names below load on first use (:mod:`repro.lazy`): a run that only
+traces imports :mod:`~repro.obs.trace`, not the registry or the aggregator.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, parse_exposition
-from .profile import (
-    aggregate_telemetry,
-    merge_profiles,
-    profile_from_cells,
-    profile_json_path,
-    render_profile,
-    write_profile,
-)
-from .trace import RunTracer
+from ..lazy import lazy_exports
+
+_EXPORTS = {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "parse_exposition"),
+    "profile": (
+        "aggregate_telemetry",
+        "merge_profiles",
+        "profile_from_cells",
+        "profile_json_path",
+        "render_profile",
+        "write_profile",
+    ),
+    "trace": ("RunTracer",),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Counter",

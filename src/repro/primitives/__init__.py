@@ -7,53 +7,61 @@ processes.  Each module exposes both an in-place *component update* (used by
 the composed protocols in :mod:`repro.counting`) and a standalone
 :class:`~repro.engine.Protocol` so the primitive can be measured in isolation
 (experiments E4–E8).
+
+The names below load on first use (:mod:`repro.lazy`): a protocol imports
+only the primitives it is assembled from.
 """
 
-from .epidemic import EpidemicState, MaximumBroadcast, OneWayEpidemic, epidemic_update
-from .fast_leader_election import (
-    FastLeaderElectionAgent,
-    FastLeaderElectionProtocol,
-    FastLeaderElectionState,
-    fast_leader_election_update,
-)
-from .junta import (
-    JuntaProtocol,
-    JuntaState,
-    junta_summary,
-    junta_update,
-    junta_update_pair,
-)
-from .leader_election import (
-    LeaderElectionAgent,
-    LeaderElectionProtocol,
-    LeaderElectionState,
-    leader_election_update,
-)
-from .load_balancing import (
-    EMPTY,
-    ClassicalLoadBalancing,
-    ClassicalLoadState,
-    PowersOfTwoLoadBalancing,
-    PowersOfTwoState,
-    balance_powers_of_two,
-    discrepancy,
-    load_from_log,
-    split_evenly,
-    total_load_from_logs,
-)
-from .params import (
-    FastLeaderElectionParameters,
-    LeaderElectionParameters,
-    level_scaled,
-)
-from .phase_clock import (
-    DEFAULT_CLOCK_MODULUS,
-    JuntaPhaseClockProtocol,
-    JuntaPhaseClockState,
-    PhaseClockState,
-    phase_clock_update,
-)
-from .synthetic_coin import ParityCoinProtocol, ParityCoinState, flip, flip_bits
+from ..lazy import lazy_exports
+
+_EXPORTS = {
+    "epidemic": ("EpidemicState", "MaximumBroadcast", "OneWayEpidemic", "epidemic_update"),
+    "fast_leader_election": (
+        "FastLeaderElectionAgent",
+        "FastLeaderElectionProtocol",
+        "FastLeaderElectionState",
+        "fast_leader_election_update",
+    ),
+    "junta": (
+        "JuntaProtocol",
+        "JuntaState",
+        "junta_summary",
+        "junta_update",
+        "junta_update_pair",
+    ),
+    "leader_election": (
+        "LeaderElectionAgent",
+        "LeaderElectionProtocol",
+        "LeaderElectionState",
+        "leader_election_update",
+    ),
+    "load_balancing": (
+        "EMPTY",
+        "ClassicalLoadBalancing",
+        "ClassicalLoadState",
+        "PowersOfTwoLoadBalancing",
+        "PowersOfTwoState",
+        "balance_powers_of_two",
+        "discrepancy",
+        "load_from_log",
+        "split_evenly",
+        "total_load_from_logs",
+    ),
+    "params": (
+        "FastLeaderElectionParameters",
+        "LeaderElectionParameters",
+        "level_scaled",
+    ),
+    "phase_clock": (
+        "DEFAULT_CLOCK_MODULUS",
+        "JuntaPhaseClockProtocol",
+        "JuntaPhaseClockState",
+        "PhaseClockState",
+        "phase_clock_update",
+    ),
+    "synthetic_coin": ("ParityCoinProtocol", "ParityCoinState", "flip", "flip_bits"),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "EpidemicState",

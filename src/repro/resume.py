@@ -18,15 +18,20 @@ decisions made identically:
 The helpers are duck-typed over ``spec.cells()`` (any object whose cells
 expose ``cell_id`` and ``seeds``), which is how one implementation serves
 sweeps, scenarios, and the server's job kinds alike.
+
+:func:`write_report` writes the ``SWEEP_``, ``SCENARIO_``, ``FRONTIER_``
+and ``BENCH_`` documents.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Any, Dict, List, Optional, Set
 
 from .fingerprint import code_fingerprint
 
-__all__ = ["cell_is_complete", "completed_cell_ids", "merge_cells"]
+__all__ = ["cell_is_complete", "completed_cell_ids", "merge_cells", "write_report"]
 
 
 def cell_is_complete(record: Optional[Dict[str, Any]], expected_cell: Any) -> bool:
@@ -103,3 +108,16 @@ def merge_cells(
         if record is not None:
             merged.append(record)
     return merged
+
+
+def write_report(report: Dict[str, Any], path: str) -> None:
+    """Write the report as indented JSON, creating parent directories.
+
+    Reports land exactly at ``path`` (never the CWD), so CI matrix legs can
+    write to disjoint per-leg paths without clobbering each other.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=False)
+        handle.write("\n")

@@ -24,51 +24,58 @@ derived seeds for exact replay.
 ``repro-chaos`` is the console entry point (``repro-chaos search`` for
 frontier searches); ``SCENARIO_<name>.json`` / ``FRONTIER_<name>.json`` the
 artifacts.
+
+The names below load on first use (:mod:`repro.lazy`).
 """
 
-from .artifacts import (
-    build_document,
-    build_frontier_document,
-    completed_cell_ids,
-    frontier_json_path,
-    load_document,
-    load_frontier_document,
-    merge_cells,
-    scenario_json_path,
-    write_frontier,
-    write_scenario,
-)
-from .builtin import (
-    builtin_scenario_names,
-    builtin_scenarios,
-    builtin_search_names,
-    builtin_searches,
-    resolve_builtin_scenario,
-    resolve_builtin_search,
-)
-from .events import expand_events, resolve_fraction
-from .faults import FAULTS, FaultModel, fault_names, register_fault, resolve_fault
-from .metrics import (
-    INVARIANTS,
-    InvariantSpec,
-    invariant_names,
-    resolve_invariant,
-    scenario_cell_stats,
-    scenario_fits,
-)
-from .runner import InvariantTracker, ScenarioRunner, execute_scenario_cell
-from .search import (
-    DIMENSION_FIELDS,
-    GUARANTEE_KINDS,
-    SEARCH_STRATEGIES,
-    DimensionSpec,
-    FrontierRunner,
-    GuaranteeSpec,
-    SearchSpec,
-    probe_base_seed,
-    probe_scenario,
-)
-from .spec import EVENT_KINDS, EventSpec, ScenarioCell, ScenarioSpec
+from ..lazy import lazy_exports
+
+_EXPORTS = {
+    "artifacts": (
+        "build_document",
+        "build_frontier_document",
+        "completed_cell_ids",
+        "frontier_json_path",
+        "load_document",
+        "load_frontier_document",
+        "merge_cells",
+        "scenario_json_path",
+        "write_frontier",
+        "write_scenario",
+    ),
+    "builtin": (
+        "builtin_scenario_names",
+        "builtin_scenarios",
+        "builtin_search_names",
+        "builtin_searches",
+        "resolve_builtin_scenario",
+        "resolve_builtin_search",
+    ),
+    "events": ("expand_events", "resolve_fraction"),
+    "faults": ("FAULTS", "FaultModel", "fault_names", "register_fault", "resolve_fault"),
+    "metrics": (
+        "INVARIANTS",
+        "InvariantSpec",
+        "invariant_names",
+        "resolve_invariant",
+        "scenario_cell_stats",
+        "scenario_fits",
+    ),
+    "runner": ("InvariantTracker", "ScenarioRunner", "execute_scenario_cell"),
+    "search": (
+        "DIMENSION_FIELDS",
+        "GUARANTEE_KINDS",
+        "SEARCH_STRATEGIES",
+        "DimensionSpec",
+        "FrontierRunner",
+        "GuaranteeSpec",
+        "SearchSpec",
+        "probe_base_seed",
+        "probe_scenario",
+    ),
+    "spec": ("EVENT_KINDS", "EventSpec", "ScenarioCell", "ScenarioSpec"),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "build_document",

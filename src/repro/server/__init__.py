@@ -35,16 +35,19 @@ Layers (stdlib only — no new required dependencies):
 * :mod:`repro.server.worker` — the ``repro-worker`` console entry point
   (lease → execute → push loop) and :class:`~repro.server.worker.
   WorkerProcess`, the one way to start a worker subprocess.
+
+The names below load on first use (:mod:`repro.lazy`).
 """
 
-# NOTE: repro.server.worker is deliberately NOT imported here — the package
-# must stay importable without it so ``python -m repro.server.worker`` does
-# not trip runpy's already-in-sys.modules warning.  Import Worker from
-# :mod:`repro.server.worker` directly.
-from .cache import ResultCache, cache_key, stable_document
-from .client import ReproClient, ServerError
-from .jobs import JOB_KINDS, JobManager, JobNotReady, UnknownJob
-from .work import WorkQueue
+from ..lazy import lazy_exports
+
+_EXPORTS = {
+    "cache": ("ResultCache", "cache_key", "stable_document"),
+    "client": ("ReproClient", "ServerError"),
+    "jobs": ("JOB_KINDS", "JobManager", "JobNotReady", "UnknownJob"),
+    "work": ("WorkQueue",),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "JOB_KINDS",

@@ -6,8 +6,8 @@ for the paper's scaling claims: a declarative, JSON round-trippable
 sizes, protocol parameters, and seeds; :class:`~repro.experiments.runner.SweepRunner`
 fans the cells out across cores with spawn-safe ``multiprocessing`` workers;
 the aggregation layer reduces each cell to convergence/parallel-time/state
-statistics and fits log-log scaling exponents across ``n``; and the artifact
-writers persist ``SWEEP_<name>.json`` + CSV with resume support.  The
+statistics and fits log-log scaling exponents across ``n``; and the sweep
+is written as ``SWEEP_<name>.json`` (:mod:`repro.kinds`) plus a CSV table.  The
 ``repro-sweep`` console script (:mod:`repro.experiments.cli`) exposes all of
 it, including builtin sweeps reproducing the paper's counting curves.
 
@@ -20,16 +20,8 @@ from ..lazy import lazy_exports
 
 _EXPORTS = {
     "aggregate": ("cell_stats", "fit_power_law", "sample_stats", "sweep_fits"),
-    "artifacts": (
-        "build_document",
-        "completed_cell_ids",
-        "load_document",
-        "merge_cells",
-        "sweep_csv_path",
-        "sweep_json_path",
-        "write_sweep",
-    ),
-    "builtin": ("builtin_names", "builtin_specs", "resolve_builtin"),
+    "artifacts": ("build_document", "write_csv"),
+    "builtin": ("builtin_specs",),
     "registry": ("PROTOCOLS", "ProtocolEntry", "protocol_names", "resolve_protocol"),
     "runner": ("SweepRunner", "execute_cell"),
     "spec": ("BudgetPolicy", "SweepCell", "SweepSpec"),
@@ -44,20 +36,13 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "build_document",
-    "builtin_names",
     "builtin_specs",
     "cell_stats",
-    "completed_cell_ids",
     "execute_cell",
     "fit_power_law",
-    "load_document",
-    "merge_cells",
     "protocol_names",
-    "resolve_builtin",
     "resolve_protocol",
     "sample_stats",
-    "sweep_csv_path",
-    "sweep_json_path",
     "sweep_fits",
-    "write_sweep",
+    "write_csv",
 ]

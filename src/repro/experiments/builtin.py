@@ -21,12 +21,11 @@ Calibration notes
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from ..engine.errors import ConfigurationError
 from .spec import BudgetPolicy, SweepSpec
 
-__all__ = ["builtin_specs", "builtin_names", "resolve_builtin"]
+__all__ = ["builtin_specs"]
 
 
 def builtin_specs() -> Dict[str, SweepSpec]:
@@ -118,19 +117,3 @@ def builtin_specs() -> Dict[str, SweepSpec]:
     ]
     return {spec.name: spec for spec in specs}
 
-
-def builtin_names() -> List[str]:
-    """Names of the builtin sweeps, headline first."""
-    return list(builtin_specs())
-
-
-def resolve_builtin(name: str) -> SweepSpec:
-    """Look up a builtin spec by name."""
-    specs = builtin_specs()
-    try:
-        return specs[name]
-    except KeyError:
-        known = ", ".join(specs)
-        raise ConfigurationError(
-            f"unknown builtin sweep {name!r}; available: {known}"
-        ) from None

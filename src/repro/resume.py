@@ -17,10 +17,13 @@ decisions made identically:
 
 The helpers are duck-typed over ``spec.cells()`` (any object whose cells
 expose ``cell_id`` and ``seeds``), which is how one implementation serves
-sweeps, scenarios, and the server's job kinds alike.
+sweeps, scenarios, and the server's job kinds alike.  Both CLIs call them
+from one place, :func:`repro.spec_cli.run_grid`, after
+:meth:`repro.kinds.SpecKind.load_document` has read the previous artifact;
+no kind wraps them.
 
-:func:`write_report` writes the ``SWEEP_``, ``SCENARIO_``, ``FRONTIER_``
-and ``BENCH_`` documents.
+:func:`write_report` writes every kind's artifact (:data:`repro.kinds.KINDS`)
+and the ``BENCH_`` documents.
 """
 
 from __future__ import annotations

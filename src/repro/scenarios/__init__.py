@@ -31,26 +31,7 @@ The names below load on first use (:mod:`repro.lazy`).
 from ..lazy import lazy_exports
 
 _EXPORTS = {
-    "artifacts": (
-        "build_document",
-        "build_frontier_document",
-        "completed_cell_ids",
-        "frontier_json_path",
-        "load_document",
-        "load_frontier_document",
-        "merge_cells",
-        "scenario_json_path",
-        "write_frontier",
-        "write_scenario",
-    ),
-    "builtin": (
-        "builtin_scenario_names",
-        "builtin_scenarios",
-        "builtin_search_names",
-        "builtin_searches",
-        "resolve_builtin_scenario",
-        "resolve_builtin_search",
-    ),
+    "builtin": ("builtin_scenarios", "builtin_searches"),
     "events": ("expand_events", "resolve_fraction"),
     "faults": ("FAULTS", "FaultModel", "fault_names", "register_fault", "resolve_fault"),
     "metrics": (
@@ -78,22 +59,8 @@ _EXPORTS = {
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
-    "build_document",
-    "build_frontier_document",
-    "completed_cell_ids",
-    "frontier_json_path",
-    "load_document",
-    "load_frontier_document",
-    "merge_cells",
-    "scenario_json_path",
-    "write_frontier",
-    "write_scenario",
-    "builtin_scenario_names",
     "builtin_scenarios",
-    "builtin_search_names",
     "builtin_searches",
-    "resolve_builtin_scenario",
-    "resolve_builtin_search",
     "expand_events",
     "resolve_fraction",
     "FAULTS",

@@ -67,21 +67,13 @@ Ready-to-run :class:`~repro.scenarios.search.SearchSpec` instances for
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from ..engine.errors import ConfigurationError
 from ..experiments.spec import BudgetPolicy
 from .search import DimensionSpec, GuaranteeSpec, SearchSpec
 from .spec import EventSpec, ScenarioSpec
 
-__all__ = [
-    "builtin_scenarios",
-    "builtin_scenario_names",
-    "resolve_builtin_scenario",
-    "builtin_searches",
-    "builtin_search_names",
-    "resolve_builtin_search",
-]
+__all__ = ["builtin_scenarios", "builtin_searches"]
 
 
 def builtin_scenarios() -> Dict[str, ScenarioSpec]:
@@ -265,23 +257,6 @@ def builtin_scenarios() -> Dict[str, ScenarioSpec]:
     return {spec.name: spec for spec in specs}
 
 
-def builtin_scenario_names() -> List[str]:
-    """Names of the builtin scenarios, headline first."""
-    return list(builtin_scenarios())
-
-
-def resolve_builtin_scenario(name: str) -> ScenarioSpec:
-    """Look up a builtin scenario by name."""
-    specs = builtin_scenarios()
-    try:
-        return specs[name]
-    except KeyError:
-        known = ", ".join(specs)
-        raise ConfigurationError(
-            f"unknown builtin scenario {name!r}; available: {known}"
-        ) from None
-
-
 # --------------------------------------------------------------------------
 # Built-in adversarial searches (repro-chaos search)
 # --------------------------------------------------------------------------
@@ -406,19 +381,3 @@ def builtin_searches() -> Dict[str, SearchSpec]:
     ]
     return {spec.name: spec for spec in specs}
 
-
-def builtin_search_names() -> List[str]:
-    """Names of the builtin searches, headline first."""
-    return list(builtin_searches())
-
-
-def resolve_builtin_search(name: str) -> SearchSpec:
-    """Look up a builtin search by name."""
-    specs = builtin_searches()
-    try:
-        return specs[name]
-    except KeyError:
-        known = ", ".join(specs)
-        raise ConfigurationError(
-            f"unknown builtin search {name!r}; available: {known}"
-        ) from None

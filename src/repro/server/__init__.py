@@ -26,6 +26,8 @@ Layers (stdlib only — no new required dependencies):
   running batch exposes to workers.
 * :mod:`repro.server.jobs` — :class:`JobManager`: FIFO queue, the
   cache-then-lease step every cell takes, cancellation, per-cell progress.
+  What a job kind's spec, cells, runner and document are comes from
+  :data:`repro.kinds.KINDS`, imported on first use.
 * :mod:`repro.server.app` — the ``http.server`` JSON API, including the
   ``/work`` pull-protocol routes.
 * :mod:`repro.server.client` — :class:`ReproClient`, a thin stdlib HTTP
@@ -33,7 +35,8 @@ Layers (stdlib only — no new required dependencies):
 * :mod:`repro.server.cli` — the ``repro-serve`` console entry point, which
   spawns and supervises its local workers.
 * :mod:`repro.server.worker` — the ``repro-worker`` console entry point
-  (lease → execute → push loop) and :class:`~repro.server.worker.
+  (lease → execute → push loop; a kind's executor is imported on its first
+  lease, :func:`repro.kinds.executor`) and :class:`~repro.server.worker.
   WorkerProcess`, the one way to start a worker subprocess.
 
 The names below load on first use (:mod:`repro.lazy`).
@@ -44,13 +47,12 @@ from ..lazy import lazy_exports
 _EXPORTS = {
     "cache": ("ResultCache", "cache_key", "stable_document"),
     "client": ("ReproClient", "ServerError"),
-    "jobs": ("JOB_KINDS", "JobManager", "JobNotReady", "UnknownJob"),
+    "jobs": ("JobManager", "JobNotReady", "UnknownJob"),
     "work": ("WorkQueue",),
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
-    "JOB_KINDS",
     "JobManager",
     "JobNotReady",
     "ReproClient",

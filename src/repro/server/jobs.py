@@ -20,6 +20,8 @@ Scheduling model:
   requeued (at-least-once, first result wins, replays dedup'd by the
   content-addressed cache key), and a cell that runs past its deadline is
   given up as failed.
+* What each kind's cells are, how they run and what document they make
+  comes from :data:`~repro.kinds.KINDS`, imported on first use.
 * Search probes are ordinary cells: :class:`~repro.scenarios.search.
   FrontierRunner` hands each probe payload to the same step, so a
   resubmitted search replays its probe history from the cache and remote
@@ -41,36 +43,18 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..engine.errors import ConfigurationError, ExperimentError
-from ..experiments.artifacts import build_document as _build_sweep_document
-from ..experiments.runner import cell_payload, execute_cell
-from ..experiments.spec import SweepSpec
 from ..fingerprint import code_fingerprint
+from ..kinds import KINDS, build_document, build_frontier_document
 from ..obs.metrics import MetricsRegistry
-from ..scenarios.artifacts import build_document as _build_scenario_document
-from ..scenarios.artifacts import build_frontier_document
-from ..scenarios.runner import execute_scenario_cell, scenario_cell_payload
-from ..scenarios.search import FrontierRunner, SearchSpec
-from ..scenarios.spec import ScenarioSpec
 from .cache import ResultCache, cache_key
 from .work import WorkItem, WorkQueue
 
 __all__ = [
-    "EXECUTOR_KINDS",
-    "JOB_KINDS",
     "JOB_STATES",
-    "JobKind",
     "JobManager",
     "JobNotReady",
     "UnknownJob",
 ]
-
-#: The worker entry point behind each lease ``kind`` — the vocabulary the
-#: pull protocol and ``repro-worker`` share (search probes are scenario
-#: cells, so two entries cover all three job kinds).
-EXECUTOR_KINDS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    "sweep": execute_cell,
-    "scenario": execute_scenario_cell,
-}
 
 Progress = Optional[Callable[[str], None]]
 
@@ -91,59 +75,6 @@ class JobNotReady(Exception):
         self.state = state
 
 
-@dataclass(frozen=True)
-class JobKind:
-    """How one spec kind plugs into the job machinery.
-
-    Grid kinds (sweep, scenario) declare the cell payload builder and the
-    document builder (their cells run under the :data:`EXECUTOR_KINDS`
-    entry of the same name); the search kind drives
-    :class:`~repro.scenarios.search.FrontierRunner` instead and leaves the
-    grid fields ``None``.
-    """
-
-    kind: str
-    artifact: str
-    load_spec: Callable[[Dict[str, Any]], Any]
-    payloads: Optional[Callable[[Any, List[Any]], List[Dict[str, Any]]]] = None
-    build_document: Optional[Callable[[Any, List[Dict[str, Any]], int], Dict[str, Any]]] = None
-
-
-def _sweep_payloads(spec: SweepSpec, cells: List[Any]) -> List[Dict[str, Any]]:
-    return [cell_payload(spec, cell) for cell in cells]
-
-
-def _scenario_payloads(spec: ScenarioSpec, cells: List[Any]) -> List[Dict[str, Any]]:
-    spec_dict = spec.to_dict()
-    return [scenario_cell_payload(spec_dict, cell) for cell in cells]
-
-
-JOB_KINDS: Dict[str, JobKind] = {
-    kind.kind: kind
-    for kind in (
-        JobKind(
-            kind="sweep",
-            artifact="sweep",
-            load_spec=SweepSpec.from_dict,
-            payloads=_sweep_payloads,
-            build_document=_build_sweep_document,
-        ),
-        JobKind(
-            kind="scenario",
-            artifact="scenario",
-            load_spec=ScenarioSpec.from_dict,
-            payloads=_scenario_payloads,
-            build_document=_build_scenario_document,
-        ),
-        JobKind(
-            kind="search",
-            artifact="frontier",
-            load_spec=SearchSpec.from_dict,
-        ),
-    )
-}
-
-
 class Job:
     """One submitted spec and its lifecycle bookkeeping (manager-internal)."""
 
@@ -162,7 +93,7 @@ class Job:
         self.cached = 0
         self.executed = 0
         self.remote = 0
-        self.runner: Optional[FrontierRunner] = None
+        self.runner: Any = None  # a search's FrontierRunner
         #: Append-only lifecycle event log for ``GET /jobs/<id>/events``:
         #: each entry is ``{"seq": i, "event": kind, "data": {...}}`` with
         #: ``seq == index``, so SSE replay and ``Last-Event-ID`` resume are
@@ -170,12 +101,12 @@ class Job:
         #: lock), which is also how streaming readers block for news.
         self.events: List[Dict[str, Any]] = []
         self.events_cond = threading.Condition()
-        if kind == "search":
-            self.cells: Dict[str, str] = {}
-            self.total_cells: Optional[int] = None
+        if KINDS[kind].grid:
+            self.cells: Dict[str, str] = {cell.cell_id: "pending" for cell in spec.cells()}
+            self.total_cells: Optional[int] = len(self.cells)
         else:
-            self.cells = {cell.cell_id: "pending" for cell in spec.cells()}
-            self.total_cells = len(self.cells)
+            self.cells = {}
+            self.total_cells = None
 
 
 @dataclass
@@ -651,14 +582,14 @@ class JobManager:
         unknown kind or an invalid spec — the HTTP layer maps that to a
         400 with the validation message.
         """
-        job_kind = JOB_KINDS.get(kind)
+        job_kind = KINDS.get(kind)
         if job_kind is None:
             raise ConfigurationError(
-                f"unknown job kind {kind!r}; expected one of {tuple(JOB_KINDS)}"
+                f"unknown job kind {kind!r}; expected one of {tuple(KINDS)}"
             )
         if not isinstance(spec_dict, dict):
             raise ConfigurationError("the job spec must be a JSON object")
-        spec = job_kind.load_spec(spec_dict)
+        spec = job_kind.spec_class().from_dict(spec_dict)
         with self._lock:
             self._seq += 1
             name = _ID_SANITISER.sub("-", str(spec.name)) or "unnamed"
@@ -783,10 +714,10 @@ class JobManager:
             self._emit(job, "job", {"state": "running"})
             self._report(f"job {job.id}: running")
             try:
-                if job.kind == "search":
-                    self._run_search_job(job)
-                else:
+                if KINDS[job.kind].grid:
                     self._run_grid_job(job)
+                else:
+                    self._run_search_job(job)
             except Exception:  # noqa: BLE001 - job must fail, not the server
                 self._finish(job, "failed", traceback.format_exc())
                 self._report(f"job {job.id}: FAILED (internal error)")
@@ -830,12 +761,12 @@ class JobManager:
         )
 
     def _run_grid_job(self, job: Job) -> None:
-        kind = JOB_KINDS[job.kind]
         spec = job.spec
+        runner = KINDS[job.kind].runner_class()(spec)
         records = self._run_batch(
             job,
-            job.kind,  # grid kinds ("sweep"/"scenario") name their entry point
-            kind.payloads(spec, spec.cells()),
+            job.kind,  # grid kinds ("sweep"/"scenario") name their executor
+            runner.payloads(spec.cells()),
             spec.cell_timeout_s,
         )
         if job.cancel.is_set():
@@ -852,7 +783,7 @@ class JobManager:
                 f"job {job.id}: {job.cached} of {len(records)} cells "
                 f"served from cache"
             )
-        document = kind.build_document(spec, records, self.attached_workers())
+        document = build_document(spec, records, self.attached_workers())
         with self._lock:
             job.document = document
         self._finish(job, "done")
@@ -871,7 +802,7 @@ class JobManager:
                 raise ExperimentError(f"search {spec.name!r} aborted")
             return record
 
-        runner = FrontierRunner(
+        runner = KINDS[job.kind].runner_class()(
             spec,
             progress=self.progress,
             run_cell=run_probe_cell,

@@ -57,7 +57,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from ..experiments.builtin import resolve_builtin
+from ..kinds import KINDS
 from ..obs.metrics import counter_value, parse_exposition
 from .cache import stable_document
 from .client import ReproClient
@@ -210,7 +210,7 @@ def _compare_and_write(
 
 
 def _single_host_flow(args: argparse.Namespace) -> int:
-    spec = resolve_builtin(args.sweep)
+    spec = KINDS["sweep"].resolve_builtin(args.sweep)
     spec_dict = spec.to_dict()
     grid = len(spec.cells())
     server_args: List[str] = []
@@ -361,7 +361,7 @@ def _single_host_flow(args: argparse.Namespace) -> int:
 
 
 def _distributed_flow(args: argparse.Namespace) -> int:
-    spec = resolve_builtin(args.sweep)
+    spec = KINDS["sweep"].resolve_builtin(args.sweep)
     spec_dict = spec.to_dict()
     grid = len(spec.cells())
     process = None
@@ -514,7 +514,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--compare",
         default=None,
-        help="CLI-written SWEEP_*.json to compare the served artifact against",
+        help=(
+            f"CLI-written {KINDS['sweep'].prefix}*.json to compare the served "
+            "artifact against"
+        ),
     )
     parser.add_argument(
         "--output",

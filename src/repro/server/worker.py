@@ -7,9 +7,10 @@ The other half of the pull protocol (see :mod:`repro.server.app` and
    currently running batch (the canonical worker payload — the same JSON
    ``repro-sweep``'s pool pickles),
 2. executes it with the same entry point that pool uses
-   (:data:`~repro.server.jobs.EXECUTOR_KINDS`: ``execute_cell`` for sweep
-   cells, ``execute_scenario_cell`` for scenario cells and search probes),
-   heartbeating the lease from a side thread the whole time,
+   (:func:`repro.kinds.executor`: the ``executor`` of the lease kind's
+   runner, ``execute_cell`` for sweep cells and ``execute_scenario_cell``
+   for scenario cells and search probes, imported on the first lease of
+   that kind), heartbeating the lease from a side thread the whole time,
 3. pushes the record back via ``POST /work/<lease>/result`` and loops.
 
 Every cell the server executes goes through a worker like this one:
@@ -46,8 +47,8 @@ import traceback
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..fingerprint import PACKAGE_VERSION, code_fingerprint
+from ..kinds import KINDS, executor
 from .client import ReproClient, ServerError
-from .jobs import EXECUTOR_KINDS
 from .work import failure_record
 
 __all__ = ["Worker", "WorkerProcess", "execute_lease", "main"]
@@ -81,22 +82,23 @@ def default_worker_id() -> str:
 
 
 def execute_lease(lease: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one leased cell with its :data:`EXECUTOR_KINDS` entry point.
+    """Run one leased cell with its kind's executor (:func:`repro.kinds.executor`).
 
     Never raises: an unknown ``kind`` or a crashing executor comes back as
     a failed record (the server wants *an answer* for the lease; silence
     just burns a TTL).
     """
     payload = lease.get("payload") or {}
-    executor = EXECUTOR_KINDS.get(lease.get("kind"))
-    if executor is None:
-        return failure_record(
-            payload,
-            f"worker does not understand lease kind {lease.get('kind')!r} "
-            f"(knows {tuple(EXECUTOR_KINDS)})",
-        )
     try:
-        return executor(payload)
+        execute = executor(lease.get("kind"))
+        if execute is None:
+            known = tuple(name for name, kind in KINDS.items() if kind.grid)
+            return failure_record(
+                payload,
+                f"worker does not understand lease kind {lease.get('kind')!r} "
+                f"(knows {known})",
+            )
+        return execute(payload)
     except Exception:  # noqa: BLE001 - the record carries the traceback
         return failure_record(payload, traceback.format_exc())
 

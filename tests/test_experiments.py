@@ -12,20 +12,20 @@ from repro.experiments import (
     SweepRunner,
     SweepSpec,
     build_document,
-    builtin_names,
     builtin_specs,
-    completed_cell_ids,
     execute_cell,
     fit_power_law,
-    load_document,
-    merge_cells,
-    resolve_builtin,
     resolve_protocol,
     sample_stats,
-    sweep_json_path,
-    write_sweep,
+    write_csv,
 )
 from repro.experiments.cli import main as sweep_main
+from repro.kinds import KINDS
+from repro.resume import completed_cell_ids, merge_cells, write_report
+from repro.scenarios.cli import main as chaos_main
+from repro.scenarios.cli import search_main
+
+SWEEP = KINDS["sweep"]
 
 
 def _tiny_spec(**overrides):
@@ -157,10 +157,13 @@ def test_artifact_write_load_resume_cycle(tmp_path):
     spec = _tiny_spec()
     records = SweepRunner(spec, workers=1).run()
     document = build_document(spec, records, workers=1)
-    paths = write_sweep(document, str(tmp_path), spec)
-    assert os.path.exists(paths["json"]) and os.path.exists(paths["csv"])
+    json_path = SWEEP.path(str(tmp_path), spec.name)
+    csv_path = SWEEP.path(str(tmp_path), spec.name, ".csv")
+    write_report(document, json_path)
+    write_csv(document, csv_path)
+    assert os.path.exists(json_path) and os.path.exists(csv_path)
 
-    loaded = load_document(paths["json"])
+    loaded = SWEEP.load_document(json_path)
     assert loaded["name"] == spec.name
     assert completed_cell_ids(loaded, spec) == {cell.cell_id for cell in spec.cells()}
 
@@ -221,12 +224,25 @@ def test_documents_from_other_code_versions_are_stale():
     assert completed_cell_ids(unstamped, spec)
 
 
-def test_load_document_rejects_foreign_json(tmp_path):
-    path = tmp_path / "SWEEP_bogus.json"
-    path.write_text('{"hello": 1}')
-    with pytest.raises(ExperimentError):
-        load_document(str(path))
-    assert load_document(str(tmp_path / "missing.json")) is None
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_load_document_rejects_foreign_json(tmp_path, kind):
+    entry = KINDS[kind]
+    foreign = tmp_path / entry.path("", "bogus")
+    foreign.write_text('{"hello": 1}')
+    with pytest.raises(ExperimentError, match=f"not a {entry.artifact} artifact"):
+        entry.load_document(str(foreign))
+    # An artifact of every other kind is refused too.
+    for other in KINDS.values():
+        if other is not entry:
+            path = tmp_path / other.path("", "other")
+            path.write_text(json.dumps({"artifact": other.artifact}))
+            with pytest.raises(ExperimentError, match=f"not a {entry.artifact} artifact"):
+                entry.load_document(str(path))
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    with pytest.raises(ExperimentError, match=f"cannot read {entry.artifact} artifact"):
+        entry.load_document(str(broken))
+    assert entry.load_document(str(tmp_path / "missing.json")) is None
 
 
 def test_sweep_fits_appear_in_document():
@@ -253,15 +269,32 @@ def test_cli_smoke_and_resume(tmp_path, capsys):
     assert "0 run now, 2 resumed" in out
 
 
-def test_cli_list_and_dump(capsys):
-    assert sweep_main(["--list"]) == 0
+CLI_MAINS = {"sweep": sweep_main, "scenario": chaos_main, "search": search_main}
+
+
+@pytest.mark.parametrize("kind", list(CLI_MAINS))
+def test_cli_contract(kind, tmp_path, capsys):
+    main, entry = CLI_MAINS[kind], KINDS[kind]
+    assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for name in builtin_names():
-        assert name in out
-    assert sweep_main(["--dump-spec", "counting-curve"]) == 0
-    dumped = json.loads(capsys.readouterr().out)
-    assert SweepSpec.from_dict(dumped).name == "counting-curve"
-    assert sweep_main(["--dump-spec", "nope"]) == 2
+    assert all(name in out for name in entry.builtin_specs())
+
+    assert main(["--dump-spec", entry.smoke]) == 0
+    dumped = capsys.readouterr().out
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumped)
+    run = ["--spec", str(spec_path), "--workers", "1", "--quiet", "--output-dir", str(tmp_path)]
+    assert main(run) == 0
+    capsys.readouterr()
+    document = entry.load_document(entry.path(str(tmp_path), entry.smoke))
+    assert document["spec"] == json.loads(dumped)
+    assert entry.spec_class().from_json(dumped).to_dict() == (
+        entry.resolve_builtin(entry.smoke).to_dict()
+    )
+
+    assert main(["--dump-spec", "nope"]) == 2
+    assert "unknown builtin" in capsys.readouterr().err
+    assert main(["--spec", str(tmp_path / "missing.json")]) == 2
 
 
 def test_cli_custom_spec_file(tmp_path):
@@ -271,7 +304,7 @@ def test_cli_custom_spec_file(tmp_path):
     assert sweep_main(
         ["--spec", str(spec_path), "--workers", "1", "--output-dir", str(tmp_path), "--quiet"]
     ) == 0
-    document = load_document(str(tmp_path / "SWEEP_custom.json"))
+    document = SWEEP.load_document(SWEEP.path(str(tmp_path), "custom"))
     assert len(document["cells"]) == len(spec.cells())
     assert not document["failed_cells"]
 
@@ -286,26 +319,26 @@ def test_builtin_specs_are_valid_and_cover_counting():
     assert resolve_protocol(headline.protocol).counting
     for spec in specs.values():
         assert spec.cells()  # expands without error
-    with pytest.raises(ConfigurationError):
-        resolve_builtin("definitely-not-a-builtin")
+    with pytest.raises(ConfigurationError, match="unknown builtin sweep"):
+        SWEEP.resolve_builtin("definitely-not-a-builtin")
 
 
 def test_every_committed_artifact_spec_loads_through_from_dict():
-    # Committed artifacts embed the spec that produced them; each must load
-    # through its layer's from_dict (specs of earlier releases record the
-    # removed sampler/accel knobs at "auto", which still load).
+    # Every committed artifact loads through its kind's loader, embeds a
+    # spec that loads through the kind's from_dict (specs of earlier
+    # releases record the removed sampler/accel knobs at "auto", which
+    # still load), and is named after a builtin of its own kind.
     from pathlib import Path
 
-    from repro.scenarios import ScenarioSpec, SearchSpec
-
-    layers = {"SWEEP_": SweepSpec, "SCENARIO_": ScenarioSpec, "FRONTIER_": SearchSpec}
     root = Path(__file__).resolve().parent.parent
-    loaded = []
-    for prefix, layer in layers.items():
-        for path in sorted(root.glob(f"{prefix}*.json")):
-            spec = layer.from_dict(json.loads(path.read_text())["spec"])
-            document = spec.to_dict()
-            fields = set(document) | set(document.get("scenario", {}))
+    loaded = set()
+    for kind in KINDS.values():
+        builtins = kind.builtin_specs()
+        for path in sorted(root.glob(f"{kind.prefix}*.json")):
+            document = kind.load_document(str(path))
+            spec = kind.spec_class().from_dict(document["spec"])
+            fields = set(spec.to_dict()) | set(spec.to_dict().get("scenario", {}))
             assert not {"sampler", "accel"} & fields, path.name
-            loaded.append(path.name)
-    assert {name.split("_")[0] for name in loaded} == {"SWEEP", "SCENARIO", "FRONTIER"}
+            assert document["name"] == spec.name in builtins, path.name
+            loaded.add(kind.kind)
+    assert loaded == set(KINDS)

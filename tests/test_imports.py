@@ -5,8 +5,9 @@ names load on first use through one ``_EXPORTS`` table each
 (:mod:`repro.lazy`).  A fresh interpreter on the benchmark's setup path
 (the two imports, ``resolve_protocol``, ``build``, ``convergence`` and one
 simulated interaction) must leave the harnesses, the service, the sweep
-runner and ``multiprocessing`` unloaded; the in-process checks guard each
-table against typos.
+runner and ``multiprocessing`` unloaded, and a ``repro-worker`` that has
+leased nothing must have imported no kind's code; the in-process checks
+guard each table against typos.
 """
 
 import importlib
@@ -74,6 +75,18 @@ def test_run_path_imports_only_what_it_executes(protocol, absent):
         " convergence=entry.convergence(32, {}), max_interactions=1)\n"
         f"loaded = [name for name in {absent!r} if name in sys.modules]\n"
         "assert not loaded, f'the run path imported {loaded}'\n"
+    )
+
+
+def test_worker_boot_imports_no_kind_code():
+    # The worker resolves a kind's executor (repro.kinds) on its first
+    # lease of that kind, so booting it loads no simulator.
+    run_fresh(
+        "import sys\n"
+        "import repro.server.worker\n"
+        "loaded = [name for name in sys.modules if name.startswith("
+        "('repro.scenarios', 'repro.counting', 'repro.experiments.runner'))]\n"
+        "assert not loaded, f'the worker imported {loaded}'\n"
     )
 
 

@@ -29,20 +29,18 @@ from repro.engine import (
     simulate,
 )
 from repro.engine.metrics import InteractionCounter
-from repro.experiments.builtin import resolve_builtin
 from repro.experiments.plot import ascii_loglog, render_sweep_plot, sweep_plot_points
 from repro.experiments.registry import resolve_protocol
 from repro.experiments.runner import SweepRunner, execute_cell
 from repro.experiments.spec import BudgetPolicy, SweepSpec
 from repro.primitives.epidemic import OneWayEpidemic
+from repro.kinds import KINDS, build_document
 from repro.primitives.load_balancing import ClassicalLoadBalancing
+from repro.resume import completed_cell_ids, merge_cells
 from repro.scenarios import (
     EventSpec,
-    completed_cell_ids,
-    merge_cells,
     ScenarioRunner,
     ScenarioSpec,
-    build_document,
     builtin_scenarios,
     execute_scenario_cell,
     expand_events,
@@ -598,7 +596,7 @@ def test_sweep_spec_rejects_bad_timeout():
 
 
 def test_accuracy_grid_builtin_exercises_param_grid():
-    spec = resolve_builtin("accuracy-grid")
+    spec = KINDS["sweep"].resolve_builtin("accuracy-grid")
     assert spec.param_grid
     cells = spec.cells()
     assert len(cells) == len(spec.ns) * len(spec.param_grid["clock_modulus"])

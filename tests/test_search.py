@@ -22,17 +22,15 @@ from repro.scenarios import (
     GuaranteeSpec,
     ScenarioSpec,
     SearchSpec,
-    build_frontier_document,
-    builtin_search_names,
     builtin_searches,
-    frontier_json_path,
-    load_frontier_document,
     probe_base_seed,
     probe_scenario,
-    resolve_builtin_search,
-    write_frontier,
 )
+from repro.kinds import KINDS, build_frontier_document
+from repro.resume import write_report
 from repro.scenarios.cli import search_main
+
+SEARCH = KINDS["search"]
 
 
 # --------------------------------------------------------------------------
@@ -410,9 +408,10 @@ def test_frontier_artifact_round_trip(tmp_path):
     )
     result = runner.run()
     document = build_frontier_document(spec, result, runner.history, workers=1)
-    paths = write_frontier(document, str(tmp_path), spec)
-    assert paths["json"] == frontier_json_path(str(tmp_path), spec)
-    loaded = load_frontier_document(paths["json"])
+    path = SEARCH.path(str(tmp_path), spec.name)
+    assert path == os.path.join(str(tmp_path), f"FRONTIER_{spec.name}.json")
+    write_report(document, path)
+    loaded = SEARCH.load_document(path)
     assert loaded["artifact"] == "frontier"
     assert loaded["status"] == "bracketed"
     assert SearchSpec.from_dict(loaded["spec"]).to_dict() == spec.to_dict()
@@ -423,32 +422,23 @@ def test_frontier_artifact_round_trip(tmp_path):
     other = tmp_path / "SCENARIO_x.json"
     other.write_text(json.dumps({"artifact": "scenario"}))
     with pytest.raises(ExperimentError, match="not a frontier artifact"):
-        load_frontier_document(str(other))
-    assert load_frontier_document(str(tmp_path / "missing.json")) is None
+        SEARCH.load_document(str(other))
+    assert SEARCH.load_document(str(tmp_path / "missing.json")) is None
 
 
 def test_builtin_searches_construct_and_resolve():
     specs = builtin_searches()
-    assert builtin_search_names()[0] == "epidemic-churn"
+    assert list(specs)[0] == SEARCH.headline == "epidemic-churn"
     assert {"epidemic-churn", "backup-recount", "search-smoke"} <= set(specs)
     for spec in specs.values():
         assert len(spec.scenario.cells()) == 1
         SearchSpec.from_json(spec.to_json())  # JSON round-trip constructs
     with pytest.raises(ConfigurationError, match="unknown builtin search"):
-        resolve_builtin_search("nope")
-
-
-def test_cli_search_list_and_dump(capsys):
-    assert search_main(["--list"]) == 0
-    assert "epidemic-churn" in capsys.readouterr().out
-    assert search_main(["--dump-spec", "search-smoke"]) == 0
-    dumped = capsys.readouterr().out
-    assert SearchSpec.from_json(dumped).name == "search-smoke"
-    assert search_main(["--dump-spec", "nope"]) == 2
+        SEARCH.resolve_builtin("nope")
 
 
 def test_cli_search_runs_a_spec_file(tmp_path, capsys):
-    spec = resolve_builtin_search("search-smoke")
+    spec = SEARCH.resolve_builtin("search-smoke")
     spec_path = tmp_path / "search.json"
     spec_path.write_text(spec.to_json())
     code = search_main(
@@ -457,8 +447,6 @@ def test_cli_search_runs_a_spec_file(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "FRONTIER_search-smoke.json" in out
-    document = load_frontier_document(
-        os.path.join(str(tmp_path), "FRONTIER_search-smoke.json")
-    )
+    document = SEARCH.load_document(SEARCH.path(str(tmp_path), "search-smoke"))
     assert document["status"] in ("bracketed", "no-frontier", "budget-exhausted")
     assert document["history"]

@@ -4,8 +4,8 @@ Every test runs the server's one execution path: a real
 :class:`ReproServer` on an ephemeral port with one in-thread
 :class:`~repro.server.worker.Worker` leasing its cells (the ``serve``
 fixture of ``conftest.py``).  The worker runs in this process, so
-instrumented executors are injected by patching
-:data:`~repro.server.jobs.EXECUTOR_KINDS`.  The HTTP tests drive the same
+instrumented executors are injected by patching the ``executor`` of the
+kind's runner (:func:`use_executor`).  The HTTP tests drive the same
 setup through :class:`ReproClient`.
 """
 
@@ -39,7 +39,7 @@ from repro.server import (
 )
 from repro.server.cache import VOLATILE_KEYS
 from repro.server.client import parse_sse
-from repro.server.jobs import EXECUTOR_KINDS
+from repro.kinds import KINDS
 
 
 # --------------------------------------------------------------------------
@@ -94,6 +94,11 @@ def tiny_search(**overrides):
     )
     defaults.update(overrides)
     return SearchSpec(**defaults)
+
+
+def use_executor(monkeypatch, kind, execute):
+    """Run ``kind``'s cells with ``execute`` (the worker reads its runner's)."""
+    monkeypatch.setattr(KINDS[kind].runner_class(), "executor", staticmethod(execute))
 
 
 def oracle_search_executor(breaks_above=0.5):
@@ -298,9 +303,7 @@ def test_scenario_job_lifecycle(manager):
 
 
 def test_search_job_reuses_probe_cache_across_jobs(manager, monkeypatch):
-    monkeypatch.setitem(
-        EXECUTOR_KINDS, "scenario", oracle_search_executor(breaks_above=0.5)
-    )
+    use_executor(monkeypatch, "scenario", oracle_search_executor(breaks_above=0.5))
     spec = tiny_search()
     first = manager.submit("search", spec.to_dict())
     status = wait_terminal(manager, first["job_id"])
@@ -346,7 +349,7 @@ def test_cancel_queued_job_is_immediate_and_running_job_stops_at_boundary(
     manager, monkeypatch
 ):
     gated, started, release = gated_executor()
-    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", gated)
+    use_executor(monkeypatch, "sweep", gated)
     try:
         spec = tiny_sweep()
         running = manager.submit("sweep", spec.to_dict())
@@ -397,7 +400,7 @@ def test_fresh_failure_does_not_displace_cached_success(manager, monkeypatch):
             record["runs"] = []
         return record
 
-    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", flaky)
+    use_executor(monkeypatch, "sweep", flaky)
     spec = tiny_sweep()
     first = manager.submit("sweep", spec.to_dict())
     assert wait_terminal(manager, first["job_id"])["state"] == "done"
@@ -495,7 +498,7 @@ def test_http_error_codes(http_server):
 def test_http_artifact_conflict_while_unfinished(http_server, monkeypatch):
     client = http_server
     gated, started, release = gated_executor()
-    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", gated)
+    use_executor(monkeypatch, "sweep", gated)
     try:
         job = client.submit("sweep", tiny_sweep(name="tiny-409").to_dict())
         assert started.wait(timeout=30)
@@ -548,7 +551,7 @@ def test_job_event_log_is_replayable_ordered_and_end_terminated(manager):
 
 def test_every_terminal_path_emits_exactly_one_end_event(manager, monkeypatch):
     gated, started, release = gated_executor()
-    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", gated)
+    use_executor(monkeypatch, "sweep", gated)
     try:
         running = manager.submit("sweep", tiny_sweep(name="tiny-end-a").to_dict())
         assert started.wait(timeout=30)

@@ -31,7 +31,6 @@ from repro.obs.metrics import counter_value, parse_exposition
 from repro.server import JobManager, ReproClient, ServerError
 from repro.server import work
 from repro.server.cache import stable_document
-from repro.server.jobs import EXECUTOR_KINDS
 from repro.server.work import WorkItem, WorkQueue
 from repro.server.worker import Worker, execute_lease, failure_record
 
@@ -377,7 +376,7 @@ def test_wrong_cell_result_is_rejected_and_cell_recovers(served_manager):
 def test_runaway_cell_is_given_up_after_its_deadline(serve, monkeypatch):
     """Default attempts, one worker at a time: the hung cell fails once."""
     release = threading.Event()
-    execute_cell = EXECUTOR_KINDS["sweep"]
+    execute_cell = SweepRunner.executor
 
     def hangs_at_n8(payload):
         if payload["n"] != 8:
@@ -385,7 +384,7 @@ def test_runaway_cell_is_given_up_after_its_deadline(serve, monkeypatch):
         assert release.wait(timeout=60)
         return failure_record(payload, "released at teardown")
 
-    monkeypatch.setitem(EXECUTOR_KINDS, "sweep", hangs_at_n8)
+    monkeypatch.setattr(SweepRunner, "executor", staticmethod(hangs_at_n8))
     monkeypatch.setattr(work, "CELL_DEADLINE_GRACE_S", 0.3)
     manager = JobManager(lease_ttl_s=0.5)
     client = serve(manager)

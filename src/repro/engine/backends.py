@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import abc
 import random
@@ -352,10 +352,22 @@ class AgentBackend(Backend):
         self.states: List[Any] = [self.protocol.initial_state(i) for i in range(self.n)]
         self.counter = InteractionCounter(self.n)
         self.track_state_space = track_state_space
+        #: Keys observed lately (up to ``n``, then cleared): most agents
+        #: leave an interaction with a key observed not long before, and a
+        #: key found here skips the per-component observation.
+        self._recent: set = set()
         if track_state_space:
             key = self.protocol.state_key
             for state in self.states:
-                self.state_space.observe(key(state))
+                self._observe(key(state))
+
+    def _observe(self, key: Hashable) -> None:
+        recent = self._recent
+        if key not in recent:
+            if len(recent) >= self.n:
+                recent.clear()
+            recent.add(key)
+            self.state_space.observe(key)
 
     def step(self) -> Tuple[int, int]:
         """Execute one interaction; return the (initiator, responder) pair."""
@@ -378,8 +390,8 @@ class AgentBackend(Backend):
         self.counter.record(initiator, responder)
         if self.track_state_space:
             key = self.protocol.state_key
-            self.state_space.observe(key(self.states[initiator]))
-            self.state_space.observe(key(self.states[responder]))
+            self._observe(key(self.states[initiator]))
+            self._observe(key(self.states[responder]))
         for hook in simulator.hooks:
             hook.after_interaction(simulator, initiator, responder)
         return initiator, responder
@@ -419,7 +431,7 @@ class AgentBackend(Backend):
             self.states.append(state)
             self.counter.add_agent()
             if self.track_state_space:
-                self.state_space.observe(protocol.state_key(state))
+                self._observe(protocol.state_key(state))
         self.n += count
         self.population_changes += 1
         return {"joined": count, "n": self.n}
@@ -447,7 +459,7 @@ class AgentBackend(Backend):
         if self.track_state_space:
             key = protocol.state_key
             for state in self.states:
-                self.state_space.observe(key(state))
+                self._observe(key(state))
         self.population_changes += 1
         return {"restarted": self.n, "n": self.n}
 
@@ -484,7 +496,7 @@ class AgentBackend(Backend):
             if new_key != old_key:
                 changed += 1
             if self.track_state_space:
-                self.state_space.observe(new_key)
+                self._observe(new_key)
         return changed
 
 
@@ -520,11 +532,26 @@ class BatchBackend(Backend):
     Keys are interned to dense integer ids on first sight: the histogram,
     the agent array, the pair kernel and the transition memo all work on ids,
     and keys cross back only at the protocol boundary (``delta_key`` and
-    ``can_interaction_change`` on a cache miss, ``output_key`` once per id)
-    and in hooks, public views and fault rewrites.  The id histogram is
-    updated by the same operations in the same order a key histogram would
-    be, so every structure built from it sees a renamed copy of the key
-    sequence.
+    ``can_interaction_change`` on a cache miss, ``output_key`` once per
+    interning) and in hooks, public views and fault rewrites.  The id
+    histogram is updated by the same operations in the same order a key
+    histogram would be, so every structure built from it sees a renamed copy
+    of the key sequence.
+
+    An id that no agent holds and no memo entry names is *released*: dropped
+    from the intern table and handed to the next new key, so the table holds
+    the live keys and the memo's, not every key the run has seen.  Whether
+    the memo names an id is tracked by *pinning*, off the hot path: an id
+    interned while recording (below) is pinned, the live ids are pinned on
+    each switch into recording mode, and so are a fixed-point self entry's
+    id and the ids of every recorded result.  A pinned id is never released.
+    Only an id that loses its last agent and is not pinned is released, in
+    the dense loop right after the event's hooks (they read the pre-event
+    keys) and at the end of ``leave``, ``corrupt_histogram`` and restarts.
+    So runs that always record — the pruning regime, whose kernel and
+    ``_can_change`` cache key on ids, and dense runs without a decoder —
+    release nothing.  Ids do not reach any stream, so streams are those of
+    a table that keeps every key.
 
     For a protocol declaring
     :attr:`~repro.engine.protocol.Protocol.pure_key_transitions` the memo
@@ -624,14 +651,21 @@ class BatchBackend(Backend):
             raise SimulationError(
                 f"initial key histogram covers {total} agents, expected {self.n}"
             )
-        # Interning: id -> key, key -> id, id -> output.
+        #: ``delta_key`` calls made in unrecorded mode (see class docstring),
+        #: the number of entries into and exits from it, and whether the run
+        #: is outside it (memo misses are recorded).
+        self._unrecorded = 0
+        self._mode_switches = 0
+        self._recording = True
+        # Interning: id -> key (``None`` once released), key -> id, id -> output.
         self._keys: List[Hashable] = []
         self._ids: Dict[Hashable, int] = {}
         self._outputs: List[Any] = []
-        if track_state_space:
-            # Every key is interned once, so the intern table is the set of
-            # distinct keys seen.
-            self.state_space = StateSpaceTracker(seen=self._ids)
+        #: Released ids, reused by the next new keys; ids never released
+        #: (see class docstring); and the number of releases.
+        self._free: List[int] = []
+        self._pinned: set = set()
+        self._released = 0
         #: The configuration: a histogram over interned key ids.
         self._counts: Counter = self._intern_counts(initial)
         self.counter = AggregateInteractionCounter(self.n)
@@ -641,12 +675,6 @@ class BatchBackend(Backend):
         self._memo_hits = 0
         self._memo_misses = 0
         self._coin_nodes = 0
-        #: ``delta_key`` calls made in unrecorded mode (see class docstring),
-        #: the number of entries into and exits from it, and whether the run
-        #: is outside it (memo misses are recorded).
-        self._unrecorded = 0
-        self._mode_switches = 0
-        self._recording = True
         self._can_change_cache: Dict[Tuple[int, int], bool] = {}
         # Two sampling regimes (see class docstring).  A protocol that keeps
         # the conservative default ``can_interaction_change`` marks *every*
@@ -690,15 +718,46 @@ class BatchBackend(Backend):
 
     # ------------------------------------------------------------- interning
     def _intern(self, key: Hashable) -> int:
-        """Id of ``key``, assigning the next one (and observing it) when new."""
+        """Id of ``key``; a new key takes a released id or the next one.
+
+        A new key is observed, and pinned while recording.
+        """
         ident = self._ids.get(key)
         if ident is None:
-            ident = self._ids[key] = len(self._keys)
-            self._keys.append(key)
-            self._outputs.append(self._output_key(key))
+            output = self._output_key(key)
+            if self._free:
+                ident = self._free.pop()
+                self._keys[ident] = key
+                self._outputs[ident] = output
+            else:
+                ident = len(self._keys)
+                self._keys.append(key)
+                self._outputs.append(output)
+            self._ids[key] = ident
+            if self._recording:
+                self._pinned.add(ident)
             if self.track_state_space:
-                self.state_space.observe_new(key)
+                self.state_space.observe(key)
         return ident
+
+    def _release(self, ident: int) -> None:
+        """Free ``ident``, which no agent holds and no memo entry names."""
+        keys = self._keys
+        del self._ids[keys[ident]]
+        keys[ident] = None
+        self._outputs[ident] = None
+        self._free.append(ident)
+        self._released += 1
+
+    def _release_dead(self, idents: Iterable[int]) -> None:
+        """Release each of ``idents`` that is interned, unpinned and unheld."""
+        counts = self._counts
+        pinned = self._pinned
+        keys = self._keys
+        ids = self._ids
+        for ident in idents:
+            if ident not in counts and ident not in pinned and ids.get(keys[ident]) == ident:
+                self._release(ident)
 
     def _intern_counts(self, counts: Counter) -> Counter:
         """A key histogram renamed to ids, in the same order."""
@@ -789,6 +848,9 @@ class BatchBackend(Backend):
                 f"drew {len(drawn)} coins where an earlier evaluation of the "
                 f"same key pair drew at least {len(path)}"
             )
+        # The entry's ids stay interned (while recording, every live id is
+        # pinned already).
+        self._pinned.update(result)
         pair = ident_a << _ID_BITS | ident_b
         if not drawn:
             self._memo[pair] = result
@@ -865,6 +927,9 @@ class BatchBackend(Backend):
         agents = self._agents
         states = self._states
         recording = self._recording
+        pinned = self._pinned
+        release = self._release
+        dead: List[int] = []
         counts = self._counts
         count_of = counts.get
         id_bits = _ID_BITS
@@ -894,6 +959,9 @@ class BatchBackend(Backend):
                     if decode is not None and (2 * len(counts) > self.n) is recording:
                         recording = self._recording = not recording
                         self._mode_switches += 1
+                        if recording:
+                            # Live ids may become memo sources from now on.
+                            pinned.update(counts)
                     if recording:
                         new_a, new_b = resolve(ident_a, ident_b, entry, initiator, responder)
                     else:
@@ -931,8 +999,18 @@ class BatchBackend(Backend):
                     counts[new_b] += 1
                     if count_of(ident_a) == 0:
                         del counts[ident_a]
+                        if ident_a not in pinned:
+                            if hooks:
+                                dead.append(ident_a)
+                            else:
+                                release(ident_a)
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
+                        if ident_b not in pinned:
+                            if hooks:
+                                dead.append(ident_b)
+                            else:
+                                release(ident_b)
                     agents[initiator] = new_a
                     agents[responder] = new_b
                     if len(counts) == 1:
@@ -944,6 +1022,11 @@ class BatchBackend(Backend):
                     tic = clock()
                     self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
                     hooks_s += clock() - tic
+                    if dead:
+                        # Hooks read the pre-event keys; a hook may also
+                        # have handed a dead id to an agent again.
+                        self._release_dead(dead)
+                        dead.clear()
                     # A hook may have rewritten or replaced the population.
                     agents = self._agents
                     states = self._states
@@ -1114,6 +1197,7 @@ class BatchBackend(Backend):
             if not (new_a == key and new_b == key):
                 return
             entry = self._memo[pair] = (ident, ident)
+            self._pinned.add(ident)
         if entry == (ident, ident):
             self.terminal = True
 
@@ -1227,6 +1311,7 @@ class BatchBackend(Backend):
             if not counts[ident]:
                 del counts[ident]
             changed[ident] = None
+        self._release_dead(changed)
         self.n -= count
         self._population_changed(tuple(changed))
         return {"left": count, "n": self.n}
@@ -1239,7 +1324,9 @@ class BatchBackend(Backend):
                 initial[self._lifted.register(protocol.initial_state(agent_id))] += 1
         else:
             initial = Counter(protocol.initial_key_counts(self.n))
+        previous = self._counts
         self._counts = self._intern_counts(initial)
+        self._release_dead(previous)
         self._population_changed(full_rebuild=True)
         return {"restarted": self.n, "n": self.n}
 
@@ -1305,6 +1392,7 @@ class BatchBackend(Backend):
                 if self._states is not None:
                     self._states[slots[position]] = None
             changed += 1
+        self._release_dead(victim_ids)
         if changed:
             self.terminal = False
             if self._pair_kernel is not None:
@@ -1330,13 +1418,15 @@ class BatchBackend(Backend):
         ``miss`` (``delta_key`` evaluated for the memo) or, in the dense
         regime's unrecorded mode, one ``unrecorded`` evaluation; ``switches``
         counts entries into and exits from that mode, which move no live
-        state.  ``pairs``
-        counts memoised id pairs and ``coin_nodes`` their coin branch
-        points.  A protocol that does not declare pure key transitions
-        misses on every event outside that mode.
+        state.  ``pairs`` counts memoised id pairs and ``coin_nodes`` their
+        coin branch points.  A protocol that does not declare pure key
+        transitions misses on every event outside that mode.
+        ``interned_keys`` counts the ids in use and ``released`` the ids
+        freed so far (see the class docstring).
         """
         return {
-            "interned_keys": len(self._keys),
+            "interned_keys": len(self._ids),
+            "released": self._released,
             "pairs": len(self._memo),
             "hits": self._memo_hits,
             "misses": self._memo_misses,

@@ -1,19 +1,22 @@
 """Metrics collected during simulations.
 
 The paper measures protocols along two axes: the number of interactions until
-convergence/stabilisation and the number of *states* used (the product of the
-variable ranges actually reached, w.h.p.).  :class:`StateSpaceTracker`
-measures the empirical analogue of the second axis: the number of distinct
-agent states observed during a run, plus per-field value ranges so the
-reported figure can be compared with the paper's per-variable bounds (e.g.
-``level = O(log log n)``, ``k = O(log n)``).
+convergence/stabilisation and the number of *states* used, which it counts
+as the product of the ranges its state variables actually reach (w.h.p.),
+e.g. ``level = O(log log n)``, ``k = O(log n)``.  :class:`StateSpaceTracker`
+measures the empirical analogue of the second axis the same way: the range
+of every scalar variable of the state keys observed during a run, and their
+product.  It keeps one set of values per key component, so its memory grows
+with the distinct values of each component, not with the distinct joint
+keys.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "StateSpaceTracker",
@@ -24,63 +27,70 @@ __all__ = [
 
 
 class StateSpaceTracker:
-    """Track the set of distinct agent-state keys observed in a run.
+    """Track the observed range of every scalar variable of the state keys.
 
-    Args:
-        track_fields: When ``True`` and state keys are tuples, also track the
-            set of distinct values per tuple position, which approximates the
-            per-variable ranges the paper multiplies to obtain state bounds.
-        seen: A container of keys the caller already keeps, every one
-            observed (the batch backend passes its intern table).  The
-            caller adds each new key to it and reports it with
-            :meth:`observe_new`; :meth:`observe` needs the default set.
+    A key is a tuple of components (any other key is one component), and a
+    component may nest tuples in turn.  Flattened, each scalar position —
+    the index path through the nested tuples — is one state variable.  The
+    tracker keeps the set of values seen per component and projects new
+    component values onto the variables when the ranges are read.
     """
 
-    def __init__(self, track_fields: bool = True, seen: Optional[Any] = None) -> None:
-        self._seen: Any = set() if seen is None else seen
-        self._track_fields = track_fields
-        self._field_values: List[set] = []
+    def __init__(self) -> None:
+        self._components: List[set] = []
+        #: Per component, values added since the ranges were last read.
+        self._fresh: List[List[Any]] = []
+        #: Index path of each scalar variable -> the values it took.
+        self._ranges: Dict[Tuple[int, ...], set] = {}
+        self._sizes: Tuple[int, ...] = ()
 
-    def observe(self, key: Hashable) -> None:
+    def observe(self, key: Any) -> None:
         """Record one observed state key."""
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.observe_new(key)
-
-    def observe_new(self, key: Hashable) -> None:
-        """Record the field values of a key just added to ``seen``."""
-        if self._track_fields and isinstance(key, tuple):
-            field_values = self._field_values
-            while len(field_values) < len(key):
-                field_values.append(set())
-            for values, value in zip(field_values, key):
+        if not isinstance(key, tuple):
+            key = (key,)
+        components = self._components
+        while len(components) < len(key):
+            components.append(set())
+            self._fresh.append([])
+        for index, value in enumerate(key):
+            values = components[index]
+            if value not in values:
                 values.add(value)
+                self._fresh[index].append(value)
 
-    @property
-    def distinct_states(self) -> int:
-        """Number of distinct state keys observed so far."""
-        return len(self._seen)
+    def _project(self, path: Tuple[int, ...], value: Any) -> None:
+        if isinstance(value, tuple):
+            for index, item in enumerate(value):
+                self._project((*path, index), item)
+        else:
+            self._ranges.setdefault(path, set()).add(value)
 
     @property
     def field_range_sizes(self) -> Tuple[int, ...]:
-        """Number of distinct values observed per state-tuple position."""
-        return tuple(len(values) for values in self._field_values)
+        """Number of distinct values per scalar variable, in index-path order."""
+        grown = False
+        for index, fresh in enumerate(self._fresh):
+            if fresh:
+                for value in fresh:
+                    self._project((index,), value)
+                fresh.clear()
+                grown = True
+        if grown:
+            ranges = self._ranges
+            self._sizes = tuple(len(ranges[path]) for path in sorted(ranges))
+        return self._sizes
 
     @property
-    def field_range_product(self) -> int:
-        """Product of per-field range sizes (the paper's state-count measure)."""
-        product = 1
-        for values in self._field_values:
-            product *= max(1, len(values))
-        return product
+    def distinct_states(self) -> int:
+        """Product of the variables' range sizes (0 before any observation)."""
+        sizes = self.field_range_sizes
+        return math.prod(sizes) if sizes else 0
 
     def as_dict(self) -> Dict[str, Any]:
         """Return a JSON-friendly summary of the tracked state space."""
         return {
             "distinct_states": self.distinct_states,
             "field_range_sizes": list(self.field_range_sizes),
-            "field_range_product": self.field_range_product,
         }
 
 
@@ -171,7 +181,8 @@ class MetricsSnapshot:
     Attributes:
         interaction: Number of interactions completed when the snapshot was taken.
         output_histogram: Multiset of agent outputs at that time.
-        distinct_states: Distinct state keys observed up to that time.
+        distinct_states: State count observed up to that time (see
+            :attr:`StateSpaceTracker.distinct_states`).
     """
 
     interaction: int

@@ -96,8 +96,10 @@ class SimulationResult:
             it entirely above ``OUTPUT_LIST_LIMIT`` agents, in which case
             ``extra["outputs_omitted"]`` is set.
         output_counts: Histogram of final outputs.
-        distinct_states: Number of distinct state keys observed.
-        state_space: Detailed state-space summary (per-field ranges).
+        distinct_states: The observed state count: the product of the
+            ranges of the state keys' scalar variables (see
+            :class:`~repro.engine.metrics.StateSpaceTracker`).
+        state_space: Detailed state-space summary (per-variable ranges).
         min_participation: Minimum number of interactions any agent took part
             in (0 under the batch backend, which does not track identities;
             see ``extra["participation_tracked"]``).

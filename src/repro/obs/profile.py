@@ -13,9 +13,9 @@ module folds any of those shapes into one profile document::
       "events": {},
       "skips": {"interactions": ..., "applied_events": ...,
                 "skipped_interactions": ..., "efficiency": ...},
-      "memo": {"interned_keys": ..., "pairs": ..., "hits": ...,
-               "misses": ..., "unrecorded": ..., "switches": ...,
-               "coin_nodes": ...},
+      "memo": {"interned_keys": ..., "released": ..., "pairs": ...,
+               "hits": ..., "misses": ..., "unrecorded": ...,
+               "switches": ..., "coin_nodes": ...},
       "checkpoints": {"count": ..., "satisfied": ...}
     }
 
@@ -45,7 +45,8 @@ __all__ = [
 #: Summed counters of the batch backend's ``skips`` and ``memo`` records.
 SKIP_COUNTERS = ("interactions", "applied_events", "skipped_interactions")
 MEMO_COUNTERS = (
-    "interned_keys", "pairs", "hits", "misses", "unrecorded", "switches", "coin_nodes",
+    "interned_keys", "released", "pairs", "hits", "misses", "unrecorded", "switches",
+    "coin_nodes",
 )
 
 
@@ -219,7 +220,7 @@ def render_profile(profile: Dict[str, Any], title: Optional[str] = None) -> str:
             f"(hit ratio {memo['hits'] / lookups if lookups else 0.0:.4f}), "
             f"{memo['unrecorded']} unrecorded ({memo['switches']} mode switches), "
             f"{memo['pairs']} pairs, {memo['coin_nodes']} coin nodes, "
-            f"{memo['interned_keys']} interned keys"
+            f"{memo['interned_keys']} interned keys ({memo['released']} released)"
         )
     checkpoints = profile.get("checkpoints") or {}
     if checkpoints.get("count"):

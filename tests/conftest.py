@@ -51,3 +51,28 @@ def serve():
             return client
 
         yield start
+
+
+@pytest.fixture
+def visited_keys():
+    """``visited_keys(keys)``: a hook adding each state key a run visits to ``keys``.
+
+    Works on both backends: the initial keys at the start, then both
+    agents' keys after each interaction (agent backend) or each event's
+    post-interaction keys (batch backend).
+    """
+    from repro.engine.hooks import CallbackHook
+
+    def hook(keys):
+        def after_interaction(simulator, initiator, responder):
+            key = simulator.protocol.state_key
+            states = simulator.backend.states
+            keys.update((key(states[initiator]), key(states[responder])))
+
+        return CallbackHook(
+            on_start=lambda simulator: keys.update(simulator.state_key_counts()),
+            after_interaction=after_interaction,
+            on_batch_event=lambda simulator, a, b, new_a, new_b: keys.update((new_a, new_b)),
+        )
+
+    return hook

@@ -67,7 +67,7 @@ def test_backends_agree_on_consensus_outputs(n):
 
 
 @pytest.mark.parametrize("n", [8, 32, 64])
-def test_backends_reach_identical_state_key_sets(n):
+def test_backends_reach_identical_state_key_sets(n, visited_keys):
     # Run each backend over several seeds and compare the union of observed
     # state keys; the chains explore the same reachable key space.
     for protocol_factory, budget in (
@@ -77,12 +77,12 @@ def test_backends_reach_identical_state_key_sets(n):
         agent_keys = set()
         batch_keys = set()
         for seed in range(5):
-            simulator = Simulator(protocol_factory(), n, seed=seed, backend="agent")
-            simulator.run(max_interactions=budget)
-            agent_keys.update(simulator.state_space._seen)
-            simulator = Simulator(protocol_factory(), n, seed=seed, backend="batch")
-            simulator.run(max_interactions=budget)
-            batch_keys.update(simulator.state_space._seen)
+            for backend, keys in (("agent", agent_keys), ("batch", batch_keys)):
+                simulator = Simulator(
+                    protocol_factory(), n, seed=seed, backend=backend,
+                    hooks=[visited_keys(keys)],
+                )
+                simulator.run(max_interactions=budget)
         assert agent_keys == batch_keys
 
 
@@ -259,7 +259,7 @@ def test_delta_key_matches_transition_on_random_pairs():
             assert observed == expected, (protocol.name, keys_before)
 
 
-def test_can_interaction_change_is_exact_for_key_protocols():
+def test_can_interaction_change_is_exact_for_key_protocols(visited_keys):
     # A False answer from can_interaction_change must guarantee that the
     # interaction preserves the configuration multiset; exhaustively check
     # all key pairs observed during a run.
@@ -270,9 +270,9 @@ def test_can_interaction_change_is_exact_for_key_protocols():
         (ClassicalLoadBalancing([16]), 16),
         (PowersOfTwoLoadBalancing(kappa=3), 16),
     ):
-        simulator = Simulator(protocol, n, seed=6, backend="agent")
+        keys = set()
+        simulator = Simulator(protocol, n, seed=6, backend="agent", hooks=[visited_keys(keys)])
         simulator.run(max_interactions=32 * n)
-        keys = set(simulator.state_space._seen)
         for key_a in keys:
             for key_b in keys:
                 if not protocol.can_interaction_change(key_a, key_b):

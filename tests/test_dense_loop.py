@@ -10,7 +10,10 @@ Three contracts pin the loop from outside:
   ``count-exact-stable`` churn pins before the one-agent-one-state mode
   came in); any change to how the loop consumes its streams shows up here
   first.  ``transition_calls`` and ``memo`` count work, not the stream,
-  and were re-recorded when that mode stopped recording transitions.
+  and were re-recorded when that mode stopped recording transitions;
+  ``distinct_states`` and the memo's ``interned_keys`` and ``released``
+  were re-recorded when dead ids began to be released and the state count
+  became the product of the variables' ranges.
 * **Hooks mid-window** — ``on_batch_event`` hooks see the event already
   counted, and a hook that leaves the backend terminal ends the window.
 * **Draw contract** — the loop draws its agent indices exactly as
@@ -62,11 +65,11 @@ PINNED_STREAMS = {
         "interactions": 60_000,
         "live_keys": 19,
         "state_key_counts": "35b2f936c01afa44aa3121c719475be13e7f0f945fbd7a3609b08b63b596b328",
-        "distinct_states": 1473,
+        "distinct_states": 4_608_000,
         "transition_calls": 16418,
         "memo": {
-            "interned_keys": 1473, "pairs": 16356, "hits": 43583, "misses": 16417,
-            "unrecorded": 0, "switches": 0, "coin_nodes": 319,
+            "interned_keys": 1473, "released": 0, "pairs": 16356, "hits": 43583,
+            "misses": 16417, "unrecorded": 0, "switches": 0, "coin_nodes": 319,
         },
         "sampler": _sampler(60_000),
         "rngs": "2610bedf0a5329aacc420b5e78d634f410773ea8c07a1bbfe67d44c17d36123a",
@@ -75,11 +78,11 @@ PINNED_STREAMS = {
         "interactions": 16_000,
         "live_keys": 64,
         "state_key_counts": "ea251413189e71b763b186851fae784ef3a5f0cb956d69140b1055c39b4946ad",
-        "distinct_states": 8179,
+        "distinct_states": 26_029_817_856_000,
         "transition_calls": 14851,
         "memo": {
-            "interned_keys": 8179, "pairs": 560, "hits": 1150, "misses": 566,
-            "unrecorded": 14284, "switches": 1, "coin_nodes": 80,
+            "interned_keys": 182, "released": 8307, "pairs": 560, "hits": 1150,
+            "misses": 566, "unrecorded": 14284, "switches": 1, "coin_nodes": 80,
         },
         "sampler": _sampler(16_000),
         "rngs": "a4e5bcc3a33c996a35a8576316d12d1d522ad08a436c9f82b2bea55b48c0e721",
@@ -88,11 +91,11 @@ PINNED_STREAMS = {
         "interactions": 26_624,
         "live_keys": 24,
         "state_key_counts": "1c40a6701b638605bb9a0b03b4ee7d51186424546fdcd5f3ef84c5ab932fd16d",
-        "distinct_states": 6444,
+        "distinct_states": 9_289_728_000,
         "transition_calls": 24579,
         "memo": {
-            "interned_keys": 6444, "pairs": 4907, "hits": 2046, "misses": 4907,
-            "unrecorded": 19671, "switches": 507, "coin_nodes": 32,
+            "interned_keys": 3259, "released": 4107, "pairs": 4907, "hits": 2046,
+            "misses": 4907, "unrecorded": 19671, "switches": 507, "coin_nodes": 32,
         },
         "sampler": _sampler(26_624),
         "rngs": "d8471af5d0645e220906c31888aaef416da226f660b8b1ef19bc990e13c65f44",
@@ -101,11 +104,11 @@ PINNED_STREAMS = {
         "interactions": 23_232,
         "live_keys": 64,
         "state_key_counts": "120230005ad795ef149415a1973ae89f000742c221a4e62b321289bae5ace67c",
-        "distinct_states": 13206,
+        "distinct_states": 1_013_003_899_738_521_600,
         "transition_calls": 22083,
         "memo": {
-            "interned_keys": 13206, "pairs": 560, "hits": 1150, "misses": 566,
-            "unrecorded": 21516, "switches": 1, "coin_nodes": 80,
+            "interned_keys": 182, "released": 13576, "pairs": 560, "hits": 1150,
+            "misses": 566, "unrecorded": 21516, "switches": 1, "coin_nodes": 80,
         },
         "sampler": _sampler(23_232),
         "rngs": "5f3b81b12e88ab39a80e5d64c7ba6012dce7f2a38bda815e9f10b1a69829d7e2",
@@ -114,11 +117,11 @@ PINNED_STREAMS = {
         "interactions": 26_624,
         "live_keys": 39,
         "state_key_counts": "47c4eddd732d0499c64f6911f40bbf0d73dbfe1fac0b32f6546b944576e1b51f",
-        "distinct_states": 3786,
+        "distinct_states": 169_292_989_071_360,
         "transition_calls": 26124,
         "memo": {
-            "interned_keys": 3786, "pairs": 666, "hits": 501, "misses": 668,
-            "unrecorded": 25455, "switches": 11, "coin_nodes": 40,
+            "interned_keys": 287, "released": 3571, "pairs": 666, "hits": 501,
+            "misses": 668, "unrecorded": 25455, "switches": 11, "coin_nodes": 40,
         },
         "sampler": _sampler(26_624),
         "rngs": "80fbe39943b735c5f74797202a837cd574d36f7dde9a565d6c8839ce79003da3",
@@ -276,8 +279,8 @@ def test_hooks_that_reshape_the_population_mid_window_are_pinned():
         "interactions": 3_000,
         "state_key_counts": {1: 6, 2: 4, 3: 3, 4: 2, 5: 7},
         "memo": {
-            "interned_keys": 5, "pairs": 25, "hits": 2950, "misses": 50, "unrecorded": 0,
-            "switches": 0, "coin_nodes": 25,
+            "interned_keys": 5, "released": 0, "pairs": 25, "hits": 2950, "misses": 50,
+            "unrecorded": 0, "switches": 0, "coin_nodes": 25,
         },
         "rngs": "e07301508de2a7441ee04d7be81d218d1f50a7cafe1b4c02812b89d8667532e2",
     }

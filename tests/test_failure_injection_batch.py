@@ -78,16 +78,15 @@ def test_dense_regime_detects_deterministic_fixed_point():
     assert result.interactions < 100_000
 
 
-def test_dense_regime_matches_agent_reachable_keys():
+def test_dense_regime_matches_agent_reachable_keys(visited_keys):
     agent_keys = set()
     batch_keys = set()
     for seed in range(5):
-        simulator = Simulator(_MaxConsensus(), 24, seed=seed, backend="agent")
-        simulator.run(max_interactions=2_000)
-        agent_keys.update(simulator.state_space._seen)
-        simulator = Simulator(_MaxConsensus(), 24, seed=seed, backend="batch")
-        simulator.run(max_interactions=2_000)
-        batch_keys.update(simulator.state_space._seen)
+        for backend, keys in (("agent", agent_keys), ("batch", batch_keys)):
+            simulator = Simulator(
+                _MaxConsensus(), 24, seed=seed, backend=backend, hooks=[visited_keys(keys)]
+            )
+            simulator.run(max_interactions=2_000)
     assert agent_keys == batch_keys
 
 

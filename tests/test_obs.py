@@ -295,21 +295,24 @@ def test_merge_profiles_matches_direct_aggregation():
 
 
 def test_memo_counters_fold_through_aggregation_merging_and_rendering():
-    memo = {"interned_keys": 5, "pairs": 9, "hits": 30, "misses": 10, "coin_nodes": 2}
+    memo = {
+        "interned_keys": 5, "released": 3, "pairs": 9, "hits": 30, "misses": 10,
+        "coin_nodes": 2,
+    }
     traces = [_fake_trace(memo=memo) for _ in range(4)] + [_fake_trace()]
     direct = aggregate_telemetry(traces)
     assert direct["memo"] == {
-        "interned_keys": 20, "pairs": 36, "hits": 120, "misses": 40, "unrecorded": 0,
-        "switches": 0, "coin_nodes": 8,
+        "interned_keys": 20, "released": 12, "pairs": 36, "hits": 120, "misses": 40,
+        "unrecorded": 0, "switches": 0, "coin_nodes": 8,
     }
     merged = merge_profiles(
         [aggregate_telemetry(traces[:2]), aggregate_telemetry(traces[2:])]
     )
     assert merged == direct
     assert "memo" not in aggregate_telemetry([_fake_trace()])
-    assert "transition memo: 120 hits, 40 misses (hit ratio 0.7500)" in render_profile(
-        direct
-    )
+    rendered = render_profile(direct)
+    assert "transition memo: 120 hits, 40 misses (hit ratio 0.7500)" in rendered
+    assert "20 interned keys (12 released)" in rendered
 
 
 def test_render_profile_mentions_every_phase_and_the_skip_line():

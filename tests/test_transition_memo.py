@@ -88,9 +88,8 @@ def test_stable_hybrid_stays_identical_through_join_corrupt_and_leave():
 
 def test_memo_lookups_account_for_every_applied_event():
     entry = resolve_protocol("approximate")
-    result = simulate(
-        entry.build(64, {}), 64, seed=2, backend="batch", max_interactions=15_000
-    )
+    simulator = Simulator(entry.build(64, {}), 64, seed=2, backend="batch")
+    result = simulator.run(max_interactions=15_000)
     telemetry = result.extra["telemetry"]
     memo = telemetry["memo"]
     applied = telemetry["skips"]["applied_events"]
@@ -98,7 +97,11 @@ def test_memo_lookups_account_for_every_applied_event():
     # in unrecorded mode are neither hits nor misses.
     assert memo["switches"] > 0
     assert memo["hits"] + memo["misses"] + memo["unrecorded"] == applied
-    assert memo["interned_keys"] == result.distinct_states
+    # The ids in use are the live ones and the pinned ones the memo may
+    # name; ids interned in unrecorded mode were released when they died.
+    backend = simulator.backend
+    assert memo["interned_keys"] == len(set(backend._counts) | backend._pinned)
+    assert memo["released"] > 0
     # The dense loop times whole windows, but every phase still counts one
     # op per event (pair_weights: per configuration-changing event), with
     # the op counts the per-event timers recorded.

@@ -38,7 +38,7 @@ _EXPORTS = {
         "SimulationError",
         "UniformityError",
     ),
-    "hooks": ("CallbackHook", "FailureInjectionHook", "Hook", "TimelineEvent"),
+    "hooks": ("CallbackHook", "Hook", "TimelineEvent"),
     "metrics": (
         "AggregateInteractionCounter",
         "InteractionCounter",
@@ -96,7 +96,6 @@ __all__ = [
     "SimulationError",
     "UniformityError",
     "CallbackHook",
-    "FailureInjectionHook",
     "Hook",
     "TimelineEvent",
     "AggregateInteractionCounter",

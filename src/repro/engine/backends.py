@@ -5,8 +5,8 @@ agent states.  Two execution strategies for that chain are provided:
 
 * :class:`AgentBackend` materialises one mutable state object per agent and
   executes one Python-level ``transition()`` call per interaction.  It is the
-  reference implementation, supports arbitrary schedulers, per-agent hooks
-  and per-agent participation accounting, and is exact at the agent level.
+  reference implementation, supports arbitrary schedulers and per-agent
+  participation accounting, and is exact at the agent level.
 
 * :class:`BatchBackend` collapses the population into a histogram
   ``Counter[state_key] -> count`` (the configuration-as-multiset view of the
@@ -199,7 +199,6 @@ class Backend(abc.ABC):
     name: str = ""
 
     def __init__(self, simulator: "Simulator") -> None:
-        self.simulator = simulator
         self.protocol: Protocol = simulator.protocol
         self.n: int = simulator.n
         #: Next agent id handed to ``Protocol.initial_state`` when agents
@@ -371,15 +370,12 @@ class AgentBackend(Backend):
 
     def step(self) -> Tuple[int, int]:
         """Execute one interaction; return the (initiator, responder) pair."""
-        simulator = self.simulator
         tracer = self.tracer
         tic = perf_counter()
         initiator, responder = self.scheduler.next_pair(
             self.n, self._scheduler_rng, self.interactions
         )
         tracer.add("sampling", perf_counter() - tic)
-        for hook in simulator.hooks:
-            hook.before_interaction(simulator, initiator, responder)
         tic = perf_counter()
         self.protocol.transition(
             self.states[initiator], self.states[responder], self._agent_rng
@@ -392,8 +388,6 @@ class AgentBackend(Backend):
             key = self.protocol.state_key
             self._observe(key(self.states[initiator]))
             self._observe(key(self.states[responder]))
-        for hook in simulator.hooks:
-            hook.after_interaction(simulator, initiator, responder)
         return initiator, responder
 
     def advance_to(self, target: int) -> None:
@@ -533,7 +527,7 @@ class BatchBackend(Backend):
     the agent array, the pair kernel and the transition memo all work on ids,
     and keys cross back only at the protocol boundary (``delta_key`` and
     ``can_interaction_change`` on a cache miss, ``output_key`` once per
-    interning) and in hooks, public views and fault rewrites.  The id
+    interning) and in public views and fault rewrites.  The id
     histogram is updated by the same operations in the same order a key
     histogram would be, so every structure built from it sees a renamed copy
     of the key sequence.
@@ -546,8 +540,8 @@ class BatchBackend(Backend):
     each switch into recording mode, and so are a fixed-point self entry's
     id and the ids of every recorded result.  A pinned id is never released.
     Only an id that loses its last agent and is not pinned is released, in
-    the dense loop right after the event's hooks (they read the pre-event
-    keys) and at the end of ``leave``, ``corrupt_histogram`` and restarts.
+    the dense loop by the event that empties it and at the end of
+    ``leave``, ``corrupt_histogram`` and restarts.
     So runs that always record — the pruning regime, whose kernel and
     ``_can_change`` cache key on ids, and dense runs without a decoder —
     release nothing.  Ids do not reach any stream, so streams are those of
@@ -907,13 +901,12 @@ class BatchBackend(Backend):
 
         Phase timers run once per window and around each entry that is not
         a plain hit, not per event; :mod:`repro.obs.trace` says what each
-        phase then covers.  Hooks fire with the event already counted, and a hook
-        that leaves the backend :attr:`~Backend.terminal` ends the window.
+        phase then covers.  An event that collapses the population onto a
+        provable fixed point (:attr:`~Backend.terminal`) ends the window.
         """
         interactions = self.interactions
         if interactions >= target or self.terminal:
             return
-        hooks = self.simulator.hooks
         sample = self._sampler.sample
         pair_rng = self._pair_rng
         memo_get = self._memo.get
@@ -929,14 +922,13 @@ class BatchBackend(Backend):
         recording = self._recording
         pinned = self._pinned
         release = self._release
-        dead: List[int] = []
         counts = self._counts
         count_of = counts.get
         id_bits = _ID_BITS
         clock = perf_counter
         start = interactions
         hits = changes = unrecorded = 0
-        resolve_s = hooks_s = 0.0
+        resolve_s = 0.0
         window_started = clock()
         try:
             while interactions < target:
@@ -1000,40 +992,17 @@ class BatchBackend(Backend):
                     if count_of(ident_a) == 0:
                         del counts[ident_a]
                         if ident_a not in pinned:
-                            if hooks:
-                                dead.append(ident_a)
-                            else:
-                                release(ident_a)
+                            release(ident_a)
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
                         if ident_b not in pinned:
-                            if hooks:
-                                dead.append(ident_b)
-                            else:
-                                release(ident_b)
+                            release(ident_b)
                     agents[initiator] = new_a
                     agents[responder] = new_b
                     if len(counts) == 1:
                         self._check_dense_fixed_point()
-                        if self.terminal and not hooks:
-                            break  # (with hooks, the check after them does)
-                if hooks:
-                    self.interactions = interactions
-                    tic = clock()
-                    self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
-                    hooks_s += clock() - tic
-                    if dead:
-                        # Hooks read the pre-event keys; a hook may also
-                        # have handed a dead id to an agent again.
-                        self._release_dead(dead)
-                        dead.clear()
-                    # A hook may have rewritten or replaced the population.
-                    agents = self._agents
-                    states = self._states
-                    counts = self._counts
-                    count_of = counts.get
-                    if self.terminal:
-                        break
+                        if self.terminal:
+                            break
         finally:
             window_s = clock() - window_started
             events = interactions - start
@@ -1044,20 +1013,10 @@ class BatchBackend(Backend):
             self._unrecorded += unrecorded
             self.transition_calls += unrecorded
             tracer = self.tracer
-            tracer.add("sampling", window_s - resolve_s - hooks_s, ops=events)
+            tracer.add("sampling", window_s - resolve_s, ops=events)
             tracer.add("transition", resolve_s, ops=events)
             if changes:
                 tracer.add("pair_weights", 0.0, ops=changes)
-
-    def _fire_batch_hooks(
-        self, ident_a: int, ident_b: int, new_a: int, new_b: int
-    ) -> None:
-        simulator = self.simulator
-        keys = self._keys
-        for hook in simulator.hooks:
-            hook.on_batch_event(
-                simulator, keys[ident_a], keys[ident_b], keys[new_a], keys[new_b]
-            )
 
     # --------------------------------------------------- kernel event loop
     def _advance_pruning_kernel(self, target: int) -> None:
@@ -1072,16 +1031,12 @@ class BatchBackend(Backend):
         and pushes the new count of each distinct touched id to the kernel
         once, in first-appearance order of ``(a, b, new_a, new_b)``.
 
-        Phase timers are read per event and charged once per window.  Hooks
-        fire with the event already counted; after them the loop re-reads
-        the histogram and ``n (n - 1)``, and a hook that leaves the backend
-        :attr:`~Backend.terminal` ends the window.
+        Phase timers are read per event and charged once per window.
         """
         interactions = self.interactions
         if interactions >= target or self.terminal:
             return
         kernel = self._pair_kernel
-        hooks = self.simulator.hooks
         active_weight = kernel.active_weight
         next_skip = kernel.next_skip
         next_pair = kernel.next_pair
@@ -1147,16 +1102,6 @@ class BatchBackend(Backend):
                     tac = clock()
                 sampling_s += toc - tic
                 transition_s += tac - toc
-                if hooks:
-                    self.interactions = interactions
-                    self._fire_batch_hooks(ident_a, ident_b, new_a, new_b)
-                    # A hook may have rewritten the histogram or resized the
-                    # population.
-                    counts = self._counts
-                    count_of = counts.get
-                    ordered_pairs = self.n * (self.n - 1)
-                    if self.terminal:
-                        break
         finally:
             self.interactions = interactions
             self.counter.total = interactions

@@ -1,24 +1,24 @@
-"""Simulation hooks.
+"""Simulation hooks and timeline events.
 
-Hooks observe a running simulation without being part of any protocol.  They
-are used for trace recording, progress reporting, failure injection in tests,
-and for the *oracle clock driver* used by the idealized analyses (which is a
-deliberate, documented break of uniformity confined to the analysis layer).
+Hooks observe the boundaries of a run — start, checkpoints, timeline events
+and end — without being part of any protocol; they are used for trace
+recording, progress reporting and the scenario invariants.  A
+:class:`TimelineEvent` is the one way to change a running population: churn,
+restarts and fault injection all stop the chain at an exact interaction and
+rewrite the configuration there.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from .errors import ConfigurationError
-from .rng import SeedLike, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
     from .simulator import Simulator
 
-__all__ = ["Hook", "CallbackHook", "FailureInjectionHook", "TimelineEvent"]
+__all__ = ["Hook", "CallbackHook", "TimelineEvent"]
 
 
 @dataclass
@@ -58,56 +58,14 @@ class TimelineEvent:
 class Hook:
     """Base class for simulation observers.  All callbacks default to no-ops.
 
-    Hooks that can only observe correctly through the per-agent callbacks
-    (``before_interaction``/``after_interaction``) must set
-    :attr:`requires_agent_backend` so the simulator rejects them under the
-    batch backend instead of silently never invoking them.
+    A hook observes the boundaries of a run: its start, each convergence
+    checkpoint, each timeline event and its end.  It never sees single
+    interactions, and it is not the place to change the population: a
+    change to a running population is a :class:`TimelineEvent`.
     """
-
-    #: When ``True``, constructing a batch-backend simulator with this hook
-    #: raises ``ConfigurationError`` (and ``backend="auto"`` selects the
-    #: per-agent backend instead).
-    requires_agent_backend: bool = False
 
     def on_start(self, simulator: "Simulator") -> None:
         """Called once before the first interaction of a run."""
-
-    def before_interaction(self, simulator: "Simulator", initiator: int, responder: int) -> None:
-        """Called before each interaction with the scheduled agent indices."""
-
-    def after_interaction(self, simulator: "Simulator", initiator: int, responder: int) -> None:
-        """Called after each interaction with the scheduled agent indices."""
-
-    def on_batch_event(
-        self,
-        simulator: "Simulator",
-        key_a: Hashable,
-        key_b: Hashable,
-        new_key_a: Hashable,
-        new_key_b: Hashable,
-    ) -> None:
-        """Called by the batch backend after each individually simulated event.
-
-        The batch backend has no agent identities, so ``before_interaction``
-        and ``after_interaction`` never fire under it; this callback receives
-        the ordered pair of pre-interaction state keys and the resulting
-        post-interaction keys instead.  One callback fires per *event* — an
-        interaction whose pair type could change the configuration.  The
-        event may still be a no-op (``new_key_a == key_a`` etc.) when the
-        protocol's ``can_interaction_change`` is conservative; interactions
-        that provably preserve the configuration are skipped in bulk and
-        produce no callback.
-        """
-
-    def before_checkpoint(self, simulator: "Simulator") -> None:
-        """Called at each checkpoint *before* the convergence predicate runs.
-
-        This is the place for interventions that must be visible to the
-        predicate evaluated at the same checkpoint (e.g. batch-mode failure
-        injection): firing from :meth:`on_checkpoint` instead could corrupt
-        the configuration *after* the final satisfied check, producing a
-        "converged" result whose reported outputs never passed the predicate.
-        """
 
     def on_checkpoint(self, simulator: "Simulator", satisfied: bool) -> None:
         """Called whenever the simulator evaluates its convergence predicate."""
@@ -136,53 +94,20 @@ class CallbackHook(Hook):
     def __init__(
         self,
         on_start: Optional[Callable[["Simulator"], None]] = None,
-        before_interaction: Optional[Callable[["Simulator", int, int], None]] = None,
-        after_interaction: Optional[Callable[["Simulator", int, int], None]] = None,
         on_checkpoint: Optional[Callable[["Simulator", bool], None]] = None,
         on_end: Optional[Callable[["Simulator"], None]] = None,
-        on_batch_event: Optional[
-            Callable[["Simulator", Hashable, Hashable, Hashable, Hashable], None]
-        ] = None,
-        before_checkpoint: Optional[Callable[["Simulator"], None]] = None,
         on_timeline_event: Optional[
             Callable[["Simulator", "TimelineEvent", Dict[str, Any]], None]
         ] = None,
     ) -> None:
         self._on_start = on_start
-        self._before = before_interaction
-        self._after = after_interaction
         self._on_checkpoint = on_checkpoint
         self._on_end = on_end
-        self._on_batch_event = on_batch_event
-        self._before_checkpoint = before_checkpoint
         self._on_timeline_event = on_timeline_event
 
     def on_start(self, simulator: "Simulator") -> None:
         if self._on_start:
             self._on_start(simulator)
-
-    def before_interaction(self, simulator: "Simulator", initiator: int, responder: int) -> None:
-        if self._before:
-            self._before(simulator, initiator, responder)
-
-    def after_interaction(self, simulator: "Simulator", initiator: int, responder: int) -> None:
-        if self._after:
-            self._after(simulator, initiator, responder)
-
-    def on_batch_event(
-        self,
-        simulator: "Simulator",
-        key_a: Hashable,
-        key_b: Hashable,
-        new_key_a: Hashable,
-        new_key_b: Hashable,
-    ) -> None:
-        if self._on_batch_event:
-            self._on_batch_event(simulator, key_a, key_b, new_key_a, new_key_b)
-
-    def before_checkpoint(self, simulator: "Simulator") -> None:
-        if self._before_checkpoint:
-            self._before_checkpoint(simulator)
 
     def on_checkpoint(self, simulator: "Simulator", satisfied: bool) -> None:
         if self._on_checkpoint:
@@ -197,108 +122,3 @@ class CallbackHook(Hook):
     def on_end(self, simulator: "Simulator") -> None:
         if self._on_end:
             self._on_end(simulator)
-
-
-class FailureInjectionHook(Hook):
-    """Corrupt agent states at a chosen interaction, under either backend.
-
-    Used by the stability test-suite to verify that the error-detection
-    routines of the stable protocols (Appendix B / F) catch injected faults
-    and fall back to the always-correct backup protocols.
-
-    Two corruption modes exist, matching the two population representations:
-
-    * ``corrupt`` mutates per-agent state objects in place — only possible
-      under the agent backend, which materialises them.
-    * ``corrupt_key`` rewrites state *keys*; under the batch backend
-      ``victims`` agents are sampled from the key histogram (weighted by
-      multiplicity, i.e. uniformly over agents) and each victim's key is
-      replaced by ``corrupt_key(key, rng)`` via
-      :meth:`~repro.engine.backends.BatchBackend.corrupt_histogram`.  This is
-      the marginalised view of uniform-victim corruption, so stability
-      experiments scale to populations where agent objects are prohibitive.
-
-    At least one mode must be provided; a hook with only ``corrupt`` keeps
-    the historical behaviour of refusing the batch backend outright (a
-    silent no-fire would report falsely clean stability results).  The batch
-    trigger is checked after every simulated event and at every convergence
-    checkpoint, so with a conservative interaction budget the corruption
-    fires even across long configuration-preserving skips.
-
-    Under *either* backend a run that ends before ``at_interaction`` — an
-    early convergence stop, an exhausted budget, or (batch) a terminal fixed
-    point — finishes without the corruption ever firing; stability
-    experiments must therefore place ``at_interaction`` inside the
-    pre-convergence window and assert :attr:`fired` afterwards.
-
-    Args:
-        at_interaction: Interaction index after which the corruption fires.
-        corrupt: Callable receiving the simulator; mutates one or more agent
-            states in place (agent backend).
-        corrupt_key: Callable ``(key, rng) -> new_key`` applied to each
-            sampled victim's state key (batch backend).
-        victims: Number of agents corrupted by the batch-mode injection.
-        seed: Seed of the injection's private random stream.
-    """
-
-    def __init__(
-        self,
-        at_interaction: int,
-        corrupt: Optional[Callable[["Simulator"], None]] = None,
-        corrupt_key: Optional[Callable[[Hashable, random.Random], Hashable]] = None,
-        victims: int = 1,
-        seed: SeedLike = 0,
-    ) -> None:
-        if corrupt is None and corrupt_key is None:
-            raise ConfigurationError(
-                "FailureInjectionHook needs corrupt (agent backend) and/or "
-                "corrupt_key (batch backend)"
-            )
-        if victims < 1:
-            raise ConfigurationError("victims must be at least 1")
-        self.at_interaction = at_interaction
-        self.corrupt = corrupt
-        self.corrupt_key = corrupt_key
-        self.victims = victims
-        self.fired = False
-        self._rng = make_rng(seed, "failure-injection")
-        # Without a key-level corruption the batch backend must refuse the
-        # hook instead of silently never firing it.
-        self.requires_agent_backend = corrupt_key is None
-
-    def on_start(self, simulator: "Simulator") -> None:
-        if simulator.backend_name == "agent" and self.corrupt is None:
-            raise ConfigurationError(
-                "FailureInjectionHook has no agent-state corruption; provide "
-                "corrupt= to run under the agent backend"
-            )
-
-    def _maybe_fire_batch(self, simulator: "Simulator") -> None:
-        if not self.fired and simulator.interactions >= self.at_interaction:
-            self.fired = True
-            simulator.backend.corrupt_histogram(
-                self.victims, self.corrupt_key, self._rng
-            )
-
-    def after_interaction(self, simulator: "Simulator", initiator: int, responder: int) -> None:
-        if not self.fired and simulator.interactions >= self.at_interaction:
-            self.fired = True
-            self.corrupt(simulator)
-
-    def on_batch_event(
-        self,
-        simulator: "Simulator",
-        key_a: Hashable,
-        key_b: Hashable,
-        new_key_a: Hashable,
-        new_key_b: Hashable,
-    ) -> None:
-        self._maybe_fire_batch(simulator)
-
-    def before_checkpoint(self, simulator: "Simulator") -> None:
-        # Fire *before* the predicate runs so a checkpoint-triggered
-        # corruption is always visible to the check evaluated alongside it
-        # (matching the agent backend, where after_interaction precedes the
-        # next checkpoint).
-        if simulator.backend_name == "batch":
-            self._maybe_fire_batch(simulator)

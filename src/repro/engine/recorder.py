@@ -8,7 +8,7 @@ the correct count over time) without storing full per-interaction traces.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from .hooks import Hook
 from .metrics import MetricsSnapshot
@@ -20,20 +20,18 @@ __all__ = ["OutputTraceRecorder", "StateHistogramRecorder"]
 
 
 class OutputTraceRecorder(Hook):
-    """Record an output histogram every ``every`` interactions.
+    """Record an output histogram at the start, every checkpoint and the end.
+
+    Checkpoints follow the simulator's convergence-check cadence
+    (``check_interval``), so that cadence sets the trace's resolution.
 
     Args:
-        every: Snapshot cadence in interactions.  When ``None`` the recorder
-            snapshots only at checkpoints (the simulator's convergence-check
-            cadence), which is usually what experiments want.
         max_snapshots: Safety cap on stored snapshots.
     """
 
-    def __init__(self, every: Optional[int] = None, max_snapshots: int = 100_000) -> None:
-        self.every = every
+    def __init__(self, max_snapshots: int = 100_000) -> None:
         self.max_snapshots = max_snapshots
         self.snapshots: List[MetricsSnapshot] = []
-        self._last_bucket = 0
 
     def _snapshot(self, simulator: "Simulator") -> None:
         if len(self.snapshots) >= self.max_snapshots:
@@ -50,23 +48,8 @@ class OutputTraceRecorder(Hook):
     def on_start(self, simulator: "Simulator") -> None:
         self._snapshot(simulator)
 
-    def after_interaction(self, simulator: "Simulator", initiator: int, responder: int) -> None:
-        if self.every is not None and simulator.interactions % self.every == 0:
-            self._snapshot(simulator)
-
-    def on_batch_event(self, simulator: "Simulator", *keys) -> None:
-        # The batch backend advances many interactions per event, so ``every``
-        # is honoured at event granularity: one snapshot per crossed bucket.
-        if self.every is None:
-            return
-        bucket = simulator.interactions // self.every
-        if bucket > self._last_bucket:
-            self._last_bucket = bucket
-            self._snapshot(simulator)
-
     def on_checkpoint(self, simulator: "Simulator", satisfied: bool) -> None:
-        if self.every is None:
-            self._snapshot(simulator)
+        self._snapshot(simulator)
 
     def on_end(self, simulator: "Simulator") -> None:
         self._snapshot(simulator)

@@ -194,7 +194,9 @@ class Simulator:
         scheduler: Interaction scheduler; defaults to the uniform random
             scheduler of the population model.  Custom schedulers force the
             per-agent backend.
-        hooks: Observers notified of simulation events.
+        hooks: Observers of the run's start, checkpoints, timeline events
+            and end (:class:`~repro.engine.hooks.Hook`); they never see
+            single interactions.
         track_state_space: Whether to maintain the observed-state-space
             tracker (cheap, but can be disabled for micro-benchmarks).
         require_uniform: When ``True``, refuse to construct a simulator for a
@@ -203,9 +205,8 @@ class Simulator:
             ``"batch"`` runs the batched configuration-vector backend (using
             the key-lifting adapter when the protocol has neither a
             ``delta_key`` nor a ``state_from_key``); ``"auto"`` picks ``"batch"`` when the protocol
-            natively supports key-level transitions and neither a custom
-            scheduler nor a hook requiring per-agent callbacks is in play,
-            else ``"agent"``.  The batch backend picks its own sampling
+            natively supports key-level transitions and no custom scheduler
+            is in play, else ``"agent"``.  The batch backend picks its own sampling
             structures (see :class:`~repro.engine.backends.BatchBackend`).
     """
 
@@ -244,15 +245,10 @@ class Simulator:
         custom_scheduler = scheduler is not None and not isinstance(
             scheduler, UniformRandomScheduler
         )
-        agent_only_hooks = [
-            hook for hook in self.hooks if getattr(hook, "requires_agent_backend", False)
-        ]
         if backend == "auto":
             backend = (
                 "batch"
-                if protocol.supports_key_transitions()
-                and not custom_scheduler
-                and not agent_only_hooks
+                if protocol.supports_key_transitions() and not custom_scheduler
                 else "agent"
             )
         if backend == "batch":
@@ -260,12 +256,6 @@ class Simulator:
                 raise ConfigurationError(
                     "the batch backend implements the uniform random scheduler; "
                     f"it cannot honour {type(scheduler).__name__}"
-                )
-            if agent_only_hooks:
-                names = ", ".join(type(hook).__name__ for hook in agent_only_hooks)
-                raise ConfigurationError(
-                    f"hooks requiring per-agent callbacks cannot observe the "
-                    f"batch backend: {names}"
                 )
             self.scheduler: Scheduler = UniformRandomScheduler()
             self._backend: Backend = BatchBackend(
@@ -476,8 +466,6 @@ class Simulator:
         def evaluate_checkpoint() -> bool:
             nonlocal last_checked
             checkpoint_started = time.perf_counter()
-            for hook in self.hooks:
-                hook.before_checkpoint(self)
             satisfied = predicate(backend.convergence_view())
             tracker.record(last_checked + 1, satisfied)
             last_checked = backend.interactions
@@ -548,9 +536,7 @@ class Simulator:
                         break
                     # The configuration is provably frozen until the next
                     # event re-activates it; skipping the window is exact.
-                    # One synthetic checkpoint records the frozen state (and
-                    # lets checkpoint-triggered hooks fire, which may undo
-                    # the terminality).
+                    # One synthetic checkpoint records the frozen state.
                     backend.skip_to(segment_end)
                     if predicate is not None and backend.interactions != last_checked:
                         evaluate_checkpoint()

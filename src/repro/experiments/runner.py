@@ -124,9 +124,8 @@ class PoolExecutor:
         payloads: List[Dict[str, Any]],
         timeout_s: Optional[float] = None,
         on_result: Optional[Callable[[Dict[str, Any]], None]] = None,
-        executor: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
     ) -> List[Dict[str, Any]]:
-        """Run every payload; return records in payload order.
+        """Run :attr:`executor` on every payload; return records in order.
 
         ``timeout_s`` bounds each task's result wait (measured from its
         ``get``, so it is a coarse per-task bound, not a batch deadline);
@@ -134,14 +133,7 @@ class PoolExecutor:
         so pass one whenever crash recovery matters.  A task still missing
         after :attr:`retries` re-submissions yields a synthetic record with
         the failure in its ``error`` field instead of raising.
-
-        ``executor`` overrides the pool's default executor for this batch
-        only (it must still be a picklable module-level callable) — this is
-        what lets one long-lived pool serve several cell kinds, e.g. the
-        job server scheduling sweep, scenario, and search-probe cells on
-        the same worker processes.
         """
-        run_task = executor if executor is not None else self.executor
         results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
         pending = list(enumerate(payloads))
         attempt = 0
@@ -149,12 +141,12 @@ class PoolExecutor:
             pool = self._ensure_pool()
             if pool is None:
                 for index, payload in pending:
-                    results[index] = run_task(payload)
+                    results[index] = self.executor(payload)
                     if on_result:
                         on_result(results[index])
                 break
             tasks = [
-                (index, payload, pool.apply_async(run_task, (payload,)))
+                (index, payload, pool.apply_async(self.executor, (payload,)))
                 for index, payload in pending
             ]
             lost = []

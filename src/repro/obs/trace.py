@@ -15,8 +15,8 @@ regimes time them differently:
   event and phase but charged once per advance window.  ``sampling`` is
   drawing the skip and the pair type, ``transition`` the memo lookup or
   ``delta_key`` plus the histogram update, ``pair_weights`` the kernel's
-  count upkeep after a configuration-changing event; hooks are excluded.  ``ops`` are those
-  of per-event charging: ``sampling`` and ``transition`` count one per
+  count upkeep after a configuration-changing event.  ``ops`` are those of
+  per-event charging: ``sampling`` and ``transition`` count one per
   applied event, ``pair_weights`` one per configuration-changing event.
 * **Dense regime**: one timer per advance window, plus one around each
   memo entry that is not a plain hit.  ``transition`` is the time spent
@@ -24,9 +24,9 @@ regimes time them differently:
   such events (``delta_key``, decoding the slots that hold no live state,
   and re-deciding the mode, which moves no state); ``sampling``
   is the rest of the window — the agent-pair draws, plain memo hits,
-  histogram and agent-slot upkeep and the loop itself, hooks excluded;
-  ``pair_weights`` records no time and counts the configuration-changing
-  events.  ``sampling`` and ``transition`` count one op per interaction.
+  histogram and agent-slot upkeep and the loop itself; ``pair_weights``
+  records no time and counts the configuration-changing events.
+  ``sampling`` and ``transition`` count one op per interaction.
 
 Determinism contract: tracing only ever reads ``time.perf_counter`` —
 never an RNG stream — so instrumented runs are stream-identical to

@@ -5,8 +5,9 @@ change; this package perturbs *running* populations and measures recovery.
 A declarative :class:`ScenarioSpec` (JSON round-trip) composes a registered
 protocol with a timeline of events — agent churn (join/leave/replace, as
 one-shot waves or Poisson arrival processes, with optional
-detected-membership restarts), repeated fault campaigns (generalising the
-one-shot ``FailureInjectionHook``), and adversarial scheduler
+detected-membership restarts), repeated fault campaigns (each fault a
+timeline event rewriting the victims' states at one exact interaction),
+and adversarial scheduler
 reconfiguration (partition/merge) — and the runner executes the grid over
 population sizes, parameter variants, seeds, and *both* simulation
 backends, recording per-event recovery times, post-churn output accuracy

@@ -513,7 +513,6 @@ class FrontierRunner:
         self.progress = progress
         self.history: List[Dict[str, Any]] = []
         self._cache: Dict[str, Dict[str, Any]] = {}
-        self._executor = executor
         self._should_abort = should_abort
         self._pool: Optional[PoolExecutor] = None
         if run_cell is None:
@@ -602,7 +601,7 @@ class FrontierRunner:
             # Grace over the in-worker budget so the worker's own timeout
             # record (which preserves completed runs) wins when possible.
             timeout = self.spec.probe_timeout_s + 30.0
-        return self._pool.map([payload], timeout_s=timeout, executor=self._executor)[0]
+        return self._pool.map([payload], timeout_s=timeout)[0]
 
     def _bisect(self) -> Dict[str, Any]:
         """Deterministic interval halving over the single dimension.

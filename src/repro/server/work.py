@@ -38,9 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Lease", "WorkItem", "WorkQueue", "failure_record"]
 
-#: Lease lifecycle states.
-LEASE_STATES = ("active", "expired", "completed")
-
 #: Grace past an item's ``timeout_s`` before heartbeats stop extending its
 #: lease, so the worker's own timeout record (which keeps the runs that
 #: finished) wins whenever the cell can still stop by itself.

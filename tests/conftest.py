@@ -55,24 +55,36 @@ def serve():
 
 @pytest.fixture
 def visited_keys():
-    """``visited_keys(keys)``: a hook adding each state key a run visits to ``keys``.
+    """``visited_keys(simulator, keys)``: add each state key the run visits to ``keys``.
 
-    Works on both backends: the initial keys at the start, then both
-    agents' keys after each interaction (agent backend) or each event's
-    post-interaction keys (batch backend).
+    Call it before the run.  Works on both backends: the initial keys at
+    once, then both agents' keys after each step (agent backend) or the
+    keys each ``delta_key`` evaluation returns (batch backend; a memo hit
+    returns keys an earlier evaluation did).  Neither wrapper draws from a
+    stream, so the run is the one it would be without them.
     """
-    from repro.engine.hooks import CallbackHook
 
-    def hook(keys):
-        def after_interaction(simulator, initiator, responder):
+    def visit(simulator, keys):
+        keys.update(simulator.state_key_counts())
+        backend = simulator.backend
+        if simulator.backend_name == "agent":
+            step = backend.step
             key = simulator.protocol.state_key
-            states = simulator.backend.states
-            keys.update((key(states[initiator]), key(states[responder])))
 
-        return CallbackHook(
-            on_start=lambda simulator: keys.update(simulator.state_key_counts()),
-            after_interaction=after_interaction,
-            on_batch_event=lambda simulator, a, b, new_a, new_b: keys.update((new_a, new_b)),
-        )
+            def stepped():
+                initiator, responder = step()
+                keys.update((key(backend.states[initiator]), key(backend.states[responder])))
+                return initiator, responder
 
-    return hook
+            backend.step = stepped
+        else:
+            delta = backend._delta
+
+            def evaluated(*args):
+                new_keys = delta(*args)
+                keys.update(new_keys)
+                return new_keys
+
+            backend._delta = evaluated
+
+    return visit

@@ -78,10 +78,8 @@ def test_backends_reach_identical_state_key_sets(n, visited_keys):
         batch_keys = set()
         for seed in range(5):
             for backend, keys in (("agent", agent_keys), ("batch", batch_keys)):
-                simulator = Simulator(
-                    protocol_factory(), n, seed=seed, backend=backend,
-                    hooks=[visited_keys(keys)],
-                )
+                simulator = Simulator(protocol_factory(), n, seed=seed, backend=backend)
+                visited_keys(simulator, keys)
                 simulator.run(max_interactions=budget)
         assert agent_keys == batch_keys
 
@@ -207,17 +205,6 @@ def test_auto_backend_selection():
     )
 
 
-def test_agent_only_hooks_are_rejected_by_batch_and_demote_auto():
-    from repro.engine import FailureInjectionHook
-
-    hook = FailureInjectionHook(10, lambda simulator: None)
-    # Silent no-op would report falsely clean stability results; reject.
-    with pytest.raises(ConfigurationError):
-        Simulator(OneWayEpidemic(), 8, hooks=[hook], backend="batch")
-    simulator = Simulator(OneWayEpidemic(), 8, hooks=[hook], backend="auto")
-    assert simulator.backend_name == "agent"
-
-
 def test_batch_initial_key_counts_match_per_agent_construction():
     n = 33
     for protocol in (
@@ -271,7 +258,8 @@ def test_can_interaction_change_is_exact_for_key_protocols(visited_keys):
         (PowersOfTwoLoadBalancing(kappa=3), 16),
     ):
         keys = set()
-        simulator = Simulator(protocol, n, seed=6, backend="agent", hooks=[visited_keys(keys)])
+        simulator = Simulator(protocol, n, seed=6, backend="agent")
+        visited_keys(simulator, keys)
         simulator.run(max_interactions=32 * n)
         for key_a in keys:
             for key_b in keys:

@@ -1,6 +1,6 @@
 """The batch backend's dense-regime event loop.
 
-Three contracts pin the loop from outside:
+Two contracts pin the loop from outside:
 
 * **Stream pin** — seeded dense runs of the paper's protocols must end on
   the recorded interactions, histogram, state counts, transition calls,
@@ -14,8 +14,6 @@ Three contracts pin the loop from outside:
   ``distinct_states`` and the memo's ``interned_keys`` and ``released``
   were re-recorded when dead ids began to be released and the state count
   became the product of the variables' ranges.
-* **Hooks mid-window** — ``on_batch_event`` hooks see the event already
-  counted, and a hook that leaves the backend terminal ends the window.
 * **Draw contract** — the loop draws its agent indices exactly as
   :meth:`~repro.engine.samplers.AgentPairSampler.sample` would from the
   same pair stream.
@@ -23,12 +21,11 @@ Three contracts pin the loop from outside:
 
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 
 from repro.engine import Simulator
-from repro.engine.hooks import CallbackHook, FailureInjectionHook, TimelineEvent
+from repro.engine.hooks import TimelineEvent
 from repro.engine.protocol import Protocol
 from repro.engine.samplers import AgentPairSampler
 from repro.experiments.registry import resolve_protocol
@@ -191,15 +188,30 @@ class _Cell:
         self.value = value
 
 
-class _KeyedToy(Protocol):
-    """Dense-regime toy over integer keys; subclasses define ``delta_key``."""
+class _OwnKeys(Protocol):
+    """Every agent keeps its own integer key forever: each event is a no-op.
 
-    pure_key_transitions = True
+    Not declared pure, so every event calls ``delta_key``, which records
+    the population size, whether a leave has reshuffled the slots (two
+    population changes so far) and the two pre-event keys.
+    """
+
+    name = "own-keys"
+
+    def __init__(self):
+        self.backend = None
+        self.records = []
+
+    def initial_state(self, agent_id):
+        return _Cell(agent_id)
 
     def transition(self, initiator, responder, rng):
-        initiator.value, responder.value = self.delta_key(
-            initiator.value, responder.value, rng
-        )
+        pass
+
+    def delta_key(self, key_a, key_b, rng):
+        backend = self.backend
+        self.records.append((backend.n, backend.population_changes >= 2, key_a, key_b))
+        return key_a, key_b
 
     def output(self, state):
         return state.value
@@ -211,91 +223,11 @@ class _KeyedToy(Protocol):
         return key
 
 
-class _Collapsible(_KeyedToy):
-    """Keys 1-5 churn with a coin; key 0, which only a corruption writes,
-    is a coin-free no-op with itself."""
-
-    name = "collapsible"
-
-    def initial_state(self, agent_id):
-        return _Cell(1 + agent_id % 4)
-
-    def delta_key(self, key_a, key_b, rng):
-        if key_a == 0 and key_b == 0:
-            return 0, 0
-        return (key_a + key_b) % 5 + 1, (key_a * key_b + rng.getrandbits(1)) % 5 + 1
-
-
-def test_a_hook_that_collapses_the_population_ends_the_window():
-    n = 24
-    seen = []
-    corruption = FailureInjectionHook(
-        at_interaction=1_234, corrupt_key=lambda key, rng: 0, victims=n, seed=5
-    )
-    recorder = CallbackHook(on_batch_event=lambda sim, *keys: seen.append(sim.interactions))
-    simulator = Simulator(
-        _Collapsible(), n, seed=8, backend="batch", hooks=[recorder, corruption]
-    )
-    backend = simulator.backend
-    # One window well past the corruption: only the hook can end it early.
-    backend.advance_to(50_000)
-    assert corruption.fired
-    assert backend.terminal
-    assert backend.interactions == 1_234
-    assert backend.state_key_counts() == Counter({0: n})
-    # Every hook saw its own event already counted.
-    assert seen == list(range(1, 1_235))
-    assert backend.applied_events == 1_234
-    assert backend.counter.total == 1_234
-
-
-def test_hooks_that_reshape_the_population_mid_window_are_pinned():
-    # A hook may restart, grow or shrink the population between two events
-    # of one window; the loop must carry on over the new arrays.
-    n = 24
-    churn_rng = random.Random(3)
-
-    def reshape(sim, *keys):
-        if sim.interactions == 500:
-            sim.backend.restart_population()
-        elif sim.interactions == 800:
-            sim.backend.join(3)
-        elif sim.interactions == 900:
-            sim.backend.leave(5, churn_rng)
-
-    simulator = Simulator(
-        _Collapsible(), n, seed=4, backend="batch", hooks=[CallbackHook(on_batch_event=reshape)]
-    )
-    backend = simulator.backend
-    backend.advance_to(3_000)
-    assert backend.n == 22 and len(backend._agents) == 22
-    assert Counter(backend._agents) == backend._counts
-    assert {
-        "interactions": backend.interactions,
-        "state_key_counts": dict(sorted(backend.state_key_counts().items())),
-        "memo": backend.memo_stats(),
-        "rngs": _digest((backend._agent_rng.getstate(), backend._pair_rng.getstate())),
-    } == {
-        "interactions": 3_000,
-        "state_key_counts": {1: 6, 2: 4, 3: 3, 4: 2, 5: 7},
-        "memo": {
-            "interned_keys": 5, "released": 0, "pairs": 25, "hits": 2950, "misses": 50,
-            "unrecorded": 0, "switches": 0, "coin_nodes": 25,
-        },
-        "rngs": "e07301508de2a7441ee04d7be81d218d1f50a7cafe1b4c02812b89d8667532e2",
-    }
-
-
-class _OwnKeys(_KeyedToy):
-    """Every agent keeps its own key forever: each event is a no-op."""
-
-    name = "own-keys"
-
-    def initial_state(self, agent_id):
-        return _Cell(agent_id)
-
-    def delta_key(self, key_a, key_b, rng):
-        return key_a, key_b
+def _own_keys(n, seed):
+    protocol = _OwnKeys()
+    simulator = Simulator(protocol, n, seed=seed, backend="batch")
+    protocol.backend = simulator.backend
+    return simulator, protocol.records
 
 
 def _reference_pairs(pair_state, records, final_agents):
@@ -321,11 +253,7 @@ def _reference_pairs(pair_state, records, final_agents):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 20])
 def test_the_loop_draws_the_agent_pair_sampler_sequence(n):
-    records = []
-    hook = CallbackHook(
-        on_batch_event=lambda sim, a, b, new_a, new_b: records.append((sim.n, False, a, b))
-    )
-    simulator = Simulator(_OwnKeys(), n, seed=n, backend="batch", hooks=[hook])
+    simulator, records = _own_keys(n, seed=n)
     backend = simulator.backend
     pair_state = backend._pair_rng.getstate()
     backend.advance_to(500)
@@ -338,14 +266,8 @@ def test_the_loop_draws_the_agent_pair_sampler_sequence(n):
 
 def test_the_loop_follows_the_sampler_through_a_timeline_join_and_leave():
     n = 7
-    records = []
     leave_rng = random.Random(42)
-    hook = CallbackHook(
-        on_batch_event=lambda sim, a, b, new_a, new_b: records.append(
-            (sim.n, sim.backend.population_changes >= 2, a, b)
-        )
-    )
-    simulator = Simulator(_OwnKeys(), n, seed=11, backend="batch", hooks=[hook])
+    simulator, records = _own_keys(n, seed=11)
     backend = simulator.backend
     pair_state = backend._pair_rng.getstate()
     timeline = [

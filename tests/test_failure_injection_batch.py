@@ -1,4 +1,10 @@
-"""Batch-mode failure injection and sampling-regime detection (PR 2 satellites)."""
+"""Failure injection through timeline events, and sampling-regime detection.
+
+A fault is a :class:`~repro.engine.hooks.TimelineEvent` whose ``apply``
+corrupts victims with :meth:`~repro.engine.backends.BatchBackend.corrupt_histogram`
+or :meth:`~repro.engine.backends.AgentBackend.corrupt_agents`: the run stops
+at exactly ``at`` and the rewrite applies there.
+"""
 
 import random
 from collections import Counter
@@ -7,8 +13,8 @@ import pytest
 
 from repro.engine import (
     ConfigurationError,
-    FailureInjectionHook,
     Simulator,
+    TimelineEvent,
     all_outputs_equal,
     simulate,
 )
@@ -83,34 +89,25 @@ def test_dense_regime_matches_agent_reachable_keys(visited_keys):
     batch_keys = set()
     for seed in range(5):
         for backend, keys in (("agent", agent_keys), ("batch", batch_keys)):
-            simulator = Simulator(
-                _MaxConsensus(), 24, seed=seed, backend=backend, hooks=[visited_keys(keys)]
-            )
+            simulator = Simulator(_MaxConsensus(), 24, seed=seed, backend=backend)
+            visited_keys(simulator, keys)
             simulator.run(max_interactions=2_000)
     assert agent_keys == batch_keys
 
 
 # ------------------------------------------------------- failure injection
-def test_hook_requires_some_corruption_mode():
-    with pytest.raises(ConfigurationError):
-        FailureInjectionHook(10)
-    with pytest.raises(ConfigurationError):
-        FailureInjectionHook(10, corrupt=lambda simulator: None, victims=0)
+def _key_corruption(at, victims, rewrite, seed):
+    """An event rewriting ``victims`` uniform agents' keys at interaction ``at``."""
+
+    def apply(simulator):
+        rng = make_rng(seed, "failure-injection")
+        return {"changed": simulator.backend.corrupt_histogram(victims, rewrite, rng)}
+
+    return TimelineEvent(at=at, kind="corrupt", apply=apply)
 
 
-def test_agent_only_hook_still_rejected_by_batch():
-    hook = FailureInjectionHook(10, corrupt=lambda simulator: None)
-    assert hook.requires_agent_backend
-    with pytest.raises(ConfigurationError):
-        Simulator(OneWayEpidemic(), 8, hooks=[hook], backend="batch")
-    assert Simulator(OneWayEpidemic(), 8, hooks=[hook], backend="auto").backend_name == "agent"
-
-
-def test_key_only_hook_rejected_by_agent_backend_at_start():
-    hook = FailureInjectionHook(10, corrupt_key=lambda key, rng: 0)
-    simulator = Simulator(OneWayEpidemic(), 8, hooks=[hook], backend="agent")
-    with pytest.raises(ConfigurationError):
-        simulator.run(max_interactions=100)
+def _reset_to_zero(state, rng):
+    state.value = 0
 
 
 def test_corrupt_histogram_conserves_population_and_rebuilds_weights():
@@ -154,47 +151,18 @@ def test_dense_corruption_onto_a_single_no_op_key_is_terminal():
 
 
 def test_batch_failure_injection_fires_and_epidemic_recovers():
-    hook = FailureInjectionHook(
-        200, corrupt_key=lambda key, rng: 0, victims=4, seed=9
-    )
     result = simulate(
         OneWayEpidemic(source_count=8),
         64,
         seed=3,
         backend="batch",
-        hooks=[hook],
+        timeline=[_key_corruption(200, 4, lambda key, rng: 0, seed=9)],
         convergence=all_outputs_equal(1),
         check_interval=64,
     )
-    assert hook.fired
+    assert result.extra["timeline"][0]["fired"]
     assert result.converged
     assert result.consensus_output == 1
-
-
-def test_before_checkpoint_precedes_predicate_evaluation():
-    # Checkpoint-triggered interventions must be visible to the predicate
-    # evaluated at the same checkpoint (the batch injection relies on this).
-    from repro.engine import CallbackHook
-
-    order = []
-    hook = CallbackHook(
-        before_checkpoint=lambda simulator: order.append("before"),
-        on_checkpoint=lambda simulator, satisfied: order.append("after"),
-    )
-    predicate_calls = []
-
-    def predicate(outputs):
-        predicate_calls.append(len(order))
-        return False
-
-    simulate(
-        OneWayEpidemic(), 8, seed=1, backend="batch", hooks=[hook],
-        convergence=predicate, max_interactions=32, check_interval=8,
-    )
-    assert order[:2] == ["before", "after"]
-    # At the first checkpoint the predicate ran after before_checkpoint (one
-    # entry in `order`) and before on_checkpoint.
-    assert predicate_calls[0] == 1
 
 
 def test_corrupt_histogram_victims_are_distinct_agents():
@@ -223,18 +191,42 @@ def test_corrupt_histogram_rejects_unseen_keys_under_lifted_adapter():
 
 
 def test_injection_after_run_end_reports_unfired():
-    # A run that converges/terminates before at_interaction finishes without
-    # firing — under either backend; callers must assert hook.fired.
-    for backend in ("agent", "batch"):
-        hook = FailureInjectionHook(
-            10**9, corrupt=lambda simulator: None, corrupt_key=lambda key, rng: 0
-        )
-        result = simulate(
-            OneWayEpidemic(), 32, seed=2, backend=backend, hooks=[hook],
-            convergence=all_outputs_equal(1),
+    # On the agent loop and on both batch regimes a corruption applies with
+    # the counter at exactly its interaction.  Events at or past the budget
+    # never fire, here in runs that also stop early (converged): each is
+    # recorded as unfired, and callers must read "fired" before counting a
+    # recovery.
+    budget = 5_000
+    for protocol, backend_name, regime, final in (
+        (OneWayEpidemic(), "agent", None, 1),
+        (_MaxConsensus(), "batch", "dense", 3),
+        (OneWayEpidemic(), "batch", "pruning", 1),
+    ):
+        applied_at = []
+
+        def corrupt(simulator):
+            applied_at.append(simulator.backend.interactions)
+            rng = make_rng(2, "failure-injection")
+            backend = simulator.backend
+            if simulator.backend_name == "agent":
+                return {"changed": backend.corrupt_agents(3, _reset_to_zero, rng)}
+            return {"changed": backend.corrupt_histogram(3, lambda key, rng: 0, rng)}
+
+        timeline = [
+            TimelineEvent(at=at, kind="corrupt", apply=corrupt)
+            for at in (37, budget, 10**9)
+        ]
+        simulator = Simulator(protocol, 32, seed=2, backend=backend_name)
+        if regime is not None:
+            assert simulator.backend.sampler_stats()["regime"] == regime
+        result = simulator.run(
+            max_interactions=budget, timeline=timeline, convergence=all_outputs_equal(final)
         )
         assert result.converged
-        assert not hook.fired
+        assert applied_at == [37]
+        assert [(record["at"], record["fired"]) for record in result.extra["timeline"]] == [
+            (37, True), (budget, False), (10**9, False),
+        ]
 
 
 from repro.engine.stats import ks_statistic as _ks_statistic  # noqa: E402  (shared statistical harness)
@@ -254,24 +246,19 @@ def test_agent_batch_injection_equivalence():
     for seed in range(samples):
         def corrupt(simulator, _seed=seed):
             rng = make_rng(_seed, "victims")
-            for index in rng.sample(range(n), 4):
-                simulator.states[index].value = 0
+            return {"changed": simulator.backend.corrupt_agents(4, _reset_to_zero, rng)}
 
-        agent_hook = FailureInjectionHook(100, corrupt=corrupt)
         agent = simulate(
             OneWayEpidemic(source_count=8), n, seed=seed, backend="agent",
-            hooks=[agent_hook], convergence=all_outputs_equal(1),
-            check_interval=1, confirm_checks=1,
-        )
-        batch_hook = FailureInjectionHook(
-            100, corrupt_key=lambda key, rng: 0, victims=4, seed=seed
+            timeline=[TimelineEvent(at=100, kind="corrupt", apply=corrupt)],
+            convergence=all_outputs_equal(1), check_interval=1, confirm_checks=1,
         )
         batch = simulate(
             OneWayEpidemic(source_count=8), n, seed=1_000 + seed, backend="batch",
-            hooks=[batch_hook], convergence=all_outputs_equal(1),
-            check_interval=1, confirm_checks=1,
+            timeline=[_key_corruption(100, 4, lambda key, rng: 0, seed=seed)],
+            convergence=all_outputs_equal(1), check_interval=1, confirm_checks=1,
         )
-        assert agent_hook.fired and batch_hook.fired
+        assert agent.extra["timeline"][0]["fired"] and batch.extra["timeline"][0]["fired"]
         assert agent.converged and batch.converged
         agent_times.append(agent.convergence_interaction)
         batch_times.append(batch.convergence_interaction)

@@ -8,10 +8,9 @@ pinned and never released.  Two contracts pin that from outside:
   histogram counts or a memo entry names (its two sources and every
   result, coin-node leaves included) is interned under its own key, no
   released id is named, and the ids in use are exactly the live and the
-  pinned ones.  Checked through hooks, ``join``/``leave``,
-  ``corrupt_histogram``, restarts and mode flapping, with and without
-  hooks (a run with hooks releases after them: they read the pre-event
-  keys).
+  pinned ones.  Checked through ``join``/``leave``,
+  ``corrupt_histogram``, restarts and mode flapping, window by window and
+  at every checkpoint and timeline event of a run.
 * **Bound** — a long ``count-exact`` run holds O(n) ids in use, where a
   table that keeps every key grows with the number of interactions.
 """
@@ -46,11 +45,10 @@ def _named_ids(backend):
     return named
 
 
-def _assert_interned(backend, settled=True):
+def _assert_interned(backend):
     """Every named id maps to its key and back; no released id is named.
 
-    ``settled``: outside an event's hooks, where no dead id awaits release,
-    the ids in use are exactly the live ones and the pinned ones.
+    The ids in use are exactly the live ones and the pinned ones.
     """
     ids, keys, free = backend._ids, backend._keys, backend._free
     named = _named_ids(backend)
@@ -60,45 +58,9 @@ def _assert_interned(backend, settled=True):
     assert not named & set(free)
     assert all(keys[ident] is None for ident in free)
     assert len(ids) + len(free) == len(keys)
-    if settled:
-        assert set(ids.values()) == set(backend._counts) | backend._pinned
+    assert set(ids.values()) == set(backend._counts) | backend._pinned
     if not backend._prunes:
         assert Counter(backend._agents) == backend._counts
-
-
-class _Mirror:
-    """Hooks keeping a key histogram from the events' pre and post keys.
-
-    It matches the backend's only if every hook read the pre-event keys of
-    ids that died in that event; it is checked, with the intern table, at
-    every checkpoint and after every timeline event.
-    """
-
-    def __init__(self):
-        self.counts = Counter()
-        self.checks = 0
-
-    def hook(self):
-        return CallbackHook(
-            on_start=self._resync,
-            on_batch_event=self._event,
-            before_checkpoint=self._check,
-            on_timeline_event=lambda simulator, event, record: self._resync(simulator),
-        )
-
-    def _resync(self, simulator):
-        _assert_interned(simulator.backend)
-        self.counts = simulator.state_key_counts()
-
-    def _event(self, simulator, key_a, key_b, new_a, new_b):
-        counts = self.counts
-        counts.subtract((key_a, key_b))
-        counts.update((new_a, new_b))
-
-    def _check(self, simulator):
-        self.checks += 1
-        _assert_interned(simulator.backend)
-        assert +self.counts == simulator.state_key_counts()
 
 
 def _stable_detect(protocol, n=32, seed=9):
@@ -108,7 +70,7 @@ def _stable_detect(protocol, n=32, seed=9):
 
 
 def _drive(simulator, budget, window, events=()):
-    """Advance window by window without hooks, applying ``events`` on time."""
+    """Advance window by window, applying ``events`` on time."""
     backend = simulator.backend
     pending = sorted(events, key=lambda event: event.at)
     while backend.interactions < budget:
@@ -132,10 +94,17 @@ def test_flapping_run_through_the_stable_detect_timeline_keeps_ids_interned():
     assert memo["released"] > 0
 
 
-def test_hooked_flapping_run_releases_after_its_hooks():
+def test_flapping_run_keeps_ids_interned_at_every_checkpoint():
     simulator, budget, events = _stable_detect("approximate-stable")
-    mirror = _Mirror()
-    simulator.hooks.append(mirror.hook())
+    checks = []
+
+    def check(simulator, *details):
+        _assert_interned(simulator.backend)
+        checks.append(simulator.interactions)
+
+    simulator.hooks.append(
+        CallbackHook(on_start=check, on_checkpoint=check, on_timeline_event=check)
+    )
     result = simulator.run(
         max_interactions=budget, timeline=events, convergence=lambda view: False,
         check_interval=64,
@@ -143,7 +112,7 @@ def test_hooked_flapping_run_releases_after_its_hooks():
     assert all(record["fired"] for record in result.extra["timeline"])
     memo = result.extra["telemetry"]["memo"]
     assert memo["switches"] > 400 and memo["released"] > 0
-    assert mirror.checks > 400
+    assert len(checks) > 400
 
 
 def test_count_exact_keeps_ids_interned_through_population_operations():
@@ -167,41 +136,6 @@ def test_count_exact_keeps_ids_interned_through_population_operations():
         _assert_interned(backend)
         _drive(simulator, backend.interactions + 3_000, 700)
     assert backend.memo_stats()["released"] > 0
-
-
-def test_count_exact_hooks_that_reshape_the_population_mid_window():
-    n = 64
-    simulator = Simulator(resolve_protocol("count-exact").build(n, {}), n, seed=6, backend="batch")
-    backend = simulator.backend
-    rng = random.Random(4)
-    mirror = _Mirror()
-
-    def reshape(sim, *keys):
-        # Inside the event's hooks its dead ids are not released yet.
-        at = sim.interactions
-        if at in (4_000, 5_000, 6_000, 7_000):
-            if at == 4_000:
-                backend.restart_population()
-            elif at == 5_000:
-                backend.join(5)
-            elif at == 6_000:
-                backend.leave(7, rng)
-            else:
-                backend.corrupt_histogram(12, lambda key, rng: keys[0], rng)
-            _assert_interned(backend, settled=False)
-            # The mirror's hook, next, applies this event to the new histogram.
-            mirror.counts = sim.state_key_counts()
-            mirror.counts.subtract(keys[2:])
-            mirror.counts.update(keys[:2])
-
-    simulator.hooks.extend([CallbackHook(on_batch_event=reshape), mirror.hook()])
-    result = simulator.run(
-        max_interactions=12_000, convergence=lambda view: False, check_interval=n
-    )
-    assert backend.n == n + 5 - 7
-    assert mirror.checks == 12_000 // n
-    memo = result.extra["telemetry"]["memo"]
-    assert memo["unrecorded"] > 0 and memo["released"] > 0
 
 
 def test_count_exact_ids_in_use_stay_bounded_by_the_population():

@@ -33,7 +33,6 @@ import pytest
 
 from repro.counting.search import SearchWithGivenLeader
 from repro.engine import Simulator
-from repro.engine.hooks import CallbackHook
 from repro.engine.protocol import Protocol
 from repro.experiments.registry import resolve_protocol
 from repro.scenarios.builtin import builtin_scenarios
@@ -154,23 +153,19 @@ def test_flapping_runs_keep_their_held_states_across_switches(name):
 
 
 def test_owned_ids_stay_live_after_every_event():
+    # One interaction per window: dense streams do not depend on where
+    # windows end, so this is the stream of one 3,000-interaction window.
     n = 32
     modes = set()
-
-    def check(sim, *keys):
-        backend = sim.backend
+    simulator = Simulator(
+        resolve_protocol("count-exact").build(n, {}), n, seed=2, backend="batch"
+    )
+    backend = simulator.backend
+    while backend.interactions < 3_000:
+        backend.advance_to(backend.interactions + 1)
         _assert_bounded(backend)
         modes.add("recorded" if backend._recording else "unrecorded")
-
-    simulator = Simulator(
-        resolve_protocol("count-exact").build(n, {}),
-        n,
-        seed=2,
-        backend="batch",
-        hooks=[CallbackHook(on_batch_event=check)],
-    )
-    result = simulator.run(max_interactions=3_000)
-    assert result.interactions == 3_000
+    assert backend.interactions == 3_000
     assert modes == {"recorded", "unrecorded"}
 
 
@@ -282,19 +277,18 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
     live = []
     held = []
 
-    def record(sim, *keys):
-        backend = sim.backend
+    def build(protocol):
+        return Simulator(protocol, n, seed=seed, backend="batch").backend
+
+    # Stepped one interaction at a time to read every event; the reference
+    # below runs the same stream as one window.
+    backend = build(_SpreadThenMax())
+    while backend.interactions < 4_000 and not backend.terminal:
+        backend.advance_to(backend.interactions + 1)
         _assert_bounded(backend)
         modes.append(not backend._recording)
         live.append(len(backend._counts))
         held.append(list(backend._states))
-
-    def build(protocol, hooks=()):
-        simulator = Simulator(protocol, n, seed=seed, backend="batch", hooks=list(hooks))
-        simulator.backend.advance_to(4_000)  # one window, no checkpoints
-        return simulator.backend
-
-    backend = build(_SpreadThenMax(), [CallbackHook(on_batch_event=record)])
     assert backend.terminal and len(backend._counts) == 1
     flips = [index for index in range(1, len(modes)) if modes[index] != modes[index - 1]]
     assert len(flips) == backend.memo_stats()["switches"] == 2
@@ -307,6 +301,8 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
         assert sum(old is not new for old, new in zip(before, after)) <= 2
     # The same run, decoding every transition, ends on the same streams.
     reference = build(_decode_every_transition(_SpreadThenMax()))
+    reference.advance_to(4_000)  # one window, no checkpoints
+    assert reference.terminal
     assert reference.interactions == backend.interactions
     assert reference.state_key_counts() == backend.state_key_counts()
     assert reference.memo_stats() == backend.memo_stats()

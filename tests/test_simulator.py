@@ -7,6 +7,7 @@ from repro.engine import (
     ConfigurationError,
     SimulationError,
     Simulator,
+    TimelineEvent,
     UniformityError,
     all_outputs_equal,
     default_interaction_budget,
@@ -127,8 +128,8 @@ def test_hooks_receive_events():
     events = []
     hook = CallbackHook(
         on_start=lambda sim: events.append("start"),
-        after_interaction=lambda sim, a, b: events.append("interaction"),
-        on_checkpoint=lambda sim, ok: events.append("checkpoint"),
+        on_checkpoint=lambda sim, ok: events.append(("checkpoint", sim.interactions)),
+        on_timeline_event=lambda sim, event, record: events.append(("event", record["at"])),
         on_end=lambda sim: events.append("end"),
     )
     simulate(
@@ -140,11 +141,15 @@ def test_hooks_receive_events():
         convergence=all_outputs_equal(1),
         stop_when_converged=False,
         hooks=[hook],
+        timeline=[TimelineEvent(at=12, kind="noop", apply=lambda sim: {})],
     )
     assert events[0] == "start"
     assert events[-1] == "end"
-    assert events.count("interaction") == 16
-    assert events.count("checkpoint") >= 2
+    # Checkpoints on the cadence, plus one pinning the configuration the
+    # event meets; the event's hook call follows it.
+    assert events[1:-1] == [
+        ("checkpoint", 8), ("checkpoint", 12), ("event", 12), ("checkpoint", 16),
+    ]
 
 
 def test_sequence_scheduler_drives_chosen_pairs():

@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from repro.engine import SimulationError, Simulator, simulate
-from repro.engine.hooks import CallbackHook
 from repro.engine.protocol import Protocol
 from repro.experiments.registry import resolve_protocol
 from repro.scenarios.builtin import builtin_scenarios
@@ -108,18 +107,17 @@ def test_memo_lookups_account_for_every_applied_event():
     ops = {name: phase["ops"] for name, phase in telemetry["phases"].items()}
     assert ops == {"sampling": 15_000, "transition": 15_000, "pair_weights": 13_610}
     assert ops["sampling"] == ops["transition"] == applied
+    # The same stream one interaction per window: every event is read, and
+    # the phase op counts do not depend on where windows end.
     changing = []
-    counter = CallbackHook(
-        on_batch_event=lambda sim, a, b, new_a, new_b: changing.append(
-            Counter((a, b)) != Counter((new_a, new_b))
-        )
-    )
-    hooked = simulate(
-        entry.build(64, {}), 64, seed=2, backend="batch", max_interactions=15_000,
-        hooks=[counter],
-    )
-    hooked_phases = hooked.extra["telemetry"]["phases"]
-    assert {name: phase["ops"] for name, phase in hooked_phases.items()} == ops
+    stepped = Simulator(entry.build(64, {}), 64, seed=2, backend="batch").backend
+    while stepped.interactions < 15_000:
+        before = Counter(stepped._counts)
+        stepped.advance_to(stepped.interactions + 1)
+        changing.append(stepped._counts != before)
+    stepped_phases = stepped.tracer.as_dict()["phases"]
+    assert {name: phase["ops"] for name, phase in stepped_phases.items()} == ops
+    assert stepped.applied_events == applied
     assert len(changing) == applied and sum(changing) == ops["pair_weights"]
 
 

@@ -9,7 +9,6 @@ checked in ``tests/test_exact_laws.py``.
 """
 
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -264,7 +263,7 @@ def test_factorised_kernel_compacts_dead_slots():
 
 
 # --------------------------------------------------------------------------
-# Hooks inside the fused pruning loop
+# Fault events through the fused pruning loop
 # --------------------------------------------------------------------------
 
 
@@ -276,12 +275,14 @@ def _kernel_pair_table(backend):
     }
 
 
-def test_fresh_keys_minted_inside_a_hook_reach_the_kernel():
-    # A fault rewrite inside a hook mints 20 keys the kernel has never seen,
-    # mid-window.  The loop must go on drawing from the resynced kernel,
-    # whose implied pair table then tracks the histogram exactly, up to a
-    # budget that ends the run before its fixed point.
-    from repro.engine import CallbackHook, FailureInjectionHook
+def test_fresh_keys_minted_by_a_fault_event_reach_the_kernel():
+    # A fault event at interaction 300 mints 20 keys the kernel has never
+    # seen.  The loop must go on drawing from the resynced kernel, whose
+    # implied pair table then tracks the histogram exactly at the event and
+    # at every later checkpoint, up to a budget that ends the run before
+    # its fixed point.
+    from repro.engine import CallbackHook, TimelineEvent
+    from repro.engine.rng import make_rng
 
     fresh = itertools.count(10_000)
     minted = []
@@ -296,28 +297,35 @@ def test_fresh_keys_minted_inside_a_hook_reach_the_kernel():
     protocol = ExactBackupProtocol()
     checked = []
 
-    def check_table(simulator, *keys):
-        if injection.fired:
+    def check_table(simulator, *details):
+        if minted:
             _total, table = _brute_force_pair_table(
                 simulator.backend.state_key_counts(), protocol.can_interaction_change
             )
             assert _kernel_pair_table(simulator.backend) == table
             checked.append(simulator.interactions)
 
-    injection = FailureInjectionHook(
-        at_interaction=300, victims=20, seed=1, corrupt_key=corrupt_key
-    )
+    def inject(simulator):
+        rng = make_rng(1, "failure-injection")
+        return {"changed": simulator.backend.corrupt_histogram(20, corrupt_key, rng)}
+
     simulator = Simulator(
         protocol,
         64,
         seed=1,
         backend="batch",
-        hooks=[injection, CallbackHook(on_batch_event=check_table)],
+        hooks=[CallbackHook(on_checkpoint=check_table, on_timeline_event=check_table)],
     )
-    result = simulator.run(max_interactions=1_500, stop_when_converged=False)
-    assert injection.fired
+    result = simulator.run(
+        max_interactions=1_500,
+        timeline=[TimelineEvent(at=300, kind="corrupt", apply=inject)],
+        convergence=lambda view: False,
+        check_interval=8,
+        stop_when_converged=False,
+    )
+    assert result.extra["timeline"][0]["fired"]
     assert len(minted) == 20
-    assert checked[0] == injection.at_interaction
+    assert checked[0] == 300
     assert len(checked) > 100
     assert result.stopped_reason == "budget"
     assert result.interactions == 1_500
@@ -325,42 +333,6 @@ def test_fresh_keys_minted_inside_a_hook_reach_the_kernel():
         simulator.backend.state_key_counts(), protocol.can_interaction_change
     )
     assert _kernel_pair_table(simulator.backend) == table
-
-
-def test_a_join_inside_a_hook_reaches_the_next_skip():
-    # A hook that joins agents mid-window changes T = n (n - 1): the very
-    # next skip must be drawn from W / T of the grown population.
-    from repro.engine import CallbackHook
-    from repro.primitives.epidemic import OneWayEpidemic
-
-    seen = []
-    expected = []
-
-    def join_once(simulator, *keys):
-        seen.append(simulator.interactions)
-        if len(seen) > 1:
-            return
-        backend = simulator.backend
-        backend.join(400)
-        weight = backend._pair_kernel.active_weight()
-        rng = random.Random()
-        rng.setstate(backend._pair_rng.getstate())
-        ordered_pairs = backend.n * (backend.n - 1)
-        skip = int(math.log(1.0 - rng.random()) / math.log1p(-weight / ordered_pairs))
-        expected.append(simulator.interactions + skip + 1)
-
-    simulator = Simulator(
-        OneWayEpidemic(source_count=1),
-        40,
-        seed=5,
-        backend="batch",
-        hooks=[CallbackHook(on_batch_event=join_once)],
-    )
-    backend = simulator.backend
-    backend.advance_to(10**6)
-    assert backend.n == 440
-    assert len(seen) > 2
-    assert seen[1] == expected[0]
 
 
 # --------------------------------------------------------------------------

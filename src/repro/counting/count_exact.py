@@ -50,6 +50,7 @@ from .params import CountExactParameters
 from .refinement_stage import (
     RefinementStageState,
     advance_refinement_phase,
+    refinement_estimate,
     refinement_output,
     refinement_stage_update,
 )
@@ -204,7 +205,9 @@ class CountExactProtocol(Protocol[CountExactAgent]):
         return residue_compatible(self.params.leader_election.tag_modulus)
 
     def output_key(self, key: Hashable) -> Optional[int]:
-        return refinement_output(refinement_from_key(key[4]), self.params)  # type: ignore[index]
+        # Refinement key fields: (entered, phase, k, load, error).
+        entered, _, k, load, _ = key[4]  # type: ignore[index]
+        return refinement_estimate(entered, k, load, self.params)
 
     def initial_key_counts(self, n: int) -> Counter:
         return Counter({self.state_key(self.initial_state(0)): n})

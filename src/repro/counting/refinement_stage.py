@@ -43,6 +43,7 @@ __all__ = [
     "refinement_stage_update",
     "advance_refinement_phase",
     "refinement_output",
+    "refinement_estimate",
     "WAITING_PHASE",
 ]
 
@@ -173,8 +174,19 @@ def refinement_output(state: RefinementStageState, params: CountExactParameters)
 
     Returns ``None`` while the agent has no load (e.g. before the stage).
     """
-    if not state.entered or state.load <= 0:
+    return refinement_estimate(state.entered, state.k, state.load, params)
+
+
+def refinement_estimate(
+    entered: bool, k: int, load: int, params: CountExactParameters
+) -> Optional[int]:
+    """:func:`refinement_output` from the stage's fields, e.g. a key's.
+
+    Key-level outputs call it on the fields of a refinement key without
+    building a :class:`RefinementStageState`.
+    """
+    if not entered or load <= 0:
         return None
-    numerator = params.refinement_constant << (2 * state.k)
+    numerator = params.refinement_constant << (2 * k)
     # Nearest-integer rounding with pure integer arithmetic.
-    return (2 * numerator + state.load) // (2 * state.load)
+    return (2 * numerator + load) // (2 * load)

@@ -55,6 +55,7 @@ from .params import CountExactParameters
 from .refinement_stage import (
     RefinementStageState,
     advance_refinement_phase,
+    refinement_estimate,
     refinement_output,
     refinement_stage_update,
 )
@@ -285,7 +286,9 @@ class StableCountExactProtocol(Protocol[StableCountExactAgent]):
     def output_key(self, key: Hashable) -> Optional[int]:
         refinement_key, backup_key, error = key[4], key[5], key[6]  # type: ignore[index]
         if not error:
-            estimate = refinement_output(refinement_from_key(refinement_key), self.params)
+            # Refinement key fields: (entered, phase, k, load, error).
+            entered, _, k, load, _ = refinement_key
+            estimate = refinement_estimate(entered, k, load, self.params)
             if estimate is not None:
                 return estimate
         return exact_backup_from_key(backup_key).count

@@ -9,7 +9,7 @@ agent states.  Two execution strategies for that chain are provided:
   participation accounting, and is exact at the agent level.
 
 * :class:`BatchBackend` collapses the population into a histogram
-  ``Counter[state_key] -> count`` (the configuration-as-multiset view of the
+  ``state_key -> count`` (the configuration-as-multiset view of the
   population Markov chain) and samples *batches* of interactions at once:
   the number of configuration-preserving interactions before the next
   configuration-changing one is drawn from a geometric distribution over the
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, repeat, starmap
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -528,9 +529,11 @@ class BatchBackend(Backend):
     and keys cross back only at the protocol boundary (``delta_key`` and
     ``can_interaction_change`` on a cache miss, ``output_key`` once per
     interning) and in public views and fault rewrites.  The id
-    histogram is updated by the same operations in the same order a key
-    histogram would be, so every structure built from it sees a renamed copy
-    of the key sequence.
+    histogram, :attr:`_counts`, is a plain ``dict`` of id to positive count
+    (an id no agent holds has no entry).  It is not a ``Counter``, whose
+    missing-key and delete paths run in Python.  It is updated by the same operations in the
+    same order a key histogram would be, so every structure built from it
+    sees a renamed copy of the key sequence.
 
     An id that no agent holds and no memo entry names is *released*: dropped
     from the intern table and handed to the next new key, so the table holds
@@ -660,8 +663,9 @@ class BatchBackend(Backend):
         self._free: List[int] = []
         self._pinned: set = set()
         self._released = 0
-        #: The configuration: a histogram over interned key ids.
-        self._counts: Counter = self._intern_counts(initial)
+        #: The configuration: a plain dict of interned key id -> positive
+        #: count (no zero entries; see class docstring).
+        self._counts: Dict[int, int] = self._intern_counts(initial)
         self.counter = AggregateInteractionCounter(self.n)
         self._pure = protocol.pure_key_transitions
         #: Packed id pair -> ``(new_a, new_b)`` ids or a :class:`_CoinNode`.
@@ -701,7 +705,7 @@ class BatchBackend(Backend):
                 self._counts, self._can_change, scheduler_rng
             )
         else:
-            self._agents = list(self._counts.elements())
+            self._agents = self._agent_array()
             self._sampler = AgentPairSampler(self.n)
             if self._lifted is None and type(protocol).delta_key is Protocol.delta_key:
                 self._decode = protocol.state_from_key
@@ -712,26 +716,33 @@ class BatchBackend(Backend):
 
     # ------------------------------------------------------------- interning
     def _intern(self, key: Hashable) -> int:
-        """Id of ``key``; a new key takes a released id or the next one.
+        """Id of ``key``, interning it when new."""
+        ident = self._ids.get(key)
+        if ident is None:
+            ident = self._intern_new(key)
+        return ident
+
+    def _intern_new(self, key: Hashable) -> int:
+        """Intern ``key``, which has no id: it takes a released id or the next one.
 
         A new key is observed, and pinned while recording.
         """
-        ident = self._ids.get(key)
-        if ident is None:
-            output = self._output_key(key)
-            if self._free:
-                ident = self._free.pop()
-                self._keys[ident] = key
-                self._outputs[ident] = output
-            else:
-                ident = len(self._keys)
-                self._keys.append(key)
-                self._outputs.append(output)
-            self._ids[key] = ident
-            if self._recording:
-                self._pinned.add(ident)
-            if self.track_state_space:
-                self.state_space.observe(key)
+        output = self._output_key(key)
+        free = self._free
+        keys = self._keys
+        if free:
+            ident = free.pop()
+            keys[ident] = key
+            self._outputs[ident] = output
+        else:
+            ident = len(keys)
+            keys.append(key)
+            self._outputs.append(output)
+        self._ids[key] = ident
+        if self._recording:
+            self._pinned.add(ident)
+        if self.track_state_space:
+            self.state_space.observe(key)
         return ident
 
     def _release(self, ident: int) -> None:
@@ -753,9 +764,13 @@ class BatchBackend(Backend):
             if ident not in counts and ident not in pinned and ids.get(keys[ident]) == ident:
                 self._release(ident)
 
-    def _intern_counts(self, counts: Counter) -> Counter:
-        """A key histogram renamed to ids, in the same order."""
-        return Counter({self._intern(key): count for key, count in counts.items()})
+    def _intern_counts(self, counts: Counter) -> Dict[int, int]:
+        """A key histogram renamed to ids, in the same order, zero counts dropped."""
+        return {self._intern(key): count for key, count in counts.items() if count > 0}
+
+    def _agent_array(self) -> List[int]:
+        """The ids of the histogram expanded to one per agent, in its order."""
+        return list(chain.from_iterable(starmap(repeat, self._counts.items())))
 
     # ------------------------------------------------------------ transitions
     def _resolve(
@@ -894,10 +909,13 @@ class BatchBackend(Backend):
         first re-decides the unrecorded mode (see class docstring), which
         moves no live state, then goes through :meth:`_resolve` or, in that
         mode, calls ``delta_key`` on the two slots' states with the agent
-        stream and records nothing.  The histogram and the two
+        stream and records nothing; a new key is interned after one
+        lookup (:meth:`_intern_new`).  The histogram and the two
         slots are rewritten only when the configuration changed, the
         histogram by the same operations in the same order as the pruning
-        loop.
+        loop.  An id that loses its last agent and is not pinned is
+        released inline, as :meth:`_release` would, and the releases are
+        counted per window.
 
         Phase timers run once per window and around each entry that is not
         a plain hit, not per event; :mod:`repro.obs.trace` says what each
@@ -915,19 +933,22 @@ class BatchBackend(Backend):
         delta = self._delta
         agent_rng = self._agent_rng
         keys = self._keys
-        ids_get = self._ids.get
-        intern = self._intern
+        ids = self._ids
+        ids_get = ids.get
+        intern_new = self._intern_new
+        outputs = self._outputs
+        free_append = self._free.append
         agents = self._agents
         states = self._states
         recording = self._recording
         pinned = self._pinned
-        release = self._release
         counts = self._counts
         count_of = counts.get
+        n = self.n
         id_bits = _ID_BITS
         clock = perf_counter
         start = interactions
-        hits = changes = unrecorded = 0
+        hits = changes = unrecorded = released = 0
         resolve_s = 0.0
         window_started = clock()
         try:
@@ -948,7 +969,7 @@ class BatchBackend(Backend):
                             states[responder] = None
                 else:
                     tic = clock()
-                    if decode is not None and (2 * len(counts) > self.n) is recording:
+                    if decode is not None and (2 * len(counts) > n) is recording:
                         recording = self._recording = not recording
                         self._mode_switches += 1
                         if recording:
@@ -971,10 +992,10 @@ class BatchBackend(Backend):
                         key_a, key_b = delta(key_a, key_b, agent_rng, state_a, state_b)
                         new_a = ids_get(key_a)
                         if new_a is None:
-                            new_a = intern(key_a)
+                            new_a = intern_new(key_a)
                         new_b = ids_get(key_b)
                         if new_b is None:
-                            new_b = intern(key_b)
+                            new_b = intern_new(key_b)
                         if new_a == ident_b and new_b == ident_a:
                             # A swap keeps both slots' ids: trade the states.
                             state_a, state_b = state_b, state_a
@@ -987,16 +1008,23 @@ class BatchBackend(Backend):
                     changes += 1
                     counts[ident_a] -= 1
                     counts[ident_b] -= 1
-                    counts[new_a] += 1
-                    counts[new_b] += 1
-                    if count_of(ident_a) == 0:
+                    counts[new_a] = count_of(new_a, 0) + 1
+                    counts[new_b] = count_of(new_b, 0) + 1
+                    # A dead unpinned id is released here (see _release).
+                    if not counts[ident_a]:
                         del counts[ident_a]
                         if ident_a not in pinned:
-                            release(ident_a)
+                            del ids[keys[ident_a]]
+                            keys[ident_a] = outputs[ident_a] = None
+                            free_append(ident_a)
+                            released += 1
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
                         if ident_b not in pinned:
-                            release(ident_b)
+                            del ids[keys[ident_b]]
+                            keys[ident_b] = outputs[ident_b] = None
+                            free_append(ident_b)
+                            released += 1
                     agents[initiator] = new_a
                     agents[responder] = new_b
                     if len(counts) == 1:
@@ -1011,6 +1039,7 @@ class BatchBackend(Backend):
             self.applied_events += events
             self._memo_hits += hits
             self._unrecorded += unrecorded
+            self._released += released
             self.transition_calls += unrecorded
             tracer = self.tracer
             tracer.add("sampling", window_s - resolve_s, ops=events)
@@ -1082,9 +1111,9 @@ class BatchBackend(Backend):
                 ):
                     counts[ident_a] -= 1
                     counts[ident_b] -= 1
-                    counts[new_a] += 1
-                    counts[new_b] += 1
-                    if count_of(ident_a) == 0:
+                    counts[new_a] = count_of(new_a, 0) + 1
+                    counts[new_b] = count_of(new_b, 0) + 1
+                    if not counts[ident_a]:
                         del counts[ident_a]
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
@@ -1183,7 +1212,7 @@ class BatchBackend(Backend):
                 self.terminal = True
         else:
             if full_rebuild:
-                self._agents = list(self._counts.elements())
+                self._agents = self._agent_array()
                 if self._states is not None:
                     self._states = [None] * self.n
             self._sampler.resize(self.n)
@@ -1217,7 +1246,7 @@ class BatchBackend(Backend):
         changed: Dict[int, None] = {}
         for _ in range(count):
             ident = self._intern(self.register_state(self.fresh_initial_state()))
-            counts[ident] += 1
+            counts[ident] = counts.get(ident, 0) + 1
             changed[ident] = None
             if not self._prunes:
                 self._agents.append(ident)
@@ -1331,7 +1360,7 @@ class BatchBackend(Backend):
             if not counts[ident]:
                 del counts[ident]
             new_ident = self._intern(new_key)
-            counts[new_ident] += 1
+            counts[new_ident] = counts.get(new_ident, 0) + 1
             if slots is not None:
                 agents[slots[position]] = new_ident
                 if self._states is not None:
@@ -1386,10 +1415,12 @@ class BatchBackend(Backend):
 
     def output_counts(self) -> Counter:
         outputs = self._outputs
-        output_counts: Counter = Counter()
+        totals: Dict[Any, int] = {}
+        total_of = totals.get
         for ident, count in self._counts.items():
-            output_counts[outputs[ident]] += count
-        return output_counts
+            output = outputs[ident]
+            totals[output] = total_of(output, 0) + count
+        return Counter(totals)
 
     def outputs(self) -> List[Any]:
         expanded: List[Any] = []

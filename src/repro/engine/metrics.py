@@ -52,11 +52,10 @@ class StateSpaceTracker:
         while len(components) < len(key):
             components.append(set())
             self._fresh.append([])
-        for index, value in enumerate(key):
-            values = components[index]
+        for values, fresh, value in zip(components, self._fresh, key):
             if value not in values:
                 values.add(value)
-                self._fresh[index].append(value)
+                fresh.append(value)
 
     def _project(self, path: Tuple[int, ...], value: Any) -> None:
         if isinstance(value, tuple):

@@ -90,7 +90,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+        # Compact: an indent forces the pure-Python encoder on every response.
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

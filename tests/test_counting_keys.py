@@ -78,13 +78,24 @@ def test_delta_key_matches_transition_along_agent_run(make_protocol):
 
 @pytest.mark.parametrize("make_protocol", COUNTING_PROTOCOLS)
 def test_output_key_matches_output_on_visited_states(make_protocol):
+    # Every state the run visits is compared, after the interaction that
+    # produced it.  The run is long enough for `count-exact` to pass
+    # through refinement (its first estimate appears near interaction
+    # 2,550 at this seed), so Lemma 11's output formula is compared on
+    # real loads, and every protocol's output must be numeric somewhere.
     protocol = make_protocol()
     n = 12
     simulator = Simulator(protocol, n, seed=3, backend="agent")
-    simulator.run(max_interactions=40 * n)
-    for state in simulator.states:
-        key = protocol.state_key(state)
-        assert protocol.output_key(key) == protocol.output(state), protocol.name
+    numeric = 0
+    for step in range(8_000):
+        for agent in simulator.step():
+            state = simulator.states[agent]
+            output = protocol.output(state)
+            assert protocol.output_key(protocol.state_key(state)) == output, (
+                protocol.name, step,
+            )
+            numeric += output is not None
+    assert numeric, protocol.name
 
 
 @pytest.mark.parametrize("make_protocol", COUNTING_PROTOCOLS)

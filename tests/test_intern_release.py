@@ -48,7 +48,10 @@ def _named_ids(backend):
 def _assert_interned(backend):
     """Every named id maps to its key and back; no released id is named.
 
-    The ids in use are exactly the live ones and the pinned ones.
+    The ids in use are exactly the live ones and the pinned ones.  The
+    histogram holds positive counts only (a stray zero entry would inflate
+    ``len(_counts)``, which the n/2 rule and the fixed-point check read,
+    yet compare equal under ``Counter``'s ``==``).
     """
     ids, keys, free = backend._ids, backend._keys, backend._free
     named = _named_ids(backend)
@@ -59,8 +62,12 @@ def _assert_interned(backend):
     assert all(keys[ident] is None for ident in free)
     assert len(ids) + len(free) == len(keys)
     assert set(ids.values()) == set(backend._counts) | backend._pinned
-    if not backend._prunes:
-        assert Counter(backend._agents) == backend._counts
+    counts = backend._counts
+    assert all(count > 0 for count in counts.values())
+    if backend._prunes:
+        assert sum(counts.values()) == backend.n
+    else:
+        assert counts == dict(Counter(backend._agents))
 
 
 def _stable_detect(protocol, n=32, seed=9):

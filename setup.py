@@ -50,7 +50,6 @@ setup(
     },
     entry_points={
         "console_scripts": [
-            "repro-bench=repro.bench.cli:main",
             "repro-sweep=repro.experiments.cli:main",
             "repro-chaos=repro.scenarios.cli:main",
             "repro-serve=repro.server.cli:main",

@@ -1194,7 +1194,10 @@ class BatchBackend(Backend):
 
         The kernel takes the new counts of the ``changed`` ids, or of every
         id after a wholesale edit (``full_rebuild``, population restarts);
-        the dense regime resizes its agent-pair sampler.
+        the dense regime resizes its agent-pair sampler.  Below two agents
+        there is nothing to sample, and the next join resizes: a whole
+        population :meth:`replace` passes through there between its leave
+        and its join.
         """
         self.counter.n = self.n
         self.terminal = False
@@ -1215,6 +1218,8 @@ class BatchBackend(Backend):
                 self._agents = self._agent_array()
                 if self._states is not None:
                     self._states = [None] * self.n
+            if self.n < 2:
+                return
             self._sampler.resize(self.n)
             self._check_dense_fixed_point()
 

@@ -238,7 +238,7 @@ def render_profile(profile: Dict[str, Any], title: Optional[str] = None) -> str:
 
 
 def profile_json_path(output_dir: str, name: str) -> str:
-    """Path of the profile artifact for a named sweep/scenario/bench run."""
+    """Path of the profile artifact for a named sweep, scenario or search run."""
     return os.path.join(output_dir, f"PROFILE_{name}.json")
 
 

@@ -22,8 +22,7 @@ from one place, :func:`repro.spec_cli.run_grid`, after
 :meth:`repro.kinds.SpecKind.load_document` has read the previous artifact;
 no kind wraps them.
 
-:func:`write_report` writes every kind's artifact (:data:`repro.kinds.KINDS`)
-and the ``BENCH_`` documents.
+:func:`write_report` writes every kind's artifact (:data:`repro.kinds.KINDS`).
 """
 
 from __future__ import annotations

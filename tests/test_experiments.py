@@ -325,10 +325,14 @@ def test_builtin_specs_are_valid_and_cover_counting():
 
 def test_every_committed_artifact_spec_loads_through_from_dict():
     # Every committed artifact loads through its kind's loader, embeds a
-    # spec that loads through the kind's from_dict (specs of earlier
-    # releases record the removed sampler/accel knobs at "auto", which
-    # still load), and is named after a builtin of its own kind.
+    # spec that loads through the kind's from_dict (none records the
+    # removed sampler/accel knobs any more), is named after a builtin of
+    # its own kind, and carries its provenance: a code fingerprint and the
+    # content address of that builtin as it stands, so an artifact whose
+    # builtin changed must be regenerated.
     from pathlib import Path
+
+    from repro.fingerprint import spec_sha256
 
     root = Path(__file__).resolve().parent.parent
     loaded = set()
@@ -337,8 +341,12 @@ def test_every_committed_artifact_spec_loads_through_from_dict():
         for path in sorted(root.glob(f"{kind.prefix}*.json")):
             document = kind.load_document(str(path))
             spec = kind.spec_class().from_dict(document["spec"])
-            fields = set(spec.to_dict()) | set(spec.to_dict().get("scenario", {}))
+            recorded = document["spec"]
+            fields = set(recorded) | set(recorded.get("scenario", {}))
             assert not {"sampler", "accel"} & fields, path.name
             assert document["name"] == spec.name in builtins, path.name
+            assert document.get("code_fingerprint"), path.name
+            builtin = builtins[spec.name].to_dict()
+            assert document.get("spec_sha256") == spec_sha256(builtin), path.name
             loaded.add(kind.kind)
     assert loaded == set(KINDS)

@@ -4,8 +4,8 @@ The package ``__init__`` files import none of their submodules; their public
 names load on first use through one ``_EXPORTS`` table each
 (:mod:`repro.lazy`).  A fresh interpreter on the benchmark's setup path
 (the two imports, ``resolve_protocol``, ``build``, ``convergence`` and one
-simulated interaction) must leave the harnesses, the service, the sweep
-runner and ``multiprocessing`` unloaded, and a ``repro-worker`` that has
+simulated interaction) must leave the service, the sweep runner, the scenario
+subsystem and ``multiprocessing`` unloaded, and a ``repro-worker`` that has
 leased nothing must have imported no kind's code; the in-process checks
 guard each table against typos.
 """
@@ -33,7 +33,6 @@ PACKAGES = (
 
 #: Modules the run path never executes, so it must not import them.
 NOT_ON_RUN_PATH = (
-    "repro.bench",
     "repro.server",
     "repro.scenarios",
     "repro.experiments.artifacts",

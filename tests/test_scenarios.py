@@ -54,24 +54,43 @@ from repro.scenarios import (
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["agent", "batch"])
-def test_join_leave_replace_bookkeeping(backend):
-    simulator = Simulator(OneWayEpidemic(), 16, seed=1, backend=backend)
+@pytest.mark.parametrize(
+    "backend, protocol",
+    [
+        ("agent", "one-way-epidemic"),
+        ("batch", "one-way-epidemic"),  # the batch backend's pruning regime
+        ("agent", "approximate"),
+        ("batch", "approximate"),  # the batch backend's dense regime
+    ],
+    ids=["agent", "batch", "agent-approximate", "batch-approximate"],
+)
+def test_join_leave_replace_bookkeeping(backend, protocol):
+    model = resolve_protocol(protocol).build(16, {})
+    simulator = Simulator(model, 16, seed=1, backend=backend)
+    simulator.backend.advance_to(50)
     rng = random.Random(7)
-    simulator.backend.join(8)
+    simulator.backend.join(8)  # agent ids 16..23
     assert simulator.n == 24
     assert sum(simulator.state_key_counts().values()) == 24
-    # Joiners get late agent ids, i.e. the uninformed initial state.
-    assert simulator.state_key_counts()[0] >= 8
+    # Joiners get late agent ids, i.e. a late agent's initial state.
+    late = model.state_key(model.initial_state(16))
+    assert simulator.state_key_counts()[late] >= 8
     simulator.backend.leave(10, rng)
     assert simulator.n == 14
     assert sum(simulator.state_key_counts().values()) == 14
-    simulator.backend.replace(14, rng)  # full crash-rejoin keeps n
+    # A full crash-rejoin keeps n, though the population is empty between
+    # its leave and its join; so does one that spares a single agent.
+    simulator.backend.replace(13, rng)  # agent ids 24..36
+    assert simulator.n == 14
+    simulator.backend.replace(14, rng)  # agent ids 37..50
     assert simulator.n == 14
     counts = simulator.state_key_counts()
     assert sum(counts.values()) == 14
-    # After replacing everyone, only fresh (uninformed) agents remain.
-    assert counts == Counter({0: 14})
+    # After replacing everyone, only fresh agents remain.
+    fresh = Counter(model.state_key(model.initial_state(i)) for i in range(37, 51))
+    assert counts == fresh
+    simulator.backend.advance_to(simulator.interactions + 50)
+    assert sum(simulator.state_key_counts().values()) == 14
 
 
 @pytest.mark.parametrize("backend", ["agent", "batch"])

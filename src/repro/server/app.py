@@ -4,7 +4,9 @@ Stdlib only: a :class:`~http.server.ThreadingHTTPServer` whose handler
 threads merely translate requests into (thread-safe) manager calls.  No
 simulation runs in the server process: every cell is leased to a
 ``repro-worker`` through the ``/work`` routes, so the API stays responsive
-while jobs grind.
+while jobs grind.  Connections are kept alive (HTTP/1.1), one handler
+thread per connection, so a worker's requests reuse one connection and
+one thread; :meth:`ReproServer.server_close` shuts down those still open.
 
 Routes:
 
@@ -30,11 +32,16 @@ Routes:
                               lease expired or the batch ended)
 ``POST /work/<lease>/result`` push the executed cell record back;
                               response says whether it was the first
-                              (``accepted``) or a dedup'd duplicate
+                              (``accepted``) or a dedup'd duplicate;
+                              ``?next=<worker>`` adds ``"next"``: the
+                              lease ``POST /work/lease`` would grant that
+                              worker now, or ``null``
 ============================  =============================================
 
 The three ``/work`` routes are the pull protocol ``repro-worker`` speaks —
-see :mod:`repro.server.worker` — and the only way a cell is executed.
+see :mod:`repro.server.worker` — and the only way a cell is executed.  A
+busy worker makes one request per cell: each push asks for the next lease,
+and ``POST /work/lease`` is left for its first cell and its idle polls.
 
 Errors are JSON too: 400 carries the spec-validation message, 404 an
 unknown job id or route, 409 an artifact requested before the job is done.
@@ -43,9 +50,11 @@ unknown job id or route, 409 an artifact requested before the job is done.
 from __future__ import annotations
 
 import json
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
-from urllib.parse import urlparse
+from typing import Any, Dict, Optional, Set, Tuple
+from urllib.parse import parse_qs, urlparse
 
 from ..engine.errors import ConfigurationError
 from ..fingerprint import PACKAGE_VERSION, code_fingerprint
@@ -63,7 +72,12 @@ SSE_KEEPALIVE_S = 10.0
 
 
 class ReproServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`JobManager`."""
+    """A threading HTTP server bound to one :class:`JobManager`.
+
+    It tracks the connections its handler threads serve, so
+    :meth:`server_close` can end the kept-alive ones: no handler thread
+    outlives the server and answers from a closed manager.
+    """
 
     daemon_threads = True
 
@@ -75,7 +89,32 @@ class ReproServer(ThreadingHTTPServer):
     ) -> None:
         self.manager = manager
         self.quiet = quiet
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, ReproRequestHandler)
+
+    def get_request(self) -> Tuple[socket.socket, Any]:
+        connection, address = super().get_request()
+        with self._connections_lock:
+            self._connections.add(connection)
+        return connection, address
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and shut down every open connection: a handler
+        thread waiting for its next request on one then ends."""
+        self.socket.close()
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already went away
+        super().server_close()
 
 
 class ReproRequestHandler(BaseHTTPRequestHandler):
@@ -83,6 +122,10 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-serve/{PACKAGE_VERSION}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # body waits for the client's delayed ACK of the headers (~40 ms per
+    # response on a kept-alive connection).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -95,6 +138,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -108,6 +153,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length <= 0 or length > MAX_BODY_BYTES:
+            # Whatever body there is stays unread: end the connection after
+            # the reply rather than parse it as the next request.
+            self.close_connection = True
             self._error(400, "a JSON body with a valid Content-Length is required")
             return None
         raw = self.rfile.read(length)
@@ -232,6 +280,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         elif len(route) == 3 and route[0] == "work" and route[2] == "result":
             self._push_result(route[1])
         else:
+            self.close_connection = True  # the body stays unread
             self._error(404, f"no such route: POST {self.path}")
 
     def _submit_job(self) -> None:
@@ -278,7 +327,11 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         body = self._read_json_body()
         if body is None:
             return
-        self._send_json(200, self._manager.complete_work(lease_id, body))
+        reply = self._manager.complete_work(lease_id, body)
+        next_worker = parse_qs(urlparse(self.path).query).get("next")
+        if next_worker:
+            reply["next"] = self._manager.lease_work(next_worker[0])
+        self._send_json(200, reply)
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         route = self._route()

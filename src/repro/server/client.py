@@ -1,24 +1,38 @@
 """A thin stdlib HTTP client for the job server.
 
-:class:`ReproClient` wraps :mod:`urllib.request` so tests, scripts, and the
-CI smoke can drive ``repro-serve`` without any HTTP dependency.  Error
-responses (the server's JSON ``{"error": ...}`` bodies) surface as
-:class:`ServerError` with the HTTP status attached, so callers can branch
-on 409 (artifact not ready) versus 400/404 (caller bugs).
+:class:`ReproClient` speaks HTTP/1.1 through :mod:`http.client` so tests,
+scripts, workers and the CI smoke can drive ``repro-serve`` without any
+HTTP dependency.  Each calling thread keeps one persistent connection to
+the server, so a worker's lease, heartbeat and push requests cost no TCP
+handshake and no new server thread each.  Error responses (the server's
+JSON ``{"error": ...}`` bodies) surface as :class:`ServerError` with the
+HTTP status attached, so callers can branch on 409 (artifact not ready)
+versus 400/404 (caller bugs); every transport failure surfaces as a
+:class:`ServerError` with status 0.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, Iterable, Iterator, List, Optional
+from urllib.parse import quote, urlsplit
 
 __all__ = ["ReproClient", "ServerError", "parse_sse"]
 
 #: Job states that will never change again.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: What a kept-alive connection the server has closed raises: on send, or
+#: (``RemoteDisconnected``, a ``ConnectionResetError``) before any response
+#: byte.  Either way the server took no request, so it is sent once more.
+STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
+
+#: Every failure of the transport itself (refused, reset, timed out,
+#: malformed reply).
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 class ServerError(Exception):
@@ -69,8 +83,25 @@ def parse_sse(lines: Iterable[bytes]) -> Iterator[Dict[str, Any]]:
             data_lines.append(value)
 
 
+def _error_message(raw: bytes, fallback: str) -> str:
+    """The ``error`` field of a JSON error body, else the body itself."""
+    text = raw.decode("utf-8", errors="replace")
+    try:
+        decoded = json.loads(text)
+    except json.JSONDecodeError:
+        return text or fallback
+    return str(decoded.get("error", text) if isinstance(decoded, dict) else text)
+
+
 class ReproClient:
     """Talk to one ``repro-serve`` instance.
+
+    Every thread that calls the client gets a kept-alive connection of its
+    own (a worker's loop and its heartbeat thread never share one).  A
+    request on a reused connection the server has meanwhile closed is sent
+    once more on a new one when its send fails or its reply ends before
+    the first byte; any other failure is raised, never retried, so
+    :meth:`submit` cannot create a job twice.
 
     Args:
         base_url: e.g. ``"http://127.0.0.1:8765"`` (trailing slash ignored).
@@ -80,37 +111,75 @@ class ReproClient:
     def __init__(self, base_url: str, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) server URL: {base_url!r}")
+        self._factory = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host, self._port = parts.hostname, parts.port
+        self._prefix = parts.path
+        self._local = threading.local()
 
     # ------------------------------------------------------------ transport
+    def _connect(self) -> http.client.HTTPConnection:
+        return self._factory(self._host, self._port, timeout=self.timeout_s)
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+        accept: str = "application/json",
+    ) -> bytes:
+        """One request on this thread's connection; the response body.
+
+        Raises :class:`ServerError` with the status of a non-2xx response,
+        or status 0 when the transport failed.
+        """
+        headers = {"Accept": accept}
+        data = None
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+        reused = connection.sock is not None
+        url = self._prefix + path
+        sent = False
+        try:
+            try:
+                connection.request(method, url, body=data, headers=headers)
+                sent = True
+                response = connection.getresponse()
+            except STALE_CONNECTION as error:
+                stale = not sent or isinstance(error, http.client.RemoteDisconnected)
+                if not (reused and stale):
+                    raise
+                connection.close()
+                connection.request(method, url, body=data, headers=headers)
+                response = connection.getresponse()
+            raw = response.read()
+        except TRANSPORT_ERRORS as error:
+            connection.close()
+            raise ServerError(0, f"server unreachable: {error!r}") from None
+        if not 200 <= response.status < 300:
+            raise ServerError(response.status, _error_message(raw, response.reason))
+        return raw
+
     def _request(
         self,
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                raw = response.read()
-                if not raw:  # 204 No Content (e.g. nothing leasable)
-                    return {}
-                return json.loads(raw.decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = error.read().decode("utf-8", errors="replace")
-            try:
-                message = json.loads(raw).get("error", raw)
-            except json.JSONDecodeError:
-                message = raw or error.reason
-            raise ServerError(error.code, str(message)) from None
-        except urllib.error.URLError as error:
-            raise ServerError(0, f"server unreachable: {error.reason}") from None
+        raw = self._exchange(method, path, body)
+        if not raw:  # 204 No Content (e.g. nothing leasable)
+            return {}
+        return json.loads(raw.decode("utf-8"))
 
     # ------------------------------------------------------------ endpoints
     def healthz(self) -> Dict[str, Any]:
@@ -118,18 +187,7 @@ class ReproClient:
 
     def metrics(self) -> str:
         """The raw Prometheus text exposition from ``GET /metrics``."""
-        request = urllib.request.Request(
-            f"{self.base_url}/metrics", headers={"Accept": "text/plain"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            raise ServerError(
-                error.code, error.read().decode("utf-8", errors="replace")
-            ) from None
-        except urllib.error.URLError as error:
-            raise ServerError(0, f"server unreachable: {error.reason}") from None
+        return self._exchange("GET", "/metrics", accept="text/plain").decode("utf-8")
 
     def cache_stats(self) -> Dict[str, Any]:
         return self._request("GET", "/cache/stats")
@@ -168,16 +226,25 @@ class ReproClient:
         return self._request("POST", f"/work/{lease_id}/heartbeat", {})
 
     def push_result(
-        self, lease_id: str, record: Dict[str, Any]
+        self,
+        lease_id: str,
+        record: Dict[str, Any],
+        next_worker: Optional[str] = None,
     ) -> Dict[str, Any]:
         """``POST /work/<lease>/result``: push one executed cell record.
 
         The response's ``outcome`` is ``accepted`` for the first result,
         ``duplicate`` when another worker got there
         first, ``gone`` once the batch ended — all fine for the worker,
-        which just moves on to its next lease.
+        which just moves on to its next lease.  With ``next_worker`` the
+        server also grants that worker its next cell in the same round
+        trip: the response's ``next`` is a lease like :meth:`lease`
+        returns, or ``None`` when nothing is leasable now.
         """
-        return self._request("POST", f"/work/{lease_id}/result", record)
+        path = f"/work/{lease_id}/result"
+        if next_worker is not None:
+            path += f"?next={quote(next_worker, safe='')}"
+        return self._request("POST", path, record)
 
     def wait(
         self,
@@ -225,35 +292,36 @@ class ReproClient:
             headers = {"Accept": "text/event-stream"}
             if last_id is not None:
                 headers["Last-Event-ID"] = last_id
-            request = urllib.request.Request(
-                f"{self.base_url}/jobs/{job_id}/events", headers=headers
-            )
+            # A connection of its own: the stream must not hold up this
+            # thread's request connection.
+            connection = self._connect()
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout_s
-                ) as response:
-                    for record in parse_sse(response):
-                        if record["id"] is not None:
-                            last_id = record["id"]
-                        failures = 0
-                        yield record
-                        if record["event"] == "end":
-                            return
-            except urllib.error.HTTPError as error:
-                raw = error.read().decode("utf-8", errors="replace")
-                try:
-                    message = json.loads(raw).get("error", raw)
-                except json.JSONDecodeError:
-                    message = raw or error.reason
-                raise ServerError(error.code, str(message)) from None
-            except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as error:
+                connection.request(
+                    "GET", f"{self._prefix}/jobs/{job_id}/events", headers=headers
+                )
+                response = connection.getresponse()
+                if not 200 <= response.status < 300:
+                    raise ServerError(
+                        response.status,
+                        _error_message(response.read(), response.reason),
+                    )
+                for record in parse_sse(response):
+                    if record["id"] is not None:
+                        last_id = record["id"]
+                    failures = 0
+                    yield record
+                    if record["event"] == "end":
+                        return
+            except TRANSPORT_ERRORS as error:
                 failures += 1
                 if not reconnect or failures > max_reconnects:
                     raise ServerError(
-                        0, f"event stream for {job_id!r} dropped: {error}"
+                        0, f"event stream for {job_id!r} dropped: {error!r}"
                     ) from None
                 time.sleep(min(1.0, 0.05 * failures))
                 continue
+            finally:
+                connection.close()
             # Clean close without the terminal event (server restart or
             # proxy timeout): resume from the last seen sequence number.
             failures += 1

@@ -4,8 +4,9 @@ One :class:`WorkQueue` holds the cache misses of one batch awaiting
 execution — the pending cells of a grid job, or one probe of a frontier
 search.  Its only consumers are ``repro-worker`` processes, whether
 ``repro-serve`` spawned them or they attached from another host: each
-pulls one item at a time over HTTP (:meth:`WorkQueue.lease`), heartbeats
-while executing, and pushes a result back (:meth:`WorkQueue.complete`).
+holds one item at a time (:meth:`WorkQueue.lease`), heartbeats while
+executing, and pushes a result back (:meth:`WorkQueue.complete`) in the
+same HTTP request that leases its next item.
 
 Workers can die without warning — that is the whole point of the
 protocol — so every lease carries a TTL.  A lease whose worker stops

@@ -3,15 +3,22 @@
 The other half of the pull protocol (see :mod:`repro.server.app` and
 :class:`~repro.server.work.WorkQueue`): a stdlib-only process that
 
-1. polls ``POST /work/lease`` until the server hands it a cell of the
-   currently running batch (the canonical worker payload — the same JSON
+1. takes the lease the server handed over with its last push, or, when it
+   has none (its first cell, after a batch ended, while idle), polls
+   ``POST /work/lease`` until the server hands it a cell of the currently
+   running batch (the canonical worker payload — the same JSON
    ``repro-sweep``'s pool pickles),
 2. executes it with the same entry point that pool uses
    (:func:`repro.kinds.executor`: the ``executor`` of the lease kind's
    runner, ``execute_cell`` for sweep cells and ``execute_scenario_cell``
    for scenario cells and search probes, imported on the first lease of
-   that kind), heartbeating the lease from a side thread the whole time,
-3. pushes the record back via ``POST /work/<lease>/result`` and loops.
+   that kind), while the worker's one heartbeat thread keeps the lease
+   alive,
+3. pushes the record back via ``POST /work/<lease>/result?next=<id>``,
+   whose reply carries the next lease, and loops.
+
+A busy worker thus makes one request per cell, on a connection it keeps
+alive.  A server that sends no ``next`` leaves the worker polling.
 
 Every cell the server executes goes through a worker like this one:
 ``repro-serve --workers N`` spawns N of them against its own URL (through
@@ -104,63 +111,111 @@ def execute_lease(lease: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class _Heartbeat:
-    """Keep one lease alive from a daemon thread while the cell runs.
+    """Keep the lease in hand alive from one daemon thread per worker.
 
-    Once the lease's ``deadline_s`` has passed with the cell still running,
-    the server no longer extends the lease and gives the cell up; the
-    thread then calls ``on_overrun`` (if any) with the lease.
+    :meth:`begin` hands the thread a lease when its cell starts and
+    :meth:`end` takes it back when the cell ends; in between the thread
+    heartbeats it every TTL/:data:`HEARTBEATS_PER_TTL`.  A 404 marks the
+    lease lost (see :meth:`end`); transport trouble is retried at the next
+    beat.
+    Once the lease's ``deadline_s`` has passed with the cell still
+    running, the server no longer extends the lease and gives the cell
+    up; the thread then calls ``on_overrun`` (if any) with the lease.
     """
 
     def __init__(
         self,
         client: ReproClient,
-        lease: Dict[str, Any],
         on_overrun: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         self._client = client
-        self._lease = lease
-        self._lease_id = lease["lease_id"]
-        ttl = float(lease.get("ttl_s") or 60.0)
-        self._interval = max(MIN_HEARTBEAT_S, ttl / HEARTBEATS_PER_TTL)
-        deadline_s = lease.get("deadline_s")
-        self._deadline = (
-            None
-            if deadline_s is None or on_overrun is None
-            else time.monotonic() + float(deadline_s)
-        )
         self._on_overrun = on_overrun
-        self._stop = threading.Event()
-        self.lost = False
-        self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{self._lease_id}", daemon=True
-        )
+        self._cond = threading.Condition()
+        self._lease: Optional[Dict[str, Any]] = None
+        self._interval = 0.0
+        self._next_beat = 0.0
+        self._deadline: Optional[float] = None
+        self._thread: Optional[threading.Thread] = None
+        self._lost = False
+
+    def begin(self, lease: Dict[str, Any]) -> None:
+        """Heartbeat ``lease`` until :meth:`end`."""
+        now = time.monotonic()
+        ttl = float(lease.get("ttl_s") or 60.0)
+        deadline_s = lease.get("deadline_s")
+        with self._cond:
+            self._lease = lease
+            self._lost = False
+            self._interval = max(MIN_HEARTBEAT_S, ttl / HEARTBEATS_PER_TTL)
+            self._next_beat = now + self._interval
+            self._deadline = (
+                None
+                if deadline_s is None or self._on_overrun is None
+                else now + float(deadline_s)
+            )
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="heartbeat", daemon=True
+                )
+                self._thread.start()
+            self._cond.notify()
+
+    def end(self) -> bool:
+        """Stop heartbeating the lease in hand; whether it was lost."""
+        with self._cond:
+            self._lease = None
+            self._cond.notify()
+            return self._lost
+
+    def close(self) -> None:
+        """End the thread (it holds no lease by now); :meth:`begin` starts
+        a new one."""
+        with self._cond:
+            thread, self._thread = self._thread, None
+            self._cond.notify()
+        if thread is not None:
+            thread.join(timeout=2.0)
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            if self._deadline is not None and time.monotonic() >= self._deadline:
-                self._on_overrun(self._lease)
-                return
-            if self.lost:
-                continue  # only waiting for the deadline now
-            try:
-                self._client.heartbeat(self._lease_id)
-            except ServerError as error:
-                if error.status == 404:
-                    # Expired (or the batch ended).  Finish the cell and
-                    # push anyway: an unresolved item still accepts the
-                    # first result, even from an expired lease.
-                    self.lost = True
-                    if self._deadline is None:
-                        return
-                # Transient transport trouble: keep trying until stopped.
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
+        me = threading.current_thread()
+        with self._cond:
+            while self._thread is me:
+                lease = self._lease
+                if lease is None:
+                    self._cond.wait()
+                    continue
+                now = time.monotonic()
+                due = self._next_beat
+                if self._deadline is not None:
+                    due = min(due, self._deadline)
+                if now < due:
+                    self._cond.wait(due - now)
+                    continue
+                if self._deadline is not None and now >= self._deadline:
+                    self._deadline = None  # overrun fires once per lease
+                    self._cond.release()
+                    try:
+                        self._on_overrun(lease)
+                    finally:
+                        self._cond.acquire()
+                    continue
+                self._next_beat = now + self._interval
+                if self._lost:
+                    continue  # only waiting for the deadline now
+                self._cond.release()
+                try:
+                    self._client.heartbeat(lease["lease_id"])
+                    gone = False
+                except ServerError as error:
+                    # 404: expired (or the batch ended).  The cell finishes
+                    # and is pushed anyway: an unresolved item still accepts
+                    # the first result, even from an expired lease.  Any
+                    # other failure is retried at the next beat.
+                    gone = error.status == 404
+                finally:
+                    self._cond.acquire()
+                if gone and self._lease is lease:
+                    self._lost = True
 
 
 class Worker:
@@ -195,10 +250,12 @@ class Worker:
         self.poll_s = poll_s
         self.max_idle_s = max_idle_s
         self.progress = progress
-        self.on_overrun = on_overrun
         self.executed = 0
         self.accepted = 0
         self._stop = threading.Event()
+        self._heartbeat = _Heartbeat(client, on_overrun)
+        # The lease the server handed over with the last push, if any.
+        self._next: Optional[Dict[str, Any]] = None
 
     def stop(self) -> None:
         """Make :meth:`run` return once the cell in hand (if any) is pushed."""
@@ -208,26 +265,41 @@ class Worker:
         if self.progress:
             self.progress(f"repro-worker {self.worker_id}: {line}")
 
-    def run_one(self) -> bool:
-        """Lease, execute, and push one cell; False when none was granted."""
-        lease = self.client.lease(self.worker_id)
+    def run_one(self, take_next: bool = False) -> bool:
+        """Execute and push one cell; False when none was granted.
+
+        The cell is the lease the previous push handed over, else one
+        ``POST /work/lease`` grants.  With ``take_next`` (the :meth:`run`
+        loop) the push also asks for the next lease, unless the worker is
+        stopping; a lone call reserves no cell it will not run.
+        """
+        lease, self._next = self._next, None
         if lease is None:
-            return False
+            lease = self.client.lease(self.worker_id)
+            if lease is None:
+                return False
         # Announce *before* executing: the distributed smoke kills a worker
         # on this line to prove mid-cell death is survivable.
         self._report(
             f"leased {lease['lease_id']} cell {lease.get('cell_id')} "
             f"(kind {lease.get('kind')}, attempt {lease.get('attempt')})"
         )
-        with _Heartbeat(self.client, lease, self.on_overrun) as heartbeat:
+        self._heartbeat.begin(lease)
+        try:
             record = execute_lease(lease)
+        finally:
+            lost = self._heartbeat.end()
         self.executed += 1
-        outcome = self.client.push_result(lease["lease_id"], record)
+        ask = take_next and not self._stop.is_set()
+        outcome = self.client.push_result(
+            lease["lease_id"], record, next_worker=self.worker_id if ask else None
+        )
+        self._next = outcome.get("next")
         if outcome.get("accepted"):
             self.accepted += 1
         self._report(
             f"pushed {lease['lease_id']} -> {outcome.get('outcome')}"
-            + (" (lease had expired)" if heartbeat.lost else "")
+            + (" (lease had expired)" if lost else "")
         )
         return True
 
@@ -239,11 +311,17 @@ class Worker:
             f"polling {self.client.base_url} "
             f"(version {PACKAGE_VERSION}, fingerprint {fingerprint[:12]})"
         )
+        try:
+            return self._loop()
+        finally:
+            self._heartbeat.close()
+
+    def _loop(self) -> int:
         idle_s = 0.0
         sleep_s = self.poll_s
         while not self._stop.is_set():
             try:
-                worked = self.run_one()
+                worked = self.run_one(take_next=True)
             except ServerError as error:
                 if error.status != 0:
                     # The server answered with an error we cannot fix by

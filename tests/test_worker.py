@@ -6,6 +6,9 @@ Four layers, bottom up:
   TTL expiry, the cell deadline, requeue, first-result-wins dedup, and
   give-up are exact.
 * The ``/work`` HTTP routes, driven through :class:`ReproClient`.
+* The channel a worker talks over: one kept-alive connection per client
+  thread, the next lease in the push reply, transport failures as
+  :class:`ServerError` with status 0.
 * A real :class:`~repro.server.worker.Worker` attached to a real server —
   execution end to end, a lost worker's cell being requeued, a runaway
   cell being given up, and the served artifact matching a locally computed
@@ -14,9 +17,11 @@ Four layers, bottom up:
   spawns: sharing a job with an external worker, respawn, and shutdown.
 """
 
+import contextlib
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -30,6 +35,7 @@ from repro.experiments import build_document as build_sweep_document
 from repro.obs.metrics import counter_value, parse_exposition
 from repro.server import JobManager, ReproClient, ServerError
 from repro.server import work
+from repro.server.app import ReproServer, make_server
 from repro.server.cache import stable_document
 from repro.server.work import WorkItem, WorkQueue
 from repro.server.worker import Worker, execute_lease, failure_record
@@ -444,6 +450,197 @@ def test_runaway_cell_is_given_up_after_its_deadline(serve, monkeypatch):
             worker.stop()
         for thread in threads:
             thread.join(timeout=30)
+
+
+# --------------------------------------------------------------------------
+# The worker channel: kept-alive connections, the next lease in the push
+# --------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def raw_peer(accept):
+    """A bare TCP listener on an ephemeral port; yields its URL.
+
+    With ``accept`` it accepts every connection, reads the request and
+    closes the connection without a reply; without, it never accepts, so
+    a request is sent and never answered.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def close_each():
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return
+            with connection:
+                connection.recv(65536)
+
+    if accept:
+        threading.Thread(target=close_each, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+
+
+@pytest.mark.parametrize("accept", [True, False], ids=["closing", "silent"])
+def test_transport_failures_surface_as_status_0(accept):
+    with raw_peer(accept) as url:
+        client = ReproClient(url, timeout_s=0.3)
+        for _ in range(2):  # on a fresh connection, and after a failed one
+            with pytest.raises(ServerError) as excinfo:
+                client.lease("w1")
+            assert excinfo.value.status == 0
+
+
+def test_worker_against_a_closing_peer_idles_out_instead_of_raising():
+    with raw_peer(accept=True) as url:
+        worker = Worker(ReproClient(url, timeout_s=0.3), poll_s=0.02, max_idle_s=0.2)
+        assert worker.run() == 0
+
+
+def test_sequential_requests_from_one_thread_share_one_connection(serve, monkeypatch):
+    accepted = []
+    get_request = ReproServer.get_request
+
+    def counted(server):
+        request = get_request(server)
+        accepted.append(request[1])
+        return request
+
+    monkeypatch.setattr(ReproServer, "get_request", counted)
+    client = serve(JobManager())
+    for _ in range(5):
+        client.healthz()
+        assert client.lease("w1") is None
+        client.metrics()
+        with pytest.raises(ServerError):
+            client.status("missing-job")
+    assert len(accepted) == 1
+
+
+def test_a_request_body_left_unread_ends_its_connection(serve):
+    client = serve(JobManager())
+    with pytest.raises(ServerError) as excinfo:
+        client._request("POST", "/no/such/route", {"left": "unread"})
+    assert excinfo.value.status == 404
+    assert client.healthz()["status"] == "ok"
+
+
+def test_busy_worker_takes_all_but_its_first_lease_from_push_replies(serve):
+    manager = JobManager()
+    client = serve(manager)
+    granted = []
+    lease = client.lease
+
+    def counted(worker_id):
+        result = lease(worker_id)
+        if result is not None:
+            granted.append(result["cell_id"])
+        return result
+
+    client.lease = counted
+    spec = tiny_sweep(ns=[8, 12, 16, 24, 32])
+    job_id = client.submit("sweep", spec.to_dict())["job_id"]
+    worker = Worker(client, worker_id="solo", poll_s=0.02)
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    try:
+        status = client.wait(job_id, timeout_s=120.0)
+    finally:
+        worker.stop()
+        thread.join(timeout=30)
+    assert status["state"] == "done"
+    assert status["progress"]["remote_cells"] == 5
+    assert worker.accepted == 5
+    assert granted == ["one-way-epidemic-n8"]
+    metrics = parse_exposition(client.metrics())
+    assert counter_value(metrics, "repro_leases_granted_total", worker="solo") == 5
+
+
+def wait_for_lease(client, worker_id):
+    for _ in range(500):
+        lease = client.lease(worker_id)
+        if lease is not None:
+            return lease
+        time.sleep(0.02)
+    raise AssertionError("no cell became leasable")
+
+
+def test_push_reply_carries_next_only_when_asked_and_null_once_the_batch_ends(serve):
+    manager = JobManager()
+    client = serve(manager)
+    outcome = client.push_result("lease-000000-void", {"cell_id": "c"})
+    assert set(outcome) == {"lease_id", "outcome", "accepted"}
+
+    # Finished: the last cell's push has no next cell to hand over.
+    job_id = client.submit("sweep", tiny_sweep(ns=[8]).to_dict())["job_id"]
+    lease = wait_for_lease(client, "manual")
+    outcome = client.push_result(
+        lease["lease_id"], execute_lease(lease), next_worker="manual"
+    )
+    assert outcome["outcome"] == "accepted" and outcome["next"] is None
+    assert client.wait(job_id, timeout_s=60.0)["state"] == "done"
+
+    # Asked for while cells remain: the next one, granted to that worker.
+    job_id = client.submit("sweep", tiny_sweep(ns=[12, 16, 24]).to_dict())["job_id"]
+    lease = wait_for_lease(client, "manual")
+    outcome = client.push_result(
+        lease["lease_id"], execute_lease(lease), next_worker="manual"
+    )
+    assert outcome["next"]["cell_id"] == "one-way-epidemic-n16"
+    assert outcome["next"]["lease_id"] != lease["lease_id"]
+
+    # Aborted: a cancelled job's late push is gone, with nothing next.
+    client.cancel(job_id)
+    assert client.wait(job_id, timeout_s=60.0)["state"] == "cancelled"
+    held = outcome["next"]
+    outcome = client.push_result(
+        held["lease_id"], execute_lease(held), next_worker="manual"
+    )
+    assert outcome == {
+        "lease_id": held["lease_id"],
+        "outcome": "gone",
+        "accepted": False,
+        "next": None,
+    }
+
+
+def test_kept_alive_posts_do_not_stall_on_delayed_acks(serve):
+    client = serve(JobManager())
+    record = {"cell_id": "c", "runs": [{"seed": i, "note": "x" * 64} for i in range(50)]}
+    assert 3500 < len(repr(record)) < 5000
+    client.push_result("lease-000000-void", record)  # connect outside the clock
+    started = time.perf_counter()
+    for _ in range(50):
+        assert client.push_result("lease-000000-void", record)["outcome"] == "gone"
+    assert time.perf_counter() - started < 1.0
+
+
+def test_closed_server_does_not_answer_on_a_kept_alive_connection():
+    manager = JobManager()
+    server = make_server("127.0.0.1", 0, manager)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        client = ReproClient(f"http://127.0.0.1:{server.server_address[1]}", timeout_s=5.0)
+        assert client.healthz()["status"] == "ok"  # the connection stays open
+        server.shutdown()
+        closing = threading.Thread(target=server.server_close, daemon=True)
+        closing.start()
+        closing.join(timeout=10)
+        assert not closing.is_alive(), "server_close waited on a kept-alive connection"
+        with pytest.raises(ServerError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status == 0
+    finally:
+        thread.join(timeout=10)
+        manager.close()
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,10 @@ simulation runs in the server process: every cell is leased to a
 ``repro-worker`` through the ``/work`` routes, so the API stays responsive
 while jobs grind.  Connections are kept alive (HTTP/1.1), one handler
 thread per connection, so a worker's requests reuse one connection and
-one thread; :meth:`ReproServer.server_close` shuts down those still open.
+one thread.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed, so a
+client that vanished holds no thread for long (a live one reopens it on
+its next request), and :meth:`ReproServer.server_close` shuts down those
+still open.
 
 Routes:
 
@@ -70,6 +73,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: bounds how quickly a streaming thread notices the client went away.
 SSE_KEEPALIVE_S = 10.0
 
+#: How long a kept-alive connection may wait for its next request before
+#: its handler thread closes it: twice the default lease TTL.
+IDLE_TIMEOUT_S = 120.0
+
 
 class ReproServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`JobManager`.
@@ -126,6 +133,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     # body waits for the client's delayed ACK of the headers (~40 ms per
     # response on a kept-alive connection).
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     # ------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -266,8 +274,8 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                 self.wfile.flush()
                 if events[-1]["event"] == "end":
                     return
-        except (BrokenPipeError, ConnectionResetError):
-            return  # client went away; nothing to clean up
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            return  # client went away (or stalled); nothing to clean up
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         route = self._route()

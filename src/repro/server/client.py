@@ -26,9 +26,12 @@ __all__ = ["ReproClient", "ServerError", "parse_sse"]
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 #: What a kept-alive connection the server has closed raises: on send, or
-#: (``RemoteDisconnected``, a ``ConnectionResetError``) before any response
-#: byte.  Either way the server took no request, so it is sent once more.
+#: before any response byte (the server's FIN as ``RemoteDisconnected``,
+#: its FIN then reset as ``BrokenPipeError``).  Either way the server read
+#: no request, so it is sent once more.  A plain reset after the send may
+#: follow a request the server read, so that one is not resent.
 STALE_CONNECTION = (BrokenPipeError, ConnectionResetError)
+RESENDABLE_AFTER_SEND = (BrokenPipeError, http.client.RemoteDisconnected)
 
 #: Every failure of the transport itself (refused, reset, timed out,
 #: malformed reply).
@@ -156,7 +159,7 @@ class ReproClient:
                 sent = True
                 response = connection.getresponse()
             except STALE_CONNECTION as error:
-                stale = not sent or isinstance(error, http.client.RemoteDisconnected)
+                stale = not sent or isinstance(error, RESENDABLE_AFTER_SEND)
                 if not (reused and stale):
                     raise
                 connection.close()

@@ -137,6 +137,7 @@ class _Heartbeat:
         self._deadline: Optional[float] = None
         self._thread: Optional[threading.Thread] = None
         self._lost = False
+        self._beating = False  # a heartbeat request is out
 
     def begin(self, lease: Dict[str, Any]) -> None:
         """Heartbeat ``lease`` until :meth:`end`."""
@@ -161,8 +162,15 @@ class _Heartbeat:
             self._cond.notify()
 
     def end(self) -> bool:
-        """Stop heartbeating the lease in hand; whether it was lost."""
+        """Stop heartbeating the lease in hand; whether it was lost.
+
+        A heartbeat still out is waited for (at most the client's timeout),
+        so a 404 it brings back still counts.
+        """
         with self._cond:
+            self._cond.wait_for(
+                lambda: not self._beating, timeout=self._client.timeout_s
+            )
             self._lease = None
             self._cond.notify()
             return self._lost
@@ -202,6 +210,7 @@ class _Heartbeat:
                 self._next_beat = now + self._interval
                 if self._lost:
                     continue  # only waiting for the deadline now
+                self._beating = True
                 self._cond.release()
                 try:
                     self._client.heartbeat(lease["lease_id"])
@@ -214,6 +223,8 @@ class _Heartbeat:
                     gone = error.status == 404
                 finally:
                     self._cond.acquire()
+                    self._beating = False
+                    self._cond.notify()  # an end() may be waiting
                 if gone and self._lease is lease:
                     self._lost = True
 
@@ -265,13 +276,12 @@ class Worker:
         if self.progress:
             self.progress(f"repro-worker {self.worker_id}: {line}")
 
-    def run_one(self, take_next: bool = False) -> bool:
+    def run_one(self) -> bool:
         """Execute and push one cell; False when none was granted.
 
         The cell is the lease the previous push handed over, else one
-        ``POST /work/lease`` grants.  With ``take_next`` (the :meth:`run`
-        loop) the push also asks for the next lease, unless the worker is
-        stopping; a lone call reserves no cell it will not run.
+        ``POST /work/lease`` grants.  The push also asks for the next
+        lease, unless the worker is stopping (see :meth:`stop`).
         """
         lease, self._next = self._next, None
         if lease is None:
@@ -290,7 +300,7 @@ class Worker:
         finally:
             lost = self._heartbeat.end()
         self.executed += 1
-        ask = take_next and not self._stop.is_set()
+        ask = not self._stop.is_set()
         outcome = self.client.push_result(
             lease["lease_id"], record, next_worker=self.worker_id if ask else None
         )
@@ -321,7 +331,7 @@ class Worker:
         sleep_s = self.poll_s
         while not self._stop.is_set():
             try:
-                worked = self.run_one(take_next=True)
+                worked = self.run_one()
             except ServerError as error:
                 if error.status != 0:
                     # The server answered with an error we cannot fix by

@@ -22,6 +22,7 @@ import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -35,10 +36,10 @@ from repro.experiments import build_document as build_sweep_document
 from repro.obs.metrics import counter_value, parse_exposition
 from repro.server import JobManager, ReproClient, ServerError
 from repro.server import work
-from repro.server.app import ReproServer, make_server
+from repro.server.app import ReproRequestHandler, ReproServer, make_server
 from repro.server.cache import stable_document
 from repro.server.work import WorkItem, WorkQueue
-from repro.server.worker import Worker, execute_lease, failure_record
+from repro.server.worker import Worker, _Heartbeat, execute_lease, failure_record
 
 
 def tiny_sweep(**overrides):
@@ -502,16 +503,30 @@ def test_worker_against_a_closing_peer_idles_out_instead_of_raising():
         assert worker.run() == 0
 
 
-def test_sequential_requests_from_one_thread_share_one_connection(serve, monkeypatch):
-    accepted = []
+@pytest.fixture
+def accepted(monkeypatch):
+    """The peer address of every connection a :class:`ReproServer` accepts."""
+    addresses = []
     get_request = ReproServer.get_request
 
     def counted(server):
         request = get_request(server)
-        accepted.append(request[1])
+        addresses.append(request[1])
         return request
 
     monkeypatch.setattr(ReproServer, "get_request", counted)
+    return addresses
+
+
+def handler_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if "process_request_thread" in thread.name
+    }
+
+
+def test_sequential_requests_from_one_thread_share_one_connection(serve, accepted):
     client = serve(JobManager())
     for _ in range(5):
         client.healthz()
@@ -520,6 +535,116 @@ def test_sequential_requests_from_one_thread_share_one_connection(serve, monkeyp
         with pytest.raises(ServerError):
             client.status("missing-job")
     assert len(accepted) == 1
+
+
+def test_a_silent_connection_is_closed_and_its_handler_thread_released(
+    serve, monkeypatch
+):
+    assert ReproRequestHandler.timeout is not None  # shipped with a timeout
+    monkeypatch.setattr(ReproRequestHandler, "timeout", 0.2)
+    client = serve(JobManager())
+    before = handler_threads()
+    assert client.healthz()["status"] == "ok"  # the connection stays open
+    (handler,) = handler_threads() - before
+    handler.join(timeout=10)
+    assert not handler.is_alive()
+
+
+def test_a_request_on_a_connection_the_server_closed_is_sent_again(
+    serve, monkeypatch, accepted
+):
+    monkeypatch.setattr(ReproRequestHandler, "timeout", 0.2)
+    client = serve(JobManager())
+    for connections in (1, 2, 3):
+        before = handler_threads()
+        assert client.lease("w1") is None  # a POST with a body
+        assert client.push_result("lease-000000-void", {"cell_id": "c"})["outcome"] == "gone"
+        assert client.healthz()["status"] == "ok"
+        assert len(accepted) == connections
+        for handler in handler_threads() - before:
+            handler.join(timeout=10)  # the server closed the idle connection
+
+
+def read_request(reader):
+    """Read one HTTP request from a socket file; its request line."""
+    line = reader.readline()
+    length = 0
+    while True:
+        header = reader.readline()
+        if header in (b"\r\n", b""):
+            break
+        name, _, value = header.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    reader.read(length)
+    return line
+
+
+def test_a_post_reset_after_it_was_sent_is_not_sent_again():
+    listener = socket.create_server(("127.0.0.1", 0))
+    seen = []
+
+    def peer():
+        # One kept-alive reply, then read the next request and reset.
+        connection, _ = listener.accept()
+        reader = connection.makefile("rb")
+        seen.append(read_request(reader))
+        body = b'{"status": "ok"}'
+        connection.sendall(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        seen.append(read_request(reader))
+        reader.close()
+        connection.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        connection.close()
+        # A resent request would arrive on a new connection.
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return
+            with connection, connection.makefile("rb") as reader:
+                seen.append(read_request(reader))
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    try:
+        client = ReproClient(f"http://127.0.0.1:{listener.getsockname()[1]}", timeout_s=5.0)
+        assert client.healthz() == {"status": "ok"}
+        with pytest.raises(ServerError) as excinfo:
+            client.submit("sweep", {"name": "once"})
+        assert excinfo.value.status == 0
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(timeout=10)
+    assert seen == [b"GET /healthz HTTP/1.1\r\n", b"POST /jobs HTTP/1.1\r\n"]
+
+
+def test_heartbeat_end_waits_for_a_beat_in_flight():
+    class SlowGone:
+        timeout_s = 5.0
+
+        def __init__(self):
+            self.out = threading.Event()
+
+        def heartbeat(self, lease_id):
+            self.out.set()
+            time.sleep(0.3)
+            raise ServerError(404, f"no active lease {lease_id!r}")
+
+    client = SlowGone()
+    heartbeat = _Heartbeat(client)
+    try:
+        heartbeat.begin({"lease_id": "lease-000000-slow", "ttl_s": 0.15})
+        assert client.out.wait(timeout=10)
+        assert heartbeat.end()  # the 404 came back after the cell ended
+    finally:
+        heartbeat.close()
 
 
 def test_a_request_body_left_unread_ends_its_connection(serve):
@@ -737,6 +862,7 @@ def test_mixed_local_and_remote_execution():
         spec = tiny_sweep(ns=[8, 12, 16, 24])
         job_id = client.submit("sweep", spec.to_dict())["job_id"]
         external = Worker(client, worker_id="external", poll_s=0.01)
+        external.stop()  # its push then asks for no next cell
         while not external.run_one():  # one cell, as soon as one is leasable
             time.sleep(0.01)
         status = client.wait(job_id, timeout_s=120.0)

@@ -36,8 +36,8 @@ setup(
         "(an O(1) agent-pair sampler, a memo of interned-key transitions "
         "that replays their coin flips, and a factorised pair kernel), a "
         "parallel experiment-sweep subsystem, a "
-        "dynamic-population chaos-scenario subsystem with adversarial "
-        "frontier search, a multi-host HTTP job server whose cells all run "
+        "dynamic-population chaos-scenario subsystem, a multi-host HTTP "
+        "job server whose cells all run "
         "on pull-protocol workers behind a persistent content-addressed "
         "result cache, and end-to-end telemetry (run tracing, "
         "Prometheus-style /metrics, live job event streams)"

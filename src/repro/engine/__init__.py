@@ -49,8 +49,6 @@ _EXPORTS = {
     "recorder": ("OutputTraceRecorder", "StateHistogramRecorder"),
     "rng": ("derive_seed", "make_rng", "mix_seed", "spawn_rngs", "spawn_seeds"),
     "scheduler": (
-        "BiasedScheduler",
-        "PartitionedScheduler",
         "RoundRobinScheduler",
         "Scheduler",
         "SequenceScheduler",
@@ -111,8 +109,6 @@ __all__ = [
     "mix_seed",
     "spawn_rngs",
     "spawn_seeds",
-    "BiasedScheduler",
-    "PartitionedScheduler",
     "RoundRobinScheduler",
     "Scheduler",
     "SequenceScheduler",

@@ -11,9 +11,8 @@ proofs which quantify over *all* schedules).
 from __future__ import annotations
 
 import abc
-import itertools
 import random
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import ConfigurationError, SimulationError
 
@@ -22,8 +21,6 @@ __all__ = [
     "UniformRandomScheduler",
     "SequenceScheduler",
     "RoundRobinScheduler",
-    "PartitionedScheduler",
-    "BiasedScheduler",
 ]
 
 Pair = Tuple[int, int]
@@ -102,98 +99,6 @@ class SequenceScheduler(Scheduler):
 
     def reset(self) -> None:
         self._index = 0
-
-
-class PartitionedScheduler(Scheduler):
-    """Partition the population into residue-class blocks that only interact
-    internally.
-
-    Agent ``i`` belongs to block ``i mod blocks``; each interaction draws the
-    initiator uniformly over the whole population (so a block is selected
-    with probability proportional to its size) and the responder uniformly
-    over the other members of the initiator's block.  With ``blocks=1`` this
-    is exactly the uniform scheduler.
-
-    The residue-class assignment is what makes the scheduler robust to
-    *churn*: blocks always cover ``range(n)`` however ``n`` changes, so
-    scenario timelines can partition, churn, and later merge freely.
-    :meth:`set_blocks` flips the partition at runtime — the scenario
-    subsystem's ``partition`` and ``merge`` events call it mid-run.
-
-    This scheduler models an adversarial communication topology, not the
-    uniform population model; it requires the per-agent backend.
-    """
-
-    def __init__(self, blocks: int = 1) -> None:
-        self.set_blocks(blocks)
-
-    def set_blocks(self, blocks: int) -> None:
-        """Re-partition into ``blocks`` residue classes (1 = merged)."""
-        if blocks < 1:
-            raise ConfigurationError("blocks must be at least 1")
-        self.blocks = blocks
-
-    def next_pair(self, n: int, rng: random.Random, interaction: int) -> Pair:
-        if n < 2:
-            raise ConfigurationError("the population model requires at least two agents")
-        blocks = self.blocks
-        if n <= blocks:
-            raise SimulationError(
-                f"partition into {blocks} blocks leaves no block with two of "
-                f"the {n} agents"
-            )
-        while True:
-            initiator = rng.randrange(n)
-            residue = initiator % blocks
-            size = (n - residue + blocks - 1) // blocks
-            if size >= 2:
-                break
-        position = (initiator - residue) // blocks
-        other = rng.randrange(size - 1)
-        if other >= position:
-            other += 1
-        return initiator, residue + other * blocks
-
-
-class BiasedScheduler(Scheduler):
-    """Non-uniform pair selection: the first ``hubs`` agents are over-sampled.
-
-    Both the initiator and the responder are drawn independently (until
-    distinct) from the weighted distribution in which agents with index below
-    ``hubs`` carry weight ``weight`` and everyone else weight 1 — a crude hub
-    topology stressing protocols whose analyses assume exchangeable uniform
-    scheduling.  ``weight=1`` degenerates to the uniform scheduler (up to the
-    rejection step).  Requires the per-agent backend.
-    """
-
-    def __init__(self, hubs: int, weight: float) -> None:
-        if hubs < 0:
-            raise ConfigurationError("hubs must be non-negative")
-        if weight <= 0:
-            raise ConfigurationError("weight must be positive")
-        self.hubs = hubs
-        self.weight = float(weight)
-
-    def _draw(self, n: int, rng: random.Random, exclude: int = -1) -> int:
-        hubs = min(self.hubs, n)
-        hub_mass = hubs * self.weight
-        total = hub_mass + (n - hubs)
-        while True:
-            x = rng.random() * total
-            if x < hub_mass:
-                agent = int(x / self.weight)
-            else:
-                agent = hubs + int(x - hub_mass)
-            if agent >= n:  # floating-point edge
-                agent = n - 1
-            if agent != exclude:
-                return agent
-
-    def next_pair(self, n: int, rng: random.Random, interaction: int) -> Pair:
-        if n < 2:
-            raise ConfigurationError("the population model requires at least two agents")
-        initiator = self._draw(n, rng)
-        return initiator, self._draw(n, rng, exclude=initiator)
 
 
 class RoundRobinScheduler(Scheduler):

@@ -13,9 +13,12 @@ Calibration notes
   geometric skipping is what makes ``1.8 * 10^10`` interactions at
   ``n = 10^5`` a minutes-scale run.
 * ``theorem-1`` and ``theorem-2`` measure the composed fast protocols.
-  Every interaction of those protocols can change the configuration, so the
-  batch backend processes events one by one and simulation cost scales with
-  the interaction count — which is why their grids stop at ``n = 1024``.
+  Almost every interaction of those protocols changes the configuration,
+  so geometric skipping saves little and simulation cost scales with the
+  interaction count.  The transition memo and the fused loops bring that
+  cost down to a few microseconds per interaction, but Theorem 1 at
+  ``n = 10^4`` is still ~10^8 interactions (minutes per seed), so both
+  grids stop at ``n = 1024`` to keep each builtin a minutes-scale run.
 * ``counting-smoke`` is the CI grid: two tiny cells, a couple of seconds.
 """
 

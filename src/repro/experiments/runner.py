@@ -36,18 +36,20 @@ __all__ = [
 
 Progress = Optional[Callable[[str], None]]
 
+#: How many times :class:`PoolExecutor` re-submits a lost task before it
+#: returns a synthetic error record for it.
+POOL_RETRIES = 1
+
 
 class PoolExecutor:
-    """A reusable ``spawn``-pool front end for batches of cell tasks.
+    """A ``spawn``-pool front end for one run's cell tasks.
 
-    :class:`SweepRunner` needs one fan-out per run; the frontier search of
-    :mod:`repro.scenarios.search` schedules *many* small probe batches
-    sequentially and cannot afford a fresh pool (and its ``spawn`` import
-    cost) per probe.  ``PoolExecutor`` owns one long-lived pool, detects
-    tasks lost to a worker crash or a wall-time overrun (``apply_async``
-    results that raise or never materialise within the deadline), rebuilds
-    the pool, and retries just the affected payloads a bounded number of
-    times.  Deterministic failures inside the executor never reach this
+    :class:`SweepRunner` maps one run's pending cells through it.
+    ``PoolExecutor`` owns the run's pool, detects tasks lost to a worker
+    failure (``apply_async`` results that raise), rebuilds the pool, and
+    retries just the affected payloads up to :data:`POOL_RETRIES` times.
+    A task whose worker process dies outright never returns, so this does
+    not catch it.  Deterministic failures inside the executor never reach this
     layer — cell executors capture their own exceptions into the record's
     ``error`` field — so a retry only ever re-runs work that produced no
     record at all.
@@ -57,8 +59,6 @@ class PoolExecutor:
         workers: Worker process count; ``None`` uses ``os.cpu_count()``.
             Below 2 runs serially in-process (also the automatic fallback
             when the pool cannot be created, e.g. in sandboxes).
-        retries: How many times a lost task is re-submitted before a
-            synthetic error record is returned for it.
         progress: Optional line-oriented progress callback.
         pool_factory: Test seam; ``None`` uses ``spawn`` pools.  A factory
             must return an object with ``apply_async`` / ``terminate`` /
@@ -69,13 +69,11 @@ class PoolExecutor:
         self,
         executor: Callable[[Dict[str, Any]], Dict[str, Any]],
         workers: Optional[int] = None,
-        retries: int = 1,
         progress: Progress = None,
         pool_factory: Optional[Callable[[int], Any]] = None,
     ) -> None:
         self.executor = executor
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.retries = retries
         self.progress = progress
         self._pool_factory = pool_factory
         self._pool: Any = None
@@ -122,17 +120,13 @@ class PoolExecutor:
     def map(
         self,
         payloads: List[Dict[str, Any]],
-        timeout_s: Optional[float] = None,
         on_result: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> List[Dict[str, Any]]:
         """Run :attr:`executor` on every payload; return records in order.
 
-        ``timeout_s`` bounds each task's result wait (measured from its
-        ``get``, so it is a coarse per-task bound, not a batch deadline);
-        without it a crashed ``spawn`` worker would hang the batch forever,
-        so pass one whenever crash recovery matters.  A task still missing
-        after :attr:`retries` re-submissions yields a synthetic record with
-        the failure in its ``error`` field instead of raising.
+        A task still missing after :data:`POOL_RETRIES` re-submissions
+        yields a synthetic record with the failure in its ``error`` field
+        instead of raising.
         """
         results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
         pending = list(enumerate(payloads))
@@ -153,17 +147,17 @@ class PoolExecutor:
             last_error: Optional[BaseException] = None
             for index, payload, task in tasks:
                 try:
-                    results[index] = task.get(timeout_s)
+                    results[index] = task.get()
                     if on_result:
                         on_result(results[index])
-                except Exception as error:  # noqa: BLE001 - crash/timeout path
+                except Exception as error:  # noqa: BLE001 - worker failure path
                     lost.append((index, payload))
                     last_error = error
             if not lost:
                 break
             self._discard_pool()
             attempt += 1
-            if attempt > self.retries:
+            if attempt > POOL_RETRIES:
                 for index, payload in lost:
                     results[index] = {
                         "cell_id": payload.get("cell_id"),

@@ -1,20 +1,19 @@
-"""The spec kinds — sweeps, scenarios and searches — in one table.
+"""The spec kinds — sweeps and scenarios — in one table.
 
 A *kind* is one way of describing an experiment: a
-:class:`~repro.experiments.spec.SweepSpec` (scaling curves, ``repro-sweep``),
-a :class:`~repro.scenarios.spec.ScenarioSpec` (churn and fault campaigns,
-``repro-chaos``) or a :class:`~repro.scenarios.search.SearchSpec`
-(breaking points, ``repro-chaos search``).  :data:`KINDS` holds every fact
-the CLIs and the job server need about each: its artifact name and file
-prefix, its spec class, its builtins with their headline and smoke names,
-its runner (whose ``executor`` is the cell executor a worker runs) and its
-fits function.  Code is named by ``"module:attribute"`` references and
-imported on first use, so this module loads no kind's code: a
-``repro-worker`` that has leased nothing has imported no simulator.
+:class:`~repro.experiments.spec.SweepSpec` (scaling curves, ``repro-sweep``)
+or a :class:`~repro.scenarios.spec.ScenarioSpec` (churn and fault campaigns,
+``repro-chaos``).  :data:`KINDS` holds every fact the CLIs and the job
+server need about each: its artifact name and file prefix, its spec class,
+its builtins with their headline and smoke names, its runner (whose
+``executor`` is the cell executor a worker runs) and its fits function.
+Code is named by ``"module:attribute"`` references and imported on first
+use, so this module loads no kind's code: a ``repro-worker`` that has
+leased nothing has imported no simulator.
 
-The one document builder (:func:`build_document`, both grid kinds),
-the frontier builder and the one loader (:meth:`SpecKind.load_document`)
-live here too; :func:`repro.resume.write_report` writes every document.
+The one document builder (:func:`build_document`) and the one loader
+(:meth:`SpecKind.load_document`) live here too;
+:func:`repro.resume.write_report` writes every document.
 """
 
 from __future__ import annotations
@@ -28,13 +27,12 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .engine.errors import ConfigurationError, ExperimentError
 from .fingerprint import code_fingerprint, spec_sha256
-from .obs.profile import merge_profiles, profile_from_cells
+from .obs.profile import profile_from_cells
 
 __all__ = [
     "KINDS",
     "SpecKind",
     "build_document",
-    "build_frontier_document",
     "executor",
     "kind_of",
 ]
@@ -49,9 +47,8 @@ def _load(ref: str) -> Any:
 class SpecKind:
     """Where one spec kind's code lives and how its artifact is named.
 
-    ``fits`` is set for the grid kinds only (sweep, scenario): their cells
-    lease under their own kind name, while a search's probes lease as
-    scenario cells.
+    A kind's cells lease under its own name, and ``fits`` names the function
+    that fits its completed cells.
     """
 
     kind: str
@@ -62,11 +59,7 @@ class SpecKind:
     headline: str
     smoke: str
     runner: str
-    fits: Optional[str] = None
-
-    @property
-    def grid(self) -> bool:
-        return self.fits is not None
+    fits: str
 
     def spec_class(self) -> Any:
         return _load(self.spec)
@@ -138,16 +131,6 @@ KINDS: Dict[str, SpecKind] = {
             runner="repro.scenarios.runner:ScenarioRunner",
             fits="repro.scenarios.metrics:scenario_fits",
         ),
-        SpecKind(
-            kind="search",
-            artifact="frontier",
-            prefix="FRONTIER_",
-            spec="repro.scenarios.search:SearchSpec",
-            builtins="repro.scenarios.builtin:builtin_searches",
-            headline="epidemic-churn",
-            smoke="search-smoke",
-            runner="repro.scenarios.search:FrontierRunner",
-        ),
     )
 }
 
@@ -160,16 +143,13 @@ def kind_of(spec: Any) -> SpecKind:
     raise ConfigurationError(f"{type(spec).__name__} is not a spec of any kind")
 
 
-def executor(kind: str) -> Optional[Callable[[Dict[str, Any]], Dict[str, Any]]]:
-    """The cell executor behind a lease ``kind``, or ``None`` for none.
+def executor(kind: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """The cell executor behind a lease ``kind``.
 
     Read from the kind's runner on every call (imported on the first), so
     the pool, the CLI and ``repro-worker`` run the same entry point.
     """
-    entry = KINDS.get(kind)
-    if entry is None or not entry.grid:
-        return None
-    return entry.runner_class().executor
+    return KINDS[kind].runner_class().executor
 
 
 def build_document(spec: Any, cells: List[Dict[str, Any]], workers: int) -> Dict[str, Any]:
@@ -190,30 +170,3 @@ def build_document(spec: Any, cells: List[Dict[str, Any]], workers: int) -> Dict
         "cells": cells,
     }
 
-
-def build_frontier_document(
-    spec: Any,
-    result: Dict[str, Any],
-    history: List[Dict[str, Any]],
-    workers: int,
-) -> Dict[str, Any]:
-    """Assemble the JSON artifact of a completed search.
-
-    Besides the spec and the strategy's result it records every probe, so
-    any probe replays via :func:`~repro.scenarios.search.probe_scenario`.
-    """
-    spec_dict = spec.to_dict()
-    return {
-        "artifact": KINDS["search"].artifact,
-        "name": spec.name,
-        "generated_unix": int(time.time()),
-        "workers": workers,
-        "strategy": spec.strategy,
-        "status": result.get("status"),
-        "code_fingerprint": code_fingerprint(),
-        "spec_sha256": spec_sha256(spec_dict),
-        "spec": spec_dict,
-        "result": result,
-        "telemetry": merge_profiles(entry.get("telemetry") or {} for entry in history),
-        "history": history,
-    }

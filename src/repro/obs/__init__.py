@@ -22,7 +22,6 @@ _EXPORTS = {
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "parse_exposition"),
     "profile": (
         "aggregate_telemetry",
-        "merge_profiles",
         "profile_from_cells",
         "profile_json_path",
         "render_profile",
@@ -39,7 +38,6 @@ __all__ = [
     "MetricsRegistry",
     "RunTracer",
     "aggregate_telemetry",
-    "merge_profiles",
     "parse_exposition",
     "profile_from_cells",
     "profile_json_path",

@@ -2,8 +2,7 @@
 
 Every run record carries ``extra["telemetry"]`` (see
 :mod:`repro.obs.trace`); a sweep/scenario cell carries a list of such
-runs, and a frontier search's probe history is a list of cells.  This
-module folds any of those shapes into one profile document::
+runs.  This module folds those runs into one profile document::
 
     {
       "schema": 1,
@@ -34,7 +33,6 @@ from typing import Any, Dict, Iterable, List, Optional
 __all__ = [
     "aggregate_telemetry",
     "iter_run_telemetry",
-    "merge_profiles",
     "profile_from_cells",
     "profile_json_path",
     "render_profile",
@@ -57,26 +55,6 @@ def _add_counters(totals: Dict[str, int], record: Any) -> bool:
     for key in totals:
         totals[key] += int(record.get(key) or 0)
     return True
-
-
-def _attach_batch_sections(
-    profile: Dict[str, Any],
-    skips: Optional[Dict[str, int]],
-    memo: Optional[Dict[str, int]],
-) -> None:
-    """Attach summed ``skips`` (plus its efficiency) and ``memo`` counters."""
-    if skips is not None:
-        interactions = skips["interactions"]
-        profile["skips"] = {
-            **skips,
-            "efficiency": (
-                round(skips["skipped_interactions"] / interactions, 6)
-                if interactions
-                else 0.0
-            ),
-        }
-    if memo is not None:
-        profile["memo"] = memo
 
 
 def iter_run_telemetry(cells: Iterable[Dict[str, Any]]) -> Iterable[Dict[str, Any]]:
@@ -130,53 +108,24 @@ def aggregate_telemetry(traces: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "events": events,
         "checkpoints": checkpoints,
     }
-    _attach_batch_sections(
-        profile, skips if saw_skips else None, memo if saw_memo else None
-    )
+    if saw_skips:
+        interactions = skips["interactions"]
+        profile["skips"] = {
+            **skips,
+            "efficiency": (
+                round(skips["skipped_interactions"] / interactions, 6)
+                if interactions
+                else 0.0
+            ),
+        }
+    if saw_memo:
+        profile["memo"] = memo
     return profile
 
 
 def profile_from_cells(cells: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Profile document aggregated over every run in a list of cell records."""
     return aggregate_telemetry(iter_run_telemetry(cells))
-
-
-def merge_profiles(profiles: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold already-aggregated profile documents into one.
-
-    The frontier search trims per-run records out of its history, keeping
-    one :func:`aggregate_telemetry` profile per probe instead; this merges
-    those probe profiles into the artifact-level one.  Profile ``events``
-    are ``{kind: count}`` maps (unlike a run's event *list*), hence the
-    separate fold.
-    """
-    merged = aggregate_telemetry([])
-    merged["runs"] = 0
-    skips = dict.fromkeys(SKIP_COUNTERS, 0)
-    memo = dict.fromkeys(MEMO_COUNTERS, 0)
-    saw_skips = saw_memo = False
-    for profile in profiles:
-        if not isinstance(profile, dict):
-            continue
-        merged["runs"] += int(profile.get("runs") or 0)
-        for backend, count in (profile.get("backends") or {}).items():
-            merged["backends"][backend] = merged["backends"].get(backend, 0) + count
-        for name, phase in (profile.get("phases") or {}).items():
-            slot = merged["phases"].setdefault(name, {"wall_time_s": 0.0, "ops": 0})
-            slot["wall_time_s"] = round(
-                slot["wall_time_s"] + float(phase.get("wall_time_s") or 0.0), 9
-            )
-            slot["ops"] += int(phase.get("ops") or 0)
-        for kind, count in (profile.get("events") or {}).items():
-            merged["events"][kind] = merged["events"].get(kind, 0) + count
-        _add_counters(merged["checkpoints"], profile.get("checkpoints"))
-        saw_skips |= _add_counters(skips, profile.get("skips"))
-        saw_memo |= _add_counters(memo, profile.get("memo"))
-    merged["phases"] = {name: merged["phases"][name] for name in sorted(merged["phases"])}
-    _attach_batch_sections(
-        merged, skips if saw_skips else None, memo if saw_memo else None
-    )
-    return merged
 
 
 def render_profile(profile: Dict[str, Any], title: Optional[str] = None) -> str:
@@ -238,7 +187,7 @@ def render_profile(profile: Dict[str, Any], title: Optional[str] = None) -> str:
 
 
 def profile_json_path(output_dir: str, name: str) -> str:
-    """Path of the profile artifact for a named sweep, scenario or search run."""
+    """Path of the profile artifact for a named sweep or scenario run."""
     return os.path.join(output_dir, f"PROFILE_{name}.json")
 
 

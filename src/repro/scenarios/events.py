@@ -14,21 +14,14 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Union
 
-from ..engine.errors import ConfigurationError, SimulationError
+from ..engine.errors import ConfigurationError
 from ..engine.hooks import TimelineEvent
 from ..engine.rng import SeedLike, make_rng
-from ..engine.scheduler import PartitionedScheduler
 from ..engine.simulator import Simulator
 from .faults import resolve_fault
 from .spec import EventSpec
 
 __all__ = ["expand_events", "resolve_fraction"]
-
-#: Sanity bound on the expected number of arrivals a churn process may
-#: expand into: a mutated rate/window combination beyond this would swamp the
-#: timeline (and the artifact) with per-arrival events.
-MAX_PROCESS_ARRIVALS = 10_000
-
 
 def resolve_fraction(
     fraction: Optional[Union[float, str]], params: Dict[str, Any]
@@ -63,17 +56,6 @@ def _magnitude(
     return max(1, round(fraction * simulator.n))
 
 
-def _partition_scheduler(simulator: Simulator) -> PartitionedScheduler:
-    scheduler = simulator.scheduler
-    if not isinstance(scheduler, PartitionedScheduler):
-        raise SimulationError(
-            "partition/merge events need the simulator constructed with a "
-            "PartitionedScheduler (the scenario runner does this when the "
-            "timeline contains scheduler events)"
-        )
-    return scheduler
-
-
 def _build_apply(
     spec: EventSpec,
     fraction: Optional[float],
@@ -94,12 +76,6 @@ def _build_apply(
         elif spec.kind == "corrupt":
             victims = min(_magnitude(spec, fraction, simulator), simulator.n)
             details = resolve_fault(spec.fault).apply(simulator, victims, rng)
-        elif spec.kind == "partition":
-            _partition_scheduler(simulator).set_blocks(spec.blocks)
-            details = {"blocks": spec.blocks}
-        elif spec.kind == "merge":
-            _partition_scheduler(simulator).set_blocks(1)
-            details = {"blocks": 1}
         else:  # pragma: no cover - EventSpec validation forbids this
             raise ConfigurationError(f"unknown event kind {spec.kind!r}")
         if spec.restart and spec.kind in ("join", "leave", "replace"):
@@ -107,55 +83,6 @@ def _build_apply(
         return details
 
     return apply
-
-
-def _expand_process(
-    spec: EventSpec,
-    fraction: Optional[float],
-    base_at: int,
-    n: int,
-    seed: SeedLike,
-    index: int,
-) -> List[TimelineEvent]:
-    """Draw one realisation of a Poisson churn process as timeline events.
-
-    Arrivals follow a homogeneous Poisson process of ``spec.rate`` expected
-    events per parallel-time unit (``n`` interactions) over the ``window``:
-    inter-arrival gaps are i.i.d. exponentials drawn from a private stream
-    derived from the run seed, so the realisation is reproducible and the
-    count is ``Poisson(rate * window / n)`` by construction (no Poisson
-    sampler needed, and no underflow for large means).
-    """
-    window = spec.window.budget(n)  # type: ignore[union-attr] - validated
-    per_interaction = spec.rate / n  # type: ignore[operator]
-    expected = per_interaction * window
-    if expected > MAX_PROCESS_ARRIVALS:
-        raise ConfigurationError(
-            f"churn process expects ~{expected:.0f} arrivals "
-            f"(rate={spec.rate}, window={window} interactions); the cap is "
-            f"{MAX_PROCESS_ARRIVALS} — lower the rate or shorten the window"
-        )
-    arrival_rng = make_rng(seed, "scenario-process", index)
-    events: List[TimelineEvent] = []
-    at = arrival_rng.expovariate(per_interaction)
-    occurrence = 0
-    # 4x the cap bounds a pathological tail of the Poisson draw itself.
-    while at < window and occurrence < 4 * MAX_PROCESS_ARRIVALS:
-        events.append(
-            TimelineEvent(
-                at=base_at + int(round(at)),
-                kind=spec.kind,
-                label=f"{spec.label}#{occurrence + 1}",
-                apply=_build_apply(
-                    spec,
-                    fraction,
-                    make_rng(seed, "scenario-event", index, occurrence),
-                ),
-            )
-        )
-        occurrence += 1
-        at += arrival_rng.expovariate(per_interaction)
-    return events
 
 
 def expand_events(
@@ -179,11 +106,6 @@ def expand_events(
             if spec.at_interactions is not None
             else spec.at.budget(n)
         )
-        if spec.rate is not None:
-            timeline.extend(
-                _expand_process(spec, fraction, base_at, n, seed, index)
-            )
-            continue
         period = spec.every.budget(n) if spec.every is not None else 0
         for occurrence in range(spec.repeat):
             label = (

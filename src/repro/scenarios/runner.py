@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional
 
 from ..engine.convergence import accuracy_fraction
 from ..engine.hooks import CallbackHook, TimelineEvent
-from ..engine.scheduler import PartitionedScheduler
 from ..engine.simulator import Simulator
 from ..experiments.registry import ProtocolEntry, resolve_protocol
 from ..experiments.runner import SweepRunner, run_cell_seeds
@@ -96,13 +95,11 @@ def _run_one(
 ) -> Dict[str, Any]:
     """Execute one seeded scenario run and return its augmented record."""
     protocol = entry.build(n, params)
-    scheduler = PartitionedScheduler() if spec.uses_scheduler_events() else None
     tracker = InvariantTracker(spec.invariants)
     simulator = Simulator(
         protocol,
         n,
         seed=seed,
-        scheduler=scheduler,
         hooks=[tracker],
         backend=backend,
     )
@@ -185,8 +182,8 @@ def scenario_cell_payload(
     """Everything a worker needs to run one scenario cell (plain primitives).
 
     The scenario half of the per-cell execute seam: payloads built here feed
-    :func:`execute_scenario_cell` from the scenario runner, the frontier
-    search's probe scheduling, and the job server alike.  ``spec_dict`` is
+    :func:`execute_scenario_cell` from the scenario runner and the job
+    server alike.  ``spec_dict`` is
     ``spec.to_dict()`` — passed in pre-serialised so batch builders pay the
     conversion once.
     """

@@ -2,11 +2,11 @@
 
 A :class:`ScenarioSpec` composes a registered protocol with a *timeline* of
 disturbance events — agent churn (join/leave/replace schedules), fault
-campaigns (repeated state corruption), population restarts, and adversarial
-scheduler reconfiguration (partition/merge) — and measures how the protocol
-recovers.  Like :class:`~repro.experiments.spec.SweepSpec` it references no
-live objects: a spec serialises to JSON, ships to spawned workers, embeds
-into ``SCENARIO_*.json`` artifacts, and re-runs bit-identically.
+campaigns (repeated state corruption) and population restarts — and
+measures how the protocol recovers.  Like
+:class:`~repro.experiments.spec.SweepSpec` it references no live objects: a
+spec serialises to JSON, ships to spawned workers, embeds into
+``SCENARIO_*.json`` artifacts, and re-runs bit-identically.
 
 Event *times* are expressed as :class:`~repro.experiments.spec.BudgetPolicy`
 terms (``factor * n^a * log2(n)^b`` interactions), so a schedule like
@@ -38,15 +38,10 @@ EVENT_KINDS = (
     "replace",   # crash-and-rejoin churn: leave + join, n unchanged
     "restart",   # every agent resets to the initial configuration at current n
     "corrupt",   # a fault model corrupts random victims (see scenarios.faults)
-    "partition", # split the interaction graph into residue-class blocks
-    "merge",     # heal a partition back to uniform interactions
 )
 
 #: Event kinds that need a magnitude (fraction or count).
 _SIZED_KINDS = ("join", "leave", "replace", "corrupt")
-
-#: Event kinds that reconfigure the scheduler (agent backend only).
-SCHEDULER_KINDS = ("partition", "merge")
 
 
 @dataclass
@@ -64,15 +59,6 @@ class EventSpec:
             at fire time, or the *name* of a cell parameter holding that
             fraction (the ``param_grid`` hook).
         count: Absolute magnitude override (agents).
-        rate: Turns a churn event into a Poisson arrival *process*: expected
-            arrivals per parallel-time unit (``n`` interactions), starting at
-            ``at`` and lasting ``window``.  Each arrival applies the event
-            once with the per-arrival magnitude (``fraction`` / ``count``,
-            defaulting to a single agent), so a schedule mutates a churn
-            *rate* rather than a one-shot fraction — the continuous-churn
-            model the adversarial searches probe.
-        window: Duration of the arrival process as a time policy (required
-            with ``rate``).
         restart: For churn kinds — also restart the whole population right
             after the churn, modelling detected membership change: the
             protocols re-run at the new true ``n``, which is what makes the
@@ -82,7 +68,6 @@ class EventSpec:
         repeat: Number of occurrences (a periodic campaign when > 1).
         every: Period between occurrences, as a time policy (required when
             ``repeat > 1``).
-        blocks: Number of residue-class blocks for ``partition`` events.
         label: Human-readable tag carried into records; defaults to the kind
             (suffixed with the occurrence index for campaigns).
     """
@@ -92,13 +77,10 @@ class EventSpec:
     at_interactions: Optional[int] = None
     fraction: Optional[Union[float, str]] = None
     count: Optional[int] = None
-    rate: Optional[float] = None
-    window: Optional[BudgetPolicy] = None
     restart: bool = False
     fault: str = "reset"
     repeat: int = 1
     every: Optional[BudgetPolicy] = None
-    blocks: int = 2
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -118,24 +100,6 @@ class EventSpec:
             )
         if self.at_interactions is not None and self.at_interactions < 0:
             raise ConfigurationError("at_interactions must be non-negative")
-        if self.rate is not None:
-            if self.kind not in ("join", "leave", "replace"):
-                raise ConfigurationError(
-                    "a churn process (rate=) only applies to join/leave/replace"
-                )
-            if self.rate <= 0:
-                raise ConfigurationError("churn-process rate must be positive")
-            if self.window is None:
-                raise ConfigurationError("a churn process (rate=) needs window=")
-            self.window = policy_from(self.window, "event window policy")
-            if self.repeat > 1:
-                raise ConfigurationError(
-                    "a churn process draws its own arrivals; repeat does not apply"
-                )
-            if self.fraction is None and self.count is None:
-                self.count = 1  # default per-arrival magnitude: one agent
-        elif self.window is not None:
-            raise ConfigurationError("window= only applies to churn processes (rate=)")
         if self.kind in _SIZED_KINDS:
             if (self.fraction is None) == (self.count is None):
                 raise ConfigurationError(
@@ -151,8 +115,6 @@ class EventSpec:
             raise ConfigurationError("repeat must be at least 1")
         if self.repeat > 1 and self.every is None:
             raise ConfigurationError("periodic events (repeat > 1) need every=")
-        if self.kind == "partition" and self.blocks < 2:
-            raise ConfigurationError("partition needs at least 2 blocks")
         if not self.label:
             self.label = self.kind
 
@@ -204,8 +166,7 @@ class ScenarioSpec(GridSpec):
         seeds_per_cell: Seeded repetitions per cell.
         base_seed: Root seed; every cell seed is derived from it.
         backends: Backends to run each cell on — recovery claims are checked
-            on ``["agent", "batch"]`` cells side by side; scenarios with
-            scheduler events are agent-only.
+            on ``["agent", "batch"]`` cells side by side.
         params: Protocol parameters shared by every cell.
         param_grid: Per-parameter value lists; the grid is the cartesian
             product with ``ns`` and ``backends``.  Parameters may be consumed
@@ -261,17 +222,6 @@ class ScenarioSpec(GridSpec):
                 raise ConfigurationError(
                     f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
                 )
-        if self.uses_scheduler_events() and any(
-            backend != "agent" for backend in self.backends
-        ):
-            raise ConfigurationError(
-                "partition/merge events reconfigure the interaction scheduler, "
-                'which only the per-agent backend supports; set backends=["agent"]'
-            )
-
-    def uses_scheduler_events(self) -> bool:
-        """Whether the timeline reconfigures the scheduler (agent-only)."""
-        return any(event.kind in SCHEDULER_KINDS for event in self.events)
 
     # ------------------------------------------------------------------ grid
     def cells(self) -> List[ScenarioCell]:

@@ -1,11 +1,11 @@
 """Simulation-as-a-service: an async job server over the experiment engine.
 
-The batch CLIs (``repro-sweep``, ``repro-chaos``, ``repro-chaos search``)
-run one spec per process.  This package turns the same machinery into a
-long-lived HTTP service: ``repro-serve`` accepts any of the three spec
-kinds as JSON jobs, deduplicates identical cells across jobs through a
-content-addressed result cache, and serves the finished
-``SWEEP_``/``SCENARIO_``/``FRONTIER_`` documents back over HTTP.
+The batch CLIs (``repro-sweep``, ``repro-chaos``) run one spec per
+process.  This package turns the same machinery into a long-lived HTTP
+service: ``repro-serve`` accepts either spec kind as JSON jobs,
+deduplicates identical cells across jobs through a content-addressed
+result cache, and serves the finished ``SWEEP_``/``SCENARIO_`` documents
+back over HTTP.
 
 Cells have one way to run.  A cache miss is put on a leased work queue
 (TTL + heartbeat + a per-cell deadline, at-least-once with

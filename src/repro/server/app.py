@@ -298,7 +298,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         kind = body.get("kind")
         spec = body.get("spec")
         if not isinstance(kind, str) or spec is None:
-            self._error(400, 'a job is {"kind": "sweep|scenario|search", "spec": {...}}')
+            self._error(400, 'a job is {"kind": "sweep|scenario", "spec": {...}}')
             return
         try:
             status = self._manager.submit(kind, spec)

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description=(
-            "Serve sweep/scenario/search jobs over HTTP with a "
+            "Serve sweep/scenario jobs over HTTP with a "
             "content-addressed result cache."
         ),
     )

@@ -1,9 +1,9 @@
 """Asynchronous job scheduling over the worker pull protocol.
 
-A *job* is one spec of any of the three existing kinds — a sweep, a chaos
-scenario, or a frontier search — submitted as JSON.  The
-:class:`JobManager` owns a FIFO dispatch queue and the content-addressed
-:class:`~repro.server.cache.ResultCache`; it executes nothing itself.
+A *job* is one spec of either kind — a sweep or a chaos scenario —
+submitted as JSON.  The :class:`JobManager` owns a FIFO dispatch queue and
+the content-addressed :class:`~repro.server.cache.ResultCache`; it
+executes nothing itself.
 
 Scheduling model:
 
@@ -22,10 +22,6 @@ Scheduling model:
   given up as failed.
 * What each kind's cells are, how they run and what document they make
   comes from :data:`~repro.kinds.KINDS`, imported on first use.
-* Search probes are ordinary cells: :class:`~repro.scenarios.search.
-  FrontierRunner` hands each probe payload to the same step, so a
-  resubmitted search replays its probe history from the cache and remote
-  workers serve searches too.
 * Cancellation (``DELETE /jobs/<id>``) is immediate for queued jobs.  For
   a running job it aborts the queue: pending cells are never leased, and a
   cell already in flight finishes on its worker, whose late result is
@@ -42,9 +38,9 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..engine.errors import ConfigurationError, ExperimentError
+from ..engine.errors import ConfigurationError
 from ..fingerprint import code_fingerprint
-from ..kinds import KINDS, build_document, build_frontier_document
+from ..kinds import KINDS, build_document
 from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache, cache_key
 from .work import WorkItem, WorkQueue
@@ -93,7 +89,6 @@ class Job:
         self.cached = 0
         self.executed = 0
         self.remote = 0
-        self.runner: Any = None  # a search's FrontierRunner
         #: Append-only lifecycle event log for ``GET /jobs/<id>/events``:
         #: each entry is ``{"seq": i, "event": kind, "data": {...}}`` with
         #: ``seq == index``, so SSE replay and ``Last-Event-ID`` resume are
@@ -101,12 +96,8 @@ class Job:
         #: lock), which is also how streaming readers block for news.
         self.events: List[Dict[str, Any]] = []
         self.events_cond = threading.Condition()
-        if KINDS[kind].grid:
-            self.cells: Dict[str, str] = {cell.cell_id: "pending" for cell in spec.cells()}
-            self.total_cells: Optional[int] = len(self.cells)
-        else:
-            self.cells = {}
-            self.total_cells = None
+        self.cells: Dict[str, str] = {cell.cell_id: "pending" for cell in spec.cells()}
+        self.total_cells = len(self.cells)
 
 
 @dataclass
@@ -180,7 +171,7 @@ class JobManager:
         )
         self._cells_finished = self.metrics.counter(
             "repro_cells_total",
-            "Cell and probe completions, by job kind and outcome "
+            "Cell completions, by job kind and outcome "
             "(cached / executed / failed).",
             labelnames=("kind", "outcome"),
         )
@@ -511,17 +502,13 @@ class JobManager:
         }
 
     def _run_batch(
-        self,
-        job: Job,
-        exec_kind: str,
-        payloads: List[Dict[str, Any]],
-        timeout_s: Optional[float],
+        self, job: Job, payloads: List[Dict[str, Any]]
     ) -> List[Optional[Dict[str, Any]]]:
-        """Resolve a batch of cells: cache first, then leases.
+        """Resolve a job's cells: cache first, then leases.
 
         The one execution step of the server.  Each payload whose cache key
-        hits resolves at once; the misses are enqueued as ``exec_kind``
-        items (``timeout_s`` bounds each lease, see
+        hits resolves at once; the misses are enqueued as items of the
+        job's kind (the spec's ``cell_timeout_s`` bounds each lease, see
         :class:`~repro.server.work.WorkQueue`) and wait for workers to lease
         them.  Every resolved cell is reported once through
         :meth:`_note_cell`.  Returns per-payload records in payload order
@@ -542,10 +529,10 @@ class JobManager:
                 items.append(
                     WorkItem(
                         item_id=f"item-{index:05d}",
-                        exec_kind=exec_kind,
+                        exec_kind=job.kind,
                         payload=payload,
                         cache_key=key,
-                        timeout_s=timeout_s,
+                        timeout_s=job.spec.cell_timeout_s,
                     )
                 )
         if not items:
@@ -600,7 +587,7 @@ class JobManager:
         self._jobs_submitted.inc(kind=kind)
         self._emit(job, "job", {"state": "queued", "total_cells": job.total_cells})
         self._queue.put(job_id)
-        self._report(f"job {job_id}: queued ({job.total_cells or '?'} cells)")
+        self._report(f"job {job_id}: queued ({job.total_cells} cells)")
         return self.status(job_id)
 
     # ---------------------------------------------------------------- access
@@ -614,30 +601,18 @@ class JobManager:
         """A JSON-ready snapshot of one job's state and per-cell progress."""
         job = self._get(job_id)
         with self._lock:
-            if job.kind == "search":
-                history = job.runner.history if job.runner is not None else []
-                progress = {
-                    "total_cells": None,
-                    "max_probes": job.spec.max_probes,
-                    "completed_cells": len(history),
-                    "cached_cells": job.cached,
-                    "executed_cells": job.executed,
-                    "remote_cells": job.remote,
-                    "failed_cells": [],
-                }
-            else:
-                cells = dict(job.cells)
-                progress = {
-                    "total_cells": job.total_cells,
-                    "completed_cells": job.cached + job.executed,
-                    "cached_cells": job.cached,
-                    "executed_cells": job.executed,
-                    "remote_cells": job.remote,
-                    "failed_cells": sorted(
-                        cell_id for cell_id, state in cells.items() if state == "failed"
-                    ),
-                    "cells": cells,
-                }
+            cells = dict(job.cells)
+            progress = {
+                "total_cells": job.total_cells,
+                "completed_cells": job.cached + job.executed,
+                "cached_cells": job.cached,
+                "executed_cells": job.executed,
+                "remote_cells": job.remote,
+                "failed_cells": sorted(
+                    cell_id for cell_id, state in cells.items() if state == "failed"
+                ),
+                "cells": cells,
+            }
             return {
                 "job_id": job.id,
                 "kind": job.kind,
@@ -714,10 +689,7 @@ class JobManager:
             self._emit(job, "job", {"state": "running"})
             self._report(f"job {job.id}: running")
             try:
-                if KINDS[job.kind].grid:
-                    self._run_grid_job(job)
-                else:
-                    self._run_search_job(job)
+                self._run_grid_job(job)
             except Exception:  # noqa: BLE001 - job must fail, not the server
                 self._finish(job, "failed", traceback.format_exc())
                 self._report(f"job {job.id}: FAILED (internal error)")
@@ -763,12 +735,7 @@ class JobManager:
     def _run_grid_job(self, job: Job) -> None:
         spec = job.spec
         runner = KINDS[job.kind].runner_class()(spec)
-        records = self._run_batch(
-            job,
-            job.kind,  # grid kinds ("sweep"/"scenario") name their executor
-            runner.payloads(spec.cells()),
-            spec.cell_timeout_s,
-        )
+        records = self._run_batch(job, runner.payloads(spec.cells()))
         if job.cancel.is_set():
             self._finish(
                 job,
@@ -793,38 +760,3 @@ class JobManager:
             f"{job.remote} remote, {len(failed)} failed)"
         )
 
-    def _run_search_job(self, job: Job) -> None:
-        spec = job.spec
-
-        def run_probe_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
-            record = self._run_batch(job, "scenario", [payload], spec.probe_timeout_s)[0]
-            if record is None:
-                raise ExperimentError(f"search {spec.name!r} aborted")
-            return record
-
-        runner = KINDS[job.kind].runner_class()(
-            spec,
-            progress=self.progress,
-            run_cell=run_probe_cell,
-            should_abort=job.cancel.is_set,
-        )
-        with self._lock:
-            job.runner = runner
-        try:
-            result = runner.run()
-        except Exception as error:  # noqa: BLE001 - abort and probe failures
-            self._finish(
-                job, "cancelled" if job.cancel.is_set() else "failed", str(error)
-            )
-            self._report(f"job {job.id}: {job.state} ({job.error})")
-            return
-        document = build_frontier_document(
-            spec, result, runner.history, self.attached_workers()
-        )
-        with self._lock:
-            job.document = document
-        self._finish(job, "done")
-        self._report(
-            f"job {job.id}: done ({len(runner.history)} probes, "
-            f"{job.cached} cached)"
-        )

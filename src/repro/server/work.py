@@ -1,12 +1,12 @@
 """The lease table behind the worker pull protocol.
 
-One :class:`WorkQueue` holds the cache misses of one batch awaiting
-execution — the pending cells of a grid job, or one probe of a frontier
-search.  Its only consumers are ``repro-worker`` processes, whether
-``repro-serve`` spawned them or they attached from another host: each
-holds one item at a time (:meth:`WorkQueue.lease`), heartbeats while
-executing, and pushes a result back (:meth:`WorkQueue.complete`) in the
-same HTTP request that leases its next item.
+One :class:`WorkQueue` holds the cache misses of one job awaiting
+execution: its pending cells.  Its only consumers are ``repro-worker``
+processes, whether ``repro-serve`` spawned them or they attached from
+another host: each holds one item at a time (:meth:`WorkQueue.lease`),
+heartbeats while executing, and pushes a result back
+(:meth:`WorkQueue.complete`) in the same HTTP request that leases its next
+item.
 
 Workers can die without warning — that is the whole point of the
 protocol — so every lease carries a TTL.  A lease whose worker stops
@@ -49,12 +49,11 @@ CELL_DEADLINE_GRACE_S = 30.0
 class WorkItem:
     """One executable cell: a worker payload plus routing metadata.
 
-    ``item_id`` is unique within its queue (cell ids may collide across
-    probe batches, so the queue keys results on its own ids).  ``exec_kind``
-    names the worker entry point — ``"sweep"`` for
+    ``item_id`` is unique within its queue, which keys results on it.
+    ``exec_kind`` names the worker entry point — ``"sweep"`` for
     :func:`~repro.experiments.runner.execute_cell`, ``"scenario"`` for
-    :func:`~repro.scenarios.runner.execute_scenario_cell` (searches probe
-    scenario cells) — which is how a remote worker knows what to run.
+    :func:`~repro.scenarios.runner.execute_scenario_cell` — which is how a
+    remote worker knows what to run.
     ``cache_key`` is the content address the result is stored under.
     ``timeout_s`` is the cell's own wall-time budget (``cell_timeout_s`` of
     its spec; ``None``: unbounded), which bounds how long one lease may be

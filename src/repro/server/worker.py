@@ -11,9 +11,8 @@ The other half of the pull protocol (see :mod:`repro.server.app` and
 2. executes it with the same entry point that pool uses
    (:func:`repro.kinds.executor`: the ``executor`` of the lease kind's
    runner, ``execute_cell`` for sweep cells and ``execute_scenario_cell``
-   for scenario cells and search probes, imported on the first lease of
-   that kind), while the worker's one heartbeat thread keeps the lease
-   alive,
+   for scenario cells, imported on the first lease of that kind), while
+   the worker's one heartbeat thread keeps the lease alive,
 3. pushes the record back via ``POST /work/<lease>/result?next=<id>``,
    whose reply carries the next lease, and loops.
 
@@ -96,16 +95,15 @@ def execute_lease(lease: Dict[str, Any]) -> Dict[str, Any]:
     just burns a TTL).
     """
     payload = lease.get("payload") or {}
+    kind = lease.get("kind")
     try:
-        execute = executor(lease.get("kind"))
-        if execute is None:
-            known = tuple(name for name, kind in KINDS.items() if kind.grid)
+        if kind not in KINDS:
             return failure_record(
                 payload,
-                f"worker does not understand lease kind {lease.get('kind')!r} "
-                f"(knows {known})",
+                f"worker does not understand lease kind {kind!r} "
+                f"(knows {tuple(KINDS)})",
             )
-        return execute(payload)
+        return executor(kind)(payload)
     except Exception:  # noqa: BLE001 - the record carries the traceback
         return failure_record(payload, traceback.format_exc())
 
@@ -340,9 +338,9 @@ class Worker:
                     raise
                 worked = False  # unreachable: poll again, count as idle
             if worked:
-                # The next batch (a search's next probe) is usually
-                # published moments after this push: poll again soon, and
-                # back off to poll_s from there.
+                # A push may have finished its job, and the dispatcher
+                # publishes the next queued job's cells moments later:
+                # poll again soon, and back off to poll_s from there.
                 idle_s = 0.0
                 sleep_s = min(self.poll_s, FIRST_POLL_S)
                 continue

@@ -1,10 +1,10 @@
 """The command line every spec kind shares.
 
-``repro-sweep``, ``repro-chaos`` and ``repro-chaos search`` take a spec from
+``repro-sweep`` and ``repro-chaos`` take a spec from
 ``--builtin``/``--spec``/``--smoke`` (``--dump-spec`` prints a builtin,
 ``--list`` lists them), run it on ``--workers`` processes with an optional
-``--seed``, and write ``<prefix><name>.json`` to ``--output-dir``; the grid
-kinds can ``--resume`` from that artifact.  :func:`run_command` builds that
+``--seed``, and write ``<prefix><name>.json`` to ``--output-dir``, or
+``--resume`` from that artifact.  :func:`run_command` builds that
 parser and front matter from the kind's entry in :data:`~repro.kinds.KINDS`,
 and :func:`run_grid` runs, merges and writes a grid spec.  Each CLI module
 keeps only its listing and its own tail.
@@ -22,7 +22,7 @@ from .kinds import KINDS, SpecKind, build_document, kind_of
 from .obs.profile import render_profile, write_profile
 from .resume import completed_cell_ids, merge_cells, write_report
 
-__all__ = ["print_profile", "run_command", "run_grid"]
+__all__ = ["run_command", "run_grid"]
 
 Progress = Optional[Callable[[str], None]]
 Document = Dict[str, Any]
@@ -69,10 +69,7 @@ def run_command(
     source.add_argument(
         "--smoke",
         action="store_true",
-        help=(
-            f"run the bounded CI {'grid' if kind.grid else 'frontier'} "
-            f"(builtin {kind.smoke!r})"
-        ),
+        help=f"run the bounded CI grid (builtin {kind.smoke!r})",
     )
     source.add_argument(
         "--dump-spec",
@@ -80,12 +77,11 @@ def run_command(
         help="print a builtin spec as JSON (a starting point for --spec) and exit",
     )
     parser.add_argument("--list", action="store_true", help=list_help)
-    if kind.grid:
-        parser.add_argument(
-            "--resume",
-            action="store_true",
-            help=f"skip cells already completed in the existing {kind.prefix}*.json artifact",
-        )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help=f"skip cells already completed in the existing {kind.prefix}*.json artifact",
+    )
     parser.add_argument(
         "--workers",
         type=int,
@@ -113,7 +109,7 @@ def run_command(
     parser.add_argument(
         "--quiet",
         action="store_true",
-        help=f"suppress per-{'cell' if kind.grid else 'probe'} progress output",
+        help="suppress per-cell progress output",
     )
     args = parser.parse_args(argv)
 
@@ -126,20 +122,13 @@ def run_command(
             return 0
         spec = _load_spec(kind, args)
         previous = None
-        if kind.grid and args.resume:
+        if args.resume:
             previous = kind.load_document(kind.path(args.output_dir, spec.name))
     except (OSError, ReproError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     progress = None if args.quiet else lambda line: print(line, flush=True)
     return run(spec, args, progress, previous)
-
-
-def print_profile(document: Document, args: argparse.Namespace, name: str) -> None:
-    """Under ``--profile``, print the phase breakdown and write ``PROFILE_<name>.json``."""
-    if args.profile:
-        print(render_profile(document["telemetry"], title=name))
-        print(f"wrote {write_profile(document['telemetry'], args.output_dir, name)}")
 
 
 def run_grid(
@@ -154,7 +143,9 @@ def run_grid(
 
     Cells complete in ``previous`` are skipped and merged back in.
     ``report(document)`` prints the kind's own lines and returns the paths
-    of any further files it wrote.  Exits 1 when a cell failed.
+    of any further files it wrote.  Under ``--profile`` it also prints the
+    phase breakdown and writes ``PROFILE_<name>.json``.  Exits 1 when a
+    cell failed.
     """
     kind = kind_of(spec)
     started = time.perf_counter()
@@ -169,7 +160,9 @@ def run_grid(
     write_report(document, paths[0])
     paths += report(document)
     elapsed = time.perf_counter() - started
-    print_profile(document, args, spec.name)
+    if args.profile:
+        print(render_profile(document["telemetry"], title=spec.name))
+        print(f"wrote {write_profile(document['telemetry'], args.output_dir, spec.name)}")
     print(
         f"wrote {' and '.join(paths)} ({len(cells)} cells, {len(fresh)} run now, "
         f"{len(skip)} resumed, {elapsed:.1f}s)"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -20,10 +21,10 @@ from repro.experiments import (
     write_csv,
 )
 from repro.experiments.cli import main as sweep_main
+from repro.experiments.runner import PoolExecutor, cell_payload
 from repro.kinds import KINDS
 from repro.resume import completed_cell_ids, merge_cells, write_report
 from repro.scenarios.cli import main as chaos_main
-from repro.scenarios.cli import search_main
 
 SWEEP = KINDS["sweep"]
 
@@ -152,6 +153,69 @@ def test_runner_serial_and_parallel_agree_on_results():
     assert strip(serial) == strip(parallel)
 
 
+class _FakeTask:
+    def __init__(self, fn, payload, fail):
+        self.fn, self.payload, self.fail = fn, payload, fail
+
+    def get(self, timeout=None):
+        if self.fail:
+            raise multiprocessing.TimeoutError("worker lost")
+        return self.fn(self.payload)
+
+
+class _FakePool:
+    def __init__(self, fail):
+        self.fail = fail
+
+    def apply_async(self, fn, args):
+        return _FakeTask(fn, args[0], self.fail)
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def _pool_payloads():
+    spec = _tiny_spec()
+    return [cell_payload(spec, cell) for cell in spec.cells()]
+
+
+def test_worker_crash_is_retried_on_a_rebuilt_pool():
+    pools = []
+
+    def flaky_factory(workers):
+        pools.append(workers)
+        return _FakePool(fail=len(pools) == 1)  # first pool loses every task
+
+    payloads = _pool_payloads()
+    with PoolExecutor(
+        execute_cell, workers=2, pool_factory=flaky_factory
+    ) as pool:
+        records = pool.map(payloads)
+    assert len(pools) == 2  # the crashed pool was rebuilt
+    assert [record["cell_id"] for record in records] == [
+        payload["cell_id"] for payload in payloads
+    ]
+    assert all(record["error"] is None and record["runs"] for record in records)
+
+
+def test_worker_crash_exhausting_retries_fails_loudly():
+    def dead_factory(workers):
+        return _FakePool(fail=True)
+
+    payloads = _pool_payloads()
+    with PoolExecutor(
+        execute_cell, workers=2, pool_factory=dead_factory
+    ) as pool:
+        records = pool.map(payloads)
+    assert len(records) == len(payloads)
+    for record in records:
+        assert "worker lost after 2 attempts" in record["error"]
+        assert record["runs"] == []
+
+
 # ----------------------------------------------------------------- artifacts
 def test_artifact_write_load_resume_cycle(tmp_path):
     spec = _tiny_spec()
@@ -269,7 +333,7 @@ def test_cli_smoke_and_resume(tmp_path, capsys):
     assert "0 run now, 2 resumed" in out
 
 
-CLI_MAINS = {"sweep": sweep_main, "scenario": chaos_main, "search": search_main}
+CLI_MAINS = {"sweep": sweep_main, "scenario": chaos_main}
 
 
 @pytest.mark.parametrize("kind", list(CLI_MAINS))
@@ -341,9 +405,7 @@ def test_every_committed_artifact_spec_loads_through_from_dict():
         for path in sorted(root.glob(f"{kind.prefix}*.json")):
             document = kind.load_document(str(path))
             spec = kind.spec_class().from_dict(document["spec"])
-            recorded = document["spec"]
-            fields = set(recorded) | set(recorded.get("scenario", {}))
-            assert not {"sampler", "accel"} & fields, path.name
+            assert not {"sampler", "accel"} & set(document["spec"]), path.name
             assert document["name"] == spec.name in builtins, path.name
             assert document.get("code_fingerprint"), path.name
             builtin = builtins[spec.name].to_dict()

@@ -25,7 +25,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     aggregate_telemetry,
-    merge_profiles,
     profile_from_cells,
     render_profile,
 )
@@ -284,16 +283,6 @@ def test_profile_from_cells_walks_run_extras():
     assert "skips" not in profile
 
 
-def test_merge_profiles_matches_direct_aggregation():
-    skips = {"interactions": 50, "applied_events": 20, "skipped_interactions": 30}
-    traces = [_fake_trace(skips=skips) for _ in range(4)]
-    direct = aggregate_telemetry(traces)
-    merged = merge_profiles(
-        [aggregate_telemetry(traces[:2]), aggregate_telemetry(traces[2:])]
-    )
-    assert merged == direct
-
-
 def test_memo_counters_fold_through_aggregation_merging_and_rendering():
     memo = {
         "interned_keys": 5, "released": 3, "pairs": 9, "hits": 30, "misses": 10,
@@ -305,10 +294,6 @@ def test_memo_counters_fold_through_aggregation_merging_and_rendering():
         "interned_keys": 20, "released": 12, "pairs": 36, "hits": 120, "misses": 40,
         "unrecorded": 0, "switches": 0, "coin_nodes": 8,
     }
-    merged = merge_profiles(
-        [aggregate_telemetry(traces[:2]), aggregate_telemetry(traces[2:])]
-    )
-    assert merged == direct
     assert "memo" not in aggregate_telemetry([_fake_trace()])
     rendered = render_profile(direct)
     assert "transition memo: 120 hits, 40 misses (hit ratio 0.7500)" in rendered

@@ -17,10 +17,7 @@ import pytest
 
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import (
-    BiasedScheduler,
     ConfigurationError,
-    PartitionedScheduler,
-    SimulationError,
     Simulator,
     TimelineEvent,
     all_outputs_equal,
@@ -269,64 +266,6 @@ def test_reconvergence_time_distributions_match_across_backends():
 
 
 # --------------------------------------------------------------------------
-# Schedulers
-# --------------------------------------------------------------------------
-
-
-def test_partitioned_scheduler_respects_blocks():
-    scheduler = PartitionedScheduler(blocks=3)
-    rng = random.Random(0)
-    for _ in range(500):
-        a, b = scheduler.next_pair(17, rng, 0)
-        assert a != b
-        assert a % 3 == b % 3
-    scheduler.set_blocks(1)
-    seen = {scheduler.next_pair(4, rng, 0) for _ in range(300)}
-    assert len(seen) == 12  # all ordered pairs of 4 agents
-
-
-def test_partitioned_scheduler_rejects_too_fine_partitions():
-    scheduler = PartitionedScheduler(blocks=8)
-    with pytest.raises(SimulationError):
-        scheduler.next_pair(8, random.Random(0), 0)
-
-
-def test_biased_scheduler_oversamples_hubs():
-    scheduler = BiasedScheduler(hubs=2, weight=10.0)
-    rng = random.Random(1)
-    hits = Counter()
-    for _ in range(4000):
-        a, b = scheduler.next_pair(20, rng, 0)
-        assert a != b
-        hits[a] += 1
-    hub_rate = (hits[0] + hits[1]) / 4000
-    # Expected hub mass: 20 / 38 ~ 0.53 (vs 0.10 uniform).
-    assert hub_rate > 0.35
-
-
-def test_partition_isolates_and_merge_heals():
-    spec_events = [
-        EventSpec(kind="partition", at_interactions=0, blocks=2),
-        EventSpec(kind="merge", at_interactions=2_000),
-    ]
-    timeline = expand_events(spec_events, 16, {}, seed=0)
-    simulator = Simulator(
-        OneWayEpidemic(), 16, seed=3, scheduler=PartitionedScheduler()
-    )
-    result = simulator.run(
-        max_interactions=8_000,
-        convergence=all_outputs_equal(1),
-        check_interval=16,
-        timeline=timeline,
-    )
-    assert result.converged
-    segments = result.extra["segments"]
-    # While split, the odd residue class can never learn the value.
-    assert not segments[1]["converged"]
-    assert segments[2]["converged"]
-
-
-# --------------------------------------------------------------------------
 # Fault models and invariants
 # --------------------------------------------------------------------------
 
@@ -440,13 +379,11 @@ def test_event_spec_validation():
         EventSpec(kind="corrupt", at_interactions=5, fraction=0.1, repeat=3)
     with pytest.raises(ConfigurationError):
         EventSpec(kind="restart", at_interactions=5, restart=True)
-
-
-def test_partition_scenarios_require_agent_backend():
-    with pytest.raises(ConfigurationError):
-        _tiny_spec(
-            events=[EventSpec(kind="partition", at_interactions=0)],
-            backends=["agent", "batch"],
+    with pytest.raises(ConfigurationError, match="unknown event kind 'partition'"):
+        EventSpec.from_dict({"kind": "partition", "at_interactions": 0})
+    with pytest.raises(ConfigurationError, match="unknown event fields: rate"):
+        EventSpec.from_dict(
+            {"kind": "leave", "at_interactions": 5, "count": 1, "rate": 2.0}
         )
 
 
@@ -664,120 +601,6 @@ def test_outputs_within_spread_predicate():
     assert not predicate([])
     with pytest.raises(ValueError):
         outputs_within_spread(-1)
-
-
-# --------------------------------------------------------------------------
-# Poisson arrival-process churn
-# --------------------------------------------------------------------------
-
-
-def _process_event(**overrides):
-    fields = dict(
-        kind="replace",
-        rate=2.0,
-        fraction=0.1,
-        at=BudgetPolicy(factor=1.0, n_exponent=1.0, log_exponent=1.0),
-        window=BudgetPolicy(factor=8.0, n_exponent=1.0, log_exponent=1.0),
-        label="churn-process",
-    )
-    fields.update(overrides)
-    return EventSpec(**fields)
-
-
-def test_poisson_process_expands_deterministically():
-    events = [_process_event()]
-    first = expand_events(events, 100, {}, seed=7)
-    second = expand_events(events, 100, {}, seed=7)
-    assert [event.at for event in first] == [event.at for event in second]
-    assert len(first) > 1  # rate 2/n over an 8 n log n window: many arrivals
-    # occurrences are ordered, inside the window, and labelled #k
-    window_start = events[0].at.budget(100)
-    window_end = window_start + events[0].window.budget(100)
-    ats = [event.at for event in first]
-    assert ats == sorted(ats)
-    assert all(window_start <= at < window_end for at in ats)
-    assert first[0].label == "churn-process#1"
-    assert first[-1].label == f"churn-process#{len(first)}"
-    # a different seed draws different arrival times
-    other = expand_events(events, 100, {}, seed=8)
-    assert [event.at for event in other] != ats
-
-
-def test_poisson_process_expected_arrivals():
-    # E[arrivals] = rate * window / n; rate 2 over 16 n log2 n at n=100
-    events = [
-        _process_event(
-            rate=2.0,
-            window=BudgetPolicy(factor=16.0, n_exponent=1.0, log_exponent=1.0),
-        )
-    ]
-    n = 100
-    expected = 2.0 * events[0].window.budget(n) / n
-    draws = [len(expand_events(events, n, {}, seed=seed)) for seed in range(10)]
-    mean = sum(draws) / len(draws)
-    assert 0.7 * expected <= mean <= 1.3 * expected
-
-
-def test_poisson_process_validation():
-    with pytest.raises(ConfigurationError):  # rate only on churn kinds
-        _process_event(kind="corrupt", fault="reset")
-    with pytest.raises(ConfigurationError):  # rate must be positive
-        _process_event(rate=0.0)
-    with pytest.raises(ConfigurationError):  # a process needs its window
-        _process_event(window=None)
-    with pytest.raises(ConfigurationError):  # window without rate is inert
-        EventSpec(
-            kind="leave",
-            fraction=0.1,
-            at=BudgetPolicy(factor=1.0, n_exponent=1.0, log_exponent=1.0),
-            window=BudgetPolicy(factor=8.0, n_exponent=1.0, log_exponent=1.0),
-        )
-    with pytest.raises(ConfigurationError):  # repeat belongs to periodic events
-        _process_event(repeat=3, every=BudgetPolicy(factor=1.0))
-
-
-def test_poisson_process_caps_expected_arrivals():
-    runaway = [
-        _process_event(
-            rate=1e9,
-            window=BudgetPolicy(factor=64.0, n_exponent=2.0, log_exponent=0.0),
-        )
-    ]
-    with pytest.raises(ConfigurationError, match="arrival"):
-        expand_events(runaway, 1000, {}, seed=0)
-
-
-def test_poisson_process_runs_through_a_scenario_cell():
-    spec = _tiny_spec(
-        protocol="one-way-epidemic",
-        ns=[32],
-        backends=["batch"],
-        budget=BudgetPolicy(factor=64.0, n_exponent=1.0, log_exponent=1.0),
-        events=[
-            _process_event(
-                rate=1.0,
-                at=BudgetPolicy(factor=4.0, n_exponent=1.0, log_exponent=1.0),
-                window=BudgetPolicy(factor=8.0, n_exponent=1.0, log_exponent=1.0),
-            )
-        ],
-        invariants=["population"],
-    )
-    cell = spec.cells()[0]
-    record = execute_scenario_cell(
-        {
-            "cell_id": cell.cell_id,
-            "n": cell.n,
-            "backend": cell.backend,
-            "params": cell.params,
-            "seeds": cell.seeds,
-            "spec": spec.to_dict(),
-        }
-    )
-    assert not record.get("error")
-    run = record["runs"][0]
-    fired = [event for event in run["extra"]["timeline"] if event["fired"]]
-    assert fired  # the process produced at least one occurrence
-    assert all(event["invariants"]["population"] == 32 for event in fired)
 
 
 # --------------------------------------------------------------------------

@@ -20,13 +20,7 @@ from repro.engine.errors import ConfigurationError
 from repro.experiments import BudgetPolicy, SweepRunner, SweepSpec
 from repro.experiments import build_document as build_sweep_document
 from repro.fingerprint import code_fingerprint, spec_sha256
-from repro.scenarios import (
-    DimensionSpec,
-    EventSpec,
-    GuaranteeSpec,
-    ScenarioSpec,
-    SearchSpec,
-)
+from repro.scenarios import EventSpec, ScenarioSpec
 from repro.obs.metrics import counter_value, parse_exposition
 from repro.server import (
     JobManager,
@@ -80,55 +74,9 @@ def tiny_scenario(**overrides):
     return ScenarioSpec(**defaults)
 
 
-def tiny_search(**overrides):
-    defaults = dict(
-        name="tiny-serve-search",
-        scenario=tiny_scenario(name="tiny-serve-search-base"),
-        dimensions=[
-            DimensionSpec(event=0, dimension="fraction", low=0.1, high=0.9)
-        ],
-        guarantee=GuaranteeSpec(kind="recovered"),
-        strategy="bisect",
-        seeds_per_probe=1,
-        tolerance=0.1,
-    )
-    defaults.update(overrides)
-    return SearchSpec(**defaults)
-
-
 def use_executor(monkeypatch, kind, execute):
     """Run ``kind``'s cells with ``execute`` (the worker reads its runner's)."""
     monkeypatch.setattr(KINDS[kind].runner_class(), "executor", staticmethod(execute))
-
-
-def oracle_search_executor(breaks_above=0.5):
-    """A fake scenario-cell executor: runs converge below the threshold."""
-
-    def execute(payload):
-        value = payload["spec"]["events"][0]["fraction"]
-        broken = value > breaks_above
-        runs = [
-            {
-                "seed": seed,
-                "converged": not broken,
-                "post_accuracy": 0.0 if broken else 1.0,
-                "stopped_reason": "budget" if broken else "converged",
-                "interactions": 100,
-            }
-            for seed in payload["seeds"]
-        ]
-        return {
-            "cell_id": payload["cell_id"],
-            "n": payload["n"],
-            "params": payload["params"],
-            "seeds": payload["seeds"],
-            "runs": runs,
-            "stats": None,
-            "error": None,
-            "wall_time_s": 0.0,
-        }
-
-    return execute
 
 
 def wait_terminal(manager, job_id, timeout_s=120.0):
@@ -302,29 +250,13 @@ def test_scenario_job_lifecycle(manager):
     assert artifact["cells"][0]["error"] is None
 
 
-def test_search_job_reuses_probe_cache_across_jobs(manager, monkeypatch):
-    use_executor(monkeypatch, "scenario", oracle_search_executor(breaks_above=0.5))
-    spec = tiny_search()
-    first = manager.submit("search", spec.to_dict())
-    status = wait_terminal(manager, first["job_id"])
-    assert status["state"] == "done", status["error"]
-    assert status["progress"]["executed_cells"] > 0
-    artifact = manager.artifact(first["job_id"])
-    assert artifact["result"]["critical"] == pytest.approx(0.5, abs=0.1)
-
-    second = manager.submit("search", spec.to_dict())
-    status = wait_terminal(manager, second["job_id"])
-    assert status["state"] == "done", status["error"]
-    # Every probe of the identical search replays from the cache.
-    assert status["progress"]["cached_cells"] == len(artifact["history"])
-    assert status["progress"]["executed_cells"] == 0
-    again = manager.artifact(second["job_id"])
-    assert stable_document(again) == stable_document(artifact)
-
-
 def test_submit_rejects_unknown_kind_and_invalid_spec(manager):
     with pytest.raises(ConfigurationError, match="unknown job kind"):
         manager.submit("bake", {"name": "x"})
+    with pytest.raises(
+        ConfigurationError, match=r"unknown job kind 'search'.*\('sweep', 'scenario'\)"
+    ):
+        manager.submit("search", {"name": "x"})
     with pytest.raises(ConfigurationError):
         manager.submit("sweep", {"name": "x", "protocol": "no-such", "ns": [8]})
     with pytest.raises(ConfigurationError):

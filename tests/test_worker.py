@@ -342,6 +342,7 @@ def test_abandoned_lease_is_requeued_and_job_still_completes(served_manager):
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
     status = client.wait(job_id, timeout_s=120.0)
+    worker.stop()
     thread.join(timeout=30)
 
     assert status["state"] == "done"
@@ -375,6 +376,7 @@ def test_wrong_cell_result_is_rejected_and_cell_recovers(served_manager):
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
     status = client.wait(job_id, timeout_s=120.0)
+    worker.stop()
     thread.join(timeout=30)
     assert status["state"] == "done"
     assert status["progress"]["failed_cells"] == []

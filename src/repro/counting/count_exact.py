@@ -38,9 +38,9 @@ from .approximation_stage import (
     approximation_stage_update,
 )
 from .keys import (
+    PHASE_RESIDUE_MODULUS,
     approximation_from_key,
     clock_from_key,
-    clock_key,
     fast_election_from_key,
     junta_from_key,
     refinement_from_key,
@@ -179,14 +179,29 @@ class CountExactProtocol(Protocol[CountExactAgent]):
         return refinement_output(state.refinement, self.params)
 
     def state_key(self, state: CountExactAgent) -> Hashable:
-        # As in `Approximate`, the raw phase counter is bookkeeping; the
-        # protocol consumes it only through tick events and small residues.
+        # The component keys and `clock_key`, built in one frame: every
+        # transition of a dense run builds two.  As in `Approximate`, the raw
+        # phase counter is bookkeeping; the protocol consumes it only through
+        # tick events and small residues.
+        junta = state.junta
+        clock = state.clock
+        election = state.election
+        approximation = state.approximation
+        refinement = state.refinement
         return (
-            state.junta.key(),
-            clock_key(state.clock),
-            state.election.key(),
-            state.approximation.key(),
-            state.refinement.key(),
+            (junta.level, junta.active, junta.junta, junta.reached_level),
+            (clock.clock, clock.phase % PHASE_RESIDUE_MODULUS, clock.first_tick),
+            (
+                election.leader,
+                election.leader_done,
+                election.value,
+                election.bits_drawn,
+                election.best_seen,
+                election.best_tag,
+                election.phases_completed,
+            ),
+            (approximation.i, approximation.load, approximation.k, approximation.apx_done),
+            (refinement.entered, refinement.phase, refinement.k, refinement.load, refinement.error),
         )
 
     # --------------------------------------------------- key-level transitions

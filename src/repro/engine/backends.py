@@ -542,9 +542,10 @@ class BatchBackend(Backend):
     interned while recording (below) is pinned, the live ids are pinned on
     each switch into recording mode, and so are a fixed-point self entry's
     id and the ids of every recorded result.  A pinned id is never released.
-    Only an id that loses its last agent and is not pinned is released, in
-    the dense loop by the event that empties it and at the end of
-    ``leave``, ``corrupt_histogram`` and restarts.
+    Only an id that loses its last agent and is not pinned is released: at
+    the end of the unrecorded stretch (below) that empties it and at the
+    end of ``leave``, ``corrupt_histogram`` and restarts.  While recording
+    every live id is pinned.
     So runs that always record — the pruning regime, whose kernel and
     ``_can_change`` cache key on ids, and dense runs without a decoder —
     release nothing.  Ids do not reach any stream, so streams are those of
@@ -558,8 +559,8 @@ class BatchBackend(Backend):
     ``delta_key`` would and follows the branch; a missing branch is
     evaluated once, replaying the values already drawn.  The agent stream is
     therefore consumed exactly as without the memo.  Other protocols call
-    ``delta_key`` on every event, and so does the dense regime's unrecorded
-    mode (below), without recording.
+    ``delta_key`` on every event, and so do the dense regime's unrecorded
+    stretches (below), without recording.
 
     Two sampling regimes are used, chosen at construction:
 
@@ -600,16 +601,28 @@ class BatchBackend(Backend):
     list in step with :attr:`_agents`.  A live state differs from a decoded
     one only in bookkeeping its key drops (the raw phase counter, see
     :mod:`repro.counting.keys`), so streams are those of decoding every
-    evaluation.  Theorem 2's CountExact uses Õ(n) states: almost every agent
-    holds a key of its own, the memo hits on a few percent of events and
-    grows by one pair per miss.  So while more than half the agents hold
-    distinct keys (``2 * len(_counts) > n``, re-decided on every event that
-    is not a plain memo hit) the backend is in *unrecorded mode*: such an
-    event hands ``delta_key`` the agent stream itself and records nothing.
-    A pure protocol draws from it the coins a memo walk would, so streams
-    are those of the memo regime.  Entering or leaving the mode moves no
-    state.  The pruning regime, the lifted adapter and protocols overriding
-    ``delta_key`` hold no states.
+    evaluation.  The pruning regime, the lifted adapter and protocols
+    overriding ``delta_key`` hold no states.
+
+    **Unrecorded stretches** (dense regime with a decoder).  Theorem 2's
+    CountExact uses Õ(n) states: almost every agent holds a key of its own,
+    the memo hits on a few percent of events and grows by one pair per
+    miss.  So while more than half the agents hold distinct keys
+    (``2 * len(_counts) > n``) the backend runs *stretches* of events that
+    record nothing.  A stretch keeps a key per slot; each of its events
+    calls ``delta_key`` on the two slots' live states with the agent stream
+    itself, applies the swap rule to the post-keys and hands the changed
+    ones to the state-space census, with no memo lookup, interning,
+    histogram upkeep or release.  A pure protocol draws from the stream the
+    coins a memo walk would, so streams are those of the memo regime.  A
+    stretch ends at the window's end, after ``n`` events, or right after a
+    configuration-changing event whose two post-keys are equal (the only
+    kind that can leave one live key, so the dense fixed point stops the
+    run at the same interaction); the slots it changed are then re-keyed
+    into ids and the histogram in one pass and dead unpinned ids released.
+    The ``n / 2`` rule is decided at the start of each window, at the end
+    of each stretch and after a recorded event that leaves more than
+    ``n / 2`` live keys; switching moves no state.
 
     The protocol picks the regime; there is no knob.  :meth:`sampler_stats`
     and :meth:`memo_stats` report the draw path's and the memo's counters
@@ -648,8 +661,8 @@ class BatchBackend(Backend):
             raise SimulationError(
                 f"initial key histogram covers {total} agents, expected {self.n}"
             )
-        #: ``delta_key`` calls made in unrecorded mode (see class docstring),
-        #: the number of entries into and exits from it, and whether the run
+        #: Events of unrecorded stretches (see class docstring), the number
+        #: of entries into and exits from stretch mode, and whether the run
         #: is outside it (memo misses are recorded).
         self._unrecorded = 0
         self._mode_switches = 0
@@ -901,54 +914,64 @@ class BatchBackend(Backend):
     def _advance_dense(self, target: int) -> None:
         """Dense-regime event loop: every interaction is one event.
 
-        One loop per window with its state bound to locals.  Each
-        interaction draws two agent indices from the
+        Runs the window as recorded events (:meth:`_advance_recorded`) and
+        unrecorded stretches (:meth:`_stretch`).  The ``n / 2`` rule (see
+        class docstring) is decided at the start of the window and at the
+        end of each stretch; the recorded loop hands over to a stretch after
+        an event that leaves more than half the agents on distinct keys.
+        Consecutive stretches of one window share one per-slot key list.
+        """
+        stretches = self._decode is not None
+        half = self.n // 2
+        slot_keys: Optional[List[Hashable]] = None
+        while self.interactions < target and not self.terminal:
+            if stretches and (len(self._counts) > half) is self._recording:
+                self._recording = not self._recording
+                self._mode_switches += 1
+                if self._recording:
+                    # Live ids may become memo sources from now on.
+                    self._pinned.update(self._counts)
+            if self._recording:
+                slot_keys = None
+                self._advance_recorded(target, half if stretches else self.n)
+            else:
+                if slot_keys is None:
+                    slot_keys = list(map(self._keys.__getitem__, self._agents))
+                self._stretch(min(target, self.interactions + self.n), slot_keys)
+
+    def _advance_recorded(self, target: int, limit: int) -> None:
+        """Recorded dense events until ``target``, terminal or ``limit`` live keys.
+
+        One loop with its state bound to locals.  Each interaction draws
+        two agent indices from the
         :class:`~repro.engine.samplers.AgentPairSampler`, reads the two
         slots of :attr:`_agents` and looks the id pair up in the memo: a
-        plain ``(new_a, new_b)`` hit costs one dict lookup.  Any other entry
-        first re-decides the unrecorded mode (see class docstring), which
-        moves no live state, then goes through :meth:`_resolve` or, in that
-        mode, calls ``delta_key`` on the two slots' states with the agent
-        stream and records nothing; a new key is interned after one
-        lookup (:meth:`_intern_new`).  The histogram and the two
-        slots are rewritten only when the configuration changed, the
-        histogram by the same operations in the same order as the pruning
-        loop.  An id that loses its last agent and is not pinned is
-        released inline, as :meth:`_release` would, and the releases are
-        counted per window.
+        plain ``(new_a, new_b)`` hit costs one dict lookup, any other entry
+        goes through :meth:`_resolve`.  The histogram and the two slots are
+        rewritten only when the configuration changed, the histogram by the
+        same operations in the same order as the pruning loop.  Every live
+        id is pinned while recording, so none is released here.  The loop
+        returns after a configuration-changing event that leaves more than
+        ``limit`` live keys.
 
-        Phase timers run once per window and around each entry that is not
-        a plain hit, not per event; :mod:`repro.obs.trace` says what each
+        Phase timers run once per call and around each entry that is not a
+        plain hit, not per event; :mod:`repro.obs.trace` says what each
         phase then covers.  An event that collapses the population onto a
-        provable fixed point (:attr:`~Backend.terminal`) ends the window.
+        provable fixed point (:attr:`~Backend.terminal`) ends the loop.
         """
         interactions = self.interactions
-        if interactions >= target or self.terminal:
-            return
         sample = self._sampler.sample
         pair_rng = self._pair_rng
         memo_get = self._memo.get
         resolve = self._resolve
-        decode = self._decode
-        delta = self._delta
-        agent_rng = self._agent_rng
-        keys = self._keys
-        ids = self._ids
-        ids_get = ids.get
-        intern_new = self._intern_new
-        outputs = self._outputs
-        free_append = self._free.append
         agents = self._agents
         states = self._states
-        recording = self._recording
-        pinned = self._pinned
         counts = self._counts
         count_of = counts.get
-        n = self.n
         id_bits = _ID_BITS
         clock = perf_counter
         start = interactions
-        hits = changes = unrecorded = released = 0
+        hits = changes = 0
         resolve_s = 0.0
         window_started = clock()
         try:
@@ -969,38 +992,7 @@ class BatchBackend(Backend):
                             states[responder] = None
                 else:
                     tic = clock()
-                    if decode is not None and (2 * len(counts) > n) is recording:
-                        recording = self._recording = not recording
-                        self._mode_switches += 1
-                        if recording:
-                            # Live ids may become memo sources from now on.
-                            pinned.update(counts)
-                    if recording:
-                        new_a, new_b = resolve(ident_a, ident_b, entry, initiator, responder)
-                    else:
-                        # Unrecorded mode: delta_key on the two slots'
-                        # states with the agent stream.
-                        unrecorded += 1
-                        key_a = keys[ident_a]
-                        key_b = keys[ident_b]
-                        state_a = states[initiator]
-                        if state_a is None:
-                            state_a = decode(key_a)
-                        state_b = states[responder]
-                        if state_b is None:
-                            state_b = decode(key_b)
-                        key_a, key_b = delta(key_a, key_b, agent_rng, state_a, state_b)
-                        new_a = ids_get(key_a)
-                        if new_a is None:
-                            new_a = intern_new(key_a)
-                        new_b = ids_get(key_b)
-                        if new_b is None:
-                            new_b = intern_new(key_b)
-                        if new_a == ident_b and new_b == ident_a:
-                            # A swap keeps both slots' ids: trade the states.
-                            state_a, state_b = state_b, state_a
-                        states[initiator] = state_a
-                        states[responder] = state_b
+                    new_a, new_b = resolve(ident_a, ident_b, entry, initiator, responder)
                     resolve_s += clock() - tic
                 if (new_a != ident_a or new_b != ident_b) and (
                     new_a != ident_b or new_b != ident_a
@@ -1010,27 +1002,19 @@ class BatchBackend(Backend):
                     counts[ident_b] -= 1
                     counts[new_a] = count_of(new_a, 0) + 1
                     counts[new_b] = count_of(new_b, 0) + 1
-                    # A dead unpinned id is released here (see _release).
                     if not counts[ident_a]:
                         del counts[ident_a]
-                        if ident_a not in pinned:
-                            del ids[keys[ident_a]]
-                            keys[ident_a] = outputs[ident_a] = None
-                            free_append(ident_a)
-                            released += 1
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
-                        if ident_b not in pinned:
-                            del ids[keys[ident_b]]
-                            keys[ident_b] = outputs[ident_b] = None
-                            free_append(ident_b)
-                            released += 1
                     agents[initiator] = new_a
                     agents[responder] = new_b
-                    if len(counts) == 1:
+                    live = len(counts)
+                    if live == 1:
                         self._check_dense_fixed_point()
                         if self.terminal:
                             break
+                    elif live > limit:
+                        break
         finally:
             window_s = clock() - window_started
             events = interactions - start
@@ -1038,14 +1022,135 @@ class BatchBackend(Backend):
             self.counter.total = interactions
             self.applied_events += events
             self._memo_hits += hits
-            self._unrecorded += unrecorded
-            self._released += released
-            self.transition_calls += unrecorded
             tracer = self.tracer
             tracer.add("sampling", window_s - resolve_s, ops=events)
             tracer.add("transition", resolve_s, ops=events)
             if changes:
                 tracer.add("pair_weights", 0.0, ops=changes)
+
+    def _stretch(self, end: int, slot_keys: List[Hashable]) -> None:
+        """One unrecorded stretch (see class docstring), ending by ``end``.
+
+        ``slot_keys`` holds the key of every slot of :attr:`_agents` and
+        takes each changed post-key; :meth:`_rekey` moves the slots the
+        stretch changed to their ids when it ends.
+        """
+        interactions = self.interactions
+        sample = self._sampler.sample
+        pair_rng = self._pair_rng
+        delta = self._delta
+        decode = self._decode
+        agent_rng = self._agent_rng
+        states = self._states
+        observe = self.state_space.observe
+        census = self.track_state_space
+        changed: List[int] = []
+        mark = changed.append
+        clock = perf_counter
+        start = interactions
+        changes = 0
+        transition_s = 0.0
+        stretch_started = clock()
+        try:
+            while interactions < end:
+                interactions += 1
+                initiator, responder = sample(pair_rng)
+                key_a = slot_keys[initiator]
+                key_b = slot_keys[responder]
+                tic = clock()
+                state_a = states[initiator]
+                if state_a is None:
+                    state_a = decode(key_a)
+                state_b = states[responder]
+                if state_b is None:
+                    state_b = decode(key_b)
+                new_a, new_b = delta(key_a, key_b, agent_rng, state_a, state_b)
+                transition_s += clock() - tic
+                if new_a == key_b and new_b == key_a:
+                    # A swap keeps both slots' keys: trade the states.
+                    states[initiator] = state_b
+                    states[responder] = state_a
+                    continue
+                states[initiator] = state_a
+                states[responder] = state_b
+                if new_a != key_a:
+                    slot_keys[initiator] = new_a
+                    mark(initiator)
+                    if census:
+                        observe(new_a)
+                elif new_b == key_b:
+                    continue
+                if new_b != key_b:
+                    slot_keys[responder] = new_b
+                    mark(responder)
+                    if census:
+                        observe(new_b)
+                changes += 1
+                if new_a == new_b:
+                    break
+        finally:
+            self.interactions = interactions
+            self.counter.total = interactions
+            events = interactions - start
+            self.applied_events += events
+            self._unrecorded += events
+            self.transition_calls += events
+            self._rekey(changed, slot_keys)
+            tracer = self.tracer
+            tracer.add("sampling", clock() - stretch_started - transition_s, ops=events)
+            tracer.add("transition", transition_s, ops=events)
+            if changes:
+                tracer.add("pair_weights", 0.0, ops=changes)
+
+    def _rekey(self, slots: Iterable[int], slot_keys: List[Hashable]) -> None:
+        """Move ``slots`` to the ids of their ``slot_keys`` in one pass.
+
+        A new key is interned as :meth:`_intern_new` would, but unpinned and
+        not observed again (the stretch observed it); then the id the slot
+        left is released, as :meth:`_release` would, if no agent holds it
+        and no pin keeps it.
+        """
+        agents = self._agents
+        counts = self._counts
+        count_of = counts.get
+        ids = self._ids
+        ids_get = ids.get
+        keys = self._keys
+        outputs = self._outputs
+        output_key = self._output_key
+        free = self._free
+        pinned = self._pinned
+        released = 0
+        for slot in set(slots):
+            key = slot_keys[slot]
+            ident = ids_get(key)
+            old = agents[slot]
+            if ident == old:
+                continue
+            if ident is None:
+                if free:
+                    ident = free.pop()
+                    keys[ident] = key
+                    outputs[ident] = output_key(key)
+                else:
+                    ident = len(keys)
+                    keys.append(key)
+                    outputs.append(output_key(key))
+                ids[key] = ident
+            agents[slot] = ident
+            counts[ident] = count_of(ident, 0) + 1
+            if counts[old] > 1:
+                counts[old] -= 1
+            else:
+                del counts[old]
+                if old not in pinned:
+                    del ids[keys[old]]
+                    keys[old] = outputs[old] = None
+                    free.append(old)
+                    released += 1
+        self._released += released
+        if len(counts) == 1:
+            self._check_dense_fixed_point()
 
     # --------------------------------------------------- kernel event loop
     def _advance_pruning_kernel(self, target: int) -> None:
@@ -1394,14 +1499,15 @@ class BatchBackend(Backend):
         """JSON-friendly counters of the interning table and transition memo.
 
         Every applied event is one ``hit`` (resolved from the memo), one
-        ``miss`` (``delta_key`` evaluated for the memo) or, in the dense
-        regime's unrecorded mode, one ``unrecorded`` evaluation; ``switches``
-        counts entries into and exits from that mode, which move no live
-        state.  ``pairs`` counts memoised id pairs and ``coin_nodes`` their
-        coin branch points.  A protocol that does not declare pure key
-        transitions misses on every event outside that mode.
-        ``interned_keys`` counts the ids in use and ``released`` the ids
-        freed so far (see the class docstring).
+        ``miss`` (``delta_key`` evaluated for the memo) or one
+        ``unrecorded`` event of a dense-regime stretch, which is evaluated
+        even where the memo would hit; ``switches`` counts entries into
+        and exits from stretch mode, which move no live state.  ``pairs``
+        counts memoised id pairs and ``coin_nodes`` their coin branch
+        points.  A protocol that does not declare pure key transitions
+        misses on every event outside stretches.  ``interned_keys`` counts
+        the ids in use and ``released`` the ids freed so far (see the class
+        docstring).
         """
         return {
             "interned_keys": len(self._ids),

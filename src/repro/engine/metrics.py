@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Tuple
 
 __all__ = [
     "StateSpaceTracker",
@@ -32,14 +33,18 @@ class StateSpaceTracker:
     A key is a tuple of components (any other key is one component), and a
     component may nest tuples in turn.  Flattened, each scalar position —
     the index path through the nested tuples — is one state variable.  The
-    tracker keeps the set of values seen per component and projects new
-    component values onto the variables when the ranges are read.
+    tracker adds each component of an observed key to a per-component set
+    (one C-level ``set.add`` each) and projects component values onto the
+    variables when the ranges are read: the values observed since the last
+    read, less the ones already projected.
     """
 
     def __init__(self) -> None:
-        self._components: List[set] = []
-        #: Per component, values added since the ranges were last read.
-        self._fresh: List[List[Any]] = []
+        #: Per component, the values observed since the ranges were last
+        #: read (values projected before may be among them).
+        self._observed: List[set] = []
+        #: Per component, the values already projected onto the variables.
+        self._projected: List[set] = []
         #: Index path of each scalar variable -> the values it took.
         self._ranges: Dict[Tuple[int, ...], set] = {}
         self._sizes: Tuple[int, ...] = ()
@@ -48,32 +53,53 @@ class StateSpaceTracker:
         """Record one observed state key."""
         if not isinstance(key, tuple):
             key = (key,)
-        components = self._components
-        while len(components) < len(key):
-            components.append(set())
-            self._fresh.append([])
-        for values, fresh, value in zip(components, self._fresh, key):
-            if value not in values:
-                values.add(value)
-                fresh.append(value)
+        observed = self._observed
+        while len(observed) < len(key):
+            observed.append(set())
+            self._projected.append(set())
+        any(map(set.add, observed, key))
 
-    def _project(self, path: Tuple[int, ...], value: Any) -> None:
-        if isinstance(value, tuple):
-            for index, item in enumerate(value):
-                self._project((*path, index), item)
-        else:
-            self._ranges.setdefault(path, set()).add(value)
+    def _project(self, path: Tuple[int, ...], values: Iterable[Any]) -> None:
+        """Add ``values``, taken at variable position ``path``, to the ranges.
+
+        A scalar lands in ``path``'s own range; the items of tuples are
+        projected position by position onto the paths below ``path``.
+        """
+        scalars = []
+        by_length: Dict[int, List[tuple]] = {}
+        for value in values:
+            if isinstance(value, tuple):
+                by_length.setdefault(len(value), []).append(value)
+            else:
+                scalars.append(value)
+        if scalars:
+            self._ranges.setdefault(path, set()).update(scalars)
+        for index in range(max(by_length, default=0)):
+            items: set = set()
+            for length, group in by_length.items():
+                if length > index:
+                    items.update(map(itemgetter(index), group))
+            self._project((*path, index), items)
 
     @property
     def field_range_sizes(self) -> Tuple[int, ...]:
         """Number of distinct values per scalar variable, in index-path order."""
         grown = False
-        for index, fresh in enumerate(self._fresh):
+        for index, (fresh, projected) in enumerate(zip(self._observed, self._projected)):
+            if not fresh:
+                continue
+            fresh -= projected
             if fresh:
-                for value in fresh:
-                    self._project((index,), value)
-                fresh.clear()
+                self._project((index,), fresh)
                 grown = True
+            if len(fresh) > len(projected):
+                # Merge into the larger set: the two trade places.
+                fresh |= projected
+                self._projected[index], self._observed[index] = fresh, projected
+                projected.clear()
+            else:
+                projected |= fresh
+                fresh.clear()
         if grown:
             ranges = self._ranges
             self._sizes = tuple(len(ranges[path]) for path in sorted(ranges))
@@ -187,12 +213,6 @@ class MetricsSnapshot:
     interaction: int
     output_histogram: Counter = field(default_factory=Counter)
     distinct_states: int = 0
-
-    def majority_output(self) -> Optional[Any]:
-        """Return the most common output, or ``None`` for an empty histogram."""
-        if not self.output_histogram:
-            return None
-        return self.output_histogram.most_common(1)[0][0]
 
     def agreement_fraction(self) -> float:
         """Fraction of agents currently reporting the most common output."""

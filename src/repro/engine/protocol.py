@@ -255,10 +255,6 @@ class Protocol(abc.ABC, Generic[S]):
             or cls.state_from_key is not Protocol.state_from_key
         )
 
-    def describe(self) -> str:
-        """One-line description used by the CLI and experiment reports."""
-        return f"{self.name} (uniform={self.uniform})"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"<{type(self).__name__} name={self.name!r} uniform={self.uniform}>"
 

@@ -12,7 +12,7 @@ core library has zero runtime requirements.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import List, Union
 
 __all__ = [
     "SeedLike",
@@ -90,11 +90,3 @@ def spawn_seeds(base: SeedLike, count: int, *keys: SeedLike) -> List[int]:
 def spawn_rngs(base: SeedLike, count: int, *keys: SeedLike) -> List[random.Random]:
     """Return ``count`` independent :class:`random.Random` generators."""
     return [random.Random(seed) for seed in spawn_seeds(base, count, *keys)]
-
-
-def iter_seeds(base: SeedLike, *keys: SeedLike) -> Iterator[int]:
-    """Yield an unbounded stream of independent seeds derived from ``base``."""
-    index = 0
-    while True:
-        yield derive_seed(base, *keys, index)
-        index += 1

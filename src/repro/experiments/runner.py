@@ -40,17 +40,29 @@ Progress = Optional[Callable[[str], None]]
 #: returns a synthetic error record for it.
 POOL_RETRIES = 1
 
+#: Seconds between the checks for a dead worker while a task is pending.
+_DEATH_POLL_S = 0.1
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker process exited while tasks were pending."""
+
 
 class PoolExecutor:
     """A ``spawn``-pool front end for one run's cell tasks.
 
     :class:`SweepRunner` maps one run's pending cells through it.
     ``PoolExecutor`` owns the run's pool, detects tasks lost to a worker
-    failure (``apply_async`` results that raise), rebuilds the pool, and
-    retries just the affected payloads up to :data:`POOL_RETRIES` times.
-    A task whose worker process dies outright never returns, so this does
-    not catch it.  Deterministic failures inside the executor never reach this
-    layer — cell executors capture their own exceptions into the record's
+    failure, and retries just the affected payloads up to
+    :data:`POOL_RETRIES` times.  A task is lost when its result raises
+    (the pool is then rebuilt) or when a worker process of the pool dies,
+    killed by a signal or the OOM killer, before the task's result
+    arrived.  A ``multiprocessing`` pool replaces a dead worker but never
+    delivers the result of the task it held, and which task that was is
+    unknown, so every task still pending then counts as lost and is
+    retried on the same pool once its replacement worker runs.
+    Deterministic failures inside the executor never reach this layer —
+    cell executors capture their own exceptions into the record's
     ``error`` field — so a retry only ever re-runs work that produced no
     record at all.
 
@@ -62,7 +74,8 @@ class PoolExecutor:
         progress: Optional line-oriented progress callback.
         pool_factory: Test seam; ``None`` uses ``spawn`` pools.  A factory
             must return an object with ``apply_async`` / ``terminate`` /
-            ``join``.
+            ``join``; worker deaths are detected in pools that list their
+            worker processes as ``multiprocessing`` pools do.
     """
 
     def __init__(
@@ -77,6 +90,9 @@ class PoolExecutor:
         self.progress = progress
         self._pool_factory = pool_factory
         self._pool: Any = None
+        #: The current pool's worker processes when last all alive (empty
+        #: for a pool that does not list them).
+        self._workers: List[Any] = []
         self._serial = self.workers < 2 and pool_factory is None
 
     def _report(self, line: str) -> None:
@@ -92,11 +108,44 @@ class PoolExecutor:
             else:
                 context = multiprocessing.get_context("spawn")
                 self._pool = context.Pool(processes=self.workers)
+            self._watch_workers()
         except (OSError, ValueError) as error:
             # Sandboxes without process support fall back to serial execution.
             self._report(f"worker pool unavailable ({error}); running serially")
             self._serial = True
         return self._pool
+
+    def _watch_workers(self) -> None:
+        """Watch the pool's workers, once it has replaced every dead one."""
+        pool = self._pool
+        workers = getattr(pool, "_pool", None)
+        if workers is None:
+            return
+        while len(workers) < pool._processes or any(
+            worker.exitcode is not None for worker in workers
+        ):
+            time.sleep(_DEATH_POLL_S)
+        self._workers = list(workers)
+
+    def _worker_died(self) -> bool:
+        """Whether a watched worker process has exited.
+
+        The pool's own list of workers differing from the watched one means
+        the same: the pool already replaced a worker that died.
+        """
+        workers = self._workers
+        return any(worker.exitcode is not None for worker in workers) or (
+            self._pool._pool != workers
+        )
+
+    def _result(self, task: Any) -> Dict[str, Any]:
+        """The record of ``task``; raises :class:`WorkerDied` once a worker died."""
+        if self._workers:
+            while not task.ready():
+                if self._worker_died():
+                    raise WorkerDied("a pool worker process died")
+                task.wait(_DEATH_POLL_S)
+        return task.get()
 
     def _discard_pool(self) -> None:
         if self._pool is not None:
@@ -106,6 +155,7 @@ class PoolExecutor:
             except Exception:  # noqa: BLE001 - the pool is already broken
                 pass
             self._pool = None
+            self._workers = []
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
@@ -147,7 +197,7 @@ class PoolExecutor:
             last_error: Optional[BaseException] = None
             for index, payload, task in tasks:
                 try:
-                    results[index] = task.get()
+                    results[index] = self._result(task)
                     if on_result:
                         on_result(results[index])
                 except Exception as error:  # noqa: BLE001 - worker failure path
@@ -155,7 +205,10 @@ class PoolExecutor:
                     last_error = error
             if not lost:
                 break
-            self._discard_pool()
+            if self._workers and self._worker_died():
+                self._watch_workers()
+            else:
+                self._discard_pool()
             attempt += 1
             if attempt > POOL_RETRIES:
                 for index, payload in lost:

@@ -18,15 +18,16 @@ regimes time them differently:
   count upkeep after a configuration-changing event.  ``ops`` are those of
   per-event charging: ``sampling`` and ``transition`` count one per
   applied event, ``pair_weights`` one per configuration-changing event.
-* **Dense regime**: one timer per advance window, plus one around each
-  memo entry that is not a plain hit.  ``transition`` is the time spent
-  resolving coin nodes and misses, or, in unrecorded mode, evaluating
-  such events (``delta_key``, decoding the slots that hold no live state,
-  and re-deciding the mode, which moves no state); ``sampling``
-  is the rest of the window — the agent-pair draws, plain memo hits,
-  histogram and agent-slot upkeep and the loop itself; ``pair_weights``
-  records no time and counts the configuration-changing events.
-  ``sampling`` and ``transition`` count one op per interaction.
+* **Dense regime**: one timer per recorded loop or unrecorded stretch,
+  plus one around each memo entry that is not a plain hit and around
+  each evaluation in a stretch.  ``transition`` is the time spent
+  resolving coin nodes and misses, or, in a stretch, evaluating an event
+  (``delta_key`` and decoding the slots that hold no live state);
+  ``sampling`` is the rest — the agent-pair draws, plain memo hits,
+  histogram and agent-slot upkeep, a stretch's key list, census and
+  re-keying pass, and the loops themselves; ``pair_weights`` records no
+  time and counts the configuration-changing events.  ``sampling`` and
+  ``transition`` count one op per interaction.
 
 Determinism contract: tracing only ever reads ``time.perf_counter`` —
 never an RNG stream — so instrumented runs are stream-identical to

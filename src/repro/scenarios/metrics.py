@@ -65,10 +65,6 @@ def _population(protocol: Protocol, counts: Counter) -> int:
     return sum(counts.values())
 
 
-def _distinct_keys(protocol: Protocol, counts: Counter) -> int:
-    return len(counts)
-
-
 def _token_sum(protocol: Protocol, counts: Counter) -> int:
     """Total tokens in the configuration, per the protocol's token encoding.
 
@@ -126,11 +122,6 @@ INVARIANTS: Dict[str, InvariantSpec] = {
             "population",
             "total agent count in the histogram (checks backend bookkeeping)",
             _population,
-        ),
-        InvariantSpec(
-            "distinct-keys",
-            "number of distinct state keys (configuration width)",
-            _distinct_keys,
         ),
         InvariantSpec(
             "token-sum",

@@ -11,6 +11,8 @@ The composed counting protocols historically went through the generic
 * ``state_from_key`` inverts ``state_key`` on every visited key, and the
   base ``delta_key`` gives the same keys on handed-over live states as on
   decoded ones, leaving the handed states post-interaction;
+* ``CountExact``'s one-frame ``state_key`` is the composition of its
+  components' ``key()``s and ``clock_key`` on every state a run reaches;
 * a decoder plus ``output_key`` is a native key API; a protocol with
   neither is lifted;
 * agent and batch backends reach the *exact same terminal histogram* for the
@@ -30,7 +32,7 @@ import pytest
 from repro.counting.approximate import ApproximateProtocol
 from repro.counting.backup import ApproximateBackupProtocol, ExactBackupProtocol
 from repro.counting.count_exact import CountExactProtocol
-from repro.counting.keys import PHASE_RESIDUE_MODULUS, phase_distance
+from repro.counting.keys import PHASE_RESIDUE_MODULUS, clock_key, phase_distance
 from repro.counting.search import SearchWithGivenLeader
 from repro.counting.stable_approximate import StableApproximateProtocol
 from repro.counting.stable_count_exact import StableCountExactProtocol
@@ -161,6 +163,32 @@ def test_delta_key_on_handed_states_matches_decoding(make_protocol):
         expected_a, expected_b = protocol.copy_state(state_a), protocol.copy_state(state_b)
         protocol.transition(expected_a, expected_b, make_rng(step))
         assert (handed_a, handed_b) == (expected_a, expected_b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_exact_state_key_composes_the_component_keys(seed):
+    # Seeded agent runs to the predicate pass through all three stages.
+    n = 12
+    protocol = CountExactProtocol()
+    simulator = Simulator(protocol, n, seed=seed, backend="agent", track_state_space=False)
+    backend = simulator.backend
+    predicate = protocol.convergence_predicate(n)
+    reached = set()
+    while not predicate(backend.outputs()):
+        assert backend.interactions < 100_000
+        for agent in backend.step():
+            state = backend.states[agent]
+            key = protocol.state_key(state)
+            assert key == (
+                state.junta.key(),
+                clock_key(state.clock),
+                state.election.key(),
+                state.approximation.key(),
+                state.refinement.key(),
+            )
+            reached.add(key)
+    assert any(key[4][0] for key in reached)  # the refinement stage was entered
+    assert len(reached) > 300
 
 
 @dataclass

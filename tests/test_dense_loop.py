@@ -10,7 +10,9 @@ Two contracts pin the loop from outside:
   ``count-exact-stable`` churn pins before the one-agent-one-state mode
   came in); any change to how the loop consumes its streams shows up here
   first.  ``transition_calls`` and ``memo`` count work, not the stream,
-  and were re-recorded when that mode stopped recording transitions;
+  and were re-recorded when that mode stopped recording transitions and
+  again when it became unrecorded stretches (every event of a stretch is
+  evaluated, and the mode is decided at stretch boundaries);
   ``distinct_states`` and the memo's ``interned_keys`` and ``released``
   were re-recorded when dead ids began to be released and the state count
   became the product of the variables' ranges.
@@ -78,7 +80,7 @@ PINNED_STREAMS = {
         "distinct_states": 26_029_817_856_000,
         "transition_calls": 14851,
         "memo": {
-            "interned_keys": 182, "released": 8307, "pairs": 560, "hits": 1150,
+            "interned_keys": 182, "released": 6742, "pairs": 560, "hits": 1150,
             "misses": 566, "unrecorded": 14284, "switches": 1, "coin_nodes": 80,
         },
         "sampler": _sampler(16_000),
@@ -89,10 +91,10 @@ PINNED_STREAMS = {
         "live_keys": 24,
         "state_key_counts": "1c40a6701b638605bb9a0b03b4ee7d51186424546fdcd5f3ef84c5ab932fd16d",
         "distinct_states": 9_289_728_000,
-        "transition_calls": 24579,
+        "transition_calls": 25582,
         "memo": {
-            "interned_keys": 3259, "released": 4107, "pairs": 4907, "hits": 2046,
-            "misses": 4907, "unrecorded": 19671, "switches": 507, "coin_nodes": 32,
+            "interned_keys": 2839, "released": 4110, "pairs": 3865, "hits": 1043,
+            "misses": 3865, "unrecorded": 21716, "switches": 339, "coin_nodes": 30,
         },
         "sampler": _sampler(26_624),
         "rngs": "d8471af5d0645e220906c31888aaef416da226f660b8b1ef19bc990e13c65f44",
@@ -104,7 +106,7 @@ PINNED_STREAMS = {
         "distinct_states": 1_013_003_899_738_521_600,
         "transition_calls": 22083,
         "memo": {
-            "interned_keys": 182, "released": 13576, "pairs": 560, "hits": 1150,
+            "interned_keys": 182, "released": 10401, "pairs": 560, "hits": 1150,
             "misses": 566, "unrecorded": 21516, "switches": 1, "coin_nodes": 80,
         },
         "sampler": _sampler(23_232),
@@ -115,10 +117,10 @@ PINNED_STREAMS = {
         "live_keys": 39,
         "state_key_counts": "47c4eddd732d0499c64f6911f40bbf0d73dbfe1fac0b32f6546b944576e1b51f",
         "distinct_states": 169_292_989_071_360,
-        "transition_calls": 26124,
+        "transition_calls": 26132,
         "memo": {
-            "interned_keys": 287, "released": 3571, "pairs": 666, "hits": 501,
-            "misses": 668, "unrecorded": 25455, "switches": 11, "coin_nodes": 40,
+            "interned_keys": 279, "released": 2803, "pairs": 654, "hits": 493,
+            "misses": 656, "unrecorded": 25475, "switches": 9, "coin_nodes": 40,
         },
         "sampler": _sampler(26_624),
         "rngs": "80fbe39943b735c5f74797202a837cd574d36f7dde9a565d6c8839ce79003da3",

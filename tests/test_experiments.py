@@ -4,6 +4,8 @@ import json
 import math
 import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -214,6 +216,45 @@ def test_worker_crash_exhausting_retries_fails_loudly():
     for record in records:
         assert "worker lost after 2 attempts" in record["error"]
         assert record["runs"] == []
+
+
+def _exit_on_first_attempt(payload):
+    """Kill the worker process on the first attempt, return a record after."""
+    marker = payload["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(1)
+    return {"cell_id": payload["cell_id"], "error": None}
+
+
+def test_a_dead_pool_worker_is_detected_and_its_tasks_retried(tmp_path):
+    # A one-worker spawn pool whose worker dies on the first task: neither
+    # that task nor the one queued behind it ever returns from that pool.
+    spawn = multiprocessing.get_context("spawn")
+    pools = []
+
+    def one_worker(workers):
+        pools.append(spawn.Pool(1))
+        return pools[-1]
+
+    marker = str(tmp_path / "died")
+    payloads = [{"cell_id": cell_id, "marker": marker} for cell_id in ("c0", "c1")]
+    records = []
+    with PoolExecutor(_exit_on_first_attempt, workers=1, pool_factory=one_worker) as pool:
+        mapping = threading.Thread(
+            target=lambda: records.extend(pool.map(payloads)), daemon=True
+        )
+        started = time.perf_counter()
+        mapping.start()
+        mapping.join(30)
+        assert not mapping.is_alive(), "map waited for a task its dead worker held"
+    assert time.perf_counter() - started < 20
+    assert os.path.exists(marker)
+    # The pool replaced its dead worker itself, and the retry ran there: two
+    # worker processes in all.
+    assert len(pools) == 1
+    assert records == [{"cell_id": "c0", "error": None}, {"cell_id": "c1", "error": None}]
 
 
 # ----------------------------------------------------------------- artifacts

@@ -97,7 +97,8 @@ def _drive(simulator, budget, window, events=()):
 def test_flapping_run_through_the_stable_detect_timeline_keeps_ids_interned():
     simulator, budget, events = _stable_detect("approximate-stable")
     memo = _drive(simulator, budget, 64, events)
-    assert memo["switches"] > 400
+    # The mode is decided at window starts and stretch ends: ~350 switches.
+    assert memo["switches"] > 300
     assert memo["released"] > 0
 
 
@@ -118,7 +119,7 @@ def test_flapping_run_keeps_ids_interned_at_every_checkpoint():
     )
     assert all(record["fired"] for record in result.extra["timeline"])
     memo = result.extra["telemetry"]["memo"]
-    assert memo["switches"] > 400 and memo["released"] > 0
+    assert memo["switches"] > 300 and memo["released"] > 0
     assert len(checks) > 400
 
 

@@ -51,6 +51,37 @@ def test_state_space_tracker_flattens_nested_keys():
     assert scalars.distinct_states == 3
 
 
+def test_state_space_tracker_reads_between_observations_match_one_read():
+    # Nested components, keys of different lengths, a component that is a
+    # scalar in some keys and a tuple of varying length in others, and
+    # values seen again after a read.
+    keys = [
+        (0, (1, 2), ("x", (True, 3))),
+        (0, (1, 2)),
+        (1, 5, ("y", (False,))),
+        (2, (1, 2, 9), ("x", (True, 3)), 4),
+        (0, (1, 2), ("z", ()), 4, (0, 0)),
+        7,
+        (1, (6,), ("x", (True, 8))),
+        (0, (1, 2), ("x", (True, 3))),
+        (3, 5),
+    ]
+    once = StateSpaceTracker()
+    for key in keys:
+        once.observe(key)
+    expected = once.field_range_sizes
+    # Paths (0,) (1,) (1,0) (1,1) (1,2) (2,0) (2,1,0) (2,1,1) (3,) (4,0) (4,1).
+    assert expected == (5, 1, 2, 1, 1, 3, 2, 2, 1, 1, 1)
+    for every in (1, 2, 3):
+        interleaved = StateSpaceTracker()
+        for index, key in enumerate(keys):
+            interleaved.observe(key)
+            if index % every == 0:
+                interleaved.field_range_sizes
+        assert interleaved.field_range_sizes == expected
+        assert interleaved.distinct_states == once.distinct_states
+
+
 def test_interaction_counter_participation():
     counter = InteractionCounter(3)
     counter.record(0, 1)

@@ -3,9 +3,10 @@
 A dense run with a ``state_from_key`` decoder hands ``delta_key`` live
 post-interaction states instead of decoding keys.  One holder keeps them: a
 list parallel to the agent array, one state per slot, ``None`` meaning
-"decode on next use".  The ``n / 2`` rule only chooses whether an evaluation
-is recorded in the memo: at most ``n / 2`` live keys a memo miss is, above
-it (unrecorded mode) nothing is.  A switch moves no state.
+"decode on next use".  The ``n / 2`` rule only chooses whether events are
+recorded in the memo: at most ``n / 2`` live keys a memo miss is, above it
+events run in unrecorded stretches, which evaluate every event and record
+nothing.  A switch moves no state.
 
 Four contracts pin that from outside:
 
@@ -18,9 +19,13 @@ Four contracts pin that from outside:
   ``leave``, ``corrupt_histogram`` and ``restart_population``; runs that
   hold no states (lifted adapter, pruning regime, ``delta_key`` override)
   have no slot list.
-* **Rule** — the mode follows live keys across ``n / 2`` both ways, within
-  one advance window, and keeps the held states across each switch, so
-  runs that flap near ``n / 2`` still decode rarely.
+* **Rule** — the mode follows live keys across ``n / 2`` both ways,
+  decided at stretch boundaries: a window's start, a stretch's end (after
+  ``n`` events, at the window's end or right after an event whose two
+  post-keys are equal) and the recorded event that leaves more than
+  ``n / 2`` live keys.  Each switch keeps the held states, so runs that
+  flap near ``n / 2`` still decode rarely, and a collapse to one live key
+  ends a run at the same interaction however its windows fall.
 * **Boundary** — every evaluated transition still calls the protocol
   instance's ``delta_key``, with the two states as extra positional
   arguments, so a wrapper installed on the instance sees them all.
@@ -280,16 +285,20 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
     def build(protocol):
         return Simulator(protocol, n, seed=seed, backend="batch").backend
 
-    # Stepped one interaction at a time to read every event; the reference
-    # below runs the same stream as one window.
+    # Stepped one interaction at a time, so every event starts a window and
+    # runs in the mode its pre-event live keys pick; the reference below
+    # runs the same stream as one window, deciding at stretch boundaries.
     backend = build(_SpreadThenMax())
     while backend.interactions < 4_000 and not backend.terminal:
+        before = len(backend._counts)
         backend.advance_to(backend.interactions + 1)
         _assert_bounded(backend)
         modes.append(not backend._recording)
+        assert modes[-1] == (2 * before > n)
         live.append(len(backend._counts))
         held.append(list(backend._states))
-    assert backend.terminal and len(backend._counts) == 1
+    # The first collapse to one live key is the fixed point that ends the run.
+    assert backend.terminal and live.index(1) == len(live) - 1
     flips = [index for index in range(1, len(modes)) if modes[index] != modes[index - 1]]
     assert len(flips) == backend.memo_stats()["switches"] == 2
     entered, left = flips
@@ -299,21 +308,26 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
         before, after = held[flip - 1], held[flip]
         assert sum(state is not None for state in before) > n // 2
         assert sum(old is not new for old, new in zip(before, after)) <= 2
-    # The same run, decoding every transition, ends on the same streams.
+    # The same run as one window, decoding every transition, ends on the
+    # same streams at the same interaction.
     reference = build(_decode_every_transition(_SpreadThenMax()))
     reference.advance_to(4_000)  # one window, no checkpoints
     assert reference.terminal
-    assert reference.interactions == backend.interactions
+    assert reference.interactions == backend.interactions == len(live)
     assert reference.state_key_counts() == backend.state_key_counts()
-    assert reference.memo_stats() == backend.memo_stats()
     assert reference._agent_rng.getstate() == backend._agent_rng.getstate()
     assert reference._pair_rng.getstate() == backend._pair_rng.getstate()
+    # Its mode changed only at stretch boundaries, yet it still ran
+    # stretches and every event is accounted for.
+    memo = reference.memo_stats()
+    assert memo["switches"] >= 1 and memo["unrecorded"] > 0
+    assert memo["hits"] + memo["misses"] + memo["unrecorded"] == reference.interactions
 
 
 def test_an_instance_level_delta_key_wrapper_sees_every_miss():
     # Benchmarks time the key-level transition by wrapping the instance's
     # delta_key before the backend binds it: every evaluation, from a memo
-    # miss or in unrecorded mode, must still cross that wrapper.
+    # miss or in an unrecorded stretch, must still cross that wrapper.
     n = 32
     protocol = resolve_protocol("count-exact").build(n, {})
     original = protocol.delta_key

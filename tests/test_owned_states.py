@@ -324,6 +324,46 @@ def test_the_mode_follows_live_keys_across_half_of_n_within_one_window(seed):
     assert memo["hits"] + memo["misses"] + memo["unrecorded"] == reference.interactions
 
 
+class _Sink(_SpreadThenMax):
+    """Half the agents start at 0, the rest on keys of their own; a meeting
+    that involves a non-zero agent sends both to 0, so live keys start above
+    n / 2 and the run ends on the all-zero fixed point."""
+
+    name = "sink"
+
+    def __init__(self, n):
+        self.n = n
+
+    def initial_state(self, agent_id):
+        return _Cell(0 if agent_id < self.n // 2 else agent_id)
+
+    def transition(self, initiator, responder, rng):
+        if initiator.value or responder.value:
+            initiator.value = responder.value = 0
+
+
+@pytest.mark.parametrize("seed", [1, 4, 5])
+def test_a_stretch_stops_at_the_collapse_to_one_live_key(seed):
+    # The window starts as a stretch, and every change leaves two equal
+    # post-keys.  At these seeds the population collapses within n
+    # interactions, so a stretch that ran on to its n events would pass the
+    # fixed point that the stepped run stops at.
+    n = 8
+
+    def build():
+        return Simulator(_Sink(n), n, seed=seed, backend="batch").backend
+
+    window = build()
+    window.advance_to(1_000)
+    stepped = build()
+    while not stepped.terminal:
+        stepped.advance_to(stepped.interactions + 1)
+    assert window.terminal
+    assert window.interactions == stepped.interactions < n
+    assert window.state_key_counts() == stepped.state_key_counts() == {0: n}
+    assert window.memo_stats()["unrecorded"] > 0
+
+
 def test_an_instance_level_delta_key_wrapper_sees_every_miss():
     # Benchmarks time the key-level transition by wrapping the instance's
     # delta_key before the backend binds it: every evaluation, from a memo

@@ -33,14 +33,7 @@ from ..engine.protocol import Protocol
 from ..primitives.junta import JuntaState, junta_update_pair
 from ..primitives.leader_election import LeaderElectionState, leader_election_update
 from ..primitives.phase_clock import PhaseClockState, phase_clock_update
-from .keys import (
-    clock_from_key,
-    clock_key,
-    election_from_key,
-    junta_from_key,
-    residue_compatible,
-    search_from_key,
-)
+from .keys import PHASE_RESIDUE_MODULUS, residue_compatible
 from .params import ApproximateParameters
 from .search import SearchState, search_update
 
@@ -153,27 +146,42 @@ class ApproximateProtocol(Protocol[ApproximateAgent]):
         return state.search.k if state.search.search_done else None
 
     def state_key(self, state: ApproximateAgent) -> Hashable:
-        # The phase counter is unbounded bookkeeping, but the protocol only
-        # ever consumes it modulo 5 (Search Protocol rounds) and modulo the
-        # leader-election signal tag; state-space accounting therefore uses
-        # the semantically meaningful residue (mod 40 covers both) so that
-        # the measured state count matches the paper's O(log n * log log n)
-        # accounting rather than the length of the run.
+        # The component keys and `clock_key`, built in one frame: every memo
+        # miss builds two.  The phase counter is unbounded bookkeeping, but
+        # the protocol only ever consumes it modulo 5 (Search Protocol
+        # rounds) and modulo the leader-election signal tag; state-space
+        # accounting therefore uses the semantically meaningful residue
+        # (mod 40 covers both) so that the measured state count matches the
+        # paper's O(log n * log log n) accounting rather than the length of
+        # the run.
+        junta = state.junta
+        clock = state.clock
+        election = state.election
+        search = state.search
         return (
-            state.junta.key(),
-            clock_key(state.clock),
-            state.election.key(),
-            state.search.key(),
+            (junta.level, junta.active, junta.junta, junta.reached_level),
+            (clock.clock, clock.phase % PHASE_RESIDUE_MODULUS, clock.first_tick),
+            (
+                election.leader,
+                election.leader_done,
+                election.coin,
+                election.signal,
+                election.signal_tag,
+                election.phases_completed,
+            ),
+            (search.k, search.search_done),
         )
 
     # --------------------------------------------------- key-level transitions
     def state_from_key(self, key: Hashable) -> ApproximateAgent:
+        # Each component key is its dataclass's fields in order (see
+        # repro.counting.keys), so the components are built directly.
         junta, clock, election, search = key  # type: ignore[misc]
         return ApproximateAgent(
-            junta=junta_from_key(junta),
-            clock=clock_from_key(clock),
-            election=election_from_key(election),
-            search=search_from_key(search),
+            junta=JuntaState(*junta),
+            clock=PhaseClockState(*clock),
+            election=LeaderElectionState(*election),
+            search=SearchState(*search),
         )
 
     def supports_key_transitions(self) -> bool:

@@ -103,7 +103,7 @@ def advance_approximation_phase(
 def approximation_stage_update(
     u: ApproximationStageState,
     v: ApproximationStageState,
-) -> None:
+) -> bool:
     """Apply the every-interaction part of Algorithm 4 (lines 8-9).
 
     Classical balancing between agents with the same multiplication count,
@@ -112,14 +112,27 @@ def approximation_stage_update(
     Args:
         u: Initiator's stage state (mutated).
         v: Responder's stage state (mutated).
+
+    Returns:
+        Whether the update wrote ``u`` or ``v`` (``False`` leaves both as
+        they were).
     """
+    wrote = False
     # Line 8: classical load balancing (same-``i`` agents only; see module docs).
     if u.i == v.i and not u.apx_done and not v.apx_done:
-        u.load, v.load = split_evenly(u.load, v.load)
+        load_u, load_v = split_evenly(u.load, v.load)
+        # Balancing keeps the total, so ``v.load`` changes iff ``u.load`` does.
+        if load_u != u.load:
+            u.load = load_u
+            v.load = load_v
+            wrote = True
     # Line 9: broadcast ApxDone (with the estimate) by one-way epidemics.
     if v.apx_done and not u.apx_done:
         u.apx_done = True
         u.k = v.k
+        wrote = True
     elif u.apx_done and not v.apx_done:
         v.apx_done = True
         v.k = u.k
+        wrote = True
+    return wrote

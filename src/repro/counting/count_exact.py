@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, Optional, Tuple
 
 from ..engine.convergence import OutputPredicate, all_outputs_equal
 from ..engine.protocol import Protocol
@@ -56,6 +56,17 @@ from .refinement_stage import (
 )
 
 __all__ = ["CountExactAgent", "CountExactProtocol"]
+
+# The components a `CountExact` transition reports it may have written, as
+# bits: the initiator's in the low five, the responder's shifted by
+# `_RESPONDER`.
+_JUNTA = 1
+_CLOCK = 2
+_ELECTION = 4
+_APPROXIMATION = 8
+_REFINEMENT = 16
+_ALL = _JUNTA | _CLOCK | _ELECTION | _APPROXIMATION | _REFINEMENT
+_RESPONDER = 5
 
 
 @dataclass(slots=True)
@@ -111,26 +122,51 @@ class CountExactProtocol(Protocol[CountExactAgent]):
 
     def transition(
         self, initiator: CountExactAgent, responder: CountExactAgent, rng: random.Random
-    ) -> None:
+    ) -> int:
+        """Apply one interaction and report the components it wrote.
+
+        Returns the components the interaction may have written, as
+        `_JUNTA`-style bits (the responder's shifted by `_RESPONDER`);
+        :meth:`transition_keys` reads them, other callers ignore them.
+        """
         u, v = initiator, responder
         params = self.params
+        written = 0
 
         # Line 1-3: junta process and re-initialisation on higher levels.
-        u_saw_higher, v_saw_higher = junta_update_pair(u.junta, v.junta)
+        # `junta_update_pair` writes nothing to two inactive agents on one
+        # level, the settled junta every agent reaches early in a run.
+        u_junta = u.junta
+        v_junta = v.junta
+        if u_junta.active or v_junta.active or u_junta.level != v_junta.level:
+            written = _JUNTA | _JUNTA << _RESPONDER
+        u_saw_higher, v_saw_higher = junta_update_pair(u_junta, v_junta)
         if u_saw_higher:
             u.reinitialise()
+            written |= _ALL
         if v_saw_higher:
             v.reinitialise()
+            written |= _ALL << _RESPONDER
 
-        # Line 4: phase clocks for both participants.
-        u_clock_before = u.clock.clock
-        v_clock_before = v.clock.clock
+        # Line 4: phase clocks for both participants.  A clock update writes
+        # the clock only by changing its hour (a tick changes it too), and
+        # the initiator's pending `first_tick` is cleared below.
+        u_clock = u.clock
+        v_clock = v.clock
+        u_clock_before = u_clock.clock
+        v_clock_before = v_clock.clock
+        if u_clock.first_tick:
+            written |= _CLOCK
         u_ticked = phase_clock_update(
-            u.clock, v_clock_before, is_junta=u.junta.junta, modulus=params.clock_modulus
+            u_clock, v_clock_before, is_junta=u_junta.junta, modulus=params.clock_modulus
         )
         v_ticked = phase_clock_update(
-            v.clock, u_clock_before, is_junta=v.junta.junta, modulus=params.clock_modulus
+            v_clock, u_clock_before, is_junta=v_junta.junta, modulus=params.clock_modulus
         )
+        if u_clock.clock != u_clock_before:
+            written |= _CLOCK
+        if v_clock.clock != v_clock_before:
+            written |= _CLOCK << _RESPONDER
         # Stage phase counters advance on every clock tick of a participating
         # agent, independent of which stage the initiator is dispatching to.
         if u_ticked:
@@ -138,18 +174,22 @@ class CountExactProtocol(Protocol[CountExactAgent]):
                 advance_approximation_phase(
                     u.approximation, is_leader=u.election.leader, level=u.junta.level, params=params
                 )
+                written |= _APPROXIMATION
             advance_refinement_phase(u.refinement, is_leader=u.election.leader, params=params)
+            written |= _REFINEMENT
         if v_ticked:
             if v.election.leader_done and not v.approximation.apx_done:
                 advance_approximation_phase(
                     v.approximation, is_leader=v.election.leader, level=v.junta.level, params=params
                 )
+                written |= _APPROXIMATION << _RESPONDER
             advance_refinement_phase(v.refinement, is_leader=v.election.leader, params=params)
+            written |= _REFINEMENT << _RESPONDER
 
         # Lines 5-10: stage dispatch on the initiator's flags.
         if not u.election.leader_done:
             # Stage 1: fast leader election.
-            fast_leader_election_update(
+            if fast_leader_election_update(
                 u.election,
                 v.election,
                 u_phase=u.clock.phase,
@@ -157,41 +197,63 @@ class CountExactProtocol(Protocol[CountExactAgent]):
                 u_level=u.junta.level,
                 rng=rng,
                 params=params.leader_election,
-            )
+            ):
+                written |= _ELECTION
         elif not u.approximation.apx_done:
             # Stage 2: approximation stage.
-            approximation_stage_update(u.approximation, v.approximation)
-            v.election.leader_done = True
+            if approximation_stage_update(u.approximation, v.approximation):
+                written |= _APPROXIMATION | _APPROXIMATION << _RESPONDER
+            if not v.election.leader_done:
+                v.election.leader_done = True
+                written |= _ELECTION << _RESPONDER
         else:
             # Stage 3: refinement stage.
             if not u.refinement.entered:
                 u.refinement.enter(k=u.approximation.k)
             refinement_stage_update(u.refinement, v.refinement)
-            v.election.leader_done = True
+            written |= _REFINEMENT | _REFINEMENT << _RESPONDER
+            if not v.election.leader_done:
+                v.election.leader_done = True
+                written |= _ELECTION << _RESPONDER
             if not v.approximation.apx_done:
                 v.approximation.apx_done = True
                 v.approximation.k = u.approximation.k
+                written |= _APPROXIMATION << _RESPONDER
 
         u.clock.first_tick = False
+        return written
 
     def output(self, state: CountExactAgent) -> Optional[int]:
         """The agent's estimate of the exact population size ``n``."""
         return refinement_output(state.refinement, self.params)
 
-    def state_key(self, state: CountExactAgent) -> Hashable:
-        # The component keys and `clock_key`, built in one frame: every
-        # transition of a dense run builds two.  As in `Approximate`, the raw
-        # phase counter is bookkeeping; the protocol consumes it only through
-        # tick events and small residues.
-        junta = state.junta
-        clock = state.clock
-        election = state.election
-        approximation = state.approximation
-        refinement = state.refinement
-        return (
-            (junta.level, junta.active, junta.junta, junta.reached_level),
-            (clock.clock, clock.phase % PHASE_RESIDUE_MODULUS, clock.first_tick),
-            (
+    def state_key(
+        self, state: CountExactAgent, key: Optional[Hashable] = None, written: int = _ALL
+    ) -> Hashable:
+        """The key of ``state``, built in one frame.
+
+        Only the components ``written`` flags (by default all) are built
+        from ``state``; the others are taken from ``key``, a key ``state``
+        encoded before the writes, and ``key`` itself is returned when none
+        is flagged.  As in `Approximate`, the raw phase counter is
+        bookkeeping; the protocol consumes it only through tick events and
+        small residues.
+        """
+        if not written:
+            return key
+        if written & _JUNTA:
+            junta = state.junta
+            junta_key = (junta.level, junta.active, junta.junta, junta.reached_level)
+        else:
+            junta_key = key[0]  # type: ignore[index]
+        if written & _CLOCK:
+            clock = state.clock
+            clock_key = (clock.clock, clock.phase % PHASE_RESIDUE_MODULUS, clock.first_tick)
+        else:
+            clock_key = key[1]  # type: ignore[index]
+        if written & _ELECTION:
+            election = state.election
+            election_key = (
                 election.leader,
                 election.leader_done,
                 election.value,
@@ -199,10 +261,28 @@ class CountExactProtocol(Protocol[CountExactAgent]):
                 election.best_seen,
                 election.best_tag,
                 election.phases_completed,
-            ),
-            (approximation.i, approximation.load, approximation.k, approximation.apx_done),
-            (refinement.entered, refinement.phase, refinement.k, refinement.load, refinement.error),
-        )
+            )
+        else:
+            election_key = key[2]  # type: ignore[index]
+        if written & _APPROXIMATION:
+            approximation = state.approximation
+            approximation_key = (
+                approximation.i, approximation.load, approximation.k, approximation.apx_done,
+            )
+        else:
+            approximation_key = key[3]  # type: ignore[index]
+        if written & _REFINEMENT:
+            refinement = state.refinement
+            refinement_key = (
+                refinement.entered,
+                refinement.phase,
+                refinement.k,
+                refinement.load,
+                refinement.error,
+            )
+        else:
+            refinement_key = key[4]  # type: ignore[index]
+        return (junta_key, clock_key, election_key, approximation_key, refinement_key)
 
     # --------------------------------------------------- key-level transitions
     def state_from_key(self, key: Hashable) -> CountExactAgent:
@@ -213,6 +293,24 @@ class CountExactProtocol(Protocol[CountExactAgent]):
             election=fast_election_from_key(election),
             approximation=approximation_from_key(approximation),
             refinement=refinement_from_key(refinement),
+        )
+
+    def transition_keys(
+        self,
+        state_a: CountExactAgent,
+        state_b: CountExactAgent,
+        rng: random.Random,
+        key_a: Hashable,
+        key_b: Hashable,
+    ) -> Tuple[Hashable, Hashable]:
+        # Rebuild only the components `transition` reports it wrote; every
+        # other component key is the pre-key's own tuple, which the state
+        # still encodes.
+        written = self.transition(state_a, state_b, rng)
+        state_key = self.state_key
+        return (
+            state_key(state_a, key_a, written & _ALL),
+            state_key(state_b, key_b, written >> _RESPONDER),
         )
 
     def supports_key_transitions(self) -> bool:

@@ -1033,7 +1033,10 @@ class BatchBackend(Backend):
 
         ``slot_keys`` holds the key of every slot of :attr:`_agents` and
         takes each changed post-key; :meth:`_rekey` moves the slots the
-        stretch changed to their ids when it ends.
+        stretch changed to their ids when it ends.  An event is decided by
+        "initiator unchanged", then "responder unchanged"; the swap test
+        runs only when the initiator's key changed.  A changed tuple key no
+        wider than the census's component sets goes into them directly.
         """
         interactions = self.interactions
         sample = self._sampler.sample
@@ -1042,8 +1045,11 @@ class BatchBackend(Backend):
         decode = self._decode
         agent_rng = self._agent_rng
         states = self._states
-        observe = self.state_space.observe
         census = self.track_state_space
+        observe = self.state_space.observe
+        sets = self.state_space.component_sets
+        add = set.add
+        width = len(sets)
         changed: List[int] = []
         mark = changed.append
         clock = perf_counter
@@ -1060,31 +1066,38 @@ class BatchBackend(Backend):
                 tic = clock()
                 state_a = states[initiator]
                 if state_a is None:
-                    state_a = decode(key_a)
+                    state_a = states[initiator] = decode(key_a)
                 state_b = states[responder]
                 if state_b is None:
-                    state_b = decode(key_b)
+                    state_b = states[responder] = decode(key_b)
                 new_a, new_b = delta(key_a, key_b, agent_rng, state_a, state_b)
                 transition_s += clock() - tic
-                if new_a == key_b and new_b == key_a:
+                if new_a == key_a:
+                    if new_b == key_b:
+                        continue
+                elif new_a == key_b and new_b == key_a:
                     # A swap keeps both slots' keys: trade the states.
                     states[initiator] = state_b
                     states[responder] = state_a
                     continue
-                states[initiator] = state_a
-                states[responder] = state_b
-                if new_a != key_a:
+                else:
                     slot_keys[initiator] = new_a
                     mark(initiator)
                     if census:
-                        observe(new_a)
-                elif new_b == key_b:
-                    continue
+                        if new_a.__class__ is tuple and len(new_a) <= width:
+                            any(map(add, sets, new_a))
+                        else:
+                            observe(new_a)
+                            width = len(sets)
                 if new_b != key_b:
                     slot_keys[responder] = new_b
                     mark(responder)
                     if census:
-                        observe(new_b)
+                        if new_b.__class__ is tuple and len(new_b) <= width:
+                            any(map(add, sets, new_b))
+                        else:
+                            observe(new_b)
+                            width = len(sets)
                 changes += 1
                 if new_a == new_b:
                     break
@@ -1105,16 +1118,17 @@ class BatchBackend(Backend):
     def _rekey(self, slots: Iterable[int], slot_keys: List[Hashable]) -> None:
         """Move ``slots`` to the ids of their ``slot_keys`` in one pass.
 
-        A new key is interned as :meth:`_intern_new` would, but unpinned and
-        not observed again (the stretch observed it); then the id the slot
-        left is released, as :meth:`_release` would, if no agent holds it
-        and no pin keeps it.
+        Each key is hashed once, by ``dict.setdefault`` against the id a new
+        key would take.  A new key is interned as :meth:`_intern_new` would,
+        but unpinned and not observed again (the stretch observed it); then
+        the id the slot left is released, as :meth:`_release` would, if no
+        agent holds it and no pin keeps it.
         """
         agents = self._agents
         counts = self._counts
         count_of = counts.get
         ids = self._ids
-        ids_get = ids.get
+        ids_setdefault = ids.setdefault
         keys = self._keys
         outputs = self._outputs
         output_key = self._output_key
@@ -1123,20 +1137,20 @@ class BatchBackend(Backend):
         released = 0
         for slot in set(slots):
             key = slot_keys[slot]
-            ident = ids_get(key)
+            # The id a new key takes; no interned key holds it.
+            fresh = free[-1] if free else len(keys)
+            ident = ids_setdefault(key, fresh)
             old = agents[slot]
             if ident == old:
                 continue
-            if ident is None:
+            if ident == fresh:
                 if free:
-                    ident = free.pop()
+                    free.pop()
                     keys[ident] = key
                     outputs[ident] = output_key(key)
                 else:
-                    ident = len(keys)
                     keys.append(key)
                     outputs.append(output_key(key))
-                ids[key] = ident
             agents[slot] = ident
             counts[ident] = count_of(ident, 0) + 1
             if counts[old] > 1:

@@ -49,6 +49,18 @@ class StateSpaceTracker:
         self._ranges: Dict[Tuple[int, ...], set] = {}
         self._sizes: Tuple[int, ...] = ()
 
+    @property
+    def component_sets(self) -> List[set]:
+        """Per component, the set :meth:`observe` adds that component to.
+
+        A hot loop may add the components of a tuple key no wider than this
+        list to the sets itself, ``any(map(set.add, sets, key))``, which is
+        what :meth:`observe` does without its call; any other key must go
+        through :meth:`observe`, which widens the list.  The list is the same
+        object for the tracker's life.
+        """
+        return self._observed
+
     def observe(self, key: Any) -> None:
         """Record one observed state key."""
         if not isinstance(key, tuple):

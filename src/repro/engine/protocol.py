@@ -197,11 +197,12 @@ class Protocol(abc.ABC, Generic[S]):
         be simulated at population sizes where materialising ``n`` state
         objects is prohibitive.
 
-        The base implementation runs :meth:`transition` on states decoded by
-        :meth:`state_from_key`.  A caller that already holds live states for
-        the two keys (distinct objects nobody else references) may hand them
-        over as ``state_a`` / ``state_b``: they are then not decoded, and
-        :meth:`transition` mutates them into the post-interaction states.
+        The base implementation runs :meth:`transition_keys` on states
+        decoded by :meth:`state_from_key`.  A caller that already holds live
+        states for the two keys (distinct objects nobody else references)
+        may hand them over as ``state_a`` / ``state_b``: they are then not
+        decoded, and :meth:`transition` mutates them into the
+        post-interaction states.
         The batch backend's dense regime does this with the states its
         previous misses produced.
 
@@ -216,6 +217,26 @@ class Protocol(abc.ABC, Generic[S]):
             state_a = self.state_from_key(key_a)
         if state_b is None:
             state_b = self.state_from_key(key_b)
+        return self.transition_keys(state_a, state_b, rng, key_a, key_b)
+
+    def transition_keys(
+        self, state_a: S, state_b: S, rng: random.Random, key_a: Hashable, key_b: Hashable
+    ) -> Tuple[Hashable, Hashable]:
+        """Run :meth:`transition` on two states and return their post-keys.
+
+        ``state_a`` and ``state_b`` must encode ``key_a`` and ``key_b``
+        (``state_key`` of each gives its key back): the base
+        :meth:`delta_key` calls this on the states it decoded or was
+        handed.  The default runs :meth:`transition` and builds both
+        post-keys with :meth:`state_key`; it does not read the pre-keys.
+
+        An override may build only the parts of each post-key that the
+        transition wrote and take the rest from the pre-key, since an
+        unwritten part of the state still encodes what the pre-key says.
+        It is exact when every write the transition makes to a state is
+        covered by a part it rebuilds; it must leave the states and
+        ``rng`` exactly as :meth:`transition` does.
+        """
         self.transition(state_a, state_b, rng)
         return self.state_key(state_a), self.state_key(state_b)
 

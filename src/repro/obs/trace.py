@@ -27,7 +27,13 @@ regimes time them differently:
   histogram and agent-slot upkeep, a stretch's key list, census and
   re-keying pass, and the loops themselves; ``pair_weights`` records no
   time and counts the configuration-changing events.  ``sampling`` and
-  ``transition`` count one op per interaction.
+  ``transition`` count one op per interaction.  The per-event timer is
+  two ``perf_counter`` reads per stretch event.  Measured against the
+  same loop without them (``count-exact``, 2-core x86-64 host, CPython
+  3.11, the two alternating), it costs about 3% of a stretch-bound run at
+  n = 64 (16,000-interaction windows: median ratio 0.972 without it, 33
+  of 40 pairs faster) and about 13% at n = 1000 (300,000 interactions:
+  0.874, 8 of 10 pairs, on a host whose run-to-run spread was ±20%).
 
 Determinism contract: tracing only ever reads ``time.perf_counter`` —
 never an RNG stream — so instrumented runs are stream-identical to

@@ -90,7 +90,7 @@ def fast_leader_election_update(
     u_level: int,
     rng: random.Random,
     params: FastLeaderElectionParameters = FastLeaderElectionParameters(),
-) -> None:
+) -> bool:
     """One-way `FastLeaderElection` update for initiator ``u`` against ``v``.
 
     Phases alternate between *draw* phases (even ``phases_completed``), in
@@ -107,14 +107,20 @@ def fast_leader_election_update(
         u_level: Initiator's junta level (drives the per-round bit budget).
         rng: Synthetic-coin randomness.
         params: Tunable constants.
+
+    Returns:
+        Whether the update wrote ``u`` (``False`` leaves it as it was).
     """
     tag_mod = params.tag_modulus
     current_tag = u_phase % tag_mod
+    wrote = False
 
-    if v.leader_done:
+    if v.leader_done and not u.leader_done:
         u.leader_done = True
+        wrote = True
 
     if u_first_tick and not u.leader_done:
+        wrote = True
         u.phases_completed += 1
         if u.phases_completed >= params.total_phases:
             u.leader_done = True
@@ -128,19 +134,23 @@ def fast_leader_election_update(
             u.best_tag = current_tag
 
     if u.leader_done:
-        return
+        return wrote
 
     in_draw_phase = u.phases_completed % 2 == 1
     if in_draw_phase:
         if u.leader and u.bits_drawn < params.bits(u_level):
             u.value = (u.value << 1) | flip(rng)
             u.bits_drawn += 1
+            wrote = True
     else:
         # Broadcast phase: relay the maximum value carrying the current tag.
         if v.best_tag == current_tag and u.best_tag == current_tag and v.best_seen > u.best_seen:
             u.best_seen = v.best_seen
+            wrote = True
         if u.leader and u.best_tag == current_tag and u.best_seen > u.value:
             u.leader = False
+            wrote = True
+    return wrote
 
 
 @dataclass(slots=True)

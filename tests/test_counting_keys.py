@@ -11,8 +11,13 @@ The composed counting protocols historically went through the generic
 * ``state_from_key`` inverts ``state_key`` on every visited key, and the
   base ``delta_key`` gives the same keys on handed-over live states as on
   decoded ones, leaving the handed states post-interaction;
-* ``CountExact``'s one-frame ``state_key`` is the composition of its
-  components' ``key()``s and ``clock_key`` on every state a run reaches;
+* the one-frame ``state_key`` of ``CountExact`` and of ``Approximate`` is
+  the composition of the components' ``key()``s and ``clock_key`` on every
+  state a run reaches;
+* ``CountExact``'s ``transition_keys``, which rebuilds only the components
+  its ``transition`` reports writing, equals ``transition`` followed by
+  ``state_key`` of both states on every event of runs to the predicate and
+  on states mixed field by field from the visited keys;
 * a decoder plus ``output_key`` is a native key API; a protocol with
   neither is lifted;
 * agent and batch backends reach the *exact same terminal histogram* for the
@@ -24,6 +29,7 @@ The composed counting protocols historically went through the generic
 """
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -165,11 +171,46 @@ def test_delta_key_on_handed_states_matches_decoding(make_protocol):
         assert (handed_a, handed_b) == (expected_a, expected_b)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_count_exact_state_key_composes_the_component_keys(seed):
-    # Seeded agent runs to the predicate pass through all three stages.
+#: Per protocol, its state's key composed from the component ``key()``s and
+#: `clock_key`, and whether a key shows the protocol's last stage entered.
+COMPOSED_KEYS = {
+    "count-exact": (
+        CountExactProtocol,
+        lambda state: (
+            state.junta.key(),
+            clock_key(state.clock),
+            state.election.key(),
+            state.approximation.key(),
+            state.refinement.key(),
+        ),
+        lambda key: key[4][0],  # the refinement stage was entered
+        300,
+    ),
+    "approximate": (
+        ApproximateProtocol,
+        lambda state: (
+            state.junta.key(),
+            clock_key(state.clock),
+            state.election.key(),
+            state.search.key(),
+        ),
+        lambda key: key[3][1],  # the search was done
+        100,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,seed",
+    [pytest.param("count-exact", seed, id=str(seed)) for seed in range(4)]
+    + [pytest.param("approximate", 0, id="approximate")],
+)
+def test_count_exact_state_key_composes_the_component_keys(name, seed):
+    # Seeded agent runs to the predicate pass through all the stages, so the
+    # one-frame ``state_key`` is compared on every kind of state.
+    make_protocol, composed, last_stage, reached_at_least = COMPOSED_KEYS[name]
     n = 12
-    protocol = CountExactProtocol()
+    protocol = make_protocol()
     simulator = Simulator(protocol, n, seed=seed, backend="agent", track_state_space=False)
     backend = simulator.backend
     predicate = protocol.convergence_predicate(n)
@@ -179,16 +220,83 @@ def test_count_exact_state_key_composes_the_component_keys(seed):
         for agent in backend.step():
             state = backend.states[agent]
             key = protocol.state_key(state)
-            assert key == (
-                state.junta.key(),
-                clock_key(state.clock),
-                state.election.key(),
-                state.approximation.key(),
-                state.refinement.key(),
-            )
+            assert key == composed(state)
             reached.add(key)
-    assert any(key[4][0] for key in reached)  # the refinement stage was entered
-    assert len(reached) > 300
+    assert any(last_stage(key) for key in reached)
+    assert len(reached) > reached_at_least
+
+
+def _transition_keys_as_transition(protocol, state_a, state_b, rng, twin):
+    """Check `transition_keys` on copies against `transition`; return both key pairs.
+
+    ``twin`` is set to ``rng``'s state first, so both draw the same coins.
+    """
+    state_key = protocol.state_key
+    key_a, key_b = state_key(state_a), state_key(state_b)
+    copy_a, copy_b = protocol.copy_state(state_a), protocol.copy_state(state_b)
+    twin.setstate(rng.getstate())
+    new = protocol.transition_keys(copy_a, copy_b, twin, key_a, key_b)
+    protocol.transition(state_a, state_b, rng)
+    assert new == (state_key(state_a), state_key(state_b)), (key_a, key_b)
+    assert (copy_a, copy_b) == (state_a, state_b), (key_a, key_b)
+    assert twin.getstate() == rng.getstate()
+    return new, (key_a, key_b)
+
+
+@pytest.mark.parametrize("n", [8, 12, 64])
+def test_count_exact_transition_keys_match_transition_to_the_predicate(n):
+    # At every event of a seeded agent run to the predicate, `transition_keys`
+    # on copies of the two states (and a twin of the coin stream) must leave
+    # what `transition` leaves and return the post-states' keys.  The runs
+    # pass the junta re-initialisations and all three stages.
+    protocol = CountExactProtocol()
+    simulator = Simulator(protocol, n, seed=n, backend="agent", track_state_space=False)
+    states = simulator.states
+    predicate = protocol.convergence_predicate(n)
+    rng = make_rng(n, "coins")
+    twin = make_rng(0)
+    visited = set()
+    clock_only = reinitialised = 0
+    step = 0
+    while step % n or not predicate([protocol.output(state) for state in states]):
+        assert step < 200_000
+        initiator, responder = simulator.scheduler.next_pair(n, simulator._scheduler_rng, step)
+        step += 1
+        (new_a, new_b), (key_a, key_b) = _transition_keys_as_transition(
+            protocol, states[initiator], states[responder], rng, twin
+        )
+        visited.update((new_a, new_b))
+        reinitialised += key_a[0][0] != key_b[0][0]  # the lower junta level re-initialises
+        for new, old in ((new_a, key_a), (new_b, key_b)):
+            # Only the clock changed, and every other component is the
+            # pre-key's own tuple: nothing but the clock was built.
+            if new[1] != old[1]:
+                clock_only += all(new[index] is old[index] for index in (0, 2, 3, 4))
+    assert any(key[4][0] for key in visited)  # the refinement stage was entered
+    assert reinitialised
+    assert clock_only > step // 10
+    # States the schedule never made: each field of each side is taken from
+    # a random visited key, and one side of half the pairs is lifted a junta
+    # level above the other, so re-initialisations and clock ticks meet
+    # every stage of both agents.
+    pool = sorted(visited, key=repr)
+    pick = random.Random(n)
+
+    def mixed():
+        return tuple(
+            tuple(pick.choice(pool)[index][field] for field in range(len(component)))
+            for index, component in enumerate(pool[0])
+        )
+
+    for _ in range(2_000):
+        keys = [mixed(), mixed()]
+        if pick.random() < 0.5:
+            side = pick.randrange(2)
+            level = max(keys[0][0][0], keys[1][0][0]) + 1
+            keys[side] = ((level, False, False, level), *keys[side][1:])
+        _transition_keys_as_transition(
+            protocol, *map(protocol.state_from_key, keys), rng, twin
+        )
 
 
 @dataclass

@@ -15,10 +15,13 @@ Two contracts pin the loop from outside:
   evaluated, and the mode is decided at stretch boundaries);
   ``distinct_states`` and the memo's ``interned_keys`` and ``released``
   were re-recorded when dead ids began to be released and the state count
-  became the product of the variables' ranges.
+  became the product of the variables' ranges.  ``field_range_sizes``
+  digests the per-variable ranges themselves, which a product can hide a
+  shifted range behind; it was recorded before post-keys began to reuse
+  the pre-key's component tuples.
 * **Draw contract** — the loop draws its agent indices exactly as
   :meth:`~repro.engine.samplers.AgentPairSampler.sample` would from the
-  same pair stream.
+  same pair stream, in recorded events and in unrecorded stretches alike.
 """
 
 import hashlib
@@ -48,6 +51,7 @@ def _stream_fingerprint(simulator, result):
         "live_keys": len(counts),
         "state_key_counts": _digest(sorted(counts.items(), key=repr)),
         "distinct_states": result.distinct_states,
+        "field_range_sizes": _digest(result.state_space["field_range_sizes"]),
         "transition_calls": result.extra["transition_calls"],
         "memo": telemetry["memo"],
         "sampler": telemetry["sampler"],
@@ -65,6 +69,7 @@ PINNED_STREAMS = {
         "live_keys": 19,
         "state_key_counts": "35b2f936c01afa44aa3121c719475be13e7f0f945fbd7a3609b08b63b596b328",
         "distinct_states": 4_608_000,
+        "field_range_sizes": "152a7046faf466273b7f1ae7c551893c1651ffa41d517f3cfb8e6faba6b133fb",
         "transition_calls": 16418,
         "memo": {
             "interned_keys": 1473, "released": 0, "pairs": 16356, "hits": 43583,
@@ -78,6 +83,7 @@ PINNED_STREAMS = {
         "live_keys": 64,
         "state_key_counts": "ea251413189e71b763b186851fae784ef3a5f0cb956d69140b1055c39b4946ad",
         "distinct_states": 26_029_817_856_000,
+        "field_range_sizes": "3a2784d4c661778f9c9c18d7206f66619ac40f6a3297767c5f6931e51832b957",
         "transition_calls": 14851,
         "memo": {
             "interned_keys": 182, "released": 6742, "pairs": 560, "hits": 1150,
@@ -91,6 +97,7 @@ PINNED_STREAMS = {
         "live_keys": 24,
         "state_key_counts": "1c40a6701b638605bb9a0b03b4ee7d51186424546fdcd5f3ef84c5ab932fd16d",
         "distinct_states": 9_289_728_000,
+        "field_range_sizes": "2dd92e3213c11b570ad9dc99df1d1e62c0671402982b4616cbb9e8a7e216ddf6",
         "transition_calls": 25582,
         "memo": {
             "interned_keys": 2839, "released": 4110, "pairs": 3865, "hits": 1043,
@@ -104,6 +111,7 @@ PINNED_STREAMS = {
         "live_keys": 64,
         "state_key_counts": "120230005ad795ef149415a1973ae89f000742c221a4e62b321289bae5ace67c",
         "distinct_states": 1_013_003_899_738_521_600,
+        "field_range_sizes": "e32209e1bbb4e90ab169f372c9589c83b6fb2767bdcbb3c6cb2590ca3d012e34",
         "transition_calls": 22083,
         "memo": {
             "interned_keys": 182, "released": 10401, "pairs": 560, "hits": 1150,
@@ -117,6 +125,7 @@ PINNED_STREAMS = {
         "live_keys": 39,
         "state_key_counts": "47c4eddd732d0499c64f6911f40bbf0d73dbfe1fac0b32f6546b944576e1b51f",
         "distinct_states": 169_292_989_071_360,
+        "field_range_sizes": "2267255d4d36ccbbe479a48af68885782e598ac5f4cca2ba4c0ef539ae4103d9",
         "transition_calls": 26132,
         "memo": {
             "interned_keys": 279, "released": 2803, "pairs": 654, "hits": 493,
@@ -210,9 +219,12 @@ class _OwnKeys(Protocol):
     def transition(self, initiator, responder, rng):
         pass
 
-    def delta_key(self, key_a, key_b, rng):
+    def _record(self, key_a, key_b):
         backend = self.backend
         self.records.append((backend.n, backend.population_changes >= 2, key_a, key_b))
+
+    def delta_key(self, key_a, key_b, rng):
+        self._record(key_a, key_b)
         return key_a, key_b
 
     def output(self, state):
@@ -225,8 +237,25 @@ class _OwnKeys(Protocol):
         return key
 
 
-def _own_keys(n, seed):
-    protocol = _OwnKeys()
+class _DecodedOwnKeys(_OwnKeys):
+    """`_OwnKeys` on the base ``delta_key`` with a ``state_from_key`` decoder.
+
+    Every agent keeps a key of its own, so every window runs as unrecorded
+    stretches; ``transition`` records what ``_OwnKeys.delta_key`` does.
+    """
+
+    name = "decoded-own-keys"
+    delta_key = Protocol.delta_key
+
+    def transition(self, initiator, responder, rng):
+        self._record(initiator.value, responder.value)
+
+    def state_from_key(self, key):
+        return _Cell(key)
+
+
+def _own_keys(n, seed, make=_OwnKeys):
+    protocol = make()
     simulator = Simulator(protocol, n, seed=seed, backend="batch")
     protocol.backend = simulator.backend
     return simulator, protocol.records
@@ -253,9 +282,13 @@ def _reference_pairs(pair_state, records, final_agents):
     return expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 20])
-def test_the_loop_draws_the_agent_pair_sampler_sequence(n):
-    simulator, records = _own_keys(n, seed=n)
+@pytest.mark.parametrize(
+    "make,n",
+    [pytest.param(_OwnKeys, n, id=str(n)) for n in (2, 3, 7, 20)]
+    + [pytest.param(_DecodedOwnKeys, 20, id="stretches-20")],
+)
+def test_the_loop_draws_the_agent_pair_sampler_sequence(make, n):
+    simulator, records = _own_keys(n, seed=n, make=make)
     backend = simulator.backend
     pair_state = backend._pair_rng.getstate()
     backend.advance_to(500)
@@ -264,6 +297,9 @@ def test_the_loop_draws_the_agent_pair_sampler_sequence(n):
     expected = _reference_pairs(pair_state, records, backend._agents)
     assert [(a, b) for _, _, a, b in records] == expected
     assert backend.sampler_stats() == _sampler(1_000)
+    # The decoder toy runs every event in a stretch; `_OwnKeys` in none.
+    stretched = backend.memo_stats()["unrecorded"]
+    assert stretched == (1_000 if make is _DecodedOwnKeys else 0)
 
 
 def test_the_loop_follows_the_sampler_through_a_timeline_join_and_leave():

@@ -171,8 +171,9 @@ def test_delta_key_on_handed_states_matches_decoding(make_protocol):
         assert (handed_a, handed_b) == (expected_a, expected_b)
 
 
-#: Per protocol, its state's key composed from the component ``key()``s and
-#: `clock_key`, and whether a key shows the protocol's last stage entered.
+#: Per protocol: its class, its state's key composed from the component
+#: ``key()``s and `clock_key`, whether a key shows the protocol's last stage
+#: entered, and how many distinct keys a run to the predicate must exceed.
 COMPOSED_KEYS = {
     "count-exact": (
         CountExactProtocol,

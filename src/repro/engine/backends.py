@@ -38,7 +38,9 @@ import math
 from collections import Counter
 from itertools import chain, repeat, starmap
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import abc
 import random
@@ -97,27 +99,29 @@ class _CoinTape:
     ``None`` any fresh draw raises :class:`_CoinsDrawn`.  Only
     ``getrandbits`` exists: any other ``rng`` method breaks the
     ``pure_key_transitions`` declaration and raises a
-    :class:`SimulationError` naming the protocol.
+    :class:`SimulationError` naming the protocol.  The dense loop keeps one
+    tape per window and rewinds it for each miss by setting a new
+    :attr:`drawn` list and :attr:`replay` path.
     """
 
-    __slots__ = ("drawn", "_replay", "_source", "_protocol")
+    __slots__ = ("drawn", "replay", "_source", "_protocol")
 
     def __init__(
         self,
         protocol: str,
-        replay: List[Tuple[int, int]],
+        replay: Sequence[Tuple[int, int]],
         source: Optional[random.Random],
     ) -> None:
         self.drawn: List[Tuple[int, int]] = []
-        self._replay = replay
+        self.replay = replay
         self._source = source
         self._protocol = protocol
 
     def getrandbits(self, bits: int) -> int:
         drawn = self.drawn
         index = len(drawn)
-        if index < len(self._replay):
-            recorded_bits, value = self._replay[index]
+        if index < len(self.replay):
+            recorded_bits, value = self.replay[index]
             if recorded_bits != bits:
                 raise self.impure(
                     f"drew {bits} coin bits where an earlier evaluation of "
@@ -583,7 +587,11 @@ class BatchBackend(Backend):
       the slots, so a swap or a no-op leaves them as they are.  Every
       interaction is an event here, so one fused loop per advance window
       (:meth:`_advance_dense`) runs them with its state in locals and its
-      phase timers per window rather than per event.  This is the regime
+      phase timers per window rather than per event.  Its recorded loop
+      (:meth:`_advance_recorded`) resolves every memo entry itself, misses
+      and coin walks included, with one coin tape per window; the pruning
+      loop hands entries that are not plain hits to :meth:`_resolve`.
+      This is the regime
       of the composed counting protocols, whose no-op analysis is out of
       reach of a per-pair predicate.
 
@@ -593,7 +601,8 @@ class BatchBackend(Backend):
     evaluation.  The backend therefore keeps one live state per slot of
     :attr:`_agents`, ``None`` meaning "decode on next use": a
     post-interaction state object an evaluation produced, referenced by
-    nothing else.  An evaluation hands the two slots' states to
+    nothing else.  An evaluation (a recorded miss or a stretch event) hands
+    the two slots' states to
     ``delta_key`` (decoding a slot that holds none), which mutates them by
     ``transition``, and puts them back in the slots that hold their keys (a
     swap exchanges them).  A memo hit that re-keys a slot clears its state,
@@ -786,16 +795,13 @@ class BatchBackend(Backend):
         return list(chain.from_iterable(starmap(repeat, self._counts.items())))
 
     # ------------------------------------------------------------ transitions
-    def _resolve(
-        self, ident_a: int, ident_b: int, entry: Any, initiator: int = -1, responder: int = -1
-    ) -> Tuple[int, int]:
+    def _resolve(self, ident_a: int, ident_b: int, entry: Any) -> Tuple[int, int]:
         """Post-interaction ids of ``(a, b)`` whose memo ``entry`` is not a hit.
 
+        Pruning regime only (the dense loop resolves its entries inline).
         Walks the coin nodes, drawing each one's bits from the agent stream,
         and evaluates ``delta_key`` only when the walk ends on a value not
-        drawn before (or on no entry at all).  ``initiator`` and
-        ``responder`` are the two agents' slots in :attr:`_agents` (dense
-        regime only), whose live states a walk that re-keys them clears.
+        drawn before (or on no entry at all).
         """
         path: List[Tuple[int, int]] = []
         if entry is not None:
@@ -804,82 +810,53 @@ class BatchBackend(Backend):
                 value = getrandbits(entry.bits)
                 path.append((entry.bits, value))
                 entry = entry.children.get(value)
-                if entry is None:
-                    break
-            else:
+            if entry is not None:
                 self._memo_hits += 1
-                states = self._states
-                if states is not None:
-                    if entry[0] != ident_a:
-                        states[initiator] = None
-                    if entry[1] != ident_b:
-                        states[responder] = None
                 return entry
         self._memo_misses += 1
-        return self._evaluate(ident_a, ident_b, path, initiator, responder)
+        return self._evaluate(ident_a, ident_b, path)
 
     def _evaluate(
-        self,
-        ident_a: int,
-        ident_b: int,
-        path: List[Tuple[int, int]],
-        initiator: int,
-        responder: int,
+        self, ident_a: int, ident_b: int, path: List[Tuple[int, int]]
     ) -> Tuple[int, int]:
-        """Call ``delta_key`` on a memo miss; memoise the result when pure.
+        """Call ``delta_key`` on a pruning-regime memo miss; memoise it when pure.
 
         ``path`` holds the coin values already drawn for this pair, which
         the tape replays before drawing fresh ones from the agent stream.
-        With live states on, the states of slots ``initiator`` and
-        ``responder`` are handed to ``delta_key`` (a slot without one is
-        decoded) and the post-interaction states go back to the slots.
         """
         keys = self._keys
-        key_a = keys[ident_a]
-        key_b = keys[ident_b]
         self.transition_calls += 1
-        rng = (
-            _CoinTape(self.protocol.name, path, self._agent_rng)
-            if self._pure
-            else self._agent_rng
-        )
-        decode = self._decode
-        if decode is None:
-            new_a, new_b = self._delta(key_a, key_b, rng)
-            result = (self._intern(new_a), self._intern(new_b))
-        else:
-            states = self._states
-            state_a = states[initiator]
-            if state_a is None:
-                state_a = decode(key_a)
-            state_b = states[responder]
-            if state_b is None:
-                state_b = decode(key_b)
-            new_a, new_b = self._delta(key_a, key_b, rng, state_a, state_b)
-            result = (self._intern(new_a), self._intern(new_b))
-            if result[0] == ident_b and result[1] == ident_a:
-                # A swap keeps both slots' ids: trade the states.
-                state_a, state_b = state_b, state_a
-            states[initiator] = state_a
-            states[responder] = state_b
-        if not self._pure:
-            return result
-        drawn = rng.drawn
-        if len(drawn) < len(path):
-            raise rng.impure(
+        pure = self._pure
+        rng = _CoinTape(self.protocol.name, path, self._agent_rng) if pure else self._agent_rng
+        new_a, new_b = self._delta(keys[ident_a], keys[ident_b], rng)
+        result = (self._intern(new_a), self._intern(new_b))
+        if pure:
+            # The entry's ids stay interned.
+            self._pinned.update(result)
+            pair = ident_a << _ID_BITS | ident_b
+            if rng.drawn or path:
+                self._record_coins(pair, result, rng)
+            else:
+                self._memo[pair] = result
+        return result
+
+    def _record_coins(self, pair: int, result: Tuple[int, int], tape: _CoinTape) -> None:
+        """Store ``result`` under ``pair`` at the end of the coin path ``tape`` drew.
+
+        Grows the pair's coin tree by the nodes the path has not reached
+        yet.  A path shorter than the one the memo walk replayed breaks the
+        ``pure_key_transitions`` declaration.
+        """
+        drawn = tape.drawn
+        if len(drawn) < len(tape.replay):
+            raise tape.impure(
                 f"drew {len(drawn)} coins where an earlier evaluation of the "
-                f"same key pair drew at least {len(path)}"
+                f"same key pair drew at least {len(tape.replay)}"
             )
-        # The entry's ids stay interned (while recording, every live id is
-        # pinned already).
-        self._pinned.update(result)
-        pair = ident_a << _ID_BITS | ident_b
-        if not drawn:
-            self._memo[pair] = result
-            return result
-        node = self._memo.get(pair)
+        memo = self._memo
+        node = memo.get(pair)
         if node is None:
-            node = self._memo[pair] = self._coin_node(drawn[0][0])
+            node = memo[pair] = self._coin_node(drawn[0][0])
         for index in range(len(drawn) - 1):
             value = drawn[index][1]
             child = node.children.get(value)
@@ -887,7 +864,6 @@ class BatchBackend(Backend):
                 child = node.children[value] = self._coin_node(drawn[index + 1][0])
             node = child
         node.children[drawn[-1][1]] = result
-        return result
 
     def _coin_node(self, bits: int) -> _CoinNode:
         self._coin_nodes += 1
@@ -945,14 +921,25 @@ class BatchBackend(Backend):
         One loop with its state bound to locals.  Each interaction draws
         two agent indices from the
         :class:`~repro.engine.samplers.AgentPairSampler`, reads the two
-        slots of :attr:`_agents` and looks the id pair up in the memo: a
-        plain ``(new_a, new_b)`` hit costs one dict lookup, any other entry
-        goes through :meth:`_resolve`.  The histogram and the two slots are
-        rewritten only when the configuration changed, the histogram by the
-        same operations in the same order as the pruning loop.  Every live
-        id is pinned while recording, so none is released here.  The loop
-        returns after a configuration-changing event that leaves more than
-        ``limit`` live keys.
+        slots of :attr:`_agents` and looks the id pair up in the memo.  A
+        plain ``(new_a, new_b)`` hit costs one dict lookup.  Every other
+        entry is resolved in the loop itself: it walks the coin nodes with
+        the agent stream's ``getrandbits`` and, on a first-sight pair or a
+        value never drawn before, calls ``delta_key`` with the window's one
+        coin tape rewound to the walked path, the slots' live states handed
+        over (a slot without one is decoded).  Post-keys are interned, the
+        states go back to their slots (a swap trades them), and a pure
+        result is pinned and stored: a coin-free one by one dict write, one
+        at the end of a coin path by :meth:`_record_coins`.  ``delta_key``
+        is read when the window starts, so a wrapper set on the backend
+        after construction sees every evaluation.
+
+        The histogram and the two slots are rewritten only when the
+        configuration changed, the histogram by the same operations in the
+        same order as the pruning loop.  Every live id is pinned while
+        recording, so none is released here.  The loop returns after a
+        configuration-changing event that leaves more than ``limit`` live
+        keys.
 
         Phase timers run once per call and around each entry that is not a
         plain hit, not per event; :mod:`repro.obs.trace` says what each
@@ -962,8 +949,22 @@ class BatchBackend(Backend):
         interactions = self.interactions
         sample = self._sampler.sample
         pair_rng = self._pair_rng
-        memo_get = self._memo.get
-        resolve = self._resolve
+        getrandbits = self._agent_rng.getrandbits
+        memo = self._memo
+        memo_get = memo.get
+        keys = self._keys
+        ids_get = self._ids.get
+        intern_new = self._intern_new
+        pin = self._pinned.add
+        record_coins = self._record_coins
+        delta = self._delta
+        decode = self._decode
+        pure = self._pure
+        # One tape per window, rewound for each miss; impure protocols draw
+        # from the agent stream itself.
+        tape = _CoinTape(self.protocol.name, (), self._agent_rng) if pure else None
+        rng = tape if pure else self._agent_rng
+        coin_node = _CoinNode
         agents = self._agents
         states = self._states
         counts = self._counts
@@ -971,7 +972,7 @@ class BatchBackend(Backend):
         id_bits = _ID_BITS
         clock = perf_counter
         start = interactions
-        hits = changes = 0
+        hits = misses = changes = 0
         resolve_s = 0.0
         window_started = clock()
         try:
@@ -980,7 +981,8 @@ class BatchBackend(Backend):
                 initiator, responder = sample(pair_rng)
                 ident_a = agents[initiator]
                 ident_b = agents[responder]
-                entry = memo_get(ident_a << id_bits | ident_b)
+                pair = ident_a << id_bits | ident_b
+                entry = memo_get(pair)
                 if entry.__class__ is tuple:
                     hits += 1
                     new_a, new_b = entry
@@ -992,7 +994,62 @@ class BatchBackend(Backend):
                             states[responder] = None
                 else:
                     tic = clock()
-                    new_a, new_b = resolve(ident_a, ident_b, entry, initiator, responder)
+                    path = ()
+                    if entry is not None:
+                        path = []
+                        while entry.__class__ is coin_node:
+                            bits = entry.bits
+                            value = getrandbits(bits)
+                            path.append((bits, value))
+                            entry = entry.children.get(value)
+                    if entry is not None:
+                        # The coin walk ended on a recorded result.
+                        hits += 1
+                        new_a, new_b = entry
+                        if states is not None:
+                            if new_a != ident_a:
+                                states[initiator] = None
+                            if new_b != ident_b:
+                                states[responder] = None
+                    else:
+                        misses += 1
+                        if pure:
+                            tape.drawn = []
+                            tape.replay = path
+                        if states is None:
+                            key_a, key_b = delta(keys[ident_a], keys[ident_b], rng)
+                        else:
+                            state_a = states[initiator]
+                            if state_a is None:
+                                state_a = decode(keys[ident_a])
+                            state_b = states[responder]
+                            if state_b is None:
+                                state_b = decode(keys[ident_b])
+                            key_a, key_b = delta(
+                                keys[ident_a], keys[ident_b], rng, state_a, state_b
+                            )
+                        new_a = ids_get(key_a)
+                        if new_a is None:
+                            new_a = intern_new(key_a)
+                        new_b = ids_get(key_b)
+                        if new_b is None:
+                            new_b = intern_new(key_b)
+                        if states is not None:
+                            if new_a == ident_b and new_b == ident_a:
+                                # A swap keeps both slots' ids: trade the states.
+                                states[initiator] = state_b
+                                states[responder] = state_a
+                            else:
+                                states[initiator] = state_a
+                                states[responder] = state_b
+                        if pure:
+                            # The entry's ids stay interned.
+                            pin(new_a)
+                            pin(new_b)
+                            if tape.drawn or path:
+                                record_coins(pair, (new_a, new_b), tape)
+                            else:
+                                memo[pair] = (new_a, new_b)
                     resolve_s += clock() - tic
                 if (new_a != ident_a or new_b != ident_b) and (
                     new_a != ident_b or new_b != ident_a
@@ -1022,6 +1079,8 @@ class BatchBackend(Backend):
             self.counter.total = interactions
             self.applied_events += events
             self._memo_hits += hits
+            self._memo_misses += misses
+            self.transition_calls += misses
             tracer = self.tracer
             tracer.add("sampling", window_s - resolve_s, ops=events)
             tracer.add("transition", resolve_s, ops=events)

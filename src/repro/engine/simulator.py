@@ -421,9 +421,16 @@ class Simulator:
                 that depend on the population size track the *new* true ``n``
                 through churn.  Mutually exclusive with ``convergence``.
             max_wall_time_s: Wall-clock budget for this run.  Checked between
-                checkpoints and advance windows; when exceeded the run stops
-                with ``stopped_reason="wall-time"`` (the experiment layer's
-                per-cell timeout enforcement).
+                advance windows, which a timed run caps at ``n`` interactions
+                each, so a run overshoots its budget by at most ``n``
+                interactions; when exceeded the run stops with
+                ``stopped_reason="wall-time"`` (the experiment layer's
+                per-cell timeout enforcement).  Agent and dense-regime
+                streams do not depend on where windows end, so a timed run
+                that finishes in time equals the untimed one.  In the pruning
+                regime a window end re-draws the pending skip, which is exact
+                by memorylessness: a timed run equals the untimed one in law,
+                not byte for byte.
         """
         budget = max_interactions if max_interactions is not None else default_interaction_budget(self.n)
         if budget < 0:
@@ -515,6 +522,9 @@ class Simulator:
                     )
                 else:
                     next_stop = segment_end
+                if deadline is not None:
+                    # A timed run reads its clock at least every n interactions.
+                    next_stop = min(next_stop, backend.interactions + max(1, self.n))
                 backend.advance_to(next_stop)
                 if (
                     predicate is not None

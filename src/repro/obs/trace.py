@@ -20,14 +20,18 @@ regimes time them differently:
   applied event, ``pair_weights`` one per configuration-changing event.
 * **Dense regime**: one timer per recorded loop or unrecorded stretch,
   plus one around each memo entry that is not a plain hit and around
-  each evaluation in a stretch.  ``transition`` is the time spent
-  resolving coin nodes and misses, or, in a stretch, evaluating an event
-  (``delta_key`` and decoding the slots that hold no live state);
-  ``sampling`` is the rest — the agent-pair draws, plain memo hits,
-  histogram and agent-slot upkeep, a stretch's key list, census and
-  re-keying pass, and the loops themselves; ``pair_weights`` records no
-  time and counts the configuration-changing events.  ``sampling`` and
-  ``transition`` count one op per interaction.  The per-event timer is
+  each evaluation in a stretch.  ``transition`` is, in the recorded loop,
+  the time of each such entry, which the loop resolves inline: the coin
+  walk and, on a miss, decoding the slots that hold no live state,
+  ``delta_key``, interning the post-keys, putting the states back,
+  pinning and storing the result (a dict write or a coin-tree branch);
+  in a stretch it is evaluating an event (``delta_key`` and decoding the
+  slots that hold no live state).  ``sampling`` is the rest — the
+  agent-pair draws, plain memo hits, histogram and agent-slot upkeep, a
+  stretch's key list, census and re-keying pass, and the loops
+  themselves; ``pair_weights`` records no time and counts the
+  configuration-changing events.  ``sampling`` and ``transition`` count
+  one op per interaction.  The per-event timer is
   two ``perf_counter`` reads per stretch event.  Measured against the
   same loop without them (``count-exact``, 2-core x86-64 host, CPython
   3.11, the two alternating), it costs about 3% of a stretch-bound run at

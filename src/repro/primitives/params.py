@@ -20,6 +20,7 @@ dependent quantities *uniformly* (from the protocol's own state, never from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
 from ..engine.errors import ConfigurationError
 
@@ -98,13 +99,24 @@ class FastLeaderElectionParameters:
     bits_level_offset: int = 0
     bits_extra: int = 6
     tag_modulus: int = 8
+    #: Level -> :meth:`bits`, filled on first use: a contender asks once
+    #: per drawn bit.  Not a parameter (no init, repr or comparison).
+    _bits_by_level: Dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def bits(self, level: int) -> int:
         """Number of random bits a contender draws per round at a given level."""
-        return (
-            level_scaled(level, factor=self.bits_factor, offset=self.bits_level_offset, minimum=1)
-            + self.bits_extra
-        )
+        try:
+            return self._bits_by_level[level]
+        except KeyError:
+            budget = self._bits_by_level[level] = (
+                level_scaled(
+                    level, factor=self.bits_factor, offset=self.bits_level_offset, minimum=1
+                )
+                + self.bits_extra
+            )
+            return budget
 
     @property
     def total_phases(self) -> int:

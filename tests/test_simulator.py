@@ -1,5 +1,7 @@
 """Unit tests for the simulator core (agent backend) and its regressions."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine import (
@@ -13,7 +15,9 @@ from repro.engine import (
     default_interaction_budget,
     simulate,
 )
+from repro.engine import simulator as simulator_module
 from repro.engine.scheduler import SequenceScheduler
+from repro.experiments.registry import resolve_protocol
 from repro.primitives.epidemic import MaximumBroadcast, OneWayEpidemic
 from repro.primitives.load_balancing import ClassicalLoadBalancing
 
@@ -197,3 +201,63 @@ def test_result_summary_is_json_friendly():
     assert summary["protocol"] == "classical-load-balancing"
     assert summary["backend"] == "agent"
     assert summary["n"] == 4
+
+
+# --------------------------------------------------------------------------
+# Wall-time budgets
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["agent", "batch"])
+def test_a_timed_run_stops_within_n_interactions_of_its_deadline(monkeypatch, backend):
+    n = 32
+    simulator = Simulator(resolve_protocol("approximate").build(n, {}), n, seed=5, backend=backend)
+    # The clock passes the deadline as soon as the run has advanced at all.
+    clock = SimpleNamespace(
+        perf_counter=lambda: 0.0 if simulator.backend.interactions == 0 else 3600.0
+    )
+    monkeypatch.setattr(simulator_module, "time", clock)
+    result = simulator.run(
+        max_interactions=100 * n * n,
+        convergence=lambda view: False,
+        check_interval=50 * n * n,
+        max_wall_time_s=1.0,
+    )
+    assert result.stopped_reason == "wall-time"
+    assert result.interactions == n
+
+
+def _stream(simulator, result):
+    backend = simulator.backend
+    rngs = (
+        (backend._scheduler_rng, backend._agent_rng)
+        if simulator.backend_name == "agent"
+        else (backend._pair_rng, backend._agent_rng)
+    )
+    return {
+        "interactions": result.interactions,
+        "stopped_reason": result.stopped_reason,
+        "state_key_counts": backend.state_key_counts(),
+        "state_space": result.state_space,
+        "transition_calls": result.extra["transition_calls"],
+        "rng_states": [rng.getstate() for rng in rngs],
+    }
+
+
+@pytest.mark.parametrize(
+    "name,n,budget,backend",
+    [
+        ("approximate", 32, 6_000, "agent"),
+        ("approximate", 64, 20_000, "batch"),  # dense, recorded
+        ("count-exact", 32, 12_000, "batch"),  # dense, mostly unrecorded stretches
+    ],
+)
+def test_a_timed_run_that_finishes_in_time_equals_the_untimed_run(name, n, budget, backend):
+    runs = []
+    for wall in (None, 600.0):
+        simulator = Simulator(resolve_protocol(name).build(n, {}), n, seed=8, backend=backend)
+        result = simulator.run(max_interactions=budget, max_wall_time_s=wall)
+        runs.append(_stream(simulator, result))
+    untimed, timed = runs
+    assert untimed["stopped_reason"] == "budget"
+    assert timed == untimed

@@ -140,7 +140,10 @@ class _NestedCoins(Protocol):
     """Dense-regime toy whose transition draws a coin, a second coin only
     when the first came up 1, then three bits — a coin tree of depth 2-3.
 
-    ``evaluations`` counts ``delta_key`` calls per (keys, coin path).
+    ``rule`` is the transition on keys; ``delta_key`` overrides the base
+    one with it (see :func:`_decoded` for the twin on the base
+    ``delta_key``).  ``evaluations`` counts evaluations per (keys, coin
+    path).
     """
 
     name = "nested-coins"
@@ -153,14 +156,18 @@ class _NestedCoins(Protocol):
         return _Cell(agent_id % 3)
 
     def transition(self, initiator, responder, rng):
-        initiator.value, responder.value = self.delta_key(
-            initiator.value, responder.value, rng
-        )
+        initiator.value, responder.value = self.rule(initiator.value, responder.value, rng)
 
     def output(self, state):
         return state.value
 
     def delta_key(self, key_a, key_b, rng):
+        return self.rule(key_a, key_b, rng)
+
+    def output_key(self, key):
+        return key
+
+    def rule(self, key_a, key_b, rng):
         first = rng.getrandbits(1)
         second = rng.getrandbits(1) if first else None
         spread = rng.getrandbits(3)
@@ -169,14 +176,38 @@ class _NestedCoins(Protocol):
             return key_b, key_a  # a swap: configuration-preserving
         return (key_a + spread) % 6, (key_b + first) % 6
 
-    def output_key(self, key):
-        return key
+
+class _Decoder:
+    """Mixin: the base ``delta_key`` on a ``state_from_key`` decoder, so the
+    coins are drawn in ``transition`` and the dense loop hands over live
+    states."""
+
+    delta_key = Protocol.delta_key
+
+    def state_key(self, state):
+        return state.value
+
+    def state_from_key(self, key):
+        return _Cell(key)
 
 
-def test_nested_coin_tree_replays_the_plain_stream_and_evaluates_each_branch_once():
-    memoised_protocol = _NestedCoins()
+def _decoded(toy):
+    """``toy``'s twin on the base ``delta_key`` (same name and rule)."""
+    return type(f"Decoded{toy.__name__}", (_Decoder, toy), {"name": toy.name})
+
+
+def _variants(toy):
+    return pytest.mark.parametrize(
+        "make", [toy, _decoded(toy)], ids=["override", "decoder"]
+    )
+
+
+@_variants(_NestedCoins)
+def test_nested_coin_tree_replays_the_plain_stream_and_evaluates_each_branch_once(make):
+    memoised_protocol = make()
     memoised = _run(memoised_protocol, 24, 1, 6_000, pure=True)
-    bypassed = _run(_NestedCoins(), 24, 1, 6_000, pure=False)
+    bypassed = _run(make(), 24, 1, 6_000, pure=False)
+    assert (memoised[0].backend._states is None) == (make is _NestedCoins)
     assert _fingerprint(*memoised) == _fingerprint(*bypassed)
     evaluations = memoised_protocol.evaluations
     assert max(evaluations.values()) == 1
@@ -192,17 +223,18 @@ def test_nested_coin_tree_replays_the_plain_stream_and_evaluates_each_branch_onc
 class _UsesRandom(_NestedCoins):
     name = "uses-random"
 
-    def delta_key(self, key_a, key_b, rng):
+    def rule(self, key_a, key_b, rng):
         if rng.random() < 0.5:
             return key_b, key_a
         return key_a, key_b
 
 
-def test_a_pure_declaration_that_uses_other_rng_methods_is_named():
+@_variants(_UsesRandom)
+def test_a_pure_declaration_that_uses_other_rng_methods_is_named(make):
     with pytest.raises(SimulationError, match="'uses-random'.*rng.random"):
-        simulate(_UsesRandom(), 12, seed=0, backend="batch", max_interactions=100)
+        simulate(make(), 12, seed=0, backend="batch", max_interactions=100)
     # Without the declaration the same protocol runs (no memo).
-    protocol = _UsesRandom()
+    protocol = make()
     protocol.pure_key_transitions = False
     result = simulate(protocol, 12, seed=0, backend="batch", max_interactions=100)
     assert result.interactions == 100
@@ -217,12 +249,60 @@ class _DrawsUnevenly(_NestedCoins):
         super().__init__()
         self.calls = 0
 
-    def delta_key(self, key_a, key_b, rng):
+    def rule(self, key_a, key_b, rng):
         self.calls += 1
         rng.getrandbits(1 + self.calls % 2)
         return (key_a + 1) % 6, key_b
 
 
-def test_a_coin_path_that_changes_between_evaluations_is_rejected():
+@_variants(_DrawsUnevenly)
+def test_a_coin_path_that_changes_between_evaluations_is_rejected(make):
     with pytest.raises(SimulationError, match="'draws-unevenly'.*coin bits"):
-        simulate(_DrawsUnevenly(), 8, seed=3, backend="batch", max_interactions=10_000)
+        simulate(make(), 8, seed=3, backend="batch", max_interactions=10_000)
+
+
+class _DrawsFewer(_NestedCoins):
+    """Declares purity but draws two coins on a key pair's first evaluation
+    and one on every later one, so a miss at the end of a two-coin path
+    evaluates to a shorter path."""
+
+    name = "draws-fewer"
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+
+    def rule(self, key_a, key_b, rng):
+        coins = 1 if (key_a, key_b) in self.seen else 2
+        self.seen.add((key_a, key_b))
+        spread = sum(rng.getrandbits(1) for _ in range(coins))
+        return (key_a + spread + 1) % 6, key_b
+
+
+class _PrunedDrawsFewer(_DrawsFewer):
+    """The same rule in the pruning regime (its own ``can_interaction_change``)."""
+
+    name = "draws-fewer"
+
+    def can_interaction_change(self, key_a, key_b):
+        return True
+
+
+@pytest.mark.parametrize(
+    "make,regime",
+    [
+        (_DrawsFewer, "dense"),
+        (_decoded(_DrawsFewer), "dense"),
+        (_PrunedDrawsFewer, "pruning"),
+    ],
+    ids=["dense", "dense-decoder", "pruning"],
+)
+def test_fewer_coins_than_an_earlier_evaluation_drew_are_rejected(make, regime):
+    simulator = Simulator(make(), 8, seed=2, backend="batch")
+    assert simulator.backend.sampler_stats()["regime"] == regime
+    with pytest.raises(
+        SimulationError,
+        match="'draws-fewer'.*drew 1 coins where an earlier evaluation of the same "
+        "key pair drew at least 2",
+    ):
+        simulator.run(max_interactions=10_000)

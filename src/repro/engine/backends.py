@@ -35,8 +35,10 @@ objects.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
-from itertools import chain, repeat, starmap
+from itertools import accumulate, chain, repeat, starmap
+from operator import mul
 from time import perf_counter
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
@@ -572,9 +574,12 @@ class BatchBackend(Backend):
       active pair weights above are worth maintaining: skips are long, and
       the skip and the active pair type are drawn by the factorised kernel,
       built at construction and fed by the pair stream.  Each advance window
-      runs as one fused loop (:meth:`_advance_pruning_kernel`) with its
-      state in locals, the plain memo hit and the histogram update inline,
-      and its phase timers read per event but charged per window.
+      runs as one fused loop (:meth:`_advance_pruning_kernel`) with the
+      kernel's lists and its own state in locals.  The loop draws the skip
+      and the pair itself, looks up a plain memo hit, updates the histogram
+      and pushes the changed counts inline, calling into the kernel only
+      for a new key or a compaction (after which it rebinds the lists).
+      Its phase timers are read per event but charged per window.
     * **Dense** — the protocol keeps the conservative default, every ordered
       pair is active (``W == T``, no skipping is ever possible), and the
       O(K^2) pair table would be pure overhead.  The backend instead keeps
@@ -1229,14 +1234,29 @@ class BatchBackend(Backend):
     def _advance_pruning_kernel(self, target: int) -> None:
         """Pruning-regime event loop over the factorised pair kernel.
 
-        One loop per window with its state bound to locals.  Each event
-        draws the ``Geometric(W / T)`` skip and the active pair type from
-        the kernel and looks the id pair up in the memo: a plain ``(new_a,
-        new_b)`` hit costs one dict lookup, coin nodes and misses go through
-        :meth:`_resolve`.  A configuration-changing event updates the
-        histogram (the same operations in the same order as the dense loop)
-        and pushes the new count of each distinct touched id to the kernel
-        once, in first-appearance order of ``(a, b, new_a, new_b)``.
+        One loop per window with the kernel's lists bound to locals (see
+        :mod:`repro.engine.vectorized`), running every step of an event
+        inline with no per-event call into the kernel: the refresh of the
+        active weight ``W`` and the cumulative row proposals after a count
+        change, the ``Geometric(W / T)`` skip, the row and partner draws
+        with their diagonal rejection, and each count push with its column
+        walk of row sums.  These make the same draws in the same order as
+        :meth:`~FactorisedPairKernel.next_skip`,
+        :meth:`~FactorisedPairKernel.next_pair` and
+        :meth:`~FactorisedPairKernel.set_count`.  The id pair is looked up
+        in the memo: a plain ``(new_a, new_b)`` hit costs one dict lookup,
+        coin nodes and misses go through :meth:`_resolve`.  A
+        configuration-changing event updates the histogram (the same
+        operations in the same order as the dense loop) and pushes the new
+        count of each distinct touched id once, in first-appearance order of
+        ``(a, b, new_a, new_b)``.
+
+        Two rare pushes go through the kernel: an id with no slot
+        (:meth:`~FactorisedPairKernel.ensure_key` appends to the bound lists
+        in place) and a count that falls to 0, which may compact the kernel
+        and replace every list, so the locals are rebound right after it,
+        before the event's other pushes.  The cached weight, row proposals,
+        diagonal mass and counters are written back when the window ends.
 
         Phase timers are read per event and charged once per window.
         """
@@ -1244,10 +1264,24 @@ class BatchBackend(Backend):
         if interactions >= target or self.terminal:
             return
         kernel = self._pair_kernel
-        active_weight = kernel.active_weight
-        next_skip = kernel.next_skip
-        next_pair = kernel.next_pair
-        set_count = kernel.set_count
+        draw = kernel._random
+        keys = kernel._keys
+        slot_of = kernel._slots.get
+        c = kernel._c
+        s = kernel._s
+        rows = kernel._rows
+        cols = kernel._cols
+        diag = kernel._diag
+        count_at = c.__getitem__
+        diag_mass = kernel._diag_mass
+        weight = kernel._active_weight
+        cum = kernel._row_cum
+        compact_min = kernel.COMPACT_MIN_SIZE
+        log = math.log
+        log1p = math.log1p
+        bisect = bisect_right
+        cumulative = accumulate
+        product = mul
         memo_get = self._memo.get
         resolve = self._resolve
         counts = self._counts
@@ -1255,27 +1289,59 @@ class BatchBackend(Backend):
         ordered_pairs = self.n * (self.n - 1)
         id_bits = _ID_BITS
         clock = perf_counter
-        events = hits = changes = 0
+        events = hits = changes = draws = updates = rejections = 0
         sampling_s = transition_s = pair_weights_s = 0.0
         skipped_past = False
         try:
             while interactions < target:
-                weight = active_weight()
+                if weight is None:
+                    cum = list(cumulative(map(product, c, s)))
+                    weight = (cum[-1] if cum else 0) - diag_mass
                 if weight <= 0:
                     self.terminal = True
                     break
                 tic = clock()
-                skip = 0 if weight >= ordered_pairs else next_skip(ordered_pairs)
-                if skip >= target - interactions:
-                    # The whole window is configuration-preserving; the
-                    # pending active event is re-sampled next call
-                    # (memorylessness).
-                    sampling_s += clock() - tic
-                    skipped_past = True
-                    interactions = target
-                    break
+                if weight >= ordered_pairs:
+                    skip = 0
+                else:
+                    skip = int(log(1.0 - draw()) / log1p(-weight / ordered_pairs))
+                    if skip >= target - interactions:
+                        # The whole window is configuration-preserving; the
+                        # pending active event is re-sampled next call
+                        # (memorylessness).
+                        sampling_s += clock() - tic
+                        skipped_past = True
+                        interactions = target
+                        break
                 interactions += skip + 1
-                ident_a, ident_b = next_pair()
+                draws += 1
+                total = cum[-1]
+                last = len(cum) - 1
+                while True:
+                    row = bisect(cum, draw() * total)
+                    if row > last:
+                        row = last
+                    # Float end-corner: walk back over zero-width intervals.
+                    while row and cum[row] == cum[row - 1]:
+                        row -= 1
+                    columns = rows[row]
+                    partner_cum = list(cumulative(map(count_at, columns)))
+                    position = bisect(partner_cum, draw() * partner_cum[-1])
+                    end = len(partner_cum) - 1
+                    if position > end:
+                        position = end
+                    while position and partner_cum[position] == partner_cum[position - 1]:
+                        position -= 1
+                    partner = columns[position]
+                    if partner != row:
+                        break
+                    count = c[row]
+                    if count > 1 and draw() * count < count - 1:
+                        break
+                    # Rejected diagonal proposal: redraw the whole pair.
+                    rejections += 1
+                ident_a = keys[row]
+                ident_b = keys[partner]
                 toc = clock()
                 entry = memo_get(ident_a << id_bits | ident_b)
                 if entry.__class__ is tuple:
@@ -1296,13 +1362,42 @@ class BatchBackend(Backend):
                     if count_of(ident_b) == 0:
                         del counts[ident_b]
                     tac = clock()
-                    set_count(ident_a, count_of(ident_a, 0))
-                    if ident_b != ident_a:
-                        set_count(ident_b, count_of(ident_b, 0))
+                    touched = (ident_a,) if ident_b == ident_a else (ident_a, ident_b)
                     if new_a != ident_a and new_a != ident_b:
-                        set_count(new_a, count_of(new_a, 0))
+                        touched += (new_a,)
                     if new_b != ident_a and new_b != ident_b and new_b != new_a:
-                        set_count(new_b, count_of(new_b, 0))
+                        touched += (new_b,)
+                    weight = None
+                    for ident in touched:
+                        count = count_of(ident, 0)
+                        slot = slot_of(ident)
+                        if slot is None:
+                            slot = kernel.ensure_key(ident)
+                        old = c[slot]
+                        if count == old:
+                            continue
+                        updates += 1
+                        c[slot] = count
+                        delta = count - old
+                        for other in cols[slot]:
+                            s[other] += delta
+                        if diag[slot]:
+                            diag_mass += delta
+                        if not count or not old:
+                            # Only a slot dying, revived or new can tip the
+                            # kernel's compaction rule.
+                            kernel._dead += 1 if not count else -1
+                            if len(c) >= compact_min and kernel._dead * 2 > len(c):
+                                kernel._compact()
+                                keys = kernel._keys
+                                slot_of = kernel._slots.get
+                                c = kernel._c
+                                s = kernel._s
+                                rows = kernel._rows
+                                cols = kernel._cols
+                                diag = kernel._diag
+                                count_at = c.__getitem__
+                                diag_mass = kernel._diag_mass
                     changes += 1
                     pair_weights_s += clock() - tac
                 else:
@@ -1310,6 +1405,13 @@ class BatchBackend(Backend):
                 sampling_s += toc - tic
                 transition_s += tac - toc
         finally:
+            kernel._diag_mass = diag_mass
+            kernel._active_weight = weight
+            kernel._row_cum = None if weight is None else cum
+            kernel.draws += draws
+            kernel.updates += updates
+            kernel.update_columns += updates
+            kernel.rejections += rejections
             self.interactions = interactions
             self.counter.total = interactions
             self.applied_events += events

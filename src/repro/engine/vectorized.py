@@ -33,6 +33,16 @@ historical name; the benchmark's tracer imports it by that name.
 Every draw takes its uniform from the generator the kernel is handed — the
 batch backend's pair stream — so a seeded run has one pruning-regime
 generator and is reproducible from the simulation seed.
+
+The batch backend's pruning loop (``BatchBackend._advance_pruning_kernel``)
+does not call :meth:`FactorisedPairKernel.next_skip`,
+:meth:`~FactorisedPairKernel.next_pair` or
+:meth:`~FactorisedPairKernel.set_count` per event: it binds the kernel's
+lists as locals and runs the same steps inline, drawing the same uniforms
+in the same order.  ``next_skip`` and ``next_pair`` stay as the reference
+the kernel's law tests draw from; ``set_count`` also serves population
+changes and resyncs.  See :class:`FactorisedPairKernel` for which lists a
+loop may hold and when it must rebind them.
 """
 
 from __future__ import annotations
@@ -79,6 +89,14 @@ class FactorisedPairKernel:
     ``c_b A[a][b] / s_a``, accepting same-key proposals with probability
     ``(c_a - 1) / c_a`` and redrawing the whole pair otherwise — the
     accepted law is exactly ``w(a, b) / W`` over active ordered pairs.
+
+    A loop that runs these steps itself may hold ``_keys``, ``_slots``,
+    ``_c``, ``_s``, ``_rows``, ``_cols`` and ``_diag`` as locals:
+    :meth:`ensure_key` appends to them in place.  :meth:`_compact` replaces
+    every one of them (and recomputes ``_diag_mass``), so such a loop must
+    rebind its locals right after a compaction, before it pushes another
+    count.  The loop owns ``_diag_mass``, ``_active_weight``, ``_row_cum``
+    and the counters while it runs and writes them back when it stops.
     """
 
     #: Compact (rebuild dropping dead slots) when over half the slots are
@@ -125,7 +143,10 @@ class FactorisedPairKernel:
 
     # --------------------------------------------------------------- updates
     def ensure_key(self, key: Hashable) -> int:
-        """Slot of ``key``, assigning one (and its activity row) when new."""
+        """Slot of ``key``, assigning one (and its activity row) when new.
+
+        A new slot is appended to every list in place.
+        """
         slot = self._slots.get(key)
         if slot is not None:
             return slot
@@ -182,6 +203,10 @@ class FactorisedPairKernel:
             raise ConfigurationError("key counts must be non-negative")
         slot = self._slots.get(key)
         if slot is None:
+            if not count:
+                # A key with no slot already counts 0 (it may have been
+                # compacted away): a slot would be born dead.
+                return
             slot = self.ensure_key(key)
         c = self._c
         old = c[slot]
@@ -214,7 +239,7 @@ class FactorisedPairKernel:
         slot count, and the cost of every row draw, with only a handful of
         *live* keys.  Activity lookups are served from the caller's
         ``can_interaction_change`` cache, so the O(live^2) rebuild is dict
-        reads, not protocol calls.
+        reads, not protocol calls.  Every list is replaced, not edited.
         """
         live = [(key, count) for key, count in zip(self._keys, self._c) if count]
         self._keys = []

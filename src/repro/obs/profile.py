@@ -20,8 +20,10 @@ runs.  This module folds those runs into one profile document::
 
 rendered by :func:`render_profile` as the breakdown table the batch CLIs
 print under ``--profile`` and written as ``PROFILE_<name>.json`` next to
-the other artifacts.  Timing fields keep the volatile ``wall_time_s``
-name, so embedded profiles never break artifact-stability comparisons.
+the other artifacts, stamped like them with the ``name``,
+``code_fingerprint`` and ``spec_sha256`` of the document it summarises.
+Timing fields keep the volatile ``wall_time_s`` name, so embedded profiles
+never break artifact-stability comparisons.
 """
 
 from __future__ import annotations
@@ -191,10 +193,19 @@ def profile_json_path(output_dir: str, name: str) -> str:
     return os.path.join(output_dir, f"PROFILE_{name}.json")
 
 
-def write_profile(profile: Dict[str, Any], output_dir: str, name: str) -> str:
-    """Write ``PROFILE_<name>.json``; returns the path."""
+#: The fields of a sweep or scenario document a profile artifact carries.
+PROVENANCE = ("name", "code_fingerprint", "spec_sha256")
+
+
+def write_profile(document: Dict[str, Any], output_dir: str) -> str:
+    """Write a document's ``telemetry`` as ``PROFILE_<name>.json``; returns the path.
+
+    The profile is stamped with the document's :data:`PROVENANCE` fields.
+    """
+    profile = {field: document[field] for field in PROVENANCE}
+    profile.update(document["telemetry"])
     os.makedirs(output_dir, exist_ok=True)
-    path = profile_json_path(output_dir, name)
+    path = profile_json_path(output_dir, document["name"])
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(profile, handle, indent=2, sort_keys=True)
         handle.write("\n")

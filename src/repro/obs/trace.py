@@ -11,13 +11,16 @@ count at which it happened (the engine's draw paths make none today, so
 Every phase counts ``ops`` per operation, but the batch backend's two
 regimes time them differently:
 
-* **Pruning regime** (the pair kernel's loop): the timers are read per
-  event and phase but charged once per advance window.  ``sampling`` is
-  drawing the skip and the pair type, ``transition`` the memo lookup or
-  ``delta_key`` plus the histogram update, ``pair_weights`` the kernel's
-  count upkeep after a configuration-changing event.  ``ops`` are those of
-  per-event charging: ``sampling`` and ``transition`` count one per
-  applied event, ``pair_weights`` one per configuration-changing event.
+* **Pruning regime** (the fused loop over the pair kernel's lists): the
+  timers are read per event and phase but charged once per advance
+  window.  ``sampling`` is drawing the skip and the pair type,
+  ``transition`` the memo lookup or ``delta_key`` plus the histogram
+  update, ``pair_weights`` the count pushes with their column walks after
+  a configuration-changing event, compactions included.  The refresh of
+  the active weight and the row proposals that starts each event falls
+  outside all three.  ``ops`` are those of per-event charging:
+  ``sampling`` and ``transition`` count one per applied event,
+  ``pair_weights`` one per configuration-changing event.
 * **Dense regime**: one timer per recorded loop or unrecorded stretch,
   plus one around each memo entry that is not a plain hit and around
   each evaluation in a stretch.  ``transition`` is, in the recorded loop,

@@ -162,7 +162,7 @@ def run_grid(
     elapsed = time.perf_counter() - started
     if args.profile:
         print(render_profile(document["telemetry"], title=spec.name))
-        print(f"wrote {write_profile(document['telemetry'], args.output_dir, spec.name)}")
+        print(f"wrote {write_profile(document, args.output_dir)}")
     print(
         f"wrote {' and '.join(paths)} ({len(cells)} cells, {len(fresh)} run now, "
         f"{len(skip)} resumed, {elapsed:.1f}s)"

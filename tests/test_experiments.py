@@ -453,3 +453,33 @@ def test_every_committed_artifact_spec_loads_through_from_dict():
             assert document.get("spec_sha256") == spec_sha256(builtin), path.name
             loaded.add(kind.kind)
     assert loaded == set(KINDS)
+
+
+def test_every_committed_profile_is_stamped_and_matches_its_artifact():
+    # A committed PROFILE_ carries the same provenance as the SWEEP_ or
+    # SCENARIO_ document it was written from: the name of a builtin of one
+    # kind, a code fingerprint and that builtin's current content address.
+    # Where that document is committed too, the profile is its telemetry.
+    from pathlib import Path
+
+    from repro.fingerprint import spec_sha256
+    from repro.obs.profile import PROVENANCE
+
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("PROFILE_*.json"))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            profile = json.load(handle)
+        name = profile.get("name")
+        assert path.name == f"PROFILE_{name}.json"
+        (kind,) = [kind for kind in KINDS.values() if name in kind.builtin_specs()]
+        assert profile.get("code_fingerprint"), path.name
+        builtin = kind.builtin_specs()[name].to_dict()
+        assert profile.get("spec_sha256") == spec_sha256(builtin), path.name
+        companion = Path(kind.path(str(root), name))
+        if companion.exists():
+            document = kind.load_document(str(companion))
+            assert profile["code_fingerprint"] == document["code_fingerprint"], path.name
+            telemetry = {key: value for key, value in profile.items() if key not in PROVENANCE}
+            assert telemetry == document["telemetry"], path.name

@@ -11,6 +11,8 @@ Three fronts:
 * profile aggregation — the ``--profile`` fold over cells.
 """
 
+import json
+
 import pytest
 
 from repro.counting.backup import ExactBackupProtocol
@@ -24,9 +26,11 @@ from repro.obs.metrics import (
     parse_exposition,
 )
 from repro.obs.profile import (
+    PROVENANCE,
     aggregate_telemetry,
     profile_from_cells,
     render_profile,
+    write_profile,
 )
 from repro.obs.trace import EVENT_LIMIT, TELEMETRY_SCHEMA, RunTracer
 from repro.primitives.epidemic import OneWayEpidemic
@@ -309,7 +313,7 @@ def test_render_profile_mentions_every_phase_and_the_skip_line():
     assert "example x1" in table
 
 
-def test_sweep_document_embeds_the_aggregated_profile():
+def test_sweep_document_embeds_the_aggregated_profile(tmp_path):
     from repro.experiments import BudgetPolicy, SweepRunner, SweepSpec
     from repro.experiments import build_document
 
@@ -327,3 +331,11 @@ def test_sweep_document_embeds_the_aggregated_profile():
     assert profile["runs"] == 1
     assert profile["backends"] == {"batch": 1}
     assert "sampling" in profile["phases"]
+    # The profile artifact is the telemetry stamped with the document's
+    # provenance.
+    with open(write_profile(document, str(tmp_path)), encoding="utf-8") as handle:
+        written = json.load(handle)
+    assert {field: written.pop(field) for field in PROVENANCE} == {
+        field: document[field] for field in PROVENANCE
+    }
+    assert written == json.loads(json.dumps(profile))

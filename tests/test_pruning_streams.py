@@ -10,9 +10,16 @@ recorded.
 
 The runs are the ``sweep-service`` epidemic cells, ``backup-exact`` at
 n = 400 and n = 10^3 as the benchmark runs it, and a churn scenario whose
-leave and join go through the kernel.  Each pins its interactions,
-convergence interaction, output histogram, ``sampler`` telemetry, phase
-``ops`` and a digest of the pair stream's final state.
+leave and join go through the kernel.  One more ``backup-exact`` run at
+n = 10^3 compacts the kernel at the first of an event's four pushes, so
+the loop's three later pushes (a surviving key and two new ones) must
+reach the rebuilt lists.  Each pins its interactions, convergence
+interaction, output histogram, ``sampler`` telemetry, phase ``ops`` and a
+digest of the pair stream's final state.
+
+The backend's loop runs the kernel's draws and count pushes inline; a
+differential test runs the same seeds through a loop that calls the
+kernel's own ``next_skip``, ``next_pair`` and ``set_count`` instead.
 """
 
 import hashlib
@@ -20,6 +27,7 @@ import hashlib
 import pytest
 
 from repro.engine import Simulator, all_outputs_equal
+from repro.engine.backends import _ID_BITS, BatchBackend
 from repro.experiments.registry import resolve_protocol
 from repro.primitives.epidemic import OneWayEpidemic
 
@@ -124,6 +132,17 @@ PINNED_BACKUP_EXACT = {
     },
 }
 
+#: ``backup-exact`` at n = 10^3 with one of the benchmark's iteration seeds:
+#: a compaction fires at an event's first push, with three more to follow.
+PINNED_MID_EVENT_COMPACTION = {
+    "interactions": 3094519,
+    "convergence_interaction": 3094001,
+    "output_counts": [(1000, 1000)],
+    "sampler": _factorised(30, 28, 19980, 41569, 6),
+    "phase_ops": _phase_ops(3094, 19980),
+    "pair_rng": "90e42fdf79d3475a5cae984fc9b63a5898f8f4be6f01af57e0cca008b217cff8",
+}
+
 PINNED_CHURN = {
     "interactions": 88835,
     "convergence_interaction": None,
@@ -151,6 +170,37 @@ def test_backup_exact_streams_on_the_engaged_kernel_are_pinned(n, seed):
         result.extra["telemetry"],
     )
     assert fingerprint == PINNED_BACKUP_EXACT[(n, seed)]
+
+
+def test_backup_exact_stream_through_a_compaction_inside_an_event_is_pinned():
+    n = 1_000
+    entry = resolve_protocol("backup-exact")
+    simulator = Simulator(entry.build(n, {}), n, seed=2419063764, backend="batch")
+    backend = simulator.backend
+    kernel = backend._pair_kernel
+    compact = kernel._compact
+    pending = []
+
+    def spying_compact():
+        # Ids whose new count the event has not pushed yet.
+        pending.append(sum(
+            count != backend._counts.get(key, 0) for key, count in zip(kernel._keys, kernel._c)
+        ) + len(backend._counts.keys() - kernel._slots.keys()))
+        compact()
+
+    kernel._compact = spying_compact
+    result = simulator.run(
+        convergence=entry.convergence(n, {}), max_interactions=16 * n**2
+    )
+    assert result.stopped_reason == "terminal"
+    assert pending[0] == 3, pending
+    fingerprint = _fingerprint(
+        simulator,
+        result.interactions,
+        result.convergence_interaction,
+        result.extra["telemetry"],
+    )
+    assert fingerprint == PINNED_MID_EVENT_COMPACTION
 
 
 def test_scenario_churn_stream_on_the_engaged_kernel_is_pinned(monkeypatch):
@@ -190,3 +240,76 @@ def test_scenario_churn_stream_on_the_engaged_kernel_is_pinned(monkeypatch):
         run["extra"]["telemetry"],
     )
     assert fingerprint == PINNED_CHURN
+
+
+def _advance_through_kernel_methods(backend, target):
+    """The pruning loop as calls to the kernel's reference methods.
+
+    Same draws, histogram operations and push order as the backend's
+    loop, without its phase timers.
+    """
+    kernel = backend._pair_kernel
+    counts = backend._counts
+    ordered_pairs = backend.n * (backend.n - 1)
+    while backend.interactions < target and not backend.terminal:
+        if kernel.active_weight() <= 0:
+            backend.terminal = True
+            break
+        skip = kernel.next_skip(ordered_pairs)
+        if skip >= target - backend.interactions:
+            backend.interactions = target
+            break
+        backend.interactions += skip + 1
+        ident_a, ident_b = kernel.next_pair()
+        entry = backend._memo.get(ident_a << _ID_BITS | ident_b)
+        if entry.__class__ is tuple:
+            backend._memo_hits += 1
+            new_a, new_b = entry
+        else:
+            new_a, new_b = backend._resolve(ident_a, ident_b, entry)
+        backend.applied_events += 1
+        if sorted((new_a, new_b)) != sorted((ident_a, ident_b)):
+            counts[ident_a] -= 1
+            counts[ident_b] -= 1
+            counts[new_a] = counts.get(new_a, 0) + 1
+            counts[new_b] = counts.get(new_b, 0) + 1
+            if not counts[ident_a]:
+                del counts[ident_a]
+            if counts.get(ident_b) == 0:
+                del counts[ident_b]
+            for ident in dict.fromkeys((ident_a, ident_b, new_a, new_b)):
+                kernel.set_count(ident, counts.get(ident, 0))
+    backend.counter.total = backend.interactions
+
+
+def _reference_fingerprint(simulator, result):
+    backend = simulator.backend
+    telemetry = result.extra["telemetry"]
+    return {
+        "interactions": result.interactions,
+        "convergence_interaction": result.convergence_interaction,
+        "output_counts": sorted(simulator.output_counts().items()),
+        "sampler": telemetry["sampler"],
+        "memo": telemetry["memo"],
+        "pair_rng": backend._pair_rng.getstate(),
+        "agent_rng": backend._agent_rng.getstate(),
+    }
+
+
+@pytest.mark.parametrize("n, seed", [(300, 1), (300, 2), (400, 7), (400, 9)])
+def test_the_loop_draws_what_the_kernel_methods_draw(monkeypatch, n, seed):
+    # Runs whose kernel compacts at least once, mid-event.
+    entry = resolve_protocol("backup-exact")
+    fingerprints = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(
+                BatchBackend, "_advance_pruning_kernel", _advance_through_kernel_methods
+            )
+        simulator = Simulator(entry.build(n, {}), n, seed=seed, backend="batch")
+        result = simulator.run(
+            convergence=entry.convergence(n, {}), max_interactions=16 * n**2
+        )
+        assert result.converged
+        fingerprints.append(_reference_fingerprint(simulator, result))
+    assert fingerprints[0] == fingerprints[1]

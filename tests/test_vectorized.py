@@ -262,6 +262,31 @@ def test_factorised_kernel_compacts_dead_slots():
     assert kernel.active_weight() == 20
 
 
+def test_resync_through_a_compaction_mints_no_dead_slots():
+    # 80 slots, the last 20 dead; the resync to keys 0-29 zeroes 30-59, and
+    # the 21st zeroing (key 50) compacts.  Keys 60-79 were compacted away
+    # before the resync reaches them: zeroing a key with no slot must not
+    # give it a dead slot and an activity row back.
+    reads = []
+
+    def can_change(key_a, key_b):
+        reads.append((key_a, key_b))
+        return (key_a + key_b) % 3 != 0
+
+    kernel = FactorisedPairKernel(dict.fromkeys(range(80), 1), can_change, random.Random(0))
+    for key in range(60, 80):
+        kernel.set_count(key, 0)
+    assert (kernel.size, kernel.stats()["dead_slots"]) == (80, 20)
+    reads.clear()
+    live = dict.fromkeys(range(30), 2)
+    kernel.resync(live)
+    assert (kernel.size, kernel.stats()["dead_slots"]) == (39, 9)
+    assert len(reads) == 1521  # the compaction's rebuild over 39 live keys
+    assert kernel.active_weight() == _brute_force_pair_table(live, can_change)[0]
+    kernel.set_count(70, 0)
+    assert kernel.size == 39
+
+
 # --------------------------------------------------------------------------
 # Fault events through the fused pruning loop
 # --------------------------------------------------------------------------

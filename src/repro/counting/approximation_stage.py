@@ -11,7 +11,7 @@ computes ``k = i * eta_bits - floor(log2 l)``, which Lemma 10 shows equals
 ``log2 n`` up to a small additive error.  The ``ApxDone`` flag then spreads
 by one-way epidemics.
 
-Implementation notes (documented deviations, DESIGN.md §2):
+Implementation notes (deviations from the pseudo-code):
 
 * The once-per-phase actions (the load multiplication, the leader's
   initialisation and decision) run when the agent's phase counter advances

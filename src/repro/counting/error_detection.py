@@ -27,13 +27,12 @@ Phase  Action
        leader's ``k`` by maximum broadcast, and freezes its phase clock
 ====== ===============================================================
 
-Deviation from the pseudo-code (documented in DESIGN.md §2): the
-phase-synchronisation check raises the error flag when two agents' ``phase'``
-counters differ by **two or more**.  A difference of exactly one occurs
-legitimately for a single interaction at every phase boundary (the agent that
-drives the clock tick is momentarily one phase ahead of a partner that has
-not wrapped yet), so the literal "any difference" rule would fire on every
-healthy execution at simulation scales.
+Deviation from the pseudo-code: the phase-synchronisation check raises the
+error flag when two agents' ``phase'`` counters differ by **two or more**.
+A difference of exactly one occurs legitimately for a single interaction at
+every phase boundary (the agent that drives the clock tick is momentarily
+one phase ahead of a partner that has not wrapped yet), so the literal "any
+difference" rule would fire on every healthy execution at simulation scales.
 """
 
 from __future__ import annotations

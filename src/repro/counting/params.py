@@ -4,7 +4,7 @@ Every constant the paper fixes asymptotically (clock modulus, the
 ``2^(level - 8)`` exponents, the refinement constant ``C = 2^8``, error
 thresholds, …) is collected here so that experiments can sweep them and so
 that the calibration used at simulation scales is explicit and documented in
-one place (see DESIGN.md §2).
+one place.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ def recommended_clock_modulus(n: int, target_factor: float = 6.0) -> int:
 
     Lemma 5 states that for any constant ``c`` there is a constant modulus
     ``m(c)`` making every phase at least ``c n log n`` interactions long.
-    Empirically (experiment E6) one clock hour costs roughly a constant
-    number of parallel time units, so the modulus needed for a *fixed*
-    multiple of ``n log n`` grows slowly with ``n``.  Experiment harnesses
+    Empirically one clock hour costs roughly a constant number of parallel
+    time units, so the modulus needed for a *fixed* multiple of ``n log n``
+    grows slowly with ``n``.  Experiment harnesses
     use this helper to pick ``m`` so that a phase comfortably covers one
     broadcast plus one load-balancing window (``target_factor * n * log2 n``
     interactions).  The protocols themselves never call this function — it is
@@ -42,10 +42,10 @@ def recommended_clock_modulus(n: int, target_factor: float = 6.0) -> int:
     """
     if n < 2:
         raise ConfigurationError("population size must be at least 2")
-    # Empirical calibration (see EXPERIMENTS.md, E6): one clock hour costs
-    # roughly 2.5-5 parallel time units (2.5n-5n interactions), so a phase of
-    # ``target_factor * n * log2 n`` interactions needs about
-    # ``target_factor * log2(n) / 2.5`` hours.
+    # Empirical calibration: one clock hour costs roughly 2.5-5 parallel time
+    # units (2.5n-5n interactions), so a phase of ``target_factor * n * log2 n``
+    # interactions needs about ``target_factor * log2(n) / 2.5`` hours.  The
+    # script that measured these figures is not in this tree.
     return max(DEFAULT_CLOCK_MODULUS, math.ceil(target_factor * math.log2(n) / 2.5))
 
 

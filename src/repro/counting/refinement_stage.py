@@ -16,7 +16,7 @@ After phase 2 the total load is ``M = C * 2^{2k} >= 4 n^2`` and every agent's
 load is ``M / n ± 1.5`` w.h.p., so the output function
 ``omega(v) = round(C * 2^{2 k_v} / l_v)`` equals ``n`` exactly (Lemma 11).
 
-Implementation notes (documented deviations, DESIGN.md §2):
+Implementation notes (deviations from the pseudo-code):
 
 * The once-per-phase actions (the leader's injection, the ``2^k``
   multiplication) are performed when the agent's phase counter *advances*

@@ -49,7 +49,6 @@ _EXPORTS = {
     "recorder": ("OutputTraceRecorder", "StateHistogramRecorder"),
     "rng": ("derive_seed", "make_rng", "mix_seed", "spawn_rngs", "spawn_seeds"),
     "scheduler": (
-        "RoundRobinScheduler",
         "Scheduler",
         "SequenceScheduler",
         "UniformRandomScheduler",
@@ -109,7 +108,6 @@ __all__ = [
     "mix_seed",
     "spawn_rngs",
     "spawn_seeds",
-    "RoundRobinScheduler",
     "Scheduler",
     "SequenceScheduler",
     "UniformRandomScheduler",

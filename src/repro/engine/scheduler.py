@@ -3,7 +3,7 @@
 The probabilistic population model draws, at every discrete time step, an
 ordered pair of distinct agents uniformly at random: the *initiator* and the
 *responder*.  :class:`UniformRandomScheduler` implements exactly that model
-and is used by every experiment.  Deterministic schedulers are provided for
+and is used by every experiment.  A deterministic scheduler is provided for
 tests (replaying adversarial interaction sequences, stressing stability
 proofs which quantify over *all* schedules).
 """
@@ -20,7 +20,6 @@ __all__ = [
     "Scheduler",
     "UniformRandomScheduler",
     "SequenceScheduler",
-    "RoundRobinScheduler",
 ]
 
 Pair = Tuple[int, int]
@@ -100,37 +99,3 @@ class SequenceScheduler(Scheduler):
     def reset(self) -> None:
         self._index = 0
 
-
-class RoundRobinScheduler(Scheduler):
-    """Cycle deterministically through all ordered pairs of distinct agents.
-
-    This scheduler is *fair* (every pair occurs infinitely often), which makes
-    it a convenient deterministic stand-in for probability-1 stabilisation
-    tests of the always-correct backup protocols.
-    """
-
-    def __init__(self, shuffle_each_round: bool = False) -> None:
-        self._shuffle = shuffle_each_round
-        self._order: List[Pair] = []
-        self._index = 0
-        self._n = -1
-
-    def _rebuild(self, n: int, rng: random.Random) -> None:
-        self._order = [(a, b) for a in range(n) for b in range(n) if a != b]
-        if self._shuffle:
-            rng.shuffle(self._order)
-        self._index = 0
-        self._n = n
-
-    def next_pair(self, n: int, rng: random.Random, interaction: int) -> Pair:
-        if n < 2:
-            raise ConfigurationError("the population model requires at least two agents")
-        if n != self._n or self._index >= len(self._order):
-            self._rebuild(n, rng)
-        pair = self._order[self._index]
-        self._index += 1
-        return pair
-
-    def reset(self) -> None:
-        self._index = 0
-        self._n = -1

@@ -13,7 +13,7 @@ halves (in expectation) each phase while never becoming empty, so after
 ``Theta(log n)``-phase horizon from an *outer* phase clock; this
 implementation derives it uniformly from the junta level instead
 (``phase_factor * 2^level ~ Theta(log n)`` phases, see
-:class:`~repro.primitives.params.LeaderElectionParameters` and DESIGN.md §2),
+:class:`~repro.primitives.params.LeaderElectionParameters`),
 which preserves uniformity and the ``O(n log^2 n)`` interaction bound.
 
 The module provides the component update used inside protocol `Approximate`

@@ -7,7 +7,7 @@ junta levels ``log log n ± 8``).  At laptop-simulation scales
 (``2^(level - 8) < 1``), so every such constant is exposed here as a
 parameter with a default calibrated for simulation scales.  The *structure*
 of the protocols — what is stored, which rule fires when, how quantities are
-derived from the junta level — is unchanged; see DESIGN.md §2.
+derived from the junta level — is unchanged.
 
 The helper :func:`level_scaled` implements the recurring pattern
 ``factor * 2^(level - offset)``: because the junta level concentrates around
@@ -53,8 +53,8 @@ class LeaderElectionParameters:
     Attributes:
         phase_factor: Multiplier applied to ``2^level`` to obtain the number
             of coin-halving phases a contender completes before declaring
-            ``leaderDone`` (the paper uses an outer phase clock for the same
-            purpose; see DESIGN.md §2 for the substitution).
+            ``leaderDone``.  This replaces the paper's outer phase clock, so
+            the horizon is derived uniformly from the junta level.
         level_offset: Offset subtracted from the junta level in the phase
             threshold.
         min_phases: Lower bound on the number of phases regardless of level.

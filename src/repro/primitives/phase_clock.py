@@ -16,8 +16,9 @@ leader's load infusion.
 
 Lemma 5: for any constant ``c`` there is an ``m = m(c) = O(1)`` such that
 w.h.p. every phase lasts between ``c n log n`` and ``c n log n +
-Theta(n log n)`` interactions.  Experiment E6 measures phase lengths as a
-function of ``m`` and ``n``.
+Theta(n log n)`` interactions.  :class:`JuntaPhaseClockProtocol` runs the
+clock alone, so a run can measure phase lengths as a function of ``m`` and
+``n``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ __all__ = [
     "DEFAULT_CLOCK_MODULUS",
 ]
 
-#: Default number of clock "hours".  Calibrated (experiment E6) so that one
-#: full revolution (one phase) comfortably exceeds one maximum-broadcast plus
+#: Default number of clock "hours".  Calibrated so that one full revolution
+#: (one phase) comfortably exceeds one maximum-broadcast plus
 #: one load-balancing window at simulation scales up to a few hundred agents;
 #: larger populations should use :func:`repro.counting.params.recommended_clock_modulus`.
 DEFAULT_CLOCK_MODULUS = 16
@@ -115,7 +116,7 @@ class JuntaPhaseClockProtocol(Protocol[JuntaPhaseClockState]):
     """Standalone phase clock driven by its own junta process.
 
     This is the construction the composed protocols rely on, isolated so that
-    experiment E6 can measure tick spacing.  The output of an agent is its
+    a run can measure tick spacing.  The output of an agent is its
     current phase counter.
 
     Args:

@@ -16,8 +16,6 @@ Routes:
 ============================  =============================================
 ``GET /healthz``              liveness, version, fingerprint, attached
                               workers, job counts
-``GET /metrics``              Prometheus text exposition (jobs, cells,
-                              cache, leases; see ``JobManager.metrics``)
 ``GET /cache/stats``          result-cache hit/miss accounting
 ``POST /jobs``                submit ``{"kind": ..., "spec": {...}}`` → 201
 ``GET /jobs``                 every job's status, submission order
@@ -201,8 +199,6 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                         "jobs": manager.counts(),
                     },
                 )
-            elif route == ("metrics",):
-                self._send_metrics()
             elif route == ("cache", "stats"):
                 self._send_json(200, manager.cache.stats())
             elif route == ("jobs",):
@@ -219,14 +215,6 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such job: {error.args[0]}")
         except JobNotReady as error:
             self._error(409, str(error))
-
-    def _send_metrics(self) -> None:
-        body = self._manager.render_metrics().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def _stream_events(self, job_id: str) -> None:
         """``GET /jobs/<id>/events``: server-sent events until ``end``.

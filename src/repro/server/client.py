@@ -130,19 +130,18 @@ class ReproClient:
     def _connect(self) -> http.client.HTTPConnection:
         return self._factory(self._host, self._port, timeout=self.timeout_s)
 
-    def _exchange(
+    def _request(
         self,
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
-        accept: str = "application/json",
-    ) -> bytes:
-        """One request on this thread's connection; the response body.
+    ) -> Dict[str, Any]:
+        """One request on this thread's connection; the decoded response.
 
         Raises :class:`ServerError` with the status of a non-2xx response,
         or status 0 when the transport failed.
         """
-        headers = {"Accept": accept}
+        headers = {"Accept": "application/json"}
         data = None
         if body is not None:
             data = json.dumps(body).encode("utf-8")
@@ -171,15 +170,6 @@ class ReproClient:
             raise ServerError(0, f"server unreachable: {error!r}") from None
         if not 200 <= response.status < 300:
             raise ServerError(response.status, _error_message(raw, response.reason))
-        return raw
-
-    def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        raw = self._exchange(method, path, body)
         if not raw:  # 204 No Content (e.g. nothing leasable)
             return {}
         return json.loads(raw.decode("utf-8"))
@@ -187,10 +177,6 @@ class ReproClient:
     # ------------------------------------------------------------ endpoints
     def healthz(self) -> Dict[str, Any]:
         return self._request("GET", "/healthz")
-
-    def metrics(self) -> str:
-        """The raw Prometheus text exposition from ``GET /metrics``."""
-        return self._exchange("GET", "/metrics", accept="text/plain").decode("utf-8")
 
     def cache_stats(self) -> Dict[str, Any]:
         return self._request("GET", "/cache/stats")

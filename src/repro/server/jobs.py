@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, List, Optional
 from ..engine.errors import ConfigurationError
 from ..fingerprint import code_fingerprint
 from ..kinds import KINDS, build_document
-from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache, cache_key
 from .work import WorkItem, WorkQueue
 
@@ -152,94 +151,6 @@ class JobManager:
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._seq = 0
         self._stop = threading.Event()
-        # ------------------------------------------------ metrics (/metrics)
-        self.metrics = MetricsRegistry()
-        self._jobs_submitted = self.metrics.counter(
-            "repro_jobs_submitted_total",
-            "Jobs accepted for scheduling, by kind.",
-            labelnames=("kind",),
-        )
-        self._jobs_finished = self.metrics.counter(
-            "repro_jobs_finished_total",
-            "Jobs that reached a terminal state, by kind and state.",
-            labelnames=("kind", "state"),
-        )
-        self._job_seconds = self.metrics.histogram(
-            "repro_job_duration_seconds",
-            "Job wall-clock from dispatch to terminal state.",
-            labelnames=("kind",),
-        )
-        self._cells_finished = self.metrics.counter(
-            "repro_cells_total",
-            "Cell completions, by job kind and outcome "
-            "(cached / executed / failed).",
-            labelnames=("kind", "outcome"),
-        )
-        self._cell_seconds = self.metrics.histogram(
-            "repro_cell_duration_seconds",
-            "Per-cell wall-clock as reported by the worker record.",
-            labelnames=("kind",),
-        )
-        self._events_emitted = self.metrics.counter(
-            "repro_job_events_total",
-            "Lifecycle events appended to job event logs.",
-            labelnames=("kind",),
-        )
-        self._cache_hits = self.metrics.counter(
-            "repro_cache_hits_total", "Result-cache hits (mirrors /cache/stats)."
-        )
-        self._cache_misses = self.metrics.counter(
-            "repro_cache_misses_total", "Result-cache misses (mirrors /cache/stats)."
-        )
-        self._cache_puts = self.metrics.counter(
-            "repro_cache_puts_total", "Result-cache stores (mirrors /cache/stats)."
-        )
-        self._cache_evictions = self.metrics.counter(
-            "repro_cache_evictions_total",
-            "Result-cache evictions (mirrors /cache/stats).",
-        )
-        self._cache_entries = self.metrics.gauge(
-            "repro_cache_entries", "Result-cache entries currently stored."
-        )
-        self._jobs_by_state = self.metrics.gauge(
-            "repro_jobs", "Jobs currently known to the manager, by state.",
-            labelnames=("state",),
-        )
-        self._leases_granted = self.metrics.counter(
-            "repro_leases_granted_total",
-            "Work leases granted to workers, by worker id.",
-            labelnames=("worker",),
-        )
-        self._leases_expired = self.metrics.counter(
-            "repro_leases_expired_total",
-            "Leases that outlived their TTL without a result (worker "
-            "presumed dead).",
-        )
-        self._leases_requeued = self.metrics.counter(
-            "repro_leases_requeued_total",
-            "Cells put back on the queue after their lease expired.",
-        )
-        self._lease_results = self.metrics.counter(
-            "repro_lease_results_total",
-            "Results pushed by workers, by outcome "
-            "(accepted / duplicate / rejected / gone / unknown).",
-            labelnames=("outcome",),
-        )
-        self._worker_results = self.metrics.counter(
-            "repro_worker_results_total",
-            "Accepted worker results, by worker id.",
-            labelnames=("worker",),
-        )
-        self._work_pending = self.metrics.gauge(
-            "repro_work_pending",
-            "Cells of the running batch awaiting a lease.",
-        )
-        self._worker_leases = self.metrics.gauge(
-            "repro_worker_active_leases",
-            "Outstanding (unexpired, unfinished) leases per worker id.",
-            labelnames=("worker",),
-        )
-        self.metrics.add_collector(self._collect_live_metrics)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-job-dispatcher", daemon=True
         )
@@ -267,30 +178,6 @@ class JobManager:
             self.progress(line)
 
     # ------------------------------------------------------------ telemetry
-    def _collect_live_metrics(self) -> None:
-        """Refresh collector-driven series at scrape time.
-
-        The cache counters are copied from :meth:`ResultCache.stats` — the
-        exact numbers ``/cache/stats`` serves — so the two endpoints can
-        never disagree about hits and misses.
-        """
-        stats = self.cache.stats()
-        self._cache_hits.set_total(stats["hits"])
-        self._cache_misses.set_total(stats["misses"])
-        self._cache_puts.set_total(stats["puts"])
-        self._cache_evictions.set_total(stats["evictions"])
-        self._cache_entries.set(stats["entries"])
-        for state, count in self.counts().items():
-            self._jobs_by_state.set(count, state=state)
-        with self._work_lock:
-            active = self._active
-            workers = list(self._worker_seen)
-        snapshot = active.queue.snapshot() if active is not None else None
-        self._work_pending.set(snapshot["pending"] if snapshot else 0)
-        per_worker = snapshot["active_leases"] if snapshot else {}
-        for worker_id in workers:
-            self._worker_leases.set(per_worker.get(worker_id, 0), worker=worker_id)
-
     def attached_workers(self) -> int:
         """Workers that polled for work or heartbeat within one lease TTL."""
         horizon = time.monotonic() - self.lease_ttl_s
@@ -301,10 +188,6 @@ class JobManager:
         with self._work_lock:
             self._worker_seen[worker_id] = time.monotonic()
 
-    def render_metrics(self) -> str:
-        """The Prometheus text exposition served at ``GET /metrics``."""
-        return self.metrics.render()
-
     def _emit(self, job: Job, event: str, data: Dict[str, Any]) -> None:
         """Append one lifecycle event to the job's log and wake streamers."""
         payload = {"job_id": job.id, **data}
@@ -313,7 +196,6 @@ class JobManager:
                 {"seq": len(job.events), "event": event, "data": payload}
             )
             job.events_cond.notify_all()
-        self._events_emitted.inc(kind=job.kind)
 
     def _finish(self, job: Job, state: str, error: Optional[str] = None) -> None:
         """Move a job to a terminal state (single funnel for all paths).
@@ -327,9 +209,6 @@ class JobManager:
             if error is not None:
                 job.error = error
             job.finished_unix = time.time()
-            duration = job.finished_unix - (job.started_unix or job.submitted_unix)
-        self._jobs_finished.inc(kind=job.kind, state=state)
-        self._job_seconds.observe(duration, kind=job.kind)
         self._emit(job, "job", {"state": state, "error": job.error})
         self._emit(job, "end", {"state": state, "error": job.error})
 
@@ -367,10 +246,6 @@ class JobManager:
     def _reap_batch(self, active: _ActiveBatch) -> None:
         """Expire overdue leases of ``active``; requeue or give up."""
         for lease, fate in active.queue.reap():
-            self._leases_expired.inc()
-            requeued = fate == "requeued"
-            if requeued:
-                self._leases_requeued.inc()
             cell_id = lease.item.payload.get("cell_id")
             self._emit(
                 active.job,
@@ -380,7 +255,7 @@ class JobManager:
                     "worker": lease.worker_id,
                     "cell_id": cell_id,
                     "state": "expired",
-                    "requeued": requeued,
+                    "requeued": fate == "requeued",
                 },
             )
             self._report(
@@ -409,7 +284,6 @@ class JobManager:
         lease = active.queue.lease(worker_id, ttl_s=self.lease_ttl_s)
         if lease is None:
             return None
-        self._leases_granted.inc(worker=worker_id)
         self._emit(
             active.job,
             "lease",
@@ -457,10 +331,8 @@ class JobManager:
         """
         active = self._active_batch()
         if active is None:
-            self._lease_results.inc(outcome="gone")
             return {"lease_id": lease_id, "outcome": "gone", "accepted": False}
         if not isinstance(record, dict) or not record:
-            self._lease_results.inc(outcome="rejected")
             return {
                 "lease_id": lease_id,
                 "outcome": "rejected",
@@ -473,7 +345,6 @@ class JobManager:
         ):
             # A record for the wrong cell is useless; leave the lease to
             # expire (and the cell to requeue) on its own TTL.
-            self._lease_results.inc(outcome="rejected")
             return {
                 "lease_id": lease_id,
                 "outcome": "rejected",
@@ -492,9 +363,6 @@ class JobManager:
             if outcome == "accepted":
                 self.cache.put(lease.item.cache_key, record)
                 self._note_cell(active.job, record, f"worker:{lease.worker_id}")
-        self._lease_results.inc(outcome=outcome)
-        if outcome == "accepted":
-            self._worker_results.inc(worker=lease.worker_id)
         return {
             "lease_id": lease_id,
             "outcome": outcome,
@@ -584,7 +452,6 @@ class JobManager:
             job = Job(job_id, kind, spec, spec.to_dict())
             self._jobs[job_id] = job
             self._order.append(job_id)
-        self._jobs_submitted.inc(kind=kind)
         self._emit(job, "job", {"state": "queued", "total_cells": job.total_cells})
         self._queue.put(job_id)
         self._report(f"job {job_id}: queued ({job.total_cells} cells)")
@@ -714,12 +581,6 @@ class JobManager:
             if source.startswith("worker:"):
                 job.remote += 1
             completed = job.cached + job.executed
-        self._cells_finished.inc(
-            kind=job.kind, outcome="executed" if state == "done" else state
-        )
-        wall = record.get("wall_time_s")
-        if not cached and isinstance(wall, (int, float)):
-            self._cell_seconds.observe(float(wall), kind=job.kind)
         self._emit(
             job,
             "cell",

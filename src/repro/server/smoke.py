@@ -1,9 +1,11 @@
 """End-to-end smoke for the job server; the CI demo.
 
 Two modes, both booting real ``repro-serve`` subprocesses on ephemeral
-ports and asserting the service contract from outside.
+ports and asserting the service contract from outside.  Both submit the
+``counting-smoke`` builtin sweep (:data:`SWEEP`).
 
-**Single-host mode** (default) submits a builtin sweep **twice**:
+**Single-host mode** (default) boots the server over ``--cache-dir`` with
+:data:`WORKERS` spawned workers and submits the sweep **twice**:
 
 * the first job computes every cell on the ``repro-worker`` processes the
   server spawned — each one leased (``remote_cells == executed_cells ==
@@ -11,13 +13,10 @@ ports and asserting the service contract from outside.
   ``/jobs/<id>/events`` stream opened at submission delivers at least one
   ``cell`` event per grid cell, in strictly increasing sequence order,
   with the ``end`` event last,
-* the second identical job is served *entirely* from the result cache
-  (``executed_cells == 0``) — and with ``--cache-dir`` the server is
-  **restarted between the two submissions**, so the 100%-hit assertion
-  proves the on-disk cache (``disk_loads >= grid``), not process memory,
-* ``/metrics`` parses as Prometheus text exposition, its cache counters
-  equal ``/cache/stats`` exactly, and every counter is monotone within
-  each server's lifetime,
+* the server is **restarted** over the same cache directory, and the
+  second identical job is served *entirely* from the result cache
+  (``executed_cells == 0``, ``disk_loads >= grid``), which proves the
+  on-disk cache, not process memory,
 * both served artifacts agree under
   :func:`~repro.server.cache.stable_document`,
 * and, with ``--compare``, the served artifact equals the document the
@@ -25,22 +24,24 @@ ports and asserting the service contract from outside.
   routes to one byte-identical (modulo timestamps) result.
 
 **Distributed mode** (``--distributed``) boots the server with
-``--remote-only`` (it spawns no workers of its own), attaches two external
-``repro-worker`` subprocesses, submits the sweep once, and SIGKILLs the
-first worker the moment it announces a lease — mid-cell, by construction.
-The job must still complete: the dead worker's lease expires at its TTL,
-the cell is requeued, and the surviving worker finishes it.  The served
-artifact must equal the single-host CLI artifact modulo volatile keys, and
-``/metrics`` must show the expiry and requeue.
+``--remote-only`` (it spawns no workers of its own) and a lease TTL of
+:data:`LEASE_TTL_S`, attaches two external ``repro-worker`` subprocesses,
+submits the sweep once, and SIGKILLs the first worker the moment it
+announces a lease — mid-cell, by construction.  The job must still
+complete: the dead worker's lease expires at its TTL, the cell is
+requeued, and the surviving worker finishes it.  The finished job's
+replayed event log must show the expiry, the requeue and a cell from the
+survivor, and the served artifact must equal the single-host CLI artifact
+modulo volatile keys.
 
 Usage (CI runs exactly these)::
 
-    python -m repro.server.smoke --workers 2 \\
+    python -m repro.server.smoke \\
         --cache-dir reports/smoke-cache \\
         --compare reports/SWEEP_counting-smoke.json \\
         --output reports/SERVED_counting-smoke.json
 
-    python -m repro.server.smoke --distributed --lease-ttl-s 10 \\
+    python -m repro.server.smoke --distributed \\
         --compare reports/SWEEP_counting-smoke.json \\
         --output reports/SERVED_distributed-smoke.json
 """
@@ -58,7 +59,6 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..kinds import KINDS
-from ..obs.metrics import counter_value, parse_exposition
 from .cache import stable_document
 from .client import ReproClient
 from .worker import WorkerProcess
@@ -66,6 +66,15 @@ from .worker import WorkerProcess
 __all__ = ["main"]
 
 _LISTENING = re.compile(r"repro-serve listening on http://([^:\s]+):(\d+)")
+
+#: The builtin sweep both modes submit.
+SWEEP = "counting-smoke"
+#: ``repro-worker`` processes the server spawns in single-host mode.
+WORKERS = 2
+#: How long to wait for one job.
+TIMEOUT_S = 600.0
+#: The lease TTL of the distributed mode's server.
+LEASE_TTL_S = 10.0
 
 
 class SmokeFailure(Exception):
@@ -77,9 +86,7 @@ def _drain(stream, sink: List[str]) -> None:
         sink.append(line)
 
 
-def _start_server(
-    workers: int, extra_args: Optional[List[str]] = None
-) -> "tuple[subprocess.Popen, str, List[str]]":
+def _start_server(extra_args: List[str]) -> "tuple[subprocess.Popen, str, List[str]]":
     process = subprocess.Popen(
         [
             sys.executable,
@@ -88,9 +95,9 @@ def _start_server(
             "--port",
             "0",
             "--workers",
-            str(workers),
+            str(WORKERS),
             "--quiet",
-            *(extra_args or []),
+            *extra_args,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -142,44 +149,6 @@ def _watch_into(client: ReproClient, job_id: str, sink: List[dict], errors: List
         errors.append(f"{type(error).__name__}: {error}")
 
 
-def _check_metrics_contract(
-    client: ReproClient,
-    metrics_before: Dict[str, Dict[Any, float]],
-    jobs_done: int,
-) -> None:
-    """Cache counters match ``/cache/stats``; counters monotone; jobs land."""
-    stats = client.cache_stats()
-    metrics_after = parse_exposition(client.metrics())
-    for field in ("hits", "misses", "puts", "evictions"):
-        exposed = counter_value(metrics_after, f"repro_cache_{field}_total")
-        _expect(
-            exposed == stats[field],
-            f"/metrics repro_cache_{field}_total={exposed} disagrees with "
-            f"/cache/stats {field}={stats[field]}",
-        )
-    for name, samples in metrics_before.items():
-        if not name.endswith("_total"):
-            continue
-        for labels, value in samples.items():
-            now = metrics_after.get(name, {}).get(labels, 0.0)
-            _expect(
-                now >= value,
-                f"counter {name}{dict(labels)} went backwards: {value} -> {now}",
-            )
-    finished = counter_value(
-        metrics_after, "repro_jobs_finished_total", kind="sweep", state="done"
-    )
-    _expect(
-        finished == jobs_done,
-        f'repro_jobs_finished_total{{kind="sweep",state="done"}} should be '
-        f"{jobs_done}, got {finished}",
-    )
-    print(
-        f"metrics: {len(metrics_after)} families parsed, cache counters match "
-        "/cache/stats, counters monotone"
-    )
-
-
 def _compare_and_write(
     artifact: Dict[str, Any],
     compare: Optional[str],
@@ -205,27 +174,23 @@ def _compare_and_write(
 
 
 # --------------------------------------------------------------------------
-# Single-host flow (optionally with a restart between the two submissions)
+# Single-host flow, with a restart between the two submissions
 # --------------------------------------------------------------------------
 
 
 def _single_host_flow(args: argparse.Namespace) -> int:
-    spec = KINDS["sweep"].resolve_builtin(args.sweep)
+    spec = KINDS["sweep"].resolve_builtin(SWEEP)
     spec_dict = spec.to_dict()
     grid = len(spec.cells())
-    server_args: List[str] = []
-    if args.cache_dir:
-        server_args += ["--cache-dir", args.cache_dir]
+    server_args = ["--cache-dir", args.cache_dir]
     process = None
     log: List[str] = []
     try:
-        process, base_url, log = _start_server(args.workers, server_args)
+        process, base_url, log = _start_server(server_args)
         client = ReproClient(base_url)
 
         health = client.healthz()
         print(f"healthz: version {health['version']}, {health['workers']} worker(s)")
-
-        metrics_before = parse_exposition(client.metrics())
 
         first = client.submit("sweep", spec_dict)
         # Attach a live event stream while the job runs; the watcher thread
@@ -238,7 +203,7 @@ def _single_host_flow(args: argparse.Namespace) -> int:
             daemon=True,
         )
         watcher.start()
-        done_first = client.wait(first["job_id"], timeout_s=args.timeout_s)
+        done_first = client.wait(first["job_id"], timeout_s=TIMEOUT_S)
         _expect(
             done_first["state"] == "done",
             f"first job finished {done_first['state']}: {done_first['error']}",
@@ -285,19 +250,16 @@ def _single_host_flow(args: argparse.Namespace) -> int:
             "ordered, end-terminated"
         )
 
-        if args.cache_dir:
-            # Restart the server: the second submission can only be served
-            # from disk, so the 100%-hit assertion below proves persistence.
-            _check_metrics_contract(client, metrics_before, jobs_done=1)
-            _stop_server(process)
-            process = None
-            print(f"server restarted over cache dir {args.cache_dir}")
-            process, base_url, log = _start_server(args.workers, server_args)
-            client = ReproClient(base_url)
-            metrics_before = parse_exposition(client.metrics())
+        # Restart the server: the second submission can only be served
+        # from disk, so the 100%-hit assertion below proves persistence.
+        _stop_server(process)
+        process = None
+        print(f"server restarted over cache dir {args.cache_dir}")
+        process, base_url, log = _start_server(server_args)
+        client = ReproClient(base_url)
 
         second = client.submit("sweep", spec_dict)
-        done_second = client.wait(second["job_id"], timeout_s=args.timeout_s)
+        done_second = client.wait(second["job_id"], timeout_s=TIMEOUT_S)
         _expect(
             done_second["state"] == "done",
             f"second job finished {done_second['state']}: {done_second['error']}",
@@ -315,33 +277,21 @@ def _single_host_flow(args: argparse.Namespace) -> int:
             stats["hits"] >= grid,
             f"expected at least {grid} cache hits, got {stats}",
         )
-        if args.cache_dir:
-            _expect(
-                stats["disk_loads"] >= grid,
-                f"expected at least {grid} disk loads after the restart, "
-                f"got {stats}",
-            )
-            print(
-                f"cache: {stats['hits']} hits, {stats['disk_loads']} loaded "
-                f"from disk ({stats['disk_entries']} files, "
-                f"{stats['disk_bytes']} bytes on disk)"
-            )
-        else:
-            print(
-                f"cache: {stats['hits']} hits / {stats['misses']} misses "
-                f"({stats['entries']} entries)"
-            )
-
-        _check_metrics_contract(
-            client, metrics_before, jobs_done=1 if args.cache_dir else 2
+        _expect(
+            stats["disk_loads"] >= grid,
+            f"expected at least {grid} disk loads after the restart, got {stats}",
+        )
+        print(
+            f"cache: {stats['hits']} hits, {stats['disk_loads']} loaded "
+            f"from disk ({stats['disk_entries']} files, "
+            f"{stats['disk_bytes']} bytes on disk)"
         )
 
         _expect(
             stable_document(artifact_first) == stable_document(artifact_second),
             "computed and cache-served artifacts differ beyond volatile fields",
         )
-        print("artifact equivalence: computed == cache-served"
-              + (" (across a restart)" if args.cache_dir else ""))
+        print("artifact equivalence: computed == cache-served (across a restart)")
 
         _compare_and_write(artifact_second, args.compare, args.output)
         print("server smoke: PASS")
@@ -361,7 +311,7 @@ def _single_host_flow(args: argparse.Namespace) -> int:
 
 
 def _distributed_flow(args: argparse.Namespace) -> int:
-    spec = KINDS["sweep"].resolve_builtin(args.sweep)
+    spec = KINDS["sweep"].resolve_builtin(SWEEP)
     spec_dict = spec.to_dict()
     grid = len(spec.cells())
     process = None
@@ -369,13 +319,13 @@ def _distributed_flow(args: argparse.Namespace) -> int:
     workers: List[WorkerProcess] = []
     try:
         process, base_url, log = _start_server(
-            2, ["--remote-only", "--lease-ttl-s", str(args.lease_ttl_s)]
+            ["--remote-only", "--lease-ttl-s", str(LEASE_TTL_S)]
         )
         client = ReproClient(base_url)
         health = client.healthz()
         print(
             f"healthz: version {health['version']} (remote-only scheduler, "
-            f"lease TTL {args.lease_ttl_s:g}s)"
+            f"lease TTL {LEASE_TTL_S:g}s)"
         )
 
         workers = [
@@ -389,7 +339,7 @@ def _distributed_flow(args: argparse.Namespace) -> int:
 
         # SIGKILL the victim the instant it announces its first lease —
         # before the cell finishes, so its lease must expire and requeue.
-        deadline = time.monotonic() + args.timeout_s
+        deadline = time.monotonic() + TIMEOUT_S
         while not workers[0].leased.is_set():
             _expect(
                 time.monotonic() < deadline,
@@ -406,7 +356,7 @@ def _distributed_flow(args: argparse.Namespace) -> int:
         workers[0].process.wait(timeout=15)
         print("SIGKILLed smoke-victim mid-cell (after its first lease)")
 
-        done = client.wait(job_id, timeout_s=args.timeout_s)
+        done = client.wait(job_id, timeout_s=TIMEOUT_S)
         _expect(
             done["state"] == "done",
             f"job finished {done['state']} despite the surviving worker: "
@@ -426,24 +376,33 @@ def _distributed_flow(args: argparse.Namespace) -> int:
             "remote workers"
         )
 
-        metrics = parse_exposition(client.metrics())
-        expired = counter_value(metrics, "repro_leases_expired_total")
-        requeued = counter_value(metrics, "repro_leases_requeued_total")
-        _expect(
-            expired >= 1 and requeued >= 1,
-            f"the killed worker's lease must expire and requeue, got "
-            f"expired={expired} requeued={requeued}",
+        # The finished job's event log, replayed: every lease expiry and
+        # every resolved cell with the worker it came from.
+        history = list(client.watch(job_id))
+        expired = [
+            record["data"]
+            for record in history
+            if record["event"] == "lease" and record["data"]["state"] == "expired"
+        ]
+        requeued = sum(1 for lease in expired if lease["requeued"])
+        survivor_cells = sum(
+            1
+            for record in history
+            if record["event"] == "cell"
+            and record["data"]["source"] == "worker:smoke-survivor"
         )
-        survivor_cells = counter_value(
-            metrics, "repro_worker_results_total", worker="smoke-survivor"
+        _expect(
+            len(expired) >= 1 and requeued >= 1,
+            f"the killed worker's lease must expire and requeue, got "
+            f"expired={len(expired)} requeued={requeued}",
         )
         _expect(
             survivor_cells >= 1,
             f"the surviving worker should finish cells, got {survivor_cells}",
         )
         print(
-            f"leases: {expired:g} expired, {requeued:g} requeued, "
-            f"{survivor_cells:g} cells by the survivor"
+            f"leases (event log): {len(expired)} expired, {requeued} requeued, "
+            f"{survivor_cells} cells by the survivor"
         )
 
         artifact = client.artifact(job_id)
@@ -476,25 +435,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Boot repro-serve and prove the submit/cache/serve contract.",
     )
     parser.add_argument(
-        "--sweep",
-        default="counting-smoke",
-        help="builtin sweep to submit (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="repro-worker processes the server spawns (single-host mode)",
-    )
-    parser.add_argument(
-        "--timeout-s", type=float, default=600.0, help="per-job wait budget"
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help=(
             "persist the result cache here and restart the server between "
-            "the two submissions, proving the on-disk cache"
+            "the two submissions, proving the on-disk cache (required "
+            "without --distributed)"
         ),
     )
     parser.add_argument(
@@ -504,12 +450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "remote-only mode: attach two repro-worker processes, SIGKILL "
             "one mid-cell, and require the job to complete anyway"
         ),
-    )
-    parser.add_argument(
-        "--lease-ttl-s",
-        type=float,
-        default=10.0,
-        help="lease TTL for --distributed (default: %(default)s)",
     )
     parser.add_argument(
         "--compare",
@@ -527,6 +467,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.distributed:
         return _distributed_flow(args)
+    if not args.cache_dir:
+        parser.error("--cache-dir is required without --distributed")
     return _single_host_flow(args)
 
 

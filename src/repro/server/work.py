@@ -164,23 +164,6 @@ class WorkQueue:
         with self._cond:
             return [self._results.get(item.item_id) for item in self._items]
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Live counts for metrics collectors and progress endpoints."""
-        with self._cond:
-            per_worker: Dict[str, int] = {}
-            for lease in self._leases.values():
-                if lease.state == "active":
-                    per_worker[lease.worker_id] = (
-                        per_worker.get(lease.worker_id, 0) + 1
-                    )
-            return {
-                "items": len(self._items),
-                "pending": len(self._pending),
-                "resolved": len(self._results),
-                "active_leases": per_worker,
-                "requeues": self.requeues,
-            }
-
     # -------------------------------------------------------------- leases
     def lease(self, worker_id: str, ttl_s: Optional[float] = None) -> Optional[Lease]:
         """Grant the oldest pending item to ``worker_id``, or ``None``."""

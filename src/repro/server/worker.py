@@ -233,7 +233,8 @@ class Worker:
     Args:
         client: Connection to the server.
         worker_id: Identity reported with every lease (shows up in the
-            server's per-worker metrics and lifecycle events).
+            ``source`` of the job's ``cell`` events and in its ``lease``
+            events).
         poll_s: Sleep between empty lease polls (shorter for the first
             few polls after a push, see :data:`FIRST_POLL_S`).
         max_idle_s: Exit once this long passes without the server granting

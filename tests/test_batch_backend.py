@@ -23,7 +23,7 @@ from repro.engine import (
 from repro.engine.backends import BatchBackend, LiftedKeyTransitions
 from repro.engine.hooks import TimelineEvent
 from repro.engine.rng import make_rng
-from repro.engine.scheduler import RoundRobinScheduler
+from repro.engine.scheduler import SequenceScheduler
 from repro.engine.stats import (
     chi_square_pvalue,
     chi_square_statistic,
@@ -184,7 +184,9 @@ def test_lifted_adapter_matches_direct_transitions():
 
 def test_batch_rejects_custom_schedulers_and_stepping():
     with pytest.raises(ConfigurationError):
-        Simulator(OneWayEpidemic(), 8, scheduler=RoundRobinScheduler(), backend="batch")
+        Simulator(
+            OneWayEpidemic(), 8, scheduler=SequenceScheduler([(0, 1)]), backend="batch"
+        )
     simulator = Simulator(OneWayEpidemic(), 8, backend="batch")
     with pytest.raises(SimulationError):
         simulator.step()
@@ -199,7 +201,7 @@ def test_auto_backend_selection():
     # Custom scheduler forces the per-agent loop.
     assert (
         Simulator(
-            OneWayEpidemic(), 8, scheduler=RoundRobinScheduler(), backend="auto"
+            OneWayEpidemic(), 8, scheduler=SequenceScheduler([(0, 1)]), backend="auto"
         ).backend_name
         == "agent"
     )

@@ -39,7 +39,6 @@ NOT_ON_RUN_PATH = (
     "repro.experiments.runner",
     "repro.experiments.aggregate",
     "repro.experiments.builtin",
-    "repro.obs.metrics",
     "repro.obs.profile",
     "multiprocessing",
 )

@@ -1,10 +1,7 @@
 """Tests of the observability layer (PR 8 tentpole).
 
-Three fronts:
+Two fronts:
 
-* the metrics primitives — counters/gauges/histograms, the Prometheus
-  text-exposition renderer, and the strict parser used by the smoke to
-  validate every exposed line;
 * run tracing — ``extra["telemetry"]`` emitted by both backends as the
   single source of the sampler and memo records, and the determinism
   contract (tracing never touches an RNG stream);
@@ -17,14 +14,6 @@ import pytest
 
 from repro.counting.backup import ExactBackupProtocol
 from repro.engine import all_outputs_equal, simulate
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter_value,
-    parse_exposition,
-)
 from repro.obs.profile import (
     PROVENANCE,
     aggregate_telemetry,
@@ -34,108 +23,6 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import EVENT_LIMIT, TELEMETRY_SCHEMA, RunTracer
 from repro.primitives.epidemic import OneWayEpidemic
-
-# --------------------------------------------------------------------------
-# Metrics primitives and the exposition round trip
-# --------------------------------------------------------------------------
-
-
-def test_counter_labels_and_render_parse_round_trip():
-    registry = MetricsRegistry()
-    jobs = registry.counter("jobs_total", "Jobs by kind.", labelnames=("kind",))
-    jobs.inc(kind="sweep")
-    jobs.inc(2, kind="search")
-    plain = registry.counter("restarts_total", "Restarts.")
-    plain.inc()
-    text = registry.render()
-    assert "# HELP jobs_total Jobs by kind." in text
-    assert "# TYPE jobs_total counter" in text
-    parsed = parse_exposition(text)
-    assert counter_value(parsed, "jobs_total", kind="sweep") == 1.0
-    assert counter_value(parsed, "jobs_total", kind="search") == 2.0
-    assert counter_value(parsed, "restarts_total") == 1.0
-    assert counter_value(parsed, "jobs_total", kind="absent") is None
-    assert counter_value(parsed, "no_such_metric") is None
-
-
-def test_counter_rejects_decrement_and_unknown_labels():
-    registry = MetricsRegistry()
-    jobs = registry.counter("jobs_total", "h", labelnames=("kind",))
-    with pytest.raises(ValueError):
-        jobs.inc(-1, kind="sweep")
-    with pytest.raises(ValueError):
-        jobs.inc(colour="red")
-    with pytest.raises(ValueError):
-        jobs.inc()  # missing the declared label
-
-
-def test_gauge_moves_both_ways():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("inflight", "h")
-    gauge.set(3)
-    gauge.inc()
-    gauge.dec(2)
-    assert gauge.value() == 2.0
-    parsed = parse_exposition(registry.render())
-    assert parsed["inflight"][()] == 2.0
-
-
-def test_histogram_buckets_are_cumulative_and_parse():
-    registry = MetricsRegistry()
-    histogram = registry.histogram(
-        "latency_seconds", "h", buckets=(0.1, 1.0)
-    )
-    for value in (0.05, 0.5, 5.0):
-        histogram.observe(value)
-    assert histogram.count() == 3
-    parsed = parse_exposition(registry.render())
-    buckets = parsed["latency_seconds_bucket"]
-    assert buckets[(("le", "0.1"),)] == 1.0
-    assert buckets[(("le", "1"),)] == 2.0
-    assert buckets[(("le", "+Inf"),)] == 3.0
-    assert parsed["latency_seconds_count"][()] == 3.0
-    assert parsed["latency_seconds_sum"][()] == pytest.approx(5.55)
-
-
-def test_registry_registration_is_idempotent_but_type_checked():
-    registry = MetricsRegistry()
-    first = registry.counter("a_total", "h")
-    assert registry.counter("a_total", "h") is first
-    with pytest.raises(ValueError):
-        registry.gauge("a_total", "h")
-
-
-def test_collectors_run_at_render_time():
-    registry = MetricsRegistry()
-    hits = registry.counter("hits_total", "h")
-    live = {"hits": 0}
-    registry.add_collector(lambda: hits.set_total(live["hits"]))
-    live["hits"] = 7
-    parsed = parse_exposition(registry.render())
-    assert counter_value(parsed, "hits_total") == 7.0
-    live["hits"] = 9
-    parsed = parse_exposition(registry.render())
-    assert counter_value(parsed, "hits_total") == 9.0
-
-
-def test_parse_exposition_rejects_malformed_lines():
-    for bad in (
-        "jobs_total 1",  # sample with no preceding # TYPE
-        "# TYPE jobs_total counter\njobs_total",  # no value
-        "# TYPE jobs_total counter\njobs_total{kind= 1",  # broken labels
-        "garbage line",
-    ):
-        with pytest.raises(ValueError):
-            parse_exposition(bad)
-
-
-def test_metric_name_and_label_validation():
-    registry = MetricsRegistry()
-    with pytest.raises(ValueError):
-        registry.counter("0bad", "h")
-    with pytest.raises(ValueError):
-        registry.counter("ok_total", "h", labelnames=("bad-label",))
-
 
 # --------------------------------------------------------------------------
 # RunTracer

@@ -4,11 +4,7 @@ import pytest
 
 from repro.engine.errors import ConfigurationError, SimulationError
 from repro.engine.rng import make_rng
-from repro.engine.scheduler import (
-    RoundRobinScheduler,
-    SequenceScheduler,
-    UniformRandomScheduler,
-)
+from repro.engine.scheduler import SequenceScheduler, UniformRandomScheduler
 
 
 def test_uniform_scheduler_returns_distinct_in_range_pairs():
@@ -49,11 +45,3 @@ def test_sequence_scheduler_validates_pairs():
         SequenceScheduler([(1, 1)])
     with pytest.raises(ConfigurationError):
         SequenceScheduler([])
-
-
-def test_round_robin_scheduler_covers_every_ordered_pair_each_round():
-    scheduler = RoundRobinScheduler()
-    rng = make_rng(0)
-    n = 4
-    pairs = [scheduler.next_pair(n, rng, i) for i in range(n * (n - 1))]
-    assert len(set(pairs)) == n * (n - 1)

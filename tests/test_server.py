@@ -21,7 +21,6 @@ from repro.experiments import BudgetPolicy, SweepRunner, SweepSpec
 from repro.experiments import build_document as build_sweep_document
 from repro.fingerprint import code_fingerprint, spec_sha256
 from repro.scenarios import EventSpec, ScenarioSpec
-from repro.obs.metrics import counter_value, parse_exposition
 from repro.server import (
     JobManager,
     JobNotReady,
@@ -209,6 +208,7 @@ def test_sweep_job_lifecycle_then_full_cache_hit(manager):
     assert status["progress"]["executed_cells"] == 2
     assert status["progress"]["cached_cells"] == 0
     assert status["progress"]["failed_cells"] == []
+    assert status["submitted_unix"] <= status["started_unix"] <= status["finished_unix"]
     artifact = manager.artifact(first["job_id"])
     assert artifact["code_fingerprint"] == code_fingerprint()
     assert artifact["spec_sha256"] == spec_sha256(spec.to_dict())
@@ -226,6 +226,7 @@ def test_sweep_job_lifecycle_then_full_cache_hit(manager):
     assert stable_document(again) == stable_document(artifact)
     stats = manager.cache.stats()
     assert stats["hits"] == 2 and stats["puts"] == 2
+    assert manager.counts()["done"] == 2
 
 
 def test_served_sweep_matches_inline_runner_document(manager):
@@ -391,6 +392,7 @@ def test_http_end_to_end_lifecycle(http_server):
     assert stable_document(again) == stable_document(artifact)
     stats = client.cache_stats()
     assert stats["hits"] >= len(spec.cells())
+    assert client.healthz()["jobs"]["done"] == 2
 
 
 def test_http_error_codes(http_server):
@@ -505,57 +507,9 @@ def test_every_terminal_path_emits_exactly_one_end_event(manager, monkeypatch):
         release.set()
 
 
-def test_manager_metrics_render_matches_lifecycle(manager):
-    spec = tiny_sweep(name="tiny-metrics")
-    job = manager.submit("sweep", spec.to_dict())
-    wait_terminal(manager, job["job_id"])
-    parsed = parse_exposition(manager.render_metrics())
-    assert counter_value(parsed, "repro_jobs_submitted_total", kind="sweep") == 1.0
-    assert (
-        counter_value(parsed, "repro_jobs_finished_total", kind="sweep", state="done")
-        == 1.0
-    )
-    assert (
-        counter_value(parsed, "repro_cells_total", kind="sweep", outcome="executed")
-        == len(spec.cells())
-    )
-    stats = manager.cache.stats()
-    for field in ("hits", "misses", "puts", "evictions"):
-        assert counter_value(parsed, f"repro_cache_{field}_total") == stats[field]
-    assert counter_value(parsed, "repro_cache_entries") == stats["entries"]
-    assert counter_value(parsed, "repro_jobs", state="done") == 1.0
-    assert parsed["repro_job_duration_seconds_count"][(("kind", "sweep"),)] == 1.0
-
-
 # --------------------------------------------------------------------------
-# HTTP: /metrics and the SSE stream
+# HTTP: the SSE stream
 # --------------------------------------------------------------------------
-
-
-def test_http_metrics_counters_match_cache_stats_and_stay_monotone(http_server):
-    client = http_server
-    before = parse_exposition(client.metrics())
-    spec = tiny_sweep(name="tiny-http-metrics")
-    for _ in range(2):
-        job = client.submit("sweep", spec.to_dict())
-        assert client.wait(job["job_id"], timeout_s=120.0)["state"] == "done"
-    after = parse_exposition(client.metrics())
-    stats = client.cache_stats()
-    for field in ("hits", "misses", "puts", "evictions"):
-        assert counter_value(after, f"repro_cache_{field}_total") == stats[field]
-    assert (
-        counter_value(after, "repro_jobs_finished_total", kind="sweep", state="done")
-        == 2.0
-    )
-    assert (
-        counter_value(after, "repro_cells_total", kind="sweep", outcome="cached")
-        == len(spec.cells())
-    )
-    for name, samples in before.items():
-        if not name.endswith("_total"):
-            continue
-        for labels, value in samples.items():
-            assert after.get(name, {}).get(labels, 0.0) >= value
 
 
 def test_http_sse_stream_is_ordered_replayable_and_resumable(http_server):

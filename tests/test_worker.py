@@ -33,7 +33,6 @@ import pytest
 import repro.server
 from repro.experiments import BudgetPolicy, SweepRunner, SweepSpec
 from repro.experiments import build_document as build_sweep_document
-from repro.obs.metrics import counter_value, parse_exposition
 from repro.server import JobManager, ReproClient, ServerError
 from repro.server import work
 from repro.server.app import ReproRequestHandler, ReproServer, make_server
@@ -80,6 +79,25 @@ def record_for(item, **overrides):
     return record
 
 
+def lease_events(client, job_id, state):
+    """The data of the job's ``lease`` events in ``state``, from its log."""
+    return [
+        event["data"]
+        for event in client.watch(job_id)
+        if event["event"] == "lease" and event["data"]["state"] == state
+    ]
+
+
+def cells_by_source(client, job_id):
+    """How many of the job's ``cell`` events came from each source."""
+    sources = {}
+    for event in client.watch(job_id):
+        if event["event"] == "cell":
+            source = event["data"]["source"]
+            sources[source] = sources.get(source, 0) + 1
+    return sources
+
+
 class FakeClock:
     def __init__(self):
         self.now = 100.0
@@ -102,9 +120,8 @@ def test_lease_hands_out_items_fifo_and_tracks_attempts():
     assert first.item.attempts == 1
     assert first.lease_id != second.lease_id
     assert queue.lease("w3") is None  # nothing pending
-    snapshot = queue.snapshot()
-    assert snapshot["pending"] == 0
-    assert snapshot["active_leases"] == {"w1": 1, "w2": 1}
+    assert queue.peek(first.lease_id).worker_id == "w1"
+    assert queue.peek(second.lease_id).worker_id == "w2"
 
 
 def test_complete_is_first_wins_and_notifies():
@@ -313,12 +330,9 @@ def test_remote_worker_executes_a_job_end_to_end(served_manager):
     )
     assert stable_document(served) == stable_document(local)
 
-    metrics = parse_exposition(client.metrics())
-    assert counter_value(metrics, "repro_leases_granted_total", worker="wt-1") == 2
-    assert (
-        counter_value(metrics, "repro_lease_results_total", outcome="accepted")
-        == 2
-    )
+    granted = lease_events(client, job_id, "granted")
+    assert [lease["worker"] for lease in granted] == ["wt-1", "wt-1"]
+    assert cells_by_source(client, job_id) == {"worker:wt-1": 2}
 
 
 def test_abandoned_lease_is_requeued_and_job_still_completes(served_manager):
@@ -347,13 +361,10 @@ def test_abandoned_lease_is_requeued_and_job_still_completes(served_manager):
 
     assert status["state"] == "done"
     assert status["progress"]["failed_cells"] == []
-    metrics = parse_exposition(client.metrics())
-    assert counter_value(metrics, "repro_leases_expired_total") >= 1
-    assert counter_value(metrics, "repro_leases_requeued_total") >= 1
-    assert (
-        counter_value(metrics, "repro_worker_results_total", worker="honest")
-        == 1
-    )
+    expired = lease_events(client, job_id, "expired")
+    assert len(expired) >= 1
+    assert any(lease["requeued"] for lease in expired)
+    assert cells_by_source(client, job_id) == {"worker:honest": 1}
 
 
 def test_wrong_cell_result_is_rejected_and_cell_recovers(served_manager):
@@ -533,7 +544,7 @@ def test_sequential_requests_from_one_thread_share_one_connection(serve, accepte
     for _ in range(5):
         client.healthz()
         assert client.lease("w1") is None
-        client.metrics()
+        client.healthz()
         with pytest.raises(ServerError):
             client.status("missing-job")
     assert len(accepted) == 1
@@ -684,8 +695,8 @@ def test_busy_worker_takes_all_but_its_first_lease_from_push_replies(serve):
     assert status["progress"]["remote_cells"] == 5
     assert worker.accepted == 5
     assert granted == ["one-way-epidemic-n8"]
-    metrics = parse_exposition(client.metrics())
-    assert counter_value(metrics, "repro_leases_granted_total", worker="solo") == 5
+    leases = lease_events(client, job_id, "granted")
+    assert [lease["worker"] for lease in leases] == ["solo"] * 5
 
 
 def wait_for_lease(client, worker_id):
@@ -871,12 +882,10 @@ def test_mixed_local_and_remote_execution():
         assert status["state"] == "done"
         assert status["progress"]["remote_cells"] == 4
         assert status["progress"]["failed_cells"] == []
-        metrics = parse_exposition(client.metrics())
-        by_worker = {
-            worker: counter_value(metrics, "repro_worker_results_total", worker=worker)
-            for worker in ("local-1", "external")
+        assert cells_by_source(client, job_id) == {
+            "worker:external": 1,
+            "worker:local-1": 3,
         }
-        assert by_worker["external"] == 1 and by_worker["local-1"] == 3
         served = client.artifact(job_id)
         local = build_sweep_document(
             spec, SweepRunner(spec, workers=1).run(), workers=1
